@@ -15,21 +15,27 @@ workload through the micro-batch streaming engine
 (:mod:`repro.streaming`) and produces output byte-identical to
 :func:`run_pipeline` on the same data and seed.  All honour the same
 :class:`PipelineConfig`, including its fault-injection and observability
-knobs, and produce output identical to the legacy construction path
-(``SinglePulsePipeline(...)`` / hand-built ``DRapidDriver``) on the same
-seed — the facade adds no behaviour, only a stable surface.
+knobs, and produce output identical to driving the underlying classes
+directly (``SinglePulsePipeline(...)`` / a hand-built ``DRapidDriver``) on
+the same seed — the facade adds no behaviour, only a stable surface.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.astro.population import Pulsar, synthesize_population
 from repro.astro.survey import GBT350DRIFT, PALFA, Observation, SurveyConfig
-from repro.core.pipeline import PipelineResult, SinglePulsePipeline
+from repro.cluster import open_cluster
+from repro.core.drapid import paper_partitions
+from repro.core.pipeline import (
+    PipelineResult,
+    SinglePulsePipeline,
+    identify_observations,
+)
 from repro.core.search import FrontendParams, SearchParams
 from repro.execution import (
     ExecutionConfig,
@@ -37,6 +43,7 @@ from repro.execution import (
     env_execution_config,
     resolve_execution,
 )
+from repro.obs.session import ObsSession
 from repro.sparklet.pools import DEFAULT_POOL
 from repro.streaming.backpressure import PIDConfig
 from repro.streaming.engine import (
@@ -50,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.drapid import DRapidResult
     from repro.dfs import DFSClient
     from repro.memo.config import MemoConfig
-    from repro.obs import ObsConfig, ObsSession
+    from repro.obs import ObsConfig
     from repro.sparklet.context import SparkletContext
     from repro.sparklet.faults import FaultConfig
 
@@ -104,41 +111,6 @@ def resolve_survey(survey: str | SurveyConfig) -> SurveyConfig:
         raise ValueError(str(exc).strip('"')) from None
 
 
-def _fold_legacy_execution(cfg) -> None:
-    """Fold deprecated loose ``backend``/``num_workers`` keywords into the
-    frozen ``execution`` record.
-
-    Warns ``DeprecationWarning`` whenever a loose keyword is used, then
-    normalizes the loose fields back to ``None`` — so two configs spelled
-    the old way and the new way compare (and hash) equal, and downstream
-    code only ever reads ``cfg.execution``.
-    """
-    if cfg.backend is None and cfg.num_workers is None:
-        return
-    warnings.warn(
-        f"{type(cfg).__name__}(backend=..., num_workers=...) is deprecated; "
-        "use execution=ExecutionConfig(backend=..., num_workers=...)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-    base = cfg.execution if cfg.execution is not None else ExecutionConfig()
-    if cfg.backend is not None:
-        if base.backend is not None and base.backend != cfg.backend:
-            raise ValueError(
-                "backend given both directly and via execution=; pick one"
-            )
-        base = dataclasses.replace(base, backend=cfg.backend)
-    if cfg.num_workers is not None:
-        if base.num_workers is not None and base.num_workers != cfg.num_workers:
-            raise ValueError(
-                "num_workers given both directly and via execution=; pick one"
-            )
-        base = dataclasses.replace(base, num_workers=cfg.num_workers)
-    object.__setattr__(cfg, "execution", base)
-    object.__setattr__(cfg, "backend", None)
-    object.__setattr__(cfg, "num_workers", None)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one pipeline run depends on, in one immutable record.
@@ -173,19 +145,11 @@ class PipelineConfig:
     #: same seed (kernel *methods* agree within the documented tolerance
     #: law).
     execution: ExecutionConfig | None = None
-    #: Deprecated: use ``execution=ExecutionConfig(backend=...)``.  Folded
-    #: into ``execution`` (with a DeprecationWarning) at construction.
-    backend: str | None = None
-    #: Deprecated: use ``execution=ExecutionConfig(num_workers=...)``.
-    num_workers: int | None = None
     #: Lineage-hash memoization + persistent candidate recording (see
     #: :class:`repro.memo.MemoConfig`).  None defers to the ``REPRO_MEMO``
     #: environment default; excluded from equality/digests — caching is an
     #: operational knob, not part of what the run computes.
     memo_config: "MemoConfig | None" = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        _fold_legacy_execution(self)
 
 
 @dataclass(frozen=True)
@@ -227,7 +191,7 @@ class StreamingConfig:
 
 
 def _pipeline_for(config: PipelineConfig) -> SinglePulsePipeline:
-    return SinglePulsePipeline.from_config(
+    return SinglePulsePipeline(
         survey=resolve_survey(config.survey),
         scheme=config.scheme,
         params=config.params,
@@ -280,11 +244,14 @@ def run_streaming(
     ``model`` (a trained learner) overrides ``config.model_path`` as the
     in-stream serving classifier.
     """
-    from repro.obs.session import ObsSession
     from repro.streaming.engine import stream_observations
 
     session = ObsSession.from_config(config.pipeline.obs_config)
-    pipe_config = dataclasses.replace(config.pipeline, obs_config=session)
+    # Resolved here once; the pipeline and the engine both read this record.
+    pipe_config = dataclasses.replace(
+        config.pipeline, obs_config=session,
+        execution=resolve_execution(config.pipeline.execution),
+    )
     pipeline = _pipeline_for(pipe_config)
     if pulsars is None:
         pulsars = synthesize_population(
@@ -347,15 +314,10 @@ class ServingConfig:
     #: Execution knobs for the shared context (backend/workers/kernel);
     #: fields left None defer to the ``REPRO_*`` environment defaults.
     execution: ExecutionConfig | None = None
-    #: Deprecated: use ``execution=ExecutionConfig(backend=...)``.
-    backend: str | None = None
-    #: Deprecated: use ``execution=ExecutionConfig(num_workers=...)``.
-    num_workers: int | None = None
     #: DFS prefix under which each tenant gets an isolated namespace.
     serving_root: str = "/serving"
 
     def __post_init__(self) -> None:
-        _fold_legacy_execution(self)
         object.__setattr__(self, "tenants", tuple(self.tenants))
         ids = [t.tenant_id for t in self.tenants]
         if len(set(ids)) != len(ids):
@@ -391,20 +353,6 @@ class ServingResult:
         return {name: s["service_s"] / total for name, s in served.items()}
 
 
-def _tenant_memo(pipe: PipelineConfig, tenant_id: str):
-    """The tenant's memo session, namespaced so entries cannot cross tenants."""
-    from repro.memo.config import env_memo_config, resolve_memo
-
-    base = pipe.memo_config
-    if base is None and pipe.fault_config is None:
-        base = env_memo_config()
-    if base is None:
-        return None
-    return resolve_memo(
-        base.for_namespace(tenant_id), fault_config=pipe.fault_config
-    )
-
-
 def run_serving(config: ServingConfig) -> ServingResult:
     """Serve every tenant's stream concurrently on one shared driver.
 
@@ -421,32 +369,21 @@ def run_serving(config: ServingConfig) -> ServingResult:
     """
     import os
 
-    from repro.dataplane import PulseBatch
-    from repro.dfs import DataNode, DFSClient
-    from repro.io.spe_files import read_ml_batch
-    from repro.obs.session import ObsSession
-    from repro.sparklet.context import SparkletContext
+    from repro.memo.config import resolve_memo
     from repro.streaming.engine import MicroBatchEngine
-    from repro.streaming.receiver import ReplayReceiver, build_stream
     from repro.streaming.serving import ModelCache, StreamScorer
     from repro.streaming.sessions import SessionManager
-    from repro.streaming.state import StreamState
 
     if not config.tenants:
         raise ValueError("run_serving needs at least one tenant")
     session = ObsSession.from_config(config.obs_config)
-    dfs = DFSClient([DataNode(f"dn{i}") for i in range(4)], replication=2,
-                    obs=session)
-    execution = resolve_execution(config.execution)
-    ctx = SparkletContext(app_name="serving", default_parallelism=4,
-                          obs=session, backend=execution.backend,
-                          num_workers=execution.num_workers,
-                          io_wait_s_per_mb=execution.io_wait_s_per_mb)
     cache = ModelCache()
     manager = SessionManager(admission=config.admission, obs=session)
-    views: dict[str, "ObsSession"] = {}
     tenant_observations: dict[str, list] = {}
-    try:
+    with ExitStack() as stack:
+        dfs, ctx = stack.enter_context(
+            open_cluster(config.execution, session, app_name="serving")
+        )
         for tenant in config.tenants:
             tid = tenant.tenant_id
             root = f"{config.serving_root}/{tid}"
@@ -475,17 +412,17 @@ def run_serving(config: ServingConfig) -> ServingResult:
                 if config.tenant_trace_dir is not None else None
             )
             view = session.for_tenant(tid, path=trace_path)
-            views[tid] = view
-            grids = ({observations[0].config.name: observations[0].grid}
-                     if observations else {})
-            engine = MicroBatchEngine(
-                config=scfg, receiver=ReplayReceiver(build_stream(observations)),
-                state=StreamState(), dfs=dfs, ctx=ctx, grids=grids,
-                scorer=scorer, obs=view,
+            stack.callback(view.close)
+            engine = MicroBatchEngine.for_observations(
+                observations, scfg, dfs=dfs, ctx=ctx, scorer=scorer, obs=view,
             )
+            # Namespaced so memo entries cannot cross tenants.
+            memo = resolve_memo(pipe.memo_config, fault_config=pipe.fault_config,
+                                namespace=tid)
+            if memo is not None:
+                stack.callback(memo.close)
             manager.add_session(tid, engine, weight=tenant.weight,
-                                min_share=tenant.min_share,
-                                memo=_tenant_memo(pipe, tid))
+                                min_share=tenant.min_share, memo=memo)
             # Mirror the pool terms onto the job-level scheduler, so the
             # tenant's Sparklet jobs are weighted the same way its batches are.
             ctx.register_pool(tid, weight=tenant.weight,
@@ -494,47 +431,13 @@ def run_serving(config: ServingConfig) -> ServingResult:
         with session.tracer.span("serving.run"):
             manager.run()
 
-        results: dict[str, StreamingResult] = {}
-        for tenant in config.tenants:
-            tid = tenant.tenant_id
-            info = manager.sessions[tid]
-            if not info.admitted:
-                continue
-            engine = info.engine
-            # Assembly reads the DFS, not driver memory — same honesty rule
-            # as the solo path.
-            pulse_batch = PulseBatch.concat([
-                read_ml_batch(dfs, f"{engine._batch_root(b)}/ml")
-                for b in engine.committed
-            ])
-            memo = manager.memos.get(tid)
-            if memo is not None and memo.config.store_candidates:
-                from repro.memo.candidates import record_run
-
-                pipe = engine.config.pipeline
-                record_run(
-                    memo, kind="serving", batch=pulse_batch,
-                    config={
-                        "tenant": tid,
-                        "params": pipe.params,
-                        "num_partitions": pipe.num_partitions,
-                        "seed": pipe.seed,
-                        "batch_interval_s": engine.config.batch_interval_s,
-                        "arrival_rate": engine.config.arrival_rate,
-                    },
-                    survey=(tenant_observations[tid][0].config.name
-                            if tenant_observations[tid] else None),
-                    seed=pipe.seed,
-                    obs=views[tid],
-                )
-            predicted = (engine.scorer.score(pulse_batch)
-                         if engine.scorer is not None else None)
-            results[tid] = StreamingResult(
-                observations=tenant_observations[tid],
-                pulse_batch=pulse_batch, predicted=predicted,
-                batches=engine.stats, n_recoveries=0,
-                checkpoints_written=engine.n_checkpoints, obs=views[tid],
+        results: dict[str, StreamingResult] = {
+            tid: info.engine.result(
+                tenant_observations[tid], manager.memos.get(tid),
+                kind="serving", provenance={"tenant": tid},
             )
+            for tid, info in manager.sessions.items() if info.admitted
+        }
         if session.enabled:
             session.registry.counter("serving.batches").inc(manager.n_batches)
             session.registry.counter("serving.tenants").inc(len(results))
@@ -543,13 +446,6 @@ def run_serving(config: ServingConfig) -> ServingResult:
             pool_stats=manager.pool_stats(), n_batches=manager.n_batches,
             obs=session,
         )
-    finally:
-        for memo in manager.memos.values():
-            if memo is not None:
-                memo.close()
-        for view in views.values():
-            view.close()
-        ctx.close()
 
 
 def run_campaign(config):
@@ -582,64 +478,17 @@ def run_drapid(
     execution and output.  ``total_cores`` switches to the paper's
     32-partitions-per-core rule instead of ``config.num_partitions``.
     """
-    from repro.core.drapid import DRapidDriver
-    from repro.dfs import DataNode, DFSClient
-    from repro.io.spe_files import upload_observations
-    from repro.memo.config import resolve_memo
-    from repro.obs.session import ObsSession
-    from repro.sparklet.context import SparkletContext
-
     if not observations:
         raise ValueError("run_drapid needs at least one observation")
     survey = resolve_survey(config.survey)
-    obs_session = ObsSession.from_config(config.obs_config)
-    if dfs is None:
-        dfs = DFSClient([DataNode(f"dn{i}") for i in range(4)], replication=2,
-                        obs=obs_session)
-    own_ctx = ctx is None
-    memo = resolve_memo(config.memo_config, fault_config=config.fault_config)
-    if ctx is None:
-        execution = resolve_execution(config.execution)
-        ctx = SparkletContext(app_name="drapid", default_parallelism=4,
-                              obs=obs_session, backend=execution.backend,
-                              num_workers=execution.num_workers,
-                              io_wait_s_per_mb=execution.io_wait_s_per_mb,
-                              memo=memo)
-    try:
-        data_path, cluster_path = upload_observations(dfs, observations)
-        grids = {survey.name: observations[0].grid}
-        if total_cores is not None:
-            driver = DRapidDriver.with_paper_partitioning(
-                ctx, dfs, grids=grids, total_cores=total_cores, params=config.params
-            )
-            if config.fault_config is not None:
-                ctx.install_faults(config.fault_config)
-        else:
-            driver = DRapidDriver(
-                ctx=ctx, dfs=dfs, grids=grids, params=config.params,
-                num_partitions=config.num_partitions,
-                fault_config=config.fault_config,
-            )
-        result = driver.run(data_path, cluster_path, ml_output_path=ml_output_path)
-        if memo is not None and memo.config.store_candidates:
-            from repro.memo.candidates import record_drapid_run
-
-            record_drapid_run(
-                memo, result=result,
-                config={
-                    "survey": survey.name,
-                    "params": config.params,
-                    "num_partitions": driver.num_partitions,
-                    "seed": config.seed,
-                },
-                dfs=dfs, data_path=data_path, cluster_path=cluster_path,
-                grids=grids, params=config.params,
-                num_partitions=driver.num_partitions,
-                survey=survey.name, seed=config.seed, obs=obs_session,
-            )
-        return result
-    finally:
-        if memo is not None:
-            memo.close()
-        if own_ctx:
-            ctx.close()
+    num_partitions = (config.num_partitions if total_cores is None
+                      else paper_partitions(total_cores))
+    result, _dfs = identify_observations(
+        observations, survey=survey.name, params=config.params,
+        num_partitions=num_partitions, seed=config.seed,
+        fault_config=config.fault_config, memo_config=config.memo_config,
+        execution=config.execution,
+        obs=ObsSession.from_config(config.obs_config),
+        dfs=dfs, ctx=ctx, ml_output_path=ml_output_path,
+    )
+    return result

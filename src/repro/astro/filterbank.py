@@ -191,7 +191,6 @@ def single_pulse_search(
     snr_threshold: float = 5.0,
     boxcar_widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
     dtype: np.dtype | type = np.float32,
-    dedispersion: str = "batch",
     kernel: KernelConfig | None = None,
     params: "FrontendParams | None" = None,
     obs: "ObsSession | None" = None,
@@ -217,8 +216,8 @@ def single_pulse_search(
     bit-level agreement with the float64 kernels.
 
     ``kernel`` (a :class:`repro.execution.KernelConfig`, resolved against
-    the environment) selects the dedispersion method, boxcar mode and
-    implementation layer; it supersedes the legacy ``dedispersion`` string.
+    the environment; None means ``KernelConfig()``) selects the dedispersion
+    method, boxcar mode and implementation layer.
     ``params`` (:class:`repro.core.search.FrontendParams`) bundles
     threshold + widths; explicit keyword arguments win.  ``obs`` records
     per-stage ``kernel.dedisperse`` / ``kernel.boxcar`` spans.
@@ -230,18 +229,7 @@ def single_pulse_search(
     if snr_threshold <= 0:
         raise ValueError("snr_threshold must be positive")
     trial_dms = np.asarray(trial_dms, dtype=float)
-    if kernel is None:
-        span = obs.tracer.span if obs is not None else (lambda *a, **k: nullcontext())
-        with span("kernel.dedisperse", method=dedispersion, impl="numpy"):
-            block = dedisperse_all(fb, trial_dms, method=dedispersion,
-                                   out_dtype=dtype)
-        with span("kernel.boxcar", boxcar="cumsum"):
-            rows, samples, snrs, widths = single_pulse_block_search(
-                block, snr_threshold, boxcar_widths
-            )
-        return spes_from_search(trial_dms, fb.sample_time_s, rows, samples,
-                                snrs, widths)
-    k = kernel.resolved()
+    k = (kernel or KernelConfig()).resolved()
     impl = resolve_impl(k.impl)
     span = obs.tracer.span if obs is not None else (lambda *a, **k_: nullcontext())
     with span("kernel.dedisperse", method=k.method, impl=impl):

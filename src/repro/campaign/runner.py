@@ -29,6 +29,7 @@ import hashlib
 import json
 import shutil
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -43,7 +44,7 @@ from repro.campaign.scenarios import (
     compile_scenario,
     resolve_scenario,
 )
-from repro.execution import ExecutionConfig, resolve_execution
+from repro.execution import ExecutionConfig
 from repro.obs.events import CAMPAIGN_PHASE, DRIFT_DETECTED
 from repro.sparklet.pools import PoolConfig
 
@@ -144,21 +145,16 @@ def _metrics(rows: list[tuple[int, int, int]]) -> dict[str, Any]:
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run one seeded observing campaign end to end (see module docstring)."""
-    from repro.api import PipelineConfig, run_drapid
+    from repro.api import PipelineConfig, StreamingConfig, run_drapid
     from repro.astro.survey import generate_observation
-    from repro.dataplane import PulseBatch
-    from repro.dfs import DataNode, DFSClient
-    from repro.io.spe_files import read_ml_batch
+    from repro.cluster import open_cluster
     from repro.memo.candidates import _candidate_rows
     from repro.memo.config import MemoConfig, resolve_memo
     from repro.ml.distributed import DistributedRandomForest
     from repro.obs.session import ObsSession
-    from repro.sparklet.context import SparkletContext
     from repro.streaming.engine import MicroBatchEngine
-    from repro.streaming.receiver import ReplayReceiver, build_stream
     from repro.streaming.serving import ModelCache, StreamScorer
     from repro.streaming.sessions import AdmissionConfig, SessionManager
-    from repro.streaming.state import StreamState
 
     scenario = resolve_scenario(config.scenario)
     seed = config.seed
@@ -166,20 +162,17 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     timelines = {t.tenant_id: t for t in scenario.tenants}
 
     session = ObsSession.from_config(config.obs_config)
-    execution = resolve_execution(config.execution)
-    dfs = DFSClient([DataNode(f"dn{i}") for i in range(4)], replication=2,
-                    obs=session)
-    ctx = SparkletContext(app_name="campaign", default_parallelism=4,
-                          obs=session, backend=execution.backend,
-                          num_workers=execution.num_workers,
-                          io_wait_s_per_mb=execution.io_wait_s_per_mb)
     cache = ModelCache()
     manager = SessionManager(admission=AdmissionConfig(mode="off"),
                              obs=session)
     scratch = tempfile.mkdtemp(prefix="repro-campaign-")
     memo = resolve_memo(MemoConfig(enabled=True, dir=scratch))
-    views: dict[str, ObsSession] = {}
-    try:
+    with ExitStack() as stack:
+        stack.callback(shutil.rmtree, scratch, ignore_errors=True)
+        dfs, ctx = stack.enter_context(
+            open_cluster(config.execution, session, app_name="campaign")
+        )
+        stack.callback(memo.close)
         # -- baseline classifier: offline training, published as version 1 --
         anchor = scenario.tenants[0]
         anchor_survey = anchor.survey_config()
@@ -200,13 +193,14 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             )
             for i in range(config.n_training_observations)
         ]
-        train_dfs = DFSClient([DataNode(f"tn{i}") for i in range(4)],
-                              replication=2, obs=session)
+        # Trains on the shared context but a DFS of its own (run_drapid
+        # builds one), so the upload cannot collide with a tenant namespace.
         with session.tracer.span("campaign.train_baseline"):
             train_result = run_drapid(
                 PipelineConfig(survey=anchor_survey, seed=seed,
+                               obs_config=session,
                                memo_config=MemoConfig(enabled=False)),
-                train_obs, dfs=train_dfs, ctx=ctx,
+                train_obs, ctx=ctx,
                 ml_output_path=f"{config.campaign_root}-train/ml",
             )
         X = train_result.pulse_batch.features
@@ -246,8 +240,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             timeline = timelines[tenant_id]
             observations = compiled.observations[tenant_id]
             root = f"{config.campaign_root}/{tenant_id}"
-            from repro.api import StreamingConfig
-
             scfg = StreamingConfig(
                 pipeline=PipelineConfig(survey=timeline.survey, seed=seed),
                 batch_interval_s=scenario.batch_interval_s,
@@ -255,17 +247,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 batch_root=root, checkpoint_path=f"{root}/checkpoint.json",
             )
             view = session.for_tenant(tenant_id)
-            views[tenant_id] = view
-            engine = MicroBatchEngine(
-                config=scfg,
-                receiver=ReplayReceiver(build_stream(observations)),
-                state=StreamState(), dfs=dfs, ctx=ctx,
-                grids={observations[0].config.name: observations[0].grid},
+            stack.callback(view.close)
+            engine = MicroBatchEngine.for_observations(
+                observations, scfg, dfs=dfs, ctx=ctx,
                 scorer=StreamScorer.from_cache(cache, config.model_key),
                 obs=view,
             )
-            manager.add_session(tenant_id, engine, weight=timeline.weight,
-                                memo=None)
+            manager.add_session(tenant_id, engine, weight=timeline.weight)
             ctx.register_pool(tenant_id, weight=timeline.weight)
             engines[tenant_id] = engine
             monitors[tenant_id] = DriftMonitor(config.drift)
@@ -333,9 +321,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 # score, archive, attribute to (tenant, phase).
                 probs: list[float] = []
                 if stats.n_clusters_finalized > 0:
-                    batch = read_ml_batch(
-                        dfs, f"{engine._batch_root(stats.batch_id)}/ml"
-                    )
+                    batch = engine.read_batch(stats.batch_id)
                     if len(batch):
                         preds = engine.scorer.score(batch)
                         model = engine.scorer.model
@@ -429,9 +415,3 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             session.registry.counter("campaign.retrains").inc(len(retrains))
         return CampaignResult(config=config, report=report,
                               obs=session if session.enabled else None)
-    finally:
-        memo.close()
-        for view in views.values():
-            view.close()
-        ctx.close()
-        shutil.rmtree(scratch, ignore_errors=True)

@@ -51,6 +51,11 @@ if TYPE_CHECKING:  # pragma: no cover
 PARTITIONS_PER_CORE = 32
 
 
+def paper_partitions(total_cores: int) -> int:
+    """32 partitions per core, as in Section 6.1 (896 for 28 cores)."""
+    return max(1, total_cores * PARTITIONS_PER_CORE)
+
+
 @dataclass
 class DRapidResult:
     """Output of one D-RAPID run (columnar; records materialize on demand)."""
@@ -229,13 +234,13 @@ class DRapidDriver:
         total_cores: int,
         params: SearchParams | None = None,
     ) -> "DRapidDriver":
-        """32 partitions per core, as in Section 6.1 (896 for 28 cores)."""
+        """A driver sized by :func:`paper_partitions`."""
         return cls(
             ctx=ctx,
             dfs=dfs,
             grids=grids,
             params=params or SearchParams(),
-            num_partitions=max(1, total_cores * PARTITIONS_PER_CORE),
+            num_partitions=paper_partitions(total_cores),
         )
 
     def run(

@@ -11,8 +11,7 @@ detection; stage 1 here generates exactly that intermediate product.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,21 +19,22 @@ import numpy as np
 from repro.astro.population import Pulsar
 from repro.astro.survey import Observation, SurveyConfig, generate_observation
 from repro.core.alm import ALM_SCHEMES, AlmScheme, label_instances
+from repro.cluster import open_cluster
 from repro.core.drapid import DRapidDriver, DRapidResult
 from repro.core.rapid import SinglePulse
 from repro.core.search import SearchParams
 from repro.dataplane import PulseBatch
-from repro.dfs import DataNode, DFSClient
 from repro.execution import ExecutionConfig, resolve_execution
 from repro.io.spe_files import read_ml_batch, upload_observations
 from repro.obs.events import KERNEL_SELECTED
 from repro.obs.session import ObsSession
-from repro.sparklet.context import SparkletContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.dfs import DFSClient
     from repro.memo.config import MemoConfig
     from repro.ml.metrics import ClassificationReport
     from repro.obs import ObsConfig
+    from repro.sparklet.context import SparkletContext
     from repro.sparklet.faults import FaultConfig
 
 
@@ -61,6 +61,55 @@ class PipelineResult:
         return self.drapid.pulses
 
 
+def identify_observations(
+    observations: list[Observation],
+    *,
+    survey: str,
+    params: SearchParams,
+    num_partitions: int,
+    seed: int,
+    provenance: dict | None = None,
+    fault_config: "FaultConfig | None" = None,
+    memo_config: "MemoConfig | None" = None,
+    execution: ExecutionConfig | None = None,
+    obs: ObsSession | None = None,
+    dfs: "DFSClient | None" = None,
+    ctx: "SparkletContext | None" = None,
+    ml_output_path: str = "/ml/out",
+) -> tuple[DRapidResult, "DFSClient"]:
+    """Stage 3 on one cluster: upload → D-RAPID → candidate recording.
+
+    The single identification path behind :func:`repro.api.run_drapid` and
+    :meth:`SinglePulsePipeline.identify`.  ``provenance`` adds the caller's
+    semantic knobs to the ones stored with a recorded run.  Returns the
+    result and the DFS holding its ML files (passed in, or built here).
+    """
+    from repro.memo.config import resolve_memo
+
+    memo = resolve_memo(memo_config, fault_config=fault_config)
+    with open_cluster(execution, obs, app_name="drapid", memo=memo,
+                      dfs=dfs, ctx=ctx) as (dfs, ctx):
+        data_path, cluster_path = upload_observations(dfs, observations)
+        grids = {survey: observations[0].grid} if observations else {}
+        driver = DRapidDriver(
+            ctx=ctx, dfs=dfs, grids=grids, params=params,
+            num_partitions=num_partitions, fault_config=fault_config,
+        )
+        result = driver.run(data_path, cluster_path, ml_output_path=ml_output_path)
+        if memo is not None and memo.config.store_candidates:
+            from repro.memo.candidates import record_drapid_run
+
+            record_drapid_run(
+                memo, result=result,
+                config={"survey": survey, "params": params,
+                        "num_partitions": num_partitions, "seed": seed,
+                        **(provenance or {})},
+                driver=driver, data_path=data_path, cluster_path=cluster_path,
+                survey=survey, seed=seed, obs=obs,
+            )
+        return result, dfs
+
+
 @dataclass
 class SinglePulsePipeline:
     """Composable runner for the Fig. 2 workflow."""
@@ -82,47 +131,16 @@ class SinglePulsePipeline:
     #: ``REPRO_*`` environment defaults.  Output is byte-identical across
     #: backends on the same seed.
     execution: ExecutionConfig | None = None
-    #: Deprecated — fold into ``execution=ExecutionConfig(backend=...)``.
-    #: Still honoured (wins over ``execution`` fields left as None).
-    backend: str | None = None
-    #: Deprecated — fold into ``execution=ExecutionConfig(num_workers=...)``.
-    num_workers: int | None = None
     #: Lineage-hash memoization + candidate recording for stage 3 (None →
     #: the REPRO_MEMO environment default; see :mod:`repro.memo.config`).
     memo_config: "MemoConfig | None" = field(default=None, compare=False)
-    #: Set by :meth:`from_config` (the ``repro.api`` path).  Direct
-    #: construction still works but is deprecated in favour of
-    #: ``repro.api.run_pipeline``.
-    _api_construction: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.scheme, str):
             self.scheme = ALM_SCHEMES[self.scheme]
         self._obs = ObsSession.from_config(self.obs_config)
-        # Fold the deprecated loose knobs into one resolved ExecutionConfig
-        # (explicit > environment > defaults).  The api facade already warns
-        # on the loose keywords; here they are honoured silently so old
-        # direct constructions keep working.
-        base = self.execution if self.execution is not None else ExecutionConfig()
-        if self.backend is not None and base.backend is None:
-            base = replace(base, backend=self.backend)
-        if self.num_workers is not None and base.num_workers is None:
-            base = replace(base, num_workers=self.num_workers)
-        self._execution = resolve_execution(base)
+        self._execution = resolve_execution(self.execution)
         self._emit_kernel_selected()
-        if not self._api_construction:
-            warnings.warn(
-                "Constructing SinglePulsePipeline directly is deprecated; "
-                "use repro.api.run_pipeline(PipelineConfig(...)) or "
-                "SinglePulsePipeline.from_config(...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-    @classmethod
-    def from_config(cls, **kwargs) -> "SinglePulsePipeline":
-        """Blessed constructor used by :mod:`repro.api` (no deprecation)."""
-        return cls(_api_construction=True, **kwargs)
 
     def _emit_kernel_selected(self, source: str = "pipeline") -> None:
         """Record which front-end kernel this run resolved to.
@@ -170,59 +188,27 @@ class SinglePulsePipeline:
 
     # -- stage 3 -------------------------------------------------------------
     def identify(
-        self, observations: list[Observation], dfs: DFSClient | None = None,
-        ctx: SparkletContext | None = None,
+        self, observations: list[Observation], dfs: "DFSClient | None" = None,
+        ctx: "SparkletContext | None" = None,
     ) -> DRapidResult:
         """Upload inputs to the DFS and run D-RAPID."""
-        from repro.memo.config import resolve_memo
-
-        if dfs is None:
-            dfs = DFSClient([DataNode(f"dn{i}") for i in range(4)], replication=2,
-                            obs=self._obs)
-        own_ctx = ctx is None
-        memo = resolve_memo(self.memo_config, fault_config=self.fault_config)
-        if ctx is None:
-            ctx = SparkletContext(app_name="drapid", default_parallelism=4,
-                                  obs=self._obs, backend=self._execution.backend,
-                                  num_workers=self._execution.num_workers,
-                                  io_wait_s_per_mb=self._execution.io_wait_s_per_mb,
-                                  memo=memo)
-        try:
-            data_path, cluster_path = upload_observations(dfs, observations)
-            grids = {self.survey.name: observations[0].grid} if observations else {}
-            driver = DRapidDriver(
-                ctx=ctx, dfs=dfs, grids=grids, params=self.params,
-                num_partitions=self.num_partitions, fault_config=self.fault_config,
-            )
-            result = driver.run(data_path, cluster_path)
-            # Round-trip check: the ML files on the DFS reproduce the pulses.
-            assert len(read_ml_batch(dfs, result.ml_output_path)) == result.n_pulses
-            if memo is not None and memo.config.store_candidates:
-                from repro.memo.candidates import record_drapid_run
-
-                record_drapid_run(
-                    memo, result=result, config=self._provenance_config(),
-                    dfs=dfs, data_path=data_path, cluster_path=cluster_path,
-                    grids=grids, params=self.params,
-                    num_partitions=self.num_partitions,
-                    survey=self.survey.name, seed=self.seed, obs=self._obs,
-                )
-            return result
-        finally:
-            if memo is not None:
-                memo.close()
-            if own_ctx:
-                ctx.close()
+        result, dfs = identify_observations(
+            observations, survey=self.survey.name, params=self.params,
+            num_partitions=self.num_partitions, seed=self.seed,
+            provenance=self._provenance_config(),
+            fault_config=self.fault_config, memo_config=self.memo_config,
+            execution=self._execution, obs=self._obs, dfs=dfs, ctx=ctx,
+        )
+        # Round-trip check: the ML files on the DFS reproduce the pulses.
+        assert len(read_ml_batch(dfs, result.ml_output_path)) == result.n_pulses
+        return result
 
     def _provenance_config(self) -> dict:
-        """The semantic knobs of this pipeline, for candidate provenance."""
+        """This pipeline's semantic knobs for candidate provenance, beyond
+        the ones :func:`identify_observations` records for every run."""
         return {
-            "survey": self.survey.name,
             "scheme": getattr(self.scheme, "name", str(self.scheme)),
-            "params": self.params,
             "grid_coarsen": self.grid_coarsen,
-            "num_partitions": self.num_partitions,
-            "seed": self.seed,
             # Kernel selection is semantic provenance: different methods can
             # differ within the tolerance law, so the lineage hash must see it.
             "kernel": self._execution.kernel,

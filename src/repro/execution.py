@@ -1,11 +1,7 @@
 """Unified execution configuration: backend, workers and front-end kernels.
 
-Before this module the knobs that decide *how* a run executes were scattered:
-``backend``/``num_workers`` rode as loose keyword arguments on
-``PipelineConfig``/``ServingConfig``/``SinglePulsePipeline``, the env vars
-``REPRO_BACKEND``/``REPRO_WORKERS`` were resolved inside
-``sparklet.executor``, and the front-end kernels had no knobs at all.  This
-module folds all of them into two frozen dataclasses:
+The knobs that decide *how* a run executes live in two frozen dataclasses,
+and the ``REPRO_*`` environment variables behind them are read only here:
 
 - :class:`KernelConfig` — which dedispersion algorithm (``direct`` /
   ``subband`` / ``tree``), which implementation (``numpy`` / ``numba`` /

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.memo.hashing import MEMO_FORMAT, canonical_json, digest
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.drapid import DRapidResult
+    from repro.core.drapid import DRapidDriver, DRapidResult
     from repro.dataplane.pulse_batch import PulseBatch
     from repro.memo.config import MemoSession
 
@@ -285,15 +285,11 @@ def record_drapid_run(
     *,
     result: "DRapidResult",
     config: Any,
-    dfs: Any,
+    driver: "DRapidDriver",
     data_path: str,
     cluster_path: str,
-    grids: dict[str, Any],
-    params: Any,
-    num_partitions: int,
     survey: str | None = None,
     seed: int | None = None,
-    model_version: str | None = None,
     obs: Any = None,
 ) -> int:
     """Record a D-RAPID run with full raw inputs for later reproduction."""
@@ -307,15 +303,14 @@ def record_drapid_run(
         config=config,
         survey=survey,
         seed=seed,
-        model_version=model_version,
         ml_output_path=result.ml_output_path,
         obs_seq_range=obs_range,
-        data_text=dfs.get(data_path).decode(),
-        cluster_text=dfs.get(cluster_path).decode(),
+        data_text=driver.dfs.get(data_path).decode(),
+        cluster_text=driver.dfs.get(cluster_path).decode(),
         driver_params={
-            "grids": grids,
-            "params": params,
-            "num_partitions": num_partitions,
+            "grids": driver.grids,
+            "params": driver.params,
+            "num_partitions": driver.num_partitions,
         },
         obs=obs,
     )
@@ -365,7 +360,7 @@ def reproduce_candidate(
     """Replay only the lineage slice that produced one stored candidate.
 
     Slices the archived raw input files down to the candidate's observation
-    key, re-runs the full D-RAPID dataflow on a fresh serial context with
+    key, re-runs the full D-RAPID dataflow on a fresh cluster with
     memoization off, and checks the stored ML row re-appears byte-identical.
     """
     cand = session.db.get_candidate(candidate_id)
@@ -395,16 +390,13 @@ def reproduce_candidate(
         base.reason = f"input blobs unavailable: {exc}"
         return base
 
+    from repro.cluster import open_cluster
     from repro.core.drapid import DRapidDriver
-    from repro.dfs import DataNode, DFSClient
-    from repro.sparklet.context import SparkletContext
 
     key = cand["observation_key"]
-    dfs = DFSClient([DataNode("repro-dn0"), DataNode("repro-dn1")], replication=1)
-    dfs.put_text("/repro/data.csv", _slice_text(data_text, key))
-    dfs.put_text("/repro/cluster.csv", _slice_text(cluster_text, key))
-    ctx = SparkletContext(app_name="reproduce", default_parallelism=2)
-    try:
+    with open_cluster(app_name="reproduce") as (dfs, ctx):
+        dfs.put_text("/repro/data.csv", _slice_text(data_text, key))
+        dfs.put_text("/repro/cluster.csv", _slice_text(cluster_text, key))
         driver = DRapidDriver(
             ctx=ctx,
             dfs=dfs,
@@ -413,8 +405,6 @@ def reproduce_candidate(
             num_partitions=int(driver_params["num_partitions"]),
         )
         result = driver.run("/repro/data.csv", "/repro/cluster.csv", "/repro/ml")
-    finally:
-        ctx.close()
 
     base.replayed_rows = result.pulse_batch.to_ml_lines()
     if cand["ml_row"] in base.replayed_rows:

@@ -96,18 +96,19 @@ def resolve_memo(
     memo_config: MemoConfig | None,
     *,
     fault_config: object | None = None,
+    namespace: str | None = None,
 ) -> MemoSession | None:
     """Resolve a config (explicit beats env) into a live session, or None.
 
     Env-derived memo is suppressed under fault injection so chaos suites
     observing failure counts see real recomputation; an *explicit* config
-    is the caller saying "I know" and is honored regardless.
+    is the caller saying "I know" and is honored regardless.  ``namespace``
+    scopes the session (see :meth:`MemoConfig.for_namespace`).
     """
-    if memo_config is not None:
-        if not memo_config.enabled:
-            return None
-        return MemoSession(memo_config)
-    env_cfg = env_memo_config()
-    if env_cfg is None or fault_config is not None:
+    if memo_config is None and fault_config is None:
+        memo_config = env_memo_config()
+    if memo_config is None or not memo_config.enabled:
         return None
-    return MemoSession(env_cfg)
+    if namespace is not None:
+        memo_config = memo_config.for_namespace(namespace)
+    return MemoSession(memo_config)

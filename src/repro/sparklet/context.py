@@ -7,6 +7,7 @@ import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
+from repro.execution import resolve_execution
 from repro.obs.session import ObsSession
 from repro.sparklet import executor as executor_mod
 from repro.sparklet.metrics import JobMetrics
@@ -55,12 +56,13 @@ class SparkletContext:
         self.app_name = app_name
         self.default_parallelism = default_parallelism
         self.uid = f"ctx{os.getpid():x}-{next(_CTX_IDS)}"
-        self.backend_name = backend or executor_mod.default_backend_name()
-        self.num_workers = (
-            max(1, int(num_workers))
-            if num_workers is not None
-            else executor_mod.default_num_workers()
-        )
+        if backend is None or num_workers is None:
+            defaults = resolve_execution()
+            backend = backend or defaults.backend
+            if num_workers is None:
+                num_workers = defaults.num_workers
+        self.backend_name = backend
+        self.num_workers = max(1, int(num_workers))
         #: Observability session; an existing ObsSession is shared (one event
         #: stream per run), an ObsConfig builds a fresh one, None is a no-op.
         self.obs = ObsSession.from_config(obs)

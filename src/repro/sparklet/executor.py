@@ -72,8 +72,6 @@ __all__ = [
     "SerialBackend",
     "ShmShuffleManager",
     "SimulatedBackend",
-    "default_backend_name",
-    "default_num_workers",
     "get_pool",
     "in_worker",
     "make_backend",
@@ -98,21 +96,6 @@ def worker_accumulator_registry() -> dict[Any, Any] | None:
     in the driver.  Unpickling an Accumulator resolves through this so every
     task in a worker shares one instance per logical accumulator."""
     return _WORKER_ACCS
-
-
-def default_backend_name() -> str:
-    from repro.execution import DEFAULT_BACKEND, env_execution_config
-
-    return env_execution_config().backend or DEFAULT_BACKEND
-
-
-def default_num_workers() -> int:
-    from repro.execution import DEFAULT_NUM_WORKERS, env_execution_config
-
-    try:
-        return env_execution_config().num_workers or DEFAULT_NUM_WORKERS
-    except ValueError:
-        return DEFAULT_NUM_WORKERS
 
 
 # ---------------------------------------------------------------------------

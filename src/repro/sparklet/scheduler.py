@@ -27,10 +27,11 @@ order, and accumulator commits are keyed by logical task, a faulted run
 produces *byte-identical* results and accumulator values to a fault-free
 run — the invariant the chaos suite sweeps over seeds and rule mixes.
 
-Faults come from two sources: the legacy ``Runtime.failure_injector`` hook
-(``f(stage_id, partition, attempt)``, may raise :class:`TaskFailure`) and
-the seeded rule-driven :class:`~repro.sparklet.faults.FaultInjector`
-installed via ``fault_config``.
+Faults come from two sources: the seeded rule-driven
+:class:`~repro.sparklet.faults.FaultInjector` installed via ``fault_config``,
+and the ``Runtime.failure_injector`` test seam (``f(stage_id, partition,
+attempt)``, may raise :class:`TaskFailure`) through which tests substitute a
+deterministic fake.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.drapid import DRapidDriver
 from repro.dataplane import PulseBatch
+from repro.io.spe_files import read_ml_batch
 from repro.obs.events import (
     BATCH_COMPLETED,
     BATCH_SUBMITTED,
@@ -43,7 +44,7 @@ from repro.obs.events import (
 from repro.obs.session import NULL_OBS, ObsSession
 from repro.streaming.backpressure import PIDRateEstimator
 from repro.streaming.checkpoint import put_replace, read_checkpoint, write_checkpoint
-from repro.streaming.receiver import ReplayReceiver, StreamItem, build_stream
+from repro.streaming.receiver import ReplayReceiver
 from repro.streaming.serving import StreamScorer
 from repro.streaming.state import StreamState
 
@@ -219,7 +220,7 @@ class MicroBatchEngine:
     grids: dict
     scorer: StreamScorer | None = None
     obs: ObsSession = NULL_OBS
-    #: Disarmed on restored engines so the injected crash fires only once.
+    #: Disarmed by :meth:`restore` so the injected crash fires only once.
     crash_armed: bool = True
     #: Scheduler pool / tenant identity the engine's batch jobs run under
     #: (None: jobs use the context's current pool, i.e. "default").
@@ -245,6 +246,26 @@ class MicroBatchEngine:
         self._rate_times: list[float] = [0.0]
         self._rates: list[float] = [cfg.arrival_rate]
 
+    @classmethod
+    def for_observations(
+        cls,
+        observations: Sequence["Observation"],
+        config: "StreamingConfig",
+        *,
+        dfs: "DFSClient",
+        ctx: "SparkletContext",
+        scorer: StreamScorer | None = None,
+        obs: ObsSession = NULL_OBS,
+    ) -> "MicroBatchEngine":
+        """A cold engine replaying ``observations`` as its source stream."""
+        grids = ({observations[0].config.name: observations[0].grid}
+                 if observations else {})
+        return cls(
+            config=config, receiver=ReplayReceiver.from_observations(observations),
+            state=StreamState(), dfs=dfs, ctx=ctx, grids=grids, scorer=scorer,
+            obs=obs,
+        )
+
     # -- rate timeline ------------------------------------------------------
     def _rate_at(self, time_s: float) -> float:
         """The rate limit in effect at ``time_s``: the latest update whose
@@ -259,6 +280,54 @@ class MicroBatchEngine:
     # -- batch job ----------------------------------------------------------
     def _batch_root(self, batch_id: int) -> str:
         return f"{self.config.batch_root}/batch-{batch_id:05d}"
+
+    def read_batch(self, batch_id: int) -> PulseBatch:
+        """Batch ``batch_id``'s ML output, read back from the DFS."""
+        return read_ml_batch(self.dfs, f"{self._batch_root(batch_id)}/ml")
+
+    def result(
+        self, observations: list, memo=None, *, kind: str, provenance: dict,
+        n_recoveries: int = 0, obs_seq_range: tuple[int, int] | None = None,
+    ) -> StreamingResult:
+        """Assemble the finished run from every committed batch's DFS output.
+
+        Reads the DFS, not driver memory: if recovery missed a batch the
+        output is visibly wrong, not silently patched from a dead object.
+        With a candidate-storing ``memo`` the run is archived as ``kind``,
+        provenance only (``reproducible=0``: per-batch inputs are re-cut
+        from the live receiver, so there is no single raw input file);
+        ``provenance`` adds the caller's keys to the engine's own knobs.
+        """
+        pulse_batch = PulseBatch.concat(
+            [self.read_batch(b) for b in self.committed]
+        )
+        if memo is not None and memo.config.store_candidates:
+            from repro.memo.candidates import record_run
+
+            pipe = self.config.pipeline
+            record_run(
+                memo, kind=kind, batch=pulse_batch,
+                config={
+                    **provenance,
+                    "params": pipe.params,
+                    "num_partitions": pipe.num_partitions,
+                    "seed": pipe.seed,
+                    "batch_interval_s": self.config.batch_interval_s,
+                    "arrival_rate": self.config.arrival_rate,
+                },
+                survey=observations[0].config.name if observations else None,
+                seed=pipe.seed, obs_seq_range=obs_seq_range, obs=self.obs,
+            )
+        return StreamingResult(
+            observations=observations,
+            pulse_batch=pulse_batch,
+            predicted=(self.scorer.score(pulse_batch)
+                       if self.scorer is not None else None),
+            batches=list(self.stats),
+            n_recoveries=n_recoveries,
+            checkpoints_written=self.n_checkpoints,
+            obs=self.obs if self.obs.enabled else None,
+        )
 
     def _run_batch_job(
         self, batch_id: int, units: Sequence
@@ -477,43 +546,27 @@ class MicroBatchEngine:
             "n_checkpoints": self.n_checkpoints,
         }
 
-    @classmethod
-    def restore(
-        cls,
-        snapshot: dict | None,
-        config: "StreamingConfig",
-        items: Sequence[StreamItem],
-        *,
-        dfs: "DFSClient",
-        ctx: "SparkletContext",
-        grids: dict,
-        scorer: StreamScorer | None,
-        obs: ObsSession,
-    ) -> "MicroBatchEngine":
-        """Rebuild an engine from a checkpoint (None → cold restart).
+    def restore(self, snapshot: dict | None) -> None:
+        """Reposition a fresh engine at a checkpoint (None → cold restart).
 
-        The item stream is rebuilt from the deterministic source; the
-        checkpoint only repositions the cursor within it.
+        The item stream was rebuilt from the deterministic source; the
+        checkpoint only repositions the cursor within it.  The injected
+        crash is disarmed so it fires only once.
         """
-        engine = cls(
-            config=config, receiver=ReplayReceiver(items), state=StreamState(),
-            dfs=dfs, ctx=ctx, grids=grids, scorer=scorer, obs=obs,
-            crash_armed=False,
-        )
+        self.crash_armed = False
         if snapshot is None:
-            return engine
-        engine.batch_index = int(snapshot["batch_index"])
-        engine.free_at = float(snapshot["free_at"])
-        engine.receiver.restore(snapshot["receiver"])
-        if engine.estimator is not None and snapshot["estimator"] is not None:
-            engine.estimator.restore(snapshot["estimator"])
-            engine._rate_times = [0.0]
-            engine._rates = [engine.estimator.rate]
-        engine.state = StreamState.restore(snapshot["state"])
-        engine.committed = [int(b) for b in snapshot["committed"]]
-        engine.stats = [BatchStats.from_dict(d) for d in snapshot["stats"]]
-        engine.n_checkpoints = int(snapshot["n_checkpoints"])
-        return engine
+            return
+        self.batch_index = int(snapshot["batch_index"])
+        self.free_at = float(snapshot["free_at"])
+        self.receiver.restore(snapshot["receiver"])
+        if self.estimator is not None and snapshot["estimator"] is not None:
+            self.estimator.restore(snapshot["estimator"])
+            self._rate_times = [0.0]
+            self._rates = [self.estimator.rate]
+        self.state = StreamState.restore(snapshot["state"])
+        self.committed = [int(b) for b in snapshot["committed"]]
+        self.stats = [BatchStats.from_dict(d) for d in snapshot["stats"]]
+        self.n_checkpoints = int(snapshot["n_checkpoints"])
 
 
 # -- orchestration -----------------------------------------------------------
@@ -554,109 +607,58 @@ def stream_observations(
     assembly of the output by reading every committed batch's ML files
     back from the DFS (driver memory is never trusted across a crash).
     """
-    from repro.dfs import DataNode, DFSClient
+    from repro.cluster import open_cluster
     from repro.execution import resolve_execution
-    from repro.io.spe_files import read_ml_batch
     from repro.memo.config import resolve_memo
-    from repro.sparklet.context import SparkletContext
 
-    session = ObsSession.from_config(obs) if not isinstance(obs, ObsSession) else obs
-    if dfs is None:
-        dfs = DFSClient([DataNode(f"dn{i}") for i in range(4)], replication=2,
-                        obs=session)
-    own_ctx = ctx is None
-    memo = resolve_memo(config.pipeline.memo_config,
-                        fault_config=config.pipeline.fault_config)
-    execution = resolve_execution(
-        getattr(config.pipeline, "execution", None)
-    )
-    if ctx is None:
-        ctx = SparkletContext(app_name="streaming", default_parallelism=4,
-                              obs=session, backend=execution.backend,
-                              num_workers=execution.num_workers,
-                              io_wait_s_per_mb=execution.io_wait_s_per_mb,
-                              memo=memo)
+    session = ObsSession.from_config(obs)
+    pipe = config.pipeline
+    execution = resolve_execution(pipe.execution)
+    memo = resolve_memo(pipe.memo_config, fault_config=pipe.fault_config)
     if model is not None:
         scorer = StreamScorer(model)
     elif config.model_path is not None:
         scorer = StreamScorer.from_path(config.model_path)
     else:
         scorer = None
-    grids = ({observations[0].config.name: observations[0].grid}
-             if observations else {})
-    items = build_stream(observations)
-    engine = MicroBatchEngine(
-        config=config, receiver=ReplayReceiver(items), state=StreamState(),
-        dfs=dfs, ctx=ctx, grids=grids, scorer=scorer, obs=session,
-    )
-    n_recoveries = 0
-    while True:
-        try:
-            engine.run()
-            break
-        except SimulatedDriverCrash as crash:
-            n_recoveries += 1
-            snapshot = read_checkpoint(dfs, config.checkpoint_path)
-            last_committed = snapshot["batch_index"] if snapshot else 0
-            n_stale = _cleanup_stale_batches(dfs, config.batch_root, last_committed)
-            session.emit(DRIVER_RECOVERED, crashed_at_batch=crash.batch_id,
-                         restored_batch=last_committed,
-                         cold_restart=snapshot is None,
-                         n_stale_outputs=n_stale)
-            engine = MicroBatchEngine.restore(
-                snapshot, config, items, dfs=dfs, ctx=ctx, grids=grids,
-                scorer=scorer, obs=session,
+    with open_cluster(execution, session, app_name="streaming", memo=memo,
+                      dfs=dfs, ctx=ctx) as (dfs, ctx):
+        n_recoveries, snapshot = 0, None
+        while True:
+            engine = MicroBatchEngine.for_observations(
+                observations, config, dfs=dfs, ctx=ctx, scorer=scorer,
+                obs=session,
             )
+            if n_recoveries:
+                engine.restore(snapshot)
+            try:
+                engine.run()
+                break
+            except SimulatedDriverCrash as crash:
+                n_recoveries += 1
+                snapshot = read_checkpoint(dfs, config.checkpoint_path)
+                last_committed = snapshot["batch_index"] if snapshot else 0
+                n_stale = _cleanup_stale_batches(dfs, config.batch_root,
+                                                 last_committed)
+                session.emit(DRIVER_RECOVERED, crashed_at_batch=crash.batch_id,
+                             restored_batch=last_committed,
+                             cold_restart=snapshot is None,
+                             n_stale_outputs=n_stale)
 
-    # Assembly reads the DFS, not driver memory: if recovery missed a batch
-    # the output is visibly wrong, not silently patched from a dead object.
-    pulse_batch = PulseBatch.concat([
-        read_ml_batch(dfs, f"{engine._batch_root(b)}/ml")
-        for b in engine.committed
-    ])
-    if memo is not None and memo.config.store_candidates:
-        # Streaming runs record provenance only (kind="streaming",
-        # reproducible=0): the per-batch inputs are re-cut from the live
-        # receiver and there is no single raw input file to archive.
-        from repro.memo.candidates import record_run
-
-        pipe = config.pipeline
-        record_run(
-            memo, kind="streaming", batch=pulse_batch,
-            config={
-                "survey": getattr(observations[0].config, "name", None)
-                if observations else None,
-                "params": pipe.params,
-                "num_partitions": pipe.num_partitions,
-                "seed": pipe.seed,
-                "batch_interval_s": config.batch_interval_s,
-                "arrival_rate": config.arrival_rate,
+        result = engine.result(
+            observations, memo, kind="streaming", n_recoveries=n_recoveries,
+            provenance={
+                "survey": observations[0].config.name if observations else None,
                 "kernel": execution.kernel,
             },
-            survey=(observations[0].config.name if observations else None),
-            seed=pipe.seed,
             obs_seq_range=(0, session.log.n_events) if session.enabled else None,
-            obs=session,
         )
-    if memo is not None:
-        memo.close()
-    if own_ctx:
-        ctx.close()
-    predicted = scorer.score(pulse_batch) if scorer is not None else None
     if session.enabled:
-        session.registry.counter("streaming.batches").inc(len(engine.stats))
-        session.registry.counter("streaming.pulses").inc(len(pulse_batch))
+        session.registry.counter("streaming.batches").inc(result.n_batches)
+        session.registry.counter("streaming.pulses").inc(result.n_pulses)
         session.registry.counter("streaming.recoveries").inc(n_recoveries)
         session.flush()
-    return StreamingResult(
-        observations=observations,
-        pulse_batch=pulse_batch,
-        predicted=predicted,
-        batches=list(engine.stats),
-        n_recoveries=n_recoveries,
-        checkpoints_written=engine.n_checkpoints,
-        obs=session if session.enabled else None,
-    )
+    return result
 
 
 __all__ = [

@@ -1,9 +1,9 @@
-"""Tests for the repro.api facade: parity with the legacy path, the
-deprecation shim, and the public-surface contract (__all__ hygiene)."""
+"""Tests for the repro.api facade: parity with driving the pipeline class
+directly, the no-deprecated-paths guarantee, and the public-surface contract
+(__all__ hygiene)."""
 
 import dataclasses
 import importlib
-import warnings
 
 import numpy as np
 import pytest
@@ -53,11 +53,9 @@ class TestFacadeParity:
         config = PipelineConfig(survey="GBT350Drift", scheme="2", seed=7,
                                 n_observations=2, classify=False)
         facade = run_pipeline(config, pulsars=population)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SinglePulsePipeline(
-                survey=GBT350DRIFT, scheme="2", seed=7
-            ).run(list(population), n_observations=2, classify=False)
+        legacy = SinglePulsePipeline(
+            survey=GBT350DRIFT, scheme="2", seed=7
+        ).run(list(population), n_observations=2, classify=False)
         assert facade.drapid.n_pulses == legacy.drapid.n_pulses
         assert facade.drapid.n_clusters == legacy.drapid.n_clusters
         np.testing.assert_array_equal(facade.features, legacy.features)
@@ -86,29 +84,19 @@ class TestFacadeParity:
 
 
 class TestDeprecationShim:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.run_pipeline"):
-            SinglePulsePipeline(survey=GBT350DRIFT)
-
-    def test_from_config_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SinglePulsePipeline.from_config(survey=GBT350DRIFT)
+    """pyproject's ``error::DeprecationWarning`` filter turns any deprecated
+    path these runs touch into a failure."""
 
     def test_api_path_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_pipeline(PipelineConfig(n_pulsars=3, n_observations=1))
+        run_pipeline(PipelineConfig(n_pulsars=3, n_observations=1))
 
     def test_streaming_path_does_not_warn(self):
         from repro.api import StreamingConfig, run_streaming
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_streaming(StreamingConfig(
-                pipeline=PipelineConfig(n_pulsars=3, n_observations=1),
-                batch_interval_s=0.5, arrival_rate=2000.0,
-            ))
+        run_streaming(StreamingConfig(
+            pipeline=PipelineConfig(n_pulsars=3, n_observations=1),
+            batch_interval_s=0.5, arrival_rate=2000.0,
+        ))
 
 
 class TestPublicSurface:

@@ -109,50 +109,6 @@ class TestEnvResolution:
 
 
 class TestFacadeShim:
-    def test_loose_keywords_warn_and_fold(self):
-        from repro.api import PipelineConfig
-
-        with pytest.warns(DeprecationWarning):
-            old = PipelineConfig(backend="serial", num_workers=3)
-        new = PipelineConfig(
-            execution=ExecutionConfig(backend="serial", num_workers=3)
-        )
-        assert old == new
-        assert old.backend is None and old.num_workers is None
-        assert old.execution.backend == "serial"
-
-    def test_serving_config_folds_too(self):
-        from repro.api import ServingConfig, TenantConfig
-
-        with pytest.warns(DeprecationWarning):
-            cfg = ServingConfig(tenants=(TenantConfig(tenant_id="t0"),),
-                                backend="serial")
-        assert cfg.execution.backend == "serial"
-        assert cfg.backend is None
-
-    def test_conflicting_spellings_rejected(self):
-        from repro.api import PipelineConfig
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                PipelineConfig(backend="serial",
-                               execution=ExecutionConfig(backend="parallel"))
-
-    def test_old_and_new_spellings_identical_output(self):
-        """Facade identity: the deprecated keywords and the ExecutionConfig
-        spelling drive byte-identical runs on the same seed."""
-        from repro.api import PipelineConfig, run_pipeline
-
-        with pytest.warns(DeprecationWarning):
-            old_cfg = PipelineConfig(seed=7, n_pulsars=3, n_observations=2,
-                                     backend="serial")
-        new_cfg = PipelineConfig(seed=7, n_pulsars=3, n_observations=2,
-                                 execution=ExecutionConfig(backend="serial"))
-        a = run_pipeline(old_cfg)
-        b = run_pipeline(new_cfg)
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
-
     def test_default_execution_identical_to_no_execution(self):
         """A default ExecutionConfig adds no behaviour: same output as a
         config that never mentions execution at all."""
@@ -219,27 +175,12 @@ class TestMemoProvenance:
 
         digests = set()
         for method in ("direct", "subband", "tree"):
-            pipe = SinglePulsePipeline.from_config(
+            pipe = SinglePulsePipeline(
                 survey=GBT350DRIFT,
                 execution=ExecutionConfig(kernel=KernelConfig(method=method)),
             )
             digests.add(config_digest(pipe._provenance_config()))
         assert len(digests) == 3
-
-    def test_loose_and_unified_spellings_same_key(self):
-        """backend is an operational knob: old and new spellings of the
-        same semantics must produce the same provenance digest."""
-        from repro.astro.survey import GBT350DRIFT
-        from repro.core.pipeline import SinglePulsePipeline
-        from repro.memo.hashing import config_digest
-
-        a = SinglePulsePipeline.from_config(survey=GBT350DRIFT, backend="serial")
-        b = SinglePulsePipeline.from_config(
-            survey=GBT350DRIFT, execution=ExecutionConfig(backend="serial")
-        )
-        assert config_digest(a._provenance_config()) == config_digest(
-            b._provenance_config()
-        )
 
 
 class TestKernelSelectedObservability:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.execution import ExecutionConfig
 from repro.sparklet import SparkletContext
 from repro.sparklet import shm as shm_mod
 from repro.sparklet.executor import (
@@ -37,6 +38,8 @@ SETTINGS = settings(
 )
 
 ints = st.lists(st.integers(-1000, 1000), max_size=60)
+
+PARALLEL_2 = ExecutionConfig(backend="parallel", num_workers=2)
 
 
 def par_ctx(workers: int = 2, **kwargs) -> SparkletContext:
@@ -214,8 +217,7 @@ class TestEndToEndIdentity:
         a = run_pipeline(PipelineConfig(seed=11, n_pulsars=4, n_observations=2,
                                         classify=False))
         b = run_pipeline(PipelineConfig(seed=11, n_pulsars=4, n_observations=2,
-                                        classify=False, backend="parallel",
-                                        num_workers=2))
+                                        classify=False, execution=PARALLEL_2))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
         assert a.drapid.n_pulses == b.drapid.n_pulses
@@ -227,8 +229,7 @@ class TestEndToEndIdentity:
                                            n_observations=2, classify=False))
         obs = base.observations
         a = run_drapid(PipelineConfig(seed=11), obs)
-        b = run_drapid(PipelineConfig(seed=11, backend="parallel",
-                                      num_workers=2), obs)
+        b = run_drapid(PipelineConfig(seed=11, execution=PARALLEL_2), obs)
         assert np.array_equal(a.pulse_batch.features, b.pulse_batch.features)
 
     def test_run_streaming_identity(self):
@@ -239,7 +240,7 @@ class TestEndToEndIdentity:
                 seed=7, n_pulsars=3, n_observations=2, **kw))
 
         a = run_streaming(cfg())
-        b = run_streaming(cfg(backend="parallel", num_workers=2))
+        b = run_streaming(cfg(execution=PARALLEL_2))
         assert a.canonical_ml_text() == b.canonical_ml_text()
 
 
@@ -252,6 +253,20 @@ class TestShmHygiene:
         data = [(i % 3, np.arange(4000) + i) for i in range(12)]
         ctx.parallelize(data, 4).reduce_by_key(lambda a, b: a + b).count()
         ctx.close()
+        assert no_leaks()
+
+    def test_aborted_stream_releases_segments(self):
+        """A run that dies on a non-crash exception (here the max_batches
+        safety valve) must still close the context it built."""
+        from repro.api import PipelineConfig, StreamingConfig, run_streaming
+
+        config = StreamingConfig(
+            pipeline=PipelineConfig(seed=7, n_pulsars=6, n_observations=3,
+                                    execution=PARALLEL_2),
+            max_batches=1,
+        )
+        with pytest.raises(RuntimeError, match="max_batches=1"):
+            run_streaming(config)
         assert no_leaks()
 
     def test_close_is_idempotent(self):

@@ -24,6 +24,7 @@ from repro.api import (
     run_serving,
     run_streaming,
 )
+from repro.execution import ExecutionConfig
 from repro.memo.config import MemoConfig
 from repro.obs import ObsConfig
 from repro.obs.events import (
@@ -96,7 +97,7 @@ class TestServingIdentity:
         cfgs = {"a": _scfg(5), "b": _scfg(6)}
         result = run_serving(ServingConfig(
             tenants=tuple(TenantConfig(t, c) for t, c in cfgs.items()),
-            backend=backend, num_workers=2,
+            execution=ExecutionConfig(backend=backend, num_workers=2),
         ))
         for tid, scfg in cfgs.items():
             assert result.canonical_ml_text(tid) == _solo_text(scfg)
@@ -371,7 +372,7 @@ class TestHotSwap:
         from repro.astro.population import synthesize_population
         from repro.core.pipeline import SinglePulsePipeline
 
-        pipeline = SinglePulsePipeline.from_config(
+        pipeline = SinglePulsePipeline(
             survey=resolve_survey(pipe.survey), seed=pipe.seed
         )
         observations = pipeline.generate(
