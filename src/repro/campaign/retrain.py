@@ -109,7 +109,6 @@ class RetrainController:
         self.history: list[RetrainEvent] = []
         self.n_suppressed = 0
         self._last_retrain_batch: int | None = None
-        ctx.register_pool(config.pool, weight=config.pool_weight)
 
     # -- predicates ----------------------------------------------------------
     def cooling_down(self, batch_index: int) -> bool:

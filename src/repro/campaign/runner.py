@@ -254,7 +254,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 obs=view,
             )
             manager.add_session(tenant_id, engine, weight=timeline.weight)
-            ctx.register_pool(tenant_id, weight=timeline.weight)
             engines[tenant_id] = engine
             monitors[tenant_id] = DriftMonitor(config.drift)
             last_version[tenant_id] = engine.scorer.version

@@ -53,7 +53,7 @@ def _add_execution_args(p: argparse.ArgumentParser) -> None:
     the matching :class:`~repro.execution.ExecutionConfig` field ``None``,
     which defers to the ``REPRO_*`` environment defaults.
     """
-    p.add_argument("--backend", choices=["serial", "simulated", "parallel"],
+    p.add_argument("--backend", choices=["serial", "parallel"],
                    default=None,
                    help="execution backend (default: REPRO_BACKEND or serial)")
     p.add_argument("--workers", type=int, default=None, metavar="N",

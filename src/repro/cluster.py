@@ -58,6 +58,6 @@ def open_cluster(
             ctx = stack.enter_context(SparkletContext(
                 app_name=app_name, default_parallelism=DEFAULT_PARALLELISM,
                 obs=obs, backend=cfg.backend, num_workers=cfg.num_workers,
-                io_wait_s_per_mb=cfg.io_wait_s_per_mb, memo=memo,
+                memo=memo,
             ))
         yield dfs, ctx

@@ -5,10 +5,9 @@ Two pieces:
 - :class:`MultithreadedRapid` really runs cluster-search tasks concurrently
   (results exact; useful as a correctness baseline and a demonstration of
   the shared-memory programming model), recording per-task durations.  It
-  routes through the Sparklet worker pool
-  (:func:`repro.sparklet.executor.run_callables`) so the repo has exactly
-  one parallel code path — true process parallelism, not GIL-limited
-  threads;
+  is an ordinary Sparklet result stage — one callable per partition on a
+  ``backend="parallel"`` context — so the repo has exactly one dispatch
+  loop, and true process parallelism rather than GIL-limited threads;
 - :class:`ThreadedBoxModel` replays measured task durations on a model of
   the paper's single machine — an i7-7800X-class part (6 cores / 12 SMT
   threads, overclocked to 4.5 GHz vs. the cluster's 3.2 GHz nodes) — to
@@ -19,10 +18,12 @@ Two pieces:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.sparklet.executor import run_callables
+from repro.cluster import open_cluster
+from repro.execution import ExecutionConfig
 from repro.sparklet.simulation import greedy_makespan
 
 
@@ -30,6 +31,13 @@ from repro.sparklet.simulation import greedy_makespan
 class TaskRecord:
     task_id: int
     duration_s: float
+
+
+def _timed_call(fn: Callable[[], object]) -> tuple[object, float]:
+    """Run one task where it landed and time just ``fn()`` there."""
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0
 
 
 @dataclass
@@ -48,9 +56,15 @@ class MultithreadedRapid:
     def run(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
-        results, durations = run_callables(list(tasks), self.n_threads)
-        self.records = [TaskRecord(i, d) for i, d in enumerate(durations)]
-        return results
+        tasks = list(tasks)
+        timed: list[tuple[object, float]] = []
+        if tasks:
+            execution = ExecutionConfig(backend="parallel",
+                                        num_workers=self.n_threads)
+            with open_cluster(execution, app_name="multithreaded-rapid") as (_dfs, ctx):
+                timed = ctx.parallelize(tasks, len(tasks)).map(_timed_call).collect()
+        self.records = [TaskRecord(i, d) for i, (_out, d) in enumerate(timed)]
+        return [out for out, _d in timed]
 
     @property
     def durations(self) -> list[float]:

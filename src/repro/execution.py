@@ -7,8 +7,8 @@ and the ``REPRO_*`` environment variables behind them are read only here:
   ``subband`` / ``tree``), which implementation (``numpy`` / ``numba`` /
   ``auto``) and which boxcar mode (``cumsum`` / ``decomposed``) the
   SPE-generating front end uses;
-- :class:`ExecutionConfig` — the Sparklet backend + worker count +
-  io model, carrying a :class:`KernelConfig`.
+- :class:`ExecutionConfig` — the Sparklet backend + worker count,
+  carrying a :class:`KernelConfig`.
 
 Resolution order (weakest to strongest): **env < config < CLI**.  ``None``
 fields mean "not specified here"; :func:`resolve_execution` fills them from
@@ -45,7 +45,7 @@ WORKERS_ENV = "REPRO_WORKERS"
 KERNEL_METHOD_ENV = "REPRO_KERNEL_METHOD"
 KERNEL_IMPL_ENV = "REPRO_KERNEL_IMPL"
 
-BACKENDS = ("serial", "simulated", "parallel")
+BACKENDS = ("serial", "parallel")
 KERNEL_METHODS = ("direct", "subband", "tree")
 KERNEL_IMPLS = ("numpy", "numba", "auto")
 BOXCAR_MODES = ("cumsum", "decomposed")
@@ -118,15 +118,12 @@ class ExecutionConfig:
 
     backend: str | None = None
     num_workers: int | None = None
-    io_wait_s_per_mb: float = 0.0
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self) -> None:
         _check("backend", self.backend, BACKENDS)
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
-        if self.io_wait_s_per_mb < 0:
-            raise ValueError("io_wait_s_per_mb must be non-negative")
 
 
 def env_execution_config() -> ExecutionConfig:
@@ -134,17 +131,24 @@ def env_execution_config() -> ExecutionConfig:
 
     The only place the four ``REPRO_*`` execution env vars are read.
     Unset variables stay ``None`` (method/impl: unset falls through to the
-    defaults at :meth:`KernelConfig.resolved` time).
+    defaults at :meth:`KernelConfig.resolved` time).  Set ones go through
+    the same validation as an explicit config.
     """
     workers = os.environ.get(WORKERS_ENV)
-    return ExecutionConfig(
-        backend=os.environ.get(BACKEND_ENV) or None,
-        num_workers=max(1, int(workers)) if workers else None,
-        kernel=KernelConfig(
-            method=os.environ.get(KERNEL_METHOD_ENV) or None,
-            impl=os.environ.get(KERNEL_IMPL_ENV) or None,
-        ),
-    )
+    try:
+        return ExecutionConfig(
+            backend=os.environ.get(BACKEND_ENV) or None,
+            num_workers=int(workers) if workers else None,
+            kernel=KernelConfig(
+                method=os.environ.get(KERNEL_METHOD_ENV) or None,
+                impl=os.environ.get(KERNEL_IMPL_ENV) or None,
+            ),
+        )
+    except ValueError as exc:
+        raise ValueError(
+            f"invalid {BACKEND_ENV}/{WORKERS_ENV}/{KERNEL_METHOD_ENV}/"
+            f"{KERNEL_IMPL_ENV} environment: {exc}"
+        ) from None
 
 
 def resolve_execution(config: ExecutionConfig | None = None) -> ExecutionConfig:

@@ -11,7 +11,7 @@ from repro.execution import resolve_execution
 from repro.obs.session import ObsSession
 from repro.sparklet import executor as executor_mod
 from repro.sparklet.metrics import JobMetrics
-from repro.sparklet.pools import DEFAULT_POOL, PoolConfig
+from repro.sparklet.pools import DEFAULT_POOL
 from repro.sparklet.rdd import RDD, ParallelCollectionRDD, TextFileRDD
 from repro.sparklet.scheduler import DAGScheduler, Runtime
 
@@ -35,12 +35,11 @@ class SparkletContext:
     cluster simulator consumes.
 
     ``backend`` selects the execution engine — ``"serial"`` (reference,
-    default), ``"simulated"`` (serial + discrete-event replay) or
-    ``"parallel"`` (true multiprocessing over ``num_workers`` long-lived
-    worker processes with shared-memory transport).  When not given, the
-    ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment variables decide —
-    that is how CI runs the whole suite under the parallel backend.  All
-    backends produce byte-identical results on the same seed.
+    default) or ``"parallel"`` (true multiprocessing over ``num_workers``
+    long-lived worker processes with shared-memory transport).  When not
+    given, the ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment variables
+    decide — that is how CI runs the whole suite under the parallel
+    backend.  Both backends produce byte-identical results on the same seed.
     """
 
     def __init__(self, app_name: str = "sparklet", default_parallelism: int = 4,
@@ -49,7 +48,6 @@ class SparkletContext:
                  obs: "ObsConfig | ObsSession | None" = None,
                  backend: str | None = None,
                  num_workers: int | None = None,
-                 io_wait_s_per_mb: float = 0.0,
                  memo: "MemoSession | None" = None) -> None:
         if default_parallelism < 1:
             raise ValueError("default_parallelism must be >= 1")
@@ -71,10 +69,9 @@ class SparkletContext:
             ctx_uid=self.uid,
             num_workers=self.num_workers,
             obs=self.obs,
-            io_wait_s_per_mb=io_wait_s_per_mb,
         )
         self.runtime = Runtime(num_executors=num_executors, obs=self.obs,
-                               backend=engine, io_wait_s_per_mb=io_wait_s_per_mb)
+                               backend=engine)
         if isinstance(engine, executor_mod.ParallelBackend):
             # Shuffle storage that keeps shared-memory bucket refs undecoded.
             self.runtime.shuffle = executor_mod.ShmShuffleManager(
@@ -87,8 +84,11 @@ class SparkletContext:
         self._rdd_counter = 0
         self._shuffle_counter = 0
         self._closed = False
-        #: Pool subsequent actions are submitted to (Spark's
-        #: ``spark.scheduler.pool`` thread-local, flattened to the context).
+        #: Pool tag subsequent actions carry (Spark's ``spark.scheduler.pool``
+        #: thread-local, flattened to the context): it lands on
+        #: ``JobMetrics.pool`` and the ``job_start`` event and salts executor
+        #: placement.  Fair *ordering* between pools is the serving tier's
+        #: job (:class:`~repro.streaming.sessions.SessionManager`).
         self._current_pool = DEFAULT_POOL
         if fault_config is not None:
             self.install_faults(fault_config)
@@ -123,16 +123,10 @@ class SparkletContext:
         self.scheduler.blacklist_threshold = config.max_failures_per_executor
         return injector
 
-    # -- fair-scheduler pools ------------------------------------------------
-    def register_pool(self, name: str, weight: float = 1.0,
-                      min_share: float = 0.0) -> None:
-        """Declare (or re-weight) a scheduler pool for job submission."""
-        self.runtime.pools.register(PoolConfig(name, weight=weight,
-                                               min_share=min_share))
-
+    # -- pool tag -------------------------------------------------------------
     def set_pool(self, name: str | None) -> None:
-        """Route subsequent actions to ``name`` (None restores the default)."""
-        self._current_pool = self.runtime.pools.resolve(name)
+        """Tag subsequent actions with ``name`` (None restores the default)."""
+        self._current_pool = name if name is not None else DEFAULT_POOL
 
     @property
     def current_pool(self) -> str:
@@ -147,10 +141,6 @@ class SparkletContext:
             yield
         finally:
             self._current_pool = previous
-
-    def pool_stats(self) -> dict[str, dict[str, float]]:
-        """Per-pool service accounting (weights, shares, jobs picked)."""
-        return self.runtime.pools.stats()
 
     # -- id allocation (used by RDD/ShuffledRDD constructors) ---------------
     def _next_rdd_id(self) -> int:

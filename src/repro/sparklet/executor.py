@@ -1,21 +1,27 @@
-"""Execution backends for the DAG scheduler: serial, simulated, parallel.
+"""Execution backends for the DAG scheduler: serial and parallel.
 
-The scheduler owns stage construction, fault recovery and metrics; a
-*backend* owns only how the per-partition tasks of one stage get executed:
+The scheduler owns stage construction, fault recovery, metrics and the
+task-attempt protocol (``begin_attempt`` / ``attempt_succeeded`` /
+``attempt_failed``: placement, injector consultation, task events,
+counters, the retry budget).  A *backend* owns only how the body of an
+attempt gets executed:
 
-- :class:`SerialBackend` — the reference engine: every task runs inline in
-  the driver, exactly as Sparklet always has.  Byte-for-byte identical to
-  the pre-backend scheduler.
-- :class:`SimulatedBackend` — serial execution plus the discrete-event
-  cluster model: each finished job is replayed on a
-  :class:`~repro.sparklet.cluster.ClusterConfig` sized to ``num_workers``,
-  so the existing what-if timing path is one knob away.
+- :class:`SerialBackend` — the reference engine: every task body runs
+  inline in the driver, in partition order.
 - :class:`ParallelBackend` — a pool of long-lived spawn-context worker
-  processes executes tasks concurrently.  Stage payloads (RDD lineage +
-  closures) ship once per (stage, worker) via cloudpickle; column batches
-  travel through shared memory (:mod:`repro.sparklet.shm`); shuffle map
-  outputs stay in shared memory and reducers merge buckets in sorted
-  map-partition order, so results are byte-identical to serial.
+  processes executes task bodies concurrently.  Stage payloads (RDD
+  lineage + closures) ship once per (stage, worker) via cloudpickle; column
+  batches travel through shared memory (:mod:`repro.sparklet.shm`); shuffle
+  map outputs stay in shared memory and reducers merge buckets in sorted
+  map-partition order, so results are byte-identical to serial.  Its
+  ``_run_stage`` is the one ship / wait / collect loop in the repo —
+  :class:`~repro.core.multithreaded.MultithreadedRapid` fans its callables
+  out as an ordinary result stage on a parallel context.
+
+Modelled cluster time is not a backend: it has exactly one spelling,
+``simulate_job(job_metrics, ClusterConfig(...))``
+(:mod:`repro.sparklet.simulation`), applied to the metrics either backend
+records.
 
 Determinism in parallel mode comes from three rules: task → worker
 placement is ``partition % num_workers`` (stable across jobs, so worker
@@ -23,14 +29,17 @@ caches behave like the serial cache), reduce-side merge order is sorted by
 map partition (same rule the serial shuffle uses), and result-stage outputs
 are reassembled in partition order regardless of completion order.
 Accumulator adds are buffered worker-side per attempt and committed by the
-driver under the same ``(stage, partition)`` exactly-once key as serial.
+scheduler under the same ``(stage, partition)`` exactly-once key as serial.
 
-Fault injection stays driver-side: injectors are consulted at task *submit*
-time, so the chaos law (faulted ≡ clean output) holds under the parallel
-backend too.  A real worker-process death is detected by liveness polling;
-its in-flight tasks are resubmitted to a respawned worker and its completed
-map outputs survive in shared memory (nothing to recompute) — the property
-the worker-kill test exercises.
+Fault injection stays driver-side: injectors are consulted when an attempt
+begins, before its body is shipped, so the chaos law (faulted ≡ clean
+output) holds under the parallel backend too.  A real worker-process death
+is detected by liveness polling and the worker is respawned; each of its
+in-flight attempts fails as an
+:class:`~repro.sparklet.faults.ExecutorLostFailure` through the same
+``attempt_failed`` step — same recovery, same ``max_task_retries`` budget —
+so a task that kills its worker on every attempt fails the job instead of
+respawning forever.
 """
 
 from __future__ import annotations
@@ -58,12 +67,11 @@ from repro.obs import events as obs_events
 from repro.obs.session import NULL_OBS
 from repro.sparklet import shm as shm_mod
 from repro.sparklet.faults import (
+    RECOVERABLE_FAILURES,
     ExecutorLostFailure,
-    FetchFailedException,
-    TaskFailure,
+    TaskAttempt,
 )
 from repro.sparklet.metrics import TaskMetrics, estimate_bytes
-from repro.sparklet.pools import pool_salt
 from repro.sparklet.shuffle import ShuffleManager
 
 __all__ = [
@@ -71,11 +79,9 @@ __all__ = [
     "ParallelBackend",
     "SerialBackend",
     "ShmShuffleManager",
-    "SimulatedBackend",
     "get_pool",
     "in_worker",
     "make_backend",
-    "run_callables",
     "shutdown_pool",
 ]
 
@@ -101,31 +107,28 @@ def worker_accumulator_registry() -> dict[Any, Any] | None:
 # ---------------------------------------------------------------------------
 # Task bodies shared by the serial path and the workers
 # ---------------------------------------------------------------------------
-def _io_wait(runtime: Any, nbytes: int) -> float:
-    """Charge the modeled storage stall for reading ``nbytes`` of input.
-
-    The in-memory DFS erases the disk/network time a real HDFS read costs;
-    ``io_wait_s_per_mb`` puts it back as a real sleep, charged identically
-    in every backend (so outputs stay byte-identical) — but parallel
-    workers overlap these stalls, which is exactly the overlap a real
-    cluster gets.  Off (0.0) by default.
-    """
-    rate = getattr(runtime, "io_wait_s_per_mb", 0.0)
-    if rate <= 0.0 or nbytes <= 0:
-        return 0.0
-    wait = min(nbytes / 1e6 * rate, 30.0)
-    time.sleep(wait)
-    return wait
-
-
 @dataclass
 class MapTaskOutput:
-    #: (reduce_partition, records, nbytes) in first-touch order.
-    buckets: list[tuple[int, list[Any], int]]
+    #: (reduce_partition, records, nbytes) in first-touch order; a worker
+    #: ships each bucket's records back as a shared-memory blob instead.
+    buckets: list[tuple[int, Any, int]]
     duration_s: float
     records_in: int
     records_out: int
     bytes_in: int
+
+    def metrics(self, stage: Any, split: int, written: int) -> TaskMetrics:
+        return TaskMetrics(
+            stage_id=stage.stage_id,
+            partition=split,
+            duration_s=self.duration_s,
+            records_in=self.records_in,
+            records_out=self.records_out,
+            bytes_in=self.bytes_in,
+            bytes_out=written,
+            shuffle_write_bytes=written,
+            locality=stage.rdd.preferred_locations(split),
+        )
 
 
 def compute_map_task(rdd: Any, dep: Any, split: int, runtime: Any) -> MapTaskOutput:
@@ -162,7 +165,6 @@ def compute_map_task(rdd: Any, dep: Any, split: int, runtime: Any) -> MapTaskOut
     bytes_in = estimate_bytes(records)
     n_out = sum(len(v) for v in buckets.values())
     avg = bytes_in / len(records) if records else 0.0
-    duration += _io_wait(runtime, bytes_in)
     sized = [
         (idx, items, max(1, int(avg * bucket_weights[idx])))
         for idx, items in buckets.items()
@@ -172,11 +174,24 @@ def compute_map_task(rdd: Any, dep: Any, split: int, runtime: Any) -> MapTaskOut
 
 @dataclass
 class ResultTaskOutput:
+    #: The partition's value; a worker ships it back as a shared-memory blob.
     result: Any
     duration_s: float
     records_in: int
     bytes_in: int
     shuffle_read_bytes: int
+
+    def metrics(self, stage: Any, split: int) -> TaskMetrics:
+        return TaskMetrics(
+            stage_id=stage.stage_id,
+            partition=split,
+            duration_s=self.duration_s,
+            records_in=self.records_in,
+            records_out=self.records_in,
+            bytes_in=self.bytes_in,
+            shuffle_read_bytes=self.shuffle_read_bytes,
+            locality=stage.rdd.preferred_locations(split),
+        )
 
 
 def compute_result_task(
@@ -192,12 +207,11 @@ def compute_result_task(
     duration = time.perf_counter() - t0
     sread = sum(runtime.shuffle.fetch_bytes(sid, split) for sid in shuffle_reads)
     bytes_in = estimate_bytes(records)
-    duration += _io_wait(runtime, bytes_in + sread)
     return ResultTaskOutput(out, duration, len(records), bytes_in, sread)
 
 
 # ---------------------------------------------------------------------------
-# Serial + simulated backends
+# Serial backend
 # ---------------------------------------------------------------------------
 class SerialBackend:
     """Reference engine: tasks run inline in the driver, in partition order."""
@@ -214,21 +228,9 @@ class SerialBackend:
                         dep.shuffle_id, reduce_idx, items,
                         nbytes=nb, map_partition=split,
                     )
-                return TaskMetrics(
-                    stage_id=stage.stage_id,
-                    partition=split,
-                    duration_s=out.duration_s,
-                    records_in=out.records_in,
-                    records_out=out.records_out,
-                    bytes_in=out.bytes_in,
-                    bytes_out=written,
-                    shuffle_write_bytes=written,
-                    locality=stage.rdd.preferred_locations(split),
-                )
+                return out.metrics(stage, split, written)
 
-            task = sched._execute_task(stage, split, body, sm, job, shuffle_reads)
-            sm.tasks.append(task)
-            sched._map_outputs.setdefault(dep.shuffle_id, {})[split] = task.executor_id
+            self._run_inline(sched, stage, split, body, sm, job, shuffle_reads)
 
     def run_result_stage(self, sched, stage, func, todo, sm, job, shuffle_reads) -> list[Any]:
         results: list[Any] = []
@@ -237,48 +239,41 @@ class SerialBackend:
                 out = compute_result_task(
                     stage.rdd, func, split, sched.runtime, shuffle_reads
                 )
-                task = TaskMetrics(
-                    stage_id=stage.stage_id,
-                    partition=split,
-                    duration_s=out.duration_s,
-                    records_in=out.records_in,
-                    records_out=out.records_in,
-                    bytes_in=out.bytes_in,
-                    shuffle_read_bytes=out.shuffle_read_bytes,
-                    locality=stage.rdd.preferred_locations(split),
-                )
-                task._result = out.result  # type: ignore[attr-defined]
-                return task
+                results.append(out.result)
+                return out.metrics(stage, split)
 
-            task = sched._execute_task(stage, split, body, sm, job, shuffle_reads)
-            results.append(task._result)  # type: ignore[attr-defined]
-            sm.tasks.append(task)
+            self._run_inline(sched, stage, split, body, sm, job, shuffle_reads)
         return results
+
+    def _run_inline(self, sched, stage, split, body, sm, job, shuffle_reads) -> None:
+        """Run one task to success in the driver, attempt after attempt."""
+        runtime = sched.runtime
+        obs = runtime.obs
+        st = TaskAttempt(split)
+        while True:
+            if not sched.begin_attempt(stage, sm, job, st, shuffle_reads):
+                continue
+            # The driver's accumulators are live while the body runs inline.
+            for acc in runtime.accumulators:
+                acc._begin_attempt()
+            try:
+                if obs.enabled:
+                    with obs.tracer.span("task", stage_id=sm.stage_id,
+                                         partition=split, attempt=st.attempt):
+                        task = body()
+                else:
+                    task = body()
+            except RECOVERABLE_FAILURES as exc:
+                sched.attempt_failed(stage, sm, job, st, exc)
+                continue
+            sched.attempt_succeeded(stage, sm, st, task)
+            return
 
     def on_job_end(self, sched, job) -> None:
         pass
 
     def close(self) -> None:
         pass
-
-
-class SimulatedBackend(SerialBackend):
-    """Serial execution + discrete-event replay of every finished job."""
-
-    name = "simulated"
-
-    def __init__(self, num_workers: int = 4, obs=NULL_OBS) -> None:
-        self.num_workers = max(1, int(num_workers))
-        self.obs = obs
-        #: One SimulatedRun per job, in job order.
-        self.runs: list[Any] = []
-
-    def on_job_end(self, sched, job) -> None:
-        from repro.sparklet.cluster import ClusterConfig
-        from repro.sparklet.simulation import simulate_job
-
-        config = ClusterConfig(num_executors=self.num_workers)
-        self.runs.append(simulate_job(job, config, obs=self.obs))
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +521,6 @@ class WorkerPool:
         handle.outstanding.add(token)
         return token
 
-    def dispatch_call(self, wid: int, blob: shm_mod.Blob) -> int:
-        token = next(self._tokens)
-        handle = self._workers[wid]
-        handle.task_q.put(("call", token, blob))
-        handle.outstanding.add(token)
-        return token
-
     def evict(self, ctx_uid: str) -> None:
         for handle in self._workers.values():
             if handle.proc.is_alive():
@@ -618,11 +606,7 @@ class WorkerPool:
 
 def _msg_segments(msg: tuple) -> list[tuple[str, int]]:
     """Worker-created segments carried by a result message, if any."""
-    if msg[0] != "ok":
-        return []
-    if msg[3] == "call":
-        return msg[6]
-    return msg[7]
+    return msg[5] if msg[0] == "ok" else []
 
 
 _POOL: WorkerPool | None = None
@@ -695,120 +679,65 @@ class ParallelBackend:
 
     name = "parallel"
 
-    def __init__(self, ctx_uid: str, num_workers: int = 2, obs=NULL_OBS,
-                 io_wait_s_per_mb: float = 0.0) -> None:
+    def __init__(self, ctx_uid: str, num_workers: int = 2, obs=NULL_OBS) -> None:
         self.ctx_uid = ctx_uid
         self.num_workers = max(1, int(num_workers))
         self.obs = obs
-        self.io_wait_s_per_mb = io_wait_s_per_mb
         self._payload_blobs: dict[str, shm_mod.Blob] = {}
         self._closed = False
 
     # -- stage entry points -------------------------------------------------
     def run_map_stage(self, sched, stage, dep, todo, sm, job, shuffle_reads) -> None:
-        def finish(split: int, attempt: int, executor_id: str, wid: int, msg: tuple):
-            bucket_list, meta, acc_bytes, segs = msg[4], msg[5], msg[6], msg[7]
+        def collect(split: int, out: MapTaskOutput, segs) -> TaskMetrics:
             mgr = sched.runtime.shuffle
             for name, size in segs:
                 mgr.adopt_segment(name, size)
             written = 0
-            for reduce_idx, blob, nb in bucket_list:
+            for reduce_idx, blob, nb in out.buckets:
                 written += mgr.write_ref(dep.shuffle_id, reduce_idx, blob, nb,
                                          map_partition=split)
-            task = TaskMetrics(
-                stage_id=stage.stage_id,
-                partition=split,
-                duration_s=meta["duration_s"],
-                records_in=meta["records_in"],
-                records_out=meta["records_out"],
-                bytes_in=meta["bytes_in"],
-                bytes_out=written,
-                shuffle_write_bytes=written,
-                locality=stage.rdd.preferred_locations(split),
-                attempts=attempt,
-                executor_id=executor_id,
-                worker_id=f"w{wid}",
-            )
-            self._commit_accs(sched, stage, split, acc_bytes)
-            sm.tasks.append(task)
-            sched._map_outputs.setdefault(dep.shuffle_id, {})[split] = executor_id
-            return task
+            return out.metrics(stage, split, written)
 
         self._run_stage(sched, stage, "map", dep, None, todo, sm, job,
-                        shuffle_reads, finish)
+                        shuffle_reads, collect)
 
     def run_result_stage(self, sched, stage, func, todo, sm, job, shuffle_reads) -> list[Any]:
         results: dict[int, Any] = {}
 
-        def finish(split: int, attempt: int, executor_id: str, wid: int, msg: tuple):
-            rblob, meta, acc_bytes, segs = msg[4], msg[5], msg[6], msg[7]
-            out = shm_mod.decode(rblob)
+        def collect(split: int, out: ResultTaskOutput, segs) -> TaskMetrics:
+            results[split] = shm_mod.decode(out.result)
             for name, _size in segs:
                 shm_mod._unlink(name)  # one-shot: consumed by this decode
-            task = TaskMetrics(
-                stage_id=stage.stage_id,
-                partition=split,
-                duration_s=meta["duration_s"],
-                records_in=meta["records_in"],
-                records_out=meta["records_in"],
-                bytes_in=meta["bytes_in"],
-                shuffle_read_bytes=meta["shuffle_read_bytes"],
-                locality=stage.rdd.preferred_locations(split),
-                attempts=attempt,
-                executor_id=executor_id,
-                worker_id=f"w{wid}",
-            )
-            self._commit_accs(sched, stage, split, acc_bytes)
-            sm.tasks.append(task)
-            results[split] = out
-            return task
+            return out.metrics(stage, split)
 
         self._run_stage(sched, stage, "result", None, func, todo, sm, job,
-                        shuffle_reads, finish)
+                        shuffle_reads, collect)
         return [results[split] for split in todo]
 
-    # -- core dispatch loop -------------------------------------------------
+    # -- the dispatch loop --------------------------------------------------
     def _run_stage(self, sched, stage, kind, dep, func, todo, sm, job,
-                   shuffle_reads, finish) -> None:
+                   shuffle_reads, collect) -> None:
+        """Ship every task of one stage run, wait, collect; retry failures.
+
+        What an attempt *is* — placement, injectors, events, the retry
+        budget — is the scheduler's protocol; this loop only moves bodies
+        to workers and outputs back.
+        """
         pool = get_pool()
         pool.ensure(self.num_workers, self.obs)
         key = f"{self.ctx_uid}:s{stage.stage_id}:{kind}"
         blob = self._payload_blob(key, stage, kind, dep, func, shuffle_reads)
-        waiting: deque[int] = deque(todo)
-        state = {split: [0, 0] for split in todo}  # split -> [attempt, recoveries]
-        outstanding: dict[int, tuple[int, int, str]] = {}
+        waiting: deque[TaskAttempt] = deque(TaskAttempt(split) for split in todo)
+        outstanding: dict[int, TaskAttempt] = {}
         obs = self.obs
         try:
             while waiting or outstanding:
                 while waiting:
-                    split = waiting.popleft()
-                    st = state[split]
-                    st[0] += 1
-                    attempt = st[0]
-                    # Same pre-attempt parent re-check as the serial engine.
-                    if shuffle_reads:
-                        sched._ensure_parent_shuffles(stage.rdd, job)
-                    executor_id = sched.runtime.executors.pick(
-                        split, attempt, pool_salt(job.pool)
-                    )
-                    if obs.enabled:
-                        obs.emit(obs_events.TASK_START, stage_id=sm.stage_id,
-                                 attempt=sm.attempt, partition=split,
-                                 task_attempt=attempt, executor_id=executor_id)
-                    try:
-                        # Injectors are driver-side: evaluated at submission.
-                        if sched.runtime.failure_injector is not None:
-                            sched.runtime.failure_injector(stage.stage_id, split, attempt)
-                        if sched.runtime.fault_injector is not None:
-                            sched.runtime.fault_injector.on_task_start(
-                                stage.stage_id, split, attempt, executor_id,
-                                shuffle_reads,
-                            )
-                    except (TaskFailure, ExecutorLostFailure, FetchFailedException) as exc:
-                        self._handle_failure(sched, stage, sm, job, split,
-                                             attempt, executor_id, exc, st)
-                        waiting.append(split)
+                    st = waiting.popleft()
+                    if not sched.begin_attempt(stage, sm, job, st, shuffle_reads):
+                        waiting.append(st)
                         continue
+                    split = st.partition
                     wid = split % self.num_workers
                     pool.check_liveness(obs)
                     pool.ship_payload(wid, key, blob)
@@ -816,77 +745,39 @@ class ParallelBackend:
                         sched, stage, split, shuffle_reads
                     )
                     token = pool.dispatch(wid, key, split, fetch_blobs, fetch_nbytes)
-                    outstanding[token] = (split, attempt, executor_id)
+                    outstanding[token] = st
                 if not outstanding:
                     continue
                 token, msg = pool.wait_any(set(outstanding), obs)
-                split, attempt, executor_id = outstanding.pop(token)
-                st = state[split]
+                st = outstanding.pop(token)
                 if msg[0] == "ok":
-                    task = finish(split, attempt, executor_id, msg[2], msg)
-                    if obs.enabled:
-                        obs.emit(obs_events.TASK_END, stage_id=sm.stage_id,
-                                 attempt=sm.attempt, task=task.to_dict())
-                        obs.registry.counter("sparklet.tasks_completed").inc()
-                        obs.registry.histogram("sparklet.task_duration_s").observe(
-                            task.duration_s
-                        )
-                elif msg[0] == "lost":
-                    # Real worker death: resubmit; its registered map outputs
-                    # live in shared memory and survive the process.
-                    waiting.append(split)
+                    task = collect(st.partition, msg[3], msg[5])
+                    task.worker_id = f"w{msg[2]}"
+                    self._load_accs(sched, msg[4])
+                    sched.attempt_succeeded(stage, sm, st, task)
+                    continue
+                if msg[0] == "lost":
+                    # The worker process really died under this attempt.
+                    exc: BaseException = ExecutorLostFailure(st.executor_id)
                 else:
                     exc = pickle.loads(msg[3])
-                    if isinstance(exc, (TaskFailure, ExecutorLostFailure,
-                                        FetchFailedException)):
-                        self._handle_failure(sched, stage, sm, job, split,
-                                             attempt, executor_id, exc, st)
-                        waiting.append(split)
-                    else:
+                    if not isinstance(exc, RECOVERABLE_FAILURES):
                         if hasattr(exc, "add_note"):
                             exc.add_note(f"worker {msg[2]} traceback:\n{msg[4]}")
                         raise exc
+                sched.attempt_failed(stage, sm, job, st, exc)
+                waiting.append(st)
         finally:
             if outstanding:
                 pool.discard(list(outstanding))
 
-    def _handle_failure(self, sched, stage, sm, job, split, attempt,
-                        executor_id, exc, st) -> None:
-        """Mirror of the serial scheduler's per-exception retry arms."""
-        obs = self.obs
-        if isinstance(exc, TaskFailure):
-            sm.n_task_failures += 1
-            sched._record_task_failure(sm, split, attempt, executor_id, "task_crash")
-            blacklisted = sched.runtime.executors.record_failure(
-                executor_id, sched.blacklist_threshold
-            )
-            if blacklisted and obs.enabled:
-                obs.emit(obs_events.EXECUTOR_BLACKLISTED, executor_id=executor_id)
-                obs.registry.counter("sparklet.executors_blacklisted").inc()
-            if attempt > sched.max_task_retries:
-                raise exc
-        elif isinstance(exc, ExecutorLostFailure):
-            sm.n_executor_lost += 1
-            sched._record_task_failure(sm, split, attempt, executor_id, "executor_loss")
-            sched._handle_executor_loss(exc.executor_id, stage, job)
-            if attempt > sched.max_task_retries:
-                raise exc
-        else:  # FetchFailedException
-            sm.n_fetch_failures += 1
-            sched._record_task_failure(sm, split, attempt, executor_id, "fetch_failure")
-            st[1] += 1
-            if st[1] > sched.max_stage_recoveries:
-                raise exc
-            sched._recover_shuffle(exc.shuffle_id, job)
-
-    def _commit_accs(self, sched, stage, split, acc_bytes) -> None:
-        """Replay worker-buffered accumulator adds with exactly-once commit."""
+    def _load_accs(self, sched, acc_bytes) -> None:
+        """Load a finished attempt's worker-buffered accumulator adds into
+        the driver's accumulators, for ``attempt_succeeded`` to commit."""
         updates = pickle.loads(acc_bytes) if acc_bytes else {}
-        task_key = (stage.stage_id, split)
         for acc in sched.runtime.accumulators:
             acc._begin_attempt()
             acc._pending.extend(updates.get(acc._id, ()))
-            acc._commit_attempt(task_key)
 
     def _collect_fetch(self, sched, stage, split, shuffle_reads):
         needed = _fetch_partitions(stage.rdd, split)
@@ -917,7 +808,6 @@ class ParallelBackend:
                 "dep": dep,
                 "func": func,
                 "shuffle_reads": tuple(shuffle_reads),
-                "io_wait": self.io_wait_s_per_mb,
             }
             blob, seg, size = shm_mod.encode(payload, _driver_seg_name)
             if seg is not None:
@@ -944,84 +834,17 @@ class ParallelBackend:
 
 
 def make_backend(name: str, *, ctx_uid: str = "", num_workers: int = 2,
-                 obs=NULL_OBS, io_wait_s_per_mb: float = 0.0):
-    """Build a backend by name ('serial' | 'simulated' | 'parallel')."""
+                 obs=NULL_OBS):
+    """Build a backend by name ('serial' | 'parallel')."""
     if name == "serial":
         return SerialBackend()
-    if name == "simulated":
-        return SimulatedBackend(num_workers=num_workers, obs=obs)
     if name == "parallel":
         if _IN_WORKER:
             # A context constructed inside a worker (user code) must not
             # recursively spawn pools; run its jobs inline.
             return SerialBackend()
-        return ParallelBackend(ctx_uid, num_workers, obs, io_wait_s_per_mb)
+        return ParallelBackend(ctx_uid, num_workers, obs)
     raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
-
-
-# ---------------------------------------------------------------------------
-# Plain-callable fan-out (MultithreadedRapid shim)
-# ---------------------------------------------------------------------------
-def run_callables(tasks, n_workers: int, obs=NULL_OBS) -> tuple[list[Any], list[float]]:
-    """Run zero-argument callables on the pool; returns (results, durations).
-
-    The one parallel code path for everything: ``MultithreadedRapid``
-    routes here instead of keeping its own thread pool.
-    """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    tasks = list(tasks)
-    if not tasks:
-        return [], []
-    if _IN_WORKER:
-        results, durations = [], []
-        for fn in tasks:
-            t0 = time.perf_counter()
-            results.append(fn())
-            durations.append(time.perf_counter() - t0)
-        return results, durations
-    pool = get_pool()
-    pool.ensure(n_workers, obs)
-    owned_segs: list[str] = []
-
-    def send(i: int) -> int:
-        blob, seg, size = shm_mod.encode(tasks[i], _driver_seg_name)
-        if seg is not None:
-            shm_mod.registry.register(seg, size, owner="callables")
-            owned_segs.append(seg)
-        wid = i % n_workers
-        pool.check_liveness(obs)
-        return pool.dispatch_call(wid, blob)
-
-    token_to_idx = {send(i): i for i in range(len(tasks))}
-    results: list[Any] = [None] * len(tasks)
-    durations: list[float] = [0.0] * len(tasks)
-    remaining = set(token_to_idx)
-    try:
-        while remaining:
-            token, msg = pool.wait_any(remaining, obs)
-            remaining.discard(token)
-            i = token_to_idx[token]
-            if msg[0] == "ok":
-                results[i] = shm_mod.decode(msg[4])
-                durations[i] = msg[5]
-                for name, _size in msg[6]:
-                    shm_mod._unlink(name)
-            elif msg[0] == "lost":
-                retry = send(i)
-                token_to_idx[retry] = i
-                remaining.add(retry)
-            else:
-                exc = pickle.loads(msg[3])
-                if hasattr(exc, "add_note"):
-                    exc.add_note(f"worker {msg[2]} traceback:\n{msg[4]}")
-                raise exc
-    finally:
-        if remaining:
-            pool.discard(list(remaining))
-        for seg in owned_segs:
-            shm_mod.registry.release(seg)
-    return results, durations
 
 
 # ---------------------------------------------------------------------------
@@ -1081,11 +904,9 @@ class _FetchShuffle:
 class _WorkerRuntime:
     """The slice of Runtime that RDD.compute/iterator actually touches."""
 
-    def __init__(self, shuffle: _FetchShuffle, cache: _WorkerCacheProxy,
-                 io_wait_s_per_mb: float) -> None:
+    def __init__(self, shuffle: _FetchShuffle, cache: _WorkerCacheProxy) -> None:
         self.shuffle = shuffle
         self.cache = cache
-        self.io_wait_s_per_mb = io_wait_s_per_mb
         self.accumulators: list[Any] = []
         self.failure_injector = None
         self.fault_injector = None
@@ -1113,7 +934,6 @@ def _run_task(worker_id, payloads, key, split, fetch_blobs, fetch_nbytes,
     runtime = _WorkerRuntime(
         _FetchShuffle(fetch_blobs, fetch_nbytes),
         _WorkerCacheProxy(cache, payload["ctx_uid"]),
-        payload["io_wait"],
     )
     accs = list(_WORKER_ACCS.values()) if _WORKER_ACCS else []
     for acc in accs:
@@ -1125,37 +945,23 @@ def _run_task(worker_id, payloads, key, split, fetch_blobs, fetch_nbytes,
             for _idx, items, _nb in out.buckets:
                 writer.add(items)
             bucket_blobs, seg, size = writer.seal()
-            bucket_list = [
+            out.buckets = [
                 (idx, bucket_blobs[i], nb)
                 for i, (idx, _items, nb) in enumerate(out.buckets)
             ]
-            meta = {
-                "duration_s": out.duration_s,
-                "records_in": out.records_in,
-                "records_out": out.records_out,
-                "bytes_in": out.bytes_in,
-            }
-            body = ("map", bucket_list, meta)
         else:
             out = compute_result_task(
                 payload["rdd"], payload["func"], split, runtime,
                 payload["shuffle_reads"],
             )
-            rblob, seg, size = shm_mod.encode(out.result, seg_name)
-            meta = {
-                "duration_s": out.duration_s,
-                "records_in": out.records_in,
-                "bytes_in": out.bytes_in,
-                "shuffle_read_bytes": out.shuffle_read_bytes,
-            }
-            body = ("result", rblob, meta)
+            out.result, seg, size = shm_mod.encode(out.result, seg_name)
         updates = {acc._id: list(acc._pending) for acc in accs if acc._pending}
         acc_bytes = cloudpickle.dumps(updates, protocol=5) if updates else None
     finally:
         for acc in accs:
             acc._abort_attempt()
     segs = [(seg, size)] if seg is not None else []
-    return body + (acc_bytes, segs)
+    return out, acc_bytes, segs
 
 
 def _worker_main(worker_id: int, prefix: str, task_q, result_q) -> None:
@@ -1192,18 +998,6 @@ def _worker_main(worker_id: int, prefix: str, task_q, result_q) -> None:
             for k in [k for k in _WORKER_ACCS
                       if isinstance(k, str) and k.startswith(uid + ":")]:
                 del _WORKER_ACCS[k]
-        elif kind == "call":
-            token, blob = msg[1], msg[2]
-            try:
-                fn = shm_mod.decode(blob)
-                t0 = time.perf_counter()
-                out = fn()
-                duration = time.perf_counter() - t0
-                rblob, seg, size = shm_mod.encode(out, seg_name)
-                segs = [(seg, size)] if seg is not None else []
-                result_q.put(("ok", token, worker_id, "call", rblob, duration, segs))
-            except BaseException as exc:  # noqa: BLE001 - forwarded to driver
-                result_q.put(_err_msg(token, worker_id, exc))
         elif kind == "task":
             token = msg[1]
             try:

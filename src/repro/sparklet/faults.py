@@ -51,6 +51,29 @@ class FetchFailedException(RuntimeError):
         self.shuffle_id = shuffle_id
 
 
+#: The failures an attempt can recover from (anything else fails the job).
+RECOVERABLE_FAILURES = (TaskFailure, ExecutorLostFailure, FetchFailedException)
+
+
+class TaskAttempt:
+    """Retry state of one logical task across its attempts in a stage run.
+
+    The scheduler's attempt protocol advances it; backends only carry it
+    from ``begin_attempt`` to ``attempt_succeeded`` / ``attempt_failed``.
+    """
+
+    __slots__ = ("partition", "attempt", "recoveries", "executor_id")
+
+    def __init__(self, partition: int) -> None:
+        self.partition = partition
+        #: 1-based index of the current attempt (0 before the first).
+        self.attempt = 0
+        #: Fetch-failure recovery waves this task has triggered.
+        self.recoveries = 0
+        #: Executor the current attempt is placed on.
+        self.executor_id = ""
+
+
 @dataclass(frozen=True)
 class FailureRule:
     """One class of injected fault.

@@ -7,17 +7,14 @@ topped up to before any weighted sharing happens).  Its comparator —
 below their min share, (2) the min-share ratio, (3) the running-to-weight
 ratio, with the pool name as the final tie-break.
 
-This module is the Sparklet analogue, generalized so *two* layers can share
-one instance:
-
-- the :class:`~repro.sparklet.scheduler.DAGScheduler` routes every
-  submitted job through :meth:`SchedulerPools.submit` /
-  :meth:`SchedulerPools.next_entry` — the old direct-execute path is the
-  degenerate single-pool case (one entry in, one entry out, FIFO);
-- the multi-tenant serving tier (:mod:`repro.streaming.sessions`) uses the
-  same pools to decide which tenant's micro-batch the shared driver picks
-  up next, charging each pool the *simulated* processing seconds its
-  batches consume.
+This module is the Sparklet analogue.  It has one user: the multi-tenant
+serving tier (:mod:`repro.streaming.sessions`) queues each tenant's next
+micro-batch on the tenant's pool, asks :meth:`SchedulerPools.next_entry`
+which batch the shared driver picks up next, and charges each pool the
+*simulated* processing seconds its batches consume.  Sparklet jobs
+themselves run one at a time in submission order; they only carry their
+pool's *name* (``JobMetrics.pool``, the ``job_start`` event,
+:func:`pool_salt` placement).
 
 The resource being shared is driver service time, so Spark's
 ``runningTasks`` becomes accumulated **service seconds**: a pool below
@@ -82,8 +79,7 @@ class _PoolState:
     queue: list[Any] = field(default_factory=list)
     #: Accumulated driver service (seconds) charged via :meth:`charge`.
     service_s: float = 0.0
-    #: Entries this pool has had picked (jobs for the DAG scheduler,
-    #: micro-batches for the serving tier).
+    #: Entries (micro-batches) this pool has had picked.
     n_picked: int = 0
 
 
@@ -127,10 +123,6 @@ class SchedulerPools:
     def submit(self, name: str, entry: Any) -> None:
         """Enqueue one unit of work (FIFO within its pool)."""
         self._pools[self.resolve(name)].queue.append(entry)
-
-    @property
-    def n_queued(self) -> int:
-        return sum(len(p.queue) for p in self._pools.values())
 
     def queued_in(self, name: str) -> int:
         state = self._pools.get(name)

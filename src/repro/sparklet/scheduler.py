@@ -6,9 +6,13 @@ preferences).  The resulting :class:`~repro.sparklet.metrics.JobMetrics`
 calibrate the discrete-event cluster simulator.  *How* the tasks of one
 stage run is delegated to the runtime's execution backend
 (:mod:`repro.sparklet.executor`): inline in the driver (``serial``, the
-reference), inline plus a discrete-event replay (``simulated``), or
-concurrently on a pool of worker processes with shared-memory transport
-(``parallel``) — all three produce byte-identical results.
+reference) or concurrently on a pool of worker processes with
+shared-memory transport (``parallel``) — both produce byte-identical
+results, because the *task-attempt protocol* (placement, injector
+consultation, events, counters, the retry/recovery decision) is three
+methods both backends call: :meth:`DAGScheduler.begin_attempt`,
+:meth:`~DAGScheduler.attempt_succeeded` and
+:meth:`~DAGScheduler.attempt_failed`.
 
 Fault tolerance follows Spark's lineage model end to end:
 
@@ -43,14 +47,16 @@ from repro.obs import events as obs_events
 from repro.obs.session import NULL_OBS, ObsSession
 from repro.sparklet.executor import SerialBackend
 from repro.sparklet.faults import (
+    RECOVERABLE_FAILURES,
     ExecutorLostFailure,
     ExecutorPool,
     FaultInjector,
     FetchFailedException,
+    TaskAttempt,
     TaskFailure,
 )
 from repro.sparklet.metrics import JobMetrics, StageMetrics, TaskMetrics
-from repro.sparklet.pools import SchedulerPools, pool_salt
+from repro.sparklet.pools import DEFAULT_POOL, pool_salt
 from repro.sparklet.rdd import (
     RDD,
     Dependency,
@@ -61,7 +67,6 @@ from repro.sparklet.shuffle import ShuffleManager
 
 __all__ = [
     "DAGScheduler",
-    "JobHandle",
     "Runtime",
     "Stage",
     "TaskFailure",
@@ -78,14 +83,10 @@ class Runtime:
         num_executors: int = 4,
         obs: ObsSession = NULL_OBS,
         backend: Any | None = None,
-        io_wait_s_per_mb: float = 0.0,
     ) -> None:
         self.shuffle = ShuffleManager()
-        #: How tasks of one stage are executed (serial / simulated / parallel).
+        #: How tasks of one stage are executed (serial / parallel).
         self.backend = backend if backend is not None else SerialBackend()
-        #: Modeled storage-stall rate charged per MB of task input (see
-        #: executor._io_wait); identical in every backend so outputs match.
-        self.io_wait_s_per_mb = io_wait_s_per_mb
         #: Observability session shared with the owning context.  The
         #: disabled singleton makes every emit a no-op behind one attribute
         #: check (< 2% end-to-end, asserted by bench_observability).
@@ -104,11 +105,6 @@ class Runtime:
         #: Optional :class:`repro.memo.config.MemoSession` enabling
         #: lineage-hash memoization of stage and job outputs.
         self.memo: Any | None = None
-        #: Fair-scheduler pools every job submission routes through.  The
-        #: single-tenant path is the degenerate case (one "default" pool,
-        #: one queued entry at a time — FIFO); the serving tier registers
-        #: one pool per tenant and lets queued jobs interleave fairly.
-        self.pools = SchedulerPools()
 
 
 class Stage:
@@ -128,29 +124,6 @@ class Stage:
     def __repr__(self) -> str:  # pragma: no cover
         kind = "ShuffleMapStage" if self.is_shuffle_map else "ResultStage"
         return f"<{kind} {self.stage_id} rdd={self.rdd.name!r}>"
-
-
-class JobHandle:
-    """A job queued on a scheduler pool, resolved when the drain loop runs it."""
-
-    __slots__ = ("pool", "spec", "done", "results", "job", "error")
-
-    def __init__(self, pool: str, spec: tuple) -> None:
-        self.pool = pool
-        #: (rdd, func, partitions, memoize) captured at submission.
-        self.spec = spec
-        self.done = False
-        self.results: list[Any] | None = None
-        self.job: JobMetrics | None = None
-        self.error: BaseException | None = None
-
-    def result(self) -> tuple[list[Any], JobMetrics]:
-        if not self.done:
-            raise RuntimeError("job has not executed yet; call drain()")
-        if self.error is not None:
-            raise self.error
-        assert self.results is not None and self.job is not None
-        return self.results, self.job
 
 
 class DAGScheduler:
@@ -231,46 +204,6 @@ class DAGScheduler:
                     break
                 self._run_shuffle_map_stage(stage, job, missing or None)
 
-    # -- submission (fair-share pools) --------------------------------------
-    def submit_job(
-        self,
-        rdd: RDD,
-        func: Callable[[Iterator[Any]], Any],
-        partitions: list[int] | None = None,
-        memoize: bool = True,
-        pool: str | None = None,
-    ) -> "JobHandle":
-        """Queue a job on its pool without executing it yet.
-
-        Concurrent submissions from several pools are drained in fair order
-        (see :class:`~repro.sparklet.pools.SchedulerPools`) by
-        :meth:`drain` or by the first :meth:`run_job` caller.
-        """
-        handle = JobHandle(self.runtime.pools.resolve(pool),
-                           (rdd, func, partitions, memoize))
-        self.runtime.pools.submit(handle.pool, handle)
-        return handle
-
-    def drain(self) -> None:
-        """Execute every queued job, repeatedly picking the fairest pool."""
-        while self._drain_one():
-            pass
-
-    def _drain_one(self) -> bool:
-        picked = self.runtime.pools.next_entry(self.runtime.pools.total_service())
-        if picked is None:
-            return False
-        pool_name, handle = picked
-        rdd, func, partitions, memoize = handle.spec
-        try:
-            handle.results, handle.job = self._execute_job(
-                rdd, func, partitions, memoize, pool_name
-            )
-        except Exception as exc:
-            handle.error = exc
-        handle.done = True
-        return True
-
     # -- execution ---------------------------------------------------------
     def run_job(
         self,
@@ -278,23 +211,7 @@ class DAGScheduler:
         func: Callable[[Iterator[Any]], Any],
         partitions: list[int] | None = None,
         memoize: bool = True,
-        pool: str | None = None,
-    ) -> tuple[list[Any], JobMetrics]:
-        handle = self.submit_job(rdd, func, partitions, memoize=memoize, pool=pool)
-        # Drain until our own entry has executed; jobs pre-queued on other
-        # pools interleave here according to the fair ordering.
-        while not handle.done:
-            if not self._drain_one():  # pragma: no cover - queue invariant
-                raise RuntimeError("scheduler queue empty before job executed")
-        return handle.result()
-
-    def _execute_job(
-        self,
-        rdd: RDD,
-        func: Callable[[Iterator[Any]], Any],
-        partitions: list[int] | None,
-        memoize: bool,
-        pool: str,
+        pool: str = DEFAULT_POOL,
     ) -> tuple[list[Any], JobMetrics]:
         final_stage = self._new_stage(rdd, None)
         job = JobMetrics(job_id=self._next_job_id, pool=pool)
@@ -352,24 +269,19 @@ class DAGScheduler:
         acc_before = self._acc_snapshot() if memo is not None else {}
 
         results: list[Any] = []
-        try:
-            for stage in order:
-                if stage.is_shuffle_map:
-                    assert stage.shuffle_dep is not None
-                    missing = self._missing_map_partitions(stage)
-                    if not missing and stage.shuffle_dep.shuffle_id in self._completed_shuffles:
-                        continue  # output still available from a previous job
-                    if memo is not None and len(missing) == stage.rdd.num_partitions:
-                        self._run_memoized_map_stage(stage, job, memo, lineage_cache)
-                    else:
-                        self._run_shuffle_map_stage(stage, job, missing or None)
+        for stage in order:
+            if stage.is_shuffle_map:
+                assert stage.shuffle_dep is not None
+                missing = self._missing_map_partitions(stage)
+                if not missing and stage.shuffle_dep.shuffle_id in self._completed_shuffles:
+                    continue  # output still available from a previous job
+                if memo is not None and len(missing) == stage.rdd.num_partitions:
+                    self._run_memoized_map_stage(stage, job, memo, lineage_cache)
                 else:
-                    metrics, results = self._run_result_stage(stage, func, partitions, job)
-                    job.stages.append(metrics)
-        finally:
-            # Fairness accounting: the pool consumed this much driver
-            # service, whether or not the job ultimately succeeded.
-            self.runtime.pools.charge(job.pool, job.total_task_seconds)
+                    self._run_shuffle_map_stage(stage, job, missing or None)
+            else:
+                metrics, results = self._run_result_stage(stage, func, partitions, job)
+                job.stages.append(metrics)
         self.job_history.append(job)
         if obs.enabled:
             obs.emit(obs_events.JOB_END, job_id=job.job_id,
@@ -380,7 +292,7 @@ class DAGScheduler:
                 and job.total_failures == 0 and self._accs_replayable()):
             memo.store.put(jkey, {
                 "results": results,
-                "job": _memo_job_copy(job),
+                "job": job,
                 "acc_deltas": self._acc_deltas(acc_before),
             })
         return results, job
@@ -430,7 +342,7 @@ class DAGScheduler:
             )
             memo.store.put(skey, {
                 "buckets": buckets,
-                "metrics": _memo_stage_copy(sm),
+                "metrics": sm,
                 "acc_deltas": self._acc_deltas(acc_before),
             })
 
@@ -558,106 +470,120 @@ class DAGScheduler:
             if lost:
                 self._completed_shuffles.discard(sid)
         # Affected shuffles regenerate lazily: every task attempt re-checks
-        # its parent map outputs before running (see _execute_task).
+        # its parent map outputs before running (see begin_attempt).
 
-    # -- task execution -----------------------------------------------------
-    def _execute_task(
-        self,
-        stage: Stage,
-        partition: int,
-        body: Callable[[], TaskMetrics],
-        sm: StageMetrics,
-        job: JobMetrics,
-        shuffle_reads: tuple[int, ...],
-    ) -> TaskMetrics:
-        attempt = 0
-        recoveries = 0
-        task_key = (stage.stage_id, partition)
-        obs = self.runtime.obs
-        salt = pool_salt(job.pool)
-        while True:
-            attempt += 1
-            # A recovery wave can itself be interrupted (e.g. an executor dies
-            # while re-running the parent map stage), leaving holes in a
-            # shuffle this task is about to fetch.  Re-check parent map
-            # outputs before every attempt, like a reducer consulting the
-            # MapOutputTracker; it is a no-op when the shuffle is whole.
-            if shuffle_reads:
-                self._ensure_parent_shuffles(stage.rdd, job)
-            executor_id = self.runtime.executors.pick(partition, attempt, salt)
-            for acc in self.runtime.accumulators:
-                acc._begin_attempt()
-            if obs.enabled:
-                obs.emit(obs_events.TASK_START, stage_id=sm.stage_id,
-                         attempt=sm.attempt, partition=partition,
-                         task_attempt=attempt, executor_id=executor_id)
-            try:
-                if self.runtime.failure_injector is not None:
-                    self.runtime.failure_injector(stage.stage_id, partition, attempt)
-                if self.runtime.fault_injector is not None:
-                    self.runtime.fault_injector.on_task_start(
-                        stage.stage_id, partition, attempt, executor_id, shuffle_reads
-                    )
-                if obs.enabled:
-                    with obs.tracer.span("task", stage_id=sm.stage_id,
-                                         partition=partition, attempt=attempt):
-                        task = body()
-                else:
-                    task = body()
-                task.attempts = attempt
-                task.executor_id = executor_id
-                for acc in self.runtime.accumulators:
-                    acc._commit_attempt(task_key)
-                if obs.enabled:
-                    obs.emit(obs_events.TASK_END, stage_id=sm.stage_id,
-                             attempt=sm.attempt, task=task.to_dict())
-                    obs.registry.counter("sparklet.tasks_completed").inc()
-                    obs.registry.histogram("sparklet.task_duration_s").observe(
-                        task.duration_s
-                    )
-                return task
-            except TaskFailure:
-                for acc in self.runtime.accumulators:
-                    acc._abort_attempt()
-                sm.n_task_failures += 1
-                self._record_task_failure(sm, partition, attempt, executor_id,
-                                          "task_crash")
-                blacklisted = self.runtime.executors.record_failure(
-                    executor_id, self.blacklist_threshold
+    # -- the task-attempt protocol ------------------------------------------
+    # Backends own how a task body runs (inline, or ship / wait / collect);
+    # these three steps own everything else about an attempt, so serial and
+    # parallel runs place, publish, count and retry identically.
+    def begin_attempt(self, stage: Stage, sm: StageMetrics, job: JobMetrics,
+                      st: TaskAttempt, shuffle_reads: tuple[int, ...]) -> bool:
+        """Open the next attempt of ``st``: place it, publish it, consult
+        the fault injectors.
+
+        Returns False when an injected fault consumed the attempt — it has
+        already been through :meth:`attempt_failed`, the caller just
+        retries.
+        """
+        st.attempt += 1
+        # A recovery wave can itself be interrupted (e.g. an executor dies
+        # while re-running the parent map stage), leaving holes in a
+        # shuffle this task is about to fetch.  Re-check parent map
+        # outputs before every attempt, like a reducer consulting the
+        # MapOutputTracker; it is a no-op when the shuffle is whole.
+        if shuffle_reads:
+            self._ensure_parent_shuffles(stage.rdd, job)
+        runtime = self.runtime
+        st.executor_id = runtime.executors.pick(
+            st.partition, st.attempt, pool_salt(job.pool)
+        )
+        obs = runtime.obs
+        if obs.enabled:
+            obs.emit(obs_events.TASK_START, stage_id=sm.stage_id,
+                     attempt=sm.attempt, partition=st.partition,
+                     task_attempt=st.attempt, executor_id=st.executor_id)
+        try:
+            if runtime.failure_injector is not None:
+                runtime.failure_injector(stage.stage_id, st.partition, st.attempt)
+            if runtime.fault_injector is not None:
+                runtime.fault_injector.on_task_start(
+                    stage.stage_id, st.partition, st.attempt, st.executor_id,
+                    shuffle_reads,
                 )
-                if blacklisted and obs.enabled:
-                    obs.emit(obs_events.EXECUTOR_BLACKLISTED, executor_id=executor_id)
-                    obs.registry.counter("sparklet.executors_blacklisted").inc()
-                if attempt > self.max_task_retries:
-                    raise
-            except ExecutorLostFailure as exc:
-                for acc in self.runtime.accumulators:
-                    acc._abort_attempt()
-                sm.n_executor_lost += 1
-                self._record_task_failure(sm, partition, attempt, executor_id,
-                                          "executor_loss")
-                self._handle_executor_loss(exc.executor_id, stage, job)
-                if attempt > self.max_task_retries:
-                    raise
-            except FetchFailedException as exc:
-                for acc in self.runtime.accumulators:
-                    acc._abort_attempt()
-                sm.n_fetch_failures += 1
-                self._record_task_failure(sm, partition, attempt, executor_id,
-                                          "fetch_failure")
-                recoveries += 1
-                if recoveries > self.max_stage_recoveries:
-                    raise
-                self._recover_shuffle(exc.shuffle_id, job)
+        except RECOVERABLE_FAILURES as exc:
+            self.attempt_failed(stage, sm, job, st, exc)
+            return False
+        return True
 
-    def _record_task_failure(self, sm: StageMetrics, partition: int, attempt: int,
-                             executor_id: str, kind: str) -> None:
+    def attempt_succeeded(self, stage: Stage, sm: StageMetrics,
+                          st: TaskAttempt, task: TaskMetrics) -> None:
+        """Close a successful attempt: commit its accumulator adds exactly
+        once, publish TASK_END, record the task (and, for a map task, which
+        executor now holds its output)."""
+        task.attempts = st.attempt
+        task.executor_id = st.executor_id
+        task_key = (stage.stage_id, st.partition)
+        for acc in self.runtime.accumulators:
+            acc._commit_attempt(task_key)
+        obs = self.runtime.obs
+        if obs.enabled:
+            obs.emit(obs_events.TASK_END, stage_id=sm.stage_id,
+                     attempt=sm.attempt, task=task.to_dict())
+            obs.registry.counter("sparklet.tasks_completed").inc()
+            obs.registry.histogram("sparklet.task_duration_s").observe(
+                task.duration_s
+            )
+        sm.tasks.append(task)
+        if stage.shuffle_dep is not None:
+            self._map_outputs.setdefault(
+                stage.shuffle_dep.shuffle_id, {}
+            )[st.partition] = st.executor_id
+
+    def attempt_failed(self, stage: Stage, sm: StageMetrics, job: JobMetrics,
+                       st: TaskAttempt, exc: BaseException) -> None:
+        """Record a failed attempt and recover; returns when the task may be
+        retried, re-raises ``exc`` when its budget is spent.
+
+        ``exc`` is one of :data:`RECOVERABLE_FAILURES` — injected, raised by
+        the task body, or synthesized by a backend for a worker process
+        that really died.
+        """
+        for acc in self.runtime.accumulators:
+            acc._abort_attempt()
+        obs = self.runtime.obs
+        if isinstance(exc, FetchFailedException):
+            sm.n_fetch_failures += 1
+            self._record_task_failure(sm, st, "fetch_failure")
+            st.recoveries += 1
+            if st.recoveries > self.max_stage_recoveries:
+                raise exc
+            self._recover_shuffle(exc.shuffle_id, job)
+            return
+        if isinstance(exc, ExecutorLostFailure):
+            sm.n_executor_lost += 1
+            self._record_task_failure(sm, st, "executor_loss")
+            self._handle_executor_loss(exc.executor_id, stage, job)
+        else:
+            sm.n_task_failures += 1
+            self._record_task_failure(sm, st, "task_crash")
+            blacklisted = self.runtime.executors.record_failure(
+                st.executor_id, self.blacklist_threshold
+            )
+            if blacklisted and obs.enabled:
+                obs.emit(obs_events.EXECUTOR_BLACKLISTED, executor_id=st.executor_id)
+                obs.registry.counter("sparklet.executors_blacklisted").inc()
+        if st.attempt > self.max_task_retries:
+            raise exc
+
+    def _record_task_failure(self, sm: StageMetrics, st: TaskAttempt,
+                             kind: str) -> None:
         """Publish one task-attempt failure to the event log and registry."""
         obs = self.runtime.obs
         if obs.enabled:
             obs.emit(obs_events.TASK_FAILURE, stage_id=sm.stage_id,
-                     attempt=sm.attempt, partition=partition,
-                     task_attempt=attempt, executor_id=executor_id, kind=kind)
+                     attempt=sm.attempt, partition=st.partition,
+                     task_attempt=st.attempt, executor_id=st.executor_id,
+                     kind=kind)
             obs.registry.counter(f"sparklet.failures.{kind}").inc()
 
     def _run_shuffle_map_stage(
@@ -739,30 +665,6 @@ class DAGScheduler:
                      n_tasks=len(sm.tasks), shuffle_write_bytes=0)
             obs.registry.counter("sparklet.stages").inc()
         return sm, results
-
-
-def _memo_stage_copy(sm: StageMetrics) -> StageMetrics:
-    """Copy one StageMetrics for storage, dropping task-attached results.
-
-    Result-stage tasks carry their partition output on a ``_result``
-    attribute (how the serial backend returns values); persisting that
-    would duplicate the job's results inside the metrics payload.
-    """
-    import copy
-
-    out = copy.copy(sm)
-    out.tasks = []
-    for t in sm.tasks:
-        tc = copy.copy(t)
-        tc.__dict__.pop("_result", None)
-        out.tasks.append(tc)
-    return out
-
-
-def _memo_job_copy(job: JobMetrics) -> JobMetrics:
-    out = JobMetrics(job_id=job.job_id, pool=job.pool)
-    out.stages = [_memo_stage_copy(s) for s in job.stages]
-    return out
 
 
 def _shuffle_reads_of(rdd: RDD) -> list[int]:

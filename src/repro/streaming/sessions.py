@@ -136,10 +136,9 @@ class SessionManager:
     shared simulated clock.
     """
 
-    def __init__(self, *, pools: SchedulerPools | None = None,
-                 admission: AdmissionConfig | None = None,
+    def __init__(self, *, admission: AdmissionConfig | None = None,
                  obs: ObsSession = NULL_OBS) -> None:
-        self.pools = pools if pools is not None else SchedulerPools()
+        self.pools = SchedulerPools()
         self.admission = admission if admission is not None else AdmissionConfig()
         self.obs = obs
         self.sessions: dict[str, SessionInfo] = {}

@@ -70,9 +70,12 @@ class TestOwnership:
         assert memo._db is None  # the session handed in is still closed
 
     def test_malformed_workers_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ValueError):
-            SparkletContext()
+        # The environment goes through the same validation as an explicit
+        # ExecutionConfig(num_workers=0): nothing is clamped.
+        for workers in ("many", "0", "-3"):
+            monkeypatch.setenv("REPRO_WORKERS", workers)
+            with pytest.raises(ValueError, match="REPRO_WORKERS"):
+                SparkletContext()
 
 
 def test_injected_cluster_gives_identical_ml_output():

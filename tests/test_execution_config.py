@@ -60,7 +60,6 @@ class TestKernelConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(backend="gpu"),
         dict(num_workers=0),
-        dict(io_wait_s_per_mb=-0.1),
     ])
     def test_invalid_execution_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -75,18 +74,18 @@ class TestKernelConfigValidation:
 
 class TestEnvResolution:
     def test_env_fills_unset_fields(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "simulated")
+        monkeypatch.setenv(BACKEND_ENV, "parallel")
         monkeypatch.setenv(WORKERS_ENV, "5")
         monkeypatch.setenv(KERNEL_METHOD_ENV, "tree")
         monkeypatch.setenv(KERNEL_IMPL_ENV, "numpy")
         e = env_execution_config()
-        assert e.backend == "simulated"
+        assert e.backend == "parallel"
         assert e.num_workers == 5
         assert e.kernel.method == "tree"
         assert e.kernel.impl == "numpy"
 
     def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "simulated")
+        monkeypatch.setenv(BACKEND_ENV, "parallel")
         monkeypatch.setenv(KERNEL_METHOD_ENV, "tree")
         r = resolve_execution(
             ExecutionConfig(backend="serial",

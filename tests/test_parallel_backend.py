@@ -27,9 +27,7 @@ from repro.sparklet.executor import (
     ParallelBackend,
     SerialBackend,
     ShmShuffleManager,
-    SimulatedBackend,
     make_backend,
-    run_callables,
 )
 from repro.sparklet.faults import FaultConfig
 
@@ -56,7 +54,6 @@ def no_leaks() -> bool:
 class TestBackendSelection:
     def test_make_backend_names(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("simulated"), SimulatedBackend)
         assert isinstance(make_backend("parallel", ctx_uid="t"), ParallelBackend)
 
     def test_unknown_backend_raises(self):
@@ -75,13 +72,6 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_BACKEND", "parallel")
         with SparkletContext(backend="serial") as ctx:
             assert isinstance(ctx.runtime.backend, SerialBackend)
-
-    def test_simulated_backend_records_runs(self):
-        with SparkletContext(backend="simulated", num_workers=3) as ctx:
-            ctx.parallelize(range(20), 4).map(lambda x: (x % 3, x)) \
-               .reduce_by_key(lambda a, b: a + b).collect()
-            runs = ctx.runtime.backend.runs
-            assert len(runs) == 1 and runs[0].elapsed_s > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +345,48 @@ class TestShmHygiene:
         assert "leaked shared_memory" not in proc.stderr
         assert "KeyError" not in proc.stderr  # resource tracker stayed balanced
 
+    def test_task_that_always_kills_its_worker_fails_within_budget(self):
+        """A body that takes its worker down on every attempt must exhaust
+        ``max_task_retries`` and fail the job with the typed executor-loss
+        error — not respawn and resubmit forever — and leave the pool
+        usable and /dev/shm clean.  (Subprocess + timeout: a loss that
+        escapes the retry budget shows up as a hang, not as an error.)
+        """
+        script = textwrap.dedent("""
+            import os, signal
+            from repro.sparklet import ExecutorLostFailure, SparkletContext
+            from repro.sparklet import shm as shm_mod
+
+            def die(x):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            with SparkletContext(backend="parallel", num_workers=2,
+                                 max_task_retries=2) as ctx:
+                try:
+                    ctx.parallelize(range(4), 2).map(die).collect()
+                except ExecutorLostFailure:
+                    pass
+                else:
+                    raise AssertionError("job outlived an always-dying task")
+                # Budget: the first partition to spend max_task_retries + 1
+                # attempts fails the job; neither partition gets more.
+                assert 3 <= ctx.runtime.executors.n_lost <= 2 * 3
+                # The pool respawns its workers for the next job.
+                assert ctx.parallelize(range(6), 3).map(lambda x: x + 1).collect() \
+                    == list(range(1, 7))
+            assert shm_mod.live_segments() == [], shm_mod.live_segments()
+            print("OK")
+        """)
+        env = dict(os.environ, PYTHONPATH="src")
+        env.pop("REPRO_BACKEND", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=90, cwd=os.path.dirname(os.path.dirname(__file__)), env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "OK" in proc.stdout
+        assert "leaked shared_memory" not in proc.stderr
+
 
 # ---------------------------------------------------------------------------
 # Observability: worker lifecycle + shm segment events
@@ -404,24 +436,18 @@ class TestParallelObservability:
 
 
 # ---------------------------------------------------------------------------
-# run_callables (the MultithreadedRapid path)
+# Plain callables (the MultithreadedRapid path): a result stage like any other
 # ---------------------------------------------------------------------------
 class TestRunCallables:
-    def test_results_in_submission_order(self):
-        fns = [lambda i=i: i * i for i in range(7)]
-        results, durations = run_callables(fns, 3)
-        assert results == [i * i for i in range(7)]
-        assert len(durations) == 7 and all(d >= 0.0 for d in durations)
-
-    def test_empty_and_invalid(self):
-        assert run_callables([], 2) == ([], [])
-        with pytest.raises(ValueError):
-            run_callables([lambda: 1], 0)
-
     def test_multithreaded_rapid_routes_through_pool(self):
         from repro.core.multithreaded import MultithreadedRapid
 
         mt = MultithreadedRapid(n_threads=2)
-        out = mt.run([lambda i=i: sum(range(i * 100)) for i in range(5)])
-        assert out == [sum(range(i * 100)) for i in range(5)]
-        assert len(mt.durations) == 5
+        # Later tasks are cheaper, so completion order differs from
+        # submission order; results must come back in submission order.
+        out = mt.run([lambda i=i: sum(range((7 - i) * 20_000)) for i in range(7)])
+        assert out == [sum(range((7 - i) * 20_000)) for i in range(7)]
+        assert [r.task_id for r in mt.records] == list(range(7))
+        assert len(mt.durations) == 7 and all(d >= 0.0 for d in mt.durations)
+        assert mt.run([]) == [] and mt.durations == []
+        assert no_leaks()

@@ -154,7 +154,6 @@ class TestPoolThreading:
         assert ctx.last_job_metrics().pool == "default"
 
     def test_set_pool_tags_job_metrics(self, ctx):
-        ctx.register_pool("tenant-a", weight=2.0)
         ctx.set_pool("tenant-a")
         ctx.parallelize(range(8), 4).collect()
         assert ctx.last_job_metrics().pool == "tenant-a"
@@ -167,13 +166,6 @@ class TestPoolThreading:
         assert ctx.current_pool == "default"
         ctx.parallelize(range(4), 2).count()
         assert ctx.last_job_metrics().pool == "default"
-
-    def test_pool_charged_for_job_service(self, ctx):
-        with ctx.pool("tenant-c"):
-            ctx.parallelize(range(100), 4).map(lambda x: x * x).collect()
-        stats = ctx.pool_stats()
-        assert stats["tenant-c"]["n_picked"] == 1
-        assert stats["tenant-c"]["service_s"] > 0.0
 
     def test_metrics_to_dict_round_trips_pool(self, ctx):
         with ctx.pool("tenant-d"):
@@ -200,44 +192,12 @@ class TestPoolThreading:
         replayed = replay_job_metrics(str(path))
         assert replayed[-1].pool == "tenant-e"
 
-    def test_queued_jobs_from_two_pools_interleave_fairly(self, serial_ctx):
-        """Pre-queued jobs drain in fair order, not submission order."""
-        sched = serial_ctx.scheduler
-        serial_ctx.register_pool("a")
-        serial_ctx.register_pool("b")
-        handles = []
-        for _ in range(2):
-            rdd = serial_ctx.parallelize(range(10), 2)
-            handles.append(sched.submit_job(rdd, lambda it: list(it), pool="a"))
-            rdd = serial_ctx.parallelize(range(10), 2)
-            handles.append(sched.submit_job(rdd, lambda it: list(it), pool="b"))
-        assert sched.runtime.pools.n_queued == 4
-        sched.drain()
-        assert sched.runtime.pools.n_queued == 0
-        order = [j.pool for j in sched.job_history]
-        # Both start at zero service: "a" wins the name tie-break, then "b"
-        # is strictly less-served.  Later picks depend on measured task
-        # durations, but fair ordering never lets one pool run its whole
-        # queue while the other waits.
-        assert order[:2] == ["a", "b"]
-        assert sorted(order[2:]) == ["a", "b"]
-        for handle in handles:
-            results, job = handle.result()
-            assert sorted(x for part in results for x in part) == list(range(10))
-
-    def test_unresolved_handle_raises(self, serial_ctx):
-        rdd = serial_ctx.parallelize(range(4), 2)
-        handle = serial_ctx.scheduler.submit_job(rdd, lambda it: list(it))
-        with pytest.raises(RuntimeError, match="not executed"):
-            handle.result()
-        serial_ctx.scheduler.drain()
-        handle.result()  # resolved now
-
     def test_failing_job_charges_pool_and_raises(self, serial_ctx):
         def boom(x):
             raise ValueError("task body failure")
 
+        # The pool is only a tag: the task body's own error surfaces
+        # unchanged and the previous tag is restored.
         with serial_ctx.pool("tenant-f"), pytest.raises(ValueError):
             serial_ctx.parallelize(range(4), 2).map(boom).collect()
-        # The handle resolved with the error; the queue is drained.
-        assert serial_ctx.scheduler.runtime.pools.n_queued == 0
+        assert serial_ctx.current_pool == "default"

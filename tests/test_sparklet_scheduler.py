@@ -127,3 +127,31 @@ class TestFaultTolerance:
             .collect()
         )
         assert got == {0: 5, 1: 5}
+
+
+def test_attempt_protocol_and_dispatch_loop_have_one_home():
+    """Under src/repro/sparklet/, task events are published only by the
+    scheduler's attempt protocol, and only one function waits on workers."""
+    import ast
+    import re
+    from pathlib import Path
+
+    import repro.sparklet
+
+    pkg = Path(repro.sparklet.__file__).parent
+    emitters = {
+        path.name
+        for path in pkg.glob("*.py")
+        if re.search(r"\bTASK_(START|END|FAILURE)\b", path.read_text())
+    }
+    assert emitters == {"scheduler.py"}
+
+    waiters = set()
+    for func in ast.walk(ast.parse((pkg / "executor.py").read_text())):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "wait_any"):
+                    waiters.add(func.name)
+    assert waiters == {"_run_stage"}
