@@ -120,9 +120,11 @@ def bench_dedispersion() -> list[dict]:
             for dm in trials
         ]
 
+    batch = KernelConfig(method="direct", impl="numpy")
+    subband = KernelConfig(method="subband", impl="numpy")
     coarse = np.linspace(2.0, 150.0, 100)
     t_naive = _timeit(lambda: naive_all(coarse), repeats=1)
-    t_batch = _timeit(lambda: dedisperse_all(fb, coarse, method="batch"))
+    t_batch = _timeit(lambda: dedisperse_all(fb, coarse, kernel=batch))
     records.append(
         {
             "ladder": "coarse (100 DMs, 2-150)",
@@ -135,8 +137,8 @@ def bench_dedispersion() -> list[dict]:
     # Fine ladder: neighbouring trial DMs share channel shifts, so the
     # two-stage subband path reuses partial sums across them.
     fine = np.arange(50.0, 70.0, 0.05)
-    t_batch_fine = _timeit(lambda: dedisperse_all(fb, fine, method="batch"))
-    t_sub_fine = _timeit(lambda: dedisperse_all(fb, fine, method="subband"))
+    t_batch_fine = _timeit(lambda: dedisperse_all(fb, fine, kernel=batch))
+    t_sub_fine = _timeit(lambda: dedisperse_all(fb, fine, kernel=subband))
     records.append(
         {
             "ladder": f"fine ({fine.size} DMs, 50-70 step 0.05)",

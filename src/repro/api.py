@@ -36,12 +36,11 @@ from repro.core.pipeline import (
     SinglePulsePipeline,
     identify_observations,
 )
-from repro.core.search import FrontendParams, SearchParams
+from repro.core.search import SearchParams
 from repro.execution import (
     ExecutionConfig,
     KernelConfig,
     env_execution_config,
-    resolve_execution,
 )
 from repro.obs.session import ObsSession
 from repro.sparklet.pools import DEFAULT_POOL
@@ -66,7 +65,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "ExecutionConfig",
-    "FrontendParams",
     "KernelConfig",
     "MemoConfig",
     "PipelineConfig",
@@ -136,14 +134,10 @@ class PipelineConfig:
     fault_config: "FaultConfig | None" = None
     #: Observability: event log + spans + metrics for the whole run.
     obs_config: "ObsConfig | ObsSession | None" = None
-    #: Unified execution knobs: backend, workers and front-end kernel
-    #: selection (:class:`repro.execution.ExecutionConfig`
-    #: carrying a :class:`repro.execution.KernelConfig`).  Fields left None
-    #: defer to the ``REPRO_BACKEND`` / ``REPRO_WORKERS`` /
-    #: ``REPRO_KERNEL_METHOD`` / ``REPRO_KERNEL_IMPL`` environment defaults.
-    #: All backends and kernel impls produce byte-identical output on the
-    #: same seed (kernel *methods* agree within the documented tolerance
-    #: law).
+    #: Execution knobs: backend and workers
+    #: (:class:`repro.execution.ExecutionConfig`).  Fields left None defer
+    #: to the ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment defaults.
+    #: All backends produce byte-identical output on the same seed.
     execution: ExecutionConfig | None = None
     #: Lineage-hash memoization + persistent candidate recording (see
     #: :class:`repro.memo.MemoConfig`).  None defers to the ``REPRO_MEMO``
@@ -247,11 +241,7 @@ def run_streaming(
     from repro.streaming.engine import stream_observations
 
     session = ObsSession.from_config(config.pipeline.obs_config)
-    # Resolved here once; the pipeline and the engine both read this record.
-    pipe_config = dataclasses.replace(
-        config.pipeline, obs_config=session,
-        execution=resolve_execution(config.pipeline.execution),
-    )
+    pipe_config = dataclasses.replace(config.pipeline, obs_config=session)
     pipeline = _pipeline_for(pipe_config)
     if pulsars is None:
         pulsars = synthesize_population(
@@ -311,7 +301,7 @@ class ServingConfig:
     obs_config: "ObsConfig | ObsSession | None" = None
     #: Directory for per-tenant private JSONL event logs (None: shared only).
     tenant_trace_dir: str | None = None
-    #: Execution knobs for the shared context (backend/workers/kernel);
+    #: Execution knobs for the shared context (backend/workers);
     #: fields left None defer to the ``REPRO_*`` environment defaults.
     execution: ExecutionConfig | None = None
     #: DFS prefix under which each tenant gets an isolated namespace.

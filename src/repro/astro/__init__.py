@@ -35,7 +35,7 @@ from repro.astro.rfi import (
     generate_rfi_spes,
     generate_storm_rfi_spes,
 )
-from repro.astro.spe import SPE, ObservationKey, SPEBlock
+from repro.astro.spe import SPE, ObservationKey
 from repro.astro.survey import (
     CHIME,
     FAST_CRAFTS,
@@ -58,7 +58,6 @@ __all__ = [
     "Pulsar",
     "RFIStormModel",
     "SPE",
-    "SPEBlock",
     "SinglePulseDBSCAN",
     "SurveyConfig",
     "dispersion_delay_s",

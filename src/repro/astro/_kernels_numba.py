@@ -9,8 +9,9 @@ The JIT loops are written to accumulate in **the same per-element order**
 as the NumPy slice-add paths — for each output row, channels stream through
 in ascending order, each contributing ``src[s:]`` to ``row[:n-s]`` — so on
 hosts where numba is installed the outputs are bit-identical to NumPy, not
-merely close.  The CI ``kernels`` job runs the kernel suite under
-``REPRO_KERNEL_IMPL=numba`` to hold that line.
+merely close.  The CI ``kernels`` job runs the kernel suite on a
+numba-installed leg (``impl="auto"`` resolves to numba there) to hold that
+line.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ whole chain — voltages to classified candidates — exists in the repository:
   with radiometer noise and dispersed pulses swept across the band;
 - :func:`dedisperse` — incoherent shift-and-sum dedispersion at one trial
   DM (the classic tree/brute-force step);
-- :func:`dedisperse_all` — the whole trial-DM grid at once, via the batch
-  (exact) or two-stage subband (partial-sum reuse) kernels;
+- :func:`dedisperse_all` — the whole trial-DM grid at once, via the kernel
+  a :class:`repro.execution.KernelConfig` selects (exact ``direct``, or the
+  partial-sum-reusing ``subband`` / ``tree``);
 - :func:`single_pulse_search` — matched filtering of each dedispersed time
   series with boxcars of several widths and thresholding, emitting the SPE
   records the rest of the pipeline consumes.
@@ -37,16 +38,14 @@ from repro.astro.kernels import (
     _reference_dedisperse,
     dedisperse_batch,
     dedisperse_grid,
-    dedisperse_subband,
-    dedisperse_tree,
     resolve_impl,
     single_pulse_block_search,
 )
 from repro.astro.spe import SPE, spes_from_search
 from repro.execution import KernelConfig
+from repro.obs.events import KERNEL_SELECTED
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.search import FrontendParams
     from repro.obs.session import ObsSession
 
 
@@ -66,6 +65,15 @@ class Filterbank:
             raise ValueError("f_low must be below f_high")
         if self.sample_time_s <= 0:
             raise ValueError("sample_time_s must be positive")
+        finite = np.isfinite(self.data)
+        if not finite.all():
+            # One NaN/inf reaches every dedispersed row and poisons the
+            # cumulative sums: the search would return nothing, silently.
+            bad = np.argwhere(~finite)
+            raise ValueError(
+                f"filterbank data has {len(bad)} non-finite sample(s); "
+                f"first at (channel {bad[0][0]}, sample {bad[0][1]})"
+            )
 
     @property
     def n_channels(self) -> int:
@@ -159,30 +167,23 @@ def dedisperse(fb: Filterbank, dm: float) -> np.ndarray:
 def dedisperse_all(
     fb: Filterbank,
     trial_dms: np.ndarray,
-    method: str = "batch",
     out_dtype: np.dtype | type = np.float64,
     kernel: KernelConfig | None = None,
 ) -> np.ndarray:
     """The full (n_dms × n_samples) dedispersed block in one call.
 
-    ``method="batch"`` (alias ``"direct"``) is exact (matches
-    :func:`dedisperse` per row); ``method="subband"`` reuses partial sums
-    across neighbouring trial DMs and ``method="tree"`` applies that trick
+    ``kernel`` (None means ``KernelConfig()``) selects the method and the
+    implementation layer (NumPy/numba).  ``method="direct"`` is exact
+    (matches :func:`dedisperse` per row); ``"subband"`` reuses partial sums
+    across neighbouring trial DMs and ``"tree"`` applies that trick
     recursively over a binary merge tree — both tolerance-bounded (see the
     :mod:`repro.astro.kernels` tolerance law), large wins on fine DM
-    ladders.  A full :class:`repro.execution.KernelConfig` overrides
-    ``method`` and also selects the implementation layer (NumPy/numba).
+    ladders.
     """
-    args = (fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, trial_dms)
-    if kernel is not None:
-        return dedisperse_grid(*args, kernel=kernel, out_dtype=out_dtype)
-    if method in ("batch", "direct"):
-        return dedisperse_batch(*args, out_dtype=out_dtype)
-    if method == "subband":
-        return dedisperse_subband(*args, out_dtype=out_dtype)
-    if method == "tree":
-        return dedisperse_tree(*args, out_dtype=out_dtype)
-    raise ValueError(f"unknown dedispersion method: {method!r}")
+    return dedisperse_grid(
+        fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s,
+        trial_dms, kernel=kernel, out_dtype=out_dtype,
+    )
 
 
 def single_pulse_search(
@@ -192,7 +193,6 @@ def single_pulse_search(
     boxcar_widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
     dtype: np.dtype | type = np.float32,
     kernel: KernelConfig | None = None,
-    params: "FrontendParams | None" = None,
     obs: "ObsSession | None" = None,
 ) -> list[SPE]:
     """PRESTO-style single pulse search over the whole trial-DM grid.
@@ -215,22 +215,21 @@ def single_pulse_search(
     too) and perturbs SNRs only at the 1e-5 level; pass ``np.float64`` for
     bit-level agreement with the float64 kernels.
 
-    ``kernel`` (a :class:`repro.execution.KernelConfig`, resolved against
-    the environment; None means ``KernelConfig()``) selects the dedispersion
-    method, boxcar mode and implementation layer.
-    ``params`` (:class:`repro.core.search.FrontendParams`) bundles
-    threshold + widths; explicit keyword arguments win.  ``obs`` records
-    per-stage ``kernel.dedisperse`` / ``kernel.boxcar`` spans.
+    ``kernel`` (a :class:`repro.execution.KernelConfig`; None means
+    ``KernelConfig()``) selects the dedispersion method, boxcar mode and
+    implementation layer.  ``obs`` records the choice as one
+    ``kernel_selected`` event — requested vs resolved impl, so a numba →
+    numpy fallback is visible — and per-stage ``kernel.dedisperse`` /
+    ``kernel.boxcar`` spans.
     """
-    if params is not None:
-        snr_threshold = snr_threshold if snr_threshold != 5.0 else params.snr_threshold
-        if boxcar_widths == (1, 2, 4, 8, 16, 32):
-            boxcar_widths = params.boxcar_widths
     if snr_threshold <= 0:
         raise ValueError("snr_threshold must be positive")
     trial_dms = np.asarray(trial_dms, dtype=float)
     k = (kernel or KernelConfig()).resolved()
     impl = resolve_impl(k.impl)
+    if obs is not None:
+        obs.emit(KERNEL_SELECTED, method=k.method, impl_requested=k.impl,
+                 impl=impl, boxcar=k.boxcar)
     span = obs.tracer.span if obs is not None else (lambda *a, **k_: nullcontext())
     with span("kernel.dedisperse", method=k.method, impl=impl):
         block = dedisperse_all(fb, trial_dms, out_dtype=dtype, kernel=k)

@@ -667,10 +667,9 @@ def dedisperse_grid(
 ) -> np.ndarray:
     """Dedisperse the whole trial grid via the configured kernel.
 
-    The single dispatch point for :class:`repro.execution.KernelConfig`:
-    resolves unset method/impl fields (env, then defaults) and routes to
-    :func:`dedisperse_batch` / :func:`dedisperse_subband` /
-    :func:`dedisperse_tree`.
+    The single dispatch point for :class:`repro.execution.KernelConfig`
+    (None means ``KernelConfig()``): routes to :func:`dedisperse_batch` /
+    :func:`dedisperse_subband` / :func:`dedisperse_tree`.
     """
     from repro.execution import KernelConfig
 

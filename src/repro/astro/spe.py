@@ -10,12 +10,9 @@ becomes the Sparklet pair key (Section 5.1.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dataplane import SPEBatch
 
 
 @dataclass(frozen=True)
@@ -91,55 +88,7 @@ def spes_from_search(
     ]
 
 
-class SPEBlock:
-    """A set of SPEs for one observation, with vectorized column views."""
-
-    def __init__(self, key: ObservationKey, spes: Sequence[SPE]) -> None:
-        self.key = key
-        self.spes = list(spes)
-
-    def __len__(self) -> int:
-        return len(self.spes)
-
-    def __iter__(self) -> Iterable[SPE]:
-        return iter(self.spes)
-
-    @property
-    def dms(self) -> np.ndarray:
-        return np.array([s.dm for s in self.spes], dtype=float)
-
-    @property
-    def snrs(self) -> np.ndarray:
-        return np.array([s.snr for s in self.spes], dtype=float)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time_s for s in self.spes], dtype=float)
-
-    def sorted_by_dm(self) -> "SPEBlock":
-        return SPEBlock(self.key, sorted(self.spes, key=lambda s: (s.dm, s.time_s)))
-
-    def sorted_by_time(self) -> "SPEBlock":
-        return SPEBlock(self.key, sorted(self.spes, key=lambda s: (s.time_s, s.dm)))
-
-    def subset(self, indices: Iterable[int]) -> "SPEBlock":
-        return SPEBlock(self.key, [self.spes[i] for i in indices])
-
-    def to_batch(self) -> "SPEBatch":
-        """Columnar view of the block (the data-plane representation)."""
-        from repro.dataplane import SPEBatch
-
-        return SPEBatch.from_records(self.spes)
-
-    @classmethod
-    def from_batch(cls, key: ObservationKey, batch: "SPEBatch") -> "SPEBlock":
-        return cls(key, batch.to_records())
-
-
 SPE_FILE_HEADER = "# dataset|mjd|sky|beam,DM,Sigma,Time_s,Sample,Downfact"
-CLUSTER_FILE_HEADER = (
-    "# dataset|mjd|sky|beam,cluster_id,n_spes,dm_lo,dm_hi,t_lo,t_hi,max_snr"
-)
 
 
 def spes_to_csv(key: ObservationKey, spes: Iterable[SPE], include_header: bool = False) -> str:

@@ -29,7 +29,7 @@ from repro.astro.rfi import (
     generate_rfi_spes,
     generate_storm_rfi_spes,
 )
-from repro.astro.spe import SPE, ObservationKey, SPEBlock
+from repro.astro.spe import SPE, ObservationKey
 from repro.dataplane import SPEBatch
 
 
@@ -149,58 +149,11 @@ class Observation:
             self._spe_batch = SPEBatch.from_records(self.spes)
         return self._spe_batch
 
-    @property
-    def block(self) -> SPEBlock:
-        return SPEBlock(self.key, self.spes)
-
     def positives(self) -> list[Cluster]:
         return [c for c in self.clusters if self.cluster_truth.get(c.cluster_id, (None, False))[0]]
 
     def negatives(self) -> list[Cluster]:
         return [c for c in self.clusters if not self.cluster_truth.get(c.cluster_id, (None, False))[0]]
-
-
-def frontend_single_pulse_search(
-    config: SurveyConfig,
-    pulses: list,
-    duration_s: float = 8.0,
-    n_channels: int = 64,
-    grid_coarsen: float = 10.0,
-    sample_time_s: float | None = None,
-    kernel=None,
-    params=None,
-    seed: int = 0,
-    obs=None,
-) -> tuple[object, list[SPE]]:
-    """Run the phases 1–3 front end with this survey's band and DM ladder.
-
-    Synthesizes a filterbank spanning the survey's frequency band (with the
-    given :class:`repro.astro.filterbank.InjectedPulse` ground truth) and
-    searches it over the survey's trial-DM grid.  ``kernel`` is a
-    :class:`repro.execution.KernelConfig` selecting the dedispersion
-    method/implementation; ``params`` a
-    :class:`repro.core.search.FrontendParams` (defaults to the survey's
-    ``snr_threshold``).  Returns ``(filterbank, spes)``.
-    """
-    from repro.astro.filterbank import single_pulse_search, synthesize_filterbank
-    from repro.core.search import FrontendParams
-
-    if params is None:
-        params = FrontendParams(snr_threshold=config.snr_threshold)
-    fb = synthesize_filterbank(
-        duration_s=duration_s,
-        n_channels=n_channels,
-        f_low_mhz=config.center_freq_mhz - config.bandwidth_mhz / 2.0,
-        f_high_mhz=config.center_freq_mhz + config.bandwidth_mhz / 2.0,
-        sample_time_s=sample_time_s if sample_time_s is not None else config.sample_time_s,
-        pulses=pulses,
-        seed=seed,
-    )
-    trial_dms = config.dm_grid(coarsen=grid_coarsen).trial_dms()
-    spes = single_pulse_search(
-        fb, trial_dms, params=params, kernel=kernel, obs=obs
-    )
-    return fb, spes
 
 
 def default_clusterer(grid: DMGrid) -> SinglePulseDBSCAN:

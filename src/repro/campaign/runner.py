@@ -62,7 +62,7 @@ class CampaignConfig:
     seed: int = 0
     drift: DriftConfig = field(default_factory=DriftConfig)
     retrain: RetrainConfig = field(default_factory=RetrainConfig)
-    #: Execution knobs for the shared context (backend/workers/kernels).
+    #: Execution knobs for the shared context (backend/workers).
     execution: ExecutionConfig | None = None
     obs_config: "ObsConfig | ObsSession | None" = None
     #: Trees in the offline baseline classifier.

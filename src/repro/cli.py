@@ -47,7 +47,7 @@ def _survey_name(value: str) -> str:
 
 
 def _add_execution_args(p: argparse.ArgumentParser) -> None:
-    """The shared execution knobs (backend/workers/kernel selection).
+    """The shared execution knobs (backend/workers).
 
     Resolution order is environment < config < CLI: a flag left unset keeps
     the matching :class:`~repro.execution.ExecutionConfig` field ``None``,
@@ -58,26 +58,13 @@ def _add_execution_args(p: argparse.ArgumentParser) -> None:
                    help="execution backend (default: REPRO_BACKEND or serial)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
                    help="worker processes for --backend parallel")
-    p.add_argument("--kernel-method", choices=["direct", "subband", "tree"],
-                   default=None,
-                   help="dedispersion method for the front-end kernels "
-                        "(default: REPRO_KERNEL_METHOD or direct)")
-    p.add_argument("--kernel-impl", choices=["numpy", "numba", "auto"],
-                   default=None,
-                   help="kernel implementation layer (default: "
-                        "REPRO_KERNEL_IMPL or auto; numba falls back to "
-                        "numpy when unavailable)")
 
 
 def _execution_config(args: argparse.Namespace):
     """Build the run's ExecutionConfig from the parsed execution flags."""
-    from repro.execution import ExecutionConfig, KernelConfig
+    from repro.execution import ExecutionConfig
 
-    return ExecutionConfig(
-        backend=args.backend,
-        num_workers=args.workers,
-        kernel=KernelConfig(method=args.kernel_method, impl=args.kernel_impl),
-    )
+    return ExecutionConfig(backend=args.backend, num_workers=args.workers)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -24,9 +24,8 @@ from repro.core.drapid import DRapidDriver, DRapidResult
 from repro.core.rapid import SinglePulse
 from repro.core.search import SearchParams
 from repro.dataplane import PulseBatch
-from repro.execution import ExecutionConfig, resolve_execution
+from repro.execution import ExecutionConfig
 from repro.io.spe_files import read_ml_batch, upload_observations
-from repro.obs.events import KERNEL_SELECTED
 from repro.obs.session import ObsSession
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -126,10 +125,10 @@ class SinglePulsePipeline:
     #: Observability: an ObsConfig (or a shared ObsSession) wires one event
     #: log + span tree + registry through every layer the run touches.
     obs_config: "ObsConfig | ObsSession | None" = None
-    #: Unified execution knobs: backend + workers + front-end kernel
-    #: selection (:class:`repro.execution.ExecutionConfig`).  None → the
-    #: ``REPRO_*`` environment defaults.  Output is byte-identical across
-    #: backends on the same seed.
+    #: Execution knobs: backend + workers
+    #: (:class:`repro.execution.ExecutionConfig`).  None → the ``REPRO_*``
+    #: environment defaults.  Output is byte-identical across backends on
+    #: the same seed.
     execution: ExecutionConfig | None = None
     #: Lineage-hash memoization + candidate recording for stage 3 (None →
     #: the REPRO_MEMO environment default; see :mod:`repro.memo.config`).
@@ -139,30 +138,6 @@ class SinglePulsePipeline:
         if isinstance(self.scheme, str):
             self.scheme = ALM_SCHEMES[self.scheme]
         self._obs = ObsSession.from_config(self.obs_config)
-        self._execution = resolve_execution(self.execution)
-        self._emit_kernel_selected()
-
-    def _emit_kernel_selected(self, source: str = "pipeline") -> None:
-        """Record which front-end kernel this run resolved to.
-
-        Emitted once at construction so every consumer of the pipeline —
-        batch, streaming and serving alike — leaves a ``kernel_selected``
-        event in the log; the trace report surfaces it, including any
-        numba → numpy fallback (``impl`` != ``impl_requested``).
-        """
-        if not self._obs.enabled:
-            return
-        from repro.astro.kernels import resolve_impl
-
-        k = self._execution.kernel
-        self._obs.emit(
-            KERNEL_SELECTED,
-            method=k.method,
-            impl_requested=k.impl,
-            impl=resolve_impl(k.impl),
-            boxcar=k.boxcar,
-            source=source,
-        )
 
     # -- stage 1+2 ---------------------------------------------------------
     def generate(self, pulsars: list[Pulsar], n_observations: int = 4,
@@ -197,7 +172,7 @@ class SinglePulsePipeline:
             num_partitions=self.num_partitions, seed=self.seed,
             provenance=self._provenance_config(),
             fault_config=self.fault_config, memo_config=self.memo_config,
-            execution=self._execution, obs=self._obs, dfs=dfs, ctx=ctx,
+            execution=self.execution, obs=self._obs, dfs=dfs, ctx=ctx,
         )
         # Round-trip check: the ML files on the DFS reproduce the pulses.
         assert len(read_ml_batch(dfs, result.ml_output_path)) == result.n_pulses
@@ -209,9 +184,6 @@ class SinglePulsePipeline:
         return {
             "scheme": getattr(self.scheme, "name", str(self.scheme)),
             "grid_coarsen": self.grid_coarsen,
-            # Kernel selection is semantic provenance: different methods can
-            # differ within the tolerance law, so the lineage hash must see it.
-            "kernel": self._execution.kernel,
         }
 
     # -- stage 4 -----------------------------------------------------------

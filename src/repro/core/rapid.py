@@ -15,6 +15,7 @@ granularity gap (1 DPG vs. ~hundreds of single pulses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -235,11 +236,47 @@ class RapidBatchResult:
         return self.pulse_batch.to_records()
 
 
+def _searched_clusters(
+    obs: Observation, params: SearchParams, min_cluster_size: int
+) -> Iterator[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict]]:
+    """The one serial cluster-selection loop behind both observation runners.
+
+    Yields, for every cluster of at least ``min_cluster_size`` SPEs, the
+    ``(times, dms, snrs)`` column slices to search and the keyword arguments
+    of the per-cluster function.  Each cluster's search region is its
+    DM × time box over the full SPE list — the paper's semantics ("search
+    only in the areas of the data file that coincide with the clusters"),
+    and exactly what D-RAPID does after its join, so serial and distributed
+    results are bit-identical.
+    """
+    batch = obs.spe_batch
+    times, dms, snrs = batch.time_s, batch.dm, batch.snr
+    key = obs.key.to_key()
+    for cluster in obs.clusters:
+        if cluster.size < min_cluster_size:
+            continue
+        idx = np.nonzero(
+            (dms >= cluster.dm_lo)
+            & (dms <= cluster.dm_hi)
+            & (times >= cluster.t_lo)
+            & (times <= cluster.t_hi)
+        )[0]
+        name, is_rrat = obs.cluster_truth.get(cluster.cluster_id, (None, False))
+        yield (times[idx], dms[idx], snrs[idx]), dict(
+            cluster_rank=cluster.rank,
+            dm_spacing_of=obs.grid.spacing_at,
+            observation_key=key,
+            cluster_id=cluster.cluster_id,
+            params=params,
+            source_name=name,
+            is_rrat=is_rrat,
+        )
+
+
 def run_rapid_observation_batch(
     obs: Observation,
     params: SearchParams = SearchParams(),
     min_cluster_size: int = 2,
-    use_bounding_box: bool = True,
 ) -> RapidBatchResult:
     """Serial RAPID over one observation, staying columnar throughout.
 
@@ -247,92 +284,27 @@ def run_rapid_observation_batch(
     per-cluster :class:`PulseBatch` outputs; semantics match
     :func:`run_rapid_observation` exactly (same masks, same skip rules).
     """
-    batch = obs.spe_batch
-    times, dms, snrs = batch.time_s, batch.dm, batch.snr
-    key = obs.key.to_key()
-    chunks: list[PulseBatch] = []
-    searched = skipped = 0
-    for cluster in obs.clusters:
-        if cluster.size < min_cluster_size:
-            skipped += 1
-            continue
-        if use_bounding_box:
-            mask = (
-                (dms >= cluster.dm_lo)
-                & (dms <= cluster.dm_hi)
-                & (times >= cluster.t_lo)
-                & (times <= cluster.t_hi)
-            )
-            idx = np.nonzero(mask)[0]
-        else:
-            idx = np.array(cluster.indices, dtype=int)
-        name, is_rrat = obs.cluster_truth.get(cluster.cluster_id, (None, False))
-        pb = run_rapid_on_cluster_batch(
-            times[idx],
-            dms[idx],
-            snrs[idx],
-            cluster_rank=cluster.rank,
-            dm_spacing_of=obs.grid.spacing_at,
-            observation_key=key,
-            cluster_id=cluster.cluster_id,
-            params=params,
-            source_name=name,
-            is_rrat=is_rrat,
-        )
-        if len(pb):
-            chunks.append(pb)
-        searched += 1
-    return RapidBatchResult(PulseBatch.concat(chunks), searched, skipped)
+    batches = [
+        run_rapid_on_cluster_batch(*columns, **kwargs)
+        for columns, kwargs in _searched_clusters(obs, params, min_cluster_size)
+    ]
+    return RapidBatchResult(
+        PulseBatch.concat([pb for pb in batches if len(pb)]),
+        len(batches), len(obs.clusters) - len(batches),
+    )
 
 
 def run_rapid_observation(
     obs: Observation,
     params: SearchParams = SearchParams(),
     min_cluster_size: int = 2,
-    use_bounding_box: bool = True,
 ) -> RapidResult:
-    """Serial RAPID over every cluster of one observation.
-
-    With ``use_bounding_box`` (default), each cluster's search region is its
-    DM × time box over the full SPE list — the paper's semantics ("search
-    only in the areas of the data file that coincide with the clusters"),
-    and exactly what D-RAPID does after its join, so serial and distributed
-    results are bit-identical.  ``False`` restricts to the cluster's exact
-    member SPEs instead.
-    """
+    """Serial RAPID over every cluster of one observation (record path)."""
     result = RapidResult()
-    key = obs.key.to_key()
-    batch = obs.spe_batch
-    times, dms, snrs = batch.time_s, batch.dm, batch.snr
-    for cluster in obs.clusters:
-        if cluster.size < min_cluster_size:
-            result.n_clusters_skipped += 1
-            continue
-        if use_bounding_box:
-            mask = (
-                (dms >= cluster.dm_lo)
-                & (dms <= cluster.dm_hi)
-                & (times >= cluster.t_lo)
-                & (times <= cluster.t_hi)
-            )
-            idx = np.nonzero(mask)[0]
-        else:
-            idx = np.array(cluster.indices, dtype=int)
-        name, is_rrat = obs.cluster_truth.get(cluster.cluster_id, (None, False))
-        pulses = run_rapid_on_cluster(
-            times[idx],
-            dms[idx],
-            snrs[idx],
-            cluster_rank=cluster.rank,
-            dm_spacing_of=obs.grid.spacing_at,
-            observation_key=key,
-            cluster_id=cluster.cluster_id,
-            params=params,
-            source_name=name,
-            is_rrat=is_rrat,
-        )
-        result.pulses.extend(pulses)
+    for columns, kwargs in _searched_clusters(obs, params, min_cluster_size):
+        result.pulses.extend(run_rapid_on_cluster(*columns, **kwargs))
         result.n_clusters_searched += 1
+    result.n_clusters_skipped = len(obs.clusters) - result.n_clusters_searched
     return result
 
 

@@ -57,31 +57,6 @@ class SearchParams:
             raise ValueError(f"slope_threshold must be >= 0, got {self.slope_threshold}")
 
 
-@dataclass(frozen=True)
-class FrontendParams:
-    """Tunables of the SPE-generating front end (phases 1–3, upstream of
-    Algorithm 1): detection threshold and matched-filter boxcar widths.
-
-    *Which kernels* run the search is a separate concern and lives in
-    :class:`repro.execution.KernelConfig` — every kernel method must produce
-    the same detections for the same ``FrontendParams`` (up to the
-    documented tolerance law).
-    """
-
-    snr_threshold: float = 5.0
-    boxcar_widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
-
-    def __post_init__(self) -> None:
-        if self.snr_threshold <= 0:
-            raise ValueError(
-                f"snr_threshold must be positive, got {self.snr_threshold}"
-            )
-        if not self.boxcar_widths or any(w < 1 for w in self.boxcar_widths):
-            raise ValueError("boxcar_widths must be a non-empty tuple of widths >= 1")
-        if list(self.boxcar_widths) != sorted(self.boxcar_widths):
-            raise ValueError("boxcar_widths must be ascending")
-
-
 @dataclass
 class PulseSpan:
     """A single pulse expressed as a bin range with a marked peak bin."""

@@ -43,7 +43,7 @@ SHM_SEGMENT_RELEASED = "shm_segment_released"
 SPAN_START = "span_start"
 SPAN_END = "span_end"
 
-# Front-end kernel selection (repro.execution.KernelConfig resolution).
+# Front-end kernel selection (emitted by astro.filterbank.single_pulse_search).
 KERNEL_SELECTED = "kernel_selected"
 
 # Memoization subsystem (repro.memo).

@@ -299,11 +299,7 @@ def build_report(
     # Which kernels the run resolved to (kernel_selected events) and how
     # long each kernel stage actually took ("kernel.*" spans, aggregated).
     kernel_selected = [
-        {
-            k: e[k]
-            for k in ("method", "impl", "impl_requested", "boxcar", "source")
-            if k in e
-        }
+        {k: e[k] for k in ("method", "impl", "impl_requested", "boxcar") if k in e}
         for e in events
         if e["type"] == KERNEL_SELECTED
     ]
@@ -479,7 +475,7 @@ def render_text(report: dict[str, Any]) -> str:
             )
             out.append(
                 f"  selected: method={sel.get('method', '?')}  impl={impl_txt}  "
-                f"boxcar={sel.get('boxcar', '?')}  source={sel.get('source', '-')}"
+                f"boxcar={sel.get('boxcar', '?')}"
             )
         if kernels.get("stages"):
             out.append(

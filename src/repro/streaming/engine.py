@@ -608,12 +608,10 @@ def stream_observations(
     back from the DFS (driver memory is never trusted across a crash).
     """
     from repro.cluster import open_cluster
-    from repro.execution import resolve_execution
     from repro.memo.config import resolve_memo
 
     session = ObsSession.from_config(obs)
     pipe = config.pipeline
-    execution = resolve_execution(pipe.execution)
     memo = resolve_memo(pipe.memo_config, fault_config=pipe.fault_config)
     if model is not None:
         scorer = StreamScorer(model)
@@ -621,7 +619,7 @@ def stream_observations(
         scorer = StreamScorer.from_path(config.model_path)
     else:
         scorer = None
-    with open_cluster(execution, session, app_name="streaming", memo=memo,
+    with open_cluster(pipe.execution, session, app_name="streaming", memo=memo,
                       dfs=dfs, ctx=ctx) as (dfs, ctx):
         n_recoveries, snapshot = 0, None
         while True:
@@ -649,7 +647,6 @@ def stream_observations(
             observations, memo, kind="streaming", n_recoveries=n_recoveries,
             provenance={
                 "survey": observations[0].config.name if observations else None,
-                "kernel": execution.kernel,
             },
             obs_seq_range=(0, session.log.n_events) if session.enabled else None,
         )

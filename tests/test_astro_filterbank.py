@@ -57,6 +57,17 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             Filterbank(np.zeros((2, 5)), 400.0, 300.0, 1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, fb_with_pulse, bad):
+        """One NaN/inf would poison every dedispersed row and erase the
+        observation silently; the ingest boundary refuses it instead."""
+        fb, _pulse = fb_with_pulse
+        data = fb.data.copy()
+        data[5, 1500] = bad
+        data[7, 20] = bad
+        with pytest.raises(ValueError, match=r"2 non-finite.*channel 5, sample 1500"):
+            Filterbank(data, fb.f_low_mhz, fb.f_high_mhz, fb.sample_time_s)
+
 
 class TestDedisperse:
     def test_correct_dm_concentrates_power(self, fb_with_pulse):

@@ -1,12 +1,10 @@
 """Unit tests for SPE records, observation keys and csv formats."""
 
-import numpy as np
 import pytest
 
 from repro.astro.spe import (
     SPE,
     ObservationKey,
-    SPEBlock,
     parse_spe_line,
     spes_to_csv,
 )
@@ -55,28 +53,6 @@ class TestSPE:
     def test_parse_empty_line_rejected(self):
         with pytest.raises(ValueError):
             parse_spe_line("nocomma")
-
-
-class TestSPEBlock:
-    def test_column_views(self, key, spes):
-        block = SPEBlock(key, spes)
-        assert np.allclose(block.dms, [96.7, 97.0])
-        assert np.allclose(block.snrs, [12.3, 9.1])
-        assert len(block) == 2
-
-    def test_sorted_by_dm(self, key):
-        block = SPEBlock(key, [SPE(5.0, 1, 0, 0), SPE(2.0, 1, 0, 0), SPE(9.0, 1, 0, 0)])
-        assert list(block.sorted_by_dm().dms) == [2.0, 5.0, 9.0]
-
-    def test_sorted_by_time(self, key):
-        block = SPEBlock(key, [SPE(1, 1, 5.0, 0), SPE(1, 1, 1.0, 0)])
-        assert list(block.sorted_by_time().times) == [1.0, 5.0]
-
-    def test_subset(self, key, spes):
-        block = SPEBlock(key, spes)
-        sub = block.subset([1])
-        assert len(sub) == 1
-        assert sub.spes[0] == spes[1]
 
 
 class TestCsvRendering:

@@ -1,24 +1,21 @@
-"""The unified execution surface: KernelConfig/ExecutionConfig semantics.
+"""ExecutionConfig and KernelConfig semantics.
 
-Covers the api-redesign contract end to end: validation of the frozen
-records, the environment < config < CLI resolution order, the deprecated
-loose-keyword shim on the facade configs (with output identity between the
-old and new spellings), the numba-absent import fallback, kernel provenance
-in the memo lineage hash, the ``kernel_selected`` observability event and
-its trace-report section, and the CLI flag plumbing.
+Validation of the frozen records, the environment < config < CLI
+resolution order for backend/workers, the numba-absent import fallback,
+the ``kernel_selected`` observability event ``single_pulse_search`` emits
+(and its trace-report section), and the CLI flag plumbing.
 """
 
 import importlib
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.execution import (
     BACKEND_ENV,
-    KERNEL_IMPL_ENV,
-    KERNEL_METHOD_ENV,
     WORKERS_ENV,
     ExecutionConfig,
     KernelConfig,
@@ -28,17 +25,13 @@ from repro.execution import (
 
 
 class TestKernelConfigValidation:
-    def test_defaults_resolve(self, monkeypatch):
-        for var in (KERNEL_METHOD_ENV, KERNEL_IMPL_ENV):
-            monkeypatch.delenv(var, raising=False)
+    def test_defaults_resolve(self):
         k = KernelConfig().resolved()
         assert k.method == "direct"
         assert k.impl == "auto"
         assert k.boxcar == "cumsum"
 
-    def test_boxcar_couples_to_method(self, monkeypatch):
-        for var in (KERNEL_METHOD_ENV, KERNEL_IMPL_ENV):
-            monkeypatch.delenv(var, raising=False)
+    def test_boxcar_couples_to_method(self):
         assert KernelConfig(method="tree").resolved().boxcar == "decomposed"
         assert KernelConfig(method="subband").resolved().boxcar == "decomposed"
         assert KernelConfig(method="direct").resolved().boxcar == "cumsum"
@@ -47,7 +40,9 @@ class TestKernelConfigValidation:
 
     @pytest.mark.parametrize("bad", [
         dict(method="fft"),
+        dict(method=None),
         dict(impl="cuda"),
+        dict(impl=None),
         dict(boxcar="fft"),
         dict(n_subbands=0),
         dict(n_subbands=-2),
@@ -76,34 +71,27 @@ class TestEnvResolution:
     def test_env_fills_unset_fields(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "parallel")
         monkeypatch.setenv(WORKERS_ENV, "5")
-        monkeypatch.setenv(KERNEL_METHOD_ENV, "tree")
-        monkeypatch.setenv(KERNEL_IMPL_ENV, "numpy")
         e = env_execution_config()
         assert e.backend == "parallel"
         assert e.num_workers == 5
-        assert e.kernel.method == "tree"
-        assert e.kernel.impl == "numpy"
 
     def test_explicit_config_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "parallel")
-        monkeypatch.setenv(KERNEL_METHOD_ENV, "tree")
-        r = resolve_execution(
-            ExecutionConfig(backend="serial",
-                            kernel=KernelConfig(method="subband"))
-        )
+        monkeypatch.setenv(WORKERS_ENV, "5")
+        r = resolve_execution(ExecutionConfig(backend="serial", num_workers=3))
         assert r.backend == "serial"
-        assert r.kernel.method == "subband"
+        assert r.num_workers == 3
 
     def test_env_applies_when_config_silent(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_METHOD_ENV, "subband")
-        monkeypatch.delenv(KERNEL_IMPL_ENV, raising=False)
+        monkeypatch.setenv(WORKERS_ENV, "5")
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         r = resolve_execution(ExecutionConfig())
-        assert r.kernel.method == "subband"
-        assert r.kernel.impl == "auto"
+        assert r.num_workers == 5
+        assert r.backend == "serial"
 
     def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_METHOD_ENV, "warp")
-        with pytest.raises(ValueError):
+        monkeypatch.setenv(BACKEND_ENV, "warp")
+        with pytest.raises(ValueError, match=BACKEND_ENV):
             env_execution_config()
 
 
@@ -164,138 +152,126 @@ class TestNumbaFallback:
         assert np.array_equal(a, b)
 
 
-class TestMemoProvenance:
-    def test_kernel_method_perturbs_lineage_key(self):
-        """Different kernel methods must hash to different memo keys —
-        tolerance-law differences are semantic, not cosmetic."""
-        from repro.astro.survey import GBT350DRIFT
-        from repro.core.pipeline import SinglePulsePipeline
-        from repro.memo.hashing import config_digest
-
-        digests = set()
-        for method in ("direct", "subband", "tree"):
-            pipe = SinglePulsePipeline(
-                survey=GBT350DRIFT,
-                execution=ExecutionConfig(kernel=KernelConfig(method=method)),
-            )
-            digests.add(config_digest(pipe._provenance_config()))
-        assert len(digests) == 3
-
-
 class TestKernelSelectedObservability:
-    def _run_with_trace(self, tmp_path, **kernel_fields):
-        from repro.api import PipelineConfig, run_pipeline
-        from repro.obs import ObsConfig
+    """``single_pulse_search`` — the one place a kernel is selected — is
+    the one emitter of ``kernel_selected``."""
 
-        log = tmp_path / "trace.jsonl"
-        cfg = PipelineConfig(
-            seed=1, n_pulsars=3, n_observations=2,
-            obs_config=ObsConfig(enabled=True, event_log_path=str(log)),
-            execution=ExecutionConfig(kernel=KernelConfig(**kernel_fields)),
-        )
-        run_pipeline(cfg)
-        return log
-
-    def test_event_emitted_with_resolution_fields(self, tmp_path):
+    def _search_with_trace(self, tmp_path, **kernel_fields):
+        from repro.astro.filterbank import single_pulse_search, synthesize_filterbank
+        from repro.obs import ObsConfig, ObsSession
         from repro.obs.events import KERNEL_SELECTED, read_events
 
-        log = self._run_with_trace(tmp_path, method="tree", impl="numpy")
-        events = [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
-        assert events
+        log = tmp_path / "trace.jsonl"
+        session = ObsSession.from_config(
+            ObsConfig(enabled=True, event_log_path=str(log)))
+        fb = synthesize_filterbank(duration_s=2.0, n_channels=16, sample_time_s=2e-3)
+        single_pulse_search(fb, np.arange(20.0, 60.0, 2.0),
+                            kernel=KernelConfig(**kernel_fields), obs=session)
+        session.flush()
+        return log, [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
+
+    def test_event_emitted_with_resolution_fields(self, tmp_path):
+        _log, events = self._search_with_trace(tmp_path, method="tree", impl="numpy")
+        assert len(events) == 1
         ev = events[0]
         assert ev["method"] == "tree"
         assert ev["impl"] == "numpy"
         assert ev["impl_requested"] == "numpy"
         assert ev["boxcar"] == "decomposed"
-        assert ev["source"] == "pipeline"
 
     def test_trace_report_surfaces_kernels_section(self, tmp_path):
         from repro.obs import build_report, render_text
 
-        log = self._run_with_trace(tmp_path, method="subband")
+        log, _events = self._search_with_trace(tmp_path, method="subband")
         report = build_report(str(log))
-        assert report["kernels"]["selected"]
-        sel = report["kernels"]["selected"][0]
-        assert sel["method"] == "subband"
+        assert [sel["method"] for sel in report["kernels"]["selected"]] == ["subband"]
         text = render_text(report)
         assert "front-end kernels" in text
         assert "subband" in text
 
     def test_fallback_visible_in_event(self, tmp_path, monkeypatch):
         """Requesting numba without numba present records the degradation:
-        impl_requested='numba' but impl='numpy'."""
+        impl_requested='numba' but impl='numpy', in the event and the report."""
         import repro.astro.kernels as kernels
-        from repro.obs.events import KERNEL_SELECTED, read_events
+        from repro.obs import build_report, render_text
 
         monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        log = self._run_with_trace(tmp_path, impl="numba")
-        ev = [e for e in read_events(log) if e["type"] == KERNEL_SELECTED][0]
+        log, events = self._search_with_trace(
+            tmp_path, method="subband", impl="numba")
+        assert len(events) == 1
+        ev = events[0]
+        assert ev["method"] == "subband"
         assert ev["impl_requested"] == "numba"
         assert ev["impl"] == "numpy"
+        assert "numpy (requested numba)" in render_text(build_report(str(log)))
+
+    def test_pipeline_trace_has_no_kernel_event(self, tmp_path):
+        """A run that never dedisperses records no kernel choice."""
+        from repro.api import PipelineConfig, run_pipeline
+        from repro.obs import ObsConfig
+        from repro.obs.events import KERNEL_SELECTED, read_events
+
+        log = tmp_path / "trace.jsonl"
+        run_pipeline(PipelineConfig(
+            seed=1, n_pulsars=3, n_observations=2,
+            obs_config=ObsConfig(enabled=True, event_log_path=str(log)),
+        ))
+        assert not [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
+
+
+def test_kernel_selection_lives_only_where_kernels_run():
+    """Under src/repro/, KernelConfig appears only in execution.py, the
+    api.py re-export and astro/; no REPRO_KERNEL_* variable exists."""
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    mentions = set()
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        assert "REPRO_KERNEL" not in text, path
+        if "KernelConfig" in text:
+            rel = path.relative_to(root)
+            mentions.add("astro/" if rel.parts[0] == "astro" else rel.as_posix())
+    assert mentions == {"execution.py", "api.py", "astro/"}
 
 
 class TestCliPlumbing:
-    def test_kernel_flags_accepted(self, capsys):
+    def test_kernel_flags_rejected(self):
+        """Kernel selection is not a CLI concern: argparse exits 2."""
         from repro.cli import main
 
-        rc = main([
-            "identify", "--pulsars", "2", "--observations", "2",
-            "--kernel-method", "tree", "--kernel-impl", "numpy",
-        ])
-        assert rc == 0
-        assert "single pulses identified" in capsys.readouterr().out
-
-    def test_kernel_flags_reach_the_event_log(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.obs.events import KERNEL_SELECTED, read_events
-
-        log = tmp_path / "t.jsonl"
-        rc = main([
-            "identify", "--pulsars", "2", "--observations", "2",
-            "--kernel-method", "subband", "--trace-out", str(log),
-        ])
-        assert rc == 0
-        capsys.readouterr()
-        ev = [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
-        assert ev and ev[0]["method"] == "subband"
-
-    def test_cli_beats_env(self, tmp_path, capsys, monkeypatch):
-        """Resolution order env < config < CLI: the flag wins."""
-        from repro.cli import main
-        from repro.obs.events import KERNEL_SELECTED, read_events
-
-        monkeypatch.setenv(KERNEL_METHOD_ENV, "subband")
-        log = tmp_path / "t.jsonl"
-        rc = main([
-            "identify", "--pulsars", "2", "--observations", "2",
-            "--kernel-method", "tree", "--trace-out", str(log),
-        ])
-        assert rc == 0
-        capsys.readouterr()
-        ev = [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
-        assert ev and ev[0]["method"] == "tree"
+        with pytest.raises(SystemExit) as exc:
+            main(["identify", "--kernel-method", "subband"])
+        assert exc.value.code == 2
 
     def test_invalid_flag_rejected(self):
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["identify", "--kernel-method", "fft"])
+            main(["identify", "--backend", "gpu"])
 
 
 class TestFrontendSearchIntegration:
     def test_survey_frontend_consistent_across_methods(self):
-        """The survey-level front end finds the same brightest candidate
-        under every kernel method (tolerance-law displacements are small
-        against the DM-grid spacing)."""
-        from repro.astro.filterbank import InjectedPulse
-        from repro.astro.survey import GBT350DRIFT, frontend_single_pulse_search
+        """On a survey's band and DM ladder the front end finds the same
+        brightest candidate under every kernel method (tolerance-law
+        displacements are small against the DM-grid spacing)."""
+        from repro.astro.filterbank import (
+            InjectedPulse,
+            single_pulse_search,
+            synthesize_filterbank,
+        )
+        from repro.astro.survey import GBT350DRIFT as survey
 
         pulse = InjectedPulse(time_s=3.0, dm=60.0, width_ms=16.0, amplitude=1.8)
+        fb = synthesize_filterbank(
+            duration_s=6.0, n_channels=32, sample_time_s=2e-3, pulses=[pulse],
+            f_low_mhz=survey.center_freq_mhz - survey.bandwidth_mhz / 2.0,
+            f_high_mhz=survey.center_freq_mhz + survey.bandwidth_mhz / 2.0,
+        )
+        trial_dms = survey.dm_grid(coarsen=10.0).trial_dms()
         results = {}
         for method in ("direct", "subband", "tree"):
-            _fb, spes = frontend_single_pulse_search(
-                GBT350DRIFT, [pulse], duration_s=6.0, n_channels=32,
-                sample_time_s=2e-3,
+            spes = single_pulse_search(
+                fb, trial_dms, snr_threshold=survey.snr_threshold,
                 kernel=KernelConfig(method=method, impl="numpy"),
             )
             assert spes, method
