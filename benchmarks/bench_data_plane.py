@@ -8,9 +8,9 @@ references — byte identity is asserted here before timing):
   ``from_ml_lines`` (column-memoized ``repr`` formatting, one
   ``np.fromstring`` pass for the numeric block) vs per-record
   ``SinglePulse.to_ml_row`` / ``from_ml_row``;
-- **feature extraction** — ``extract_pulse_features_matrix``
-  (length-grouped ``axis=1`` reductions, shared ``bin_slopes`` pass,
-  vectorized residual) vs the per-pulse ``extract_pulse_features`` loop,
+- **feature extraction** — ``extract_segment_features``
+  (length-grouped ``axis=1`` reductions, one row-wise ``bin_slopes`` +
+  residual per group) vs the per-pulse ``extract_pulse_features`` loop,
   on identical Algorithm 1 segment inputs;
 - data/cluster file builders — whole-file batch serialization vs the
   record loops (reported for context, no threshold).
@@ -34,7 +34,7 @@ import numpy as np
 from _bench_utils import emit, format_table
 from repro.astro import GBT350DRIFT, generate_observation
 from repro.astro.population import b1853_like
-from repro.core.features import extract_pulse_features, extract_pulse_features_matrix
+from repro.core.features import extract_pulse_features, extract_segment_features
 from repro.core.rapid import SinglePulse, run_rapid_observation_batch
 from repro.dataplane import PulseBatch
 from repro.io.spe_files import (
@@ -165,12 +165,17 @@ def bench_feature_extraction(scales=EXTRACT_SCALES) -> list[dict]:
             ]
 
         def vectorized(dms=dms, snrs=snrs, times=times, ranges=ranges,
-                       binsize=binsize, pulse_ranks=pulse_ranks):
-            return extract_pulse_features_matrix(
-                dms, snrs, times, ranges, pulse_ranks, binsize=binsize,
-                cluster_rank=3, dm_spacing_of=spacing_of,
-                cluster_start_time=0.0, cluster_stop_time=90.0,
+                       binsize=binsize, pulse_ranks=pulse_ranks, n_pulses=n_pulses):
+            starts, stops, hints = np.array(ranges).T
+            out = extract_segment_features(
+                dms, snrs, times, starts, stops, hints,
+                binsizes=np.full(n_pulses, binsize),
             )
+            # The contextual columns are the caller's: NumPeaks, StartTime,
+            # StopTime, ClusterRank, PulseRank, DMSpacing.
+            out[:, [11, 16, 17, 18, 20]] = n_pulses, 0.0, 90.0, 3, spacing_of(0.0)
+            out[:, 19] = pulse_ranks
+            return out
 
         # Bitwise equivalence gate before timing.
         assert np.array_equal(

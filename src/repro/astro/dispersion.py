@@ -132,18 +132,24 @@ class DMGrid:
         return grid
 
     def spacing_at(self, dm: float) -> float:
-        """The ladder step at a given DM (the ``DMSpacing`` feature value)."""
-        for start, stop, step in self.bands:
-            if start <= dm < stop:
-                return step * self.coarsen
-        return self.bands[-1][2] * self.coarsen
+        """The ladder step at a given DM (the ``DMSpacing`` feature value).
+
+        The step of the last band starting at or below ``dm``; the first
+        band's below the ladder — the same rule as :meth:`spacing_of`.
+        """
+        step = self.bands[0][2]
+        for start, _stop, band_step in self.bands:
+            if dm < start:
+                break
+            step = band_step
+        return step * self.coarsen
 
     def spacing_of(self, dms: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`spacing_at` for a whole SPE list at once.
 
         One ``np.searchsorted`` over the band starts replaces the per-value
         linear band scan; DMs at or beyond the last band stop get the last
-        band's step, matching the scalar fallback.
+        band's step and DMs below the first start the first band's.
         """
         dms = np.asarray(dms, dtype=float)
         starts = np.array([b[0] for b in self.bands])

@@ -21,8 +21,13 @@ Since the columnar refactor, each map partition parses its rows into
 per-key :class:`SPEBatch` / :class:`ClusterBatch` chunks, so shuffle
 payloads are a few large column buffers instead of one tuple per SPE row
 (and the simulator's ``estimate_bytes`` measures them via ``.nbytes``).
-The per-record dataflow is retained as :meth:`DRapidDriver.run_reference`
-and the equivalence suite asserts both produce byte-identical ML files.
+The Search phase body hands one joined observation — its SPE columns and
+all of its cluster boxes — to
+:func:`repro.core.rapid.search_observation_columns`, which searches the
+clusters as columns (one Algorithm 1 + feature call per cluster-size
+group) rather than looping over them.  The per-record dataflow is retained
+as :meth:`DRapidDriver.run_reference` and the equivalence suite asserts
+both produce byte-identical ML files.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from repro.astro.dispersion import DMGrid
 from repro.core.rapid import (
     SinglePulse,
     run_rapid_on_cluster,
-    run_rapid_on_cluster_batch,
+    search_observation_columns,
 )
 from repro.core.search import SearchParams
 from repro.dataplane import ClusterBatch, PulseBatch, SPEBatch
@@ -109,39 +114,10 @@ def _search_observation_batch(
     if spe_batches is None:
         return PulseBatch.empty()  # null from the left outer join
     spe = SPEBatch.concat(spe_batches)
-    clusters = ClusterBatch.concat(cluster_batches)
-    dataset = key.split("|", 1)[0]
-    grid = grids.get(dataset)
-    spacing_of = grid.spacing_at if grid is not None else (lambda _dm: 1.0)
-
-    dms, snrs, times = spe.dm, spe.snr, spe.time_s
-    chunks: list[PulseBatch] = []
-    for i in range(len(clusters)):
-        # "Search only in the areas of the data file that coincide with the
-        # clusters listed in the cluster file": the cluster's DM×time box.
-        mask = (
-            (dms >= clusters.dm_lo[i])
-            & (dms <= clusters.dm_hi[i])
-            & (times >= clusters.t_lo[i])
-            & (times <= clusters.t_hi[i])
-        )
-        if int(mask.sum()) < 2:
-            continue
-        pb = run_rapid_on_cluster_batch(
-            times[mask],
-            dms[mask],
-            snrs[mask],
-            cluster_rank=int(clusters.rank[i]),
-            dm_spacing_of=spacing_of,
-            observation_key=key,
-            cluster_id=int(clusters.cluster_id[i]),
-            params=params,
-            source_name=clusters.source[i],
-            is_rrat=bool(clusters.is_rrat[i]),
-        )
-        if len(pb):
-            chunks.append(pb)
-    return PulseBatch.concat(chunks)
+    return search_observation_columns(
+        spe.time_s, spe.dm, spe.snr, ClusterBatch.concat(cluster_batches),
+        grids.get(key.split("|", 1)[0]), key, params,
+    )
 
 
 def _reference_search_observation(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.core.regression import bin_fit_residual, bin_fit_residual_given, bin_slopes
+from repro.core.regression import bin_fit_residual, bin_fit_residual_rows, bin_slopes
 
 #: Canonical feature ordering used by every matrix in this repository.
 FEATURE_NAMES: tuple[str, ...] = (
@@ -189,78 +189,48 @@ def extract_pulse_features(
     )
 
 
-def extract_pulse_features_matrix(
+def extract_segment_features(
     dms: np.ndarray,
     snrs: np.ndarray,
     times: np.ndarray,
-    ranges: "list[tuple[int, int, int]]",
-    pulse_ranks: np.ndarray,
-    binsize: int,
-    cluster_rank: int,
-    dm_spacing_of: "callable",
-    cluster_start_time: float,
-    cluster_stop_time: float,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    hints: np.ndarray,
+    binsizes: np.ndarray,
 ) -> np.ndarray:
-    """Features of every pulse of one cluster as one dense (n, 22) matrix.
+    """The segment-derived feature columns of many pulses as an (n, 22) matrix.
 
-    Batch counterpart of :func:`extract_pulse_features`, used by the
-    columnar data plane; ``ranges`` are the ``(spe_start, spe_stop,
-    peak_hint)`` triples of Algorithm 1 over the *sorted* cluster arrays.
+    Columnar counterpart of :func:`extract_pulse_features` for all pulses of
+    an observation at once: pulse ``i`` is ``[starts[i], stops[i])`` of the
+    flat DM-sorted ``dms``/``snrs``/``times`` columns, ``hints[i]`` the
+    absolute index of its peak bin's first SPE and ``binsizes[i]`` the bin
+    size its cluster was searched with.  The six contextual columns
+    (NumPeaks, StartTime, StopTime, ClusterRank, PulseRank, DMSpacing) are
+    the caller's and come back zero.
 
     Bit-identical to the per-record path by construction.  Segments are
-    grouped by length and gathered into C-contiguous ``(group, L)``
-    matrices: an ``axis=1`` reduction then applies the same pairwise
-    summation to each row as the 1-D call on that segment would (summation
+    grouped by (length, binsize) and gathered into C-contiguous
+    ``(group, L)`` matrices: an ``axis=1`` reduction then applies the same
+    pairwise summation to each row as the 1-D call on that segment would (summation
     grouping depends only on the row length, so fusing *equal-length*
     segments is safe where fusing unequal ones is not), and min/max/argmax
-    are order-independent.  The trend diagnostics (``bin_slopes`` +
-    residual) stay per pulse but share one pass and a vectorized residual
-    (:func:`repro.core.regression.bin_fit_residual_given`).
+    are order-independent.  The trend diagnostics are one row-wise
+    ``bin_slopes`` + residual per group.
     """
-    n_pulses = len(ranges)
-    out = np.empty((n_pulses, len(FEATURE_NAMES)), dtype=np.float64)
-    if n_pulses == 0:
-        return out
-    starts = np.array([r[0] for r in ranges], dtype=np.int64)
-    stops = np.array([r[1] for r in ranges], dtype=np.int64)
-    lengths = stops - starts
-    hints = np.clip(np.array([r[2] for r in ranges], dtype=np.int64) - starts,
-                    0, lengths - 1)
-
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(stops, dtype=np.int64) - starts
+    hints = np.clip(np.asarray(hints, dtype=np.int64) - starts, 0, lengths - 1)
+    binsizes = np.asarray(binsizes, dtype=np.int64)
+    out = np.zeros((starts.size, len(FEATURE_NAMES)), dtype=np.float64)
     out[:, 0] = lengths
-    out[:, 11] = n_pulses
-    out[:, 16] = cluster_start_time
-    out[:, 17] = cluster_stop_time
-    out[:, 18] = cluster_rank
-    out[:, 19] = np.asarray(pulse_ranks, dtype=np.float64)
 
-    if n_pulses < 8:
-        # Grouped gathering has fixed per-group overhead (unique, index
-        # matrix) that loses to the straight loop on the few-pulse clusters
-        # that dominate survey data; both fill identical bits.
-        for i, (a, b, _hint) in enumerate(ranges):
-            seg_dms = dms[a:b]
-            seg_snrs = snrs[a:b]
-            seg_times = times[a:b]
-            max_snr = float(seg_snrs.max())
-            peak_idx = int(np.argmax(seg_snrs))
-            row = out[i]
-            row[1] = max_snr
-            row[2] = seg_snrs.min()
-            row[3] = seg_snrs.mean()
-            row[4] = seg_snrs.std()
-            row[5] = seg_dms[peak_idx]
-            row[6] = seg_dms.max() - seg_dms.min()
-            row[7] = seg_dms.mean()
-            row[8] = seg_dms.std()
-            row[9] = seg_times.max() - seg_times.min()
-            row[10] = _peak_width_dm(seg_dms, seg_snrs)
-            row[15] = _skewness(seg_snrs)
-            row[21] = float(seg_snrs[hints[i]]) / max_snr if max_snr > 0 else 0.0
-        return _finish_trend_features(out, dms, snrs, ranges, binsize, dm_spacing_of)
-
-    for length in np.unique(lengths).tolist():
-        sel = np.nonzero(lengths == length)[0]
+    # One group per (length, binsize), keyed as one integer: the reductions
+    # need equal lengths, the trend columns equal bins as well.
+    radix = binsizes.max(initial=0) + 1
+    keys = lengths * radix + binsizes
+    for key in np.unique(keys).tolist():
+        length, binsize = divmod(key, radix)
+        sel = np.nonzero(keys == key)[0]
         gather = starts[sel][:, None] + np.arange(length)
         snr = snrs[gather]
         dm = dms[gather]
@@ -291,9 +261,7 @@ def extract_pulse_features_matrix(
         out[sel, 10] = np.where(above.any(axis=1), hi - lo, 0.0)
 
         # SNRSkew, replaying _skewness row-wise (guards included).
-        if length < 3:
-            out[sel, 15] = 0.0
-        else:
+        if length >= 3:
             safe_std = np.where(std_snr > 1e-12, std_snr, 1.0)
             z = (snr - mean_snr[:, None]) / safe_std[:, None]
             out[sel, 15] = np.where(
@@ -305,29 +273,9 @@ def extract_pulse_features_matrix(
         with np.errstate(divide="ignore", invalid="ignore"):
             out[sel, 21] = np.where(max_snr > 0, first / max_snr, 0.0)
 
-    return _finish_trend_features(out, dms, snrs, ranges, binsize, dm_spacing_of)
-
-
-def _finish_trend_features(out, dms, snrs, ranges, binsize, dm_spacing_of):
-    """Fill the per-pulse trend/grid columns (12-14, 20) of ``out``.
-
-    Bin contents depend on the segment, so these stay per pulse on either
-    path of :func:`extract_pulse_features_matrix`.
-    """
-    for i, (a, b, _hint) in enumerate(ranges):
-        if b - a >= 2:
-            seg_dms = dms[a:b]
-            seg_snrs = snrs[a:b]
-            slopes, edges = bin_slopes(seg_dms, seg_snrs, binsize)
-            if slopes.size:
-                out[i, 12] = slopes.max()
-                out[i, 13] = slopes.min()
-            else:
-                out[i, 12] = out[i, 13] = 0.0
-            out[i, 14] = bin_fit_residual_given(seg_dms, seg_snrs, slopes, edges)
-        else:
-            out[i, 12] = out[i, 13] = out[i, 14] = 0.0
-        out[i, 20] = dm_spacing_of(float(out[i, 5]))
+        if length >= 2:
+            slopes, edges = bin_slopes(dm, snr, binsize)
+            out[sel, 12] = slopes.max(axis=1)
+            out[sel, 13] = slopes.min(axis=1)
+            out[sel, 14] = bin_fit_residual_rows(dm, snr, slopes, edges)
     return out
-
-

@@ -1,10 +1,20 @@
 """RAPID: single-machine single pulse identification.
 
-``run_rapid_on_cluster`` is the unit of work D-RAPID distributes: sort one
+``run_rapid_on_cluster`` is the unit of work as the paper states it: sort one
 cluster's SPEs by DM, run the Algorithm 1 search, extract the 22 features of
 every identified single pulse.  ``run_rapid_observation`` applies it to
 every cluster of an observation (the serial baseline all parallel variants
 are validated against).
+
+``search_observation_columns`` is what actually runs — in D-RAPID's Search
+phase and in ``run_rapid_observation_batch``: the same computation for all
+clusters of an observation at once.  Survey clusters are tiny (median 4
+SPEs), so a call per cluster is ~40 NumPy dispatches on a handful of
+floats; equal-length rows of a C-contiguous matrix reduce bit-identically
+to their 1-D calls, so clusters are grouped by member count, pulses by
+(length, binsize), and each group is one call.  Output bits, row order and
+``PulseRank`` ties equal the per-cluster path's; the property suite in
+``tests/test_core_rapid_columns.py`` holds the two together.
 
 ``run_rapid_dpg`` reproduces the *old* DPG-granularity algorithm of Devine
 et al. (2016) — fixed bin size 25, one profile per observation built from
@@ -15,19 +25,25 @@ granularity gap (1 DPG vs. ~hundreds of single pulses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
+from repro.astro.dispersion import DMGrid
 from repro.astro.survey import Observation
 from repro.core.bins import DPG_FIXED_BIN_SIZE, dynamic_bin_size
 from repro.core.features import (
     PulseFeatures,
     extract_pulse_features,
-    extract_pulse_features_matrix,
+    extract_segment_features,
 )
-from repro.core.search import SearchParams, find_single_pulses, spans_to_spe_ranges
-from repro.dataplane import PulseBatch, fmt_float
+from repro.core.search import (
+    SearchParams,
+    find_single_pulses,
+    find_single_pulses_rows,
+    spans_to_spe_ranges,
+)
+from repro.dataplane import ClusterBatch, PulseBatch, fmt_float
+from repro.io.spe_files import observation_cluster_batch
 
 
 @dataclass
@@ -87,39 +103,6 @@ class RapidResult:
         return len(self.pulses)
 
 
-def _search_sorted_cluster(times, dms, snrs, params):
-    """Shared Algorithm 1 prologue: sort by DM, search, rank the peaks.
-
-    Returns ``None`` when the cluster is too small or has no pulses;
-    otherwise the sorted columns plus the per-pulse ranges and ranks.  Both
-    the record path and the batch path run exactly this, so their inputs to
-    feature extraction are identical arrays.
-    """
-    times = np.asarray(times, dtype=float)
-    dms = np.asarray(dms, dtype=float)
-    snrs = np.asarray(snrs, dtype=float)
-    n = dms.size
-    if n < 2:
-        return None
-    order = np.lexsort((times, dms))
-    dms_s, snrs_s, times_s = dms[order], snrs[order], times[order]
-
-    binsize = dynamic_bin_size(n, params.weight)
-    spans, edges = find_single_pulses(dms_s, snrs_s, params, binsize=binsize)
-    if not spans:
-        return None
-    ranges = spans_to_spe_ranges(spans, edges)
-
-    # PulseRank: 1 = brightest peak of the cluster (ordered by SNRMax).
-    peak_snrs = [float(snrs_s[a:b].max()) for a, b, _p in ranges]
-    rank_order = np.argsort([-s for s in peak_snrs], kind="stable")
-    pulse_ranks = np.empty(len(ranges), dtype=int)
-    pulse_ranks[rank_order] = np.arange(1, len(ranges) + 1)
-
-    t_lo, t_hi = float(times_s.min()), float(times_s.max())
-    return dms_s, snrs_s, times_s, binsize, ranges, pulse_ranks, t_lo, t_hi
-
-
 def run_rapid_on_cluster(
     times: np.ndarray,
     dms: np.ndarray,
@@ -137,14 +120,31 @@ def run_rapid_on_cluster(
     ``dm_spacing_of`` maps a DM value to the local trial-ladder step (the
     DMSpacing feature); pass ``grid.spacing_at``.
 
-    This is the record-oriented path, retained as the reference the
-    columnar :func:`run_rapid_on_cluster_batch` is equivalence-gated
-    against.
+    This is the record-oriented path, retained as the oracle the columnar
+    :func:`search_observation_columns` is equivalence-gated against.
     """
-    searched = _search_sorted_cluster(times, dms, snrs, params)
-    if searched is None:
+    times = np.asarray(times, dtype=float)
+    dms = np.asarray(dms, dtype=float)
+    snrs = np.asarray(snrs, dtype=float)
+    n = dms.size
+    if n < 2:
         return []
-    dms_s, snrs_s, times_s, binsize, ranges, pulse_ranks, t_lo, t_hi = searched
+    order = np.lexsort((times, dms))
+    dms_s, snrs_s, times_s = dms[order], snrs[order], times[order]
+
+    binsize = dynamic_bin_size(n, params.weight)
+    spans, edges = find_single_pulses(dms_s, snrs_s, params, binsize=binsize)
+    if not spans:
+        return []
+    ranges = spans_to_spe_ranges(spans, edges)
+
+    # PulseRank: 1 = brightest peak of the cluster (ordered by SNRMax).
+    peak_snrs = [float(snrs_s[a:b].max()) for a, b, _p in ranges]
+    rank_order = np.argsort([-s for s in peak_snrs], kind="stable")
+    pulse_ranks = np.empty(len(ranges), dtype=int)
+    pulse_ranks[rank_order] = np.arange(1, len(ranges) + 1)
+
+    t_lo, t_hi = float(times_s.min()), float(times_s.max())
     out: list[SinglePulse] = []
     for i, (a, b, peak_hint) in enumerate(ranges):
         seg_dms, seg_snrs, seg_times = dms_s[a:b], snrs_s[a:b], times_s[a:b]
@@ -176,44 +176,103 @@ def run_rapid_on_cluster(
     return out
 
 
-def run_rapid_on_cluster_batch(
+#: Cells of the (clusters x SPEs) box-membership block evaluated at once, so
+#: the search's transient memory does not grow with the observation.
+_MEMBERSHIP_CELLS = 1 << 21
+
+
+def _box_members(
+    times: np.ndarray, dms: np.ndarray, clusters: ClusterBatch
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cluster row, SPE index)`` of every SPE inside each cluster's box.
+
+    A cluster's search region is its DM × time box over the full SPE list —
+    the paper's semantics ("search only in the areas of the data file that
+    coincide with the clusters").  Pairs come out row-major (cluster order,
+    then SPE order), which is the order a per-cluster mask would give.
+    """
+    rows = [np.empty(0, dtype=np.intp)]
+    cols = [np.empty(0, dtype=np.intp)]
+    per_block = max(1, _MEMBERSHIP_CELLS // max(dms.size, 1))
+    for lo in range(0, len(clusters), per_block):
+        block = slice(lo, lo + per_block)
+        inside = dms >= clusters.dm_lo[block, None]
+        inside &= dms <= clusters.dm_hi[block, None]
+        inside &= times >= clusters.t_lo[block, None]
+        inside &= times <= clusters.t_hi[block, None]
+        row, col = np.nonzero(inside)
+        rows.append(row + lo)
+        cols.append(col)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def search_observation_columns(
     times: np.ndarray,
     dms: np.ndarray,
     snrs: np.ndarray,
-    cluster_rank: int,
-    dm_spacing_of: "callable",
+    clusters: ClusterBatch,
+    grid: DMGrid | None,
     observation_key: str = "",
-    cluster_id: int = 0,
     params: SearchParams = SearchParams(),
-    source_name: str | None = None,
-    is_rrat: bool = False,
 ) -> PulseBatch:
-    """Columnar :func:`run_rapid_on_cluster`: one PulseBatch per cluster.
+    """Algorithm 1 + the 22 features for every cluster of one observation.
 
-    Runs the same Algorithm 1 prologue and fills the (n, 22) feature matrix
-    directly (:func:`extract_pulse_features_matrix`) — no per-pulse
-    dataclasses.  Bit-identical to the record path by construction.
+    ``times``/``dms``/``snrs`` are the observation's SPE columns and
+    ``clusters`` the boxes to search; ``grid`` supplies DMSpacing (1.0
+    without one).  Equal to :func:`run_rapid_on_cluster` applied box by box
+    — every bit, rows in cluster order then range order — but the work is
+    done in columns: all box memberships at once, one stable
+    ``(cluster, dm, time)`` sort, one Algorithm 1 call per distinct cluster
+    size and one feature gather over all pulses of the observation.
     """
-    searched = _search_sorted_cluster(times, dms, snrs, params)
-    if searched is None:
+    times = np.asarray(times, dtype=float)
+    dms = np.asarray(dms, dtype=float)
+    snrs = np.asarray(snrs, dtype=float)
+    cluster_of, spe = _box_members(times, dms, clusters)
+    t, d, s = times[spe], dms[spe], snrs[spe]
+    order = np.lexsort((t, d, cluster_of))
+    t, d, s = t[order], d[order], s[order]
+    sizes = np.bincount(cluster_of, minlength=len(clusters))
+    offsets = np.cumsum(sizes) - sizes
+
+    # One row per pulse: (cluster row, binsize, spe_start, spe_stop, peak_hint).
+    pulses: list[tuple[int, ...]] = []
+    for n in np.unique(sizes[sizes >= 2]).tolist():
+        rows = np.nonzero(sizes == n)[0]
+        gather = offsets[rows][:, None] + np.arange(n)
+        binsize = dynamic_bin_size(n, params.weight)
+        spans, edges = find_single_pulses_rows(d[gather], s[gather], params, binsize)
+        for row, row_spans in zip(rows.tolist(), spans):
+            pulses += [(row, binsize, *r) for r in spans_to_spe_ranges(row_spans, edges)]
+    if not pulses:
         return PulseBatch.empty()
-    dms_s, snrs_s, times_s, binsize, ranges, pulse_ranks, t_lo, t_hi = searched
-    features = extract_pulse_features_matrix(
-        dms_s, snrs_s, times_s, ranges, pulse_ranks,
-        binsize=binsize,
-        cluster_rank=cluster_rank,
-        dm_spacing_of=dm_spacing_of,
-        cluster_start_time=t_lo,
-        cluster_stop_time=t_hi,
+    pulses.sort(key=lambda pulse: pulse[0])  # stable: cluster, then range order
+    cluster, binsizes, start, stop, hint = np.array(list(zip(*pulses)), dtype=np.int64)
+
+    base = offsets[cluster]
+    features = extract_segment_features(
+        d, s, t, base + start, base + stop, base + hint, binsizes
     )
-    n = len(ranges)
+    n_peaks = np.unique(cluster, return_counts=True)[1]
+    features[:, 11] = np.repeat(n_peaks, n_peaks)
+    # StartTime/StopTime: time extent of the pulse's (non-empty) cluster.
+    occupied = np.nonzero(sizes)[0]
+    slot = np.searchsorted(occupied, cluster)
+    features[:, 16] = np.minimum.reduceat(t, offsets[occupied])[slot]
+    features[:, 17] = np.maximum.reduceat(t, offsets[occupied])[slot]
+    features[:, 18] = clusters.rank[cluster]
+    # PulseRank: 1 = brightest peak of the cluster (by MaxSNR, ties stable).
+    by_snr = np.lexsort((-features[:, 1], cluster))
+    first_of_cluster = np.repeat(np.cumsum(n_peaks) - n_peaks, n_peaks)
+    features[by_snr, 19] = np.arange(1, cluster.size + 1) - first_of_cluster
+    features[:, 20] = 1.0 if grid is None else grid.spacing_of(features[:, 5])
     return PulseBatch(
-        observation_key=np.full(n, observation_key, dtype=object),
-        cluster_id=np.full(n, cluster_id, dtype=np.int64),
-        spe_start=np.array([a for a, _b, _p in ranges], dtype=np.int64),
-        spe_stop=np.array([b for _a, b, _p in ranges], dtype=np.int64),
-        source_name=np.full(n, source_name, dtype=object),
-        is_rrat=np.full(n, is_rrat, dtype=np.bool_),
+        observation_key=np.full(cluster.size, observation_key, dtype=object),
+        cluster_id=clusters.cluster_id[cluster],
+        spe_start=start,
+        spe_stop=stop,
+        source_name=clusters.source[cluster],
+        is_rrat=clusters.is_rrat[cluster],
         features=features,
     )
 
@@ -236,19 +295,42 @@ class RapidBatchResult:
         return self.pulse_batch.to_records()
 
 
-def _searched_clusters(
-    obs: Observation, params: SearchParams, min_cluster_size: int
-) -> Iterator[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict]]:
-    """The one serial cluster-selection loop behind both observation runners.
+def run_rapid_observation_batch(
+    obs: Observation,
+    params: SearchParams = SearchParams(),
+    min_cluster_size: int = 2,
+) -> RapidBatchResult:
+    """Serial RAPID over one observation, staying columnar throughout.
 
-    Yields, for every cluster of at least ``min_cluster_size`` SPEs, the
-    ``(times, dms, snrs)`` column slices to search and the keyword arguments
-    of the per-cluster function.  Each cluster's search region is its
-    DM × time box over the full SPE list — the paper's semantics ("search
-    only in the areas of the data file that coincide with the clusters"),
-    and exactly what D-RAPID does after its join, so serial and distributed
-    results are bit-identical.
+    Hands the observation's :class:`SPEBatch` columns and the boxes of its
+    clusters of at least ``min_cluster_size`` SPEs to
+    :func:`search_observation_columns`; semantics match
+    :func:`run_rapid_observation` exactly (same boxes, same skip rules).
     """
+    clusters = observation_cluster_batch(obs)
+    searched = clusters.take(np.nonzero(clusters.n_spes >= min_cluster_size)[0])
+    batch = obs.spe_batch
+    return RapidBatchResult(
+        search_observation_columns(
+            batch.time_s, batch.dm, batch.snr, searched, obs.grid,
+            obs.key.to_key(), params,
+        ),
+        len(searched), len(clusters) - len(searched),
+    )
+
+
+def run_rapid_observation(
+    obs: Observation,
+    params: SearchParams = SearchParams(),
+    min_cluster_size: int = 2,
+) -> RapidResult:
+    """Serial RAPID over every cluster of one observation (record path).
+
+    Each cluster's search region is its DM × time box over the full SPE
+    list — exactly what D-RAPID does after its join, so serial and
+    distributed results are bit-identical.
+    """
+    result = RapidResult()
     batch = obs.spe_batch
     times, dms, snrs = batch.time_s, batch.dm, batch.snr
     key = obs.key.to_key()
@@ -262,47 +344,18 @@ def _searched_clusters(
             & (times <= cluster.t_hi)
         )[0]
         name, is_rrat = obs.cluster_truth.get(cluster.cluster_id, (None, False))
-        yield (times[idx], dms[idx], snrs[idx]), dict(
-            cluster_rank=cluster.rank,
-            dm_spacing_of=obs.grid.spacing_at,
-            observation_key=key,
-            cluster_id=cluster.cluster_id,
-            params=params,
-            source_name=name,
-            is_rrat=is_rrat,
+        result.pulses.extend(
+            run_rapid_on_cluster(
+                times[idx], dms[idx], snrs[idx],
+                cluster_rank=cluster.rank,
+                dm_spacing_of=obs.grid.spacing_at,
+                observation_key=key,
+                cluster_id=cluster.cluster_id,
+                params=params,
+                source_name=name,
+                is_rrat=is_rrat,
+            )
         )
-
-
-def run_rapid_observation_batch(
-    obs: Observation,
-    params: SearchParams = SearchParams(),
-    min_cluster_size: int = 2,
-) -> RapidBatchResult:
-    """Serial RAPID over one observation, staying columnar throughout.
-
-    Reads the observation's :class:`SPEBatch` columns and concatenates the
-    per-cluster :class:`PulseBatch` outputs; semantics match
-    :func:`run_rapid_observation` exactly (same masks, same skip rules).
-    """
-    batches = [
-        run_rapid_on_cluster_batch(*columns, **kwargs)
-        for columns, kwargs in _searched_clusters(obs, params, min_cluster_size)
-    ]
-    return RapidBatchResult(
-        PulseBatch.concat([pb for pb in batches if len(pb)]),
-        len(batches), len(obs.clusters) - len(batches),
-    )
-
-
-def run_rapid_observation(
-    obs: Observation,
-    params: SearchParams = SearchParams(),
-    min_cluster_size: int = 2,
-) -> RapidResult:
-    """Serial RAPID over every cluster of one observation (record path)."""
-    result = RapidResult()
-    for columns, kwargs in _searched_clusters(obs, params, min_cluster_size):
-        result.pulses.extend(run_rapid_on_cluster(*columns, **kwargs))
         result.n_clusters_searched += 1
     result.n_clusters_skipped = len(obs.clusters) - result.n_clusters_searched
     return result

@@ -56,37 +56,32 @@ def bin_edges(n: int, binsize: int) -> list[tuple[int, int]]:
 def bin_slopes(x: np.ndarray, y: np.ndarray, binsize: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Trend slope of every bin, plus the bin index ranges.
 
-    Fully vectorized: per-bin means and cross-products are computed with
-    ``np.add.reduceat``-style segment sums instead of a Python loop per bin.
+    Works along the last axis: ``x``/``y`` are one profile, or a C-contiguous
+    ``(rows, n)`` matrix of equal-length profiles whose rows come out
+    bit-identical to their 1-D calls (a row's ``mean``/``cumsum`` groups its
+    additions by the row length alone).  Per-bin means and cross-products
+    come from prefix sums instead of a Python loop per bin.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.size
-    edges = bin_edges(n, binsize)
+    edges = bin_edges(x.shape[-1], binsize)
     if not edges:
-        return np.empty(0, dtype=float), edges
+        return np.empty(x.shape[:-1] + (0,), dtype=float), edges
     # Center globally before the cumulative sums: slopes are invariant to
     # shifts of either axis, and the prefix-sum formulation suffers
     # catastrophic cancellation when |values| >> per-bin spread.
-    x = x - x.mean()
-    y = y - y.mean()
+    x = x - x.mean(axis=-1, keepdims=True)
+    y = y - y.mean(axis=-1, keepdims=True)
     starts = np.array([e[0] for e in edges])
     stops = np.array([e[1] for e in edges])
     counts = (stops - starts).astype(float)
 
-    cx = np.concatenate([[0.0], np.cumsum(x)])
-    cy = np.concatenate([[0.0], np.cumsum(y)])
-    cxx = np.concatenate([[0.0], np.cumsum(x * x)])
-    cxy = np.concatenate([[0.0], np.cumsum(x * y)])
-
-    sx = cx[stops] - cx[starts]
-    sy = cy[stops] - cy[starts]
-    sxx = cxx[stops] - cxx[starts]
-    sxy = cxy[stops] - cxy[starts]
-
+    prefix = np.zeros((4,) + x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum([x, y, x * x, x * y], axis=-1, out=prefix[..., 1:])
+    sx, sy, sxx, sxy = prefix[..., stops] - prefix[..., starts]
     denom = sxx - sx * sx / counts
     numer = sxy - sx * sy / counts
-    slopes = np.zeros(len(edges), dtype=float)
+    slopes = np.zeros(denom.shape, dtype=float)
     ok = denom > 1e-12
     slopes[ok] = numer[ok] / denom[ok]
     return slopes, edges
@@ -114,44 +109,37 @@ def bin_fit_residual(x: np.ndarray, y: np.ndarray, binsize: int) -> float:
     return total / max(count, 1)
 
 
-def bin_fit_residual_given(
+def bin_fit_residual_rows(
     x: np.ndarray,
     y: np.ndarray,
     slopes: np.ndarray,
     edges: list[tuple[int, int]],
-) -> float:
-    """``bin_fit_residual`` reusing slopes/edges the caller already computed.
+) -> np.ndarray:
+    """:func:`bin_fit_residual` of every row of ``(rows, n)`` matrices at once.
 
-    Bit-identical to the reference loop: all bins except possibly the last
-    share one length, so their points gather into a contiguous (bins, L)
-    matrix whose row-wise ``mean``/``sum`` reductions are NumPy's same
-    pairwise sums as the per-bin calls; the odd-sized final bin falls back
-    to the scalar path, and per-bin totals accumulate in bin order.
+    ``slopes``/``edges`` are what :func:`bin_slopes` returned for the same
+    matrices.  Bit-identical to the per-profile loop: the bins of one width
+    (all of them, except possibly a narrower last one) gather into a
+    C-contiguous ``(rows, bins, width)`` block whose last-axis ``mean``/
+    ``sum`` are the same pairwise sums as the per-bin calls, and per-bin
+    totals accumulate in bin order.
     """
+    total = np.zeros(x.shape[0])
     if not edges:
-        return 0.0
-    n_bins = len(edges)
-    length = edges[0][1] - edges[0][0]
-    full = n_bins if edges[-1][1] - edges[-1][0] == length else n_bins - 1
-    total = 0.0
-    count = 0
-    if full:
-        starts = np.array([e[0] for e in edges[:full]])
-        idx = starts[:, None] + np.arange(length)
-        xs = x[idx]
-        ys = y[idx]
-        s = slopes[:full]
-        intercepts = ys.mean(axis=1) - s * xs.mean(axis=1)
-        per_bin = np.abs(ys - (intercepts[:, None] + s[:, None] * xs)).sum(axis=1)
-        for v in per_bin.tolist():
-            total += v
-        count += full * length
-    if full < n_bins:
-        start, stop = edges[-1]
-        xs1 = x[start:stop]
-        ys1 = y[start:stop]
-        slope = slopes[-1]
-        intercept = ys1.mean() - slope * xs1.mean()
-        total += float(np.abs(ys1 - (intercept + slope * xs1)).sum())
-        count += stop - start
-    return total / max(count, 1)
+        return total
+    width = edges[0][1] - edges[0][0]
+    full = len(edges) if edges[-1][1] - edges[-1][0] == width else len(edges) - 1
+    for lo, hi in ((0, full), (full, len(edges))):
+        if lo == hi:
+            continue
+        idx = np.array([e[0] for e in edges[lo:hi]])[:, None] + np.arange(
+            edges[lo][1] - edges[lo][0]
+        )
+        xs = np.take(x, idx, axis=1)
+        ys = np.take(y, idx, axis=1)
+        s = slopes[:, lo:hi]
+        intercepts = ys.mean(axis=2) - s * xs.mean(axis=2)
+        per_bin = np.abs(ys - (intercepts[..., None] + s[..., None] * xs)).sum(axis=2)
+        for column in per_bin.T:
+            total += column
+    return total / sum(stop - start for start, stop in edges)

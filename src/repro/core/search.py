@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.bins import DEFAULT_SLOPE_THRESHOLD, DEFAULT_WEIGHT, dynamic_bin_size
-from repro.core.regression import bin_edges, bin_slopes
+from repro.core.regression import bin_slopes
 
 DOWN, FLAT, UP = -1, 0, 1
 
@@ -155,6 +155,19 @@ def _finalize(state: _MachineState, last_bin: int) -> list[PulseSpan]:
     return state.pulses
 
 
+def _bin_trend_slopes(dms, snrs, params: SearchParams, binsize: int | None):
+    """Check DM-sorted profile(s) along the last axis and fit their bin trends."""
+    dms = np.asarray(dms, dtype=float)
+    snrs = np.asarray(snrs, dtype=float)
+    if dms.shape != snrs.shape:
+        raise ValueError("dms and snrs must have equal length")
+    if np.any(np.diff(dms, axis=-1) < 0):
+        raise ValueError("dms must be sorted ascending (sort the cluster by DM first)")
+    if binsize is None:
+        binsize = dynamic_bin_size(dms.shape[-1], params.weight)
+    return bin_slopes(dms, snrs, binsize)
+
+
 def find_single_pulses(
     dms: np.ndarray,
     snrs: np.ndarray,
@@ -166,27 +179,41 @@ def find_single_pulses(
     Returns the pulse spans (bin units) and the bin index ranges, so callers
     can map spans back to SPE indices.
     """
-    dms = np.asarray(dms, dtype=float)
-    snrs = np.asarray(snrs, dtype=float)
-    if dms.size != snrs.size:
-        raise ValueError("dms and snrs must have equal length")
-    n = dms.size
-    if n < 2:
-        return [], []
-    if np.any(np.diff(dms) < 0):
-        raise ValueError("dms must be sorted ascending (sort the cluster by DM first)")
-    if binsize is None:
-        binsize = dynamic_bin_size(n, params.weight)
-    slopes, edges = bin_slopes(dms, snrs, binsize)
-    if len(edges) == 0:
-        return [], []
+    slopes, edges = _bin_trend_slopes(dms, snrs, params, binsize)
+    trends = [classify_trend(float(slope), params.slope_threshold) for slope in slopes]
+    return _spans_of_trends(trends), edges
+
+
+def _spans_of_trends(trends: list[int]) -> list[PulseSpan]:
+    """Run the state machine over one profile's classified bin trends."""
     state = _MachineState()
     prev_trend = FLAT  # b_{n-1} initialized to 0
-    for bin_idx, slope in enumerate(slopes):
-        cur = classify_trend(float(slope), params.slope_threshold)
+    for bin_idx, cur in enumerate(trends):
         _step(state, prev_trend, cur, bin_idx)
         prev_trend = cur
-    return _finalize(state, last_bin=len(edges) - 1), edges
+    return _finalize(state, last_bin=len(trends) - 1)
+
+
+def find_single_pulses_rows(
+    dms: np.ndarray,
+    snrs: np.ndarray,
+    params: SearchParams = SearchParams(),
+    binsize: int | None = None,
+) -> tuple[list[list[PulseSpan]], list[tuple[int, int]]]:
+    """:func:`find_single_pulses` on every row of ``(rows, n)`` matrices.
+
+    One :func:`bin_slopes` call and one vectorised trend classification
+    serve all rows; the state machine runs only on rows with a non-flat
+    trend (an all-flat profile never opens a candidate).  Returns each
+    row's spans and the bin ranges the equal-length rows share.
+    """
+    slopes, edges = _bin_trend_slopes(dms, snrs, params, binsize)
+    m = params.slope_threshold
+    trends = (slopes > m).astype(np.int8) - (slopes < -m)
+    spans: list[list[PulseSpan]] = [[] for _ in range(len(slopes))]
+    for row in np.nonzero(trends.any(axis=1))[0].tolist():
+        spans[row] = _spans_of_trends(trends[row].tolist())
+    return spans, edges
 
 
 def find_single_pulses_recursive(
@@ -203,20 +230,7 @@ def find_single_pulses_recursive(
     per-call scalar refit would agree only up to floating-point noise);
     the equivalence is enforced by a property test.
     """
-    dms = np.asarray(dms, dtype=float)
-    snrs = np.asarray(snrs, dtype=float)
-    if dms.size != snrs.size:
-        raise ValueError("dms and snrs must have equal length")
-    n = dms.size
-    if n < 2:
-        return [], []
-    if np.any(np.diff(dms) < 0):
-        raise ValueError("dms must be sorted ascending (sort the cluster by DM first)")
-    if binsize is None:
-        binsize = dynamic_bin_size(n, params.weight)
-    slopes, edges = bin_slopes(dms, snrs, binsize)
-    if not edges:
-        return [], []
+    slopes, edges = _bin_trend_slopes(dms, snrs, params, binsize)
     state = _MachineState()
 
     needed = len(edges) + 16

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.astro import GBT350DRIFT
 from repro.astro.dispersion import (
     DEFAULT_BANDS,
     DMGrid,
@@ -85,6 +86,24 @@ class TestDMGrid:
         coarse = DMGrid(max_dm=100.0, coarsen=10.0)
         assert coarse.spacing_at(10.0) == pytest.approx(10.0 * fine.spacing_at(10.0))
         assert coarse.trial_dms().size < fine.trial_dms().size
+
+    @pytest.mark.parametrize("grid", [
+        GBT350DRIFT.dm_grid(coarsen=10),
+        DMGrid(max_dm=2000.0),
+        # A ladder that starts above zero and has a gap between bands.
+        DMGrid(max_dm=100.0, bands=((5.0, 10.0, 0.1), (20.0, 50.0, 0.5))),
+    ])
+    def test_spacing_at_agrees_with_spacing_of(self, grid):
+        """At every band edge, below the first start, at/after the last stop."""
+        first, last = grid.bands[0], grid.bands[-1]
+        dms = [first[0] - 1.0, np.nextafter(first[0], -np.inf), last[1],
+               last[1] + 1.0, np.inf]
+        for start, stop, _step in grid.bands:
+            dms += [start, np.nextafter(start, np.inf), np.nextafter(stop, -np.inf), stop]
+        scalar = [grid.spacing_at(dm) for dm in dms]
+        assert scalar == grid.spacing_of(np.array(dms)).tolist()
+        assert scalar[0] == scalar[1] == first[2] * grid.coarsen
+        assert scalar[2] == scalar[3] == scalar[4] == last[2] * grid.coarsen
 
     def test_trials_near_window(self):
         grid = DMGrid(max_dm=300.0, coarsen=10.0)
