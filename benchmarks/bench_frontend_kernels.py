@@ -12,7 +12,7 @@ Times the three front-end stages the ISSUE targets, at several
 - kernel methods — direct/subband/tree × numpy/numba curves on large fine
   DM grids (``KernelConfig`` dispatch), with in-bench equivalence checks
   (direct ≡ naive reference; tree within its shift-tolerance law);
-- DBSCAN — dict-of-cells neighbour probes vs the lexsorted cell index.
+- DBSCAN — the dict-of-cells sweep vs the columnar pair passes.
 
 Writes ``BENCH_frontend_kernels.json`` at the repo root (the perf
 trajectory baseline) and a table under ``benchmarks/results/``.
@@ -279,7 +279,7 @@ def run_all() -> dict:
             for r in methods for c in r["curves"]
         ]
         + [
-            ["dbscan", f'{dbscan["n_points"]} pts', dbscan["naive_s"],
+            ["dbscan (columnar vs sweep)", f'{dbscan["n_points"]} pts', dbscan["naive_s"],
              dbscan["vectorized_s"], f'{dbscan["speedup"]}x']
         ],
     )

@@ -9,7 +9,7 @@ phases 1–3), and runs everything:
    (:func:`repro.astro.kernels.dedisperse_batch` via ``dedisperse_all``),
 3. O(n) cumulative-sum boxcar single pulse search (the PRESTO analogue)
    → SPE list,
-4. customized DBSCAN clustering (grid-indexed neighbour search),
+4. customized DBSCAN clustering (columnar pair passes, no sweep),
 5. Algorithm 1 peak search + 22-feature extraction.
 
 Run:  python examples/from_voltages.py

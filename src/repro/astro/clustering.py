@@ -13,17 +13,18 @@ radio-astronomy customizations:
    chunked in time, or dropouts at specific trial DMs).  A post-pass merges
    clusters that are adjacent in time and overlap in DM extent.
 
-Neighbour search uses a **lexsorted cell index**: points are sorted by their
-grid cell (``np.lexsort`` over (cx, cy)), so each 3×3 cell block reduces to
-three contiguous slices found by binary search, and the distance filter is
-one vectorized pass — O(n · k) overall, with none of the per-point dict
-probes of the seed implementation (retained as :func:`_reference_dbscan`
-for equivalence tests).
+DBSCAN's labels are a function of the data alone, so no sweep computes them:
+points are sorted by grid cell, every unordered close pair is enumerated once
+in fixed-size blocks (:data:`_PAIR_CANDIDATES`), one pass counts neighbours
+(core points), a second unions core–core pairs by root hooking, and border
+points take the lowest cluster id among their core neighbours.  Memory is
+O(n + block).  The textbook sweep is retained as :func:`_reference_dbscan`,
+the oracle the labels are tested bit-identical against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,43 +83,79 @@ class Cluster:
         )
 
 
-class _CellGrid:
-    """Lexsorted uniform-grid index with cell size 1 (the scaled eps).
+#: Candidate pairs tested per block of the pair passes.  It bounds every
+#: temporary, so memory is O(n + block) however dense the input.  A pipeline
+#: is at its RSS high-water when clustering runs, so transients add to the
+#: peak: this is the largest budget that left it flat (1 << 17 added 7%, and
+#: larger blocks were no faster; EXPERIMENTS.md, "DBSCAN: where the time went").
+_PAIR_CANDIDATES = 1 << 15
 
-    Cells are encoded as a single monotone integer key; after lexsorting,
-    every cell is a contiguous slice of the point order, and the three cells
-    ``(cx+dx, cy-1..cy+1)`` of a 3×3 block share one contiguous key range —
-    so a neighbour query is three binary searches plus one vectorized
-    distance filter.
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise ValueError(
+            f"{name} has {bad.size} non-finite value(s); first at index {bad[0]}"
+        )
+
+
+def _cell_ranks(v: np.ndarray) -> np.ndarray:
+    """Unit-cell index of each coordinate, rank-compressed.
+
+    Adjacent occupied cells keep ranks one apart and any wider gap becomes
+    two, so a rank never exceeds 2n and the combined cell key cannot
+    overflow, however far apart the points lie.
     """
+    occupied, inverse = np.unique(np.floor(v), return_inverse=True)
+    step = np.where(occupied[1:] == occupied[:-1] + 1.0, 1, 2)
+    return np.concatenate([[0], np.cumsum(step)])[inverse]
 
-    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        self.x = x
-        self.y = y
-        self.cx = np.floor(x).astype(np.int64)
-        self.cy = np.floor(y).astype(np.int64)
-        self._cx0 = int(self.cx.min())
-        self._cy0 = int(self.cy.min())
-        # +3 keeps (cx, cy±1) lexicographic even at the cy range edges.
-        self._ny = int(self.cy.max()) - self._cy0 + 3
-        key = (self.cx - self._cx0) * self._ny + (self.cy - self._cy0)
-        self.order = np.lexsort((self.cy, self.cx))
-        self.sorted_keys = key[self.order]
 
-    def neighbours(self, i: int) -> np.ndarray:
-        """Indices of all points within unit distance of point ``i``."""
-        kx = (self.cx[i] - self._cx0) * self._ny
-        ky = self.cy[i] - self._cy0
-        chunks = []
-        for dx in (-1, 0, 1):
-            base = kx + dx * self._ny + ky
-            lo = np.searchsorted(self.sorted_keys, base - 1, side="left")
-            hi = np.searchsorted(self.sorted_keys, base + 1, side="right")
-            if hi > lo:
-                chunks.append(self.order[lo:hi])
-        cand = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        d2 = (self.x[cand] - self.x[i]) ** 2 + (self.y[cand] - self.y[i]) ** 2
-        return cand[d2 <= 1.0]
+def _close_pairs(xs, ys, src, first, length):
+    """Yield ``(a, b)``, the pairs within unit distance, one block at a time.
+
+    Segment ``s`` offers point ``src[s]`` the candidates at positions
+    ``first[s] .. first[s] + length[s]``.  The candidate lists are walked as
+    one flat range cut every :data:`_PAIR_CANDIDATES`, so a block's
+    temporaries are all that is ever held.
+    """
+    ends = np.cumsum(length)
+    total = int(ends[-1])
+    for lo in range(0, total, _PAIR_CANDIDATES):
+        hi = min(lo + _PAIR_CANDIDATES, total)
+        s0 = np.searchsorted(ends, lo, side="right")
+        s1 = np.searchsorted(ends, hi - 1, side="right") + 1
+        seg_start = ends[s0:s1] - length[s0:s1]
+        taken = np.minimum(ends[s0:s1], hi) - np.maximum(seg_start, lo)
+        a = np.repeat(src[s0:s1], taken)
+        b = np.arange(lo, hi) + np.repeat(first[s0:s1] - seg_start, taken)
+        close = (xs[b] - xs[a]) ** 2 + (ys[b] - ys[a]) ** 2 <= 1.0
+        yield a[close], b[close]
+
+
+def _roots(comp: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Roots of ``idx`` in the forest ``comp``; the paths are written back."""
+    root = comp[idx]
+    while True:
+        up = comp[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    comp[idx] = root
+    return root
+
+
+def _hook(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Union the pairs ``(a, b)``: larger root under smaller until none differ.
+
+    A root is therefore always the lowest index of its component.
+    """
+    while a.size:
+        ra, rb = _roots(comp, a), _roots(comp, b)
+        differ = ra != rb
+        a, b = np.maximum(ra, rb)[differ], np.minimum(ra, rb)[differ]
+        np.minimum.at(comp, a, b)
 
 
 @dataclass
@@ -142,7 +179,16 @@ class SinglePulseDBSCAN:
     eps_dm_steps: float = 4.0
     min_samples: int = 4
     merge_gap_s: float = 0.25
-    _grid: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.eps_time_s > 0:
+            raise ValueError(f"eps_time_s must be positive, got {self.eps_time_s}")
+        if not self.eps_dm_steps > 0:
+            raise ValueError(f"eps_dm_steps must be positive, got {self.eps_dm_steps}")
+        if self.min_samples < 1:
+            raise ValueError(f"min_samples must be at least 1, got {self.min_samples}")
+        if not self.merge_gap_s >= 0:
+            raise ValueError(f"merge_gap_s must be non-negative, got {self.merge_gap_s}")
 
     def fit(
         self, times: np.ndarray, dms: np.ndarray, snrs: np.ndarray, dm_steps: np.ndarray
@@ -162,10 +208,16 @@ class SinglePulseDBSCAN:
             raise ValueError("times, dms, snrs, dm_steps must have equal length")
         if n == 0:
             return np.empty(0, dtype=int), []
-
-        # Scale both axes to unit neighbourhood radius.
-        x = times / self.eps_time_s
-        y = dm_steps / self.eps_dm_steps
+        # Scale both axes to unit neighbourhood radius; a finite coordinate
+        # over a tiny eps can still overflow, so the scaled ones are checked too.
+        with np.errstate(over="ignore"):
+            x = times / self.eps_time_s
+            y = dm_steps / self.eps_dm_steps
+        for name, column in (
+            ("times", times), ("dms", dms), ("snrs", snrs), ("dm_steps", dm_steps),
+            ("times / eps_time_s", x), ("dm_steps / eps_dm_steps", y),
+        ):
+            _require_finite(name, column)
         labels = self._dbscan(x, y)
         labels = self._merge_artifact_clusters(labels, times, dms)
         clusters = self._summarize(labels, times, dms, snrs)
@@ -183,7 +235,7 @@ class SinglePulseDBSCAN:
 
     # -- DBSCAN core ---------------------------------------------------------
     def _expand(self, neighbours, n: int) -> np.ndarray:
-        """The classic DBSCAN sweep, given any neighbour oracle."""
+        """The classic DBSCAN sweep; only :meth:`_reference_dbscan` runs it."""
         labels = np.full(n, NOISE, dtype=int)
         visited = np.zeros(n, dtype=bool)
         cluster_id = 0
@@ -211,13 +263,63 @@ class SinglePulseDBSCAN:
         return labels
 
     def _dbscan(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if x.size == 0:
+        """The sweep's labels without the sweep.
+
+        Clusters are the components of the core–core graph, numbered by
+        their lowest core index (the order the sweep opens them in); a
+        non-core point takes the lowest id among its core neighbours (the
+        first cluster to reach it); everything else is noise.
+        """
+        n = x.size
+        if n == 0:
             return np.empty(0, dtype=int)
-        grid = _CellGrid(x, y)
-        return self._expand(grid.neighbours, x.size)
+        ry = _cell_ranks(y)
+        # +3 keeps (cx, cy±1) one contiguous key range even at the cy edges.
+        ny = int(ry.max()) + 3
+        key = _cell_ranks(x) * ny + ry
+        order = np.argsort(key, kind="stable")
+        key, xs, ys = key[order], x[order], y[order]
+
+        # Each unordered pair once: point p meets the rest of its own
+        # column's three cells (positions after p) and all three of the next.
+        pos = np.arange(n)
+        own_hi = np.searchsorted(key, key + 1, side="right")
+        next_lo = np.searchsorted(key, key + (ny - 1), side="left")
+        next_hi = np.searchsorted(key, key + (ny + 1), side="right")
+        src = np.repeat(pos, 2)
+        first = np.column_stack([pos + 1, next_lo]).ravel()
+        length = np.column_stack([own_hi - pos - 1, next_hi - next_lo]).ravel()
+
+        count = np.ones(n, dtype=np.intp)  # a point neighbours itself
+        for a, b in _close_pairs(xs, ys, src, first, length):
+            np.add.at(count, a, 1)
+            np.add.at(count, b, 1)
+        core = count >= self.min_samples
+
+        comp = np.arange(n)  # over original indices, so roots order clusters
+        for a, b in _close_pairs(xs, ys, src, first, length):
+            both = core[a] & core[b]
+            _hook(comp, order[a[both]], order[b[both]])
+        opened, cluster = np.unique(_roots(comp, order[core]), return_inverse=True)
+        lab = np.full(n, opened.size)
+        lab[core] = cluster
+
+        border = np.flatnonzero(~core)
+        if border.size and opened.size:
+            cols = key[border][:, None] + np.array([-ny, 0, ny])
+            first = np.searchsorted(key, (cols - 1).ravel(), side="left")
+            last = np.searchsorted(key, (cols + 1).ravel(), side="right")
+            for a, b in _close_pairs(xs, ys, np.repeat(border, 3), first, last - first):
+                reach = core[b]
+                np.minimum.at(lab, a[reach], lab[b[reach]])
+        lab[lab == opened.size] = NOISE
+        labels = np.empty(n, dtype=int)
+        labels[order] = lab
+        return labels
 
     def _reference_dbscan(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The seed's dict-of-cells neighbour search, retained for tests."""
+        """The seed's dict-of-cells sweep, the oracle :meth:`_dbscan` is
+        tested against."""
         n = x.size
         cells: dict[tuple[int, int], list[int]] = {}
         cx = np.floor(x).astype(int)

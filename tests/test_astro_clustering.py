@@ -1,5 +1,7 @@
 """Unit tests for the customized DBSCAN clustering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,52 @@ class TestDBSCANCore:
         d = np.concatenate([rng.normal(20.0, 0.5, 20) for _ in range(4)])
         _labels, clusters = run_dbscan(t, d)
         assert [c.cluster_id for c in clusters] == list(range(len(clusters)))
+
+
+class TestHostileInput:
+    """Coordinates and parameters the clusterer must refuse, not absorb."""
+
+    @pytest.mark.parametrize("column", ["times", "dms", "snrs", "dm_steps"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_is_named(self, column, bad):
+        """Was: a NaN time labelled noise under RuntimeWarnings, an infinite
+        ``dm_steps`` a bare OverflowError."""
+        cols = {c: np.arange(6.0) for c in ("times", "dms", "snrs", "dm_steps")}
+        cols[column][[2, 4]] = bad
+        with pytest.raises(ValueError) as err:
+            SinglePulseDBSCAN().fit(**cols)
+        assert str(err.value) == (
+            f"{column} has 2 non-finite value(s); first at index 2"
+        )
+
+    def test_scaled_coordinate_overflow_is_named(self):
+        with pytest.raises(ValueError, match=r"times / eps_time_s has 1 non-finite"):
+            run_dbscan([0.0, 1e300], [1.0, 1.0], eps_time_s=1e-300)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eps_time_s": 0.0}, {"eps_time_s": -1.0}, {"eps_time_s": float("nan")},
+        {"eps_dm_steps": 0.0}, {"eps_dm_steps": -4.0},
+        {"min_samples": 0}, {"merge_gap_s": -0.1},
+    ])
+    def test_parameters_out_of_range_rejected(self, kwargs):
+        """Was: eps 0 divided by zero into all-noise; eps -1 and
+        min_samples 0 put everything in one cluster."""
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            SinglePulseDBSCAN(**kwargs)
+
+    def test_far_apart_outliers_are_noise_without_overflow(self):
+        """Two points 1e15 apart on both axes: the cell key must not wrap."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, clusters = run_dbscan(
+                [0.0, 1e15], [1.0, 2.0], steps=[0.0, 1e15], min_samples=2
+            )
+            assert labels.tolist() == [NOISE, NOISE] and clusters == []
+            # ... and a tight clump a long way from another is still found.
+            t = np.concatenate([np.linspace(0.0, 0.05, 8), 1e15 + np.zeros(8)])
+            labels, clusters = run_dbscan(t, np.ones(16), steps=np.round(t))
+        assert labels.tolist() == [0] * 8 + [1] * 8
 
 
 class TestArtifactMerging:

@@ -1,19 +1,27 @@
 """Kernel-layer equivalence: vectorized front end vs retained references.
 
 Property tests (hypothesis) assert that the batch/subband dedispersion,
-O(n) boxcar search, and grid-indexed DBSCAN kernels agree with the naive
+O(n) boxcar search, and columnar DBSCAN kernels agree with the naive
 ``_reference_*`` implementations they replaced — bit-for-bit where the
 kernels are exact, tolerance-bounded where they trade exactness for reuse
 (subband).  A golden end-to-end test checks an injected pulse is recovered
 at its true DM/time/width by the vectorized search.
 """
 
+import math
+import subprocess
+import sys
+import tracemalloc
+from collections import Counter
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.astro.clustering import Cluster, SinglePulseDBSCAN
+from repro.astro import GBT350DRIFT, clustering, generate_observation
+from repro.astro.clustering import NOISE, Cluster, SinglePulseDBSCAN
 from repro.astro.dispersion import DMGrid, smearing_snr_factor, smearing_snr_factors
 from repro.astro.filterbank import (
     InjectedPulse,
@@ -40,6 +48,8 @@ from repro.astro.kernels import (
     single_pulse_block_search,
     tree_shift_bound,
 )
+from repro.astro.population import b1853_like
+from repro.astro.survey import default_clusterer
 
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -409,9 +419,9 @@ class TestGridDBSCAN:
         seed=st.integers(0, 2**31),
     )
     def test_grid_labels_equal_reference_labels(self, n, n_blobs, spread, seed):
-        """The lexsorted cell index yields *identical* labels to the dict
-        version: neighbour sets are equal, and the expansion order is fixed
-        by the outer loop, not the neighbour enumeration order."""
+        """The pair passes yield *identical* labels to the dict-of-cells
+        sweep: neighbour sets are equal, and the sweep's expansion order is
+        fixed by the outer loop, not the neighbour enumeration order."""
         rng = np.random.default_rng(seed)
         centers = rng.uniform(-40.0, 40.0, size=(n_blobs, 2))
         pts = centers[rng.integers(0, n_blobs, size=n)]
@@ -436,6 +446,232 @@ class TestGridDBSCAN:
         vec = smearing_snr_factors(np.array(deltas), width_ms, 350.0, 100.0)
         ref = [smearing_snr_factor(d, width_ms, 350.0, 100.0) for d in deltas]
         np.testing.assert_allclose(vec, ref, rtol=1e-12)
+
+
+#: Block budgets that put every pair in its own block, split cells across
+#: blocks, are the shipped constant, and hold everything in one block.
+BUDGETS = st.sampled_from([1, 7, clustering._PAIR_CANDIDATES, 10**12])
+MIN_SAMPLES = st.sampled_from([1, 2, 3, 4, 7])
+
+
+def same_labels(x, y, min_samples=4, budget=clustering._PAIR_CANDIDATES):
+    """``_dbscan`` labels, asserted equal to the sweep's."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    db = SinglePulseDBSCAN(min_samples=min_samples)
+    with mock.patch.object(clustering, "_PAIR_CANDIDATES", budget):
+        got = db._dbscan(x, y)
+    assert np.array_equal(got, db._reference_dbscan(x, y))
+    return got
+
+
+def clumps(n: int, sigma: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 400.0, size=(60, 2))
+    pts = centers[rng.integers(0, 60, n)] + rng.normal(0.0, sigma, size=(n, 2))
+    return pts[:, 0].copy(), pts[:, 1].copy()
+
+
+def survey_observation(obs_length_s: float = 120.0):
+    """About 5,000 SPEs at the default length: a pulsar, noise, RFI, mimics."""
+    return generate_observation(
+        GBT350DRIFT, [b1853_like()], seed=21, n_noise_clusters=200,
+        n_rfi_bursts=12, n_pulse_mimics=30, obs_length_s=obs_length_s,
+    )
+
+
+def scaled(obs):
+    db = default_clusterer(obs.grid)
+    batch = obs.spe_batch
+    steps = batch.dm / obs.grid.spacing_of(batch.dm)
+    return db, batch, steps
+
+
+class TestColumnarDBSCAN:
+    """``_dbscan`` ≡ ``_reference_dbscan``, label for label, where the sweep's
+    order could show: ties at distance exactly 1, cell edges, shared border
+    points, and every way the pair blocks can be cut."""
+
+    @SETTINGS
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=150
+        ),
+        pitch=st.sampled_from([1.0, 0.5]),
+        min_samples=MIN_SAMPLES,
+        budget=BUDGETS,
+    )
+    def test_lattices(self, cells, pitch, min_samples, budget):
+        """Integer and half-integer lattices: neighbours at distance exactly
+        1, points on cell edges, negative coordinates, repeated points."""
+        pts = np.array(cells, dtype=float).reshape(-1, 2) * pitch
+        same_labels(pts[:, 0], pts[:, 1], min_samples, budget)
+
+    @SETTINGS
+    @given(
+        n=st.integers(1, 60),
+        copies=st.integers(1, 6),
+        spread=st.floats(0.3, 4.0),
+        seed=st.integers(0, 2**31),
+        min_samples=MIN_SAMPLES,
+        budget=BUDGETS,
+    )
+    def test_duplicated_points(self, n, copies, spread, seed, min_samples, budget):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, spread, size=(n, 2))
+        pts = rng.permutation(np.tile(pts, (copies, 1)))
+        same_labels(pts[:, 0], pts[:, 1], min_samples, budget)
+
+    @SETTINGS
+    @given(
+        xs=st.lists(st.integers(-400, 400), max_size=150),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**31),
+        min_samples=MIN_SAMPLES,
+        budget=BUDGETS,
+    )
+    def test_thin_strips(self, xs, rows, seed, min_samples, budget):
+        """One to three cell rows, hundreds of columns: every candidate
+        range is short and most of the column +1 ranges are empty."""
+        rng = np.random.default_rng(seed)
+        x = np.array(xs, dtype=float) / 4.0
+        same_labels(x, rng.integers(0, rows, x.size) * 0.75, min_samples, budget)
+
+    @pytest.mark.parametrize("budget", [1, 7, 10**12])
+    @pytest.mark.parametrize("right_first", [False, True])
+    def test_shared_border_point_takes_the_lower_id(self, right_first, budget):
+        """A non-core point within reach of two clusters' core points joins
+        whichever the sweep opened first: the one with the lowest core index."""
+        left, right = [-1.0, -1.5, -2.0, -2.5], [1.0, 1.5, 2.0, 2.5]
+        x = np.array((right + left if right_first else left + right) + [0.0])
+        labels = same_labels(x, np.zeros(x.size), 4, budget)
+        assert labels[:4].tolist() == [0] * 4 and labels[4:8].tolist() == [1] * 4
+        assert labels[8] == 0
+        # The same point listed first is visited first and still joins it.
+        labels = same_labels(np.roll(x, 1), np.zeros(x.size), 4, budget)
+        assert labels[0] == 0
+
+    def test_non_core_neighbours_do_not_recruit(self):
+        """A border point is not a core point: what only it reaches is noise."""
+        x = np.array([0.0, 0.25, 0.5, 0.75, 1.6, 2.5])
+        labels = same_labels(x, np.zeros(x.size), 4)
+        assert labels.tolist() == [0, 0, 0, 0, 0, NOISE]
+
+    @pytest.mark.parametrize("min_samples", [1, 2, 3, 4, 7])
+    def test_degenerate_inputs(self, min_samples):
+        lone = same_labels([3.5], [-2.0], min_samples)
+        assert lone.tolist() == ([0] if min_samples == 1 else [NOISE])
+        far = np.arange(40.0) * 1.5
+        scattered = same_labels(far, -far, min_samples)
+        assert (scattered == NOISE).all() or min_samples == 1
+        side = np.arange(15) * 0.5
+        gx, gy = np.meshgrid(side, side)
+        giant = same_labels(gx.ravel(), gy.ravel(), min_samples)
+        assert (giant == 0).all()
+
+    @pytest.mark.parametrize("budget", [1, 7, 10**12])
+    def test_fit_on_a_generated_observation(self, budget):
+        """Through ``fit``: merged labels and summarised clusters equal what
+        the sweep's labels give, and the block budget changes neither."""
+        obs = survey_observation(obs_length_s=15.0)
+        db, batch, steps = scaled(obs)
+        with mock.patch.object(clustering, "_PAIR_CANDIDATES", budget):
+            labels, clusters = db.fit_batch(batch, steps)
+        swept = db._reference_dbscan(
+            batch.time_s / db.eps_time_s, steps / db.eps_dm_steps
+        )
+        swept = db._merge_artifact_clusters(swept, batch.time_s, batch.dm)
+        assert np.array_equal(labels, swept)
+        assert clusters == db._summarize(swept, batch.time_s, batch.dm, batch.snr)
+        assert len(clusters) > 20 and (labels == NOISE).any()
+
+
+class TestColumnarDBSCANGuards:
+    """What the benchmark would catch late, caught without a clock."""
+
+    def test_memory_is_bounded_by_the_block_not_the_pairs(self, monkeypatch):
+        x, y = clumps(200_000, 2.0, seed=7)
+        db = SinglePulseDBSCAN()
+        close_pairs, n_pairs = clustering._close_pairs, 0
+
+        def counted(*args):
+            nonlocal n_pairs
+            for a, b in close_pairs(*args):
+                n_pairs += a.size
+                yield a, b
+
+        monkeypatch.setattr(clustering, "_close_pairs", counted)
+        tracemalloc.start()
+        try:
+            labels = db._dbscan(x, y)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cap = 64 * 2**20
+        assert peak < cap, f"peak {peak / 2**20:.1f} MB"
+        # Both passes saw every close pair once; kept as two int64 columns
+        # they alone would be several times the cap.
+        assert (n_pairs // 2) * 16 > 4 * cap
+        assert labels.max() + 1 >= 60
+        same_labels(x[::40], y[::40])
+
+    def test_clustering_does_not_import_scipy(self):
+        """scipy.sparse.csgraph costs +35 MB RSS and 0.26 s to import: either
+        would fail the benchmark's ``peak_rss_mb`` or ``setup_s`` bound."""
+        code = (
+            "import sys, numpy as np, repro.astro.clustering as c\n"
+            "t = np.arange(50.0) / 100\n"
+            "labels, clusters = c.SinglePulseDBSCAN().fit(t, t, t, t)\n"
+            "assert len(clusters) == 1\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_pair_blocks_are_bounded_and_no_sweep_runs(self, monkeypatch):
+        """Two passes over ⌈candidates / budget⌉ blocks and the border
+        query: a per-point or per-cell call anywhere breaks the bound."""
+        obs = survey_observation()
+        db, batch, steps = scaled(obs)
+        assert 4500 < len(batch) < 6000
+        budget = 1 << 8
+        close_pairs, blocks = clustering._close_pairs, []
+
+        def counted(*args):
+            n = 0
+            for pair in close_pairs(*args):
+                n += 1
+                yield pair
+            blocks.append(n)
+
+        def no_sweep(*_args):
+            raise AssertionError("fit ran the sweep")
+
+        monkeypatch.setattr(clustering, "_close_pairs", counted)
+        monkeypatch.setattr(clustering, "_PAIR_CANDIDATES", budget)
+        monkeypatch.setattr(SinglePulseDBSCAN, "_expand", no_sweep)
+        labels, _clusters = db.fit_batch(batch, steps)
+        assert np.array_equal(labels, obs.labels)
+
+        # Candidates: unordered pairs of points in the same or touching cells.
+        cx = np.floor(batch.time_s / db.eps_time_s).astype(int)
+        cy = np.floor(steps / db.eps_dm_steps).astype(int)
+        cells = Counter(zip(cx.tolist(), cy.tolist()))
+        candidates = sum(
+            m * (m - 1) // 2
+            + m * sum(
+                cells.get((i + di, j + dj), 0)
+                for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1))
+            )
+            for (i, j), m in cells.items()
+        )
+        per_pass = math.ceil(candidates / budget)
+        assert per_pass > 50
+        assert len(blocks) == 3 and blocks[0] == blocks[1] == per_pass
+        # The border query is a full 3×3, but for the non-core points only.
+        assert (labels == NOISE).any() and blocks[2] <= per_pass
 
 
 class TestClusterPersistence:
