@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
+
+# Every legacy script imports this module first; the scripts that compare
+# against a reference find it in ``tests/oracles`` (``oracles.record_path``).
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 

@@ -1,8 +1,8 @@
 """Columnar data plane benchmark: batch types vs the record-oriented path.
 
 Times the two hot paths the data-plane refactor targets, against the
-retained record-oriented implementations (which are also the equivalence
-references — byte identity is asserted here before timing):
+record-oriented oracle (``tests/oracles/record_path.py`` — byte identity is
+asserted here before timing):
 
 - **ML-file serialize+parse** — ``PulseBatch.to_ml_lines`` /
   ``from_ml_lines`` (column-memoized ``repr`` formatting, one
@@ -32,14 +32,19 @@ from pathlib import Path
 import numpy as np
 
 from _bench_utils import emit, format_table
-from repro.astro import GBT350DRIFT, generate_observation
-from repro.astro.population import b1853_like
-from repro.core.features import extract_pulse_features, extract_segment_features
-from repro.core.rapid import SinglePulse, run_rapid_observation_batch
-from repro.dataplane import PulseBatch
-from repro.io.spe_files import (
+from oracles.record_path import (
+    SinglePulse,
     _reference_build_cluster_file,
     _reference_build_data_file,
+    extract_pulse_features,
+    pulse_records,
+)
+from repro.astro import GBT350DRIFT, generate_observation
+from repro.astro.population import b1853_like
+from repro.core.features import extract_segment_features
+from repro.core.rapid import run_rapid_observation_batch
+from repro.dataplane import PulseBatch
+from repro.io.spe_files import (
     build_cluster_file,
     build_data_file,
     parse_data_file,
@@ -97,7 +102,7 @@ def bench_ml_serialization(n_observations: int) -> dict:
     on the matrix and flag columns directly.
     """
     batch = _drapid_pulse_batch(n_observations)
-    records = batch.to_records()
+    records = pulse_records(batch)
     rows = batch.to_ml_lines()
 
     # Equivalence gates before timing anything.

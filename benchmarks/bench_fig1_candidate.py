@@ -15,7 +15,7 @@ import pytest
 from _bench_utils import emit, format_table
 from repro.astro import GBT350DRIFT, generate_observation
 from repro.astro.population import b1853_like
-from repro.core.rapid import run_rapid_dpg, run_rapid_observation
+from repro.core.rapid import run_rapid_dpg, run_rapid_observation_batch
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +30,12 @@ def test_fig1_candidate_plot_data(benchmark, b1853_observation):
     obs = b1853_observation
 
     def search():
-        return run_rapid_observation(obs), run_rapid_dpg(obs)
+        return run_rapid_observation_batch(obs), run_rapid_dpg(obs)
 
     (result, n_dpg) = benchmark(search)
     n_sp = result.n_pulses
-    positives = [p for p in result.pulses if p.source_name == "B1853+01"]
+    pulses = result.pulse_batch
+    positives = pulses.take(np.nonzero(pulses.source_name == "B1853+01")[0])
 
     # The headline contrast: SP granularity finds orders of magnitude more
     # candidates than DPG granularity (paper: 188 vs 1).
@@ -42,21 +43,18 @@ def test_fig1_candidate_plot_data(benchmark, b1853_observation):
     assert n_sp > 30 * max(n_dpg, 1)
 
     # Emphasize two individual single pulses, as Fig. 1 does.
-    emphasized = sorted(positives, key=lambda p: -p.features.MaxSNR)[:2]
+    emphasized = positives.take(
+        np.argsort(-positives.feature("MaxSNR"), kind="stable")[:2]
+    )
     rows = [
-        [
-            f"single pulse#{i + 1}",
-            p.n_spes,
-            p.features.SNRPeakDM,
-            p.features.MaxSNR,
-            p.features.StartTime,
-            p.features.StopTime,
-        ]
-        for i, p in enumerate(emphasized)
+        [f"single pulse#{i + 1}", *values]
+        for i, values in enumerate(zip(
+            (emphasized.spe_stop - emphasized.spe_start).tolist(),
+            *(emphasized.feature(name).tolist()
+              for name in ("SNRPeakDM", "MaxSNR", "StartTime", "StopTime")),
+        ))
     ]
-    dms = np.array([s.dm for s in obs.spes])
-    snrs = np.array([s.snr for s in obs.spes])
-    times = np.array([s.time_s for s in obs.spes])
+    dms, snrs, times = obs.spe_batch.dm, obs.spe_batch.snr, obs.spe_batch.time_s
     text = (
         f"observation: {len(obs.spes)} SPEs, {len(obs.clusters)} clusters\n"
         f"subplot series: SNR vs DM ({len(dms)} points, DM range "

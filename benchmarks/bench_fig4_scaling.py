@@ -10,8 +10,10 @@ measured), then the measured job is replayed on the discrete-event cluster
 simulator at each executor count, with ``data_scale`` mapping the scaled
 workload's bytes to the paper's 10.2 GB so the 1-executor configuration
 experiences the same memory-pressure regime.  The multithreaded baseline
-really runs every cluster search on a thread pool and replays the measured
-costs on the single-box model.
+really runs D-RAPID's unit of work — one ``search_observation_columns`` per
+observation (``core.multithreaded.observation_search_tasks``), plus the
+parsing of the csv rows it reads — and replays the measured costs on the
+single-box model, so the ratio compares distribution, not implementations.
 
 Expected shape (paper): elapsed time falls steeply to a knee at 5
 executors, then asymptotically; with ≥5 executors D-RAPID finishes in
@@ -29,8 +31,13 @@ from _bench_utils import emit, format_table, scaled
 from repro.astro import PALFA, generate_observation
 from repro.astro.population import Pulsar
 from repro.core.drapid import DRapidDriver
-from repro.core.multithreaded import MultithreadedRapid, ThreadedBoxModel
-from repro.core.rapid import run_rapid_on_cluster
+from repro.core.multithreaded import (
+    MultithreadedRapid,
+    ThreadedBoxModel,
+    observation_search_tasks,
+)
+from repro.core.rapid import run_rapid_observation_batch
+from repro.dataplane import PulseBatch
 from repro.dfs import DataNode, DFSClient
 from repro.io.spe_files import upload_observations
 from repro.sparklet import ClusterConfig, SparkletContext, simulate_job
@@ -124,7 +131,7 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
 
     # --- really run the multithreaded baseline, then model the box ----------
     # The multithreaded RAPID reads the same csv files, so its task set is
-    # per-observation parsing plus per-cluster searching.
+    # per-observation parsing plus per-observation searching.
     def parse_task(rows: list[str]) -> int:
         parsed = 0
         for row in rows:
@@ -134,27 +141,16 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
         return parsed
 
     tasks = []
-    for obs in observations:
-        rows = [s.to_csv_row() for s in obs.spes]
-        tasks.append(functools.partial(parse_task, rows))
-        times = np.array([s.time_s for s in obs.spes])
-        dms = np.array([s.dm for s in obs.spes])
-        snrs = np.array([s.snr for s in obs.spes])
-        for cluster in obs.clusters:
-            if cluster.size < 2:
-                continue
-            idx = np.array(cluster.indices)
-            tasks.append(
-                functools.partial(
-                    run_rapid_on_cluster, times[idx], dms[idx], snrs[idx],
-                    cluster.rank, obs.grid.spacing_at,
-                )
-            )
+    for obs, search in zip(observations, observation_search_tasks(observations)):
+        tasks += [functools.partial(parse_task, obs.spe_batch.to_csv_rows()), search]
     # Measure task costs serially (one worker): with real cores the paper's
     # Java threads do not contend for the interpreter the way CPython's
     # would, so contention-free durations are the right model input.
     runner = MultithreadedRapid(n_threads=1)
-    runner.run(tasks)
+    baseline = PulseBatch.concat(runner.run(tasks)[1::2])
+    assert baseline == PulseBatch.concat(
+        [run_rapid_observation_batch(obs).pulse_batch for obs in observations]
+    ), "baseline and serial RAPID must find the same pulses, bit for bit"
     durations = runner.durations
     runner2 = MultithreadedRapid(n_threads=1)
     runner2.run(tasks)
@@ -175,7 +171,7 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
             n, drapid_elapsed[n], mt_elapsed[n], ratio,
             f"{spill[n] / 1024**3:.1f} GiB" if spill[n] else "-",
         ])
-    n_clusters = len(tasks)
+    n_clusters = sum(len(o.clusters) for o in observations)
     text = (
         f"workload: {sum(len(o.spes) for o in observations)} SPEs, "
         f"{n_clusters} clusters, {data_bytes / 1024**2:.1f} MiB on DFS "

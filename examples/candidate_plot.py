@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.astro import GBT350DRIFT, generate_observation
 from repro.astro.population import b1853_like
-from repro.core.rapid import run_rapid_dpg, run_rapid_observation
+from repro.core.rapid import run_rapid_dpg, run_rapid_observation_batch
 
 
 def ascii_scatter(x, y, marks=None, width=72, height=16, title=""):
@@ -38,7 +38,7 @@ def ascii_scatter(x, y, marks=None, width=72, height=16, title=""):
 def main() -> None:
     obs = generate_observation(GBT350DRIFT, [b1853_like()], seed=1853,
                                n_noise_clusters=50, n_rfi_bursts=2)
-    result = run_rapid_observation(obs)
+    result = run_rapid_observation_batch(obs)
     n_dpg = run_rapid_dpg(obs)
     print(f"B1853+01 observation: {len(obs.spes)} single pulse events, "
           f"{len(obs.clusters)} clusters")
@@ -46,27 +46,24 @@ def main() -> None:
           f"(DPG-mode search of the 2016 paper finds {n_dpg}; the paper "
           f"reports 188 vs 1)\n")
 
-    dms = np.array([s.dm for s in obs.spes])
-    snrs = np.array([s.snr for s in obs.spes])
-    times = np.array([s.time_s for s in obs.spes])
+    dms, snrs, times = obs.spe_batch.dm, obs.spe_batch.snr, obs.spe_batch.time_s
 
     # Emphasize the two brightest identified pulses from the pulsar, as in
     # the paper's figure.
-    positives = [p for p in result.pulses if p.source_name == "B1853+01"]
-    top2 = sorted(positives, key=lambda p: -p.features.MaxSNR)[:2]
-    marks = np.zeros(len(obs.spes), dtype=bool)
-    for pulse in top2:
-        window = (
-            (times >= pulse.features.StartTime)
-            & (times <= pulse.features.StopTime)
-            & (dms >= pulse.features.SNRPeakDM - pulse.features.DMRange)
-            & (dms <= pulse.features.SNRPeakDM + pulse.features.DMRange)
+    pulses = result.pulse_batch
+    positives = pulses.take(np.nonzero(pulses.source_name == "B1853+01")[0])
+    top2 = positives.take(np.argsort(-positives.feature("MaxSNR"), kind="stable")[:2])
+    marks = np.zeros(len(dms), dtype=bool)
+    for i, (peak_dm, max_snr, dm_range, start, stop) in enumerate(zip(
+        *(top2.feature(name).tolist()
+          for name in ("SNRPeakDM", "MaxSNR", "DMRange", "StartTime", "StopTime"))
+    ), start=1):
+        marks |= (
+            (times >= start) & (times <= stop)
+            & (dms >= peak_dm - dm_range) & (dms <= peak_dm + dm_range)
         )
-        marks |= window
-    for i, pulse in enumerate(top2, start=1):
-        print(f"single pulse#{i}: SNRPeakDM={pulse.features.SNRPeakDM:.1f} "
-              f"MaxSNR={pulse.features.MaxSNR:.1f} "
-              f"t=[{pulse.features.StartTime:.2f}, {pulse.features.StopTime:.2f}] s")
+        print(f"single pulse#{i}: SNRPeakDM={peak_dm:.1f} MaxSNR={max_snr:.1f} "
+              f"t=[{start:.2f}, {stop:.2f}] s")
 
     print()
     print(ascii_scatter(dms, snrs, marks, title="SNR vs DM  (top subplot)"))

@@ -10,18 +10,22 @@ phases 1–3), and runs everything:
 3. O(n) cumulative-sum boxcar single pulse search (the PRESTO analogue)
    → SPE list,
 4. customized DBSCAN clustering (columnar pair passes, no sweep),
-5. Algorithm 1 peak search + 22-feature extraction.
+5. Algorithm 1 peak search + 22-feature extraction, on the clusters wrapped
+   in an :class:`~repro.astro.survey.Observation` — the same
+   ``run_rapid_observation_batch`` every survey observation goes through.
 
 Run:  python examples/from_voltages.py
 """
 
 import time
 
-import numpy as np
-
 from repro.astro.clustering import SinglePulseDBSCAN
+from repro.astro.dispersion import DMGrid
 from repro.astro.filterbank import InjectedPulse, single_pulse_search, synthesize_filterbank
-from repro.core.rapid import run_rapid_on_cluster
+from repro.astro.spe import ObservationKey
+from repro.astro.survey import Observation, SurveyConfig
+from repro.core.rapid import run_rapid_observation_batch
+from repro.dataplane import SPEBatch
 from repro.execution import KernelConfig
 
 
@@ -41,7 +45,8 @@ def main() -> None:
         print(f"  injected pulse: t={p.time_s}s DM={p.dm} width={p.width_ms}ms")
 
     print("\n=== phases 2-3: batch dedispersion + O(n) boxcar search ===")
-    trials = np.arange(10.0, 130.0, 2.5)
+    grid = DMGrid(max_dm=130.0, bands=((10.0, 130.0, 2.5),))
+    trials = grid.trial_dms()
     t0 = time.perf_counter()
     spes = single_pulse_search(fb, trials, snr_threshold=5.5)
     elapsed = time.perf_counter() - t0
@@ -63,29 +68,31 @@ def main() -> None:
           f"(coarse ladder -> exact fallback, same candidates)")
 
     print("\n=== stage 2: customized DBSCAN ===")
-    times = np.array([s.time_s for s in spes])
-    dms = np.array([s.dm for s in spes])
-    snrs = np.array([s.snr for s in spes])
-    steps = dms / 2.5
+    batch = SPEBatch.from_records(spes)
     clusterer = SinglePulseDBSCAN(eps_time_s=0.15, eps_dm_steps=4.0, min_samples=3)
-    _labels, clusters = clusterer.fit(times, dms, snrs, steps)
+    labels, clusters = clusterer.fit_batch(batch, batch.dm / grid.spacing_of(batch.dm))
     print(f"{len(clusters)} clusters "
           f"(sizes {sorted(c.size for c in clusters)})")
 
     print("\n=== stage 3: Algorithm 1 search + feature extraction ===")
-    found = 0
-    for cluster in sorted(clusters, key=lambda c: -c.max_snr):
-        idx = np.array(cluster.indices)
-        pulses = run_rapid_on_cluster(
-            times[idx], dms[idx], snrs[idx], cluster_rank=cluster.rank,
-            dm_spacing_of=lambda _d: 2.5,
-        )
-        for pulse in pulses:
-            found += 1
-            f = pulse.features
-            print(f"  single pulse: SNRPeakDM={f.SNRPeakDM:6.1f} "
-                  f"MaxSNR={f.MaxSNR:5.1f} t=[{f.StartTime:.2f},{f.StopTime:.2f}]s "
-                  f"NumSPEs={int(f.NumSPEs)}")
+    survey = SurveyConfig(
+        name="from-voltages", center_freq_mhz=350.0, bandwidth_mhz=100.0,
+        sample_time_s=fb.sample_time_s, n_beams=1, obs_length_s=8.0, max_dm=grid.max_dm,
+    )
+    observation = Observation(
+        key=ObservationKey(survey.name, 55000.0, "J0000+0000", 0),
+        config=survey, grid=grid, spes=spes, labels=labels, clusters=clusters,
+        _spe_batch=batch,
+    )
+    pulses = run_rapid_observation_batch(observation).pulse_batch
+    found = len(pulses)
+    for peak_dm, max_snr, start, stop, n_spes in zip(
+        *(pulses.feature(name).tolist()
+          for name in ("SNRPeakDM", "MaxSNR", "StartTime", "StopTime", "NumSPEs"))
+    ):
+        print(f"  single pulse: SNRPeakDM={peak_dm:6.1f} "
+              f"MaxSNR={max_snr:5.1f} t=[{start:.2f},{stop:.2f}]s "
+              f"NumSPEs={int(n_spes)}")
     print(f"\n{found} single pulses identified; "
           f"{len(truth)} were injected at DM 60 — compare SNRPeakDM above.")
 

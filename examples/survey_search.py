@@ -12,14 +12,14 @@ Demonstrates the distributed side of the paper:
 Run:  python examples/survey_search.py
 """
 
-import functools
-
-import numpy as np
-
 from repro.astro import PALFA, generate_observation, synthesize_population
 from repro.core.drapid import DRapidDriver
-from repro.core.multithreaded import MultithreadedRapid, ThreadedBoxModel
-from repro.core.rapid import run_rapid_on_cluster
+from repro.core.multithreaded import (
+    MultithreadedRapid,
+    ThreadedBoxModel,
+    observation_search_tasks,
+)
+from repro.dataplane import PulseBatch
 from repro.dfs import DataNode, DFSClient
 from repro.io.spe_files import upload_observations
 from repro.sparklet import ClusterConfig, SparkletContext, simulate_job
@@ -60,7 +60,7 @@ def main() -> None:
         ctx, dfs, grids={"PALFA": observations[0].grid}, total_cores=40,
     )
     result = driver.run(data_path, cluster_path)
-    positives = sum(1 for p in result.pulses if p.source_name)
+    positives = int(result.pulse_batch.is_pulsar.sum())
     print(f"\nD-RAPID: {result.n_pulses} single pulses "
           f"({positives} from known sources), {result.n_null_joins} null joins")
     print(f"ML files written under {result.ml_output_path}: "
@@ -76,23 +76,12 @@ def main() -> None:
         print(f"  {n:2d} executors: {run.elapsed_s:8.1f} s{spill}")
 
     # --- multithreaded baseline ------------------------------------------------
-    tasks = []
-    for obs in observations:
-        times = np.array([s.time_s for s in obs.spes])
-        dms = np.array([s.dm for s in obs.spes])
-        snrs = np.array([s.snr for s in obs.spes])
-        for cluster in obs.clusters:
-            if cluster.size < 2:
-                continue
-            idx = np.array(cluster.indices)
-            tasks.append(functools.partial(
-                run_rapid_on_cluster, times[idx], dms[idx], snrs[idx],
-                cluster.rank, obs.grid.spacing_at,
-            ))
+    # One task per observation: the same search a D-RAPID executor runs.
     runner = MultithreadedRapid(n_threads=1)
-    runner.run(tasks)
+    baseline = PulseBatch.concat(runner.run(observation_search_tasks(observations)))
     box = ThreadedBoxModel()
-    print("\nmultithreaded RAPID on the 6-core box (same scaled workload):")
+    print(f"\nmultithreaded RAPID on the 6-core box (same scaled workload, "
+          f"{len(baseline)} single pulses):")
     for n, t in box.sweep([d * data_scale for d in runner.durations], [1, 5, 10, 20],
                           input_bytes=10.2 * 1024**3).items():
         print(f"  {n:2d} threads:   {t:8.1f} s")

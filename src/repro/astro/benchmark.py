@@ -24,7 +24,7 @@ from repro.astro.population import Pulsar, synthesize_population
 from repro.astro.survey import SurveyConfig, generate_observation
 from repro.core.alm import ALM_SCHEMES, AlmScheme, label_instances
 from repro.core.features import FEATURE_NAMES
-from repro.core.rapid import SinglePulse, run_rapid_observation_batch
+from repro.core.rapid import run_rapid_observation_batch
 from repro.dataplane import PulseBatch
 from repro.ml.dataset import Dataset
 
@@ -38,7 +38,6 @@ class Benchmark:
     is_pulsar: np.ndarray  # bool
     is_rrat: np.ndarray  # bool
     source_names: list[str | None]
-    pulses: list[SinglePulse]
     #: Columnar source of the arrays above, when built by the data plane
     #: (None for benchmarks loaded from legacy persistence files).
     pulse_batch: PulseBatch | None = None
@@ -99,7 +98,6 @@ class Benchmark:
             is_pulsar=self.is_pulsar[keep],
             is_rrat=self.is_rrat[keep],
             source_names=[self.source_names[i] for i in keep],
-            pulses=[self.pulses[i] for i in keep],
             pulse_batch=(
                 self.pulse_batch.take(keep) if self.pulse_batch is not None else None
             ),
@@ -178,7 +176,6 @@ def build_benchmark(
         is_pulsar=batch.is_pulsar,
         is_rrat=np.asarray(batch.is_rrat),
         source_names=batch.source_name.tolist(),
-        pulses=batch.to_records(),
         pulse_batch=batch,
     )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.astro.population import Pulsar
-from repro.core.rapid import SinglePulse
+from repro.dataplane import PulseBatch
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class Catalog:
 
 
 def match_pulse(
-    pulse: SinglePulse,
+    peak_dm: float,
     candidates: Sequence[CatalogEntry],
     dm_tolerance: float = 10.0,
 ) -> CatalogEntry | None:
@@ -94,11 +94,10 @@ def match_pulse(
 
     Mirrors the paper's vicinity criterion: the pulse must lie in the beam
     of the source (caller pre-filters by position) and its brightest SPE's
-    DM must sit near the catalogued DM.
+    DM (``peak_dm``, the SNRPeakDM feature) must sit near the catalogued DM.
     """
     if dm_tolerance <= 0:
         raise ValueError(f"dm_tolerance must be positive, got {dm_tolerance}")
-    peak_dm = pulse.features.SNRPeakDM
     best: CatalogEntry | None = None
     best_delta = dm_tolerance
     for entry in candidates:
@@ -110,7 +109,7 @@ def match_pulse(
 
 
 def label_pulses_by_catalog(
-    pulses: Sequence[SinglePulse],
+    pulses: PulseBatch,
     catalog: Catalog,
     beam_position_of: "callable",
     dm_tolerance: float = 10.0,
@@ -122,8 +121,9 @@ def label_pulses_by_catalog(
     format).  This is exactly how the PALFA benchmark's positives were
     labeled before manual confirmation.
     """
-    out: list[CatalogEntry | None] = []
-    for pulse in pulses:
-        position = beam_position_of(pulse.observation_key)
-        out.append(match_pulse(pulse, catalog.sources_at(position), dm_tolerance))
-    return out
+    return [
+        match_pulse(peak_dm, catalog.sources_at(beam_position_of(key)), dm_tolerance)
+        for key, peak_dm in zip(
+            pulses.observation_key.tolist(), pulses.feature("SNRPeakDM").tolist()
+        )
+    ]

@@ -10,8 +10,6 @@ becomes the Sparklet pair key (Section 5.1.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 
@@ -89,23 +87,3 @@ def spes_from_search(
 
 
 SPE_FILE_HEADER = "# dataset|mjd|sky|beam,DM,Sigma,Time_s,Sample,Downfact"
-
-
-def spes_to_csv(key: ObservationKey, spes: Iterable[SPE], include_header: bool = False) -> str:
-    """Render SPE rows in the D-RAPID data-file format (key prefix + data).
-
-    Record-oriented path, retained as the reference the vectorized
-    ``SPEBatch.to_data_csv`` is equivalence-gated against.
-    """
-    lines = [SPE_FILE_HEADER] if include_header else []
-    prefix = key.to_key()
-    lines.extend(f"{prefix},{spe.to_csv_row()}" for spe in spes)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_spe_line(line: str) -> tuple[str, SPE]:
-    """Parse ``key,dm,snr,time,sample,downfact`` → (key, SPE)."""
-    key, _, rest = line.partition(",")
-    if not rest:
-        raise ValueError(f"malformed SPE line: {line!r}")
-    return key, SPE.from_csv_row(rest)

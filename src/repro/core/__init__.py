@@ -2,10 +2,10 @@
 
 - :mod:`repro.core.bins` — Eq. 1 dynamic bin sizing.
 - :mod:`repro.core.regression` — per-bin least-squares trend slopes.
-- :mod:`repro.core.search` — Algorithm 1: the recursive trend state machine
-  that finds peaks (single pulses) in a cluster's SNR-vs-DM profile.
+- :mod:`repro.core.search` — Algorithm 1: the trend state machine that
+  finds peaks (single pulses) in a cluster's SNR-vs-DM profile.
 - :mod:`repro.core.rapid` — single-machine RAPID: search every cluster of an
-  observation, emit :class:`~repro.core.rapid.SinglePulse` records.
+  observation, emit a :class:`~repro.dataplane.PulseBatch`.
 - :mod:`repro.core.features` — the 22 classification features (16 base
   features reconstructed from Devine et al. 2016 + the six of Table 1).
 - :mod:`repro.core.multithreaded` — the multithreaded RAPID baseline and its
@@ -20,11 +20,11 @@
 from repro.core.alm import ALM_SCHEMES, AlmScheme, label_instances
 from repro.core.bins import dynamic_bin_size
 from repro.core.drapid import DRapidDriver, DRapidResult
-from repro.core.features import FEATURE_NAMES, PulseFeatures, extract_pulse_features
+from repro.core.features import FEATURE_NAMES
 from repro.core.multithreaded import MultithreadedRapid, ThreadedBoxModel
 from repro.core.pipeline import PipelineResult, SinglePulsePipeline
-from repro.core.rapid import RapidResult, SinglePulse, run_rapid_observation, run_rapid_on_cluster
-from repro.core.search import SearchParams, find_single_pulses, find_single_pulses_recursive
+from repro.core.rapid import run_rapid_observation_batch, search_observation_columns
+from repro.core.search import SearchParams, find_single_pulses
 
 __all__ = [
     "ALM_SCHEMES",
@@ -34,17 +34,12 @@ __all__ = [
     "FEATURE_NAMES",
     "MultithreadedRapid",
     "PipelineResult",
-    "PulseFeatures",
-    "RapidResult",
     "SearchParams",
-    "SinglePulse",
     "SinglePulsePipeline",
     "ThreadedBoxModel",
     "dynamic_bin_size",
-    "extract_pulse_features",
     "find_single_pulses",
-    "find_single_pulses_recursive",
     "label_instances",
-    "run_rapid_observation",
-    "run_rapid_on_cluster",
+    "run_rapid_observation_batch",
+    "search_observation_columns",
 ]

@@ -25,9 +25,9 @@ The Search phase body hands one joined observation — its SPE columns and
 all of its cluster boxes — to
 :func:`repro.core.rapid.search_observation_columns`, which searches the
 clusters as columns (one Algorithm 1 + feature call per cluster-size
-group) rather than looping over them.  The per-record dataflow is retained
-as :meth:`DRapidDriver.run_reference` and the equivalence suite asserts
-both produce byte-identical ML files.
+group) rather than looping over them.  The per-record dataflow is a test
+oracle (``tests/oracles/record_path.py``) and the
+equivalence suite asserts both produce byte-identical ML files.
 """
 
 from __future__ import annotations
@@ -36,14 +36,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.astro.dispersion import DMGrid
-from repro.core.rapid import (
-    SinglePulse,
-    run_rapid_on_cluster,
-    search_observation_columns,
-)
+from repro.core.rapid import search_observation_columns
 from repro.core.search import SearchParams
 from repro.dataplane import ClusterBatch, PulseBatch, SPEBatch
-from repro.io.spe_files import ClusterRecord, parse_cluster_line
+from repro.io.spe_files import parse_cluster_line
 from repro.sparklet.context import SparkletContext
 from repro.sparklet.metrics import JobMetrics
 from repro.sparklet.partitioner import HashPartitioner
@@ -63,7 +59,7 @@ def paper_partitions(total_cores: int) -> int:
 
 @dataclass
 class DRapidResult:
-    """Output of one D-RAPID run (columnar; records materialize on demand)."""
+    """Output of one D-RAPID run."""
 
     pulse_batch: PulseBatch
     ml_output_path: str
@@ -76,11 +72,6 @@ class DRapidResult:
     @property
     def n_pulses(self) -> int:
         return len(self.pulse_batch)
-
-    @property
-    def pulses(self) -> list[SinglePulse]:
-        """Record-view adapter over :attr:`pulse_batch`."""
-        return self.pulse_batch.to_records()
 
 
 def _group_rows_by_key(lines: Iterable[str]) -> dict[str, list[str]]:
@@ -96,7 +87,7 @@ def _parse_data_partition(lines: Iterator[str]) -> Iterator[tuple[str, SPEBatch]
     """One map partition of the data file → per-key SPE batches.
 
     Grouping before parsing keeps key first-occurrence order and per-key
-    row order identical to the per-row reference dataflow, so downstream
+    row order identical to the per-row oracle dataflow, so downstream
     aggregation sees the same sequences.
     """
     for key, rows in _group_rows_by_key(lines).items():
@@ -118,70 +109,6 @@ def _search_observation_batch(
         spe.time_s, spe.dm, spe.snr, ClusterBatch.concat(cluster_batches),
         grids.get(key.split("|", 1)[0]), key, params,
     )
-
-
-def _reference_search_observation(
-    key: str,
-    clusters: list[ClusterRecord],
-    spe_rows: list[str] | None,
-    grids: dict[str, DMGrid],
-    params: SearchParams,
-) -> list[SinglePulse]:
-    """The record-oriented Search body, retained for the equivalence gate."""
-    if spe_rows is None:
-        return []  # null from the left outer join: SPE data missing
-    import numpy as np
-
-    dataset = key.split("|", 1)[0]
-    grid = grids.get(dataset)
-    spacing_of = grid.spacing_at if grid is not None else (lambda _dm: 1.0)
-
-    # Parse defensively: survey csv files accumulate truncated/garbled rows
-    # (interrupted transfers, header fragments); a bad row must cost one
-    # record, not the observation.
-    dms_l: list[float] = []
-    snrs_l: list[float] = []
-    times_l: list[float] = []
-    for row in spe_rows:
-        parts = row.split(",")
-        if len(parts) < 3:
-            continue
-        try:
-            dm, snr, t = float(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError:
-            continue
-        dms_l.append(dm)
-        snrs_l.append(snr)
-        times_l.append(t)
-    dms = np.array(dms_l)
-    snrs = np.array(snrs_l)
-    times = np.array(times_l)
-
-    out: list[SinglePulse] = []
-    for rec in clusters:
-        mask = (
-            (dms >= rec.dm_lo)
-            & (dms <= rec.dm_hi)
-            & (times >= rec.t_lo)
-            & (times <= rec.t_hi)
-        )
-        if int(mask.sum()) < 2:
-            continue
-        out.extend(
-            run_rapid_on_cluster(
-                times[mask],
-                dms[mask],
-                snrs[mask],
-                cluster_rank=rec.rank,
-                dm_spacing_of=spacing_of,
-                observation_key=key,
-                cluster_id=rec.cluster_id,
-                params=params,
-                source_name=rec.source,
-                is_rrat=rec.is_rrat,
-            )
-        )
-    return out
 
 
 @dataclass
@@ -245,7 +172,7 @@ class DRapidDriver:
         # Malformed rows are dropped and counted through an accumulator
         # (retried task attempts count once): the vectorized parse covers
         # the clean case, and a per-row fallback isolates bad rows with the
-        # same keep/drop rule as the record path.
+        # same keep/drop rule as the per-record oracle.
         dropped = self.ctx.accumulator(0)
 
         def parse_cluster_partition(
@@ -327,92 +254,6 @@ class DRapidDriver:
 
         return DRapidResult(
             pulse_batch=pulse_batch,
-            ml_output_path=ml_output_path,
-            metrics=metrics,
-            n_clusters=n_clusters,
-            n_null_joins=null_joins,
-            n_dropped_cluster_rows=n_dropped,
-        )
-
-    def run_reference(
-        self,
-        data_path: str,
-        cluster_path: str,
-        ml_output_path: str = "/ml/out",
-    ) -> DRapidResult:
-        """The pre-refactor per-record dataflow, retained as the reference.
-
-        Ships one ``(key, row)`` tuple per SPE through the shuffle and one
-        ``ClusterRecord`` per cluster row.  The equivalence suite asserts
-        :meth:`run` writes byte-identical ML files; keep the two dataflows
-        in lockstep when touching either.
-        """
-        self.ctx.reset_metrics()
-        partitioner = HashPartitioner(self.num_partitions)
-        grids = self.grids
-        params = self.params
-
-        data_kvp = (
-            self.ctx.text_file(self.dfs, data_path)
-            .filter(lambda line: line and not line.startswith("#"))
-            .map(lambda line: tuple(line.split(",", 1)))
-        )
-
-        dropped = self.ctx.accumulator(0)
-
-        def parse_or_none(line: str) -> ClusterRecord | None:
-            try:
-                return parse_cluster_line(line)
-            except ValueError:
-                dropped.add(1)
-                return None
-
-        cluster_kvp = (
-            self.ctx.text_file(self.dfs, cluster_path)
-            .filter(lambda line: line and not line.startswith("#"))
-            .map(parse_or_none)
-            .filter(lambda rec: rec is not None)
-            .map(lambda rec: (rec.key, rec))
-        )
-
-        def append(acc: list, v) -> list:
-            acc.append(v)
-            return acc
-
-        def extend(a: list, b: list) -> list:
-            a.extend(b)
-            return a
-
-        data_agg = data_kvp.partition_by(partitioner).aggregate_by_key(
-            [], append, extend, partitioner=partitioner
-        )
-        cluster_agg = cluster_kvp.partition_by(partitioner).aggregate_by_key(
-            [], append, extend, partitioner=partitioner
-        )
-
-        joined = cluster_agg.left_outer_join(data_agg, partitioner=partitioner)
-
-        searched = joined.map(
-            lambda kv: (
-                kv[0],
-                _reference_search_observation(
-                    kv[0], kv[1][0], kv[1][1], grids, params
-                ),
-            )
-        )
-
-        ml_rows = searched.flat_map(lambda kv: [p.to_ml_row() for p in kv[1]]).cache()
-        ml_rows.save_as_text_file(self.dfs, ml_output_path)
-
-        metrics = self.ctx.all_job_metrics()
-        n_dropped = int(dropped.value)
-
-        pulses = [SinglePulse.from_ml_row(row) for row in ml_rows.collect()]
-        null_joins = joined.filter(lambda kv: kv[1][1] is None).count()
-        n_clusters = cluster_kvp.count()
-
-        return DRapidResult(
-            pulse_batch=PulseBatch.from_records(pulses),
             ml_output_path=ml_output_path,
             metrics=metrics,
             n_clusters=n_clusters,

@@ -2,9 +2,12 @@
 
 Two pieces:
 
-- :class:`MultithreadedRapid` really runs cluster-search tasks concurrently
-  (results exact; useful as a correctness baseline and a demonstration of
-  the shared-memory programming model), recording per-task durations.  It
+- :func:`observation_search_tasks` builds the baseline's task list — one
+  :func:`~repro.core.rapid.search_observation_columns` call per
+  observation, D-RAPID's unit of work — and :class:`MultithreadedRapid`
+  really runs the tasks concurrently (results exact: the concatenated task
+  results equal the serial and the distributed run's ``PulseBatch``),
+  recording per-task durations.  It
   is an ordinary Sparklet result stage — one callable per partition on a
   ``backend="parallel"`` context — so the repo has exactly one dispatch
   loop, and true process parallelism rather than GIL-limited threads;
@@ -18,11 +21,16 @@ Two pieces:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.astro.survey import Observation
 from repro.cluster import open_cluster
+from repro.core.rapid import search_observation_columns, searched_clusters
+from repro.core.search import SearchParams
+from repro.dataplane import PulseBatch
 from repro.execution import ExecutionConfig
 from repro.sparklet.simulation import greedy_makespan
 
@@ -40,14 +48,35 @@ def _timed_call(fn: Callable[[], object]) -> tuple[object, float]:
     return out, time.perf_counter() - t0
 
 
+def observation_search_tasks(
+    observations: Sequence[Observation], params: SearchParams = SearchParams()
+) -> list[Callable[[], PulseBatch]]:
+    """The baseline's task list: one search per observation.
+
+    Each task is what a D-RAPID executor runs after the join and what
+    :func:`~repro.core.rapid.run_rapid_observation_batch` runs serially —
+    the observation's SPE columns, the boxes of its clusters of at least two
+    SPEs, its DM grid and key — so ``PulseBatch.concat`` of the results
+    equals the serial run's batch bit for bit.  Tasks carry the columns,
+    not the :class:`Observation`, so that is all a worker is shipped.
+    """
+    return [
+        functools.partial(
+            search_observation_columns,
+            obs.spe_batch.time_s, obs.spe_batch.dm, obs.spe_batch.snr,
+            searched_clusters(obs), obs.grid, obs.key.to_key(), params,
+        )
+        for obs in observations
+    ]
+
+
 @dataclass
 class MultithreadedRapid:
-    """Run independent cluster-search tasks on the shared worker pool.
+    """Run independent search tasks on the shared worker pool.
 
     ``tasks`` are zero-argument callables (typically
-    ``functools.partial(run_rapid_on_cluster, ...)``).  Durations are
-    measured per task inside the worker that ran it; results come back in
-    submission order.
+    :func:`observation_search_tasks`).  Durations are measured per task
+    inside the worker that ran it; results come back in submission order.
     """
 
     n_threads: int = 4

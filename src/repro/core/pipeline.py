@@ -21,7 +21,6 @@ from repro.astro.survey import Observation, SurveyConfig, generate_observation
 from repro.core.alm import ALM_SCHEMES, AlmScheme, label_instances
 from repro.cluster import open_cluster
 from repro.core.drapid import DRapidDriver, DRapidResult
-from repro.core.rapid import SinglePulse
 from repro.core.search import SearchParams
 from repro.dataplane import PulseBatch
 from repro.execution import ExecutionConfig
@@ -53,11 +52,6 @@ class PipelineResult:
     #: The run's observability session (``NULL_OBS`` when disabled); its
     #: event log replays into the same metrics the run recorded live.
     obs: ObsSession | None = None
-
-    @property
-    def pulses(self) -> list[SinglePulse]:
-        """Record-view adapter over the D-RAPID pulse batch."""
-        return self.drapid.pulses
 
 
 def identify_observations(
@@ -188,16 +182,12 @@ class SinglePulsePipeline:
 
     # -- stage 4 -----------------------------------------------------------
     def to_benchmark(
-        self, pulses: PulseBatch | list[SinglePulse]
+        self, pulses: PulseBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Feature matrix + truth flags + ALM labels for the pulse set.
 
-        Accepts a :class:`PulseBatch` (the columnar path — the feature
-        matrix is used as-is, no per-pulse ``to_vector`` stacking) or a
-        plain list of records for backward compatibility.
+        The batch's feature matrix is used as-is.
         """
-        if not isinstance(pulses, PulseBatch):
-            pulses = PulseBatch.from_records(pulses)
         if not len(pulses):
             raise ValueError("no pulses to build a benchmark from")
         features = pulses.features

@@ -1,19 +1,17 @@
 """RAPID: single-machine single pulse identification.
 
-``run_rapid_on_cluster`` is the unit of work as the paper states it: sort one
-cluster's SPEs by DM, run the Algorithm 1 search, extract the 22 features of
-every identified single pulse.  ``run_rapid_observation`` applies it to
-every cluster of an observation (the serial baseline all parallel variants
-are validated against).
-
-``search_observation_columns`` is what actually runs — in D-RAPID's Search
-phase and in ``run_rapid_observation_batch``: the same computation for all
-clusters of an observation at once.  Survey clusters are tiny (median 4
-SPEs), so a call per cluster is ~40 NumPy dispatches on a handful of
-floats; equal-length rows of a C-contiguous matrix reduce bit-identically
-to their 1-D calls, so clusters are grouped by member count, pulses by
-(length, binsize), and each group is one call.  Output bits, row order and
-``PulseRank`` ties equal the per-cluster path's; the property suite in
+The unit of work as the paper states it: sort one cluster's SPEs by DM, run
+the Algorithm 1 search, extract the 22 features of every identified single
+pulse.  ``search_observation_columns`` does that for all clusters of an
+observation at once — it is D-RAPID's Search phase, the multithreaded
+baseline's task and the body of ``run_rapid_observation_batch`` (the serial
+baseline all parallel variants are validated against).  Survey clusters are
+tiny (median 4 SPEs), so a call per cluster is ~40 NumPy dispatches on a
+handful of floats; equal-length rows of a C-contiguous matrix reduce
+bit-identically to their 1-D calls, so clusters are grouped by member count,
+pulses by (length, binsize), and each group is one call.  Output bits, row
+order and ``PulseRank`` ties equal those of the per-cluster oracle
+(``tests/oracles/record_path.py``); the property suite in
 ``tests/test_core_rapid_columns.py`` holds the two together.
 
 ``run_rapid_dpg`` reproduces the *old* DPG-granularity algorithm of Devine
@@ -24,157 +22,22 @@ granularity gap (1 DPG vs. ~hundreds of single pulses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.astro.dispersion import DMGrid
 from repro.astro.survey import Observation
 from repro.core.bins import DPG_FIXED_BIN_SIZE, dynamic_bin_size
-from repro.core.features import (
-    PulseFeatures,
-    extract_pulse_features,
-    extract_segment_features,
-)
+from repro.core.features import extract_segment_features
 from repro.core.search import (
     SearchParams,
     find_single_pulses,
     find_single_pulses_rows,
     spans_to_spe_ranges,
 )
-from repro.dataplane import ClusterBatch, PulseBatch, fmt_float
+from repro.dataplane import ClusterBatch, PulseBatch
 from repro.io.spe_files import observation_cluster_batch
-
-
-@dataclass
-class SinglePulse:
-    """One identified single pulse with its feature vector and provenance."""
-
-    observation_key: str
-    cluster_id: int
-    spe_start: int
-    spe_stop: int
-    features: PulseFeatures
-    #: Ground-truth: name of the generating pulsar (None = noise/RFI cluster).
-    source_name: str | None = None
-    is_rrat: bool = False
-
-    @property
-    def n_spes(self) -> int:
-        return self.spe_stop - self.spe_start
-
-    def to_ml_row(self) -> str:
-        """Serialize for the D-RAPID "ML file" output (stage 3 → stage 4).
-
-        Floats use shortest-exact formatting (``repr``), so
-        ``from_ml_row(to_ml_row(p)) == p`` holds bit for bit.
-        """
-        vec = ",".join(fmt_float(v) for v in self.features.to_vector().tolist())
-        label = self.source_name or ""
-        return f"{self.observation_key},{self.cluster_id},{self.spe_start},{self.spe_stop},{label},{int(self.is_rrat)},{vec}"
-
-    @classmethod
-    def from_ml_row(cls, row: str) -> "SinglePulse":
-        parts = row.rstrip("\n").split(",")
-        if len(parts) < 6 + 22:
-            raise ValueError(f"malformed ML row: {row!r}")
-        vec = np.array([float(v) for v in parts[6:]], dtype=float)
-        return cls(
-            observation_key=parts[0],
-            cluster_id=int(parts[1]),
-            spe_start=int(parts[2]),
-            spe_stop=int(parts[3]),
-            features=PulseFeatures.from_vector(vec),
-            source_name=parts[4] or None,
-            is_rrat=bool(int(parts[5])),
-        )
-
-
-@dataclass
-class RapidResult:
-    """All pulses identified in one observation plus bookkeeping."""
-
-    pulses: list[SinglePulse] = field(default_factory=list)
-    n_clusters_searched: int = 0
-    n_clusters_skipped: int = 0
-
-    @property
-    def n_pulses(self) -> int:
-        return len(self.pulses)
-
-
-def run_rapid_on_cluster(
-    times: np.ndarray,
-    dms: np.ndarray,
-    snrs: np.ndarray,
-    cluster_rank: int,
-    dm_spacing_of: "callable",
-    observation_key: str = "",
-    cluster_id: int = 0,
-    params: SearchParams = SearchParams(),
-    source_name: str | None = None,
-    is_rrat: bool = False,
-) -> list[SinglePulse]:
-    """Search one cluster for single pulses and extract their features.
-
-    ``dm_spacing_of`` maps a DM value to the local trial-ladder step (the
-    DMSpacing feature); pass ``grid.spacing_at``.
-
-    This is the record-oriented path, retained as the oracle the columnar
-    :func:`search_observation_columns` is equivalence-gated against.
-    """
-    times = np.asarray(times, dtype=float)
-    dms = np.asarray(dms, dtype=float)
-    snrs = np.asarray(snrs, dtype=float)
-    n = dms.size
-    if n < 2:
-        return []
-    order = np.lexsort((times, dms))
-    dms_s, snrs_s, times_s = dms[order], snrs[order], times[order]
-
-    binsize = dynamic_bin_size(n, params.weight)
-    spans, edges = find_single_pulses(dms_s, snrs_s, params, binsize=binsize)
-    if not spans:
-        return []
-    ranges = spans_to_spe_ranges(spans, edges)
-
-    # PulseRank: 1 = brightest peak of the cluster (ordered by SNRMax).
-    peak_snrs = [float(snrs_s[a:b].max()) for a, b, _p in ranges]
-    rank_order = np.argsort([-s for s in peak_snrs], kind="stable")
-    pulse_ranks = np.empty(len(ranges), dtype=int)
-    pulse_ranks[rank_order] = np.arange(1, len(ranges) + 1)
-
-    t_lo, t_hi = float(times_s.min()), float(times_s.max())
-    out: list[SinglePulse] = []
-    for i, (a, b, peak_hint) in enumerate(ranges):
-        seg_dms, seg_snrs, seg_times = dms_s[a:b], snrs_s[a:b], times_s[a:b]
-        peak_dm = float(seg_dms[int(np.argmax(seg_snrs))])
-        feats = extract_pulse_features(
-            seg_dms,
-            seg_snrs,
-            seg_times,
-            peak_hint=peak_hint - a,
-            binsize=binsize,
-            cluster_rank=cluster_rank,
-            pulse_rank=int(pulse_ranks[i]),
-            n_peaks_in_cluster=len(ranges),
-            dm_spacing=float(dm_spacing_of(peak_dm)),
-            cluster_start_time=t_lo,
-            cluster_stop_time=t_hi,
-        )
-        out.append(
-            SinglePulse(
-                observation_key=observation_key,
-                cluster_id=cluster_id,
-                spe_start=a,
-                spe_stop=b,
-                features=feats,
-                source_name=source_name,
-                is_rrat=is_rrat,
-            )
-        )
-    return out
-
 
 #: Cells of the (clusters x SPEs) box-membership block evaluated at once, so
 #: the search's transient memory does not grow with the observation.
@@ -219,8 +82,8 @@ def search_observation_columns(
 
     ``times``/``dms``/``snrs`` are the observation's SPE columns and
     ``clusters`` the boxes to search; ``grid`` supplies DMSpacing (1.0
-    without one).  Equal to :func:`run_rapid_on_cluster` applied box by box
-    — every bit, rows in cluster order then range order — but the work is
+    without one).  Equal to the per-cluster oracle applied box by box —
+    every bit, rows in cluster order then range order — but the work is
     done in columns: all box memberships at once, one stable
     ``(cluster, dm, time)`` sort, one Algorithm 1 call per distinct cluster
     size and one feature gather over all pulses of the observation.
@@ -228,6 +91,11 @@ def search_observation_columns(
     times = np.asarray(times, dtype=float)
     dms = np.asarray(dms, dtype=float)
     snrs = np.asarray(snrs, dtype=float)
+    if not (times.size == dms.size == snrs.size):
+        raise ValueError(
+            "times, dms and snrs must have equal length, got "
+            f"{times.size}, {dms.size} and {snrs.size}"
+        )
     cluster_of, spe = _box_members(times, dms, clusters)
     t, d, s = times[spe], dms[spe], snrs[spe]
     order = np.lexsort((t, d, cluster_of))
@@ -279,7 +147,7 @@ def search_observation_columns(
 
 @dataclass
 class RapidBatchResult:
-    """Columnar counterpart of :class:`RapidResult`."""
+    """All pulses identified in one observation plus bookkeeping."""
 
     pulse_batch: PulseBatch
     n_clusters_searched: int = 0
@@ -289,10 +157,14 @@ class RapidBatchResult:
     def n_pulses(self) -> int:
         return len(self.pulse_batch)
 
-    @property
-    def pulses(self) -> list[SinglePulse]:
-        """Record-view adapter (materialized on demand)."""
-        return self.pulse_batch.to_records()
+
+def searched_clusters(obs: Observation, min_cluster_size: int = 2) -> ClusterBatch:
+    """The boxes a search of ``obs`` visits.
+
+    Its clusters of at least ``min_cluster_size`` SPEs, ground truth attached.
+    """
+    clusters = observation_cluster_batch(obs)
+    return clusters.take(np.nonzero(clusters.n_spes >= min_cluster_size)[0])
 
 
 def run_rapid_observation_batch(
@@ -304,61 +176,19 @@ def run_rapid_observation_batch(
 
     Hands the observation's :class:`SPEBatch` columns and the boxes of its
     clusters of at least ``min_cluster_size`` SPEs to
-    :func:`search_observation_columns`; semantics match
-    :func:`run_rapid_observation` exactly (same boxes, same skip rules).
+    :func:`search_observation_columns`.  Each cluster's search region is
+    its DM × time box over the full SPE list — exactly what D-RAPID does
+    after its join, so serial and distributed results are bit-identical.
     """
-    clusters = observation_cluster_batch(obs)
-    searched = clusters.take(np.nonzero(clusters.n_spes >= min_cluster_size)[0])
+    searched = searched_clusters(obs, min_cluster_size)
     batch = obs.spe_batch
     return RapidBatchResult(
         search_observation_columns(
             batch.time_s, batch.dm, batch.snr, searched, obs.grid,
             obs.key.to_key(), params,
         ),
-        len(searched), len(clusters) - len(searched),
+        len(searched), len(obs.clusters) - len(searched),
     )
-
-
-def run_rapid_observation(
-    obs: Observation,
-    params: SearchParams = SearchParams(),
-    min_cluster_size: int = 2,
-) -> RapidResult:
-    """Serial RAPID over every cluster of one observation (record path).
-
-    Each cluster's search region is its DM × time box over the full SPE
-    list — exactly what D-RAPID does after its join, so serial and
-    distributed results are bit-identical.
-    """
-    result = RapidResult()
-    batch = obs.spe_batch
-    times, dms, snrs = batch.time_s, batch.dm, batch.snr
-    key = obs.key.to_key()
-    for cluster in obs.clusters:
-        if cluster.size < min_cluster_size:
-            continue
-        idx = np.nonzero(
-            (dms >= cluster.dm_lo)
-            & (dms <= cluster.dm_hi)
-            & (times >= cluster.t_lo)
-            & (times <= cluster.t_hi)
-        )[0]
-        name, is_rrat = obs.cluster_truth.get(cluster.cluster_id, (None, False))
-        result.pulses.extend(
-            run_rapid_on_cluster(
-                times[idx], dms[idx], snrs[idx],
-                cluster_rank=cluster.rank,
-                dm_spacing_of=obs.grid.spacing_at,
-                observation_key=key,
-                cluster_id=cluster.cluster_id,
-                params=params,
-                source_name=name,
-                is_rrat=is_rrat,
-            )
-        )
-        result.n_clusters_searched += 1
-    result.n_clusters_skipped = len(obs.clusters) - result.n_clusters_searched
-    return result
 
 
 def run_rapid_dpg(obs: Observation, params: SearchParams = SearchParams()) -> int:

@@ -13,27 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Slope of the least squares line through (x, y); 0 for degenerate bins.
-
-    A bin whose x-values are all identical (several SPEs at one trial DM) has
-    no defined trend; treating it as flat keeps the state machine stable.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("x and y must have equal length")
-    if x.size < 2:
-        return 0.0
-    xm = x - x.mean()
-    denom = float(xm @ xm)
-    # Same degeneracy threshold as the vectorized bin_slopes: bins whose
-    # x-spread is numerically negligible are flat, not infinitely steep.
-    if denom <= 1e-12:
-        return 0.0
-    return float(xm @ (y - y.mean())) / denom
-
-
 def bin_edges(n: int, binsize: int) -> list[tuple[int, int]]:
     """Half-open index ranges of consecutive bins over ``n`` points.
 
@@ -87,38 +66,19 @@ def bin_slopes(x: np.ndarray, y: np.ndarray, binsize: int) -> tuple[np.ndarray, 
     return slopes, edges
 
 
-def bin_fit_residual(x: np.ndarray, y: np.ndarray, binsize: int) -> float:
-    """Mean absolute OLS residual across bins (the FitResidual feature).
-
-    Measures how well piecewise-linear trends describe the profile: real
-    single pulses fit cleanly, noise clusters do not.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slopes, edges = bin_slopes(x, y, binsize)
-    if not edges:
-        return 0.0
-    total = 0.0
-    count = 0
-    for (start, stop), slope in zip(edges, slopes):
-        xs = x[start:stop]
-        ys = y[start:stop]
-        intercept = ys.mean() - slope * xs.mean()
-        total += float(np.abs(ys - (intercept + slope * xs)).sum())
-        count += stop - start
-    return total / max(count, 1)
-
-
 def bin_fit_residual_rows(
     x: np.ndarray,
     y: np.ndarray,
     slopes: np.ndarray,
     edges: list[tuple[int, int]],
 ) -> np.ndarray:
-    """:func:`bin_fit_residual` of every row of ``(rows, n)`` matrices at once.
+    """The FitResidual feature of every row of ``(rows, n)`` matrices at once.
 
-    ``slopes``/``edges`` are what :func:`bin_slopes` returned for the same
-    matrices.  Bit-identical to the per-profile loop: the bins of one width
+    Mean absolute OLS residual across bins — how well piecewise-linear
+    trends describe the profile: real single pulses fit cleanly, noise
+    clusters do not.  ``slopes``/``edges`` are what :func:`bin_slopes`
+    returned for the same matrices.  Bit-identical to a loop over profiles
+    and bins (``tests/oracles/record_path.py``): the bins of one width
     (all of them, except possibly a narrower last one) gather into a
     C-contiguous ``(rows, bins, width)`` block whose last-axis ``mean``/
     ``sum`` are the same pairwise sums as the per-bin calls, and per-bin

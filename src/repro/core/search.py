@@ -9,14 +9,12 @@ descent completes (or the profile ends).  Multiple peaks in one cluster
 yield multiple single pulses — the behaviour that lets D-RAPID find 188
 single pulses in Fig. 1's data where DPG-mode RAPID found one.
 
-Two implementations are provided:
-
-- :func:`find_single_pulses_recursive` — transliterates the paper's
-  recursive pseudocode (``search(next, bn)``);
-- :func:`find_single_pulses` — an iterative equivalent without the
-  recursion-depth hazard (clusters can have thousands of SPEs).
-
-A property-based test asserts the two always agree.
+The paper writes the search recursively (``search(next, bn)``);
+:func:`find_single_pulses` is the iterative equivalent without the
+recursion-depth hazard (clusters can have thousands of SPEs).  The
+transliterated recursion is a test oracle
+(``tests/oracles/record_path.py``) and a property-based test asserts the
+two always agree.
 
 Deviations from the published pseudocode (which contains unreachable and
 ambiguous branches) are confined to ``_step`` and documented inline.
@@ -24,7 +22,6 @@ ambiguous branches) are confined to ``_step`` and documented inline.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,46 +211,6 @@ def find_single_pulses_rows(
     for row in np.nonzero(trends.any(axis=1))[0].tolist():
         spans[row] = _spans_of_trends(trends[row].tolist())
     return spans, edges
-
-
-def find_single_pulses_recursive(
-    dms: np.ndarray,
-    snrs: np.ndarray,
-    params: SearchParams = SearchParams(),
-    binsize: int | None = None,
-) -> tuple[list[PulseSpan], list[tuple[int, int]]]:
-    """The paper's recursive formulation: ``search(next, bn)``.
-
-    Each call handles one bin and recurses with its slope, exactly as
-    Algorithm 1 is written.  Slopes come from the same vectorized
-    computation the iterative version uses, so the two are bit-identical (a
-    per-call scalar refit would agree only up to floating-point noise);
-    the equivalence is enforced by a property test.
-    """
-    slopes, edges = _bin_trend_slopes(dms, snrs, params, binsize)
-    state = _MachineState()
-
-    needed = len(edges) + 16
-    old_limit = sys.getrecursionlimit()
-    if needed > old_limit:
-        sys.setrecursionlimit(needed + 64)
-    try:
-        def search(bin_idx: int, prev_slope: float) -> None:
-            if bin_idx >= len(edges):  # "if next > total number of SPEs: return"
-                return
-            bn = float(slopes[bin_idx])
-            _step(
-                state,
-                classify_trend(prev_slope, params.slope_threshold),
-                classify_trend(bn, params.slope_threshold),
-                bin_idx,
-            )
-            search(bin_idx + 1, bn)  # "search(next, bn)"
-
-        search(0, 0.0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return _finalize(state, last_bin=len(edges) - 1), edges
 
 
 def spans_to_spe_ranges(

@@ -1,13 +1,14 @@
 """The columnar data plane: batch-first SPE/cluster/pulse representation.
 
 Every layer of the pipeline exchanges these batch types instead of lists of
-per-record dataclasses; the record classes (``SPE``, ``ClusterRecord``,
-``SinglePulse``) remain as thin adapters materialized on demand via
-``batch.record(i)`` / ``batch.to_records()``.  See DESIGN.md § Data plane
-for the ownership and zero-copy rules.
+per-record dataclasses.  Records exist only at the two boundaries that need
+them — ``SPE`` where the search kernels emit events, ``ClusterRecord`` for
+the lenient per-row cluster-file fallback — and enter through
+``from_records``.  See DESIGN.md § Data plane for the ownership and
+zero-copy rules.
 """
 
-from repro.dataplane._columns import MalformedRowError, fmt_float
+from repro.dataplane._columns import MalformedRowError
 from repro.dataplane.cluster_batch import ClusterBatch
 from repro.dataplane.pulse_batch import N_FEATURES, PulseBatch
 from repro.dataplane.spe_batch import SPEBatch
@@ -17,6 +18,5 @@ __all__ = [
     "ClusterBatch",
     "PulseBatch",
     "MalformedRowError",
-    "fmt_float",
     "N_FEATURES",
 ]

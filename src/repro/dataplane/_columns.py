@@ -1,12 +1,12 @@
 """Shared helpers of the columnar data plane.
 
-Float formatting and bulk string→number parsing used by every batch type,
-plus :class:`MalformedRowError` which carries the *file name* and *1-based
-line number* of a bad row so operators can find it in a multi-gigabyte csv.
+Bulk string→number parsing used by every batch type, plus
+:class:`MalformedRowError` which carries the *file name* and *1-based line
+number* of a bad row so operators can find it in a multi-gigabyte csv.
 
-Formatting convention: ML-file floats are written with :func:`fmt_float`
-(Python ``repr`` — the shortest decimal string that parses back to exactly
-the same IEEE double), so serialize→parse round-trips are bit-exact.  The
+Formatting convention: ML-file floats are written with Python ``repr``
+(the shortest decimal string that parses back to exactly the same IEEE
+double), so serialize→parse round-trips are bit-exact.  The
 data/cluster files keep their fixed ``%.3f``/``%.6f`` formats for
 compatibility with PRESTO-style tooling; those formats are intentionally
 lossy and documented as such.
@@ -33,11 +33,6 @@ class MalformedRowError(ValueError):
         elif lineno is not None:
             message = f"line {lineno}: {message}"
         super().__init__(message)
-
-
-def fmt_float(v: float) -> str:
-    """Shortest decimal string that round-trips to exactly ``v``."""
-    return repr(float(v))
 
 
 def _lineno(linenos: Sequence[int] | None, i: int) -> int:

@@ -130,27 +130,7 @@ class ClusterBatch:
             for k, idx in groups.items()
         ]
 
-    # -- record adapters ---------------------------------------------------
-    def record(self, i: int) -> "ClusterRecord":
-        from repro.io.spe_files import ClusterRecord
-
-        return ClusterRecord(
-            key=self.key[i],
-            cluster_id=int(self.cluster_id[i]),
-            rank=int(self.rank[i]),
-            n_spes=int(self.n_spes[i]),
-            dm_lo=float(self.dm_lo[i]),
-            dm_hi=float(self.dm_hi[i]),
-            t_lo=float(self.t_lo[i]),
-            t_hi=float(self.t_hi[i]),
-            max_snr=float(self.max_snr[i]),
-            source=self.source[i],
-            is_rrat=bool(self.is_rrat[i]),
-        )
-
-    def to_records(self) -> list["ClusterRecord"]:
-        return [self.record(i) for i in range(len(self))]
-
+    # -- records in ------------------------------------------------------
     @classmethod
     def from_records(cls, records: Iterable["ClusterRecord"]) -> "ClusterBatch":
         records = list(records)

@@ -6,16 +6,13 @@ payload is therefore a handful of large contiguous buffers instead of
 thousands of dataclass instances — the whole point of the columnar data
 plane.
 
-ML-file serialization uses shortest-exact float formatting
-(:func:`repro.dataplane._columns.fmt_float`), so
-``from_ml_lines(to_ml_lines(b)) == b`` holds bit for bit; the record
-adapter :meth:`record` yields :class:`repro.core.rapid.SinglePulse` views
-with the same guarantee.
+ML-file serialization uses shortest-exact float formatting (``repr``), so
+``from_ml_lines(to_ml_lines(b)) == b`` holds bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +22,6 @@ from repro.dataplane._columns import (
     int_columns,
     split_rows,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.rapid import SinglePulse
 
 #: Width of the feature matrix.  Kept as a literal (not imported from
 #: repro.core.features) so the data plane has no module-level dependency on
@@ -137,56 +131,6 @@ class PulseBatch:
 
         return self.features[:, FEATURE_NAMES.index(name)]
 
-    # -- record adapters ---------------------------------------------------
-    def record(self, i: int) -> "SinglePulse":
-        from repro.core.features import PulseFeatures
-        from repro.core.rapid import SinglePulse
-
-        return SinglePulse(
-            observation_key=self.observation_key[i],
-            cluster_id=int(self.cluster_id[i]),
-            spe_start=int(self.spe_start[i]),
-            spe_stop=int(self.spe_stop[i]),
-            features=PulseFeatures.from_vector(self.features[i]),
-            source_name=self.source_name[i],
-            is_rrat=bool(self.is_rrat[i]),
-        )
-
-    def to_records(self) -> list["SinglePulse"]:
-        from repro.core.features import PulseFeatures
-        from repro.core.rapid import SinglePulse
-
-        feats = self.features.tolist()
-        return [
-            SinglePulse(
-                observation_key=key, cluster_id=cid, spe_start=a, spe_stop=b,
-                features=PulseFeatures(*vec), source_name=src, is_rrat=rr,
-            )
-            for key, cid, a, b, src, rr, vec in zip(
-                self.observation_key.tolist(), self.cluster_id.tolist(),
-                self.spe_start.tolist(), self.spe_stop.tolist(),
-                self.source_name.tolist(), self.is_rrat.tolist(), feats,
-            )
-        ]
-
-    @classmethod
-    def from_records(cls, pulses: Iterable["SinglePulse"]) -> "PulseBatch":
-        pulses = list(pulses)
-        if not pulses:
-            return cls.empty()
-        features = np.array(
-            [p.features.to_vector() for p in pulses], dtype=np.float64
-        )
-        return cls(
-            np.array([p.observation_key for p in pulses], dtype=object),
-            np.array([p.cluster_id for p in pulses], dtype=np.int64),
-            np.array([p.spe_start for p in pulses], dtype=np.int64),
-            np.array([p.spe_stop for p in pulses], dtype=np.int64),
-            np.array([p.source_name for p in pulses], dtype=object),
-            np.array([p.is_rrat for p in pulses], dtype=np.bool_),
-            features,
-        )
-
     # -- serialization -----------------------------------------------------
     def _feature_strings(self) -> list[list[str]]:
         """Per-column shortest-exact reprs, memoized over repeated values.
@@ -217,7 +161,7 @@ class PulseBatch:
         return cols
 
     def to_ml_lines(self) -> list[str]:
-        """ML-file rows, byte-identical to SinglePulse.to_ml_row.
+        """ML-file rows, one per pulse.
 
         Floats use ``repr`` (shortest exact form); NumPy float64 scalars
         stringify identically, so formatting straight off the columns is

@@ -9,12 +9,13 @@ ownership rules are:
 - ``take``, ``concat`` and ``sort_by_dm`` allocate fresh columns and never
   mutate their inputs (a hard requirement for Sparklet lineage replay).
 
-Serialization matches the record path byte for byte: data-file rows use the
-same fixed ``%.3f``/``%.6f`` formats as :meth:`SPE.to_csv_row`.
+Data-file rows use the same fixed ``%.3f``/``%.6f`` formats as
+:meth:`SPE.to_csv_row`, byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -112,34 +113,14 @@ class SPEBatch:
         ))
 
     def sort_by_dm(self) -> "SPEBatch":
-        """Rows sorted by (dm, time_s), stably — matches the record path's
-        ``sorted(spes, key=lambda s: (s.dm, s.time_s))``."""
+        """Rows sorted by (dm, time_s), stably — what
+        ``sorted(spes, key=lambda s: (s.dm, s.time_s))`` gives on records."""
         return self.take(np.lexsort((self.time_s, self.dm)))
 
     def sort_by_time(self) -> "SPEBatch":
         return self.take(np.lexsort((self.dm, self.time_s)))
 
-    # -- record adapters ---------------------------------------------------
-    def record(self, i: int) -> "SPE":
-        from repro.astro.spe import SPE
-
-        return SPE(
-            dm=float(self.dm[i]), snr=float(self.snr[i]),
-            time_s=float(self.time_s[i]), sample=int(self.sample[i]),
-            downfact=int(self.downfact[i]),
-        )
-
-    def to_records(self) -> list["SPE"]:
-        from repro.astro.spe import SPE
-
-        return [
-            SPE(dm=d, snr=s, time_s=t, sample=a, downfact=f)
-            for d, s, t, a, f in zip(
-                self.dm.tolist(), self.snr.tolist(), self.time_s.tolist(),
-                self.sample.tolist(), self.downfact.tolist(),
-            )
-        ]
-
+    # -- records in ------------------------------------------------------
     @classmethod
     def from_records(cls, spes: Iterable["SPE"]) -> "SPEBatch":
         spes = list(spes)
@@ -206,8 +187,10 @@ class SPEBatch:
         Survey csvs accumulate truncated/garbled rows (interrupted
         transfers, header fragments); a bad row must cost one record, not
         the batch.  A row is kept iff its first three fields parse as
-        floats — exactly the retained record path's rule.  The trailing
-        integer fields are best-effort (the search never reads them).
+        *finite* floats (``float("nan")`` is a valid parse, and one NaN
+        Sigma turns its cluster's bin slopes NaN) — the per-record oracle's
+        rule too.  The trailing integer fields are best-effort (the search
+        never reads them).
         """
         if not rows:
             return cls.empty()
@@ -219,6 +202,9 @@ class SPEBatch:
             floats = arr[:, :3].astype(np.float64)
         except ValueError:
             return cls._from_data_rows_slow(parts)
+        if not np.isfinite(floats).all():
+            finite = np.isfinite(floats).all(axis=1)
+            arr, floats = arr[finite], floats[finite]
         sample = downfact = None
         if arr.shape[1] >= 5:
             try:
@@ -246,6 +232,8 @@ class SPEBatch:
             try:
                 dm, snr, t = float(p[0]), float(p[1]), float(p[2])
             except ValueError:
+                continue
+            if not (math.isfinite(dm) and math.isfinite(snr) and math.isfinite(t)):
                 continue
             dms.append(dm)
             snrs.append(snr)

@@ -9,7 +9,6 @@ from repro.io.spe_files import (
     parse_cluster_line,
     parse_data_file,
     read_ml_batch,
-    read_ml_files,
     upload_observations,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "parse_cluster_line",
     "parse_data_file",
     "read_ml_batch",
-    "read_ml_files",
     "upload_observations",
 ]

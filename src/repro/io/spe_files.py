@@ -15,14 +15,14 @@ leave them empty (D-RAPID itself never reads them during the search).
 One output:
 
 - **ML file** — one row per identified single pulse
-  (:meth:`repro.core.rapid.SinglePulse.to_ml_row`), later aggregated into
+  (:meth:`repro.dataplane.PulseBatch.to_ml_lines`), later aggregated into
   the classification benchmark.
 
 Since the columnar refactor, whole files are built and parsed through the
 batch types (:class:`repro.dataplane.SPEBatch` /
 :class:`~repro.dataplane.ClusterBatch` / :class:`~repro.dataplane.PulseBatch`)
-rather than row at a time; the record-oriented builders are retained as
-``_reference_*`` for the equivalence tests.  Parse errors raise
+rather than row at a time; the record-at-a-time builders are test oracles
+(``tests/oracles/record_path.py``).  Parse errors raise
 :class:`repro.dataplane.MalformedRowError` naming the file and 1-based
 line number.
 """
@@ -34,17 +34,12 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.astro.spe import SPE_FILE_HEADER, spes_to_csv
+from repro.astro.spe import SPE_FILE_HEADER
 from repro.dataplane import ClusterBatch, MalformedRowError, PulseBatch, SPEBatch
 from repro.dataplane._columns import data_lines
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.astro.survey import Observation
-    # Annotation-only: a runtime import would close the cycle
-    # repro.io -> repro.core -> repro.core.drapid -> repro.io.spe_files,
-    # which breaks when a worker process first imports the package via
-    # repro.io while unpickling a task payload.
-    from repro.core.rapid import SinglePulse
     from repro.dfs import DFSClient
 
 CLUSTER_FILE_HEADER = (
@@ -137,7 +132,7 @@ def build_data_file(observations: Iterable["Observation"]) -> str:
     """Concatenate every observation's SPEs into one data-file text.
 
     Vectorized through each observation's :class:`SPEBatch`; byte-identical
-    to :func:`_reference_build_data_file`.
+    to the record-at-a-time oracle.
     """
     chunks = [SPE_FILE_HEADER + "\n"]
     for obs in observations:
@@ -148,45 +143,12 @@ def build_data_file(observations: Iterable["Observation"]) -> str:
 def build_cluster_file(observations: Iterable["Observation"]) -> str:
     """One row per cluster, with benchmark ground truth attached.
 
-    Serialized through :class:`ClusterBatch`; byte-identical to
-    :func:`_reference_build_cluster_file`.
+    Serialized through :class:`ClusterBatch`; byte-identical to the
+    record-at-a-time oracle.
     """
     lines = [CLUSTER_FILE_HEADER]
     for obs in observations:
         lines.extend(observation_cluster_batch(obs).to_lines())
-    return "\n".join(lines) + "\n"
-
-
-def _reference_build_data_file(observations: Iterable["Observation"]) -> str:
-    """The record-at-a-time data-file builder, retained for equivalence tests."""
-    chunks = [SPE_FILE_HEADER + "\n"]
-    for obs in observations:
-        chunks.append(spes_to_csv(obs.key, obs.spes))
-    return "".join(chunks)
-
-
-def _reference_build_cluster_file(observations: Iterable["Observation"]) -> str:
-    """The record-at-a-time cluster-file builder, retained for equivalence tests."""
-    lines = [CLUSTER_FILE_HEADER]
-    for obs in observations:
-        key = obs.key.to_key()
-        for cluster in obs.clusters:
-            source, is_rrat = obs.cluster_truth.get(cluster.cluster_id, (None, False))
-            lines.append(
-                ClusterRecord(
-                    key=key,
-                    cluster_id=cluster.cluster_id,
-                    rank=cluster.rank,
-                    n_spes=cluster.size,
-                    dm_lo=cluster.dm_lo,
-                    dm_hi=cluster.dm_hi,
-                    t_lo=cluster.t_lo,
-                    t_hi=cluster.t_hi,
-                    max_snr=cluster.max_snr,
-                    source=source,
-                    is_rrat=is_rrat,
-                ).to_line()
-            )
     return "\n".join(lines) + "\n"
 
 
@@ -245,8 +207,3 @@ def read_ml_batch(dfs: "DFSClient", prefix: str) -> PulseBatch:
                 PulseBatch.from_ml_lines(lines, source=path, linenos=linenos)
             )
     return PulseBatch.concat(batches)
-
-
-def read_ml_files(dfs: "DFSClient", prefix: str) -> list[SinglePulse]:
-    """Record-view adapter over :func:`read_ml_batch`."""
-    return read_ml_batch(dfs, prefix).to_records()

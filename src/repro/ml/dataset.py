@@ -55,9 +55,7 @@ class Dataset:
     ) -> "Dataset":
         """Build a dataset straight off a :class:`PulseBatch`.
 
-        The batch's (n, 22) feature matrix is used as ``X`` directly — no
-        intermediate ``SinglePulse`` list, no per-pulse ``to_vector``
-        stacking.
+        The batch's (n, 22) feature matrix is used as ``X`` directly.
         """
         from repro.core.features import FEATURE_NAMES
 

@@ -129,5 +129,4 @@ def load_benchmark(path: str | Path) -> "Any":
         is_pulsar=arrays["is_pulsar"],
         is_rrat=arrays["is_rrat"],
         source_names=[s or None for s in meta["source_names"]],
-        pulses=[],
     )

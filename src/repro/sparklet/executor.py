@@ -80,7 +80,6 @@ __all__ = [
     "SerialBackend",
     "ShmShuffleManager",
     "get_pool",
-    "in_worker",
     "make_backend",
     "shutdown_pool",
 ]
@@ -90,11 +89,6 @@ _WORKER_ACCS: dict[Any, Any] | None = None
 
 #: Partitions a worker keeps in its local RDD cache (LRU).
 _WORKER_CACHE_CAP = 256
-
-
-def in_worker() -> bool:
-    """True inside a pool worker process (nested contexts degrade to serial)."""
-    return _IN_WORKER
 
 
 def worker_accumulator_registry() -> dict[Any, Any] | None:

@@ -175,10 +175,6 @@ class SchedulerPools:
         """Record driver service consumed on behalf of ``name``."""
         self._pools[self.resolve(name)].service_s += max(0.0, seconds)
 
-    def service_of(self, name: str) -> float:
-        state = self._pools.get(name)
-        return state.service_s if state is not None else 0.0
-
     def total_service(self) -> float:
         return sum(p.service_s for p in self._pools.values())
 

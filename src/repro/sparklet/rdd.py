@@ -486,9 +486,6 @@ class RDD:
             out[k] = n
         return out
 
-    def collect_as_map(self) -> dict[Any, Any]:
-        return dict(self.collect())
-
     def foreach(self, f: Callable[[Any], None]) -> None:
         def run_part(it: Iterator[Any]) -> None:
             for x in it:

@@ -230,10 +230,6 @@ class ShmRegistry:
         with self._lock:
             return list(self._segments)
 
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(nbytes for nbytes, _owner in self._segments.values())
-
     def release(self, name: str) -> bool:
         with self._lock:
             known = self._segments.pop(name, None) is not None

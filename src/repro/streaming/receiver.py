@@ -127,10 +127,6 @@ class ReplayReceiver:
     def exhausted(self) -> bool:
         return self.cursor >= len(self._items)
 
-    @property
-    def n_items(self) -> int:
-        return len(self._items)
-
     def poll(self, *, time_s: float, interval_s: float, rate_rows_per_s: float) -> Block:
         """Cut the next block: up to ``rate × interval`` rows arrive.
 

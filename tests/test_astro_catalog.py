@@ -5,7 +5,7 @@ import pytest
 from repro.astro import GBT350DRIFT, generate_observation, synthesize_population
 from repro.astro.catalog import Catalog, CatalogEntry, label_pulses_by_catalog, match_pulse
 from repro.astro.spe import ObservationKey
-from repro.core.rapid import run_rapid_observation
+from repro.core.rapid import run_rapid_observation_batch
 
 
 @pytest.fixture(scope="module")
@@ -51,28 +51,16 @@ class TestVicinityMatching:
             CatalogEntry("B", "J", 120.0, 1.0, False),
         ]
 
-        class FakeFeatures:
-            SNRPeakDM = 52.0
-
-        class FakePulse:
-            features = FakeFeatures()
-
-        assert match_pulse(FakePulse(), entries, dm_tolerance=10.0).name == "A"
+        assert match_pulse(52.0, entries, dm_tolerance=10.0).name == "A"
 
     def test_no_match_outside_tolerance(self):
         entries = [CatalogEntry("A", "J", 50.0, 1.0, False)]
 
-        class FakeFeatures:
-            SNRPeakDM = 80.0
-
-        class FakePulse:
-            features = FakeFeatures()
-
-        assert match_pulse(FakePulse(), entries, dm_tolerance=10.0) is None
+        assert match_pulse(80.0, entries, dm_tolerance=10.0) is None
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
-            match_pulse(None, [], dm_tolerance=0.0)
+            match_pulse(50.0, [], dm_tolerance=0.0)
 
 
 class TestEndToEndLabeling:
@@ -82,13 +70,13 @@ class TestEndToEndLabeling:
         source = population[0]
         obs = generate_observation(GBT350DRIFT, [source], seed=23,
                                    n_noise_clusters=30, obs_length_s=45.0)
-        result = run_rapid_observation(obs)
+        pulses = run_rapid_observation_batch(obs).pulse_batch
         labels = label_pulses_by_catalog(
-            result.pulses, catalog,
+            pulses, catalog,
             beam_position_of=lambda key: ObservationKey.from_key(key).sky_position,
             dm_tolerance=15.0,
         )
-        truth_pos = [p.source_name is not None for p in result.pulses]
+        truth_pos = pulses.is_pulsar.tolist()
         matched_pos = [lab is not None for lab in labels]
         agree = sum(t == m for t, m in zip(truth_pos, matched_pos))
         assert agree / len(labels) > 0.8

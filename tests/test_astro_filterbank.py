@@ -12,7 +12,8 @@ from repro.astro.filterbank import (
     single_pulse_search,
     synthesize_filterbank,
 )
-from repro.core.rapid import run_rapid_on_cluster
+from repro.core.rapid import search_observation_columns
+from repro.dataplane import ClusterBatch
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +124,11 @@ class TestEndToEndChain:
         snrs = np.array([s.snr for s in spes])
         window = np.abs(times - pulse.time_s) < 0.3
         assert window.sum() >= 4
-        pulses = run_rapid_on_cluster(
-            times[window], dms[window], snrs[window],
-            cluster_rank=1, dm_spacing_of=lambda _d: 2.5,
+        times, dms, snrs = times[window], dms[window], snrs[window]
+        box = ClusterBatch(
+            ["fb"], [0], [1], [dms.size], [dms.min()], [dms.max()],
+            [times.min()], [times.max()], [snrs.max()],
         )
-        assert pulses
-        assert min(
-            abs(p.features.SNRPeakDM - pulse.dm) for p in pulses
-        ) < 10.0
+        pulses = search_observation_columns(times, dms, snrs, box, None)
+        assert len(pulses)
+        assert np.abs(pulses.feature("SNRPeakDM") - pulse.dm).min() < 10.0

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.astro.spe import (
-    SPE,
-    ObservationKey,
-    parse_spe_line,
-    spes_to_csv,
-)
+from repro.astro.spe import SPE, SPE_FILE_HEADER, ObservationKey
+from repro.dataplane import SPEBatch
+from repro.io.spe_files import build_data_file, parse_data_file
 
 
 @pytest.fixture
@@ -46,30 +43,28 @@ class TestSPE:
 
     def test_parse_spe_line(self, key, spes):
         line = f"{key.to_key()},{spes[0].to_csv_row()}"
-        parsed_key, spe = parse_spe_line(line)
-        assert parsed_key == key.to_key()
-        assert spe == spes[0]
+        assert parse_data_file(line) == {key.to_key(): SPEBatch.from_records(spes[:1])}
 
     def test_parse_empty_line_rejected(self):
         with pytest.raises(ValueError):
-            parse_spe_line("nocomma")
+            parse_data_file("nocomma")
 
 
 class TestCsvRendering:
     def test_spes_to_csv_prefixes_key(self, key, spes):
-        text = spes_to_csv(key, spes)
+        text = SPEBatch.from_records(spes).to_data_csv(key.to_key())
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert all(line.startswith(key.to_key() + ",") for line in lines)
 
-    def test_header_included_when_requested(self, key, spes):
-        text = spes_to_csv(key, spes, include_header=True)
-        assert text.startswith("#")
+    def test_header_included_when_requested(self):
+        assert build_data_file([]) == SPE_FILE_HEADER + "\n"
+        assert SPE_FILE_HEADER.startswith("#")
 
     def test_empty_spes_empty_output(self, key):
-        assert spes_to_csv(key, []) == ""
+        assert SPEBatch.empty().to_data_csv(key.to_key()) == ""
 
     def test_rows_parse_back(self, key, spes):
-        text = spes_to_csv(key, spes)
-        parsed = [parse_spe_line(line) for line in text.strip().split("\n")]
-        assert [spe for _k, spe in parsed] == spes
+        batch = SPEBatch.from_records(spes)
+        text = batch.to_data_csv(key.to_key())
+        assert parse_data_file(text) == {key.to_key(): batch}

@@ -204,9 +204,7 @@ class TestDRapidChaosInvariant:
         got, got_ml, ctx = _run_drapid(drapid_inputs, chaos_config(seed, mix))
 
         assert got_ml == base_ml  # byte-identical DFS output
-        assert [p.to_ml_row() for p in got.pulses] == [
-            p.to_ml_row() for p in base.pulses
-        ]
+        assert got.pulse_batch.to_ml_lines() == base.pulse_batch.to_ml_lines()
         assert got.n_clusters == base.n_clusters
         assert got.n_null_joins == base.n_null_joins
         assert got.n_dropped_cluster_rows == base.n_dropped_cluster_rows > 0

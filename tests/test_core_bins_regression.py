@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from oracles.record_path import bin_fit_residual as oracle_fit_residual
+from oracles.record_path import ols_slope
 
 from repro.core.bins import (
     DEFAULT_SLOPE_THRESHOLD,
@@ -12,7 +14,7 @@ from repro.core.bins import (
     SMALL_CLUSTER_CUTOFF,
     dynamic_bin_size,
 )
-from repro.core.regression import bin_edges, bin_fit_residual, bin_slopes, ols_slope
+from repro.core.regression import bin_edges, bin_fit_residual_rows, bin_slopes
 
 
 class TestDynamicBinSize:
@@ -44,6 +46,8 @@ class TestDynamicBinSize:
 
 
 class TestOlsSlope:
+    """The scalar oracle ``bin_slopes`` is held to (``TestBinSlopes``)."""
+
     def test_exact_line(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
         assert ols_slope(x, 2.0 * x + 1.0) == pytest.approx(2.0)
@@ -123,6 +127,14 @@ class TestBinSlopes:
     def test_empty_when_too_few_points(self):
         slopes, edges = bin_slopes(np.array([1.0]), np.array([2.0]), 1)
         assert slopes.size == 0 and edges == []
+
+
+def bin_fit_residual(x, y, binsize):
+    """FitResidual of one profile through the live row-wise path."""
+    slopes, edges = bin_slopes(x[None, :], y[None, :], binsize)
+    residual = bin_fit_residual_rows(x[None, :], y[None, :], slopes, edges)[0]
+    assert residual == oracle_fit_residual(x, y, binsize)
+    return residual
 
 
 class TestFitResidual:

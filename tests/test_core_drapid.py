@@ -2,11 +2,16 @@
 
 import pytest
 
-from repro.astro import GBT350DRIFT
+from repro.astro import GBT350DRIFT, generate_observation, synthesize_population
 from repro.core.drapid import DRapidDriver
-from repro.core.multithreaded import MultithreadedRapid, ThreadedBoxModel
+from repro.core.multithreaded import (
+    MultithreadedRapid,
+    ThreadedBoxModel,
+    observation_search_tasks,
+)
 from repro.core.pipeline import SinglePulsePipeline
-from repro.core.rapid import run_rapid_observation
+from repro.core.rapid import run_rapid_observation_batch
+from repro.dataplane import PulseBatch
 from repro.io.spe_files import upload_observations
 
 
@@ -16,18 +21,27 @@ def uploaded(observation, dfs):
     return data_path, cluster_path
 
 
+def assert_same_pulses(got: PulseBatch, want: PulseBatch) -> None:
+    """Same pulse count and peak DMs, independent of distribution order.
+
+    The comparison a file-fed run supports: the data and cluster files
+    round to ``%.3f``/``%.6f``, so bit equality with an in-memory search is
+    not promised.
+    """
+    assert len(got) == len(want)
+    assert sorted(got.feature("SNRPeakDM").round(2).tolist()) == sorted(
+        want.feature("SNRPeakDM").round(2).tolist()
+    )
+
+
 class TestDRapidDriver:
     def test_matches_serial_rapid(self, observation, dfs, ctx, uploaded):
         data_path, cluster_path = uploaded
         driver = DRapidDriver(ctx=ctx, dfs=dfs,
                               grids={"GBT350Drift": observation.grid}, num_partitions=6)
         result = driver.run(data_path, cluster_path)
-        serial = run_rapid_observation(observation)
-        assert result.n_pulses == serial.n_pulses
-        # Same peak DMs, independent of distribution order.
-        got = sorted(round(p.features.SNRPeakDM, 2) for p in result.pulses)
-        want = sorted(round(p.features.SNRPeakDM, 2) for p in serial.pulses)
-        assert got == want
+        serial = run_rapid_observation_batch(observation)
+        assert_same_pulses(result.pulse_batch, serial.pulse_batch)
 
     def test_ml_files_written_to_dfs(self, observation, dfs, ctx, uploaded):
         data_path, cluster_path = uploaded
@@ -64,10 +78,8 @@ class TestDRapidDriver:
         driver = DRapidDriver(ctx=ctx, dfs=dfs,
                               grids={"GBT350Drift": observation.grid}, num_partitions=4)
         result = driver.run(data_path, cluster_path)
-        serial = run_rapid_observation(observation)
-        assert sum(1 for p in result.pulses if p.source_name) == sum(
-            1 for p in serial.pulses if p.source_name
-        )
+        serial = run_rapid_observation_batch(observation)
+        assert result.pulse_batch.is_pulsar.sum() == serial.pulse_batch.is_pulsar.sum() > 0
 
 
 class TestMultithreadedRapid:
@@ -80,6 +92,40 @@ class TestMultithreadedRapid:
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError):
             MultithreadedRapid(n_threads=0).run([lambda: 1])
+
+    def test_baseline_equals_serial_and_drapid(self, dfs, ctx):
+        """Fig. 4's three runs do one computation: the baseline's task
+        results, concatenated, are the serial batch bit for bit, and agree
+        with the file-fed distributed run."""
+        population = synthesize_population(4, max_dm=300.0, seed=5)
+        observations = [
+            generate_observation(
+                GBT350DRIFT, [population[i % 4]], mjd=55000.0 + i, beam=i,
+                n_noise_clusters=20, n_rfi_bursts=1, n_pulse_mimics=5,
+                seed=17 * i, obs_length_s=30.0,
+            )
+            for i in range(5)
+        ]
+        serial = PulseBatch.concat(
+            [run_rapid_observation_batch(obs).pulse_batch for obs in observations]
+        )
+        assert serial.is_pulsar.any() and not serial.is_pulsar.all()
+
+        tasks = observation_search_tasks(observations)
+        assert len(tasks) == len(observations)
+        baseline = PulseBatch.concat(MultithreadedRapid(n_threads=2).run(tasks))
+        for column in PulseBatch.__slots__:
+            got, want = getattr(baseline, column), getattr(serial, column)
+            assert got.dtype == want.dtype, column
+            if got.dtype == object:
+                assert got.tolist() == want.tolist(), column
+            else:
+                assert got.tobytes() == want.tobytes(), column
+
+        data_path, cluster_path = upload_observations(dfs, observations)
+        driver = DRapidDriver(ctx=ctx, dfs=dfs, num_partitions=6,
+                              grids={"GBT350Drift": observations[0].grid})
+        assert_same_pulses(driver.run(data_path, cluster_path).pulse_batch, serial)
 
 
 class TestThreadedBoxModel:
@@ -106,7 +152,7 @@ class TestPipeline:
     def test_end_to_end_without_classification(self, small_population):
         pipe = SinglePulsePipeline(survey=GBT350DRIFT, scheme="4", seed=2)
         result = pipe.run(small_population[:4], n_observations=2, classify=False)
-        assert result.drapid.n_pulses == len(result.pulses) > 0
+        assert result.drapid.n_pulses == result.features.shape[0] > 0
         assert result.features.shape[1] == 22
         assert result.labels.max() < 4
         assert result.report is None

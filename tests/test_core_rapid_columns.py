@@ -13,17 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.record_path import pulse_batch_from_records, run_rapid_on_cluster
 
 import repro.core.rapid as rapid
 from repro.astro import GBT350DRIFT, generate_observation
 from repro.astro.dispersion import DMGrid
 from repro.astro.population import b1853_like
 from repro.core.bins import SMALL_CLUSTER_CUTOFF, dynamic_bin_size
-from repro.core.rapid import (
-    run_rapid_observation_batch,
-    run_rapid_on_cluster,
-    search_observation_columns,
-)
+from repro.core.rapid import run_rapid_observation_batch, search_observation_columns
 from repro.core.regression import bin_slopes
 from repro.core.search import SearchParams, find_single_pulses, find_single_pulses_rows
 from repro.dataplane import ClusterBatch, PulseBatch
@@ -63,7 +60,7 @@ def oracle(times, dms, snrs, clusters, grid, key="K", params=SearchParams()) -> 
             params=params, source_name=clusters.source[i],
             is_rrat=bool(clusters.is_rrat[i]),
         ))
-    return PulseBatch.from_records(pulses)
+    return pulse_batch_from_records(pulses)
 
 
 def assert_identical(got: PulseBatch, want: PulseBatch) -> None:

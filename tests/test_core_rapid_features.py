@@ -1,15 +1,23 @@
-"""Unit tests for RAPID (cluster/observation search) and feature extraction."""
+"""Unit tests for RAPID (cluster/observation search) and feature extraction.
+
+The behaviour is asserted on what runs — ``search_observation_columns`` /
+``run_rapid_observation_batch`` columns; the per-cluster record path these
+classes were first written against is the oracle of
+``tests/test_core_rapid_columns.py``.
+"""
 
 import numpy as np
 import pytest
+from oracles.record_path import extract_pulse_features
 
-from repro.core.features import FEATURE_NAMES, PulseFeatures, extract_pulse_features
+from repro.astro.dispersion import DMGrid
+from repro.core.features import FEATURE_NAMES, extract_segment_features
 from repro.core.rapid import (
-    SinglePulse,
     run_rapid_dpg,
-    run_rapid_observation,
-    run_rapid_on_cluster,
+    run_rapid_observation_batch,
+    search_observation_columns,
 )
+from repro.dataplane import ClusterBatch, PulseBatch
 
 
 def synthetic_cluster(center_dm=50.0, width=3.0, height=12.0, n=60, t0=5.0):
@@ -19,13 +27,22 @@ def synthetic_cluster(center_dm=50.0, width=3.0, height=12.0, n=60, t0=5.0):
     return times, dms, snrs
 
 
+def search_cluster(times, dms, snrs, cluster_rank=1, grid=None, observation_key="",
+                   cluster_id=0, source_name=None, is_rrat=False) -> PulseBatch:
+    """``search_observation_columns`` on one cluster: the box of its SPEs."""
+    box = ClusterBatch(
+        [observation_key], [cluster_id], [cluster_rank], [len(dms)],
+        [dms.min()], [dms.max()], [times.min()], [times.max()], [snrs.max()],
+        [source_name], [is_rrat],
+    )
+    return search_observation_columns(times, dms, snrs, box, grid, observation_key)
+
+
 class TestRunRapidOnCluster:
     def test_finds_the_pulse(self):
-        times, dms, snrs = synthetic_cluster()
-        pulses = run_rapid_on_cluster(times, dms, snrs, cluster_rank=1,
-                                      dm_spacing_of=lambda _d: 0.5)
+        pulses = search_cluster(*synthetic_cluster())
         assert len(pulses) == 1
-        assert pulses[0].features.SNRPeakDM == pytest.approx(50.0, abs=1.0)
+        assert pulses.feature("SNRPeakDM")[0] == pytest.approx(50.0, abs=1.0)
 
     def test_multiple_peaks_ranked_by_brightness(self):
         t1, d1, s1 = synthetic_cluster(center_dm=40.0, height=15.0)
@@ -33,132 +50,137 @@ class TestRunRapidOnCluster:
         times = np.concatenate([t1, t2])
         dms = np.concatenate([d1, d2])
         snrs = np.concatenate([s1, s2])
-        pulses = run_rapid_on_cluster(times, dms, snrs, cluster_rank=1,
-                                      dm_spacing_of=lambda _d: 0.5)
+        pulses = search_cluster(times, dms, snrs)
         assert len(pulses) == 2
-        brightest = min(pulses, key=lambda p: p.features.PulseRank)
-        assert brightest.features.SNRPeakDM == pytest.approx(40.0, abs=1.5)
-        assert {p.features.PulseRank for p in pulses} == {1.0, 2.0}
-        assert all(p.features.NumPeaks == 2.0 for p in pulses)
+        brightest = np.argmin(pulses.feature("PulseRank"))
+        assert pulses.feature("SNRPeakDM")[brightest] == pytest.approx(40.0, abs=1.5)
+        assert set(pulses.feature("PulseRank")) == {1.0, 2.0}
+        assert (pulses.feature("NumPeaks") == 2.0).all()
 
     def test_tiny_cluster_skipped(self):
-        pulses = run_rapid_on_cluster(np.array([1.0]), np.array([2.0]), np.array([6.0]),
-                                      cluster_rank=1, dm_spacing_of=lambda _d: 1.0)
-        assert pulses == []
+        pulses = search_cluster(np.array([1.0]), np.array([2.0]), np.array([6.0]))
+        assert len(pulses) == 0
 
     def test_provenance_carried(self):
-        times, dms, snrs = synthetic_cluster()
-        pulses = run_rapid_on_cluster(
-            times, dms, snrs, cluster_rank=3, dm_spacing_of=lambda _d: 0.5,
+        pulses = search_cluster(
+            *synthetic_cluster(), cluster_rank=3,
             observation_key="K", cluster_id=17, source_name="PSR-X", is_rrat=True,
         )
-        p = pulses[0]
-        assert p.observation_key == "K"
-        assert p.cluster_id == 17
-        assert p.source_name == "PSR-X"
-        assert p.is_rrat
-        assert p.features.ClusterRank == 3.0
+        assert pulses.observation_key[0] == "K"
+        assert pulses.cluster_id[0] == 17
+        assert pulses.source_name[0] == "PSR-X"
+        assert pulses.is_rrat[0]
+        assert pulses.feature("ClusterRank")[0] == 3.0
 
     def test_unsorted_input_is_sorted_internally(self):
         times, dms, snrs = synthetic_cluster()
         order = np.random.default_rng(0).permutation(len(dms))
-        a = run_rapid_on_cluster(times, dms, snrs, 1, lambda _d: 0.5)
-        b = run_rapid_on_cluster(times[order], dms[order], snrs[order], 1, lambda _d: 0.5)
+        a = search_cluster(times, dms, snrs)
+        b = search_cluster(times[order], dms[order], snrs[order])
         assert len(a) == len(b) == 1
-        assert a[0].features.SNRPeakDM == b[0].features.SNRPeakDM
+        assert a == b
 
 
 class TestRunRapidObservation:
     def test_pulsar_observation_yields_positive_pulses(self, observation):
-        result = run_rapid_observation(observation)
+        result = run_rapid_observation_batch(observation)
         assert result.n_pulses > 0
-        assert any(p.source_name for p in result.pulses)
+        assert result.pulse_batch.is_pulsar.any()
         assert result.n_clusters_searched + result.n_clusters_skipped == len(observation.clusters)
 
     def test_single_pulse_granularity_beats_dpg(self, observation):
         """The Fig. 1 contrast: SP search finds orders of magnitude more
         pulses than the DPG-mode aggregate search."""
-        sp = run_rapid_observation(observation).n_pulses
+        sp = run_rapid_observation_batch(observation).n_pulses
         dpg = run_rapid_dpg(observation)
         assert sp > 20 * max(dpg, 1)
 
     def test_min_cluster_size_filters(self, observation):
-        strict = run_rapid_observation(observation, min_cluster_size=1000)
+        strict = run_rapid_observation_batch(observation, min_cluster_size=1000)
         assert strict.n_clusters_searched == 0
+        assert strict.n_pulses == 0
 
 
 class TestMlRowRoundtrip:
     def test_roundtrip(self, observation):
-        pulses = run_rapid_observation(observation).pulses
-        for pulse in pulses[:20]:
-            parsed = SinglePulse.from_ml_row(pulse.to_ml_row())
-            assert parsed.observation_key == pulse.observation_key
-            assert parsed.cluster_id == pulse.cluster_id
-            assert parsed.source_name == pulse.source_name
-            assert parsed.is_rrat == pulse.is_rrat
-            np.testing.assert_allclose(
-                parsed.features.to_vector(), pulse.features.to_vector(), rtol=1e-5
-            )
+        pulses = run_rapid_observation_batch(observation).pulse_batch
+        assert PulseBatch.from_ml_lines(pulses.to_ml_lines()) == pulses
 
     def test_malformed_row_rejected(self):
         with pytest.raises(ValueError):
-            SinglePulse.from_ml_row("a,b,c")
+            PulseBatch.from_ml_lines(["a,b,c"])
 
 
 class TestFeatureExtraction:
-    def _features(self, **overrides):
+    def _features(self, peak_hint=0):
+        """Named feature values of the synthetic cluster taken as one pulse."""
         times, dms, snrs = synthetic_cluster()
-        kwargs = dict(
-            dms=dms, snrs=snrs, times=times, peak_hint=0, binsize=5,
-            cluster_rank=1, pulse_rank=1, n_peaks_in_cluster=1, dm_spacing=0.5,
-            cluster_start_time=times.min(), cluster_stop_time=times.max(),
+        row = extract_segment_features(
+            dms, snrs, times, [0], [len(dms)], [peak_hint], [5]
         )
-        kwargs.update(overrides)
-        return extract_pulse_features(**kwargs)
+        assert row.shape == (1, 22)
+        return dict(zip(FEATURE_NAMES, row[0]))
 
     def test_feature_count_and_order(self):
-        feats = self._features()
-        vec = feats.to_vector()
-        assert vec.shape == (22,)
-        assert PulseFeatures.from_vector(vec) == feats
+        pulses = search_cluster(*synthetic_cluster())
+        assert pulses.features.shape == (1, 22)
+        for i, name in enumerate(FEATURE_NAMES):
+            assert pulses.feature(name) == pulses.features[:, i]
 
     def test_summary_statistics_correct(self):
         times, dms, snrs = synthetic_cluster()
         feats = self._features()
-        assert feats.NumSPEs == len(dms)
-        assert feats.MaxSNR == pytest.approx(snrs.max())
-        assert feats.MinSNR == pytest.approx(snrs.min())
-        assert feats.AvgSNR == pytest.approx(snrs.mean())
-        assert feats.DMRange == pytest.approx(dms.max() - dms.min())
-        assert feats.SNRPeakDM == pytest.approx(dms[np.argmax(snrs)])
+        assert feats["NumSPEs"] == len(dms)
+        assert feats["MaxSNR"] == pytest.approx(snrs.max())
+        assert feats["MinSNR"] == pytest.approx(snrs.min())
+        assert feats["AvgSNR"] == pytest.approx(snrs.mean())
+        assert feats["DMRange"] == pytest.approx(dms.max() - dms.min())
+        assert feats["SNRPeakDM"] == pytest.approx(dms[np.argmax(snrs)])
 
     def test_table1_features(self):
-        times, dms, snrs = synthetic_cluster()
-        feats = self._features(cluster_rank=4, pulse_rank=2, dm_spacing=0.25)
-        assert feats.ClusterRank == 4.0
-        assert feats.PulseRank == 2.0
-        assert feats.DMSpacing == 0.25
-        assert feats.StartTime == pytest.approx(times.min())
-        assert feats.StopTime == pytest.approx(times.max())
+        t1, d1, s1 = synthetic_cluster(center_dm=40.0, height=15.0)
+        t2, d2, s2 = synthetic_cluster(center_dm=80.0, height=8.0, t0=5.5)
+        times = np.concatenate([t1, t2])
+        grid = DMGrid(max_dm=200.0, coarsen=2.0)
+        pulses = search_cluster(
+            times, np.concatenate([d1, d2]), np.concatenate([s1, s2]),
+            cluster_rank=4, grid=grid,
+        )
+        assert (pulses.feature("ClusterRank") == 4.0).all()
+        assert pulses.feature("PulseRank").tolist() == [1.0, 2.0]
+        assert pulses.feature("DMSpacing").tolist() == [
+            grid.spacing_at(dm) for dm in pulses.feature("SNRPeakDM")
+        ]
+        # StartTime/StopTime are the *cluster's* time extent, on every pulse.
+        assert (pulses.feature("StartTime") == times.min()).all()
+        assert (pulses.feature("StopTime") == times.max()).all()
 
     def test_snr_ratio_definition(self):
         times, dms, snrs = synthetic_cluster()
         peak_hint = 10
         feats = self._features(peak_hint=peak_hint)
-        assert feats.SNRRatio == pytest.approx(snrs[peak_hint] / snrs.max())
-        assert 0.0 <= feats.SNRRatio <= 1.0
+        assert feats["SNRRatio"] == pytest.approx(snrs[peak_hint] / snrs.max())
+        assert 0.0 <= feats["SNRRatio"] <= 1.0
 
     def test_peak_width_half_max(self):
         feats = self._features()
-        assert 0.0 < feats.PeakWidthDM < 21.0
+        assert 0.0 < feats["PeakWidthDM"] < 21.0
 
     def test_empty_pulse_rejected(self):
+        """The live path never forms an empty segment (a range spans at
+        least one bin); the per-pulse oracle refuses one outright."""
+        empty = np.array([])
         with pytest.raises(ValueError):
-            self._features(dms=np.array([]), snrs=np.array([]), times=np.array([]))
+            extract_pulse_features(
+                empty, empty, empty, peak_hint=0, binsize=5, cluster_rank=1,
+                pulse_rank=1, n_peaks_in_cluster=1, dm_spacing=0.5,
+                cluster_start_time=0.0, cluster_stop_time=0.0,
+            )
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            self._features(times=np.array([1.0, 2.0]))
+        times, dms, snrs = synthetic_cluster()
+        with pytest.raises(ValueError, match=r"equal length, got 2, 60 and 60"):
+            search_cluster(np.array([1.0, 2.0]), dms, snrs)
 
     def test_feature_names_constant(self):
         assert len(FEATURE_NAMES) == 22

@@ -2,22 +2,30 @@
 
 The refactor's contract is *byte identity*: every batch-built artifact
 (data file, cluster file, D-RAPID ML part files) must equal what the
-retained record-oriented reference code produces, bit for bit.  These
-tests are the gate — if one fails, the columnar path has drifted.
+record-oriented oracle (``tests/oracles/record_path.py``) produces, bit for
+bit.  These tests are the gate — if one fails, the columnar path has drifted.
 """
 
 import numpy as np
 import pytest
+from oracles.record_path import (
+    PulseFeatures,
+    SinglePulse,
+    _reference_build_cluster_file,
+    _reference_build_data_file,
+    cluster_records,
+    pulse_batch_from_records,
+    pulse_records,
+    run_rapid_observation,
+    run_reference,
+    spe_records,
+)
 
 from repro.astro import GBT350DRIFT, generate_observation
 from repro.astro.population import b1853_like
 from repro.core.drapid import DRapidDriver
 from repro.core.features import FEATURE_NAMES
-from repro.core.rapid import (
-    SinglePulse,
-    run_rapid_observation,
-    run_rapid_observation_batch,
-)
+from repro.core.rapid import run_rapid_observation_batch
 from repro.dataplane import (
     N_FEATURES,
     ClusterBatch,
@@ -26,8 +34,6 @@ from repro.dataplane import (
     SPEBatch,
 )
 from repro.io.spe_files import (
-    _reference_build_cluster_file,
-    _reference_build_data_file,
     build_cluster_file,
     build_data_file,
     parse_cluster_file,
@@ -98,7 +104,7 @@ class TestRapidBatchEquivalence:
         assert batched.n_clusters_searched == serial.n_clusters_searched
         assert batched.n_clusters_skipped == serial.n_clusters_skipped
         assert len(batched.pulse_batch) == len(serial.pulses)
-        reference = PulseBatch.from_records(serial.pulses)
+        reference = pulse_batch_from_records(serial.pulses)
         assert batched.pulse_batch == reference  # bitwise column equality
 
 
@@ -125,8 +131,8 @@ class TestDRapidEquivalence:
         ctx = SparkletContext(app_name="equiv", default_parallelism=4)
         driver = DRapidDriver(ctx=ctx, dfs=dfs, grids=grids, num_partitions=6)
         columnar = driver.run(data_path, cluster_path, ml_output_path="/ml/col")
-        reference = driver.run_reference(
-            data_path, cluster_path, ml_output_path="/ml/ref"
+        reference = run_reference(
+            driver, data_path, cluster_path, ml_output_path="/ml/ref"
         )
         ctx.close()
         return dfs, columnar, reference
@@ -183,12 +189,86 @@ class TestDRapidEquivalence:
         assert got.instance_correct == want.instance_correct
 
 
+class TestNonFiniteDataRows:
+    """A data row whose DM, Sigma or Time is not a finite float costs one
+    record — the run equals the run on the file with that row deleted."""
+
+    NON_FINITE = ["nan", "inf", "-inf"]
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        from repro.dfs import DataNode, DFSClient
+        from repro.sparklet import SparkletContext
+
+        dfs = DFSClient(
+            [DataNode(f"dn{i}", capacity=50_000_000) for i in range(4)],
+            replication=2, block_size=4096, seed=0,
+        )
+        ctx = SparkletContext(app_name="non-finite", default_parallelism=4)
+        yield dfs, ctx
+        ctx.close()
+
+    @pytest.fixture(scope="class")
+    def brightest_deleted(self, observation, cluster):
+        """(lines, brightest row index, driver, run without that row)."""
+        dfs, ctx = cluster
+        lines = build_data_file([observation]).splitlines()
+        sigma = [float(line.split(",")[2]) if i else -1.0 for i, line in enumerate(lines)]
+        brightest = int(np.argmax(sigma))
+        dfs.put_text("/nf/clusters.csv", build_cluster_file([observation]))
+        dfs.put_text("/nf/deleted.csv", "\n".join(
+            line for i, line in enumerate(lines) if i != brightest) + "\n")
+        driver = DRapidDriver(ctx=ctx, dfs=dfs, num_partitions=4,
+                              grids={"GBT350Drift": observation.grid})
+        deleted = driver.run("/nf/deleted.csv", "/nf/clusters.csv", "/nf/ml-deleted")
+        assert deleted.n_pulses > 0
+        return lines, brightest, driver, deleted
+
+    @pytest.mark.parametrize("field", [1, 2, 3], ids=["DM", "Sigma", "Time"])
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_non_finite_row_equals_row_removed(self, brightest_deleted, field, token):
+        import warnings
+
+        lines, brightest, driver, deleted = brightest_deleted
+        dfs = driver.dfs
+        parts = lines[brightest].split(",")
+        parts[field] = token
+        mutated = lines[:brightest] + [",".join(parts)] + lines[brightest + 1:]
+        case = f"/nf/{token}-{field}"  # the DFS is write-once
+        dfs.put_text(f"{case}/data.csv", "\n".join(mutated) + "\n")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = driver.run(f"{case}/data.csv", "/nf/clusters.csv", f"{case}/ml")
+        assert_identical_runs(dfs, got, f"{case}/ml", deleted, "/nf/ml-deleted")
+        reference = run_reference(
+            driver, f"{case}/data.csv", "/nf/clusters.csv", f"{case}/ml-reference"
+        )
+        assert_identical_runs(dfs, got, f"{case}/ml", reference, f"{case}/ml-reference")
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_lenient_parser_drops_the_row_on_both_paths(self, token):
+        rows = ["10.0,8.0,1.5,3,2", f"11.0,{token},1.6,4,2", "12.0,9.0,1.7,5,2"]
+        want = SPEBatch.from_data_rows([rows[0], rows[2]])
+        assert SPEBatch.from_data_rows(rows) == want
+        # A garbled row sends the block down the per-row path: same rule.
+        assert SPEBatch.from_data_rows(rows + ["garbled"]) == want
+
+
+def assert_identical_runs(dfs, got, got_path, want, want_path) -> None:
+    """Pulse batches equal and ML part files byte-identical."""
+    assert got.pulse_batch == want.pulse_batch
+    got_parts = sorted(dfs.ls(got_path + "/"))  # ls matches by prefix
+    want_parts = sorted(dfs.ls(want_path + "/"))
+    assert len(got_parts) == len(want_parts) > 0
+    for g, w in zip(got_parts, want_parts):
+        assert dfs.get_text(g) == dfs.get_text(w)
+
+
 class TestMlRowExactRoundTrip:
     """Satellite 1: repr-based floats make the ML row round-trip exact."""
 
     def test_awkward_floats_survive(self):
-        from repro.core.features import PulseFeatures
-
         vec = np.array(
             [0.1, 1 / 3, np.pi, 1e-17, 6.02e23, -0.0, 5.0, 123456.789012345,
              np.nextafter(1.0, 2.0)] + [float(i) / 7 for i in range(13)]
@@ -206,7 +286,7 @@ class TestMlRowExactRoundTrip:
     def test_batch_ml_lines_match_record_rows(self, observation):
         result = run_rapid_observation_batch(observation)
         pb = result.pulse_batch
-        assert pb.to_ml_lines() == [p.to_ml_row() for p in pb.to_records()]
+        assert pb.to_ml_lines() == [p.to_ml_row() for p in pulse_records(pb)]
         assert PulseBatch.from_ml_lines(pb.to_ml_lines()) == pb
 
 
@@ -260,16 +340,16 @@ class TestMalformedDiagnostics:
 class TestBatchAdapters:
     def test_spe_batch_record_round_trip(self, observation):
         batch = observation.spe_batch
-        assert SPEBatch.from_records(batch.to_records()) == batch
+        assert SPEBatch.from_records(spe_records(batch)) == batch
 
     def test_cluster_batch_record_round_trip(self, observations):
         text = build_cluster_file(observations)
         batch = parse_cluster_file(text)
-        assert ClusterBatch.from_records(batch.to_records()) == batch
+        assert ClusterBatch.from_records(cluster_records(batch)) == batch
 
     def test_pulse_batch_record_round_trip(self, observation):
         pb = run_rapid_observation_batch(observation).pulse_batch
-        assert PulseBatch.from_records(pb.to_records()) == pb
+        assert pulse_batch_from_records(pulse_records(pb)) == pb
 
     def test_slices_are_views(self, observation):
         batch = observation.spe_batch

@@ -8,9 +8,9 @@ from repro.core.alm import ALM_SCHEMES
 from repro.core.drapid import DRapidDriver
 from repro.core.multithreaded import ThreadedBoxModel
 from repro.core.pipeline import SinglePulsePipeline
-from repro.core.rapid import run_rapid_observation
+from repro.core.rapid import run_rapid_observation_batch
 from repro.dfs import DataNode, DFSClient
-from repro.io.spe_files import read_ml_files, upload_observations
+from repro.io.spe_files import read_ml_batch, upload_observations
 from repro.ml import RandomForest, cross_validate, rank_features, select_top_k
 from repro.sparklet import ClusterConfig, SparkletContext, simulate_job
 from repro.sparklet.scheduler import TaskFailure
@@ -72,10 +72,10 @@ class TestDistributedEqualsSerialAcrossSurveys:
                               num_partitions=5)
         result = driver.run(data_path, cluster_path)
         ctx.close()
-        serial = run_rapid_observation(obs)
+        serial = run_rapid_observation_batch(obs)
         assert result.n_pulses == serial.n_pulses
         # ML files on the DFS aggregate back to the same pulses (stage 4 input).
-        assert len(read_ml_files(dfs, result.ml_output_path)) == serial.n_pulses
+        assert len(read_ml_batch(dfs, result.ml_output_path)) == serial.n_pulses
 
 
 class TestFaultToleranceEndToEnd:
@@ -97,7 +97,7 @@ class TestFaultToleranceEndToEnd:
                               grids={"GBT350Drift": observation.grid}, num_partitions=4)
         result = driver.run(data_path, cluster_path, ml_output_path="/ft/ml")
         ctx.close()
-        serial = run_rapid_observation(observation)
+        serial = run_rapid_observation_batch(observation)
         assert result.n_pulses == serial.n_pulses
 
     def test_drapid_survives_datanode_loss_between_stages(self, observation):
@@ -110,7 +110,7 @@ class TestFaultToleranceEndToEnd:
                               grids={"GBT350Drift": observation.grid}, num_partitions=4)
         result = driver.run(data_path, cluster_path)
         ctx.close()
-        assert result.n_pulses == run_rapid_observation(observation).n_pulses
+        assert result.n_pulses == run_rapid_observation_batch(observation).n_pulses
 
 
 class TestFeatureSelectionEndToEnd:

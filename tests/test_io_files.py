@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.rapid import run_rapid_observation
+from repro.core.rapid import run_rapid_observation_batch
 from repro.io.spe_files import (
     ClusterRecord,
     build_cluster_file,
     build_data_file,
     parse_cluster_line,
-    read_ml_files,
+    read_ml_batch,
     upload_observations,
 )
 
@@ -60,14 +60,12 @@ class TestFileBuilders:
 
 class TestReadMlFiles:
     def test_roundtrip_through_dfs(self, observation, dfs, ctx):
-        pulses = run_rapid_observation(observation).pulses
-        text = "".join(p.to_ml_row() + "\n" for p in pulses)
+        pulses = run_rapid_observation_batch(observation).pulse_batch
+        text = "".join(row + "\n" for row in pulses.to_ml_lines())
         dfs.put_text("/ml/part-00000", text)
-        back = read_ml_files(dfs, "/ml/")
-        assert len(back) == len(pulses)
-        assert back[0].observation_key == pulses[0].observation_key
+        assert read_ml_batch(dfs, "/ml/") == pulses
 
     def test_skips_comments_and_blanks(self, dfs, observation):
-        pulse = run_rapid_observation(observation).pulses[0]
-        dfs.put_text("/ml2/part-00000", f"# header\n\n{pulse.to_ml_row()}\n")
-        assert len(read_ml_files(dfs, "/ml2/")) == 1
+        row = run_rapid_observation_batch(observation).pulse_batch.to_ml_lines()[0]
+        dfs.put_text("/ml2/part-00000", f"# header\n\n{row}\n")
+        assert len(read_ml_batch(dfs, "/ml2/")) == 1

@@ -1,0 +1,120 @@
+"""``src/`` holds one stage-3 path; the record path lives in ``tests/oracles``.
+
+An AST walk, so a docstring that *mentions* an oracle by name is fine and a
+definition, import or call of one is not.
+"""
+
+import ast
+from pathlib import Path
+
+import repro.core
+
+REPO = Path(__file__).resolve().parent.parent
+LIVE = sorted((REPO / "src").rglob("*.py")) + sorted((REPO / "examples").glob("*.py"))
+ORACLES = REPO / "tests" / "oracles" / "record_path.py"
+
+#: Defined exactly once, in ``tests/oracles/record_path.py``.
+RELOCATED = {
+    "PulseFeatures",
+    "RapidResult",
+    "SinglePulse",
+    "_reference_build_cluster_file",
+    "_reference_build_data_file",
+    "_reference_search_observation",
+    "bin_fit_residual",
+    "extract_pulse_features",
+    "find_single_pulses_recursive",
+    "ols_slope",
+    "parse_spe_line",
+    "run_rapid_observation",
+    "run_rapid_on_cluster",
+    "run_reference",
+    "spes_to_csv",
+}
+#: Record adapters the batch types no longer carry, and the one deleted reader.
+GONE = {"to_records", "record", "read_ml_files"}
+
+
+def names_in(tree: ast.AST, variables: bool) -> set[str]:
+    """Every name a module defines, imports or reads as an attribute — and,
+    with ``variables``, every bare name it reads (``record`` is also an
+    ordinary loop variable, so the adapters are matched as members only)."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif variables and isinstance(node, ast.Name):
+            found.add(node.id)
+    return found
+
+
+def imported_roots(tree: ast.AST) -> set[str]:
+    roots: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_live_code_is_free_of_the_record_path():
+    offenders = {}
+    for path in LIVE:
+        tree = ast.parse(path.read_text())
+        found = (
+            imported_roots(tree) & {"oracles", "tests"}
+            | names_in(tree, variables=True) & RELOCATED
+            | names_in(tree, variables=False) & GONE
+        )
+        if found:
+            offenders[str(path.relative_to(REPO))] = sorted(found)
+    assert len(LIVE) > 100 and offenders == {}
+
+
+def test_pulse_batch_takes_no_records():
+    from repro.dataplane import ClusterBatch, PulseBatch, SPEBatch
+
+    assert not hasattr(PulseBatch, "from_records")
+    # Records still *enter* at the two boundaries that produce them.
+    assert hasattr(SPEBatch, "from_records") and hasattr(ClusterBatch, "from_records")
+
+
+def test_each_oracle_is_defined_once_under_tests_oracles():
+    defined = [
+        node.name for node in ast.parse(ORACLES.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert RELOCATED <= set(defined)
+    assert len(defined) == len(set(defined))
+
+
+def test_pytest_collects_nothing_from_the_oracles():
+    # pyproject's python_files: test_*.py and bench_*.py.
+    assert [p.name for p in ORACLES.parent.glob("*.py")
+            if p.name.startswith(("test_", "bench_"))] == []
+
+
+def test_core_public_surface_names_only_what_runs():
+    assert repro.core.__all__ == [
+        "ALM_SCHEMES",
+        "AlmScheme",
+        "DRapidDriver",
+        "DRapidResult",
+        "FEATURE_NAMES",
+        "MultithreadedRapid",
+        "PipelineResult",
+        "SearchParams",
+        "SinglePulsePipeline",
+        "ThreadedBoxModel",
+        "dynamic_bin_size",
+        "find_single_pulses",
+        "label_instances",
+        "run_rapid_observation_batch",
+        "search_observation_columns",
+    ]
+    assert all(hasattr(repro.core, name) for name in repro.core.__all__)

@@ -140,6 +140,15 @@ class TestBenchmarkPersistence:
                 loaded.labels(scheme), small_benchmark.labels(scheme)
             )
 
+    def test_loaded_benchmark_subsamples_like_the_built_one(self, small_benchmark, tmp_path):
+        save_benchmark(small_benchmark, tmp_path / "bench")
+        got = load_benchmark(tmp_path / "bench").subsample(40, 120, seed=3)
+        want = small_benchmark.subsample(40, 120, seed=3)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.is_pulsar, want.is_pulsar)
+        np.testing.assert_array_equal(got.is_rrat, want.is_rrat)
+        assert got.source_names == want.source_names
+
     def test_version_gate(self, small_benchmark, tmp_path):
         import json
 

@@ -3,11 +3,12 @@
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, given, settings
+from oracles.record_path import find_single_pulses_recursive
 
 from repro.astro.dispersion import dispersion_delay_s, smearing_snr_factor
 from repro.core.bins import dynamic_bin_size
 from repro.core.regression import bin_edges
-from repro.core.search import SearchParams, find_single_pulses, find_single_pulses_recursive
+from repro.core.search import SearchParams, find_single_pulses
 from repro.ml._split import entropy_from_counts, gini_from_counts
 from repro.ml.feature_selection import rank_symmetrical_uncertainty
 from repro.ml.metrics import BinaryScores

@@ -8,10 +8,10 @@ done record at a time — the ISSUE's satellite-3 contract.
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, given, settings
+from oracles import record_path as oracle
+from oracles.record_path import PulseFeatures, SinglePulse
 
 from repro.astro.spe import SPE
-from repro.core.features import PulseFeatures
-from repro.core.rapid import SinglePulse
 from repro.dataplane import N_FEATURES, ClusterBatch, PulseBatch, SPEBatch
 from repro.io.spe_files import ClusterRecord
 
@@ -76,7 +76,7 @@ class TestSPEBatchProperties:
     @given(spes=spe_records)
     def test_record_round_trip(self, spes):
         batch = SPEBatch.from_records(spes)
-        assert batch.to_records() == spes
+        assert oracle.spe_records(batch) == spes
 
     @SETTINGS
     @given(spes=spe_records, data=st.data())
@@ -84,7 +84,7 @@ class TestSPEBatchProperties:
         batch = SPEBatch.from_records(spes)
         i = data.draw(st.integers(0, len(spes)))
         j = data.draw(st.integers(i, len(spes)))
-        assert batch.slice(i, j).to_records() == spes[i:j]
+        assert oracle.spe_records(batch.slice(i, j)) == spes[i:j]
 
     @SETTINGS
     @given(spes=spe_records, data=st.data())
@@ -94,28 +94,28 @@ class TestSPEBatchProperties:
             st.lists(st.integers(0, max(len(spes) - 1, 0)), max_size=30)
         ) if spes else []
         taken = batch.take(np.array(idx, dtype=np.int64))
-        assert taken.to_records() == [spes[i] for i in idx]
+        assert oracle.spe_records(taken) == [spes[i] for i in idx]
 
     @SETTINGS
     @given(chunks=st.lists(spe_records, max_size=5))
     def test_concat_matches_list_concat(self, chunks):
         batches = [SPEBatch.from_records(c) for c in chunks]
         flat = [s for c in chunks for s in c]
-        assert SPEBatch.concat(batches).to_records() == flat
+        assert oracle.spe_records(SPEBatch.concat(batches)) == flat
 
     @SETTINGS
     @given(spes=spe_records)
     def test_sort_by_dm_matches_sorted(self, spes):
         batch = SPEBatch.from_records(spes)
         want = sorted(spes, key=lambda s: (s.dm, s.time_s))
-        assert batch.sort_by_dm().to_records() == want
+        assert oracle.spe_records(batch.sort_by_dm()) == want
 
     @SETTINGS
     @given(spes=spe_records)
     def test_sort_by_time_matches_sorted(self, spes):
         batch = SPEBatch.from_records(spes)
         want = sorted(spes, key=lambda s: (s.time_s, s.dm))
-        assert batch.sort_by_time().to_records() == want
+        assert oracle.spe_records(batch.sort_by_time()) == want
 
     @SETTINGS
     @given(spes=spe_records)
@@ -138,7 +138,7 @@ class TestClusterBatchProperties:
     @given(recs=cluster_records)
     def test_record_round_trip(self, recs):
         batch = ClusterBatch.from_records(recs)
-        assert batch.to_records() == recs
+        assert oracle.cluster_records(batch) == recs
 
     @SETTINGS
     @given(recs=cluster_records)
@@ -153,7 +153,7 @@ class TestClusterBatchProperties:
         seen: dict[str, list[ClusterRecord]] = {}
         for r in recs:
             seen.setdefault(r.key, []).append(r)
-        got = {k: b.to_records() for k, b in batch.split_by_key()}
+        got = {k: oracle.cluster_records(b) for k, b in batch.split_by_key()}
         assert list(got) == list(seen)
         assert got == seen
 
@@ -162,26 +162,26 @@ class TestClusterBatchProperties:
     def test_concat_matches_list_concat(self, chunks):
         batches = [ClusterBatch.from_records(c) for c in chunks]
         flat = [r for c in chunks for r in c]
-        assert ClusterBatch.concat(batches).to_records() == flat
+        assert oracle.cluster_records(ClusterBatch.concat(batches)) == flat
 
 
 class TestPulseBatchProperties:
     @SETTINGS
     @given(pulses=pulse_records)
     def test_record_round_trip(self, pulses):
-        batch = PulseBatch.from_records(pulses)
-        assert batch.to_records() == pulses
+        batch = oracle.pulse_batch_from_records(pulses)
+        assert oracle.pulse_records(batch) == pulses
 
     @SETTINGS
     @given(pulses=pulse_records)
     def test_ml_lines_match_per_record_serializer(self, pulses):
-        batch = PulseBatch.from_records(pulses)
+        batch = oracle.pulse_batch_from_records(pulses)
         assert batch.to_ml_lines() == [p.to_ml_row() for p in pulses]
 
     @SETTINGS
     @given(pulses=pulse_records)
     def test_ml_serialize_round_trip_exact(self, pulses):
-        batch = PulseBatch.from_records(pulses)
+        batch = oracle.pulse_batch_from_records(pulses)
         assert PulseBatch.from_ml_lines(batch.to_ml_lines()) == batch
         # And per record through the SinglePulse adapter, bit for bit.
         for p in pulses:
@@ -190,20 +190,20 @@ class TestPulseBatchProperties:
     @SETTINGS
     @given(pulses=pulse_records, data=st.data())
     def test_slice_and_take_match_list_ops(self, pulses, data):
-        batch = PulseBatch.from_records(pulses)
+        batch = oracle.pulse_batch_from_records(pulses)
         i = data.draw(st.integers(0, len(pulses)))
         j = data.draw(st.integers(i, len(pulses)))
-        assert batch.slice(i, j).to_records() == pulses[i:j]
+        assert oracle.pulse_records(batch.slice(i, j)) == pulses[i:j]
         idx = data.draw(
             st.lists(st.integers(0, max(len(pulses) - 1, 0)), max_size=20)
         ) if pulses else []
-        assert batch.take(np.array(idx, dtype=np.int64)).to_records() == [
+        assert oracle.pulse_records(batch.take(np.array(idx, dtype=np.int64))) == [
             pulses[i] for i in idx
         ]
 
     @SETTINGS
     @given(chunks=st.lists(pulse_records, max_size=4))
     def test_concat_matches_list_concat(self, chunks):
-        batches = [PulseBatch.from_records(c) for c in chunks]
+        batches = [oracle.pulse_batch_from_records(c) for c in chunks]
         flat = [p for c in chunks for p in c]
-        assert PulseBatch.concat(batches).to_records() == flat
+        assert oracle.pulse_records(PulseBatch.concat(batches)) == flat

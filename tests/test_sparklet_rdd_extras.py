@@ -97,7 +97,7 @@ class TestDebugString:
 class TestDRapidMalformedRows:
     def test_garbled_rows_cost_one_record_each(self, observation, dfs, ctx):
         from repro.core.drapid import DRapidDriver
-        from repro.core.rapid import run_rapid_observation
+        from repro.core.rapid import run_rapid_observation_batch
         from repro.io.spe_files import build_cluster_file, build_data_file
 
         data_text = build_data_file([observation])
@@ -113,7 +113,7 @@ class TestDRapidMalformedRows:
         driver = DRapidDriver(ctx=ctx, dfs=dfs,
                               grids={"GBT350Drift": observation.grid}, num_partitions=4)
         result = driver.run("/mal/data.csv", "/mal/clusters.csv", ml_output_path="/mal/ml")
-        serial = run_rapid_observation(observation)
+        serial = run_rapid_observation_batch(observation)
         assert result.n_pulses == serial.n_pulses
 
 
