@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
 
 # Every legacy script imports this module first; the scripts that compare
-# against a reference find it in ``tests/oracles`` (``oracles.record_path``).
+# against a reference find it in ``tests/oracles`` (``oracles.record_path``,
+# ``oracles.frontend``).
 _TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
 if _TESTS_DIR not in sys.path:
     sys.path.append(_TESTS_DIR)
@@ -23,6 +25,20 @@ def emit(name: str, text: str) -> None:
     banner = f"\n===== {name} =====\n"
     print(banner + text)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def write_result(path: Path, results: dict) -> str:
+    """Persist a benchmark's JSON at the repo root — full-scale runs only.
+
+    A smoke run (``results["smoke"]`` true) is a CI gate, not a measurement,
+    and must not overwrite the committed full-scale numbers; its table still
+    lands in ``benchmarks/results/`` through :func:`emit`.  Returns the line
+    that table ends with.
+    """
+    if results.get("smoke"):
+        return f"smoke run: {path.name} not rewritten"
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    return f"written: {path}"
 
 
 def scaled(n: int) -> int:

@@ -24,14 +24,13 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_data_plane.p
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from _bench_utils import emit, format_table
+from _bench_utils import emit, format_table, write_result
 from oracles.record_path import (
     SinglePulse,
     _reference_build_cluster_file,
@@ -262,7 +261,7 @@ def run_all(smoke: bool = False) -> dict:
         "feature_extraction": extract,
         "file_builders": builders,
     }
-    RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    note = write_result(RESULT_JSON, results)
 
     rows = [
         ["ml ser+parse", f'{ml["n_pulses"]} pulses', ml["naive_s"],
@@ -279,7 +278,7 @@ def run_all(smoke: bool = False) -> dict:
         for r in builders
     ]
     table = format_table(["path", "workload", "record s", "batch s", "speedup"], rows)
-    emit("BENCH_data_plane", table + f"\n\nwritten: {RESULT_JSON}")
+    emit("BENCH_data_plane", table + f"\n\n{note}")
     return results
 
 

@@ -23,24 +23,26 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_frontend_ker
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from _bench_utils import emit, format_table
+from _bench_utils import emit, format_table, write_result
+from oracles.frontend import (
+    _reference_dbscan,
+    _reference_dedisperse,
+    _reference_single_pulse_search,
+)
 from repro.astro.clustering import SinglePulseDBSCAN
 from repro.astro.filterbank import (
     InjectedPulse,
-    _reference_single_pulse_search,
     dedisperse_all,
     single_pulse_search,
     synthesize_filterbank,
 )
 from repro.astro.kernels import (
     HAS_NUMBA,
-    _reference_dedisperse,
     _tree_effective_shifts,
     _tree_plan,
     dedisperse_grid,
@@ -237,9 +239,9 @@ def bench_dbscan() -> dict:
     pts = centers[rng.integers(0, n_blobs, n)] + rng.normal(0, 1.2, size=(n, 2))
     x, y = pts[:, 0], pts[:, 1]
     db = SinglePulseDBSCAN()
-    t_ref = _timeit(lambda: db._reference_dbscan(x, y), repeats=1)
+    t_ref = _timeit(lambda: _reference_dbscan(db, x, y), repeats=1)
     t_grid = _timeit(lambda: db._dbscan(x, y))
-    assert np.array_equal(db._dbscan(x, y), db._reference_dbscan(x, y))
+    assert np.array_equal(db._dbscan(x, y), _reference_dbscan(db, x, y))
     return {
         "n_points": n,
         "naive_s": round(t_ref, 4),
@@ -261,7 +263,7 @@ def run_all() -> dict:
         "kernel_methods": methods,
         "dbscan": dbscan,
     }
-    RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    note = write_result(RESULT_JSON, results)
 
     table = format_table(
         ["stage", "scale", "naive s", "vectorized s", "speedup"],
@@ -283,7 +285,7 @@ def run_all() -> dict:
              dbscan["vectorized_s"], f'{dbscan["speedup"]}x']
         ],
     )
-    emit("BENCH_frontend_kernels", table + f"\n\nwritten: {RESULT_JSON}")
+    emit("BENCH_frontend_kernels", table + f"\n\n{note}")
     return results
 
 

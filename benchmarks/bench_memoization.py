@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
 import shutil
 import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from _bench_utils import emit, format_table
+from _bench_utils import emit, format_table, write_result
 from repro.api import PipelineConfig, run_drapid
 from repro.astro.population import synthesize_population
 from repro.astro.survey import GBT350DRIFT, generate_observation
@@ -187,7 +186,7 @@ def run_all(smoke: bool = False) -> dict:
         "cache": arms,
         "candidates": candidates,
     }
-    RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    note = write_result(RESULT_JSON, results)
 
     table = format_table(
         ["metric", "value"],
@@ -207,7 +206,7 @@ def run_all(smoke: bool = False) -> dict:
             ["reproduce round-trip ok", candidates["reproduce_ok"]],
         ],
     )
-    emit("BENCH_memoization", table + f"\n\nwritten: {RESULT_JSON}")
+    emit("BENCH_memoization", table + f"\n\n{note}")
     return results
 
 
@@ -222,7 +221,7 @@ def test_memoization_benchmark():
     assert cache["warm_counters"]["memo.job_hits"] >= 1
     assert cache["prefix_counters"]["memo.stage_hits"] >= 1
     assert results["candidates"]["reproduce_ok"]
-    assert RESULT_JSON.exists()
+    assert results["smoke"]
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import statistics
 import time
 from pathlib import Path
 
-from _bench_utils import emit, format_table
+from _bench_utils import emit, format_table, write_result
 from repro.obs import EventLog, ObsConfig, replay_job_metrics
 from repro.sparklet.context import SparkletContext
 
@@ -154,7 +154,7 @@ def run_all(smoke: bool = False) -> dict:
         "overhead": overhead,
         "event_throughput": throughput,
     }
-    RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    note = write_result(RESULT_JSON, results)
 
     table = format_table(
         ["metric", "value"],
@@ -168,7 +168,7 @@ def run_all(smoke: bool = False) -> dict:
             ["emit (disk) events/s", throughput["disk_events_per_s"]],
         ],
     )
-    emit("BENCH_observability", table + f"\n\nwritten: {RESULT_JSON}")
+    emit("BENCH_observability", table + f"\n\n{note}")
     return results
 
 
@@ -191,7 +191,7 @@ def test_observability_benchmark():
     assert over["overhead_default_off_pct"] < 2.0, over
     assert over["overhead_disabled_pct"] < 2.0, over
     assert results["event_throughput"]["memory_events_per_s"] > 10_000
-    assert RESULT_JSON.exists()
+    assert results["smoke"]
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_parallel_bac
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import sys
 import time
@@ -38,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _bench_utils import emit, format_table
+from _bench_utils import emit, format_table, write_result
 from repro.api import PipelineConfig, run_drapid
 from repro.astro import GBT350DRIFT, generate_observation, synthesize_population
 from repro.astro.kernels import boxcar_snr, dedisperse_batch, find_peaks
@@ -266,7 +265,7 @@ def run_all(smoke: bool = False) -> dict:
         "pass": modelled2 > 1.0,
     }
 
-    RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    note = write_result(RESULT_JSON, results)
 
     rows = []
     for name, wl in results["workloads"].items():
@@ -282,7 +281,7 @@ def run_all(smoke: bool = False) -> dict:
             for r in wl["modelled"]
         ]
     table = format_table(["workload", "kind", "mode", "seconds", "speedup"], rows)
-    emit("BENCH_parallel_backend", table + f"\n\nwritten: {RESULT_JSON}")
+    emit("BENCH_parallel_backend", table + f"\n\n{note}")
     return results
 
 
@@ -291,7 +290,7 @@ def test_parallel_backend_smoke():
     results = run_all(smoke=True)
     gate = results["gate"]
     assert gate["byte_identical"] and gate["pass"], gate
-    assert RESULT_JSON.exists()
+    assert results["smoke"]
 
 
 if __name__ == "__main__":

@@ -22,11 +22,10 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_serving.py -
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
-from _bench_utils import emit, format_table
+from _bench_utils import emit, format_table, write_result
 from repro.api import (
     AdmissionConfig,
     PipelineConfig,
@@ -188,7 +187,7 @@ def run_all(smoke: bool = False) -> dict:
         "grid": grid,
         "fairness": fairness,
     }
-    RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    note = write_result(RESULT_JSON, results)
 
     grid_table = format_table(
         ["tenants", "overload", "batches", "p50 delay s", "p99 delay s",
@@ -212,7 +211,7 @@ def run_all(smoke: bool = False) -> dict:
         + f"\nmax relative share error: {fairness['max_relative_share_error']}"
         + f" (tolerance {fairness['share_tolerance']})"
         + f"\nstarved tenants: {fairness['starved_tenants'] or 'none'}"
-        + f"\n\nwritten: {RESULT_JSON}",
+        + f"\n\n{note}",
     )
     return results
 
@@ -227,8 +226,7 @@ def test_serving_benchmark():
         f"weighted shares off by {fairness['max_relative_share_error']:.1%} "
         f"(> {fairness['share_tolerance']:.0%})"
     )
-    assert RESULT_JSON.exists()
-    assert json.loads(RESULT_JSON.read_text())["benchmark"] == "serving"
+    assert results["benchmark"] == "serving" and results["smoke"]
 
 
 if __name__ == "__main__":

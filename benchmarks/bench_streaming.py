@@ -23,11 +23,10 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_streaming.py
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
-from _bench_utils import emit, format_table
+from _bench_utils import emit, format_table, write_result
 from repro.api import PipelineConfig, StreamingConfig, run_pipeline, run_streaming
 from repro.streaming import LinearCostModel, canonical_ml_text
 
@@ -137,7 +136,7 @@ def run_all(smoke: bool = False) -> dict:
         "throughput": throughput,
         "backpressure": backpressure,
     }
-    RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    note = write_result(RESULT_JSON, results)
 
     bp_with = backpressure["with_backpressure"]
     bp_without = backpressure["without_backpressure"]
@@ -154,7 +153,7 @@ def run_all(smoke: bool = False) -> dict:
             ["PID final rate (cap 200/s)", bp_with["final_rate_limit"]],
         ],
     )
-    emit("BENCH_streaming", table + f"\n\nwritten: {RESULT_JSON}")
+    emit("BENCH_streaming", table + f"\n\n{note}")
     return results
 
 
@@ -167,8 +166,7 @@ def test_streaming_benchmark():
     assert bp["with_backpressure"]["max_queue_depth"] <= 3
     assert (bp["without_backpressure"]["max_queue_depth"]
             > bp["with_backpressure"]["max_queue_depth"])
-    assert RESULT_JSON.exists()
-    assert json.loads(RESULT_JSON.read_text())["benchmark"] == "streaming"
+    assert results["benchmark"] == "streaming" and results["smoke"]
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ points are sorted by grid cell, every unordered close pair is enumerated once
 in fixed-size blocks (:data:`_PAIR_CANDIDATES`), one pass counts neighbours
 (core points), a second unions core–core pairs by root hooking, and border
 points take the lowest cluster id among their core neighbours.  Memory is
-O(n + block).  The textbook sweep is retained as :func:`_reference_dbscan`,
-the oracle the labels are tested bit-identical against.
+O(n + block).  The textbook sweep is the oracle the labels are tested
+bit-identical against (``tests/oracles/frontend.py``).
 """
 
 from __future__ import annotations
@@ -234,34 +234,6 @@ class SinglePulseDBSCAN:
         return self.fit(batch.time_s, batch.dm, batch.snr, dm_steps)
 
     # -- DBSCAN core ---------------------------------------------------------
-    def _expand(self, neighbours, n: int) -> np.ndarray:
-        """The classic DBSCAN sweep; only :meth:`_reference_dbscan` runs it."""
-        labels = np.full(n, NOISE, dtype=int)
-        visited = np.zeros(n, dtype=bool)
-        cluster_id = 0
-        for i in range(n):
-            if visited[i]:
-                continue
-            visited[i] = True
-            seed = neighbours(i)
-            if len(seed) < self.min_samples:
-                continue  # not a core point (may later join as border point)
-            labels[i] = cluster_id
-            queue = [j for j in seed if j != i]
-            while queue:
-                j = queue.pop()
-                if labels[j] == NOISE:
-                    labels[j] = cluster_id  # border point
-                if visited[j]:
-                    continue
-                visited[j] = True
-                labels[j] = cluster_id
-                nb = neighbours(j)
-                if len(nb) >= self.min_samples:
-                    queue.extend(k for k in nb if not visited[k] or labels[k] == NOISE)
-            cluster_id += 1
-        return labels
-
     def _dbscan(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The sweep's labels without the sweep.
 
@@ -316,31 +288,6 @@ class SinglePulseDBSCAN:
         labels = np.empty(n, dtype=int)
         labels[order] = lab
         return labels
-
-    def _reference_dbscan(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The seed's dict-of-cells sweep, the oracle :meth:`_dbscan` is
-        tested against."""
-        n = x.size
-        cells: dict[tuple[int, int], list[int]] = {}
-        cx = np.floor(x).astype(int)
-        cy = np.floor(y).astype(int)
-        for i in range(n):
-            cells.setdefault((cx[i], cy[i]), []).append(i)
-
-        def neighbours(i: int) -> list[int]:
-            out: list[int] = []
-            xi, yi = x[i], y[i]
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    bucket = cells.get((cx[i] + dx, cy[i] + dy))
-                    if not bucket:
-                        continue
-                    for j in bucket:
-                        if (x[j] - xi) ** 2 + (y[j] - yi) ** 2 <= 1.0:
-                            out.append(j)
-            return out
-
-        return self._expand(neighbours, n)
 
     # -- artifact merging ------------------------------------------------------
     def _merge_artifact_clusters(

@@ -17,8 +17,8 @@ whole chain — voltages to classified candidates — exists in the repository:
   records the rest of the pipeline consumes.
 
 The heavy lifting lives in :mod:`repro.astro.kernels`; the seed's naive
-loops are retained there (and as :func:`_reference_single_pulse_search`
-here) for equivalence tests and the front-end kernel benchmark.
+loops are kept in ``tests/oracles/frontend.py`` for equivalence tests and
+the front-end kernel benchmark.
 
 The output of :func:`single_pulse_search` over a trial-DM grid is exactly
 the kind of SPE list :mod:`repro.astro.pulses` synthesizes directly; a test
@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.astro.dispersion import K_DM
 from repro.astro.kernels import (
-    _reference_dedisperse,
     dedisperse_batch,
     dedisperse_grid,
     resolve_impl,
@@ -154,8 +153,7 @@ def dedisperse(fb: Filterbank, dm: float) -> np.ndarray:
     Arrival times are referenced to the top of the band (the highest
     frequency), matching :func:`synthesize_filterbank`'s convention.
     Delegates to :func:`repro.astro.kernels.dedisperse_batch` (single-row
-    call); the seed's per-channel loop is retained as
-    :func:`repro.astro.kernels._reference_dedisperse`.
+    call).
     """
     if dm < 0:
         raise ValueError("DM must be non-negative")
@@ -207,8 +205,8 @@ def single_pulse_search(
     sample of the best-matching width-``downfact`` window, which therefore
     covers ``[time_s, time_s + downfact × t_samp)``.  The seed centred
     windows with ``np.convolve(..., mode="same")``, which put even-width
-    boxcars half a sample off; that implementation is retained as
-    :func:`_reference_single_pulse_search`.
+    boxcars half a sample off; that implementation is the oracle in
+    ``tests/oracles/frontend.py``.
 
     ``dtype`` controls the accumulation precision of the search path.  The
     float32 default halves memory traffic (PRESTO dedisperses in float32
@@ -238,60 +236,3 @@ def single_pulse_search(
             block, snr_threshold, boxcar_widths, boxcar=k.boxcar, impl=impl
         )
     return spes_from_search(trial_dms, fb.sample_time_s, rows, samples, snrs, widths)
-
-
-def _reference_single_pulse_search(
-    fb: Filterbank,
-    trial_dms: np.ndarray,
-    snr_threshold: float = 5.0,
-    boxcar_widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-) -> list[SPE]:
-    """The seed's naive search, retained as the benchmark baseline.
-
-    Per trial DM: a per-channel Python dedispersion loop, an O(n·w)
-    ``np.convolve`` per boxcar width with median/MAD re-estimated on every
-    smoothed series, and a Python local-maxima scan.  Note the two seed
-    conventions the vectorized path deliberately changes: windows are
-    centred (``mode="same"``, half a sample off for even widths) and noise
-    is estimated per width rather than once per series.
-    """
-    if snr_threshold <= 0:
-        raise ValueError("snr_threshold must be positive")
-    trial_dms = np.asarray(trial_dms, dtype=float)
-    spes: list[SPE] = []
-    for dm in trial_dms:
-        series = _reference_dedisperse(
-            fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, float(dm)
-        )
-        best_snr = np.full(series.size, -np.inf)
-        best_width = np.ones(series.size, dtype=int)
-        for width in boxcar_widths:
-            if width > series.size:
-                break
-            kernel = np.ones(width) / np.sqrt(width)
-            smoothed = np.convolve(series, kernel, mode="same")
-            med = np.median(smoothed)
-            mad = np.median(np.abs(smoothed - med)) * 1.4826
-            snr = (smoothed - med) / max(mad, 1e-9)
-            better = snr > best_snr
-            best_snr[better] = snr[better]
-            best_width[better] = width
-        above = best_snr >= snr_threshold
-        if not above.any():
-            continue
-        # Local maxima only: one SPE per peak, not per above-threshold sample.
-        idx = np.nonzero(above)[0]
-        for i in idx:
-            left = best_snr[i - 1] if i > 0 else -np.inf
-            right = best_snr[i + 1] if i + 1 < best_snr.size else -np.inf
-            if best_snr[i] >= left and best_snr[i] > right:
-                spes.append(
-                    SPE(
-                        dm=float(dm),
-                        snr=round(float(best_snr[i]), 3),
-                        time_s=round(i * fb.sample_time_s, 6),
-                        sample=int(i),
-                        downfact=int(best_width[i]),
-                    )
-                )
-    return spes

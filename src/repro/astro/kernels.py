@@ -73,7 +73,7 @@ sorted unique DM ladder, a DM joins the open group while
 *first* member is its representative.  When a ladder admits no coarsening
 the paths fall back to the exact :func:`dedisperse_batch`.
 
-The seed's naive implementations are retained as ``_reference_*`` functions
+The seed's naive implementations live in ``tests/oracles/frontend.py``
 so property tests can assert bit-for-bit (or tolerance-bounded)
 equivalence, and so the benchmark can time naive vs. vectorized honestly.
 """
@@ -176,8 +176,8 @@ def dedisperse_batch(
 
     Row-major vectorized slice-adds: for each trial DM the output row stays
     cache-resident while the channels stream through it, exactly mirroring
-    the seed's per-channel loop (so float64 output matches
-    :func:`_reference_dedisperse` bit-for-bit).  ``out_dtype=np.float32``
+    the seed's per-channel loop (so float64 output matches that oracle
+    bit-for-bit).  ``out_dtype=np.float32``
     halves memory traffic for search pipelines that do not need 1e-9
     reproducibility (PRESTO itself dedisperses in float32).
 
@@ -1021,72 +1021,3 @@ def single_pulse_block_search(
         np.concatenate(out_snrs),
         np.concatenate(out_widths),
     )
-
-
-# -- retained naive references (seed implementations) ------------------------
-
-def _reference_dedisperse(
-    data: np.ndarray,
-    freqs_mhz: np.ndarray,
-    f_ref_mhz: float,
-    sample_time_s: float,
-    dm: float,
-) -> np.ndarray:
-    """The seed's per-channel shift-and-sum loop, one trial DM at a time."""
-    if dm < 0:
-        raise ValueError("DM must be non-negative")
-    n_chan, n_samples = data.shape
-    out = np.zeros(n_samples, dtype=np.float64)
-    for ch, f in enumerate(np.asarray(freqs_mhz, dtype=np.float64)):
-        delay = K_DM * dm * (f**-2 - f_ref_mhz**-2)
-        shift = int(round(delay / sample_time_s))
-        if shift == 0:
-            out += data[ch]
-        elif shift < n_samples:
-            out[: n_samples - shift] += data[ch, shift:]
-    return out / np.sqrt(n_chan)
-
-
-def _reference_boxcar_snr(
-    series: np.ndarray, widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Naive O(n·w) boxcar SNR: ``np.convolve`` per width, left-aligned.
-
-    Same math as :func:`boxcar_snr` (noise once per series, identical
-    normalization expressions) so equivalence is tolerance-bounded only by
-    the convolve-vs-cumsum summation order.
-    """
-    series = np.asarray(series)
-    n = series.size
-    if n == 0:
-        return np.empty(0, dtype=series.dtype), np.empty(0, dtype=np.int64)
-    med = float(np.median(series))
-    mad = float(np.median(np.abs(series - med))) * 1.4826
-    sigma = max(mad, 1e-9)
-    best_z = np.full(n, -np.inf, dtype=series.dtype)
-    best_width = np.ones(n, dtype=np.int64)
-    for w in widths:
-        if w > n:
-            break
-        m = n - w + 1
-        win = np.convolve(series, np.ones(w, dtype=series.dtype), mode="full")[
-            w - 1 : n
-        ]
-        zw = win * (1.0 / np.sqrt(w))
-        zw -= np.sqrt(w) * med
-        better = zw > best_z[:m]
-        best_z[:m][better] = zw[better]
-        best_width[:m][better] = w
-    return best_z / series.dtype.type(sigma), best_width
-
-
-def _reference_find_peaks(snr: np.ndarray, threshold: float) -> np.ndarray:
-    """The seed's Python local-maxima scan over above-threshold samples."""
-    out = []
-    n = snr.size
-    for i in np.nonzero(snr >= threshold)[0]:
-        left = snr[i - 1] if i > 0 else -np.inf
-        right = snr[i + 1] if i + 1 < n else -np.inf
-        if snr[i] >= left and snr[i] > right:
-            out.append(i)
-    return np.asarray(out, dtype=np.int64)

@@ -258,8 +258,6 @@ def lineage_token(rdd: Any, cache: dict[int, str] | None = None) -> str:
         parts.append(token_for(rdd._slices))
     elif isinstance(rdd, rdd_mod.MapPartitionsRDD):
         parts.append(callable_token(rdd.f))
-    elif isinstance(rdd, rdd_mod.CoalescedRDD):
-        parts.append(token_for(rdd._groups))
     for dep in rdd.deps:
         parts.append(_dep_token(dep, cache))
     token = digest(parts)
@@ -279,8 +277,6 @@ def _dep_token(dep: Any, cache: dict[int, str]) -> str:
             parts.append(callable_token(agg.create_combiner))
             parts.append(callable_token(agg.merge_value))
             parts.append(callable_token(agg.merge_combiners))
-    elif isinstance(dep, rdd_mod.RangeDependency):
-        parts.append(f"{dep.in_start}:{dep.out_start}:{dep.length}")
     return digest(parts)
 
 
@@ -294,14 +290,12 @@ def stage_key(dep: Any, cache: dict[int, str] | None = None) -> str:
 def job_key(
     rdd: Any,
     func: Callable[..., Any],
-    partitions: list[int] | None,
     cache: dict[int, str] | None = None,
 ) -> str:
-    """Memo key of one whole job (action): lineage + action body + splits."""
+    """Memo key of one whole job (action): lineage + action body."""
     return digest([
         f"m{MEMO_FORMAT}",
         "job",
         lineage_token(rdd, cache),
         callable_token(func),
-        "all" if partitions is None else ",".join(map(str, partitions)),
     ])

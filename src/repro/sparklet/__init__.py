@@ -12,14 +12,20 @@ the parts of that stack the paper's design depends on:
   Stage 3 (Fig. 3 of the paper);
 - a hash partitioner (:class:`~repro.sparklet.partitioner.HashPartitioner`)
   with deterministic, process-stable hashing;
-- a task scheduler that *really executes* every task (serially, so results
-  are exact) while recording per-task cost metrics;
+- accumulators with exactly-once semantics under retry and recomputation
+  (:mod:`repro.sparklet.shared`);
+- a task scheduler that *really executes* every task (serially, or on a pool
+  of worker processes — results are exact either way) while recording
+  per-task cost metrics;
 - a discrete-event cluster simulator
   (:mod:`repro.sparklet.simulation`) that replays those measured tasks on a
   configurable YARN-style cluster (executors × cores × memory, network and
   disk bandwidth, spill penalties) to obtain the elapsed time a real cluster
   of that shape would exhibit.  This substitutes for the paper's 16-node
   Beowulf cluster, which we do not have (see DESIGN.md).
+
+It is not a general Spark clone: an operator exists when a pipeline, an
+example, a benchmark script or a named scheduler law calls it.
 """
 
 from repro.sparklet.cluster import ClusterConfig, ExecutorSpec, ResourceManager
@@ -36,7 +42,7 @@ from repro.sparklet.faults import (
     TaskFailure,
 )
 from repro.sparklet.metrics import JobMetrics, StageMetrics, TaskMetrics
-from repro.sparklet.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.sparklet.partitioner import HashPartitioner, Partitioner
 from repro.sparklet.pools import DEFAULT_POOL, PoolConfig, SchedulerPools
 from repro.sparklet.rdd import RDD
 from repro.sparklet.simulation import (
@@ -63,7 +69,6 @@ __all__ = [
     "Partitioner",
     "PoolConfig",
     "RDD",
-    "RangePartitioner",
     "ResourceManager",
     "SchedulerPools",
     "SimFaultProfile",

@@ -151,18 +151,7 @@ class SparkletContext:
         self._shuffle_counter += 1
         return self._shuffle_counter
 
-    def _evict_cache(self, rdd_id: int) -> None:
-        for key in [k for k in self.runtime.cache if k[0] == rdd_id]:
-            del self.runtime.cache[key]
-
     # -- shared variables ---------------------------------------------------
-    def broadcast(self, value):
-        """Ship a read-only value to every task (Spark ``sc.broadcast``)."""
-        from repro.sparklet.shared import Broadcast
-
-        self._broadcast_counter = getattr(self, "_broadcast_counter", 0) + 1
-        return Broadcast(self._broadcast_counter, value)
-
     def accumulator(self, zero=0, op=None):
         """Create a task-side counter with exactly-once retry semantics."""
         import operator
@@ -186,22 +175,9 @@ class SparkletContext:
     def text_file(self, dfs: "DFSClient", path: str) -> RDD:
         return TextFileRDD(self, dfs, path)
 
-    def union(self, rdds: Sequence[RDD]) -> RDD:
-        from repro.sparklet.rdd import UnionRDD
-
-        return UnionRDD(self, rdds)
-
     # -- job execution -----------------------------------------------------
-    def _run_job(
-        self,
-        rdd: RDD,
-        func: Callable[[Iterator[Any]], Any],
-        partitions: list[int] | None = None,
-        memoize: bool = True,
-    ) -> list[Any]:
-        results, _job = self.scheduler.run_job(rdd, func, partitions,
-                                               memoize=memoize,
-                                               pool=self._current_pool)
+    def _run_job(self, rdd: RDD, func: Callable[[Iterator[Any]], Any]) -> list[Any]:
+        results, _job = self.scheduler.run_job(rdd, func, pool=self._current_pool)
         return results
 
     def last_job_metrics(self) -> JobMetrics:

@@ -638,36 +638,6 @@ def _driver_seg_name() -> str:
 # ---------------------------------------------------------------------------
 # Parallel backend (driver side)
 # ---------------------------------------------------------------------------
-def _fetch_partitions(rdd: Any, split: int) -> dict[int, set[int]]:
-    """(shuffle id -> reduce partitions) this task will actually read.
-
-    Walks the narrow chain the way ``compute`` will, so coalesce-over-
-    shuffle and union find every parent partition they touch.
-    """
-    from repro.sparklet.rdd import CoalescedRDD, NarrowDependency, ShuffleDependency
-
-    out: dict[int, set[int]] = {}
-    stack: list[tuple[Any, int]] = [(rdd, split)]
-    seen: set[tuple[int, int]] = set()
-    while stack:
-        node, p = stack.pop()
-        if (node.rdd_id, p) in seen:
-            continue
-        seen.add((node.rdd_id, p))
-        if isinstance(node, CoalescedRDD):
-            # Declares a one-to-one dep but reads a whole group of parents.
-            for pp in node._groups[p]:
-                stack.append((node.parent, pp))
-            continue
-        for dep in node.deps:
-            if isinstance(dep, ShuffleDependency):
-                out.setdefault(dep.shuffle_id, set()).add(p)
-            elif isinstance(dep, NarrowDependency):
-                for pp in dep.parent_partitions(p):
-                    stack.append((dep.rdd, pp))
-    return out
-
-
 class ParallelBackend:
     """Dispatches stage tasks onto the shared worker pool."""
 
@@ -736,7 +706,7 @@ class ParallelBackend:
                     pool.check_liveness(obs)
                     pool.ship_payload(wid, key, blob)
                     fetch_blobs, fetch_nbytes = self._collect_fetch(
-                        sched, stage, split, shuffle_reads
+                        sched, split, shuffle_reads
                     )
                     token = pool.dispatch(wid, key, split, fetch_blobs, fetch_nbytes)
                     outstanding[token] = st
@@ -773,23 +743,21 @@ class ParallelBackend:
             acc._begin_attempt()
             acc._pending.extend(updates.get(acc._id, ()))
 
-    def _collect_fetch(self, sched, stage, split, shuffle_reads):
-        needed = _fetch_partitions(stage.rdd, split)
-        for sid in shuffle_reads:
-            needed.setdefault(sid, set()).add(split)  # fetch_bytes(sid, split)
+    def _collect_fetch(self, sched, split, shuffle_reads):
+        # Every narrow edge is one-to-one, so reduce partition ``split`` of
+        # each shuffle the stage reads is all this task will fetch.
         blobs: dict[tuple[int, int], list[shm_mod.Blob]] = {}
         nbytes: dict[tuple[int, int], int] = {}
         mgr = sched.runtime.shuffle
-        for sid, rps in needed.items():
-            for rp in rps:
-                if isinstance(mgr, ShmShuffleManager):
-                    refs, total = mgr.bucket_refs(sid, rp)
-                else:  # pragma: no cover - parallel contexts install Shm manager
-                    refs = [shm_mod.Blob(meta=cloudpickle.dumps(
-                        mgr.fetch(sid, rp), protocol=5))]
-                    total = mgr.fetch_bytes(sid, rp)
-                blobs[(sid, rp)] = refs
-                nbytes[(sid, rp)] = total
+        for sid in shuffle_reads:
+            if isinstance(mgr, ShmShuffleManager):
+                refs, total = mgr.bucket_refs(sid, split)
+            else:  # pragma: no cover - parallel contexts install Shm manager
+                refs = [shm_mod.Blob(meta=cloudpickle.dumps(
+                    mgr.fetch(sid, split), protocol=5))]
+                total = mgr.fetch_bytes(sid, split)
+            blobs[(sid, split)] = refs
+            nbytes[(sid, split)] = total
         return blobs, nbytes
 
     def _payload_blob(self, key, stage, kind, dep, func, shuffle_reads) -> shm_mod.Blob:

@@ -8,8 +8,7 @@ FNV-1a based hash — results must not depend on ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 
 def portable_hash(key: Any) -> int:
@@ -98,37 +97,3 @@ class HashPartitioner(Partitioner):
 
     def __hash__(self) -> int:  # pragma: no cover
         return hash(("HashPartitioner", self.num_partitions))
-
-
-class RangePartitioner(Partitioner):
-    """Range partitioning by sorted split points (used for sorted outputs).
-
-    ``bounds`` are the *upper* bounds of the first ``n-1`` partitions; keys
-    greater than every bound land in the final partition.
-    """
-
-    def __init__(self, bounds: Sequence[Any]) -> None:
-        super().__init__(len(bounds) + 1)
-        self.bounds = list(bounds)
-        if any(self.bounds[i] > self.bounds[i + 1] for i in range(len(self.bounds) - 1)):
-            raise ValueError("RangePartitioner bounds must be sorted ascending")
-
-    @classmethod
-    def from_sample(cls, keys: Iterable[Any], num_partitions: int) -> "RangePartitioner":
-        """Build equi-depth bounds from a sample of keys."""
-        sample = sorted(keys)
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        if not sample or num_partitions == 1:
-            return cls([]) if num_partitions == 1 else cls(sample[:1] * (num_partitions - 1))
-        bounds = []
-        for i in range(1, num_partitions):
-            idx = min(len(sample) - 1, (i * len(sample)) // num_partitions)
-            bounds.append(sample[idx])
-        return cls(bounds)
-
-    def partition_for(self, key: Any) -> int:
-        return bisect.bisect_left(self.bounds, key)
-
-    def memo_token(self) -> str:
-        return f"part:RangePartitioner:{self.bounds!r}"

@@ -35,32 +35,8 @@ class Dependency:
         self.rdd = rdd
 
 
-class NarrowDependency(Dependency):
-    """Child partition depends on a bounded set of parent partitions."""
-
-    def parent_partitions(self, split: int) -> list[int]:
-        raise NotImplementedError
-
-
-class OneToOneDependency(NarrowDependency):
-    def parent_partitions(self, split: int) -> list[int]:
-        return [split]
-
-
-class RangeDependency(NarrowDependency):
-    """Used by union: child partitions [out_start, out_start+length) map to
-    parent partitions [in_start, in_start+length)."""
-
-    def __init__(self, rdd: "RDD", in_start: int, out_start: int, length: int) -> None:
-        super().__init__(rdd)
-        self.in_start = in_start
-        self.out_start = out_start
-        self.length = length
-
-    def parent_partitions(self, split: int) -> list[int]:
-        if self.out_start <= split < self.out_start + self.length:
-            return [split - self.out_start + self.in_start]
-        return []
+class OneToOneDependency(Dependency):
+    """Narrow dependency: child partition ``i`` reads parent partition ``i``."""
 
 
 class Aggregator:
@@ -135,11 +111,10 @@ class RDD:
     def preferred_locations(self, split: int) -> tuple[str, ...]:
         """Node ids where this partition's input lives (locality hint)."""
         for dep in self.deps:
-            if isinstance(dep, NarrowDependency):
-                for parent_split in dep.parent_partitions(split):
-                    locs = dep.rdd.preferred_locations(parent_split)
-                    if locs:
-                        return locs
+            if isinstance(dep, OneToOneDependency):
+                locs = dep.rdd.preferred_locations(split)
+                if locs:
+                    return locs
         return ()
 
     # -- execution helper --------------------------------------------------
@@ -160,21 +135,16 @@ class RDD:
         self._cached = True
         return self
 
-    def unpersist(self) -> "RDD":
-        self._cached = False
-        self.ctx._evict_cache(self.rdd_id)
-        return self
-
     # ------------------------------------------------------------------
     # Transformations (lazy)
     # ------------------------------------------------------------------
     def map(self, f: Callable[[Any], Any]) -> "RDD":
-        return MapPartitionsRDD(self, lambda _s, it: map(f, it), name=f"map({self.name})")
+        return MapPartitionsRDD(self, lambda it: map(f, it), name=f"map({self.name})")
 
     def filter(self, pred: Callable[[Any], bool]) -> "RDD":
         return MapPartitionsRDD(
             self,
-            lambda _s, it: filter(pred, it),
+            lambda it: filter(pred, it),
             preserves_partitioning=True,
             name=f"filter({self.name})",
         )
@@ -182,7 +152,7 @@ class RDD:
     def flat_map(self, f: Callable[[Any], Iterable[Any]]) -> "RDD":
         return MapPartitionsRDD(
             self,
-            lambda _s, it: itertools.chain.from_iterable(map(f, it)),
+            lambda it: itertools.chain.from_iterable(map(f, it)),
             name=f"flatMap({self.name})",
         )
 
@@ -190,73 +160,8 @@ class RDD:
         self, f: Callable[[Iterator[Any]], Iterable[Any]], preserves_partitioning: bool = False
     ) -> "RDD":
         return MapPartitionsRDD(
-            self, lambda _s, it: f(it), preserves_partitioning, name=f"mapPartitions({self.name})"
+            self, f, preserves_partitioning, name=f"mapPartitions({self.name})"
         )
-
-    def map_partitions_with_index(
-        self, f: Callable[[int, Iterator[Any]], Iterable[Any]], preserves_partitioning: bool = False
-    ) -> "RDD":
-        return MapPartitionsRDD(self, f, preserves_partitioning, name=f"mapPartitionsWithIndex({self.name})")
-
-    def union(self, other: "RDD") -> "RDD":
-        return UnionRDD(self.ctx, [self, other])
-
-    def distinct(self, num_partitions: int | None = None) -> "RDD":
-        n = num_partitions or self.num_partitions
-        return (
-            self.map(lambda x: (x, None))
-            .reduce_by_key(lambda a, _b: a, num_partitions=n)
-            .map(lambda kv: kv[0])
-        )
-
-    def key_by(self, f: Callable[[Any], Any]) -> "RDD":
-        return self.map(lambda x: (f(x), x))
-
-    def glom(self) -> "RDD":
-        """One list per partition (debug/test aid)."""
-        return MapPartitionsRDD(self, lambda _s, it: iter([list(it)]), name=f"glom({self.name})")
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce the partition count *without* a shuffle (Spark semantics:
-        consecutive input partitions are concatenated).  Increasing the
-        count requires a shuffle — use :meth:`repartition`."""
-        if num_partitions < 1:
-            raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
-        if num_partitions >= self.num_partitions:
-            return self
-        return CoalescedRDD(self, num_partitions)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Redistribute records evenly over ``num_partitions`` (full shuffle)."""
-        keyed = self.map_partitions_with_index(
-            lambda split, it: ((split * 31 + i, x) for i, x in enumerate(it))
-        )
-        return keyed.partition_by(HashPartitioner(num_partitions)).map(lambda kv: kv[1])
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each record with its global index (order-preserving)."""
-        # Two-pass like Spark: count per partition, then offset locally.
-        counts = self.ctx._run_job(self, lambda it: sum(1 for _ in it))
-        offsets = [0]
-        for c in counts[:-1]:
-            offsets.append(offsets[-1] + c)
-
-        def with_index(split: int, it: Iterator[Any]) -> Iterator[Any]:
-            return ((x, offsets[split] + i) for i, x in enumerate(it))
-
-        return MapPartitionsRDD(self, with_index, name=f"zipWithIndex({self.name})")
-
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        import random
-
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-
-        def sampler(split: int, it: Iterator[Any]) -> Iterator[Any]:
-            rng = random.Random(seed * 1_000_003 + split)
-            return (x for x in it if rng.random() < fraction)
-
-        return MapPartitionsRDD(self, sampler, preserves_partitioning=True, name=f"sample({self.name})")
 
     # ------------------------------------------------------------------
     # Pair transformations (records must be (key, value) tuples)
@@ -291,7 +196,7 @@ class RDD:
         agg = Aggregator(create_combiner, merge_value, merge_combiners)
         if self.partitioner == part:
             # Already partitioned: combine within partitions, no shuffle.
-            def combine_local(_s: int, it: Iterator[Any]) -> Iterator[Any]:
+            def combine_local(it: Iterator[Any]) -> Iterator[Any]:
                 acc: dict[Any, Any] = {}
                 for k, v in it:
                     acc[k] = merge_value(acc[k], v) if k in acc else create_combiner(v)
@@ -344,28 +249,6 @@ class RDD:
         return self.combine_by_key(lambda v: [v], merge_value, merge_combiners,
                                    num_partitions, partitioner, map_side_combine=False)
 
-    def map_values(self, f: Callable[[Any], Any]) -> "RDD":
-        return MapPartitionsRDD(
-            self,
-            lambda _s, it: ((k, f(v)) for k, v in it),
-            preserves_partitioning=True,
-            name=f"mapValues({self.name})",
-        )
-
-    def flat_map_values(self, f: Callable[[Any], Iterable[Any]]) -> "RDD":
-        return MapPartitionsRDD(
-            self,
-            lambda _s, it: ((k, out) for k, v in it for out in f(v)),
-            preserves_partitioning=True,
-            name=f"flatMapValues({self.name})",
-        )
-
-    def keys(self) -> "RDD":
-        return self.map(lambda kv: kv[0])
-
-    def values(self) -> "RDD":
-        return self.map(lambda kv: kv[1])
-
     def cogroup(self, other: "RDD", num_partitions: int | None = None,
                 partitioner: Partitioner | None = None) -> "RDD":
         part = partitioner or self._default_partitioner(num_partitions)
@@ -393,37 +276,6 @@ class RDD:
 
         return self.cogroup(other, num_partitions, partitioner).flat_map(emit)
 
-    def right_outer_join(self, other: "RDD", num_partitions: int | None = None,
-                         partitioner: Partitioner | None = None) -> "RDD":
-        def emit(kv: tuple) -> Iterable[tuple]:
-            k, (left, right) = kv
-            if left:
-                return ((k, (lv, rv)) for lv in left for rv in right)
-            return ((k, (None, rv)) for rv in right)
-
-        return self.cogroup(other, num_partitions, partitioner).flat_map(emit)
-
-    def sort_by_key(self, ascending: bool = True, num_partitions: int | None = None) -> "RDD":
-        from repro.sparklet.partitioner import RangePartitioner
-
-        n = num_partitions or self.num_partitions
-        sample_keys = [k for k, _v in self.sample(min(1.0, 2000 / max(1, n * 64)), seed=7).collect()]
-        if not sample_keys:
-            sample_keys = [k for k, _v in self.take(max(n, 1))]
-        part = RangePartitioner.from_sample(sample_keys, n)
-        shuffled = self.partition_by(part)
-
-        def sort_part(_s: int, it: Iterator[Any]) -> Iterator[Any]:
-            return iter(sorted(it, key=lambda kv: kv[0], reverse=not ascending))
-
-        out = MapPartitionsRDD(shuffled, sort_part, preserves_partitioning=True,
-                               name=f"sortByKey({self.name})")
-        if not ascending:
-            # Range partitions are ascending; reverse partition order at collect
-            # time is not supported, so we keep ascending partitions and note it.
-            pass
-        return out
-
     # ------------------------------------------------------------------
     # Actions (trigger execution)
     # ------------------------------------------------------------------
@@ -434,66 +286,11 @@ class RDD:
     def count(self) -> int:
         return sum(self.ctx._run_job(self, lambda it: sum(1 for _ in it)))
 
-    def take(self, n: int) -> list[Any]:
-        if n <= 0:
-            return []
-        out: list[Any] = []
-        # Execute partition by partition until satisfied (cheap approximation
-        # of Spark's incremental take).
-        for split in range(self.num_partitions):
-            part = self.ctx._run_job(self, lambda it: list(it), partitions=[split])[0]
-            out.extend(part)
-            if len(out) >= n:
-                break
-        return out[:n]
-
-    def first(self) -> Any:
-        got = self.take(1)
-        if not got:
-            raise ValueError("RDD is empty")
-        return got[0]
-
-    def reduce(self, f: Callable[[Any, Any], Any]) -> Any:
-        import functools
-
-        def reduce_part(it: Iterator[Any]) -> list[Any]:
-            items = list(it)
-            return [functools.reduce(f, items)] if items else []
-
-        parts = [x for part in self.ctx._run_job(self, reduce_part) for x in part]
-        if not parts:
-            raise ValueError("reduce on empty RDD")
-        return functools.reduce(f, parts)
-
     def fold(self, zero: Any, f: Callable[[Any, Any], Any]) -> Any:
         import functools
 
         parts = self.ctx._run_job(self, lambda it: functools.reduce(f, it, zero))
         return functools.reduce(f, parts, zero)
-
-    def aggregate(self, zero: Any, seq_func: Callable, comb_func: Callable) -> Any:
-        import copy
-        import functools
-
-        parts = self.ctx._run_job(
-            self, lambda it: functools.reduce(seq_func, it, copy.deepcopy(zero))
-        )
-        return functools.reduce(comb_func, parts, copy.deepcopy(zero))
-
-    def count_by_key(self) -> dict[Any, int]:
-        out: dict[Any, int] = {}
-        for k, n in self.map_values(lambda _v: 1).reduce_by_key(lambda a, b: a + b).collect():
-            out[k] = n
-        return out
-
-    def foreach(self, f: Callable[[Any], None]) -> None:
-        def run_part(it: Iterator[Any]) -> None:
-            for x in it:
-                f(x)
-
-        # foreach exists for its side effects; replaying a memoized result
-        # would skip them, so it always executes.
-        self.ctx._run_job(self, run_part, memoize=False)
 
     def save_as_text_file(self, dfs: "DFSClient", path: str) -> None:
         """Write one ``part-NNNNN`` file per partition, like Spark on HDFS.
@@ -511,36 +308,6 @@ class RDD:
             dfs.delete(stale)
         for idx, text in enumerate(parts):
             dfs.put_text(f"{path}/part-{idx:05d}", text)
-
-    def take_ordered(self, n: int, key: Callable[[Any], Any] | None = None) -> list[Any]:
-        """The n smallest records (by ``key``), computed with per-partition
-        heaps then a final merge — Spark's ``takeOrdered``."""
-        import heapq
-
-        if n <= 0:
-            return []
-        parts = self.ctx._run_job(self, lambda it: heapq.nsmallest(n, it, key=key))
-        return heapq.nsmallest(n, [x for part in parts for x in part], key=key)
-
-    def to_debug_string(self) -> str:
-        """Render the lineage tree, one line per RDD (Spark's toDebugString).
-
-        Shuffle dependencies are marked with ``+-``; narrow chains indent
-        under their child.
-        """
-        lines: list[str] = []
-
-        def walk(node: "RDD", depth: int, via_shuffle: bool) -> None:
-            marker = "+-" if via_shuffle else "| " if depth else ""
-            lines.append(
-                f"{'  ' * depth}{marker}({node.num_partitions}) {node.name} "
-                f"[id={node.rdd_id}]"
-            )
-            for dep in node.deps:
-                walk(dep.rdd, depth + 1, isinstance(dep, ShuffleDependency))
-
-        walk(self, 0, False)
-        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} id={self.rdd_id} name={self.name!r} parts={self.num_partitions}>"
@@ -648,12 +415,12 @@ class TextFileRDD(RDD):
 
 
 class MapPartitionsRDD(RDD):
-    """Narrow transformation applying ``f(split, iterator)``."""
+    """Narrow transformation applying ``f(iterator)`` to each partition."""
 
     def __init__(
         self,
         parent: RDD,
-        f: Callable[[int, Iterator[Any]], Iterable[Any]],
+        f: Callable[[Iterator[Any]], Iterable[Any]],
         preserves_partitioning: bool = False,
         name: str = "mapPartitions",
     ) -> None:
@@ -668,55 +435,7 @@ class MapPartitionsRDD(RDD):
         self.f = f
 
     def compute(self, split: int, runtime: "Runtime") -> Iterator[Any]:
-        return iter(self.f(split, self.parent.iterator(split, runtime)))
-
-
-class UnionRDD(RDD):
-    def __init__(self, ctx: "SparkletContext", rdds: Sequence[RDD]) -> None:
-        deps: list[Dependency] = []
-        out_start = 0
-        for rdd in rdds:
-            deps.append(RangeDependency(rdd, 0, out_start, rdd.num_partitions))
-            out_start += rdd.num_partitions
-        super().__init__(ctx, deps=deps, num_partitions=out_start, name="union")
-        self.rdds = list(rdds)
-
-    def compute(self, split: int, runtime: "Runtime") -> Iterator[Any]:
-        for dep in self.deps:
-            assert isinstance(dep, RangeDependency)
-            parents = dep.parent_partitions(split)
-            if parents:
-                return dep.rdd.iterator(parents[0], runtime)
-        raise IndexError(f"partition {split} out of range for union")
-
-
-class CoalescedRDD(RDD):
-    """Concatenates groups of consecutive parent partitions (no shuffle)."""
-
-    def __init__(self, parent: RDD, num_partitions: int) -> None:
-        super().__init__(
-            parent.ctx,
-            deps=[OneToOneDependency(parent)],  # parent mapping handled below
-            num_partitions=num_partitions,
-            name=f"coalesce({parent.name})",
-        )
-        self.parent = parent
-        n = parent.num_partitions
-        self._groups = [
-            list(range((i * n) // num_partitions, ((i + 1) * n) // num_partitions))
-            for i in range(num_partitions)
-        ]
-
-    def compute(self, split: int, runtime: "Runtime") -> Iterator[Any]:
-        return itertools.chain.from_iterable(
-            self.parent.iterator(p, runtime) for p in self._groups[split]
-        )
-
-    def preferred_locations(self, split: int) -> tuple[str, ...]:
-        locs: list[str] = []
-        for p in self._groups[split]:
-            locs.extend(self.parent.preferred_locations(p))
-        return tuple(dict.fromkeys(locs))
+        return iter(self.f(self.parent.iterator(split, runtime)))
 
 
 class ShuffledRDD(RDD):

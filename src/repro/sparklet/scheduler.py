@@ -57,12 +57,7 @@ from repro.sparklet.faults import (
 )
 from repro.sparklet.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.sparklet.pools import DEFAULT_POOL, pool_salt
-from repro.sparklet.rdd import (
-    RDD,
-    Dependency,
-    NarrowDependency,
-    ShuffleDependency,
-)
+from repro.sparklet.rdd import RDD, ShuffleDependency
 from repro.sparklet.shuffle import ShuffleManager
 
 __all__ = [
@@ -209,8 +204,6 @@ class DAGScheduler:
         self,
         rdd: RDD,
         func: Callable[[Iterator[Any]], Any],
-        partitions: list[int] | None = None,
-        memoize: bool = True,
         pool: str = DEFAULT_POOL,
     ) -> tuple[list[Any], JobMetrics]:
         final_stage = self._new_stage(rdd, None)
@@ -238,14 +231,14 @@ class DAGScheduler:
         # stream of a skipped job is exactly one cache_hit.  Keys that fail
         # to compute (an unhashable closure) silently disable memo for this
         # job; memoization must never turn a runnable job into an error.
-        memo = self.runtime.memo if memoize else None
+        memo = self.runtime.memo
         lineage_cache: dict[int, str] = {}
         jkey: str | None = None
         if memo is not None:
             from repro.memo import hashing as memo_hashing
 
             try:
-                jkey = memo_hashing.job_key(rdd, func, partitions, lineage_cache)
+                jkey = memo_hashing.job_key(rdd, func, lineage_cache)
             except Exception:
                 memo = None
         if memo is not None and jkey is not None:
@@ -280,7 +273,7 @@ class DAGScheduler:
                 else:
                     self._run_shuffle_map_stage(stage, job, missing or None)
             else:
-                metrics, results = self._run_result_stage(stage, func, partitions, job)
+                metrics, results = self._run_result_stage(stage, func, job)
                 job.stages.append(metrics)
         self.job_history.append(job)
         if obs.enabled:
@@ -636,7 +629,6 @@ class DAGScheduler:
         self,
         stage: Stage,
         func: Callable[[Iterator[Any]], Any],
-        partitions: list[int] | None,
         job: JobMetrics,
     ) -> tuple[StageMetrics, list[Any]]:
         attempt = self._stage_attempts.get(stage.stage_id, 0)
@@ -647,7 +639,7 @@ class DAGScheduler:
             obs.emit(obs_events.STAGE_START, stage_id=sm.stage_id, attempt=sm.attempt,
                      name=sm.name, is_shuffle_map=False,
                      n_partitions=stage.rdd.num_partitions)
-        todo = partitions if partitions is not None else list(range(stage.rdd.num_partitions))
+        todo = list(range(stage.rdd.num_partitions))
         shuffle_reads = tuple(_shuffle_reads_of(stage.rdd))
 
         stage_span = (
@@ -680,6 +672,6 @@ def _shuffle_reads_of(rdd: RDD) -> list[int]:
         for dep in node.deps:
             if isinstance(dep, ShuffleDependency):
                 out.append(dep.shuffle_id)
-            elif isinstance(dep, (NarrowDependency, Dependency)):
+            else:
                 stack.append(dep.rdd)
     return out

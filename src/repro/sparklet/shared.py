@@ -1,15 +1,10 @@
-"""Shared variables: broadcasts and accumulators.
+"""Shared variables: accumulators.
 
-Spark's two shared-variable kinds, both used by real D-RAPID-style drivers:
-a *broadcast* ships one read-only value (e.g. the trial-DM grid) to every
-task without re-serializing it per record, and an *accumulator* aggregates
-task-side counters (rows parsed, rows dropped) back to the driver.
-
-In Sparklet tasks run in-process, so a broadcast's win is semantic —
-explicit, immutable distribution — while accumulators carry real
-correctness rules mirrored from Spark: adds from *failed* task attempts
-must not double-count, so the scheduler buffers per-attempt contributions
-and commits them only when the attempt succeeds.
+An *accumulator* aggregates task-side counters (rows parsed, rows dropped)
+back to the driver; D-RAPID counts its malformed input rows this way.
+Accumulators carry real correctness rules mirrored from Spark: adds from
+*failed* task attempts must not double-count, so the scheduler buffers
+per-attempt contributions and commits them only when the attempt succeeds.
 """
 
 from __future__ import annotations
@@ -17,36 +12,6 @@ from __future__ import annotations
 from typing import Callable, Generic, TypeVar
 
 T = TypeVar("T")
-
-
-class Broadcast(Generic[T]):
-    """A read-only value shared across tasks."""
-
-    def __init__(self, broadcast_id: int, value: T) -> None:
-        self._id = broadcast_id
-        self._value = value
-        self._destroyed = False
-
-    @property
-    def value(self) -> T:
-        if self._destroyed:
-            raise RuntimeError(f"broadcast {self._id} has been destroyed")
-        return self._value
-
-    def destroy(self) -> None:
-        """Release the value (Spark's ``destroy``); later reads fail."""
-        self._destroyed = True
-        self._value = None  # type: ignore[assignment]
-
-    def memo_token(self) -> str:
-        """Lineage-hash identity: the broadcast *value*, not the id (ids are
-        per-context counters and vary across otherwise-identical runs)."""
-        from repro.memo.hashing import digest, token_for
-
-        return digest(["broadcast", token_for(self._value)])
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Broadcast id={self._id} destroyed={self._destroyed}>"
 
 
 class Accumulator(Generic[T]):

@@ -97,7 +97,7 @@ def serial_ctx() -> SparkletContext:
     """Explicitly in-process execution, regardless of REPRO_BACKEND.
 
     For tests that observe driver-side effects of task closures (lists
-    appended to from ``map``/``foreach``) — semantics that only hold when
+    appended to from ``map``) — semantics that only hold when
     tasks run in the driver process.
     """
     c = SparkletContext(app_name="test", default_parallelism=4,

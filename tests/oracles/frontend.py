@@ -1,0 +1,214 @@
+"""The front end's seed implementations, kept as test oracles.
+
+Until PR 23 these lived in ``src/`` beside the kernels that replaced them
+(``astro/kernels.py``, ``astro/filterbank.py``, ``astro/clustering.py``).
+Nothing live calls them; the identity laws hold the live kernels to them:
+
+- ``dedisperse_batch`` / ``dedisperse_grid`` ≡ :func:`_reference_dedisperse`
+  bit for bit, ``boxcar_snr`` ≡ :func:`_reference_boxcar_snr` to summation
+  order, ``find_peaks`` ≡ :func:`_reference_find_peaks`
+  (``tests/test_astro_kernels.py``);
+- ``single_pulse_search`` against :func:`_reference_single_pulse_search`
+  (``tests/test_astro_kernels.py``, ``benchmarks/bench_frontend_kernels.py``);
+- ``SinglePulseDBSCAN._dbscan`` ≡ :func:`_reference_dbscan`, label for label
+  (the hypothesis suites of ``tests/test_astro_kernels.py``).
+
+The bodies are the ones ``src/`` shipped, moved; the two DBSCAN methods
+became functions taking the clusterer.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.astro.clustering import NOISE, SinglePulseDBSCAN
+from repro.astro.dispersion import K_DM
+from repro.astro.filterbank import Filterbank
+from repro.astro.spe import SPE
+
+# -- kernels ------------------------------------------------------------------
+
+
+def _reference_dedisperse(
+    data: np.ndarray,
+    freqs_mhz: np.ndarray,
+    f_ref_mhz: float,
+    sample_time_s: float,
+    dm: float,
+) -> np.ndarray:
+    """The seed's per-channel shift-and-sum loop, one trial DM at a time."""
+    if dm < 0:
+        raise ValueError("DM must be non-negative")
+    n_chan, n_samples = data.shape
+    out = np.zeros(n_samples, dtype=np.float64)
+    for ch, f in enumerate(np.asarray(freqs_mhz, dtype=np.float64)):
+        delay = K_DM * dm * (f**-2 - f_ref_mhz**-2)
+        shift = int(round(delay / sample_time_s))
+        if shift == 0:
+            out += data[ch]
+        elif shift < n_samples:
+            out[: n_samples - shift] += data[ch, shift:]
+    return out / np.sqrt(n_chan)
+
+
+def _reference_boxcar_snr(
+    series: np.ndarray, widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Naive O(n·w) boxcar SNR: ``np.convolve`` per width, left-aligned.
+
+    Same math as :func:`boxcar_snr` (noise once per series, identical
+    normalization expressions) so equivalence is tolerance-bounded only by
+    the convolve-vs-cumsum summation order.
+    """
+    series = np.asarray(series)
+    n = series.size
+    if n == 0:
+        return np.empty(0, dtype=series.dtype), np.empty(0, dtype=np.int64)
+    med = float(np.median(series))
+    mad = float(np.median(np.abs(series - med))) * 1.4826
+    sigma = max(mad, 1e-9)
+    best_z = np.full(n, -np.inf, dtype=series.dtype)
+    best_width = np.ones(n, dtype=np.int64)
+    for w in widths:
+        if w > n:
+            break
+        m = n - w + 1
+        win = np.convolve(series, np.ones(w, dtype=series.dtype), mode="full")[
+            w - 1 : n
+        ]
+        zw = win * (1.0 / np.sqrt(w))
+        zw -= np.sqrt(w) * med
+        better = zw > best_z[:m]
+        best_z[:m][better] = zw[better]
+        best_width[:m][better] = w
+    return best_z / series.dtype.type(sigma), best_width
+
+
+def _reference_find_peaks(snr: np.ndarray, threshold: float) -> np.ndarray:
+    """The seed's Python local-maxima scan over above-threshold samples."""
+    out = []
+    n = snr.size
+    for i in np.nonzero(snr >= threshold)[0]:
+        left = snr[i - 1] if i > 0 else -np.inf
+        right = snr[i + 1] if i + 1 < n else -np.inf
+        if snr[i] >= left and snr[i] > right:
+            out.append(i)
+    return np.asarray(out, dtype=np.int64)
+
+
+# -- single pulse search ------------------------------------------------------
+
+
+def _reference_single_pulse_search(
+    fb: Filterbank,
+    trial_dms: np.ndarray,
+    snr_threshold: float = 5.0,
+    boxcar_widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
+) -> list[SPE]:
+    """The seed's naive search, retained as the benchmark baseline.
+
+    Per trial DM: a per-channel Python dedispersion loop, an O(n·w)
+    ``np.convolve`` per boxcar width with median/MAD re-estimated on every
+    smoothed series, and a Python local-maxima scan.  Note the two seed
+    conventions the vectorized path deliberately changes: windows are
+    centred (``mode="same"``, half a sample off for even widths) and noise
+    is estimated per width rather than once per series.
+    """
+    if snr_threshold <= 0:
+        raise ValueError("snr_threshold must be positive")
+    trial_dms = np.asarray(trial_dms, dtype=float)
+    spes: list[SPE] = []
+    for dm in trial_dms:
+        series = _reference_dedisperse(
+            fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, float(dm)
+        )
+        best_snr = np.full(series.size, -np.inf)
+        best_width = np.ones(series.size, dtype=int)
+        for width in boxcar_widths:
+            if width > series.size:
+                break
+            kernel = np.ones(width) / np.sqrt(width)
+            smoothed = np.convolve(series, kernel, mode="same")
+            med = np.median(smoothed)
+            mad = np.median(np.abs(smoothed - med)) * 1.4826
+            snr = (smoothed - med) / max(mad, 1e-9)
+            better = snr > best_snr
+            best_snr[better] = snr[better]
+            best_width[better] = width
+        above = best_snr >= snr_threshold
+        if not above.any():
+            continue
+        # Local maxima only: one SPE per peak, not per above-threshold sample.
+        idx = np.nonzero(above)[0]
+        for i in idx:
+            left = best_snr[i - 1] if i > 0 else -np.inf
+            right = best_snr[i + 1] if i + 1 < best_snr.size else -np.inf
+            if best_snr[i] >= left and best_snr[i] > right:
+                spes.append(
+                    SPE(
+                        dm=float(dm),
+                        snr=round(float(best_snr[i]), 3),
+                        time_s=round(i * fb.sample_time_s, 6),
+                        sample=int(i),
+                        downfact=int(best_width[i]),
+                    )
+                )
+    return spes
+
+
+# -- DBSCAN -------------------------------------------------------------------
+
+
+def _expand(db: SinglePulseDBSCAN, neighbours, n: int) -> np.ndarray:
+    """The classic DBSCAN sweep; only :func:`_reference_dbscan` runs it."""
+    labels = np.full(n, NOISE, dtype=int)
+    visited = np.zeros(n, dtype=bool)
+    cluster_id = 0
+    for i in range(n):
+        if visited[i]:
+            continue
+        visited[i] = True
+        seed = neighbours(i)
+        if len(seed) < db.min_samples:
+            continue  # not a core point (may later join as border point)
+        labels[i] = cluster_id
+        queue = [j for j in seed if j != i]
+        while queue:
+            j = queue.pop()
+            if labels[j] == NOISE:
+                labels[j] = cluster_id  # border point
+            if visited[j]:
+                continue
+            visited[j] = True
+            labels[j] = cluster_id
+            nb = neighbours(j)
+            if len(nb) >= db.min_samples:
+                queue.extend(k for k in nb if not visited[k] or labels[k] == NOISE)
+        cluster_id += 1
+    return labels
+
+
+def _reference_dbscan(db: SinglePulseDBSCAN, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The seed's dict-of-cells sweep, the oracle
+    :meth:`SinglePulseDBSCAN._dbscan` is tested against."""
+    n = x.size
+    cells: dict[tuple[int, int], list[int]] = {}
+    cx = np.floor(x).astype(int)
+    cy = np.floor(y).astype(int)
+    for i in range(n):
+        cells.setdefault((cx[i], cy[i]), []).append(i)
+
+    def neighbours(i: int) -> list[int]:
+        out: list[int] = []
+        xi, yi = x[i], y[i]
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                bucket = cells.get((cx[i] + dx, cy[i] + dy))
+                if not bucket:
+                    continue
+                for j in bucket:
+                    if (x[j] - xi) ** 2 + (y[j] - yi) ** 2 <= 1.0:
+                        out.append(j)
+        return out
+
+    return _expand(db, neighbours, n)

@@ -19,22 +19,25 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles.frontend import (
+    _reference_boxcar_snr,
+    _reference_dbscan,
+    _reference_dedisperse,
+    _reference_find_peaks,
+    _reference_single_pulse_search,
+)
 
 from repro.astro import GBT350DRIFT, clustering, generate_observation
 from repro.astro.clustering import NOISE, Cluster, SinglePulseDBSCAN
 from repro.astro.dispersion import DMGrid, smearing_snr_factor, smearing_snr_factors
 from repro.astro.filterbank import (
     InjectedPulse,
-    _reference_single_pulse_search,
     dedisperse,
     dedisperse_all,
     single_pulse_search,
     synthesize_filterbank,
 )
 from repro.astro.kernels import (
-    _reference_boxcar_snr,
-    _reference_dedisperse,
-    _reference_find_peaks,
     _subband_edges,
     _tree_effective_shifts,
     _tree_plan,
@@ -428,7 +431,7 @@ class TestGridDBSCAN:
         pts = pts + rng.normal(0.0, spread, size=(n, 2)) if n else pts
         x, y = (pts[:, 0], pts[:, 1]) if n else (np.empty(0), np.empty(0))
         db = SinglePulseDBSCAN()
-        assert np.array_equal(db._dbscan(x, y), db._reference_dbscan(x, y))
+        assert np.array_equal(db._dbscan(x, y), _reference_dbscan(db, x, y))
 
     @SETTINGS
     @given(dms=st.lists(st.floats(0.0, 4000.0), min_size=1, max_size=50))
@@ -460,7 +463,7 @@ def same_labels(x, y, min_samples=4, budget=clustering._PAIR_CANDIDATES):
     db = SinglePulseDBSCAN(min_samples=min_samples)
     with mock.patch.object(clustering, "_PAIR_CANDIDATES", budget):
         got = db._dbscan(x, y)
-    assert np.array_equal(got, db._reference_dbscan(x, y))
+    assert np.array_equal(got, _reference_dbscan(db, x, y))
     return got
 
 
@@ -576,8 +579,8 @@ class TestColumnarDBSCAN:
         db, batch, steps = scaled(obs)
         with mock.patch.object(clustering, "_PAIR_CANDIDATES", budget):
             labels, clusters = db.fit_batch(batch, steps)
-        swept = db._reference_dbscan(
-            batch.time_s / db.eps_time_s, steps / db.eps_dm_steps
+        swept = _reference_dbscan(
+            db, batch.time_s / db.eps_time_s, steps / db.eps_dm_steps
         )
         swept = db._merge_artifact_clusters(swept, batch.time_s, batch.dm)
         assert np.array_equal(labels, swept)
@@ -651,7 +654,7 @@ class TestColumnarDBSCANGuards:
 
         monkeypatch.setattr(clustering, "_close_pairs", counted)
         monkeypatch.setattr(clustering, "_PAIR_CANDIDATES", budget)
-        monkeypatch.setattr(SinglePulseDBSCAN, "_expand", no_sweep)
+        monkeypatch.setattr(SinglePulseDBSCAN, "_expand", no_sweep, raising=False)
         labels, _clusters = db.fit_batch(batch, steps)
         assert np.array_equal(labels, obs.labels)
 

@@ -1,0 +1,35 @@
+"""The committed ``BENCH_*.json`` files are full-scale measurements.
+
+A smoke run is a CI gate: it may assert, it may not overwrite a committed
+result (``benchmarks/_bench_utils.write_result``).
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Results with no ``smoke`` key yet (ROADMAP 3d gives every script one
+#: envelope).  The list may only shrink.
+NO_SMOKE_KEY = {
+    "BENCH_campaign.json",
+    "BENCH_fault_tolerance.json",
+    "BENCH_frontend_kernels.json",
+}
+
+
+def test_committed_results_are_full_scale():
+    smoke = {p.name: json.loads(p.read_text()).get("smoke") for p in REPO.glob("BENCH_*.json")}
+    assert len(smoke) >= 9
+    assert {name for name, flag in smoke.items() if flag is None} == NO_SMOKE_KEY
+    assert [name for name, flag in smoke.items() if flag] == []
+
+
+def test_smoke_run_leaves_the_committed_result_alone(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "benchmarks"))
+    bench = importlib.import_module("bench_serving")
+    before = bench.RESULT_JSON.read_bytes()
+    results = bench.run_all(smoke=True)
+    assert results["smoke"] and results["identity"]["byte_identical"]
+    assert bench.RESULT_JSON.read_bytes() == before

@@ -82,6 +82,48 @@ class TestDRapidDriver:
         assert result.pulse_batch.is_pulsar.sum() == serial.pulse_batch.is_pulsar.sum() > 0
 
 
+class TestDRapidMalformedRows:
+    def test_garbled_rows_cost_one_record_each(self, observation, dfs, ctx):
+        from repro.core.drapid import DRapidDriver
+        from repro.core.rapid import run_rapid_observation_batch
+        from repro.io.spe_files import build_cluster_file, build_data_file
+
+        data_text = build_data_file([observation])
+        lines = data_text.splitlines()
+        # Inject garbage: truncated rows, non-numeric fields, stray header.
+        key = observation.key.to_key()
+        lines.insert(5, f"{key},garbled")
+        lines.insert(9, f"{key},not,a,number,row,x")
+        lines.insert(12, "# stray header fragment")
+        dfs.put_text("/mal/data.csv", "\n".join(lines) + "\n")
+        dfs.put_text("/mal/clusters.csv", build_cluster_file([observation]))
+
+        driver = DRapidDriver(ctx=ctx, dfs=dfs,
+                              grids={"GBT350Drift": observation.grid}, num_partitions=4)
+        result = driver.run("/mal/data.csv", "/mal/clusters.csv", ml_output_path="/mal/ml")
+        serial = run_rapid_observation_batch(observation)
+        assert result.n_pulses == serial.n_pulses
+
+
+class TestDRapidDroppedRowAccumulator:
+    def test_malformed_cluster_rows_counted(self, observation, dfs, ctx):
+        from repro.core.drapid import DRapidDriver
+        from repro.io.spe_files import build_cluster_file, build_data_file
+
+        dfs.put_text("/acc2/data.csv", build_data_file([observation]))
+        cluster_text = build_cluster_file([observation]).splitlines()
+        cluster_text.insert(3, "half,a,row")
+        cluster_text.insert(7, "another,bad,row,entirely")
+        dfs.put_text("/acc2/clusters.csv", "\n".join(cluster_text) + "\n")
+
+        driver = DRapidDriver(ctx=ctx, dfs=dfs,
+                              grids={"GBT350Drift": observation.grid}, num_partitions=4)
+        result = driver.run("/acc2/data.csv", "/acc2/clusters.csv",
+                            ml_output_path="/acc2/ml")
+        assert result.n_dropped_cluster_rows == 2
+        assert result.n_clusters == len(observation.clusters)
+
+
 class TestMultithreadedRapid:
     def test_runs_tasks_and_returns_in_order(self):
         runner = MultithreadedRapid(n_threads=3)

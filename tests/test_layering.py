@@ -1,4 +1,5 @@
-"""``src/`` holds one stage-3 path; the record path lives in ``tests/oracles``.
+"""``src/`` holds one stage-3 path and one front end; the paths they
+replaced live in ``tests/oracles``.  Sparklet's surface is what something runs.
 
 An AST walk, so a docstring that *mentions* an oracle by name is fine and a
 definition, import or call of one is not.
@@ -11,16 +12,23 @@ import repro.core
 
 REPO = Path(__file__).resolve().parent.parent
 LIVE = sorted((REPO / "src").rglob("*.py")) + sorted((REPO / "examples").glob("*.py"))
-ORACLES = REPO / "tests" / "oracles" / "record_path.py"
+ORACLES = sorted((REPO / "tests" / "oracles").glob("*.py"))
 
-#: Defined exactly once, in ``tests/oracles/record_path.py``.
+#: Defined exactly once under ``tests/oracles/`` (``record_path.py``; the
+#: six front-end names in ``frontend.py``).
 RELOCATED = {
     "PulseFeatures",
     "RapidResult",
     "SinglePulse",
+    "_expand",
+    "_reference_boxcar_snr",
     "_reference_build_cluster_file",
     "_reference_build_data_file",
+    "_reference_dbscan",
+    "_reference_dedisperse",
+    "_reference_find_peaks",
     "_reference_search_observation",
+    "_reference_single_pulse_search",
     "bin_fit_residual",
     "extract_pulse_features",
     "find_single_pulses_recursive",
@@ -86,7 +94,7 @@ def test_pulse_batch_takes_no_records():
 
 def test_each_oracle_is_defined_once_under_tests_oracles():
     defined = [
-        node.name for node in ast.parse(ORACLES.read_text()).body
+        node.name for path in ORACLES for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     ]
     assert RELOCATED <= set(defined)
@@ -95,8 +103,8 @@ def test_each_oracle_is_defined_once_under_tests_oracles():
 
 def test_pytest_collects_nothing_from_the_oracles():
     # pyproject's python_files: test_*.py and bench_*.py.
-    assert [p.name for p in ORACLES.parent.glob("*.py")
-            if p.name.startswith(("test_", "bench_"))] == []
+    assert len(ORACLES) == 3  # __init__, record_path, frontend
+    assert [p.name for p in ORACLES if p.name.startswith(("test_", "bench_"))] == []
 
 
 def test_core_public_surface_names_only_what_runs():
@@ -118,3 +126,42 @@ def test_core_public_surface_names_only_what_runs():
         "search_observation_columns",
     ]
     assert all(hasattr(repro.core, name) for name in repro.core.__all__)
+
+
+#: Operators kept for a law rather than a pipeline, each with what needs it.
+#: They are exempt from the walk below, where ``str.join`` or ``list.count``
+#: would vouch for them by accident.
+LAW_OPERATORS = {
+    # the generic shuffle of the fault, obs and memo suites (test_sparklet_faults,
+    # test_sparklet_scheduler, test_chaos_fault_tolerance, test_properties_memo,
+    # ...) and of bench_fault_tolerance.py / bench_observability.py
+    "reduce_by_key",
+    # bench_ablations.py: the paper's aggregateByKey-vs-groupByKey argument
+    "group_by_key",
+    # copartitioned join is narrow, uncopartitioned join shuffles both sides
+    # (test_sparklet_pairs::TestJoins, test_properties_sparklet::TestPairOracles)
+    "join",
+    # what join and left_outer_join are built on; test_sparklet_pairs::TestJoins
+    "cogroup",
+    # serial == parallel == memo-warm on actions other than collect
+    # (test_parallel_backend, test_properties_memo); D-RAPID's null-join count
+    "count",
+}
+
+
+def test_every_sparklet_operator_has_a_caller():
+    """An operator exists when a pipeline, an example, a benchmark script or
+    a named scheduler law calls it — so the surface cannot regrow unnoticed."""
+    from repro.sparklet import RDD, SparkletContext
+
+    called: set[str] = set()
+    for path in LIVE + sorted((REPO / "benchmarks").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    public = {
+        name for cls in (RDD, SparkletContext) for name, member in vars(cls).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert len(public) > 20 and LAW_OPERATORS <= public
+    assert public - LAW_OPERATORS - called == set()

@@ -96,7 +96,7 @@ class TestOperationParity:
         def job(ctx):
             rdd = ctx.parallelize(data, n).map(lambda x: x * 3).filter(
                 lambda x: x % 2 == 0)
-            return rdd.collect(), rdd.count(), rdd.take(7)
+            return rdd.collect(), rdd.count()
 
         with SparkletContext() as s, par_ctx(2) as p:
             assert job(p) == job(s)

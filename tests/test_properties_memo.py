@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.search import SearchParams
 from repro.memo import MemoConfig, MemoSession, config_digest, token_for
-from repro.memo.hashing import callable_token, canonical_json, lineage_token
+from repro.memo.hashing import canonical_json, lineage_token
 from repro.sparklet import SparkletContext
 
 # -- strategies --------------------------------------------------------------
@@ -121,7 +121,7 @@ with SparkletContext(app_name="x", default_parallelism=2) as ctx:
     rdd = (ctx.text_file(dfs, "/in.txt")
               .map(lambda line: (line[0], 1))
               .reduce_by_key(lambda a, b: a + b, num_partitions=2))
-    jk = job_key(rdd, list, None)
+    jk = job_key(rdd, list)
 print(token_for(payload))
 print(callable_token(mapper))
 print(jk)

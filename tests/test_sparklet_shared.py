@@ -1,38 +1,19 @@
-"""Unit tests for broadcast variables and accumulators."""
+"""Unit tests for accumulators."""
 
 import pytest
 
 from repro.sparklet.scheduler import TaskFailure
 
 
-class TestBroadcast:
-    def test_tasks_read_broadcast_value(self, ctx):
-        grid = ctx.broadcast({"step": 2})
-        got = ctx.parallelize(range(5), 2).map(lambda x: x * grid.value["step"]).collect()
-        assert got == [0, 2, 4, 6, 8]
-
-    def test_destroyed_broadcast_unreadable(self, ctx):
-        b = ctx.broadcast([1, 2, 3])
-        b.destroy()
-        with pytest.raises(RuntimeError, match="destroyed"):
-            _ = b.value
-
-    def test_broadcasts_independent(self, ctx):
-        a = ctx.broadcast("first")
-        b = ctx.broadcast("second")
-        a.destroy()
-        assert b.value == "second"
-
-
 class TestAccumulator:
     def test_counts_records(self, ctx):
         seen = ctx.accumulator(0)
-        ctx.parallelize(range(25), 4).foreach(lambda _x: seen.add(1))
+        ctx.parallelize(range(25), 4).map(lambda _x: seen.add(1)).count()
         assert seen.value == 25
 
     def test_custom_op(self, ctx):
         biggest = ctx.accumulator(float("-inf"), op=max)
-        ctx.parallelize([3.0, 9.0, 1.0], 3).foreach(biggest.add)
+        ctx.parallelize([3.0, 9.0, 1.0], 3).map(biggest.add).count()
         assert biggest.value == 9.0
 
     def test_iadd_syntax(self, ctx):
@@ -42,7 +23,7 @@ class TestAccumulator:
             nonlocal acc
             acc += 2
 
-        ctx.parallelize(range(4), 2).foreach(bump)
+        ctx.parallelize(range(4), 2).map(bump).count()
         assert acc.value == 8
 
     def test_retried_attempts_count_once(self, ctx):
@@ -57,7 +38,7 @@ class TestAccumulator:
                 raise TaskFailure("flaky")
 
         ctx.runtime.failure_injector = injector
-        ctx.parallelize(range(12), 3).foreach(lambda _x: acc.add(1))
+        ctx.parallelize(range(12), 3).map(lambda _x: acc.add(1)).count()
         assert failed  # the injector really fired
         assert acc.value == 12
 
@@ -69,7 +50,7 @@ class TestAccumulator:
 
         ctx.runtime.failure_injector = injector
         with pytest.raises(TaskFailure):
-            ctx.parallelize(range(4), 1).foreach(lambda _x: acc.add(1))
+            ctx.parallelize(range(4), 1).map(lambda _x: acc.add(1)).count()
         assert acc.value == 0
 
     def test_driver_side_add_and_reset(self, ctx):
