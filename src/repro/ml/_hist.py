@@ -8,11 +8,18 @@ count table per node — costs O(n) + O(bins·k) per feature per node, so the
 class count only touches the tiny histogram, not the instance dimension.
 This matches the cost profile of classical learners (Weka's per-node scan)
 and of modern gradient-boosting systems.
+
+A node scores all of its candidate features in one pass (:func:`split_node`):
+one gather of their codes, one ``bincount`` into a (features × bins × classes)
+table, one ``cumsum``, one gini evaluation, one ``argmax`` — the NumPy call
+count does not depend on how many features were drawn.  The per-feature loop
+this replaced is ``tests/oracles/ml_hist.py``; the suites hold the one-pass
+search to it field for field, ties included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +38,15 @@ class BinnedMatrix:
 
     codes: np.ndarray  # (n, d) uint8
     edges: list[np.ndarray]
+    #: Derived once per matrix so that no node recomputes them: the bin count
+    #: of each feature, and the codes widened to ``intp`` with one contiguous
+    #: row per feature — what a bincount key is built from.
+    n_bins: np.ndarray = field(init=False, repr=False)  # (d,)
+    wide: np.ndarray = field(init=False, repr=False)  # (d, n)
+
+    def __post_init__(self) -> None:
+        self.n_bins = np.array([e.size + 1 for e in self.edges], dtype=np.intp)
+        self.wide = np.ascontiguousarray(self.codes.T, dtype=np.intp)
 
     @property
     def n_features(self) -> int:
@@ -108,112 +124,104 @@ def best_hist_split(
 
     ``y`` is the full label vector; node labels are ``y[idx]``.
     """
+    y_node = y[idx]
+    counts = np.bincount(y_node, minlength=n_classes)
+    return split_node(binned, idx, y_node, counts, feature_indices, min_leaf)
+
+
+def split_node(
+    binned: BinnedMatrix,
+    idx: np.ndarray,
+    y_node: np.ndarray,
+    counts: np.ndarray,
+    feature_indices: np.ndarray,
+    min_leaf: int = 1,
+) -> HistSplit | None:
+    """:func:`best_hist_split` for a caller that already holds the node's
+    labels ``y_node = y[idx]`` and their class counts (the tree builder)."""
     n = idx.size
     if n < 2 * min_leaf:
         return None
-    y_node = y[idx]
-    total = np.bincount(y_node, minlength=n_classes).astype(float)
+    total = counts.astype(float)
     parent = 1.0 - float(((total / n) ** 2).sum())
     if parent <= 0.0:
         return None
     # Deep nodes usually contain a fraction of the classes; remapping to the
     # classes actually present keeps the O(bins × classes) histogram term
     # proportional to the node's own diversity, not the global class count.
-    present = np.flatnonzero(total > 0)
-    if present.size < n_classes:
+    present = np.flatnonzero(counts)
+    if present.size < counts.size:
         y_node = np.searchsorted(present, y_node)
         total = total[present]
-        n_classes = present.size
-
+    feats = np.asarray(feature_indices, dtype=np.intp)
+    codes = binned.wide[feats[:, None], idx]  # (k, n): the node's one gather
+    min_side = max(min_leaf, 1)  # an empty side is never a split
     if n <= 48:
         # Small nodes: the O(bins × classes) histogram dwarfs the O(n) scan;
         # an exact sweep over the node's own code values is cheaper and
         # yields the identical split decision.
-        return _small_node_split(binned, idx, y_node, total, n_classes,
-                                 feature_indices, min_leaf, parent)
+        return _small_node_split(binned, feats, codes, y_node, total, min_side, parent)
 
-    best: HistSplit | None = None
-    for feat in feature_indices:
-        edges = binned.edges[feat]
-        if edges.size == 0:
-            continue
-        codes = binned.codes[idx, feat].astype(np.int64)
-        n_bins = edges.size + 1
-        hist = np.bincount(codes * n_classes + y_node, minlength=n_bins * n_classes)
-        hist = hist.reshape(n_bins, n_classes).astype(float)
-        left = np.cumsum(hist, axis=0)[:-1]  # counts with code <= b
-        right = total[None, :] - left
-        nl = left.sum(axis=1)
-        nr = n - nl
-        valid = (nl >= min_leaf) & (nr >= min_leaf)
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gl = 1.0 - np.nansum((left / nl[:, None]) ** 2, axis=1)
-            gr = 1.0 - np.nansum((right / nr[:, None]) ** 2, axis=1)
-        child = (nl * gl + nr * gr) / n
-        gain = np.where(valid, parent - child, -np.inf)
-        pos = int(np.argmax(gain))
-        if gain[pos] <= 1e-12:
-            continue
-        if best is None or gain[pos] > best.score:
-            best = HistSplit(
-                feature=int(feat),
-                bin_index=pos,
-                threshold=float(edges[pos]),
-                score=float(gain[pos]),
-                n_left=int(nl[pos]),
-                n_right=int(nr[pos]),
-            )
-    return best
+    # Features are padded to the widest candidate's bin count.  A padded bin
+    # is empty, so every cut at or past a feature's last real bin (a constant
+    # feature's only bin included) leaves nothing on its right and is invalid.
+    k, width, c = feats.size, int(binned.n_bins[feats].max(initial=1)), total.size
+    key = (codes + (np.arange(k) * width)[:, None]) * c + y_node
+    hist = np.bincount(key.ravel(), minlength=k * width * c).reshape(k, width, c)
+    left = np.cumsum(hist.astype(float), axis=1)[:, :-1]  # counts with code <= b
+    nl = left.sum(axis=2)
+    found = _best_cut(left, nl, True, total, parent, min_side)
+    if found is None:
+        return None
+    f, pos, gain = found
+    feat, n_left = int(feats[f]), int(nl[f, pos])
+    return HistSplit(feat, pos, float(binned.edges[feat][pos]), gain, n_left, n - n_left)
 
 
 def _small_node_split(
-    binned: BinnedMatrix,
-    idx: np.ndarray,
-    y_node: np.ndarray,
-    total: np.ndarray,
-    n_classes: int,
-    feature_indices: np.ndarray,
-    min_leaf: int,
-    parent: float,
+    binned: BinnedMatrix, feats: np.ndarray, codes: np.ndarray, y_node: np.ndarray,
+    total: np.ndarray, min_side: int, parent: float,
 ) -> HistSplit | None:
     """Exact gini sweep over a small node's own sorted code values."""
-    n = idx.size
-    best: HistSplit | None = None
-    onehot = np.zeros((n, n_classes))
+    n = y_node.size
+    order = np.argsort(codes, axis=1, kind="stable")
+    xs = np.take_along_axis(codes, order, axis=1)
+    onehot = np.zeros((n, total.size))
     onehot[np.arange(n), y_node] = 1.0
-    for feat in feature_indices:
-        edges = binned.edges[feat]
-        if edges.size == 0:
-            continue
-        codes = binned.codes[idx, feat]
-        order = np.argsort(codes, kind="stable")
-        xs = codes[order]
-        if xs[0] == xs[-1]:
-            continue
-        left = np.cumsum(onehot[order], axis=0)[:-1]
-        right = total[None, :] - left
-        nl = left.sum(axis=1)
-        nr = n - nl
-        valid = (xs[1:] != xs[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gl = 1.0 - np.nansum((left / nl[:, None]) ** 2, axis=1)
-            gr = 1.0 - np.nansum((right / nr[:, None]) ** 2, axis=1)
+    left = np.cumsum(onehot[order], axis=1)[:, :-1]
+    nl = np.arange(1.0, n)  # cut p has p + 1 instances on its left
+    found = _best_cut(left, nl, xs[:, 1:] != xs[:, :-1], total, parent, min_side)
+    if found is None:
+        return None
+    f, pos, gain = found
+    feat, bin_index = int(feats[f]), int(xs[f, pos])  # go left when code <= this value
+    return HistSplit(feat, bin_index, float(binned.edges[feat][bin_index]), gain,
+                     pos + 1, n - pos - 1)
+
+
+def _best_cut(
+    left: np.ndarray, nl: np.ndarray, allowed: np.ndarray | bool, total: np.ndarray,
+    parent: float, min_side: int,
+) -> tuple[int, int, float] | None:
+    """(feature position, cut position, gini gain) of the best allowed cut
+    that leaves ``min_side`` instances on each side.
+
+    ``left`` is (features, cuts, classes): class counts left of each cut;
+    ``nl`` its class sum, per cut or per (feature, cut).  Row-major argmax
+    means that of equal gains the first feature, then the first cut, wins —
+    what a per-feature loop keeping only strictly better splits picks.
+    """
+    n = total.sum()
+    nr = n - nl
+    valid = allowed & (nl >= min_side) & (nr >= min_side)
+    if not valid.any():
+        return None
+    right = total - left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gl = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=2)
+        gr = 1.0 - ((right / nr[..., None]) ** 2).sum(axis=2)
         gain = np.where(valid, parent - (nl * gl + nr * gr) / n, -np.inf)
-        pos = int(np.argmax(gain))
-        if gain[pos] <= 1e-12:
-            continue
-        if best is None or gain[pos] > best.score:
-            bin_index = int(xs[pos])  # go left when code <= this value
-            best = HistSplit(
-                feature=int(feat),
-                bin_index=bin_index,
-                threshold=float(edges[min(bin_index, edges.size - 1)]),
-                score=float(gain[pos]),
-                n_left=int(nl[pos]),
-                n_right=int(nr[pos]),
-            )
-    return best
+    f, pos = divmod(int(np.argmax(gain)), gain.shape[1])
+    if not gain[f, pos] > 1e-12:
+        return None
+    return f, pos, float(gain[f, pos])

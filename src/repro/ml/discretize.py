@@ -21,55 +21,33 @@ import numpy as np
 from repro.ml._split import entropy_from_counts
 
 
-def _counts(y: np.ndarray, n_classes: int) -> np.ndarray:
-    return np.bincount(y, minlength=n_classes)
+def _weighted_child_entropy(left: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Size-weighted entropy of the two children of each candidate cut.
 
-
-def _best_cut(xs: np.ndarray, ys: np.ndarray, n_classes: int) -> tuple[int, float] | None:
-    """Boundary index and weighted child entropy of the best cut, or None.
-
-    ``xs`` must be sorted.  Candidate cuts are positions where the value
-    changes (Fayyad & Irani showed optimal cuts lie on class boundaries; the
-    value-change superset keeps the vectorization simple and is correct).
+    ``left`` is (cuts, classes): class counts left of each cut of a segment
+    whose class counts are ``total``; neither side of a cut is empty.
     """
-    n = xs.size
-    if n < 2:
-        return None
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), ys] = 1
-    prefix = np.cumsum(onehot, axis=0)[:-1]
-    total = prefix[-1] + onehot[-1]
-    left = prefix.astype(float)
+    left = left.astype(float)
     right = total.astype(float) - left
     nl = left.sum(axis=1)
     nr = right.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pl = left / nl[:, None]
         pr = right / nr[:, None]
-        el = -np.nansum(np.where(pl > 0, pl * np.log2(pl), 0.0), axis=1)
-        er = -np.nansum(np.where(pr > 0, pr * np.log2(pr), 0.0), axis=1)
-    weighted = (nl * el + nr * er) / n
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    weighted = np.where(valid, weighted, np.inf)
-    pos = int(np.argmin(weighted))
-    return pos, float(weighted[pos])
+        el = -np.where(pl > 0, pl * np.log2(pl), 0.0).sum(axis=1)
+        er = -np.where(pr > 0, pr * np.log2(pr), 0.0).sum(axis=1)
+    return (nl * el + nr * er) / total.sum()
 
 
-def _mdl_accepts(
-    ys: np.ndarray, ys_left: np.ndarray, ys_right: np.ndarray, n_classes: int, gain: float
-) -> bool:
-    n = ys.size
-    e = entropy_from_counts(_counts(ys, n_classes))
-    e1 = entropy_from_counts(_counts(ys_left, n_classes))
-    e2 = entropy_from_counts(_counts(ys_right, n_classes))
-    k = int(np.count_nonzero(_counts(ys, n_classes)))
-    k1 = int(np.count_nonzero(_counts(ys_left, n_classes)))
-    k2 = int(np.count_nonzero(_counts(ys_right, n_classes)))
-    delta = math.log2(max(3.0**k - 2.0, 1.0)) - (k * e - k1 * e1 - k2 * e2)
-    threshold = (math.log2(n - 1) + delta) / n
-    return gain > threshold
+def _mdl_accepts(total: np.ndarray, left: np.ndarray, entropy: float, gain: float) -> bool:
+    """Fayyad–Irani's criterion for cutting a segment with class counts
+    ``total`` (of entropy ``entropy``) so that ``left`` falls on one side."""
+    right = total - left
+    k, k1, k2 = (int(np.count_nonzero(c)) for c in (total, left, right))
+    e1, e2 = entropy_from_counts(left), entropy_from_counts(right)
+    delta = math.log2(max(3.0**k - 2.0, 1.0)) - (k * entropy - k1 * e1 - k2 * e2)
+    n = int(total.sum())
+    return gain > (math.log2(n - 1) + delta) / n
 
 
 def mdl_cut_points(
@@ -81,28 +59,38 @@ def mdl_cut_points(
     if x.shape != y.shape:
         raise ValueError("x and y must have the same shape")
     order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
+    xs = x[order]
+    # One class-count prefix table for the column: prefix[i] counts the
+    # classes of the i smallest values, so any segment's or any cut's counts
+    # are a difference of two rows and no recursion level rebuilds them.
+    onehot = np.zeros((x.size + 1, n_classes), dtype=np.int64)
+    onehot[np.arange(1, x.size + 1), y[order]] = 1
+    prefix = np.cumsum(onehot, axis=0)
+    # Candidate cuts are positions where the value changes (Fayyad & Irani
+    # showed optimal cuts lie on class boundaries; the value-change superset
+    # keeps the vectorization simple and is correct).
+    boundaries = np.flatnonzero(xs[1:] != xs[:-1])
     cuts: list[float] = []
-
-    def recurse(lo: int, hi: int, depth: int) -> None:
+    # A stack, not a recursive closure: a closure that names itself is a
+    # reference cycle, which keeps the table alive until the next collection.
+    segments = [(0, xs.size, 0)]
+    while segments:
+        lo, hi, depth = segments.pop()
         if depth >= max_depth or hi - lo < 4:
-            return
-        seg_x, seg_y = xs[lo:hi], ys[lo:hi]
-        found = _best_cut(seg_x, seg_y, n_classes)
-        if found is None:
-            return
-        pos, child_entropy = found
-        parent_entropy = entropy_from_counts(_counts(seg_y, n_classes))
-        gain = parent_entropy - child_entropy
-        if gain <= 0:
-            return
-        if not _mdl_accepts(seg_y, seg_y[: pos + 1], seg_y[pos + 1 :], n_classes, gain):
-            return
-        cuts.append(0.5 * (seg_x[pos] + seg_x[pos + 1]))
-        recurse(lo, lo + pos + 1, depth + 1)
-        recurse(lo + pos + 1, hi, depth + 1)
-
-    recurse(0, xs.size, 0)
+            continue
+        first, last = np.searchsorted(boundaries, (lo, hi - 1))
+        if first == last:
+            continue
+        candidates = boundaries[first:last]  # cut between xs[p] and xs[p + 1]
+        total = prefix[hi] - prefix[lo]
+        weighted = _weighted_child_entropy(prefix[candidates + 1] - prefix[lo], total)
+        best = int(np.argmin(weighted))
+        parent_entropy = entropy_from_counts(total)
+        gain = parent_entropy - float(weighted[best])
+        cut = int(candidates[best])
+        if gain > 0 and _mdl_accepts(total, prefix[cut + 1] - prefix[lo], parent_entropy, gain):
+            cuts.append(0.5 * (xs[cut] + xs[cut + 1]))
+            segments += [(lo, cut + 1, depth + 1), (cut + 1, hi, depth + 1)]
     return sorted(cuts)
 
 

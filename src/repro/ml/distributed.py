@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.forest import RandomForest
+from repro.ml._hist import bin_matrix
+from repro.ml.forest import RandomForest, tally_votes
 from repro.sparklet.context import SparkletContext
 from repro.sparklet.metrics import JobMetrics
 
@@ -43,6 +44,7 @@ class DistributedRandomForest:
     seed: int = 0
     _forests: list[RandomForest] = field(default_factory=list, repr=False)
     n_classes_: int = 0
+    n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DistributedRandomForest":
         X = np.asarray(X, dtype=float)
@@ -52,10 +54,13 @@ class DistributedRandomForest:
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         self.n_classes_ = int(y.max()) + 1
+        self.n_features_ = X.shape[1]
 
-        # One task per tree: broadcast-style closure over (X, y), distinct
-        # seeds per partition.  In real Spark the data would be a broadcast
+        # One task per tree: broadcast-style closure over the matrix, binned
+        # once here rather than once per task, and the labels; distinct seeds
+        # per partition.  In real Spark the data would be a broadcast
         # variable; Sparklet closures capture it the same way.
+        binned = bin_matrix(X, self.n_bins, y)
         params = dict(
             n_trees=1,
             n_features_per_split=self.n_features_per_split,
@@ -63,12 +68,11 @@ class DistributedRandomForest:
             max_depth=self.max_depth,
             n_bins=self.n_bins,
         )
-        base_seed = self.seed
 
         def train_one(tree_seed: int) -> RandomForest:
-            return RandomForest(seed=tree_seed, **params).fit(X, y)
+            return RandomForest(seed=tree_seed, **params)._fit_binned(binned, y)
 
-        seeds = [base_seed + 1000003 * i for i in range(self.n_trees)]
+        seeds = [self.seed + 1000003 * i for i in range(self.n_trees)]
         rdd = self.ctx.parallelize(seeds, num_partitions=self.n_trees)
         obs = self.ctx.obs
         if obs.enabled:
@@ -78,10 +82,6 @@ class DistributedRandomForest:
             obs.registry.counter("ml.trees_trained").inc(self.n_trees)
         else:
             self._forests = rdd.map(train_one).collect()
-        # The collected single-tree forests may predict fewer classes if a
-        # bootstrap missed the top label; normalize the class count.
-        for forest in self._forests:
-            forest.n_classes_ = max(forest.n_classes_, self.n_classes_)
         return self
 
     @property
@@ -90,21 +90,7 @@ class DistributedRandomForest:
         return self.ctx.last_job_metrics()
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._forests:
-            raise RuntimeError("fit() must be called before predict()")
-        X = np.asarray(X, dtype=float)
-        votes = np.zeros((X.shape[0], self.n_classes_), dtype=int)
-        rows = np.arange(X.shape[0])
-        for forest in self._forests:
-            votes[rows, forest.predict(X)] += 1
-        return np.argmax(votes, axis=1)
+        return np.argmax(tally_votes(self._forests, X, self.n_classes_, self.n_features_), axis=1)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self._forests:
-            raise RuntimeError("fit() must be called before predict()")
-        X = np.asarray(X, dtype=float)
-        votes = np.zeros((X.shape[0], self.n_classes_), dtype=float)
-        rows = np.arange(X.shape[0])
-        for forest in self._forests:
-            votes[rows, forest.predict(X)] += 1
-        return votes / len(self._forests)
+        return tally_votes(self._forests, X, self.n_classes_, self.n_features_) / len(self._forests)

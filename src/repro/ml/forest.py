@@ -5,12 +5,13 @@ a bootstrap sample, each split considers ``ceil(log2(d)+1)`` random features
 (Weka's default) scored by gini impurity, and trees are unpruned.
 
 Split finding is histogram-based (:mod:`repro.ml._hist`): features are
-quantile-binned once per fit, and each node builds a (bins × classes) count
-table per candidate feature.  Per-node cost is then O(instances) plus a
-small O(bins × classes) term, so the number of classes barely affects
-per-node cost — matching the cost profile of the classical learners the
-paper timed (and of modern GBDT systems).  Nodes operate on *index arrays*
-into the binned matrix; no per-node data copies.
+quantile-binned once per fit, and each node builds one (features × bins ×
+classes) count table over its candidate features.  Per-node cost is then
+O(instances) plus a small O(bins × classes) term, so the number of classes
+barely affects per-node cost — matching the cost profile of the classical
+learners the paper timed (and of modern GBDT systems).  Nodes operate on
+*index arrays* into the binned matrix and hand their labels and class counts
+down; no per-node data copies, no re-counting.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml._hist import BinnedMatrix, best_hist_split, bin_matrix
+from repro.ml._hist import BinnedMatrix, bin_matrix, split_node
 
 
 @dataclass
@@ -58,10 +59,17 @@ class _RandomTree:
 
     def fit(self, binned: BinnedMatrix, y: np.ndarray, idx: np.ndarray, n_classes: int) -> None:
         self.n_classes = n_classes
-        self.root = self._build(binned, y, idx, depth=0)
+        self.root = self._build(binned, idx, y[idx], depth=0)
 
-    def _build(self, binned: BinnedMatrix, y: np.ndarray, idx: np.ndarray, depth: int) -> _Node:
-        counts = np.bincount(y[idx], minlength=self.n_classes)
+    def _build(self, binned: BinnedMatrix, idx: np.ndarray, y_node: np.ndarray,
+               depth: int) -> _Node:
+        """Grow the subtree over instances ``idx``, whose labels are ``y_node``.
+
+        Depth-first on purpose: nodes draw features from ``rng`` in preorder, so
+        a right child's draw depends on the size of its left sibling's subtree
+        and a level-wise pass would change every fitted tree.
+        """
+        counts = np.bincount(y_node, minlength=self.n_classes)
         node = _Node(prediction=int(np.argmax(counts)), counts=counts)
         if (
             counts.max() == idx.size
@@ -71,17 +79,17 @@ class _RandomTree:
             return node
         d = binned.n_features
         feats = self.rng.choice(d, size=min(self.k_features, d), replace=False)
-        split = best_hist_split(binned, idx, y, self.n_classes, feats, self.min_leaf)
+        split = split_node(binned, idx, y_node, counts, feats, self.min_leaf)
         if split is None:
             # Retry with all features before declaring a leaf, as Weka does.
-            split = best_hist_split(binned, idx, y, self.n_classes, np.arange(d), self.min_leaf)
+            split = split_node(binned, idx, y_node, counts, np.arange(d), self.min_leaf)
             if split is None:
                 return node
-        go_left = binned.codes[idx, split.feature] <= split.bin_index
+        go_left = binned.wide[split.feature, idx] <= split.bin_index
         node.feature = split.feature
         node.threshold = split.threshold
-        node.left = self._build(binned, y, idx[go_left], depth + 1)
-        node.right = self._build(binned, y, idx[~go_left], depth + 1)
+        node.left = self._build(binned, idx[go_left], y_node[go_left], depth + 1)
+        node.right = self._build(binned, idx[~go_left], y_node[~go_left], depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -104,6 +112,21 @@ class _RandomTree:
         return out
 
 
+def tally_votes(members: list, X: np.ndarray, n_classes: int, n_features: int) -> np.ndarray:
+    """(rows, classes) count of the votes ``member.predict(X)`` casts, for an
+    ensemble fitted on ``n_features`` columns."""
+    if not members:
+        raise RuntimeError("fit() must be called before predict()")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"X must be (n, {n_features}) as fitted, got shape {X.shape}")
+    votes = np.zeros((X.shape[0], n_classes), dtype=int)
+    rows = np.arange(X.shape[0])
+    for member in members:
+        votes[rows, member.predict(X)] += 1
+    return votes
+
+
 @dataclass
 class RandomForest:
     """Ensemble of random trees with majority voting."""
@@ -116,20 +139,27 @@ class RandomForest:
     seed: int = 0
     _trees: list[_RandomTree] = field(default_factory=list, repr=False)
     n_classes_: int = 0
+    n_features_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X must be (n, d) with one label per row")
+        if X.shape[0] == 0:
+            raise ValueError("cannot fit on an empty dataset")
+        return self._fit_binned(bin_matrix(X, self.n_bins, y), y)
+
+    def _fit_binned(self, binned: BinnedMatrix, y: np.ndarray) -> "RandomForest":
+        """Grow the trees from an already binned matrix, so that callers
+        training many forests on one matrix (the distributed forest's
+        one-tree tasks) bin it once."""
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        n, d = X.shape
-        if n == 0:
-            raise ValueError("cannot fit on an empty dataset")
+        n, d = binned.codes.shape
         self.n_classes_ = int(y.max()) + 1
+        self.n_features_ = d
         k = self.n_features_per_split or max(1, math.ceil(math.log2(max(d, 2)) + 1))
-        binned = bin_matrix(X, self.n_bins, y)
         rng = np.random.default_rng(self.seed)
         self._trees = []
         for _ in range(self.n_trees):
@@ -141,24 +171,10 @@ class RandomForest:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise RuntimeError("fit() must be called before predict()")
-        X = np.asarray(X, dtype=float)
-        votes = np.zeros((X.shape[0], self.n_classes_), dtype=int)
-        rows = np.arange(X.shape[0])
-        for tree in self._trees:
-            votes[rows, tree.predict(X)] += 1
-        return np.argmax(votes, axis=1)
+        return np.argmax(tally_votes(self._trees, X, self.n_classes_, self.n_features_), axis=1)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise RuntimeError("fit() must be called before predict()")
-        X = np.asarray(X, dtype=float)
-        votes = np.zeros((X.shape[0], self.n_classes_), dtype=float)
-        rows = np.arange(X.shape[0])
-        for tree in self._trees:
-            votes[rows, tree.predict(X)] += 1
-        return votes / len(self._trees)
+        return tally_votes(self._trees, X, self.n_classes_, self.n_features_) / len(self._trees)
 
     def stats(self) -> dict[str, float]:
         """Mean node count and depth across trees (ablation/diagnostics)."""

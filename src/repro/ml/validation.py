@@ -125,8 +125,7 @@ def cross_validate(
 
         # Per-instance correctness on the binary collapse — RQ4's raw data.
         correct = true_bin == pred_bin
-        for local_i, global_i in enumerate(test_idx):
-            report.instance_correct[int(global_i)] = bool(correct[local_i])
+        report.instance_correct.update(zip(test_idx.tolist(), correct.tolist()))
     return report
 
 

@@ -15,7 +15,8 @@ LIVE = sorted((REPO / "src").rglob("*.py")) + sorted((REPO / "examples").glob("*
 ORACLES = sorted((REPO / "tests" / "oracles").glob("*.py"))
 
 #: Defined exactly once under ``tests/oracles/`` (``record_path.py``; the
-#: six front-end names in ``frontend.py``).
+#: six front-end names in ``frontend.py``; the five per-feature split-search
+#: and per-segment MDL names in ``ml_hist.py``).
 RELOCATED = {
     "PulseFeatures",
     "RapidResult",
@@ -26,9 +27,14 @@ RELOCATED = {
     "_reference_build_data_file",
     "_reference_dbscan",
     "_reference_dedisperse",
+    "_reference_best_cut",
+    "_reference_best_hist_split",
     "_reference_find_peaks",
+    "_reference_mdl_accepts",
+    "_reference_mdl_cut_points",
     "_reference_search_observation",
     "_reference_single_pulse_search",
+    "_reference_small_node_split",
     "bin_fit_residual",
     "extract_pulse_features",
     "find_single_pulses_recursive",
@@ -103,7 +109,7 @@ def test_each_oracle_is_defined_once_under_tests_oracles():
 
 def test_pytest_collects_nothing_from_the_oracles():
     # pyproject's python_files: test_*.py and bench_*.py.
-    assert len(ORACLES) == 3  # __init__, record_path, frontend
+    assert len(ORACLES) == 4  # __init__, record_path, frontend, ml_hist
     assert [p.name for p in ORACLES if p.name.startswith(("test_", "bench_"))] == []
 
 

@@ -20,6 +20,35 @@ class TestDistributedRandomForest:
         assert acc_dist > 0.9
         assert abs(acc_dist - acc_local) < 0.05
 
+    def test_bins_once_and_grows_the_trees_a_local_fit_grows(self, toy_classification, monkeypatch):
+        """One ``bin_matrix`` call per distributed fit, on the driver — not
+        one per tree task — and tree i is still the tree of a local one-tree
+        forest on seed i."""
+        import repro.ml._hist as hist
+
+        X, y = toy_classification
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return hist.bin_matrix(*args, **kwargs)
+
+        monkeypatch.setattr("repro.ml.distributed.bin_matrix", counted)
+        monkeypatch.setattr("repro.ml.forest.bin_matrix", counted)
+        ctx = SparkletContext(default_parallelism=4)
+        dist = DistributedRandomForest(ctx, n_trees=6, seed=5, max_depth=6).fit(X, y)
+        assert len(calls) == 1
+
+        def structure(node):
+            here = (node.feature, node.threshold, node.counts.tolist())
+            return here if node.is_leaf else (here, structure(node.left), structure(node.right))
+
+        for i, forest in enumerate(dist._forests):
+            local = RandomForest(n_trees=1, seed=5 + 1000003 * i, max_depth=6).fit(X, y)
+            assert structure(forest._trees[0].root) == structure(local._trees[0].root)
+        with pytest.raises(ValueError):
+            dist.predict(X[:, :-1])
+
     def test_one_task_per_tree(self, toy_classification):
         X, y = toy_classification
         ctx = SparkletContext(default_parallelism=4)

@@ -128,6 +128,20 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForest(n_trees=0).fit(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
+    def test_predict_rejects_a_matrix_of_another_width(self, toy_classification):
+        """A forest fitted on a feature subset must not silently read the
+        first columns of the full matrix."""
+        X, y = toy_classification
+        rf = RandomForest(n_trees=3, seed=0).fit(X[:, 1:], y)
+        assert rf.predict(X[:, 1:]).shape == y.shape
+        for method in (rf.predict, rf.predict_proba):
+            with pytest.raises(ValueError, match=rf"\(n, {X.shape[1] - 1}\)"):
+                method(X)
+            with pytest.raises(ValueError):
+                method(X[0, 1:])
+        with pytest.raises(RuntimeError):
+            RandomForest().predict_proba(X)
+
 
 class TestRules:
     def test_jrip_rules_predict_minority_first(self, binary_blobs):

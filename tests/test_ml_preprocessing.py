@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles.ml_hist import _reference_mdl_cut_points
 
 from repro.ml.discretize import discretize_column, mdl_cut_points, mdl_discretize
 from repro.ml.feature_selection import (
@@ -163,6 +166,47 @@ class TestMdlDiscretize:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mdl_cut_points(np.zeros(3), np.zeros(4, dtype=int), 1)
+
+
+class TestPrefixTableEqualsPerSegmentSearch:
+    """``mdl_cut_points`` reads every segment off one prefix table; the
+    per-segment one-hot + cumsum it replaced (``oracles.ml_hist``) is the
+    law, cut for cut and bit for bit."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), tiny=st.booleans(), one_class=st.booleans())
+    def test_random_columns(self, seed, tiny, one_class):
+        # Shapes come from the seeded generator, not from hypothesis, whose
+        # taste for minimal draws would leave most columns without a cut.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 6) if tiny else rng.integers(6, 400))
+        n_classes = 1 if one_class and rng.random() < 0.3 else int(rng.integers(2, 7))
+        max_depth = int(rng.choice([1, 3, 8, 8]))
+        # Few distinct values = heavy ties; otherwise a continuous column.
+        tied = rng.random() < 0.5
+        x = rng.integers(0, rng.integers(1, 13), n) / 3.0 if tied else rng.normal(size=n)
+        # Classes are steps of x with label noise: several accepted cuts,
+        # down to none as the noise grows; one class means no cut at all.
+        steps = np.searchsorted(np.sort(rng.normal(size=n_classes - 1)), x)
+        noisy = rng.random(n) < rng.choice([0.0, 0.05, 0.2, 0.5])
+        y = np.where(noisy, rng.integers(0, n_classes, n), steps)
+        got = mdl_cut_points(x, y, n_classes, max_depth)
+        assert got == _reference_mdl_cut_points(x, y, n_classes, max_depth)
+        assert (n >= 4 and n_classes > 1) or got == []
+
+    def test_one_cumsum_per_column_however_many_cuts(self, monkeypatch):
+        """No timing: the prefix table is the column's only ``cumsum``."""
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.uniform(2 * i, 2 * i + 1, 150) for i in range(6)])
+        stepped = np.repeat(np.arange(6), 150)
+        calls = []
+        real = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for y, min_cuts in ((np.zeros(900, dtype=int), 0), (stepped % 2, 5), (stepped, 5)):
+            del calls[:]
+            cuts = mdl_cut_points(x, y, 6)
+            assert len(cuts) >= min_cuts and (min_cuts or not cuts)
+            assert len(calls) == 1
 
 
 class TestFeatureSelection:

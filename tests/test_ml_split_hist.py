@@ -1,10 +1,20 @@
 """Unit tests for exact and histogram split finding."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles.ml_hist import _reference_best_hist_split
 
-from repro.ml._hist import best_hist_split, bin_matrix
+from repro.ml._hist import BinnedMatrix, best_hist_split, bin_matrix
 from repro.ml._split import best_split, entropy_from_counts, gini_from_counts
+from repro.ml.forest import RandomForest
+
+SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 
 
 class TestImpurities:
@@ -140,3 +150,146 @@ class TestBestHistSplit:
         exact = best_split(X, y, 2, np.array([0]))
         # Same partition sizes: both find the clean boundary.
         assert hist.n_left == exact.n_left
+
+
+def random_binned(rng, n_rows, bins_per_feature):
+    """A BinnedMatrix with the given bin counts (1 = a constant column)."""
+    codes = np.column_stack([rng.integers(0, b, n_rows) for b in bins_per_feature])
+    edges = [np.sort(rng.normal(size=b - 1)) for b in bins_per_feature]
+    return BinnedMatrix(codes.astype(np.uint8), edges)
+
+
+def count_numpy_calls(monkeypatch, *names):
+    calls = Counter()
+    for name in names:
+        real = getattr(np, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+class TestOnePassEqualsPerFeatureLoop:
+    """``best_hist_split`` scores all candidates at once; the per-feature
+    loop it replaced (``oracles.ml_hist``) is the law, field for field —
+    ``HistSplit`` equality is exact, scores included."""
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_classes=st.integers(1, 9),
+        classes_used=st.integers(1, 9),
+        min_leaf=st.integers(1, 5),
+        n=st.one_of(st.integers(2, 48), st.integers(49, 60), st.integers(61, 400)),
+        bins=st.lists(st.integers(1, 24), min_size=1, max_size=8),
+        duplicate=st.booleans(),
+        all_features=st.booleans(),
+    )
+    def test_random_nodes(self, seed, n_classes, classes_used, min_leaf, n, bins,
+                          duplicate, all_features):
+        rng = np.random.default_rng(seed)
+        n_rows = n + int(rng.integers(0, 50))
+        bm = random_binned(rng, n_rows, bins)
+        d = len(bins)
+        if duplicate and d > 1:
+            # The same column twice: equal gains, so order alone decides.
+            src, dst = rng.choice(d, size=2, replace=False)
+            codes = bm.codes.copy()
+            codes[:, dst] = codes[:, src]
+            edges = list(bm.edges)
+            edges[dst] = edges[src]
+            bm = BinnedMatrix(codes, edges)
+        # Labels from a subset of the classes (some absent from every node),
+        # loosely tied to one feature so that real gains and exact ties both occur.
+        used = rng.choice(n_classes, size=min(classes_used, n_classes), replace=False)
+        y = used[(bm.codes[:, int(rng.integers(d))] + rng.integers(0, 2, n_rows)) % used.size]
+        idx = rng.integers(0, n_rows, size=n)  # a bootstrap: repeats allowed
+        feats = np.arange(d) if all_features else rng.permutation(d)[: int(rng.integers(1, d + 1))]
+        got = best_hist_split(bm, idx, y, n_classes, feats, min_leaf)
+        assert got == _reference_best_hist_split(bm, idx, y, n_classes, feats, min_leaf)
+        if got is not None:
+            assert min(got.n_left, got.n_right) >= min_leaf
+            went_left = int((bm.codes[idx, got.feature] <= got.bin_index).sum())
+            assert (went_left, n - went_left) == (got.n_left, got.n_right)
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_first_candidate_wins_a_tie(self, n):
+        rng = np.random.default_rng(5)
+        bm = random_binned(rng, n, [6, 9, 6])
+        codes = bm.codes.copy()
+        codes[:, 2] = codes[:, 0]
+        bm = BinnedMatrix(codes, [bm.edges[0], bm.edges[1], bm.edges[0]])
+        y = (codes[:, 0] > 2).astype(int)
+        idx = np.arange(n)
+        for feats, winner in (([2, 1, 0], 2), ([0, 1, 2], 0), ([1, 2, 0], 2)):
+            split = best_hist_split(bm, idx, y, 2, np.array(feats))
+            assert split == _reference_best_hist_split(bm, idx, y, 2, np.array(feats))
+            assert split.feature == winner and split.bin_index == 2
+            assert split.score == pytest.approx(2 * y.mean() * (1 - y.mean()))
+
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_constant_candidates_yield_no_split_until_the_retry(self, n):
+        rng = np.random.default_rng(6)
+        bm = random_binned(rng, n, [1, 1, 12, 1])
+        assert [e.size for e in bm.edges] == [0, 0, 11, 0]
+        y = (bm.codes[:, 2] > 5).astype(int)
+        idx = np.arange(n)
+        assert best_hist_split(bm, idx, y, 2, np.array([0, 3, 1])) is None
+        retry = best_hist_split(bm, idx, y, 2, np.arange(4))
+        assert retry == _reference_best_hist_split(bm, idx, y, 2, np.arange(4))
+        assert retry.feature == 2 and retry.bin_index == 5 and retry.n_left + retry.n_right == n
+
+    def test_a_forest_grown_by_the_oracle_is_the_same_forest(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        X = np.column_stack([
+            rng.normal(size=600), rng.integers(0, 4, 600).astype(float),
+            rng.normal(size=600), np.ones(600), rng.integers(0, 30, 600).astype(float),
+        ])
+        X = np.column_stack([X, X[:, 0]])  # a duplicated column: ties at every node
+        y = (X[:, 0] > 0).astype(int) + 2 * (X[:, 4] > 14).astype(int)
+        noisy = rng.random(600) < 0.2  # label noise: deep trees, small nodes
+        y[noisy] = rng.integers(0, 4, int(noisy.sum()))
+
+        def structure(forest):
+            out = []
+
+            def walk(node):
+                out.append((node.feature, node.threshold, node.counts.tolist()))
+                if not node.is_leaf:
+                    walk(node.left)
+                    walk(node.right)
+
+            for tree in forest._trees:
+                walk(tree.root)
+            return out
+
+        live = structure(RandomForest(n_trees=5, seed=3).fit(X, y))
+
+        def per_feature(binned, idx, y_node, counts, feats, min_leaf):
+            labels = np.zeros(binned.codes.shape[0], dtype=int)
+            labels[idx] = y_node
+            return _reference_best_hist_split(binned, idx, labels, counts.size, feats, min_leaf)
+
+        monkeypatch.setattr("repro.ml.forest.split_node", per_feature)
+        assert structure(RandomForest(n_trees=5, seed=3).fit(X, y)) == live
+        assert len(live) > 5 * 100 and {0, 5} <= {f for f, _t, _c in live}
+
+
+class TestOneHistogramPerNode:
+    def test_numpy_calls_do_not_grow_with_candidate_features(self, monkeypatch):
+        """No timing: one feature or six, a histogram-path node is one
+        histogram ``bincount`` (plus the class count) and one ``cumsum``."""
+        rng = np.random.default_rng(8)
+        bm = random_binned(rng, 500, [20, 5, 64, 1, 33, 12])
+        y = rng.integers(0, 4, 500)
+        idx = rng.integers(0, 500, 300)
+        calls = count_numpy_calls(monkeypatch, "bincount", "cumsum")
+        per_k = {}
+        for k in (1, 6):
+            calls.clear()
+            assert best_hist_split(bm, idx, y, 4, np.arange(k)) is not None
+            per_k[k] = dict(calls)
+        assert per_k[1] == per_k[6] == {"bincount": 2, "cumsum": 1}
