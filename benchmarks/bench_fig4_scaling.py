@@ -37,7 +37,7 @@ from repro.core.multithreaded import (
     observation_search_tasks,
 )
 from repro.core.rapid import run_rapid_observation_batch
-from repro.dataplane import PulseBatch
+from repro.dataplane import PulseBatch, SPEBatch
 from repro.dfs import DataNode, DFSClient
 from repro.io.spe_files import upload_observations
 from repro.sparklet import ClusterConfig, SparkletContext, simulate_job
@@ -131,18 +131,12 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
 
     # --- really run the multithreaded baseline, then model the box ----------
     # The multithreaded RAPID reads the same csv files, so its task set is
-    # per-observation parsing plus per-observation searching.
-    def parse_task(rows: list[str]) -> int:
-        parsed = 0
-        for row in rows:
-            parts = row.split(",")
-            float(parts[0]), float(parts[1]), float(parts[2])
-            parsed += 1
-        return parsed
-
+    # per-observation parsing — with D-RAPID's codec, one tokeniser call per
+    # observation — plus per-observation searching.
     tasks = []
     for obs, search in zip(observations, observation_search_tasks(observations)):
-        tasks += [functools.partial(parse_task, obs.spe_batch.to_csv_rows()), search]
+        tasks += [functools.partial(SPEBatch.from_data_rows, obs.spe_batch.to_csv_rows()),
+                  search]
     # Measure task costs serially (one worker): with real cores the paper's
     # Java threads do not contend for the interpreter the way CPython's
     # would, so contention-free durations are the right model input.

@@ -21,25 +21,30 @@ Since the columnar refactor, each map partition parses its rows into
 per-key :class:`SPEBatch` / :class:`ClusterBatch` chunks, so shuffle
 payloads are a few large column buffers instead of one tuple per SPE row
 (and the simulator's ``estimate_bytes`` measures them via ``.nbytes``).
-The Search phase body hands one joined observation — its SPE columns and
-all of its cluster boxes — to
-:func:`repro.core.rapid.search_observation_columns`, which searches the
-clusters as columns (one Algorithm 1 + feature call per cluster-size
-group) rather than looping over them.  The per-record dataflow is a test
-oracle (``tests/oracles/record_path.py``) and the
-equivalence suite asserts both produce byte-identical ML files.
+The text boundary is the data plane's codec (:mod:`repro.dataplane._columns`):
+a partition is grouped by key once, header and blank lines skipped on the
+way, and each key group is parsed in one tokeniser call.  The Search phase
+body hands one joined observation — its SPE columns and all of its cluster
+boxes — to :func:`repro.core.rapid.search_observation_columns`, which
+searches the clusters as columns (one Algorithm 1 + feature call per
+cluster-size group) rather than looping over them.  What the search stage
+caches is each observation's :class:`PulseBatch`, not its text: the ML part
+files are formatted from it once per partition, and the run's result and
+diagnostics are read off the same cached records.  The per-record dataflow
+is a test oracle (``tests/oracles/record_path.py``) and the equivalence
+suite asserts both produce byte-identical ML files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.astro.dispersion import DMGrid
 from repro.core.rapid import search_observation_columns
 from repro.core.search import SearchParams
 from repro.dataplane import ClusterBatch, PulseBatch, SPEBatch
-from repro.io.spe_files import parse_cluster_line
+from repro.dataplane._columns import key_groups, lenient_cluster_columns
 from repro.sparklet.context import SparkletContext
 from repro.sparklet.metrics import JobMetrics
 from repro.sparklet.partitioner import HashPartitioner
@@ -74,15 +79,6 @@ class DRapidResult:
         return len(self.pulse_batch)
 
 
-def _group_rows_by_key(lines: Iterable[str]) -> dict[str, list[str]]:
-    """Group ``key,rest`` rows by key, keys in first-seen order."""
-    by_key: dict[str, list[str]] = {}
-    for line in lines:
-        key, _, rest = line.partition(",")
-        by_key.setdefault(key, []).append(rest)
-    return by_key
-
-
 def _parse_data_partition(lines: Iterator[str]) -> Iterator[tuple[str, SPEBatch]]:
     """One map partition of the data file → per-key SPE batches.
 
@@ -90,25 +86,36 @@ def _parse_data_partition(lines: Iterator[str]) -> Iterator[tuple[str, SPEBatch]
     row order identical to the per-row oracle dataflow, so downstream
     aggregation sees the same sequences.
     """
-    for key, rows in _group_rows_by_key(lines).items():
+    for key, rows in key_groups(lines).items():
         yield key, SPEBatch.from_data_rows(rows)
 
 
-def _search_observation_batch(
+def _search_observation(
     key: str,
     cluster_batches: list[ClusterBatch],
     spe_batches: list[SPEBatch] | None,
     grids: dict[str, DMGrid],
     params: SearchParams,
-) -> PulseBatch:
-    """The Search phase body: Algorithm 1 on each cluster's SPE subset."""
-    if spe_batches is None:
-        return PulseBatch.empty()  # null from the left outer join
+) -> tuple[str, PulseBatch, int, bool]:
+    """The Search phase body: Algorithm 1 on each cluster's SPE subset.
+
+    Returns what the stage caches: ``(key, pulses, clusters searched for,
+    whether the SPE side of the join was null)``.
+    """
+    clusters = ClusterBatch.concat(cluster_batches)
+    if spe_batches is None:  # null from the left outer join
+        return key, PulseBatch.empty(), len(clusters), True
     spe = SPEBatch.concat(spe_batches)
-    return search_observation_columns(
-        spe.time_s, spe.dm, spe.snr, ClusterBatch.concat(cluster_batches),
+    pulses = search_observation_columns(
+        spe.time_s, spe.dm, spe.snr, clusters,
         grids.get(key.split("|", 1)[0]), key, params,
     )
+    return key, pulses, len(clusters), False
+
+
+def _ml_partition(searched: Iterator[tuple]) -> list[str]:
+    """One partition's ML rows, formatted from its concatenated batch."""
+    return PulseBatch.concat([pulses for _key, pulses, _n, _null in searched]).to_ml_lines()
 
 
 @dataclass
@@ -159,49 +166,32 @@ class DRapidDriver:
         params = self.params
 
         # Stage 1: the SPE data file → per-key SPEBatch chunks.  Each map
-        # partition groups its rows by key and parses them into columns in
-        # one vectorized pass, so what shuffles is a handful of array
-        # payloads per partition, not one tuple per SPE.
-        data_kvp = (
-            self.ctx.text_file(self.dfs, data_path)
-            .filter(lambda line: line and not line.startswith("#"))
-            .map_partitions(_parse_data_partition)
+        # partition groups its rows by key and parses each key group in one
+        # tokeniser call, so what shuffles is a handful of array payloads
+        # per partition, not one tuple per SPE.
+        data_kvp = self.ctx.text_file(self.dfs, data_path).map_partitions(
+            _parse_data_partition
         )
 
         # Stage 2: the cluster file → per-key ClusterBatch chunks.
         # Malformed rows are dropped and counted through an accumulator
-        # (retried task attempts count once): the vectorized parse covers
-        # the clean case, and a per-row fallback isolates bad rows with the
+        # (retried task attempts count once): the tokeniser covers the
+        # clean case, and a per-row fallback isolates bad rows with the
         # same keep/drop rule as the per-record oracle.
         dropped = self.ctx.accumulator(0)
 
         def parse_cluster_partition(
             lines: Iterator[str],
         ) -> Iterator[tuple[str, ClusterBatch]]:
-            by_key: dict[str, list[str]] = {}
-            for line in lines:
-                by_key.setdefault(line.split(",", 1)[0], []).append(line)
-            for key, rows in by_key.items():
-                try:
-                    batch = ClusterBatch.from_lines(rows)
-                except ValueError:
-                    records = []
-                    n_bad = 0
-                    for row in rows:
-                        try:
-                            records.append(parse_cluster_line(row))
-                        except ValueError:
-                            n_bad += 1
+            for key, rows in key_groups(lines).items():
+                columns, n_bad = lenient_cluster_columns(key, rows)
+                if n_bad:
                     dropped.add(n_bad)
-                    if not records:
-                        continue
-                    batch = ClusterBatch.from_records(records)
-                yield key, batch
+                if columns is not None:
+                    yield key, ClusterBatch(*columns)
 
-        cluster_kvp = (
-            self.ctx.text_file(self.dfs, cluster_path)
-            .filter(lambda line: line and not line.startswith("#"))
-            .map_partitions(parse_cluster_partition)
+        cluster_kvp = self.ctx.text_file(self.dfs, cluster_path).map_partitions(
+            parse_cluster_partition
         )
 
         # Stage 3: Partition → Aggregate → Left Outer Join → Search.
@@ -223,31 +213,26 @@ class DRapidDriver:
         joined = cluster_agg.left_outer_join(data_agg, partitioner=partitioner)
 
         searched = joined.map(
-            lambda kv: (
-                kv[0],
-                _search_observation_batch(kv[0], kv[1][0], kv[1][1], grids, params),
-            )
-        )
-
-        ml_rows = searched.flat_map(lambda kv: kv[1].to_ml_lines()).cache()
+            lambda kv: _search_observation(kv[0], kv[1][0], kv[1][1], grids, params)
+        ).cache()
         obs = self.ctx.obs
         with obs.tracer.span("drapid.production_job", output=ml_output_path):
-            ml_rows.save_as_text_file(self.dfs, ml_output_path)
+            searched.map_partitions(_ml_partition).save_as_text_file(
+                self.dfs, ml_output_path
+            )
 
         # Snapshot metrics and the dropped-row count now: the save above is
-        # the production job (what Fig. 4 times); the collect/counts below
-        # are driver-side diagnostics that re-run the parse transformation,
-        # and accumulator updates inside *transformations* re-apply on
-        # recomputation (the same caveat Spark documents).
+        # the production job (what Fig. 4 times); the collect below is a
+        # driver-side diagnostic that reads the cached search records.
         metrics = self.ctx.all_job_metrics()
         n_dropped = int(dropped.value)
 
         with obs.tracer.span("drapid.diagnostics"):
-            pulse_batch = PulseBatch.from_ml_lines(ml_rows.collect())
-            null_joins = joined.filter(lambda kv: kv[1][1] is None).count()
-            n_clusters = cluster_kvp.map(lambda kv: len(kv[1])).fold(
-                0, lambda a, b: a + b
-            )
+            records = searched.collect()
+        # What the part files just written parse back as, bit for bit.
+        pulse_batch = PulseBatch.concat([p for _k, p, _n, _null in records]).read_back()
+        n_clusters = sum(n for _k, _p, n, _null in records)
+        null_joins = sum(null for _k, _p, _n, null in records)
         if obs.enabled:
             obs.registry.counter("drapid.pulses").inc(len(pulse_batch))
             obs.registry.counter("drapid.clusters").inc(n_clusters)

@@ -13,7 +13,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.dataplane._columns import float_columns, int_columns, split_rows
+from repro.dataplane._columns import (
+    CLUSTER_ROW,
+    cluster_columns,
+    cluster_record_columns,
+    format_rows,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.io.spe_files import ClusterRecord
@@ -133,38 +138,16 @@ class ClusterBatch:
     # -- records in ------------------------------------------------------
     @classmethod
     def from_records(cls, records: Iterable["ClusterRecord"]) -> "ClusterBatch":
-        records = list(records)
-        if not records:
-            return cls.empty()
-        return cls(
-            np.array([r.key for r in records], dtype=object),
-            np.array([r.cluster_id for r in records], dtype=np.int64),
-            np.array([r.rank for r in records], dtype=np.int64),
-            np.array([r.n_spes for r in records], dtype=np.int64),
-            np.array([r.dm_lo for r in records], dtype=np.float64),
-            np.array([r.dm_hi for r in records], dtype=np.float64),
-            np.array([r.t_lo for r in records], dtype=np.float64),
-            np.array([r.t_hi for r in records], dtype=np.float64),
-            np.array([r.max_snr for r in records], dtype=np.float64),
-            np.array([r.source for r in records], dtype=object),
-            np.array([r.is_rrat for r in records], dtype=np.bool_),
-        )
+        # ClusterRecord's fields are the batch's columns, in order.
+        rows = [[getattr(r, c) for c in _COLUMNS] for r in records]
+        return cls(*cluster_record_columns(rows)) if rows else cls.empty()
 
-    # -- serialization -----------------------------------------------------
+    # -- serialization (the codec in repro.dataplane._columns) -------------
     def to_lines(self) -> list[str]:
         """Cluster-file rows, byte-identical to ClusterRecord.to_line."""
-        return [
-            f"{k},{cid},{rk},{ns},{dlo:.3f},{dhi:.3f},{tlo:.6f},{thi:.6f},"
-            f"{ms:.3f},{src or ''},{int(rr)}"
-            for k, cid, rk, ns, dlo, dhi, tlo, thi, ms, src, rr in zip(
-                self.key.tolist(), self.cluster_id.tolist(),
-                self.rank.tolist(), self.n_spes.tolist(),
-                self.dm_lo.tolist(), self.dm_hi.tolist(),
-                self.t_lo.tolist(), self.t_hi.tolist(),
-                self.max_snr.tolist(), self.source.tolist(),
-                self.is_rrat.tolist(),
-            )
-        ]
+        cols = [getattr(self, c) for c in _COLUMNS]
+        cols[9] = np.where(self.source == None, "", self.source)  # noqa: E711
+        return format_rows(CLUSTER_ROW, cols)
 
     @classmethod
     def from_lines(
@@ -177,27 +160,7 @@ class ClusterBatch:
         """Strict parse of cluster-file rows with file:line diagnostics."""
         if not lines:
             return cls.empty()
-        parts = split_rows(lines, 11, source=source, linenos=linenos,
-                           what="cluster row")
-        ints = int_columns(parts, slice(1, 4), source=source,
-                           linenos=linenos, what="cluster row")
-        floats = float_columns(parts, slice(4, 9), source=source,
-                               linenos=linenos, what="cluster row")
-        rrat = int_columns(parts, slice(10, 11), source=source,
-                           linenos=linenos, what="cluster row")
-        return cls(
-            np.array([p[0] for p in parts], dtype=object),
-            np.ascontiguousarray(ints[:, 0]),
-            np.ascontiguousarray(ints[:, 1]),
-            np.ascontiguousarray(ints[:, 2]),
-            np.ascontiguousarray(floats[:, 0]),
-            np.ascontiguousarray(floats[:, 1]),
-            np.ascontiguousarray(floats[:, 2]),
-            np.ascontiguousarray(floats[:, 3]),
-            np.ascontiguousarray(floats[:, 4]),
-            np.array([p[9] or None for p in parts], dtype=object),
-            rrat[:, 0] != 0,
-        )
+        return cls(*cluster_columns(lines, source=source, linenos=linenos))
 
 
 __all__ = ["ClusterBatch"]

@@ -17,20 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.dataplane._columns import (
+    N_FEATURES,
     MalformedRowError,
-    float_columns,
-    int_columns,
-    split_rows,
+    ml_columns,
+    ml_rows,
 )
-
-#: Width of the feature matrix.  Kept as a literal (not imported from
-#: repro.core.features) so the data plane has no module-level dependency on
-#: repro.core — core imports the data plane, not vice versa.  A unit test
-#: asserts this equals ``len(FEATURE_NAMES)``.
-N_FEATURES = 22
-_N_META = 6  # observation_key, cluster_id, spe_start, spe_stop, source, is_rrat
-#: Numeric ML-row fields: cluster_id, spe_start, spe_stop, is_rrat, features.
-_NUM_COLS = (1, 2, 3, 5) + tuple(range(_N_META, _N_META + N_FEATURES))
 
 
 class PulseBatch:
@@ -131,52 +122,14 @@ class PulseBatch:
 
         return self.features[:, FEATURE_NAMES.index(name)]
 
-    # -- serialization -----------------------------------------------------
-    def _feature_strings(self) -> list[list[str]]:
-        """Per-column shortest-exact reprs, memoized over repeated values.
-
-        Cluster-level features (StartTime, ClusterRank, NumPeaks, ...) are
-        constant across every pulse of a cluster, so real batches repeat
-        values heavily; formatting each distinct bit pattern once skips most
-        ``repr`` calls.  Uniqueness is computed on the raw int64 bit
-        patterns so ``-0.0``/``0.0`` (equal as floats, different as text)
-        stay distinct.
-        """
-        n = len(self)
-        cols: list[list[str]] = []
-        by_column = np.ascontiguousarray(self.features.T)
-        for j in range(N_FEATURES):
-            col = by_column[j]
-            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            # Memoize whenever ≥20% of the values are repeats: below that
-            # the unique/gather overhead roughly cancels the saved reprs.
-            if bits.size * 5 <= n * 4:
-                reprs = np.array(
-                    [repr(v) for v in bits.view(np.float64).tolist()],
-                    dtype=object,
-                )
-                cols.append(reprs[inverse].tolist())
-            else:
-                cols.append([repr(v) for v in col.tolist()])
-        return cols
-
+    # -- serialization (the codec in repro.dataplane._columns) -------------
     def to_ml_lines(self) -> list[str]:
         """ML-file rows, one per pulse.
 
-        Floats use ``repr`` (shortest exact form); NumPy float64 scalars
-        stringify identically, so formatting straight off the columns is
-        safe.
+        Floats use ``repr`` (shortest exact form), memoized over each
+        column's repeated values.
         """
-        feats = self._feature_strings()
-        rrat = self.is_rrat.astype(np.int64).tolist()
-        return [
-            f"{key},{cid},{a},{b},{src or ''},{rr}," + ",".join(vec)
-            for key, cid, a, b, src, rr, vec in zip(
-                self.observation_key.tolist(), self.cluster_id.tolist(),
-                self.spe_start.tolist(), self.spe_stop.tolist(),
-                self.source_name.tolist(), rrat, zip(*feats),
-            )
-        ]
+        return ml_rows(*(getattr(self, c) for c in self.__slots__))
 
     @classmethod
     def from_ml_lines(
@@ -188,67 +141,28 @@ class PulseBatch:
     ) -> "PulseBatch":
         """Strict parse of ML-file rows with file:line diagnostics.
 
-        Fast path: hand all rows to NumPy's C ``loadtxt`` engine, which
-        tokenizes and parses the 26 numeric fields in one pass (its float
-        conversion is the same correctly-rounded strtod as Python's
-        ``float``, so parsed values are bit-identical).  Any structural or
-        numeric anomaly falls back to the field-by-field path, which
-        raises :class:`MalformedRowError` naming the offending line.
+        One tokeniser call parses the 26 numeric fields of every row
+        (bit-identical to ``float``/``int``); a block that fails it goes
+        field by field, raising :class:`MalformedRowError` at the first bad
+        line.
         """
         if not lines:
             return cls.empty()
-        fast = cls._from_ml_lines_fast(lines)
-        if fast is not None:
-            return fast
-        parts = split_rows(lines, _N_META + N_FEATURES, source=source,
-                           linenos=linenos, what="ML row")
-        ints = int_columns(parts, slice(1, 4), source=source,
-                           linenos=linenos, what="ML row")
-        rrat = int_columns(parts, slice(5, 6), source=source,
-                           linenos=linenos, what="ML row")
-        features = float_columns(parts, slice(_N_META, None), source=source,
-                                 linenos=linenos, what="ML row")
-        return cls(
-            np.array([p[0] for p in parts], dtype=object),
-            np.ascontiguousarray(ints[:, 0]),
-            np.ascontiguousarray(ints[:, 1]),
-            np.ascontiguousarray(ints[:, 2]),
-            np.array([p[4] or None for p in parts], dtype=object),
-            rrat[:, 0] != 0,
-            features,
-        )
+        return cls(*ml_columns(lines, source=source, linenos=linenos))
 
-    @classmethod
-    def _from_ml_lines_fast(cls, lines: Sequence[str]) -> "PulseBatch | None":
-        """Vectorized ML-row parse; None on any anomaly (caller re-parses)."""
-        # Fields 0-4 are split off per row (key and source are strings);
-        # p[5] is the "is_rrat,f0,...,f21" numeric tail, whose comma count
-        # guards against a stray comma shifting columns within a row.
-        parts = [line.rstrip("\n").split(",", _N_META - 1) for line in lines]
-        if any(len(p) != _N_META or p[5].count(",") != N_FEATURES
-               for p in parts):
-            return None
-        try:
-            nums = np.loadtxt(
-                lines, delimiter=",", comments=None, usecols=_NUM_COLS,
-                dtype=np.float64, ndmin=2,
-            )
-        except (ValueError, OverflowError):
-            return None
-        if nums.shape != (len(parts), 4 + N_FEATURES):
-            return None
-        meta_f = nums[:, :4]
-        meta = meta_f.astype(np.int64)
-        if not (meta == meta_f).all():  # int fields must be integral
-            return None
-        return cls(
-            np.array([p[0] for p in parts], dtype=object),
-            np.ascontiguousarray(meta[:, 0]),
-            np.ascontiguousarray(meta[:, 1]),
-            np.ascontiguousarray(meta[:, 2]),
-            np.array([p[4] or None for p in parts], dtype=object),
-            meta[:, 3] != 0,
-            np.ascontiguousarray(nums[:, 4:]),
+    def read_back(self) -> "PulseBatch":
+        """The batch its ML rows parse back as, without formatting them:
+        ``from_ml_lines(to_ml_lines())`` bit for bit.  ``repr`` writes every
+        NaN as ``nan``, which parses to one quiet NaN whatever the payload
+        or sign was, and writes an empty source like None; everything else
+        round-trips exactly."""
+        nan, empty = np.isnan(self.features), self.source_name == ""
+        if not (nan.any() or empty.any()):
+            return self
+        return PulseBatch(
+            self.observation_key, self.cluster_id, self.spe_start, self.spe_stop,
+            np.where(empty, None, self.source_name), self.is_rrat,
+            np.where(nan, np.nan, self.features),
         )
 
 

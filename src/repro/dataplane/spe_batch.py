@@ -15,16 +15,16 @@ Data-file rows use the same fixed ``%.3f``/``%.6f`` formats as
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.dataplane._columns import (
+    DATA_ROW,
     MalformedRowError,
-    float_columns,
-    int_columns,
-    split_rows,
+    data_columns,
+    format_rows,
+    strict_data_columns,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -134,23 +134,21 @@ class SPEBatch:
             np.array([s.downfact for s in spes], dtype=np.int64),
         )
 
-    # -- serialization -----------------------------------------------------
+    # -- serialization (the codec in repro.dataplane._columns) -------------
+    def _row_columns(self) -> tuple[np.ndarray, ...]:
+        return self.dm, self.snr, self.time_s, self.sample, self.downfact
+
     def to_csv_rows(self) -> list[str]:
         """Value rows in the data-file format, identical to SPE.to_csv_row."""
-        return [
-            f"{d:.3f},{s:.3f},{t:.6f},{a},{f}"
-            for d, s, t, a, f in zip(
-                self.dm.tolist(), self.snr.tolist(), self.time_s.tolist(),
-                self.sample.tolist(), self.downfact.tolist(),
-            )
-        ]
+        return format_rows(DATA_ROW, self._row_columns())
 
     def to_data_csv(self, key: str) -> str:
-        """Key-prefixed data-file lines (no header), with trailing newline."""
-        rows = self.to_csv_rows()
-        if not rows:
+        """Key-prefixed data-file lines (no header), with trailing newline:
+        one ``%`` template for the whole batch."""
+        if not len(self):
             return ""
-        return "\n".join(f"{key},{row}" for row in rows) + "\n"
+        template = key.replace("%", "%%") + "," + DATA_ROW
+        return "\n".join(format_rows(template, self._row_columns())) + "\n"
 
     @classmethod
     def from_csv_rows(
@@ -167,92 +165,14 @@ class SPEBatch:
         """
         if not rows:
             return cls.empty()
-        parts = split_rows(rows, 5, source=source, linenos=linenos, what="SPE row")
-        floats = float_columns(parts, slice(0, 3), source=source,
-                               linenos=linenos, what="SPE row")
-        ints = int_columns(parts, slice(3, 5), source=source,
-                           linenos=linenos, what="SPE row")
-        return cls(
-            np.ascontiguousarray(floats[:, 0]),
-            np.ascontiguousarray(floats[:, 1]),
-            np.ascontiguousarray(floats[:, 2]),
-            np.ascontiguousarray(ints[:, 0]),
-            np.ascontiguousarray(ints[:, 1]),
-        )
+        return cls(*strict_data_columns(rows, source=source, linenos=linenos))
 
     @classmethod
     def from_data_rows(cls, rows: Sequence[str]) -> "SPEBatch":
-        """Lenient parse of data-file value rows, as the D-RAPID search uses.
-
-        Survey csvs accumulate truncated/garbled rows (interrupted
-        transfers, header fragments); a bad row must cost one record, not
-        the batch.  A row is kept iff its first three fields parse as
-        *finite* floats (``float("nan")`` is a valid parse, and one NaN
-        Sigma turns its cluster's bin slopes NaN) — the per-record oracle's
-        rule too.  The trailing integer fields are best-effort (the search
-        never reads them).
-        """
-        if not rows:
-            return cls.empty()
-        parts = [row.split(",") for row in rows]
-        try:
-            arr = np.asarray(parts, dtype="U")
-            if arr.ndim != 2 or arr.shape[1] < 3:
-                raise ValueError("not a rectangular >=3-column table")
-            floats = arr[:, :3].astype(np.float64)
-        except ValueError:
-            return cls._from_data_rows_slow(parts)
-        if not np.isfinite(floats).all():
-            finite = np.isfinite(floats).all(axis=1)
-            arr, floats = arr[finite], floats[finite]
-        sample = downfact = None
-        if arr.shape[1] >= 5:
-            try:
-                sample = arr[:, 3].astype(np.int64)
-                downfact = arr[:, 4].astype(np.int64)
-            except (ValueError, OverflowError):
-                pass  # garbled trailing fields: keep defaults
-        return cls(
-            np.ascontiguousarray(floats[:, 0]),
-            np.ascontiguousarray(floats[:, 1]),
-            np.ascontiguousarray(floats[:, 2]),
-            sample, downfact,
-        )
-
-    @classmethod
-    def _from_data_rows_slow(cls, parts: list[list[str]]) -> "SPEBatch":
-        dms: list[float] = []
-        snrs: list[float] = []
-        times: list[float] = []
-        samples: list[int] = []
-        downfacts: list[int] = []
-        for p in parts:
-            if len(p) < 3:
-                continue
-            try:
-                dm, snr, t = float(p[0]), float(p[1]), float(p[2])
-            except ValueError:
-                continue
-            if not (math.isfinite(dm) and math.isfinite(snr) and math.isfinite(t)):
-                continue
-            dms.append(dm)
-            snrs.append(snr)
-            times.append(t)
-            try:
-                samples.append(int(p[3]) if len(p) > 3 else 0)
-            except ValueError:
-                samples.append(0)
-            try:
-                downfacts.append(int(p[4]) if len(p) > 4 else 1)
-            except ValueError:
-                downfacts.append(1)
-        return cls(
-            np.array(dms, dtype=np.float64),
-            np.array(snrs, dtype=np.float64),
-            np.array(times, dtype=np.float64),
-            np.array(samples, dtype=np.int64),
-            np.array(downfacts, dtype=np.int64),
-        )
+        """Lenient parse of data-file value rows, as the D-RAPID search uses:
+        a row is kept iff DM, Sigma and Time parse as finite floats
+        (:func:`repro.dataplane._columns.data_row` states the rule)."""
+        return cls(*data_columns(rows)[1])
 
 
 __all__ = ["SPEBatch", "MalformedRowError"]

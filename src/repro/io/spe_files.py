@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.astro.spe import SPE_FILE_HEADER
 from repro.dataplane import ClusterBatch, MalformedRowError, PulseBatch, SPEBatch
-from repro.dataplane._columns import data_lines
+from repro.dataplane._columns import CLUSTER_FIELDS, data_lines, strict_row
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.astro.survey import Observation
@@ -77,32 +77,10 @@ def parse_cluster_line(
     """Parse one cluster-file row.
 
     ``source``/``lineno``, when given, are included in the error so a bad
-    row can be located in the file it came from.
+    row can be located in the file it came from.  The rule itself is the
+    codec's (``CLUSTER_FIELDS`` in :mod:`repro.dataplane._columns`).
     """
-    parts = line.rstrip("\n").split(",")
-    if len(parts) != 11:
-        raise MalformedRowError(
-            f"malformed cluster line ({len(parts)} fields): {line!r}",
-            source, lineno,
-        )
-    try:
-        return ClusterRecord(
-            key=parts[0],
-            cluster_id=int(parts[1]),
-            rank=int(parts[2]),
-            n_spes=int(parts[3]),
-            dm_lo=float(parts[4]),
-            dm_hi=float(parts[5]),
-            t_lo=float(parts[6]),
-            t_hi=float(parts[7]),
-            max_snr=float(parts[8]),
-            source=parts[9] or None,
-            is_rrat=bool(int(parts[10])),
-        )
-    except ValueError as exc:
-        raise MalformedRowError(
-            f"malformed cluster line ({exc}): {line!r}", source, lineno
-        ) from None
+    return ClusterRecord(*strict_row(line, CLUSTER_FIELDS, "cluster line", source, lineno))
 
 
 def observation_cluster_batch(obs: "Observation") -> ClusterBatch:
@@ -131,8 +109,9 @@ def observation_cluster_batch(obs: "Observation") -> ClusterBatch:
 def build_data_file(observations: Iterable["Observation"]) -> str:
     """Concatenate every observation's SPEs into one data-file text.
 
-    Vectorized through each observation's :class:`SPEBatch`; byte-identical
-    to the record-at-a-time oracle.
+    Each observation's rows come from one ``%`` template with its key baked
+    in (:meth:`SPEBatch.to_data_csv`); byte-identical to the
+    record-at-a-time oracle.
     """
     chunks = [SPE_FILE_HEADER + "\n"]
     for obs in observations:
@@ -143,8 +122,8 @@ def build_data_file(observations: Iterable["Observation"]) -> str:
 def build_cluster_file(observations: Iterable["Observation"]) -> str:
     """One row per cluster, with benchmark ground truth attached.
 
-    Serialized through :class:`ClusterBatch`; byte-identical to the
-    record-at-a-time oracle.
+    Serialized through :class:`ClusterBatch` (one ``%`` template for every
+    row); byte-identical to the record-at-a-time oracle.
     """
     lines = [CLUSTER_FILE_HEADER]
     for obs in observations:

@@ -286,12 +286,6 @@ class RDD:
     def count(self) -> int:
         return sum(self.ctx._run_job(self, lambda it: sum(1 for _ in it)))
 
-    def fold(self, zero: Any, f: Callable[[Any, Any], Any]) -> Any:
-        import functools
-
-        parts = self.ctx._run_job(self, lambda it: functools.reduce(f, it, zero))
-        return functools.reduce(f, parts, zero)
-
     def save_as_text_file(self, dfs: "DFSClient", path: str) -> None:
         """Write one ``part-NNNNN`` file per partition, like Spark on HDFS.
 

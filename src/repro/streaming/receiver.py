@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro.dataplane._columns import data_row
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.astro.survey import Observation
 
@@ -63,19 +65,6 @@ class Block:
         return sum(1 for it in self.items if it.kind != CLOSE)
 
 
-def _parses_as_data_row(parts: list[str]) -> bool:
-    """The lenient keep-rule of ``SPEBatch.from_data_rows``: a row survives
-    iff its first three fields parse as floats.  Applying it here keeps the
-    receiver's row list aligned with the parsed columns downstream."""
-    if len(parts) < 3:
-        return False
-    try:
-        float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        return False
-    return True
-
-
 def build_stream(observations: Iterable["Observation"]) -> list[StreamItem]:
     """Flatten observations into one replayable, time-ordered item list.
 
@@ -92,10 +81,11 @@ def build_stream(observations: Iterable["Observation"]) -> list[StreamItem]:
         key = obs.key.to_key()
         merged: list[tuple[float, int, StreamItem]] = []
         for row in obs.spe_batch.to_csv_rows():
-            parts = row.split(",")
-            if not _parses_as_data_row(parts):
-                continue  # offline drops it at parse time; drop it here too
-            t = float(parts[2])
+            # The offline parse's keep-rule: a row it drops never streams.
+            fields = data_row(row)
+            if fields is None:
+                continue
+            t = fields[2]
             merged.append((t, 0, StreamItem(DATA, key, row, t)))
         for line in observation_cluster_batch(obs).to_lines():
             t_hi = float(line.split(",")[7])

@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.dataplane import SPEBatch
+from repro.dataplane._columns import data_columns
 from repro.streaming.receiver import CLOSE, CLUSTER, DATA, StreamItem
 
 
@@ -148,16 +148,16 @@ class StreamState:
     def _build_unit(
         key: str, ks: _KeyState, due: list[tuple[float, str]], batch_id: int
     ) -> FinalizedUnit:
-        spe = SPEBatch.from_data_rows(ks.rows)
-        assert len(spe) == len(ks.rows), "receiver keep-rule drifted from parse"
-        mask = np.zeros(len(spe), dtype=bool)
+        # ``kept`` maps parsed SPEs back to buffered rows: a row the parse
+        # drops can never fall inside a box (the receiver drops them first).
+        kept, (dm, _snr, time_s, _sample, _downfact) = data_columns(ks.rows)
+        mask = np.zeros(kept.size, dtype=bool)
         for _t_hi, line in due:
             f = line.split(",")
             dm_lo, dm_hi = float(f[4]), float(f[5])
             t_lo, t_hi = float(f[6]), float(f[7])
-            mask |= ((spe.dm >= dm_lo) & (spe.dm <= dm_hi)
-                     & (spe.time_s >= t_lo) & (spe.time_s <= t_hi))
-        idx = np.nonzero(mask)[0]
+            mask |= (dm >= dm_lo) & (dm <= dm_hi) & (time_s >= t_lo) & (time_s <= t_hi)
+        idx = kept[mask]
         data_lines = tuple(f"{key},{ks.rows[i]}" for i in idx.tolist())
         first_batch = (min(ks.batch_ids[i] for i in idx.tolist())
                        if idx.size else batch_id)

@@ -655,7 +655,7 @@ def run_reference(
     data_kvp = (
         ctx.text_file(dfs, data_path)
         .filter(lambda line: line and not line.startswith("#"))
-        .map(lambda line: tuple(line.split(",", 1)))
+        .map(lambda line: line.partition(",")[::2])  # (key, rest); rest "" if no comma
     )
 
     dropped = ctx.accumulator(0)

@@ -254,6 +254,16 @@ class TestNonFiniteDataRows:
         # A garbled row sends the block down the per-row path: same rule.
         assert SPEBatch.from_data_rows(rows + ["garbled"]) == want
 
+    def test_garbled_int_field_resets_only_its_row(self):
+        """Sample/Downfact are best-effort per row on every path: one bad
+        field costs its own row's default, not the whole block's."""
+        rows = ["1.0,2.0,3.0,10,2", "1.5,2.5,3.5,x,4", "2.0,3.0,4.0,12,8"]
+        for block in (rows, rows + ["garbled"], rows[:1] + ["1.5,2.5,3.5"] + rows[2:]):
+            got = SPEBatch.from_data_rows(block)
+            assert got.sample.tolist() == [10, 0, 12]
+            assert got.downfact.tolist()[::2] == [2, 8]
+        assert SPEBatch.from_data_rows(rows).downfact.tolist() == [2, 4, 8]
+
 
 def assert_identical_runs(dfs, got, got_path, want, want_path) -> None:
     """Pulse batches equal and ML part files byte-identical."""

@@ -150,8 +150,12 @@ LAW_OPERATORS = {
     # what join and left_outer_join are built on; test_sparklet_pairs::TestJoins
     "cogroup",
     # serial == parallel == memo-warm on actions other than collect
-    # (test_parallel_backend, test_properties_memo); D-RAPID's null-join count
+    # (test_parallel_backend, test_properties_memo); run_reference's null-join
+    # count (tests/oracles/record_path.py)
     "count",
+    # run_reference's text and malformed-row filters: the other side of the
+    # run == run_reference law (test_dataplane_batches, test_codec)
+    "filter",
 }
 
 

@@ -60,9 +60,6 @@ class TestActions:
     def test_count(self, ctx):
         assert ctx.parallelize(range(101), 7).count() == 101
 
-    def test_fold(self, ctx):
-        assert ctx.parallelize([1, 2, 3], 2).fold(0, lambda a, b: a + b) == 6
-
 class TestCaching:
     def test_cache_avoids_recompute(self, serial_ctx):
         ctx = serial_ctx  # driver-side side effects: serial semantics only

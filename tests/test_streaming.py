@@ -8,12 +8,14 @@ state, the PID estimator, checkpoint round-trips, the serving scorer, and
 the observability events the engine emits.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.api import PipelineConfig, StreamingConfig, run_streaming
+from repro.api import PipelineConfig, StreamingConfig, run_drapid, run_streaming
+from repro.dataplane import SPEBatch
 from repro.obs import ObsConfig
 from repro.streaming import (
     LinearCostModel,
@@ -23,6 +25,7 @@ from repro.streaming import (
     StreamScorer,
     StreamState,
     build_stream,
+    canonical_ml_text,
 )
 from repro.streaming.checkpoint import (
     CheckpointError,
@@ -30,6 +33,7 @@ from repro.streaming.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.streaming.engine import stream_observations
 from repro.streaming.receiver import CLOSE, CLUSTER, DATA, StreamItem
 
 
@@ -127,6 +131,17 @@ class TestStreamState:
         u2 = state.finalize(3)  # c2 due at close
         assert row.payload in {ln.split(",", 1)[1] for ln in u1[0].data_lines}
         assert row.payload in {ln.split(",", 1)[1] for ln in u2[0].data_lines}
+
+    def test_unit_skips_a_row_the_parse_drops(self):
+        """A buffered row whose DM is not finite never reaches a unit, and
+        the rows after it stay aligned with their parsed columns."""
+        state = StreamState()
+        state.ingest(0, [
+            StreamItem(DATA, "k", "nan,5.000,1.000000,0,1", 1.0),
+            _item(DATA, "k", 1.0), _item(CLUSTER, "k", 1.0), _item(CLOSE, "k", None),
+        ])
+        (unit,) = state.finalize(0)
+        assert unit.data_lines == ("k,1.000,5.000,1.000000,0,1",)
 
     def test_snapshot_restore_round_trip(self):
         state = StreamState()
@@ -291,3 +306,27 @@ class TestEngineGuards:
     def test_cost_model_is_deterministic(self):
         model = LinearCostModel(rows_per_s=100.0, fixed_s=0.5)
         assert model.batch_seconds(50, None) == pytest.approx(1.0)
+
+
+class TestNonFiniteSPERows:
+    """An SPE row whose DM, Sigma or Time is not finite is dropped by the
+    offline parse; the stream must drop it too, not trip over it."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_streamed_equals_offline_with_the_row_deleted(self, observation, token):
+        spe = observation.spe_batch
+        brightest = int(np.argmax(spe.snr))
+        snr = spe.snr.copy()
+        snr[brightest] = float(token)
+        mutated = dataclasses.replace(observation, _spe_batch=SPEBatch(
+            spe.dm, snr, spe.time_s, spe.sample, spe.downfact))
+        deleted = dataclasses.replace(
+            observation, _spe_batch=spe.take(np.delete(np.arange(len(spe)), brightest)))
+        pipeline = PipelineConfig(num_partitions=4)
+
+        assert any(token in row for row in mutated.spe_batch.to_csv_rows())
+        streamed = stream_observations([mutated], StreamingConfig(
+            pipeline=pipeline, batch_interval_s=1.0, arrival_rate=600.0))
+        offline = run_drapid(pipeline, [deleted])
+        assert streamed.n_batches > 1 and offline.n_pulses > 0
+        assert streamed.canonical_ml_text() == canonical_ml_text(offline.pulse_batch)
