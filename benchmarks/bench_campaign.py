@@ -15,7 +15,8 @@ controller, and reports the numbers the subsystem exists to move:
    test suite); the checksum is recorded so any behavior change shows up
    as a diff in ``BENCH_campaign.json``.
 
-Writes ``BENCH_campaign.json`` at the repo root and a table under
+Writes ``BENCH_campaign.json`` at the repo root (full runs only; a
+``--smoke`` run, the CI gate, leaves it alone) and a table under
 ``benchmarks/results/``.
 
 Run:    PYTHONPATH=src python benchmarks/bench_campaign.py [--smoke]
@@ -29,7 +30,7 @@ import json
 import time
 from pathlib import Path
 
-from _bench_utils import emit, format_table
+from _bench_utils import emit, format_table, write_result
 from repro.api import run_campaign
 from repro.campaign import CampaignConfig, RetrainConfig
 
@@ -66,7 +67,8 @@ def _drift_latencies(report) -> dict[int, int | None]:
 
 
 def run_all(smoke: bool = False) -> dict:
-    del smoke  # one campaign size; a run takes seconds either way
+    # One campaign size (a run takes seconds); smoke only decides whether
+    # the committed result is rewritten.
     on, wall_on = _run(retrain=True)
     off, wall_off = _run(retrain=False)
     again, _ = _run(retrain=True)
@@ -78,6 +80,7 @@ def run_all(smoke: bool = False) -> dict:
 
     results = {
         "benchmark": "campaign",
+        "smoke": smoke,
         "scenario": "three-phase",
         "seed": SEED,
         "n_batches": on.report["n_batches"],
@@ -95,7 +98,7 @@ def run_all(smoke: bool = False) -> dict:
         "wall_s_retrain_on": round(wall_on, 3),
         "wall_s_retrain_off": round(wall_off, 3),
     }
-    RESULT_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    note = write_result(RESULT_JSON, results)
 
     table = format_table(
         ["arm", "chime recall@final", "gbt recall p0", "retrains", "swaps"],
@@ -116,7 +119,7 @@ def run_all(smoke: bool = False) -> dict:
         + "\n\ndrift detection latency:\n" + lat_table
         + f"\n\nreport checksum: {results['checksum']}"
         + f"\ndeterministic repeat: {results['deterministic_repeat']}"
-        + f"\n\nwritten: {RESULT_JSON}",
+        + f"\n\n{note}",
     )
     return results
 

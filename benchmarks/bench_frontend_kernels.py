@@ -9,7 +9,7 @@ Times the three front-end stages the ISSUE targets, at several
 - dedispersion alone — per-channel Python shift loop vs
   :func:`repro.astro.kernels.dedisperse_batch`, plus the two-stage subband
   path on a fine DM ladder (where partial-sum reuse pays off);
-- kernel methods — direct/subband/tree × numpy/numba curves on large fine
+- kernel methods — direct/subband/tree curves on large fine
   DM grids (``KernelConfig`` dispatch), with in-bench equivalence checks
   (direct ≡ naive reference; tree within its shift-tolerance law);
 - DBSCAN — the dict-of-cells sweep vs the columnar pair passes.
@@ -42,7 +42,6 @@ from repro.astro.filterbank import (
     synthesize_filterbank,
 )
 from repro.astro.kernels import (
-    HAS_NUMBA,
     _tree_effective_shifts,
     _tree_plan,
     dedisperse_grid,
@@ -122,8 +121,8 @@ def bench_dedispersion() -> list[dict]:
             for dm in trials
         ]
 
-    batch = KernelConfig(method="direct", impl="numpy")
-    subband = KernelConfig(method="subband", impl="numpy")
+    batch = KernelConfig(method="direct")
+    subband = KernelConfig(method="subband")
     coarse = np.linspace(2.0, 150.0, 100)
     t_naive = _timeit(lambda: naive_all(coarse), repeats=1)
     t_batch = _timeit(lambda: dedisperse_all(fb, coarse, kernel=batch))
@@ -169,7 +168,7 @@ def _assert_kernel_equivalence(fb, trials) -> None:
     freqs, f_ref, tsamp = fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s
     sample = trials[:: max(1, trials.size // 4)][:4]
     direct = dedisperse_grid(fb.data, freqs, f_ref, tsamp, sample,
-                             kernel=KernelConfig(method="direct", impl="numpy"))
+                             kernel=KernelConfig(method="direct"))
     for row, dm in zip(direct, sample):
         ref = _reference_dedisperse(fb.data, freqs, f_ref, tsamp, float(dm))
         assert np.max(np.abs(row - ref)) <= 1e-6, dm
@@ -182,10 +181,9 @@ def _assert_kernel_equivalence(fb, trials) -> None:
 
 
 def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
-    """Tree/subband × numpy/numba curves on fine DM grids, vs the naive
-    front end and the exact direct kernel.  Best-of-3 timing: the repo's CI
-    box is a single slow core, and one-shot timings there are noise."""
-    impls = ["numpy"] + (["numba"] if HAS_NUMBA else [])
+    """Tree/subband curves on fine DM grids, vs the naive front end and the
+    exact direct kernel.  Best-of-3 timing: the repo's CI box is a single
+    slow core, and one-shot timings there are noise."""
     records = []
     for name, n_channels, duration_s, dm_lo, dm_step, n_dms in scales:
         fb = _make_filterbank(n_channels, duration_s, 1e-3)
@@ -196,29 +194,27 @@ def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
         curves = []
         t_direct_dedisp = None
         for method in ("direct", "subband", "tree"):
-            for impl in impls:
-                kernel = KernelConfig(method=method, impl=impl)
-                t_dedisp = _timeit(
-                    lambda: dedisperse_grid(fb.data, fb.channel_freqs_mhz,
-                                            fb.f_high_mhz, fb.sample_time_s,
-                                            trials, kernel=kernel),
-                    repeats=3,
-                )
-                t_search = _timeit(
-                    lambda: single_pulse_search(fb, trials, kernel=kernel),
-                    repeats=3,
-                )
-                if method == "direct" and impl == "numpy":
-                    t_direct_dedisp = t_dedisp
-                curves.append({
-                    "method": method,
-                    "impl": impl,
-                    "dedisperse_s": round(t_dedisp, 4),
-                    "search_s": round(t_search, 4),
-                    "search_speedup_vs_naive": round(t_naive / t_search, 2),
-                    "dedisperse_speedup_vs_direct": round(
-                        t_direct_dedisp / t_dedisp, 2),
-                })
+            kernel = KernelConfig(method=method)
+            t_dedisp = _timeit(
+                lambda: dedisperse_grid(fb.data, fb.channel_freqs_mhz,
+                                        fb.f_high_mhz, fb.sample_time_s,
+                                        trials, kernel=kernel),
+                repeats=3,
+            )
+            t_search = _timeit(
+                lambda: single_pulse_search(fb, trials, kernel=kernel),
+                repeats=3,
+            )
+            if method == "direct":
+                t_direct_dedisp = t_dedisp
+            curves.append({
+                "method": method,
+                "dedisperse_s": round(t_dedisp, 4),
+                "search_s": round(t_search, 4),
+                "search_speedup_vs_naive": round(t_naive / t_search, 2),
+                "dedisperse_speedup_vs_direct": round(
+                    t_direct_dedisp / t_dedisp, 2),
+            })
         records.append({
             "scale": name,
             "n_channels": n_channels,
@@ -226,7 +222,6 @@ def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
             "n_dms": n_dms,
             "dm_step": dm_step,
             "naive_search_s": round(t_naive, 4),
-            "numba_available": HAS_NUMBA,
             "curves": curves,
         })
     return records
@@ -276,7 +271,7 @@ def run_all() -> dict:
             for r in dedisp
         ]
         + [
-            [f'{c["method"]}/{c["impl"]}', r["scale"], r["naive_search_s"],
+            [c["method"], r["scale"], r["naive_search_s"],
              c["search_s"], f'{c["search_speedup_vs_naive"]}x']
             for r in methods for c in r["curves"]
         ]
@@ -289,9 +284,8 @@ def run_all() -> dict:
     return results
 
 
-def _curve(record: dict, method: str, impl: str = "numpy") -> dict:
-    return next(c for c in record["curves"]
-                if c["method"] == method and c["impl"] == impl)
+def _curve(record: dict, method: str) -> dict:
+    return next(c for c in record["curves"] if c["method"] == method)
 
 
 def test_frontend_kernel_speedup():

@@ -61,7 +61,7 @@ def main() -> None:
     # mode differs by float summation order, ~1e-15.)
     tree_spes = single_pulse_search(
         fb, trials, snr_threshold=5.5,
-        kernel=KernelConfig(method="tree", impl="auto", boxcar="cumsum"),
+        kernel=KernelConfig(method="tree", boxcar="cumsum"),
     )
     assert len(tree_spes) == len(spes)
     print(f"tree kernel path: {len(tree_spes)} events "

@@ -6,8 +6,7 @@ ATNF Pulsar Catalogue and the RRATalog.  This module provides that
 machinery for the synthetic surveys:
 
 - :class:`Catalog` — a queryable table of known sources (name, sky
-  position, DM, period, RRAT flag), constructible from a synthetic
-  population (the "ATNF" of the simulated sky);
+  position, DM, period, RRAT flag);
 - :func:`match_pulse` / :func:`label_pulses_by_catalog` — vicinity
   matching: an identified single pulse is attributed to a known source
   when its sky position matches and its peak DM falls within a tolerance
@@ -19,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.astro.population import Pulsar
 from repro.dataplane import PulseBatch
 
 
@@ -45,20 +43,6 @@ class Catalog:
         self._by_position: dict[str, list[CatalogEntry]] = {}
         for entry in self._entries:
             self._by_position.setdefault(entry.sky_position, []).append(entry)
-
-    @classmethod
-    def from_population(cls, population: Sequence[Pulsar]) -> "Catalog":
-        """Build the simulated sky's catalogue from its true population."""
-        return cls(
-            CatalogEntry(
-                name=p.name,
-                sky_position=p.sky_position,
-                dm=p.dm,
-                period_s=p.period_s,
-                is_rrat=p.is_rrat,
-            )
-            for p in population
-        )
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -157,11 +157,6 @@ class DMGrid:
         idx = np.clip(np.searchsorted(starts, dms, side="right") - 1, 0, steps.size - 1)
         return steps[idx]
 
-    def nearest_trial(self, dm: float) -> float:
-        grid = self.trial_dms()
-        idx = int(np.argmin(np.abs(grid - dm)))
-        return float(grid[idx])
-
     def trials_near(self, dm: float, half_width: float) -> np.ndarray:
         """Trial DMs within ±half_width of ``dm`` (a pulse's SPE footprint)."""
         grid = self.trial_dms()

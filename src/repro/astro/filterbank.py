@@ -37,7 +37,6 @@ from repro.astro.dispersion import K_DM
 from repro.astro.kernels import (
     dedisperse_batch,
     dedisperse_grid,
-    resolve_impl,
     single_pulse_block_search,
 )
 from repro.astro.spe import SPE, spes_from_search
@@ -170,13 +169,12 @@ def dedisperse_all(
 ) -> np.ndarray:
     """The full (n_dms × n_samples) dedispersed block in one call.
 
-    ``kernel`` (None means ``KernelConfig()``) selects the method and the
-    implementation layer (NumPy/numba).  ``method="direct"`` is exact
-    (matches :func:`dedisperse` per row); ``"subband"`` reuses partial sums
-    across neighbouring trial DMs and ``"tree"`` applies that trick
-    recursively over a binary merge tree — both tolerance-bounded (see the
-    :mod:`repro.astro.kernels` tolerance law), large wins on fine DM
-    ladders.
+    ``kernel`` (None means ``KernelConfig()``) selects the method.
+    ``method="direct"`` is exact (matches :func:`dedisperse` per row);
+    ``"subband"`` reuses partial sums across neighbouring trial DMs and
+    ``"tree"`` applies that trick recursively over a binary merge tree —
+    both tolerance-bounded (see the :mod:`repro.astro.kernels` tolerance
+    law), large wins on fine DM ladders.
     """
     return dedisperse_grid(
         fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s,
@@ -214,25 +212,21 @@ def single_pulse_search(
     bit-level agreement with the float64 kernels.
 
     ``kernel`` (a :class:`repro.execution.KernelConfig`; None means
-    ``KernelConfig()``) selects the dedispersion method, boxcar mode and
-    implementation layer.  ``obs`` records the choice as one
-    ``kernel_selected`` event — requested vs resolved impl, so a numba →
-    numpy fallback is visible — and per-stage ``kernel.dedisperse`` /
-    ``kernel.boxcar`` spans.
+    ``KernelConfig()``) selects the dedispersion method and boxcar mode.
+    ``obs`` records the choice as one ``kernel_selected`` event and
+    per-stage ``kernel.dedisperse`` / ``kernel.boxcar`` spans.
     """
     if snr_threshold <= 0:
         raise ValueError("snr_threshold must be positive")
     trial_dms = np.asarray(trial_dms, dtype=float)
     k = (kernel or KernelConfig()).resolved()
-    impl = resolve_impl(k.impl)
     if obs is not None:
-        obs.emit(KERNEL_SELECTED, method=k.method, impl_requested=k.impl,
-                 impl=impl, boxcar=k.boxcar)
+        obs.emit(KERNEL_SELECTED, method=k.method, boxcar=k.boxcar)
     span = obs.tracer.span if obs is not None else (lambda *a, **k_: nullcontext())
-    with span("kernel.dedisperse", method=k.method, impl=impl):
+    with span("kernel.dedisperse", method=k.method):
         block = dedisperse_all(fb, trial_dms, out_dtype=dtype, kernel=k)
-    with span("kernel.boxcar", boxcar=k.boxcar, impl=impl):
+    with span("kernel.boxcar", boxcar=k.boxcar):
         rows, samples, snrs, widths = single_pulse_block_search(
-            block, snr_threshold, boxcar_widths, boxcar=k.boxcar, impl=impl
+            block, snr_threshold, boxcar_widths, boxcar=k.boxcar
         )
     return spes_from_search(trial_dms, fb.sample_time_s, rows, samples, snrs, widths)

@@ -18,7 +18,7 @@ with NumPy kernels that process the whole trial-DM grid at once:
   binary merge tree over channel subbands where every node is evaluated on a
   coarsened trial-DM ladder, giving O(N·log DM)-style reuse on fine ladders
   (Adámek & Armour's algorithmic framing);
-- :func:`dedisperse_grid` — the method/impl dispatcher driven by
+- :func:`dedisperse_grid` — the method dispatcher driven by
   :class:`repro.execution.KernelConfig`;
 - :func:`boxcar_snr` — O(n) sliding-boxcar SNR via cumulative sums, with
   median/MAD noise estimated once per series, plus a ``decomposed`` mode
@@ -50,14 +50,11 @@ Measured on the single-core reference host:
   per width; instead only the best statistic is tracked (``np.maximum``)
   and the winning width is recomputed at the (few) detected peaks.
 
-Implementation layers
----------------------
-Every hot loop exists twice: the pure-NumPy path (the reference oracle) and
-an optional numba ``njit`` path (:mod:`repro.astro._kernels_numba`),
-auto-detected at import.  ``impl="auto"`` resolves to numba when importable
-and NumPy otherwise (:func:`resolve_impl`); requesting ``"numba"`` on a
-numba-less host falls back to NumPy cleanly — the resolution is surfaced
-through the ``kernel_selected`` obs event rather than an import error.
+Implementation layer
+--------------------
+Every kernel is NumPy and nothing else.  :func:`resolve_impl` and
+:data:`HAS_NUMBA` survive only for callers that still name an
+implementation: they validate the name, and every accepted one means NumPy.
 
 Tolerance law (tree/subband)
 ----------------------------
@@ -82,11 +79,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.astro import _kernels_numba as _nb
 from repro.astro.dispersion import K_DM
 
-#: True when the optional numba layer compiled at import.
-HAS_NUMBA = _nb.HAS_NUMBA
+#: No JIT layer exists; kept because benchmark records report it.
+HAS_NUMBA = False
+
+#: The implementation names :func:`resolve_impl` accepts; all mean NumPy.
+KERNEL_IMPLS = ("numpy", "auto")
 
 __all__ = [
     "delay_table",
@@ -105,21 +104,11 @@ __all__ = [
 
 
 def resolve_impl(impl: str | None = None) -> str:
-    """Resolve an impl request to the concrete layer: ``numpy`` or ``numba``.
-
-    ``auto`` (and ``None``) pick numba when importable; an explicit
-    ``numba`` request degrades to ``numpy`` when the import failed — the
-    caller records both requested and resolved impl in the
-    ``kernel_selected`` event, keeping the fallback observable.
-    """
-    impl = impl or "auto"
-    if impl == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if impl == "numba":
-        return "numba" if HAS_NUMBA else "numpy"
-    if impl != "numpy":
-        raise ValueError(f"impl must be 'numpy', 'numba' or 'auto', got {impl!r}")
-    return impl
+    """Validate an implementation name; ``None``, ``auto`` and ``numpy``
+    all resolve to ``numpy``, the only layer there is."""
+    if impl is not None and impl not in KERNEL_IMPLS:
+        raise ValueError(f"impl must be one of {KERNEL_IMPLS} or None, got {impl!r}")
+    return "numpy"
 
 
 # -- shift tables ------------------------------------------------------------
@@ -170,7 +159,6 @@ def dedisperse_batch(
     sample_time_s: float,
     trial_dms: np.ndarray,
     out_dtype: np.dtype | type = np.float64,
-    impl: str = "numpy",
 ) -> np.ndarray:
     """Dedisperse at every trial DM at once → (n_dms, n_samples) block.
 
@@ -180,9 +168,6 @@ def dedisperse_batch(
     bit-for-bit).  ``out_dtype=np.float32``
     halves memory traffic for search pipelines that do not need 1e-9
     reproducibility (PRESTO itself dedisperses in float32).
-
-    ``impl="numba"`` runs the same loop JIT-compiled with an identical
-    per-element accumulation order, so the output stays bit-identical.
     """
     data = np.asarray(data)
     if data.ndim != 2:
@@ -192,17 +177,14 @@ def dedisperse_batch(
     shifts = shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
     cols = np.ascontiguousarray(data, dtype=out_dtype)
     out = np.zeros((trial_dms.size, n_samples), dtype=out_dtype)
-    if impl == "numba" and HAS_NUMBA:
-        _nb.dedisperse_accumulate(out, cols, shifts)
-    else:
-        shift_rows = shifts.tolist()  # python ints: no per-iteration unboxing
-        for d, row_shifts in enumerate(shift_rows):
-            row = out[d]
-            for ch, s in enumerate(row_shifts):
-                if s == 0:
-                    row += cols[ch]
-                elif s < n_samples:
-                    row[: n_samples - s] += cols[ch, s:]
+    shift_rows = shifts.tolist()  # python ints: no per-iteration unboxing
+    for d, row_shifts in enumerate(shift_rows):
+        row = out[d]
+        for ch, s in enumerate(row_shifts):
+            if s == 0:
+                row += cols[ch]
+            elif s < n_samples:
+                row[: n_samples - s] += cols[ch, s:]
     out *= out.dtype.type(1.0) / np.sqrt(out.dtype.type(n_chan))
     return out
 
@@ -237,7 +219,6 @@ def dedisperse_subband(
     n_subbands: int | None = None,
     tol_samples: float = 1.0,
     out_dtype: np.dtype | type = np.float64,
-    impl: str = "numpy",
 ) -> np.ndarray:
     """Two-stage subband dedispersion: reuse partial sums across trial DMs.
 
@@ -291,31 +272,19 @@ def dedisperse_subband(
     if len(group_reps) >= trial_dms.size:
         # No reuse possible on this ladder: fall back to the exact path.
         return dedisperse_batch(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype,
-            impl=impl,
+            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
         )
 
     reps = np.asarray(group_reps)
     cols = np.ascontiguousarray(data, dtype=out_dtype)
-    use_nb = impl == "numba" and HAS_NUMBA
 
     # Stage-1 shift tables (per subband, per group) and stage-2 shifts (per
     # exact trial DM), all computed up front.
-    s1_arrays = [
-        shift_table(freqs_mhz[lo:hi], float(sub_refs[b]), reps, sample_time_s)
+    s1_tables = [
+        shift_table(freqs_mhz[lo:hi], float(sub_refs[b]), reps, sample_time_s).tolist()
         for b, (lo, hi) in enumerate(edges)
     ]
-    s2_array = shift_table(sub_refs, f_ref_mhz, trial_dms, sample_time_s)
-    s1_tables = [t.tolist() for t in s1_arrays]
-    s2 = s2_array.tolist()
-    if use_nb:
-        # Flat (group → per-channel shift) view for the scatter-add kernel.
-        s1_flat = np.concatenate(s1_arrays, axis=1)  # (n_groups, n_chan)
-        s1_out_rows = np.concatenate(
-            [np.full(hi - lo, b, dtype=np.int64) for b, (lo, hi) in enumerate(edges)]
-        )
-        s1_src_rows = np.arange(n_chan, dtype=np.int64)
-        sub_rows = np.arange(len(edges), dtype=np.int64)
+    s2 = shift_table(sub_refs, f_ref_mhz, trial_dms, sample_time_s).tolist()
 
     # Process group-major so the (n_subbands × n_samples) partial buffer is
     # reused for every group and stays cache-resident — materializing all
@@ -330,15 +299,6 @@ def dedisperse_subband(
             continue
         # Stage 1: intra-subband sums at the group's representative DM.
         partial[:] = 0.0
-        if use_nb:
-            _nb.scatter_add_shifted(partial, cols, s1_out_rows, s1_src_rows,
-                                    s1_flat[g])
-            for d in members:
-                _nb.scatter_add_shifted(
-                    out, partial, np.full(len(edges), d, dtype=np.int64),
-                    sub_rows, s2_array[d],
-                )
-            continue
         for b, (lo, _hi) in enumerate(edges):
             row = partial[b]
             for ch_off, s in enumerate(s1_tables[b][g]):
@@ -454,7 +414,6 @@ def dedisperse_tree(
     n_subbands: int | None = None,
     tol_samples: float = 1.0,
     out_dtype: np.dtype | type = np.float64,
-    impl: str = "numpy",
 ) -> np.ndarray:
     """Tree dedispersion: a binary merge tree of subband partial sums.
 
@@ -489,8 +448,7 @@ def dedisperse_tree(
     sorted_dms, inverse = np.unique(trial_dms, return_inverse=True)
     if not ascending or n_subbands < 2 or sorted_dms.size < 2:
         return dedisperse_batch(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype,
-            impl=impl,
+            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
         )
 
     levels, ladders, groups = _tree_plan(
@@ -501,12 +459,10 @@ def dedisperse_tree(
         # The ladders refused to coarsen: the tree would cost more than the
         # exact path, so run the exact path.
         return dedisperse_batch(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype,
-            impl=impl,
+            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
         )
 
     cols = np.ascontiguousarray(data, dtype=out_dtype)
-    use_nb = impl == "numba" and HAS_NUMBA
 
     def shift_into(row: np.ndarray, src: np.ndarray, s: int, first: bool) -> None:
         # First contribution assigns (row starts uninitialized — half the
@@ -529,15 +485,11 @@ def dedisperse_tree(
         reps = ladders[(0, j)]
         st = shift_table(freqs_mhz[lo:hi], float(freqs_mhz[hi - 1]), reps,
                          sample_time_s)
-        if use_nb:
-            buf = np.zeros((reps.size, n_samples), dtype=out_dtype)
-            _nb.dedisperse_accumulate(buf, cols[lo:hi], st)
-        else:
-            buf = np.empty((reps.size, n_samples), dtype=out_dtype)
-            for r, row_shifts in enumerate(st.tolist()):
-                row = buf[r]
-                for ch_off, s in enumerate(row_shifts):
-                    shift_into(row, cols[lo + ch_off], s, first=ch_off == 0)
+        buf = np.empty((reps.size, n_samples), dtype=out_dtype)
+        for r, row_shifts in enumerate(st.tolist()):
+            row = buf[r]
+            for ch_off, s in enumerate(row_shifts):
+                shift_into(row, cols[lo + ch_off], s, first=ch_off == 0)
         values[(0, j)] = buf
     for level in range(1, top + 1):
         for j, (lo, hi) in enumerate(levels[level]):
@@ -553,24 +505,15 @@ def dedisperse_tree(
                 values[(level, j)] = values.pop((level - 1, children[0]))
                 continue
             ref = float(freqs_mhz[hi - 1])
-            if use_nb:
-                buf = np.zeros((reps.size, n_samples), dtype=out_dtype)
-            else:
-                buf = np.empty((reps.size, n_samples), dtype=out_dtype)
+            buf = np.empty((reps.size, n_samples), dtype=out_dtype)
             for ci, cj in enumerate(children):
                 _clo, chi = levels[level - 1][cj]
                 cref = float(freqs_mhz[chi - 1])
                 cgroup = groups[(level - 1, cj)]
                 stage = shift_table(np.array([cref]), ref, reps, sample_time_s)[:, 0]
                 child = values.pop((level - 1, cj))
-                if use_nb:
-                    _nb.scatter_add_shifted(
-                        buf, child, np.arange(reps.size, dtype=np.int64),
-                        cgroup, stage,
-                    )
-                else:
-                    for r, s in enumerate(stage.tolist()):
-                        shift_into(buf[r], child[cgroup[r]], s, first=ci == 0)
+                for r, s in enumerate(stage.tolist()):
+                    shift_into(buf[r], child[cgroup[r]], s, first=ci == 0)
             values[(level, j)] = buf
 
     # Final correction: the root is referenced to its own top channel; shift
@@ -674,22 +617,18 @@ def dedisperse_grid(
     from repro.execution import KernelConfig
 
     k = (kernel or KernelConfig()).resolved()
-    impl = resolve_impl(k.impl)
     if k.method == "subband":
         return dedisperse_subband(
             data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
-            n_subbands=k.n_subbands, tol_samples=k.tol_samples,
-            out_dtype=out_dtype, impl=impl,
+            n_subbands=k.n_subbands, tol_samples=k.tol_samples, out_dtype=out_dtype,
         )
     if k.method == "tree":
         return dedisperse_tree(
             data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
-            n_subbands=k.n_subbands, tol_samples=k.tol_samples,
-            out_dtype=out_dtype, impl=impl,
+            n_subbands=k.n_subbands, tol_samples=k.tol_samples, out_dtype=out_dtype,
         )
     return dedisperse_batch(
-        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype,
-        impl=impl,
+        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
     )
 
 
@@ -967,9 +906,10 @@ def single_pulse_block_search(
     (row, sample).  This is the fused cache-friendly path: each row's
     cumsum/window/noise passes run while the row is L2-resident, and the
     winning width is recomputed only at detected peaks.  ``boxcar`` selects
-    the window-sum strategy (see :func:`boxcar_snr`); ``impl="numba"`` JITs
-    the cumsum inner loop when numba is available (bit-identical floats).
+    the window-sum strategy (see :func:`boxcar_snr`); ``impl`` is validated
+    by :func:`resolve_impl` and selects nothing.
     """
+    resolve_impl(impl)
     if boxcar not in ("cumsum", "decomposed"):
         raise ValueError(f"boxcar must be 'cumsum' or 'decomposed', got {boxcar!r}")
     block = np.asarray(block)
@@ -983,8 +923,6 @@ def single_pulse_block_search(
     best = np.empty(n, dtype=block.dtype)
     snr = np.empty(n, dtype=block.dtype)
     scratch = np.empty(n, dtype=block.dtype)
-    use_nb = boxcar == "cumsum" and impl == "numba" and HAS_NUMBA
-    widths_arr = np.asarray(widths, dtype=np.int64)
     out_rows: list[np.ndarray] = []
     out_samples: list[np.ndarray] = []
     out_snrs: list[np.ndarray] = []
@@ -995,8 +933,6 @@ def single_pulse_block_search(
         sums: dict[int, np.ndarray] = {}
         if boxcar == "decomposed":
             sums = _best_z_decomposed(series, widths, med, buf, best)
-        elif use_nb:
-            _nb.best_z_cumsum(series, widths_arr, med, csum, best)
         else:
             _best_z(series, widths, med, csum, buf, best)
         np.divide(best, block.dtype.type(sigma), out=snr)

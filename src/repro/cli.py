@@ -46,6 +46,25 @@ def _survey_name(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc).strip('"')) from None
 
 
+def _cluster_field(field: str, convert):
+    """argparse type for a value that ends up in one ClusterConfig field:
+    ClusterConfig's own validation rejects it at parse time (exit 2), before
+    any work runs."""
+
+    def parse(value: str):
+        from repro.sparklet import ClusterConfig
+
+        parsed = convert(value)
+        try:
+            ClusterConfig(**{field: parsed})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return parsed
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
 def _add_execution_args(p: argparse.ArgumentParser) -> None:
     """The shared execution knobs (backend/workers).
 
@@ -179,8 +198,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="replay an identification job on a cluster")
     sim.add_argument("--survey", type=_survey_name, metavar="SURVEY", default="PALFA")
     sim.add_argument("--observations", type=int, default=10)
-    sim.add_argument("--executors", type=int, nargs="+", default=[1, 5, 10, 20])
-    sim.add_argument("--data-gb", type=float, default=10.2,
+    sim.add_argument("--executors", type=_cluster_field("num_executors", int),
+                     nargs="+", default=[1, 5, 10, 20])
+    # The replay's data_scale is proportional to --data-gb.
+    sim.add_argument("--data-gb", type=_cluster_field("data_scale", float), default=10.2,
                      help="scale the workload to this many GB (paper: 10.2)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--trace-out", default=None, metavar="PATH",

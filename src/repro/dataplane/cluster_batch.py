@@ -125,16 +125,6 @@ class ClusterBatch:
             for c in _COLUMNS
         ))
 
-    def split_by_key(self) -> list[tuple[str, "ClusterBatch"]]:
-        """Group rows by key, keys in first-seen order, row order preserved."""
-        groups: dict[str, list[int]] = {}
-        for i, k in enumerate(self.key.tolist()):
-            groups.setdefault(k, []).append(i)
-        return [
-            (k, self.take(np.array(idx, dtype=np.intp)))
-            for k, idx in groups.items()
-        ]
-
     # -- records in ------------------------------------------------------
     @classmethod
     def from_records(cls, records: Iterable["ClusterRecord"]) -> "ClusterBatch":

@@ -117,9 +117,6 @@ class SPEBatch:
         ``sorted(spes, key=lambda s: (s.dm, s.time_s))`` gives on records."""
         return self.take(np.lexsort((self.time_s, self.dm)))
 
-    def sort_by_time(self) -> "SPEBatch":
-        return self.take(np.lexsort((self.dm, self.time_s)))
-
     # -- records in ------------------------------------------------------
     @classmethod
     def from_records(cls, spes: Iterable["SPE"]) -> "SPEBatch":

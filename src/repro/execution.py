@@ -12,9 +12,8 @@ Two frozen dataclasses, deliberately unrelated:
   **env < config < CLI**; CLI flags win simply because the CLI builds an
   explicit config from them.
 - :class:`KernelConfig` — which dedispersion algorithm (``direct`` /
-  ``subband`` / ``tree``), which implementation (``numpy`` / ``numba`` /
-  ``auto``) and which boxcar mode (``cumsum`` / ``decomposed``) the
-  SPE-generating front end uses.  It is an argument of the two functions
+  ``subband`` / ``tree``) and which boxcar mode (``cumsum`` /
+  ``decomposed``) the SPE-generating front end uses.  It is an argument of the two functions
   that dedisperse (:func:`repro.astro.filterbank.single_pulse_search` and
   :func:`~repro.astro.filterbank.dedisperse_all`) and of nothing else: the
   identification tiers start from SPE lists and never select a kernel.
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 __all__ = [
     "KernelConfig",
@@ -40,7 +40,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 BACKENDS = ("serial", "parallel")
 KERNEL_METHODS = ("direct", "subband", "tree")
-KERNEL_IMPLS = ("numpy", "numba", "auto")
 BOXCAR_MODES = ("cumsum", "decomposed")
 
 DEFAULT_BACKEND = "serial"
@@ -56,26 +55,23 @@ def _check(name: str, value: str | None, allowed: tuple[str | None, ...]) -> Non
 class KernelConfig:
     """Front-end kernel selection (dedispersion + boxcar search).
 
-    ``impl="auto"`` picks numba when importable, NumPy otherwise;
-    ``impl="numba"`` on a numba-less host falls back cleanly to NumPy (the
-    resolved choice is recorded in the ``kernel_selected`` obs event, so the
-    fallback is observable, never silent data corruption).
-
     ``boxcar=None`` couples to the method: the exact ``direct`` path keeps
     the bit-stable ``cumsum`` boxcar, while the tolerance-bounded
     ``subband``/``tree`` paths default to the ``decomposed`` boxcar that
     reuses shorter-width window sums.
     """
 
+    #: Every kernel is NumPy; a constant, not a choice, read by callers
+    #: that pass it on to :func:`repro.astro.kernels.resolve_impl`.
+    impl: ClassVar[str] = "numpy"
+
     method: str = "direct"
-    impl: str = "auto"
     boxcar: str | None = None
     n_subbands: int | None = None
     tol_samples: float = 1.0
 
     def __post_init__(self) -> None:
         _check("method", self.method, KERNEL_METHODS)
-        _check("impl", self.impl, KERNEL_IMPLS)
         _check("boxcar", self.boxcar, BOXCAR_MODES + (None,))
         if self.n_subbands is not None and self.n_subbands < 1:
             raise ValueError(f"n_subbands must be >= 1, got {self.n_subbands}")
@@ -83,12 +79,7 @@ class KernelConfig:
             raise ValueError(f"tol_samples must be positive, got {self.tol_samples}")
 
     def resolved(self) -> "KernelConfig":
-        """A copy with ``boxcar`` made concrete.
-
-        ``impl`` may still be ``"auto"`` — the final auto → numba-or-numpy
-        step needs an import probe and lives in
-        :func:`repro.astro.kernels.resolve_impl`.
-        """
+        """A copy with ``boxcar`` made concrete."""
         if self.boxcar is not None:
             return self
         return replace(

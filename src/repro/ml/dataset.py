@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dataplane import PulseBatch
 
 
 @dataclass
@@ -45,28 +41,6 @@ class Dataset:
         elif len(self.class_names) < n_classes:
             raise ValueError("class_names shorter than the number of labels present")
 
-    @classmethod
-    def from_pulse_batch(
-        cls,
-        batch: "PulseBatch",
-        y: np.ndarray,
-        class_names: tuple[str, ...] = (),
-        name: str = "pulses",
-    ) -> "Dataset":
-        """Build a dataset straight off a :class:`PulseBatch`.
-
-        The batch's (n, 22) feature matrix is used as ``X`` directly.
-        """
-        from repro.core.features import FEATURE_NAMES
-
-        return cls(
-            X=batch.features,
-            y=y,
-            feature_names=FEATURE_NAMES,
-            class_names=class_names,
-            name=name,
-        )
-
     @property
     def n_instances(self) -> int:
         return self.X.shape[0]
@@ -90,20 +64,3 @@ class Dataset:
             self.class_names,
             self.name,
         )
-
-    def select_features(self, feature_indices: list[int]) -> "Dataset":
-        return Dataset(
-            self.X[:, feature_indices],
-            self.y,
-            tuple(self.feature_names[i] for i in feature_indices),
-            self.class_names,
-            self.name,
-        )
-
-    def imbalance_ratio(self) -> float:
-        """Majority-class count over minority-class count (∞-safe)."""
-        counts = self.class_counts()
-        counts = counts[counts > 0]
-        if counts.size < 2:
-            return 1.0
-        return float(counts.max() / counts.min())

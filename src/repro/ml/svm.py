@@ -182,7 +182,3 @@ class SMO:
             votes[dec >= 0, cls_a] += 1
             votes[dec < 0, cls_b] += 1
         return np.argmax(votes, axis=1)
-
-    @property
-    def n_machines(self) -> int:
-        return len(self._machines)

@@ -299,7 +299,7 @@ def build_report(
     # Which kernels the run resolved to (kernel_selected events) and how
     # long each kernel stage actually took ("kernel.*" spans, aggregated).
     kernel_selected = [
-        {k: e[k] for k in ("method", "impl", "impl_requested", "boxcar") if k in e}
+        {k: e[k] for k in ("method", "boxcar") if k in e}
         for e in events
         if e["type"] == KERNEL_SELECTED
     ]
@@ -466,15 +466,8 @@ def render_text(report: dict[str, Any]) -> str:
     if kernels.get("selected") or kernels.get("stages"):
         out.append("\n== front-end kernels ==")
         for sel in kernels.get("selected", []):
-            requested = sel.get("impl_requested")
-            impl = sel.get("impl", "?")
-            impl_txt = (
-                f"{impl} (requested {requested})"
-                if requested and requested != impl
-                else impl
-            )
             out.append(
-                f"  selected: method={sel.get('method', '?')}  impl={impl_txt}  "
+                f"  selected: method={sel.get('method', '?')}  "
                 f"boxcar={sel.get('boxcar', '?')}"
             )
         if kernels.get("stages"):

@@ -17,12 +17,13 @@ the parts of that stack the paper's design depends on:
 - a task scheduler that *really executes* every task (serially, or on a pool
   of worker processes — results are exact either way) while recording
   per-task cost metrics;
-- a discrete-event cluster simulator
-  (:mod:`repro.sparklet.simulation`) that replays those measured tasks on a
-  configurable YARN-style cluster (executors × cores × memory, network and
-  disk bandwidth, spill penalties) to obtain the elapsed time a real cluster
-  of that shape would exhibit.  This substitutes for the paper's 16-node
-  Beowulf cluster, which we do not have (see DESIGN.md).
+- a cluster simulator (:mod:`repro.sparklet.simulation`) that replays those
+  measured tasks, failure-free as in the paper's Fig. 4, on a configurable
+  YARN-style cluster (executors × cores × memory, network and disk
+  bandwidth, spill penalties) to obtain the elapsed time a real cluster of
+  that shape would exhibit.  This substitutes for the paper's 16-node
+  Beowulf cluster, which we do not have (see DESIGN.md).  Faults are
+  injected into real tasks (:mod:`repro.sparklet.faults`), not simulated.
 
 It is not a general Spark clone: an operator exists when a pipeline, an
 example, a benchmark script or a named scheduler law calls it.
@@ -45,13 +46,7 @@ from repro.sparklet.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.sparklet.partitioner import HashPartitioner, Partitioner
 from repro.sparklet.pools import DEFAULT_POOL, PoolConfig, SchedulerPools
 from repro.sparklet.rdd import RDD
-from repro.sparklet.simulation import (
-    SimFaultProfile,
-    SimulatedRun,
-    SpeculationConfig,
-    StragglerModel,
-    simulate_job,
-)
+from repro.sparklet.simulation import SimulatedRun, simulate_job
 
 __all__ = [
     "ClusterConfig",
@@ -71,12 +66,9 @@ __all__ = [
     "RDD",
     "ResourceManager",
     "SchedulerPools",
-    "SimFaultProfile",
     "SimulatedRun",
     "SparkletContext",
-    "SpeculationConfig",
     "StageMetrics",
-    "StragglerModel",
     "TASK_CRASH",
     "TaskFailure",
     "TaskMetrics",

@@ -208,6 +208,22 @@ class ClusterConfig:
     data_scale: float = 1.0
     cpu_speed_factor: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.num_executors < 1:
+            raise ValueError(f"num_executors must be >= 1, got {self.num_executors}")
+        for name in ("network_bandwidth_mbps", "disk_bandwidth_mbps",
+                     "data_scale", "cpu_speed_factor"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0 < self.memory_fraction <= 1:
+            raise ValueError(
+                f"memory_fraction must be in (0, 1], got {self.memory_fraction}"
+            )
+        for name in ("task_overhead_s", "scheduler_delay_s",
+                     "spill_cpu_penalty", "spill_io_passes"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     @property
     def total_cores(self) -> int:
         return self.num_executors * self.executor_spec.vcores

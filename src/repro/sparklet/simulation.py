@@ -1,4 +1,4 @@
-"""Discrete-event cluster simulation: replay measured tasks on N executors.
+"""Cluster simulation: replay measured tasks on N executors.
 
 Why simulation: this reproduction runs on a single-core host, so a real
 20-executor speedup experiment is physically impossible.  Instead, every
@@ -11,35 +11,19 @@ computes the elapsed (makespan) time, including:
 - executor memory pressure: when the data volume an executor must hold
   exceeds its memory, the excess is charged disk write+read time plus a CPU
   spill penalty — this is what makes the paper's 1-executor configuration
-  *slower than the multithreaded baseline* (RQ2),
-- and, when a :class:`SimFaultProfile` is supplied, an event-driven model
-  of executor failures, stragglers and speculative execution:
-
-  * an **executor-failure trace** kills executors at given times; tasks
-    running there are re-queued, completed map outputs on the dead executor
-    are recomputed (re-execution), and reduce stages additionally pay the
-    lost parent map share plus shuffle re-fetch time;
-  * a **straggler distribution** slows a seeded subset of tasks by a
-    multiplier (machine-local slowness, so a speculative copy on another
-    executor runs at base speed);
-  * **speculative execution** re-launches the slowest running tasks on idle
-    cores once a quantile of the stage has finished, taking the earlier
-    finisher — Spark's ``spark.speculation`` knob.
+  *slower than the multithreaded baseline* (RQ2).
 
 Stages execute in sequence (a stage cannot start before its parents finish,
 and D-RAPID's DAG is a chain), tasks within a stage are scheduled FIFO onto
 the earliest-free executor core, exactly like Spark's default scheduling.
-With a zero-fault profile the event loop reduces to exactly that FIFO list
-schedule, so fault-handling support costs nothing when nothing fails — the
-``bench_fault_tolerance`` benchmark asserts the overhead is ~0.
+The replay is failure-free, as the paper's Fig. 4 job is; task failures,
+executor loss and recovery are exercised on real tasks by the scheduler's
+fault injector (:mod:`repro.sparklet.faults`), not on the simulated clock.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
-import statistics
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.sparklet.cluster import ClusterConfig
@@ -54,12 +38,6 @@ class SimulatedStage:
     total_task_s: float
     spilled_bytes: float
     shuffle_read_s: float
-    #: Fault-model outcomes (zero when simulated without a fault profile).
-    n_failures: int = 0
-    n_requeued: int = 0
-    n_speculative: int = 0
-    n_spec_wins: int = 0
-    recompute_task_s: float = 0.0
 
 
 @dataclass
@@ -76,83 +54,6 @@ class SimulatedRun:
     @property
     def total_spilled_bytes(self) -> float:
         return sum(s.spilled_bytes for s in self.stages)
-
-    @property
-    def n_failures(self) -> int:
-        return sum(s.n_failures for s in self.stages)
-
-    @property
-    def n_requeued(self) -> int:
-        return sum(s.n_requeued for s in self.stages)
-
-    @property
-    def n_speculative(self) -> int:
-        return sum(s.n_speculative for s in self.stages)
-
-    @property
-    def n_spec_wins(self) -> int:
-        return sum(s.n_spec_wins for s in self.stages)
-
-
-# ---------------------------------------------------------------------------
-# Fault profile
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class StragglerModel:
-    """Seeded per-task slowdown multipliers (machine-local slowness)."""
-
-    prob: float = 0.0
-    factor: float = 4.0
-    seed: int = 0
-
-    def multipliers(self, n: int, salt: int = 0) -> list[float]:
-        if self.prob <= 0.0 or self.factor == 1.0:
-            return [1.0] * n
-        rng = random.Random(self.seed * 1_000_003 + salt)
-        return [self.factor if rng.random() < self.prob else 1.0 for _ in range(n)]
-
-
-@dataclass(frozen=True)
-class SpeculationConfig:
-    """Spark-style speculative execution knobs."""
-
-    enabled: bool = False
-    #: Fraction of the stage's tasks that must finish before copies launch.
-    quantile: float = 0.75
-    #: A running task is speculatable when its (expected) duration exceeds
-    #: this multiple of the median completed duration.
-    multiplier: float = 1.5
-
-
-@dataclass(frozen=True)
-class SimFaultProfile:
-    """What goes wrong during a simulated run.
-
-    ``executor_failures`` is a trace of ``(time_s, executor_index)`` pairs in
-    job-absolute simulated time; a dead executor stays dead for the rest of
-    the job (the simulator models the cluster *without* YARN re-granting, so
-    failure cost is an upper bound; the real scheduler layer does model
-    container replacement).
-    """
-
-    executor_failures: tuple[tuple[float, int], ...] = ()
-    stragglers: StragglerModel = field(default_factory=StragglerModel)
-    speculation: SpeculationConfig = field(default_factory=SpeculationConfig)
-
-    @classmethod
-    def failure_trace(cls, rate_per_s: float, horizon_s: float, num_executors: int,
-                      seed: int = 0, max_failures: int | None = None) -> "SimFaultProfile":
-        """Poisson-ish failure arrivals over a time horizon."""
-        rng = random.Random(seed)
-        events: list[tuple[float, int]] = []
-        cap = num_executors - 1 if max_failures is None else max_failures
-        t = 0.0
-        while len(events) < cap and rate_per_s > 0:
-            t += rng.expovariate(rate_per_s)
-            if t >= horizon_s:
-                break
-            events.append((t, rng.randrange(num_executors)))
-        return cls(executor_failures=tuple(events))
 
 
 def greedy_makespan(durations: list[float], workers: int) -> float:
@@ -174,256 +75,13 @@ def greedy_makespan(durations: list[float], workers: int) -> float:
     return max(slots)
 
 
-# ---------------------------------------------------------------------------
-# Event-driven stage engine
-# ---------------------------------------------------------------------------
-@dataclass
-class _Attempt:
-    task: int
-    executor: int
-    core: int
-    duration: float
-    is_copy: bool
-    cancelled: bool = False
-    finished: bool = False
-
-
-@dataclass
-class _StageOutcome:
-    makespan_s: float
-    n_failures: int
-    n_requeued: int
-    n_speculative: int
-    n_spec_wins: int
-    recompute_task_s: float
-    consumed_failures: int
-    newly_dead: set[int]
-
-
-def _simulate_stage_events(
-    durations: list[float],
-    base_durations: list[float],
-    num_executors: int,
-    cores_per_executor: int,
-    dead_at_start: set[int],
-    failures: list[tuple[float, int]],
-    spec: SpeculationConfig,
-    is_shuffle_map: bool,
-    recompute_duration_s: float,
-) -> _StageOutcome:
-    """Run one stage's tasks through the failure/speculation event loop.
-
-    ``failures`` are stage-relative ``(time, executor)`` pairs sorted by
-    time; events later than the stage's completion are left unconsumed for
-    subsequent stages.  With no failures, no stragglers and speculation off
-    this reproduces :func:`greedy_makespan` exactly.
-    """
-    n_real = len(durations)
-    # Task state: -1 = pending/running, else completion executor.
-    done_exec: dict[int, int] = {}
-    end_time: dict[int, float] = {}
-    requeues = 0
-    synthetic_s = 0.0
-    spec_launched = 0
-    spec_wins = 0
-    completed: list[float] = []
-    dead = set(dead_at_start)
-
-    pending: deque[tuple[int, float]] = deque(
-        (i, durations[i]) for i in range(n_real)
-    )
-    synthetic_pending: list[float] = []  # durations of recompute charges
-    next_synthetic = n_real  # synthetic task ids live past the real range
-
-    idle: list[tuple[float, int, int]] = [
-        (0.0, e, c)
-        for e in range(num_executors)
-        if e not in dead
-        for c in range(cores_per_executor)
-    ]
-    heapq.heapify(idle)
-
-    events: list[tuple[float, int, str, int]] = []
-    seq = 0
-    for t, e in failures:
-        events.append((max(t, 0.0), seq, "fail", e))
-        seq += 1
-    heapq.heapify(events)
-
-    attempts: list[_Attempt] = []
-    live_by_task: dict[int, list[int]] = {}
-    live_by_exec: dict[int, set[int]] = {}
-    synthetic_tasks: set[int] = set()
-    consumed_failures = 0
-
-    def pop_idle() -> tuple[float, int, int] | None:
-        while idle:
-            free_time, e, c = heapq.heappop(idle)
-            if e not in dead:
-                return free_time, e, c
-        return None
-
-    def start_attempt(task: int, duration: float, now: float, slot: tuple[float, int, int],
-                      is_copy: bool = False) -> None:
-        nonlocal seq
-        free_time, e, c = slot
-        start = max(free_time, now)
-        aid = len(attempts)
-        attempts.append(_Attempt(task, e, c, duration, is_copy))
-        live_by_task.setdefault(task, []).append(aid)
-        live_by_exec.setdefault(e, set()).add(aid)
-        heapq.heappush(events, (start + duration, seq, "finish", aid))
-        seq += 1
-
-    def launch(now: float) -> None:
-        nonlocal next_synthetic
-        while pending or synthetic_pending:
-            slot = pop_idle()
-            if slot is None:
-                return
-            if pending:
-                task, duration = pending.popleft()
-            else:
-                duration = synthetic_pending.pop(0)
-                task = next_synthetic
-                next_synthetic += 1
-                synthetic_tasks.add(task)
-            start_attempt(task, duration, now, slot)
-
-    def retire(aid: int, now: float, free_slot: bool = True) -> None:
-        """Remove an attempt from the live indexes, freeing its slot."""
-        a = attempts[aid]
-        ids = live_by_task.get(a.task)
-        if ids and aid in ids:
-            ids.remove(aid)
-        live_by_exec.get(a.executor, set()).discard(aid)
-        if free_slot and a.executor not in dead:
-            heapq.heappush(idle, (now, a.executor, a.core))
-
-    def maybe_speculate(now: float) -> None:
-        nonlocal spec_launched
-        if not spec.enabled or not completed:
-            return
-        if pending or synthetic_pending:
-            return  # copies only run on cores that would otherwise idle
-        quota = max(1, int(spec.quantile * n_real))
-        if len(completed) < quota:
-            return
-        med = statistics.median(completed)
-        threshold = spec.multiplier * med
-        for a in attempts:
-            if a.cancelled or a.finished or a.is_copy:
-                continue
-            if a.task in synthetic_tasks or a.task in done_exec:
-                continue
-            if a.duration <= threshold:
-                continue
-            if any(attempts[o].is_copy for o in live_by_task.get(a.task, [])):
-                continue  # one copy at a time, like Spark
-            slot = pop_idle()
-            if slot is None:
-                return
-            if slot[0] > now:
-                heapq.heappush(idle, slot)  # no core idle *right now*
-                return
-            start_attempt(a.task, base_durations[a.task], now, slot, is_copy=True)
-            spec_launched += 1
-
-    launch(0.0)
-    n_failures_applied = 0
-    makespan = 0.0
-    while events:
-        t, _s, kind, payload = heapq.heappop(events)
-        if kind == "fail":
-            e = payload
-            consumed_failures += 1
-            if e in dead or e >= num_executors:
-                continue
-            dead.add(e)
-            n_failures_applied += 1
-            makespan = max(makespan, t)
-            for aid in list(live_by_exec.get(e, ())):
-                a = attempts[aid]
-                a.cancelled = True
-                retire(aid, t, free_slot=False)
-                survivors = live_by_task.get(a.task, [])
-                if a.task not in done_exec and not survivors:
-                    if a.task in synthetic_tasks:
-                        synthetic_pending.append(a.duration)
-                    else:
-                        pending.append((a.task, durations[a.task]))
-                    requeues += 1
-            # Completed work lost with the executor:
-            if is_shuffle_map:
-                for task, ex in list(done_exec.items()):
-                    if ex == e and task not in synthetic_tasks:
-                        del done_exec[task]
-                        pending.append((task, durations[task]))
-                        requeues += 1
-            elif recompute_duration_s > 0.0:
-                # Reduce stage: the dead executor's parent-map share must be
-                # recomputed and its shuffle output re-fetched.
-                synthetic_pending.append(recompute_duration_s)
-                synthetic_s += recompute_duration_s
-            launch(t)
-        else:
-            a = attempts[payload]
-            if a.cancelled or a.finished:
-                continue
-            a.finished = True
-            task = a.task
-            if task in done_exec:  # pragma: no cover - losers are cancelled eagerly
-                retire(payload, t)
-                continue
-            done_exec[task] = a.executor
-            end_time[task] = t
-            makespan = max(makespan, t)
-            if task not in synthetic_tasks:
-                completed.append(a.duration)
-                if a.is_copy:
-                    spec_wins += 1
-            # Cancel the losing attempts, freeing their cores now.
-            for other in list(live_by_task.get(task, [])):
-                if other != payload:
-                    attempts[other].cancelled = True
-                    retire(other, t)
-            retire(payload, t)
-            maybe_speculate(t)
-            launch(t)
-        all_done = (
-            not pending
-            and not synthetic_pending
-            and len([x for x in done_exec if x not in synthetic_tasks]) == n_real
-            and not any(
-                not a.cancelled and not a.finished for a in attempts
-            )
-        )
-        if all_done:
-            break
-
-    n_done = len([x for x in done_exec if x not in synthetic_tasks])
-    if n_done < n_real or pending or synthetic_pending:
-        raise RuntimeError(
-            "cluster lost all executors before the stage completed "
-            f"({n_done}/{n_real} tasks done)"
-        )
-    return _StageOutcome(
-        makespan_s=makespan,
-        n_failures=n_failures_applied,
-        n_requeued=requeues,
-        n_speculative=spec_launched,
-        n_spec_wins=spec_wins,
-        recompute_task_s=synthetic_s,
-        consumed_failures=consumed_failures,
-        newly_dead=dead - dead_at_start,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Stage cost model (shared by the legacy and event-driven paths)
-# ---------------------------------------------------------------------------
-def _stage_costs(stage: StageMetrics, config: ClusterConfig, alive_executors: int):
-    """Per-task durations plus stage-level IO terms for ``alive_executors``."""
+def _simulate_stage(stage: StageMetrics, config: ClusterConfig) -> SimulatedStage:
+    if not stage.tasks:
+        # Empty-partition stages launch no tasks and therefore pay no
+        # scheduler delay (regression: empty jobs used to be charged one
+        # scheduler_delay_s per stage).
+        return SimulatedStage(stage.stage_id, stage.name, 0.0, 0.0, 0.0, 0.0)
+    executors = config.num_executors
     net_bytes_per_s = config.network_bandwidth_mbps * 1e6 / 8.0
     disk_bytes_per_s = config.disk_bandwidth_mbps * 1e6 / 8.0
 
@@ -432,11 +90,11 @@ def _stage_costs(stage: StageMetrics, config: ClusterConfig, alive_executors: in
     # memory spills (one write + one read through the disk) and slows the
     # CPU work on the spilled share.
     stage_bytes = stage.total_bytes_in * config.data_scale
-    per_executor = stage_bytes / alive_executors
+    per_executor = stage_bytes / executors
     mem = config.executor_memory_bytes
     excess = max(0.0, per_executor - mem)
     spill_fraction = 0.0 if per_executor <= 0 else excess / per_executor
-    spilled_total = excess * alive_executors
+    spilled_total = excess * executors
     spill_io_s_per_executor = config.spill_io_passes * excess / disk_bytes_per_s
 
     # --- per-task simulated cost ----------------------------------------
@@ -460,120 +118,31 @@ def _stage_costs(stage: StageMetrics, config: ClusterConfig, alive_executors: in
     external_bytes = max(0.0, stage_bytes - shuffle_bytes)
     fixed = (
         spill_io_s_per_executor
-        + external_bytes / alive_executors / disk_bytes_per_s
+        + external_bytes / executors / disk_bytes_per_s
         + config.scheduler_delay_s
     )
-    return durations, shuffle_read_s_total, spilled_total, fixed, net_bytes_per_s
-
-
-def _simulate_stage(stage: StageMetrics, config: ClusterConfig) -> SimulatedStage:
-    if not stage.tasks:
-        # Empty-partition stages launch no tasks and therefore pay no
-        # scheduler delay (regression: empty jobs used to be charged one
-        # scheduler_delay_s per stage).
-        return SimulatedStage(stage.stage_id, stage.name, 0.0, 0.0, 0.0, 0.0)
-    durations, shuffle_read_s, spilled, fixed, _net = _stage_costs(
-        stage, config, config.num_executors
-    )
-    makespan = greedy_makespan(durations, config.total_cores) + fixed
     return SimulatedStage(
         stage_id=stage.stage_id,
         name=stage.name,
-        makespan_s=makespan,
+        makespan_s=greedy_makespan(durations, config.total_cores) + fixed,
         total_task_s=sum(durations),
-        spilled_bytes=spilled,
-        shuffle_read_s=shuffle_read_s,
+        spilled_bytes=spilled_total,
+        shuffle_read_s=shuffle_read_s_total,
     )
 
 
-def simulate_job(
-    job: JobMetrics,
-    config: ClusterConfig,
-    faults: SimFaultProfile | None = None,
-    obs=None,
-) -> SimulatedRun:
+def simulate_job(job: JobMetrics, config: ClusterConfig, obs=None) -> SimulatedRun:
     """Replay a measured job on the given cluster configuration.
 
-    Without ``faults`` this is the classic failure-free FIFO replay.  With a
-    profile, stages run through the event-driven engine: executor deaths
-    persist across stages, lost work is re-executed, and speculation can
-    cut straggler tails.  ``obs`` (an optional ObsSession, duck-typed) gets
-    one ``sim_stage`` event per simulated stage plus ``sim_spill`` events
-    when a stage spills under memory pressure.
+    ``obs`` (an optional ObsSession, duck-typed) gets one ``sim_stage``
+    event per simulated stage plus ``sim_spill`` events when a stage spills
+    under memory pressure.
     """
     run = SimulatedRun(config=config)
-    if faults is None:
-        for stage in job.stages:
-            sim = _simulate_stage(stage, config)
-            run.stages.append(sim)
-            _emit_sim_stage(obs, sim, config)
-        return run
-
-    clock = 0.0
-    dead: set[int] = set()
-    remaining = sorted(faults.executor_failures)
-    prev_map: StageMetrics | None = None
-    cores = config.executor_spec.vcores
-
     for stage in job.stages:
-        if not stage.tasks:
-            empty = SimulatedStage(stage.stage_id, stage.name, 0.0, 0.0, 0.0, 0.0)
-            run.stages.append(empty)
-            _emit_sim_stage(obs, empty, config)
-            continue
-        alive = config.num_executors - len(dead)
-        if alive <= 0:
-            raise RuntimeError("cluster lost all executors")
-        base_durations, shuffle_read_s, spilled, fixed, net_bps = _stage_costs(
-            stage, config, alive
-        )
-        mult = faults.stragglers.multipliers(len(base_durations), salt=stage.stage_id)
-        durations = [d * m for d, m in zip(base_durations, mult)]
-
-        # A death during a reduce stage loses 1/alive of the parent map
-        # stage's outputs: charge their recomputation plus the re-fetch.
-        recompute_s = 0.0
-        reads_shuffle = any(t.shuffle_read_bytes for t in stage.tasks)
-        if reads_shuffle and prev_map is not None:
-            share = 1.0 / alive
-            recompute_s = (
-                prev_map.total_task_seconds * config.data_scale * config.cpu_speed_factor
-                + prev_map.total_shuffle_write * config.data_scale / net_bps
-            ) * share
-
-        rel_failures = [(t - clock, e) for t, e in remaining]
-        outcome = _simulate_stage_events(
-            durations,
-            base_durations,
-            config.num_executors,
-            cores,
-            dead,
-            rel_failures,
-            faults.speculation,
-            stage.is_shuffle_map,
-            recompute_s,
-        )
-        remaining = remaining[outcome.consumed_failures:]
-        dead |= outcome.newly_dead
-        makespan = outcome.makespan_s + fixed
-        clock += makespan
-        sim = SimulatedStage(
-            stage_id=stage.stage_id,
-            name=stage.name,
-            makespan_s=makespan,
-            total_task_s=sum(durations),
-            spilled_bytes=spilled,
-            shuffle_read_s=shuffle_read_s,
-            n_failures=outcome.n_failures,
-            n_requeued=outcome.n_requeued,
-            n_speculative=outcome.n_speculative,
-            n_spec_wins=outcome.n_spec_wins,
-            recompute_task_s=outcome.recompute_task_s,
-        )
+        sim = _simulate_stage(stage, config)
         run.stages.append(sim)
         _emit_sim_stage(obs, sim, config)
-        if stage.is_shuffle_map:
-            prev_map = stage
     return run
 
 
@@ -584,26 +153,8 @@ def _emit_sim_stage(obs, sim: SimulatedStage, config: ClusterConfig) -> None:
     obs.emit(
         "sim_stage", stage_id=sim.stage_id, name=sim.name,
         makespan_s=sim.makespan_s, total_task_s=sim.total_task_s,
-        spilled_bytes=sim.spilled_bytes, n_failures=sim.n_failures,
-        n_requeued=sim.n_requeued, num_executors=config.num_executors,
+        spilled_bytes=sim.spilled_bytes, num_executors=config.num_executors,
     )
     if sim.spilled_bytes > 0:
         obs.emit("sim_spill", stage_id=sim.stage_id, spilled_bytes=sim.spilled_bytes)
         obs.registry.counter("sim.spilled_bytes").inc(int(sim.spilled_bytes))
-
-
-def simulate_executor_sweep(
-    job: JobMetrics,
-    executor_counts: list[int],
-    base: ClusterConfig | None = None,
-    faults: SimFaultProfile | None = None,
-) -> dict[int, SimulatedRun]:
-    """Convenience: simulate the same job across several executor counts."""
-    import dataclasses
-
-    base = base or ClusterConfig()
-    out: dict[int, SimulatedRun] = {}
-    for n in executor_counts:
-        cfg = dataclasses.replace(base, num_executors=n)
-        out[n] = simulate_job(job, cfg, faults=faults)
-    return out

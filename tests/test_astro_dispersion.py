@@ -111,13 +111,6 @@ class TestDMGrid:
         assert near.size > 0
         assert np.all(np.abs(near - 100.0) <= 5.0)
 
-    def test_nearest_trial(self):
-        grid = DMGrid(max_dm=100.0, coarsen=10.0)
-        t = grid.nearest_trial(33.33)
-        trials = grid.trial_dms()
-        assert t in trials
-        assert abs(t - 33.33) == np.min(np.abs(trials - 33.33))
-
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             DMGrid(max_dm=0.0)

@@ -61,6 +61,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "executors:" in out
 
+    def test_simulate_rejects_impossible_cluster(self, capsys):
+        # Refused at parse time (exit 2), before D-RAPID runs.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--observations", "1", "--executors", "4", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--executors" in captured.err and "num_executors" in captured.err
+        assert "identified" not in captured.out
+
     def test_serve(self, capsys):
         assert main(["serve", "--tenants", "2", "--pulsars", "3",
                      "--observations", "1", "--seed", "5",

@@ -366,12 +366,3 @@ class TestBatchAdapters:
         view = batch.slice(2, 8)
         assert view.dm.base is batch.dm or view.dm.base is batch.dm.base
         assert len(view) == 6
-
-    def test_dataset_from_pulse_batch(self, observation):
-        from repro.ml.dataset import Dataset
-
-        pb = run_rapid_observation_batch(observation).pulse_batch
-        y = pb.is_pulsar.astype(int)
-        ds = Dataset.from_pulse_batch(pb, y)
-        assert ds.X is pb.features  # zero-copy
-        assert ds.feature_names == FEATURE_NAMES

@@ -1,14 +1,13 @@
 """ExecutionConfig and KernelConfig semantics.
 
 Validation of the frozen records, the environment < config < CLI
-resolution order for backend/workers, the numba-absent import fallback,
-the ``kernel_selected`` observability event ``single_pulse_search`` emits
-(and its trace-report section), and the CLI flag plumbing.
+resolution order for backend/workers, the one implementation name
+``resolve_impl`` still validates, the ``kernel_selected`` observability
+event ``single_pulse_search`` emits (and its trace-report section), and
+the CLI flag plumbing.
 """
 
-import importlib
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ class TestKernelConfigValidation:
     def test_defaults_resolve(self):
         k = KernelConfig().resolved()
         assert k.method == "direct"
-        assert k.impl == "auto"
+        assert k.impl == "numpy"
         assert k.boxcar == "cumsum"
 
     def test_boxcar_couples_to_method(self):
@@ -41,8 +40,8 @@ class TestKernelConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(method="fft"),
         dict(method=None),
-        dict(impl="cuda"),
-        dict(impl=None),
+        dict(method="numba"),
+        dict(tol_samples=0.0),
         dict(boxcar="fft"),
         dict(n_subbands=0),
         dict(n_subbands=-2),
@@ -109,47 +108,17 @@ class TestFacadeShim:
 
 
 class TestNumbaFallback:
-    def test_absent_numba_disables_cleanly(self, monkeypatch):
-        """With numba unimportable, the shim module must land with
-        HAS_NUMBA=False and None kernels — and resolve_impl must degrade
-        both 'auto' and an explicit 'numba' request to 'numpy'."""
-        import repro.astro._kernels_numba as shim
+    def test_resolve_impl_degrades_when_absent(self):
+        """Only NumPy exists: every accepted name resolves to it, and any
+        other name (a JIT or GPU layer) is refused, naming the accepted ones."""
+        from repro.astro.kernels import HAS_NUMBA, resolve_impl
 
-        monkeypatch.setitem(sys.modules, "numba", None)
-        try:
-            reloaded = importlib.reload(shim)
-            assert reloaded.HAS_NUMBA is False
-            assert reloaded.dedisperse_accumulate is None
-            assert reloaded.scatter_add_shifted is None
-            assert reloaded.best_z_cumsum is None
-        finally:
-            monkeypatch.delitem(sys.modules, "numba", raising=False)
-            importlib.reload(shim)
-
-    def test_resolve_impl_degrades_when_absent(self, monkeypatch):
-        import repro.astro.kernels as kernels
-
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        assert kernels.resolve_impl("auto") == "numpy"
-        assert kernels.resolve_impl("numba") == "numpy"
-        assert kernels.resolve_impl("numpy") == "numpy"
-        monkeypatch.setattr(kernels, "HAS_NUMBA", True)
-        assert kernels.resolve_impl("auto") == "numba"
-        assert kernels.resolve_impl("numba") == "numba"
-
-    def test_numba_impl_request_still_computes(self):
-        """impl='numba' must produce correct output whether or not numba is
-        actually importable (falls back to the numpy path if not)."""
-        from repro.astro.kernels import dedisperse_batch
-
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(8, 128))
-        edges = np.linspace(300.0, 400.0, 9)
-        freqs = 0.5 * (edges[:-1] + edges[1:])
-        dms = [10.0, 40.0, 90.0]
-        a = dedisperse_batch(data, freqs, 400.0, 1e-3, dms)
-        b = dedisperse_batch(data, freqs, 400.0, 1e-3, dms, impl="numba")
-        assert np.array_equal(a, b)
+        assert HAS_NUMBA is False
+        for impl in ("auto", "numpy", None):
+            assert resolve_impl(impl) == "numpy"
+        for impl in ("numba", "cuda"):
+            with pytest.raises(ValueError, match="'numpy', 'auto'"):
+                resolve_impl(impl)
 
 
 class TestKernelSelectedObservability:
@@ -171,13 +140,12 @@ class TestKernelSelectedObservability:
         return log, [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
 
     def test_event_emitted_with_resolution_fields(self, tmp_path):
-        _log, events = self._search_with_trace(tmp_path, method="tree", impl="numpy")
+        _log, events = self._search_with_trace(tmp_path, method="tree")
         assert len(events) == 1
         ev = events[0]
         assert ev["method"] == "tree"
-        assert ev["impl"] == "numpy"
-        assert ev["impl_requested"] == "numpy"
         assert ev["boxcar"] == "decomposed"
+        assert "impl" not in ev and "impl_requested" not in ev
 
     def test_trace_report_surfaces_kernels_section(self, tmp_path):
         from repro.obs import build_report, render_text
@@ -188,22 +156,6 @@ class TestKernelSelectedObservability:
         text = render_text(report)
         assert "front-end kernels" in text
         assert "subband" in text
-
-    def test_fallback_visible_in_event(self, tmp_path, monkeypatch):
-        """Requesting numba without numba present records the degradation:
-        impl_requested='numba' but impl='numpy', in the event and the report."""
-        import repro.astro.kernels as kernels
-        from repro.obs import build_report, render_text
-
-        monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-        log, events = self._search_with_trace(
-            tmp_path, method="subband", impl="numba")
-        assert len(events) == 1
-        ev = events[0]
-        assert ev["method"] == "subband"
-        assert ev["impl_requested"] == "numba"
-        assert ev["impl"] == "numpy"
-        assert "numpy (requested numba)" in render_text(build_report(str(log)))
 
     def test_pipeline_trace_has_no_kernel_event(self, tmp_path):
         """A run that never dedisperses records no kernel choice."""
@@ -272,7 +224,7 @@ class TestFrontendSearchIntegration:
         for method in ("direct", "subband", "tree"):
             spes = single_pulse_search(
                 fb, trial_dms, snr_threshold=survey.snr_threshold,
-                kernel=KernelConfig(method=method, impl="numpy"),
+                kernel=KernelConfig(method=method),
             )
             assert spes, method
             best = max(spes, key=lambda s: s.snr)
@@ -301,8 +253,7 @@ class TestFrontendSearchIntegration:
         legacy = single_pulse_search(fb, trials, snr_threshold=6.0)
         configured = single_pulse_search(
             fb, trials, snr_threshold=6.0,
-            kernel=KernelConfig(method="direct", impl="numpy",
-                                boxcar="cumsum"),
+            kernel=KernelConfig(method="direct", boxcar="cumsum"),
         )
         assert json.dumps([s.__dict__ for s in legacy], default=str) == \
             json.dumps([s.__dict__ for s in configured], default=str)

@@ -140,7 +140,7 @@ def test_core_public_surface_names_only_what_runs():
 LAW_OPERATORS = {
     # the generic shuffle of the fault, obs and memo suites (test_sparklet_faults,
     # test_sparklet_scheduler, test_chaos_fault_tolerance, test_properties_memo,
-    # ...) and of bench_fault_tolerance.py / bench_observability.py
+    # ...) and of bench_observability.py
     "reduce_by_key",
     # bench_ablations.py: the paper's aggregateByKey-vs-groupByKey argument
     "group_by_key",
@@ -175,3 +175,32 @@ def test_every_sparklet_operator_has_a_caller():
     }
     assert len(public) > 20 and LAW_OPERATORS <= public
     assert public - LAW_OPERATORS - called == set()
+
+
+def test_numpy_is_the_only_kernel_layer():
+    """No JIT layer in ``src/``: the one mention of numba left is the
+    ``HAS_NUMBA = False`` constant the benchmark records read."""
+    mentions = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        text = path.read_text()
+        if path.relative_to(REPO / "src").as_posix() == "repro/astro/kernels.py":
+            assert text.count("HAS_NUMBA = False") == 1
+            text = text.replace("HAS_NUMBA", "")
+        if "numba" in text.lower():
+            mentions[str(path.relative_to(REPO))] = text.lower().count("numba")
+    assert mentions == {}
+
+
+def test_simulator_is_the_failure_free_fig4_engine():
+    """``simulate_job`` replays a failure-free job; faults are injected into
+    real tasks (``FaultInjector``), never into the simulated clock."""
+    import inspect
+
+    import repro.sparklet
+    from repro.sparklet.simulation import simulate_job
+
+    params = inspect.signature(simulate_job).parameters
+    assert list(params) == ["job", "config", "obs"] and params["obs"].default is None
+    gone = {"SimFaultProfile", "StragglerModel", "SpeculationConfig"}
+    assert gone.isdisjoint(repro.sparklet.__all__)
+    assert not any(hasattr(repro.sparklet.simulation, name) for name in gone)

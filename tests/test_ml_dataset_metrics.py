@@ -26,18 +26,13 @@ class TestDataset:
         ds = Dataset(np.zeros((5, 2)), np.array([0, 0, 1, 1, 1]))
         assert list(ds.class_counts()) == [2, 3]
 
-    def test_imbalance_ratio(self):
-        ds = Dataset(np.zeros((10, 1)), np.array([0] * 8 + [1] * 2))
-        assert ds.imbalance_ratio() == pytest.approx(4.0)
-
-    def test_subset_and_select_features(self):
+    def test_subset(self):
         ds = Dataset(np.arange(12.0).reshape(4, 3), np.array([0, 1, 0, 1]),
                      feature_names=("a", "b", "c"))
         sub = ds.subset(np.array([0, 2]))
         assert sub.n_instances == 2
-        sel = ds.select_features([2, 0])
-        assert sel.feature_names == ("c", "a")
-        assert sel.X[0, 0] == 2.0
+        assert sub.feature_names == ("a", "b", "c")
+        assert sub.X[1, 0] == 6.0
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

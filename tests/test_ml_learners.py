@@ -175,7 +175,7 @@ class TestSMO:
     def test_ovo_machine_count_quadratic(self, toy_classification):
         X, y = toy_classification
         clf = SMO(max_passes=1, seed=0).fit(X, y)
-        assert clf.n_machines == 3  # C(3,2)
+        assert len(clf._machines) == 3  # C(3,2)
 
     def test_linear_kernel_separable(self):
         rng = np.random.default_rng(3)

@@ -112,13 +112,6 @@ class TestSPEBatchProperties:
 
     @SETTINGS
     @given(spes=spe_records)
-    def test_sort_by_time_matches_sorted(self, spes):
-        batch = SPEBatch.from_records(spes)
-        want = sorted(spes, key=lambda s: (s.time_s, s.dm))
-        assert oracle.spe_records(batch.sort_by_time()) == want
-
-    @SETTINGS
-    @given(spes=spe_records)
     def test_csv_rows_match_per_record_serializer(self, spes):
         batch = SPEBatch.from_records(spes)
         assert batch.to_csv_rows() == [s.to_csv_row() for s in spes]
@@ -145,17 +138,6 @@ class TestClusterBatchProperties:
     def test_lines_match_per_record_serializer(self, recs):
         batch = ClusterBatch.from_records(recs)
         assert batch.to_lines() == [r.to_line() for r in recs]
-
-    @SETTINGS
-    @given(recs=cluster_records)
-    def test_split_by_key_preserves_order(self, recs):
-        batch = ClusterBatch.from_records(recs)
-        seen: dict[str, list[ClusterRecord]] = {}
-        for r in recs:
-            seen.setdefault(r.key, []).append(r)
-        got = {k: oracle.cluster_records(b) for k, b in batch.split_by_key()}
-        assert list(got) == list(seen)
-        assert got == seen
 
     @SETTINGS
     @given(chunks=st.lists(cluster_records, max_size=4))

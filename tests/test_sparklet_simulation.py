@@ -6,7 +6,7 @@ import pytest
 
 from repro.sparklet.cluster import ClusterConfig, ExecutorSpec
 from repro.sparklet.metrics import JobMetrics, StageMetrics, TaskMetrics
-from repro.sparklet.simulation import greedy_makespan, simulate_executor_sweep, simulate_job
+from repro.sparklet.simulation import greedy_makespan, simulate_job
 
 
 def make_job(durations, bytes_in=1000, shuffle_read=0, stage_id=0) -> JobMetrics:
@@ -48,16 +48,17 @@ class TestGreedyMakespan:
 class TestSimulateJob:
     def test_more_executors_faster(self):
         job = make_job([0.1] * 64)
-        runs = simulate_executor_sweep(job, [1, 5, 10, 20])
-        elapsed = [runs[n].elapsed_s for n in (1, 5, 10, 20)]
+        elapsed = [simulate_job(job, ClusterConfig(num_executors=n)).elapsed_s
+                   for n in (1, 5, 10, 20)]
         assert elapsed == sorted(elapsed, reverse=True)
 
     def test_skew_limits_scaling(self):
         # One giant task: beyond enough-executors, elapsed flattens at it.
         job = make_job([5.0] + [0.01] * 50)
-        runs = simulate_executor_sweep(job, [5, 20])
-        assert runs[20].elapsed_s >= 5.0
-        assert runs[20].elapsed_s == pytest.approx(runs[5].elapsed_s, rel=0.2)
+        five, twenty = (simulate_job(job, ClusterConfig(num_executors=n)).elapsed_s
+                        for n in (5, 20))
+        assert twenty >= 5.0
+        assert twenty == pytest.approx(five, rel=0.2)
 
     def test_memory_pressure_penalizes_few_executors(self):
         # Data far exceeding one executor's memory: the 1-executor run must
@@ -122,85 +123,69 @@ class TestEmptyStages:
         assert with_empty == pytest.approx(only_real)
 
 
-class TestFaultProfileSimulation:
-    def _chain_job(self):
-        """A map stage feeding a reduce stage, as D-RAPID's DAG does."""
-        job = JobMetrics(job_id=0)
-        m = StageMetrics(0, "map", is_shuffle_map=True)
-        for i in range(16):
-            m.tasks.append(TaskMetrics(stage_id=0, partition=i, duration_s=0.2,
-                                       bytes_in=1000, shuffle_write_bytes=5000))
-        r = StageMetrics(1, "reduce")
-        for i in range(8):
-            r.tasks.append(TaskMetrics(stage_id=1, partition=i, duration_s=0.1,
-                                       bytes_in=1000, shuffle_read_bytes=5000))
-        job.stages.extend([m, r])
-        return job
+def spilling_chain_job() -> JobMetrics:
+    """A map stage feeding a reduce stage, as D-RAPID's DAG does, plus an
+    empty stage; 4.8 GB of map input spills on one or two executors."""
+    job = JobMetrics(job_id=0)
+    m = StageMetrics(0, "map", is_shuffle_map=True)
+    for i in range(6):
+        m.tasks.append(TaskMetrics(stage_id=0, partition=i, duration_s=0.05 + 0.01 * i,
+                                   bytes_in=800 * 1024**2, shuffle_write_bytes=3_000_000))
+    r = StageMetrics(1, "reduce")
+    for i in range(4):
+        r.tasks.append(TaskMetrics(stage_id=1, partition=i, duration_s=0.02 * (i + 1),
+                                   bytes_in=4_500_000, shuffle_read_bytes=4_500_000))
+    job.stages.extend([m, r, StageMetrics(2, "empty")])
+    return job
 
-    def test_zero_fault_profile_matches_legacy_path(self):
-        from repro.sparklet.simulation import SimFaultProfile
 
-        job = self._chain_job()
-        cfg = ClusterConfig(num_executors=3)
-        legacy = simulate_job(job, cfg)
-        event = simulate_job(job, cfg, faults=SimFaultProfile())
-        assert event.elapsed_s == pytest.approx(legacy.elapsed_s)
-        assert event.n_failures == 0 and event.n_requeued == 0
+class TestPinnedReplay:
+    """The failure-free replay is the Fig. 4 engine: its numbers on a fixed
+    job are pinned to the bit, as recorded before the fault model (executor
+    failures, stragglers, speculation) was removed from the simulator."""
 
-    def test_failures_inflate_makespan_monotonically(self):
-        from repro.sparklet.simulation import SimFaultProfile
+    @pytest.mark.parametrize("executors, elapsed_s, spilled_bytes", [
+        (1, 150.51838019268084, 3422552064.0),
+        (2, 49.53038632034042, 1811939328.0),
+        (5, 8.309361552340425, 0.0),
+    ])
+    def test_elapsed_and_spill_unchanged(self, executors, elapsed_s, spilled_bytes):
+        run = simulate_job(spilling_chain_job(), ClusterConfig(num_executors=executors))
+        assert run.elapsed_s == elapsed_s
+        assert run.total_spilled_bytes == spilled_bytes
 
-        job = self._chain_job()
-        cfg = ClusterConfig(num_executors=4)
-        base = simulate_job(job, cfg, faults=SimFaultProfile()).elapsed_s
-        prev = base
-        for n_failures in (1, 2, 3):
-            trace = tuple((0.05 * (k + 1), k) for k in range(n_failures))
-            run = simulate_job(job, cfg, faults=SimFaultProfile(executor_failures=trace))
-            assert run.n_failures == n_failures
-            assert run.n_requeued > 0
-            assert run.elapsed_s >= prev
-            prev = run.elapsed_s
-        assert prev > base
 
-    def test_reduce_stage_death_charges_parent_recompute(self):
-        from repro.sparklet.simulation import SimFaultProfile
+class TestClusterConfigValidation:
+    """An impossible cluster is refused when it is built, naming the field,
+    instead of dividing by zero (or returning negative time) mid-replay."""
 
-        job = self._chain_job()
-        cfg = ClusterConfig(num_executors=4)
-        map_span = simulate_job(job, cfg, faults=SimFaultProfile()).stages[0].makespan_s
-        # Kill an executor just after the reduce stage starts.
-        trace = ((map_span + 0.01, 0),)
-        run = simulate_job(job, cfg, faults=SimFaultProfile(executor_failures=trace))
-        assert run.stages[1].recompute_task_s > 0.0
+    @pytest.mark.parametrize("field, value", [
+        ("num_executors", 0),
+        ("num_executors", -3),
+        ("network_bandwidth_mbps", 0.0),
+        ("disk_bandwidth_mbps", -1.0),
+        ("data_scale", 0.0),
+        ("data_scale", -1.0),
+        ("data_scale", float("nan")),
+        ("cpu_speed_factor", 0.0),
+        ("memory_fraction", 0.0),
+        ("memory_fraction", 1.5),
+        ("task_overhead_s", -0.001),
+        ("scheduler_delay_s", -1.0),
+        ("spill_cpu_penalty", -0.5),
+        ("spill_io_passes", -1.0),
+    ])
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**{field: value})
 
-    def test_losing_every_executor_raises(self):
-        from repro.sparklet.simulation import SimFaultProfile
-
-        job = self._chain_job()
-        cfg = ClusterConfig(num_executors=2)
-        trace = ((0.01, 0), (0.02, 1))
-        with pytest.raises(RuntimeError, match="lost all executors"):
-            simulate_job(job, cfg, faults=SimFaultProfile(executor_failures=trace))
-
-    def test_speculation_beats_stragglers(self):
-        from repro.sparklet.simulation import (SimFaultProfile, SpeculationConfig,
-                                               StragglerModel)
-
-        job = self._chain_job()
-        cfg = ClusterConfig(num_executors=4)
-        stragglers = StragglerModel(prob=0.2, factor=6.0, seed=7)
-        off = simulate_job(job, cfg, faults=SimFaultProfile(stragglers=stragglers))
-        on = simulate_job(job, cfg, faults=SimFaultProfile(
-            stragglers=stragglers, speculation=SpeculationConfig(enabled=True)))
-        assert on.n_speculative > 0
-        assert on.elapsed_s < off.elapsed_s
-
-    def test_failure_trace_classmethod_is_seeded(self):
-        from repro.sparklet.simulation import SimFaultProfile
-
-        a = SimFaultProfile.failure_trace(0.5, 10.0, 4, seed=3)
-        b = SimFaultProfile.failure_trace(0.5, 10.0, 4, seed=3)
-        c = SimFaultProfile.failure_trace(0.5, 10.0, 4, seed=4)
-        assert a.executor_failures == b.executor_failures
-        assert a.executor_failures != c.executor_failures
+    @pytest.mark.parametrize("field, value", [
+        ("memory_fraction", 1.0),
+        ("task_overhead_s", 0.0),
+        ("scheduler_delay_s", 0.0),
+        ("spill_cpu_penalty", 0.0),
+        ("spill_io_passes", 0.0),
+    ])
+    def test_boundary_values_accepted(self, field, value):
+        run = simulate_job(make_job([0.1] * 4), ClusterConfig(**{field: value}))
+        assert run.elapsed_s > 0.0
