@@ -9,15 +9,15 @@ Times the three front-end stages the ISSUE targets, at several
 - dedispersion alone — per-channel Python shift loop vs
   :func:`repro.astro.kernels.dedisperse_batch`, plus the two-stage subband
   path on a fine DM ladder (where partial-sum reuse pays off);
-- kernel methods — direct/subband/tree curves on large fine
-  DM grids (``KernelConfig`` dispatch), with in-bench equivalence checks
-  (direct ≡ naive reference; tree within its shift-tolerance law);
+- kernel methods — direct/subband curves on large fine DM grids
+  (``KernelConfig`` dispatch), with an in-bench equivalence check
+  (direct ≡ naive reference);
 - DBSCAN — the dict-of-cells sweep vs the columnar pair passes.
 
 Writes ``BENCH_frontend_kernels.json`` at the repo root (the perf
 trajectory baseline) and a table under ``benchmarks/results/``.
 
-Run:    PYTHONPATH=src python benchmarks/bench_frontend_kernels.py
+Run:    PYTHONPATH=src python benchmarks/bench_frontend_kernels.py [--smoke]
 or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_frontend_kernels.py -q
 """
 
@@ -41,13 +41,7 @@ from repro.astro.filterbank import (
     single_pulse_search,
     synthesize_filterbank,
 )
-from repro.astro.kernels import (
-    _tree_effective_shifts,
-    _tree_plan,
-    dedisperse_grid,
-    shift_table,
-    tree_shift_bound,
-)
+from repro.astro.kernels import dedisperse_grid
 from repro.execution import KernelConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -153,7 +147,7 @@ def bench_dedispersion() -> list[dict]:
 
 
 #: (name, n_channels, duration_s, dm_lo, dm_step, n_dms).  The fine grids
-#: are where subband/tree reuse pays: neighbouring trial DMs share most of
+#: are where subband reuse pays: neighbouring trial DMs share most of
 #: their per-subband partial sums.  "fine-large" is the acceptance scale.
 KERNEL_SCALES: tuple[tuple[str, int, float, float, float, int], ...] = (
     ("fine-medium", 64, 16.0, 40.0, 0.05, 600),
@@ -162,9 +156,8 @@ KERNEL_SCALES: tuple[tuple[str, int, float, float, float, int], ...] = (
 
 
 def _assert_kernel_equivalence(fb, trials) -> None:
-    """In-bench correctness guard: the numbers only count if the kernels
-    agree — direct rows equal the naive reference on sampled DMs, and the
-    tree's effective shifts obey the documented tolerance law."""
+    """In-bench correctness guard: the numbers only count if direct rows
+    equal the naive reference on sampled DMs."""
     freqs, f_ref, tsamp = fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s
     sample = trials[:: max(1, trials.size // 4)][:4]
     direct = dedisperse_grid(fb.data, freqs, f_ref, tsamp, sample,
@@ -172,16 +165,10 @@ def _assert_kernel_equivalence(fb, trials) -> None:
     for row, dm in zip(direct, sample):
         ref = _reference_dedisperse(fb.data, freqs, f_ref, tsamp, float(dm))
         assert np.max(np.abs(row - ref)) <= 1e-6, dm
-    eff = _tree_effective_shifts(freqs, f_ref, tsamp, trials)
-    exact = shift_table(freqs, f_ref, trials, tsamp)
-    n_sub = max(1, int(round(np.sqrt(freqs.size))))
-    levels, _, _ = _tree_plan(freqs, tsamp, np.unique(trials), n_sub, 1.0)
-    bound = tree_shift_bound(len(levels), 1.0)
-    assert np.max(np.abs(eff - exact)) <= bound, (np.max(np.abs(eff - exact)), bound)
 
 
 def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
-    """Tree/subband curves on fine DM grids, vs the naive front end and the
+    """Direct/subband curves on fine DM grids, vs the naive front end and the
     exact direct kernel.  Best-of-3 timing: the repo's CI box is a single
     slow core, and one-shot timings there are noise."""
     records = []
@@ -193,7 +180,7 @@ def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
                           repeats=1)
         curves = []
         t_direct_dedisp = None
-        for method in ("direct", "subband", "tree"):
+        for method in ("direct", "subband"):
             kernel = KernelConfig(method=method)
             t_dedisp = _timeit(
                 lambda: dedisperse_grid(fb.data, fb.channel_freqs_mhz,
@@ -253,6 +240,7 @@ def run_all() -> dict:
     results = {
         "benchmark": "frontend_kernels",
         "generated_by": "benchmarks/bench_frontend_kernels.py",
+        "smoke": False,
         "single_pulse_search": search,
         "dedispersion": dedisp,
         "kernel_methods": methods,
@@ -296,32 +284,32 @@ def test_frontend_kernel_speedup():
     )
     assert headline["speedup"] >= 5.0, headline
 
-    # Kernel-method acceptance at the largest fine DM grid: the tree front
-    # end beats the naive reference ≥5× end to end, and tree dedispersion
-    # beats the exact direct kernel ≥2×.
     large = next(r for r in results["kernel_methods"]
                  if r["scale"] == "fine-large")
-    tree = _curve(large, "tree")
-    assert tree["search_speedup_vs_naive"] >= 5.0, tree
-    assert tree["dedisperse_speedup_vs_direct"] >= 2.0, tree
+    _assert_subband_gate(_curve(large, "subband"))
     assert RESULT_JSON.exists()
 
 
+def _assert_subband_gate(subband: dict) -> None:
+    """Kernel-method acceptance at the largest fine DM grid: subband
+    dedispersion beats the exact direct kernel ≥2×, and the subband front
+    end beats the naive reference ≥5× end to end."""
+    assert subband["dedisperse_speedup_vs_direct"] >= 2.0, subband
+    assert subband["search_speedup_vs_naive"] >= 5.0, subband
+
+
 def run_smoke() -> None:
-    """CI gate: in-bench equivalence (direct ≡ reference, tree within its
-    tolerance law) plus tree-vs-direct ≥ 2× on the fine-large grid — the
-    scale where the tree's log-depth reuse has enough DMs to amortize its
-    plan.  Does not rewrite the committed JSON."""
-    records = bench_kernel_methods(scales=KERNEL_SCALES[1:2])
-    record = records[0]
-    tree = _curve(record, "tree")
+    """CI gate: in-bench equivalence (direct ≡ reference) plus the subband
+    gate on the fine-large grid.  Does not rewrite the committed JSON."""
+    record = bench_kernel_methods(scales=KERNEL_SCALES[1:2])[0]
+    subband = _curve(record, "subband")
     emit(
         "BENCH_frontend_kernels (smoke)",
-        f"tree vs direct dedispersion at {record['scale']}: "
-        f"{tree['dedisperse_speedup_vs_direct']}x "
-        f"(search vs naive: {tree['search_speedup_vs_naive']}x)",
+        f"subband vs direct dedispersion at {record['scale']}: "
+        f"{subband['dedisperse_speedup_vs_direct']}x "
+        f"(search vs naive: {subband['search_speedup_vs_naive']}x)",
     )
-    assert tree["dedisperse_speedup_vs_direct"] >= 2.0, tree
+    _assert_subband_gate(subband)
 
 
 if __name__ == "__main__":

@@ -52,19 +52,18 @@ def main() -> None:
     elapsed = time.perf_counter() - t0
     print(f"{len(spes)} single pulse events across {trials.size} trial DMs "
           f"in {elapsed * 1e3:.0f} ms (vectorized kernels)")
-    # On fine DM grids, KernelConfig(method="tree") reuses per-subband
-    # partial sums across neighbouring trial DMs (~2-3x over the exact
+    # On fine DM grids, KernelConfig(method="subband") reuses per-subband
+    # partial sums across neighbouring trial DMs (~3-4x over the exact
     # direct kernel; see BENCH_frontend_kernels.json).  On this coarse
-    # 2.5-unit ladder the tree falls back to the exact path by cost model,
-    # so the demonstration just confirms selection is a one-liner.  (The
-    # cumsum boxcar keeps the comparison bit-stable; the default decomposed
-    # mode differs by float summation order, ~1e-15.)
-    tree_spes = single_pulse_search(
+    # 2.5-unit ladder no two trial DMs share a subband group, so subband
+    # falls back to the exact path and the demonstration just confirms
+    # selection is a one-liner.
+    subband_spes = single_pulse_search(
         fb, trials, snr_threshold=5.5,
-        kernel=KernelConfig(method="tree", boxcar="cumsum"),
+        kernel=KernelConfig(method="subband"),
     )
-    assert len(tree_spes) == len(spes)
-    print(f"tree kernel path: {len(tree_spes)} events "
+    assert len(subband_spes) == len(spes)
+    print(f"subband kernel path: {len(subband_spes)} events "
           f"(coarse ladder -> exact fallback, same candidates)")
 
     print("\n=== stage 2: customized DBSCAN ===")

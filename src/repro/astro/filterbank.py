@@ -8,10 +8,10 @@ whole chain — voltages to classified candidates — exists in the repository:
 - :func:`synthesize_filterbank` — a (channels × samples) dynamic spectrum
   with radiometer noise and dispersed pulses swept across the band;
 - :func:`dedisperse` — incoherent shift-and-sum dedispersion at one trial
-  DM (the classic tree/brute-force step);
+  DM (the classic brute-force step);
 - :func:`dedisperse_all` — the whole trial-DM grid at once, via the kernel
   a :class:`repro.execution.KernelConfig` selects (exact ``direct``, or the
-  partial-sum-reusing ``subband`` / ``tree``);
+  partial-sum-reusing ``subband``);
 - :func:`single_pulse_search` — matched filtering of each dedispersed time
   series with boxcars of several widths and thresholding, emitting the SPE
   records the rest of the pipeline consumes.
@@ -171,10 +171,10 @@ def dedisperse_all(
 
     ``kernel`` (None means ``KernelConfig()``) selects the method.
     ``method="direct"`` is exact (matches :func:`dedisperse` per row);
-    ``"subband"`` reuses partial sums across neighbouring trial DMs and
-    ``"tree"`` applies that trick recursively over a binary merge tree —
-    both tolerance-bounded (see the :mod:`repro.astro.kernels` tolerance
-    law), large wins on fine DM ladders.
+    ``"subband"`` reuses partial sums across neighbouring trial DMs — every
+    channel lands within ``tol_samples + 1`` samples of its exact shift
+    (the :mod:`repro.astro.kernels` tolerance law), a large win on fine DM
+    ladders.
     """
     return dedisperse_grid(
         fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s,
@@ -212,21 +212,21 @@ def single_pulse_search(
     bit-level agreement with the float64 kernels.
 
     ``kernel`` (a :class:`repro.execution.KernelConfig`; None means
-    ``KernelConfig()``) selects the dedispersion method and boxcar mode.
+    ``KernelConfig()``) selects the dedispersion method.
     ``obs`` records the choice as one ``kernel_selected`` event and
     per-stage ``kernel.dedisperse`` / ``kernel.boxcar`` spans.
     """
-    if snr_threshold <= 0:
-        raise ValueError("snr_threshold must be positive")
+    if not (np.isfinite(snr_threshold) and snr_threshold > 0):
+        raise ValueError(f"snr_threshold must be finite and positive, got {snr_threshold!r}")
     trial_dms = np.asarray(trial_dms, dtype=float)
-    k = (kernel or KernelConfig()).resolved()
+    k = kernel or KernelConfig()
     if obs is not None:
-        obs.emit(KERNEL_SELECTED, method=k.method, boxcar=k.boxcar)
+        obs.emit(KERNEL_SELECTED, method=k.method)
     span = obs.tracer.span if obs is not None else (lambda *a, **k_: nullcontext())
     with span("kernel.dedisperse", method=k.method):
         block = dedisperse_all(fb, trial_dms, out_dtype=dtype, kernel=k)
-    with span("kernel.boxcar", boxcar=k.boxcar):
+    with span("kernel.boxcar"):
         rows, samples, snrs, widths = single_pulse_block_search(
-            block, snr_threshold, boxcar_widths, boxcar=k.boxcar
+            block, snr_threshold, boxcar_widths
         )
     return spes_from_search(trial_dms, fb.sample_time_s, rows, samples, snrs, widths)

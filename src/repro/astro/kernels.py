@@ -14,15 +14,10 @@ with NumPy kernels that process the whole trial-DM grid at once:
 - :func:`dedisperse_subband` — an optional two-stage subband path that
   reuses partial sums across neighbouring trial DMs (the classic ~O(√n_chan)
   trick; tolerance-bounded, wins on fine DM ladders);
-- :func:`dedisperse_tree` — the recursive extension of the subband trick: a
-  binary merge tree over channel subbands where every node is evaluated on a
-  coarsened trial-DM ladder, giving O(N·log DM)-style reuse on fine ladders
-  (Adámek & Armour's algorithmic framing);
 - :func:`dedisperse_grid` — the method dispatcher driven by
   :class:`repro.execution.KernelConfig`;
 - :func:`boxcar_snr` — O(n) sliding-boxcar SNR via cumulative sums, with
-  median/MAD noise estimated once per series, plus a ``decomposed`` mode
-  that builds long windows from shorter power-of-two window sums;
+  median/MAD noise estimated once per series;
 - :func:`find_peaks` — vectorized threshold + local-maxima pass;
 - :func:`single_pulse_block_search` — the fused per-row fast path used by
   :func:`repro.astro.filterbank.single_pulse_search`.
@@ -56,19 +51,19 @@ Every kernel is NumPy and nothing else.  :func:`resolve_impl` and
 :data:`HAS_NUMBA` survive only for callers that still name an
 implementation: they validate the name, and every accepted one means NumPy.
 
-Tolerance law (tree/subband)
-----------------------------
-The approximate paths replace per-(DM, channel) exact shifts with composed
-per-node shifts evaluated on coarsened DM ladders.  The guarantee, asserted
-by the hypothesis suite via :func:`_tree_effective_shifts`: every channel's
-*effective* shift is within :func:`tree_shift_bound` samples of the exact
-:func:`shift_table` shift — per tree level, at most ``tol_samples`` of
-ladder-coarsening error plus 1 sample of re-rounding.  Tie-break rules are
-exact and deterministic: ladder grouping is greedy over the ascending
-sorted unique DM ladder, a DM joins the open group while
-``dm − rep ≤ ddm(node)`` (strict ``>`` opens a new group), and the group's
-*first* member is its representative.  When a ladder admits no coarsening
-the paths fall back to the exact :func:`dedisperse_batch`.
+Tolerance law (subband)
+-----------------------
+The subband path replaces per-(DM, channel) exact shifts with intra-subband
+shifts evaluated at a group representative DM plus an exact inter-subband
+shift.  The guarantee: every channel's *effective* shift is within
+``tol_samples + 1`` samples of the exact :func:`shift_table` shift —
+``tol_samples`` of ladder-grouping error plus 1 sample of re-rounding.
+Tie-break rules are exact and deterministic: grouping is greedy over the
+ascending sorted DM ladder, a DM joins the open group while
+``dm − rep ≤ ddm_max`` (strict ``>`` opens a new group), and the group's
+*first* member is its representative.  When a ladder admits no grouping, or
+the channels are not in ascending frequency order, the path falls back to
+the exact :func:`dedisperse_batch`.
 
 The seed's naive implementations live in ``tests/oracles/frontend.py``
 so property tests can assert bit-for-bit (or tolerance-bounded)
@@ -80,6 +75,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.astro.dispersion import K_DM
+from repro.execution import KernelConfig, check_subband_settings
 
 #: No JIT layer exists; kept because benchmark records report it.
 HAS_NUMBA = False
@@ -92,10 +88,8 @@ __all__ = [
     "shift_table",
     "dedisperse_batch",
     "dedisperse_subband",
-    "dedisperse_tree",
     "dedisperse_grid",
     "resolve_impl",
-    "tree_shift_bound",
     "boxcar_snr",
     "find_peaks",
     "single_pulse_block_search",
@@ -233,16 +227,21 @@ def dedisperse_subband(
     ``n_dms × n_chan`` — a large win on fine DM ladders (the low-DM bands of
     :class:`repro.astro.dispersion.DMGrid`, where spacing is 0.01–0.1),
     approaching the classic ~O(√n_chan) saving.  On coarse grids every DM
-    forms its own group and the exact path is used instead.
+    forms its own group, and on channels not in ascending frequency order
+    (each subband's reference is its top channel) the exact path is used
+    instead.
     """
     data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError("data must be 2-D (channels × samples)")
-    if tol_samples <= 0:
-        raise ValueError("tol_samples must be positive")
+    check_subband_settings(n_subbands, tol_samples)
     freqs_mhz = np.asarray(freqs_mhz, dtype=np.float64)
     trial_dms = np.atleast_1d(np.asarray(trial_dms, dtype=np.float64))
     n_chan, n_samples = data.shape
+    if not np.all(np.diff(freqs_mhz) > 0):
+        return dedisperse_batch(
+            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
+        )
     if n_subbands is None:
         n_subbands = max(1, int(round(np.sqrt(n_chan))))
     n_subbands = min(n_subbands, n_chan)
@@ -319,286 +318,6 @@ def dedisperse_subband(
     return out
 
 
-# -- tree dedispersion -------------------------------------------------------
-
-def _coarsen_ladder(sorted_dms: np.ndarray, ddm: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy-group an ascending DM ladder: (representatives, group index).
-
-    The documented tie-break: a DM joins the open group while
-    ``dm − rep ≤ ddm`` (strictly greater opens a new group) and the group's
-    first member is its representative — identical to
-    :func:`dedisperse_subband`'s grouping, so both approximate paths share
-    one rule.
-    """
-    reps: list[float] = []
-    group = np.empty(sorted_dms.size, dtype=np.int64)
-    for i, dm in enumerate(sorted_dms.tolist()):
-        if not reps or dm - reps[-1] > ddm:
-            reps.append(float(dm))
-        group[i] = len(reps) - 1
-    return np.asarray(reps), group
-
-
-def _tree_plan(
-    freqs_mhz: np.ndarray,
-    sample_time_s: float,
-    sorted_dms: np.ndarray,
-    n_subbands: int,
-    tol_samples: float,
-) -> tuple[list[list[tuple[int, int]]], dict, dict]:
-    """Build the merge tree: node ranges per level, per-node DM ladders and
-    parent→child ladder group maps.
-
-    ``levels[0]`` is the leaf subbands, ``levels[-1]`` the single root whose
-    ladder is the exact sorted trial-DM ladder.  Walking top-down, each
-    node's ladder is its parent's ladder coarsened with the node's own
-    ``ddm = tol·t_samp / (K_DM·span)`` — narrower nodes (less intra-node
-    dispersion) tolerate coarser ladders, which is where the reuse comes
-    from.  ``groups[(level, j)]`` maps a parent-ladder index to the node's
-    ladder index.
-    """
-    n_chan = freqs_mhz.size
-    levels = [_subband_edges(n_chan, n_subbands)]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        merged = [
-            (prev[i][0], prev[i + 1][1]) if i + 1 < len(prev) else prev[i]
-            for i in range(0, len(prev), 2)
-        ]
-        levels.append(merged)
-    top = len(levels) - 1
-    ladders: dict[tuple[int, int], np.ndarray] = {(top, 0): sorted_dms}
-    groups: dict[tuple[int, int], np.ndarray] = {}
-    for level in range(top - 1, -1, -1):
-        for j, (lo, hi) in enumerate(levels[level]):
-            parent_ladder = ladders[(level + 1, j // 2)]
-            span = float(freqs_mhz[lo] ** -2.0 - freqs_mhz[hi - 1] ** -2.0)
-            ddm = (
-                tol_samples * sample_time_s / (K_DM * span) if span > 0 else np.inf
-            )
-            reps, group = _coarsen_ladder(parent_ladder, ddm)
-            ladders[(level, j)] = reps
-            groups[(level, j)] = group
-    return levels, ladders, groups
-
-
-def _tree_cost(levels: list, ladders: dict) -> int:
-    """Total slice-adds the tree plan would execute (leaf fills + merges)."""
-    cost = sum(
-        ladders[(0, j)].size * (hi - lo) for j, (lo, hi) in enumerate(levels[0])
-    )
-    for level in range(1, len(levels)):
-        for j in range(len(levels[level])):
-            fan_in = sum(1 for c in (2 * j, 2 * j + 1) if c < len(levels[level - 1]))
-            cost += ladders[(level, j)].size * fan_in
-    return cost
-
-
-def tree_shift_bound(n_levels: int, tol_samples: float) -> float:
-    """Worst-case |effective − exact| shift (samples) on the tree path.
-
-    Each of the ``n_levels`` tree levels contributes at most ``tol_samples``
-    of ladder-coarsening error plus one sample of re-rounding, and the final
-    root→band-reference correction adds one more rounding; the hypothesis
-    suite asserts this bound against :func:`_tree_effective_shifts`.
-    """
-    return (n_levels + 1) * (tol_samples + 1.0)
-
-
-def dedisperse_tree(
-    data: np.ndarray,
-    freqs_mhz: np.ndarray,
-    f_ref_mhz: float,
-    sample_time_s: float,
-    trial_dms: np.ndarray,
-    n_subbands: int | None = None,
-    tol_samples: float = 1.0,
-    out_dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """Tree dedispersion: a binary merge tree of subband partial sums.
-
-    The subband trick applied recursively.  Leaf subbands are dedispersed
-    once per entry of a *coarsened* DM ladder; each internal node merges its
-    two children with a single shift-add per ladder entry, and ladders
-    refine toward the root, which carries the exact trial DMs.  Cost is
-    ``Σ_node |ladder(node)| × fan-in`` slice-adds instead of
-    ``n_dms × n_chan`` — on fine ladders the leaf ladders are ~10× coarser
-    than the trial grid, giving the O(N·log DM)-style reuse, and the whole
-    evaluation keeps only one node buffer per live tree path (children are
-    freed as soon as they merge).
-
-    Accuracy follows the module-level tolerance law (see
-    :func:`tree_shift_bound`); when the plan offers no saving — coarse
-    ladders, few DMs — the exact :func:`dedisperse_batch` runs instead.
-    """
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError("data must be 2-D (channels × samples)")
-    if tol_samples <= 0:
-        raise ValueError("tol_samples must be positive")
-    freqs_mhz = np.asarray(freqs_mhz, dtype=np.float64)
-    trial_dms = np.atleast_1d(np.asarray(trial_dms, dtype=np.float64))
-    n_chan, n_samples = data.shape
-    if n_subbands is None:
-        n_subbands = max(1, int(round(np.sqrt(n_chan))))
-    n_subbands = min(n_subbands, n_chan)
-    # The merge tree assumes ascending channel frequencies (each node's
-    # reference is its top channel); fall back on anything else.
-    ascending = n_chan > 1 and bool(np.all(np.diff(freqs_mhz) > 0))
-    sorted_dms, inverse = np.unique(trial_dms, return_inverse=True)
-    if not ascending or n_subbands < 2 or sorted_dms.size < 2:
-        return dedisperse_batch(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
-        )
-
-    levels, ladders, groups = _tree_plan(
-        freqs_mhz, sample_time_s, sorted_dms, n_subbands, tol_samples
-    )
-    top = len(levels) - 1
-    if _tree_cost(levels, ladders) >= sorted_dms.size * n_chan:
-        # The ladders refused to coarsen: the tree would cost more than the
-        # exact path, so run the exact path.
-        return dedisperse_batch(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
-        )
-
-    cols = np.ascontiguousarray(data, dtype=out_dtype)
-
-    def shift_into(row: np.ndarray, src: np.ndarray, s: int, first: bool) -> None:
-        # First contribution assigns (row starts uninitialized — half the
-        # memory traffic of zero-then-add); later ones accumulate.
-        if first:
-            if s == 0:
-                row[:] = src
-            elif s < n_samples:
-                row[: n_samples - s] = src[s:]
-                row[n_samples - s :] = 0.0
-            else:
-                row[:] = 0.0
-        elif s == 0:
-            row += src
-        elif s < n_samples:
-            row[: n_samples - s] += src[s:]
-
-    values: dict[tuple[int, int], np.ndarray] = {}
-    for j, (lo, hi) in enumerate(levels[0]):
-        reps = ladders[(0, j)]
-        st = shift_table(freqs_mhz[lo:hi], float(freqs_mhz[hi - 1]), reps,
-                         sample_time_s)
-        buf = np.empty((reps.size, n_samples), dtype=out_dtype)
-        for r, row_shifts in enumerate(st.tolist()):
-            row = buf[r]
-            for ch_off, s in enumerate(row_shifts):
-                shift_into(row, cols[lo + ch_off], s, first=ch_off == 0)
-        values[(0, j)] = buf
-    for level in range(1, top + 1):
-        for j, (lo, hi) in enumerate(levels[level]):
-            children = [c for c in (2 * j, 2 * j + 1) if c < len(levels[level - 1])]
-            reps = ladders[(level, j)]
-            if (
-                len(children) == 1
-                and levels[level - 1][children[0]] == (lo, hi)
-                and reps.size == ladders[(level - 1, children[0])].size
-            ):
-                # Odd node carried up unchanged with an identical ladder:
-                # pass the child buffer through without a copy.
-                values[(level, j)] = values.pop((level - 1, children[0]))
-                continue
-            ref = float(freqs_mhz[hi - 1])
-            buf = np.empty((reps.size, n_samples), dtype=out_dtype)
-            for ci, cj in enumerate(children):
-                _clo, chi = levels[level - 1][cj]
-                cref = float(freqs_mhz[chi - 1])
-                cgroup = groups[(level - 1, cj)]
-                stage = shift_table(np.array([cref]), ref, reps, sample_time_s)[:, 0]
-                child = values.pop((level - 1, cj))
-                for r, s in enumerate(stage.tolist()):
-                    shift_into(buf[r], child[cgroup[r]], s, first=ci == 0)
-            values[(level, j)] = buf
-
-    # Final correction: the root is referenced to its own top channel; shift
-    # to the caller's band reference at the *exact* trial DM, fanning unique
-    # ladder rows back out to the (possibly duplicated, unsorted) trials.
-    root = values.pop((top, 0))
-    root_ref = float(freqs_mhz[-1])
-    final = shift_table(np.array([root_ref]), f_ref_mhz, sorted_dms,
-                        sample_time_s)[:, 0]
-    if (
-        not final.any()
-        and trial_dms.size == sorted_dms.size
-        and bool(np.all(inverse == np.arange(trial_dms.size)))
-    ):
-        out = root  # already referenced to f_ref, rows already in trial order
-    else:
-        out = np.empty((trial_dms.size, n_samples), dtype=out_dtype)
-        for d, r in enumerate(inverse.tolist()):
-            shift_into(out[d], root[r], int(final[r]), first=True)
-    out *= out.dtype.type(1.0) / np.sqrt(out.dtype.type(n_chan))
-    return out
-
-
-def _tree_effective_shifts(
-    freqs_mhz: np.ndarray,
-    f_ref_mhz: float,
-    sample_time_s: float,
-    trial_dms: np.ndarray,
-    n_subbands: int | None = None,
-    tol_samples: float = 1.0,
-) -> np.ndarray:
-    """(n_dms, n_chan) total shift each channel receives on the tree path.
-
-    Test helper: composes leaf + stage + final shifts exactly as
-    :func:`dedisperse_tree` applies them, so the suite can assert both the
-    tolerance law (|effective − exact| ≤ :func:`tree_shift_bound`) and that
-    the tree output equals a direct shift-add with these effective shifts.
-    """
-    freqs_mhz = np.asarray(freqs_mhz, dtype=np.float64)
-    trial_dms = np.atleast_1d(np.asarray(trial_dms, dtype=np.float64))
-    n_chan = freqs_mhz.size
-    if n_subbands is None:
-        n_subbands = max(1, int(round(np.sqrt(n_chan))))
-    n_subbands = min(n_subbands, n_chan)
-    ascending = n_chan > 1 and bool(np.all(np.diff(freqs_mhz) > 0))
-    sorted_dms, inverse = np.unique(trial_dms, return_inverse=True)
-    if not ascending or n_subbands < 2 or sorted_dms.size < 2:
-        return shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
-    levels, ladders, groups = _tree_plan(
-        freqs_mhz, sample_time_s, sorted_dms, n_subbands, tol_samples
-    )
-    if _tree_cost(levels, ladders) >= sorted_dms.size * n_chan:
-        # Mirror dedisperse_tree's cost gate: on the exact fallback path the
-        # effective shifts ARE the exact shifts.
-        return shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
-    top = len(levels) - 1
-    eff = np.zeros((sorted_dms.size, n_chan), dtype=np.int64)
-    final = shift_table(np.array([float(freqs_mhz[-1])]), f_ref_mhz, sorted_dms,
-                        sample_time_s)[:, 0]
-
-    def descend(level: int, j: int, idx: int, acc: int, r: int) -> None:
-        lo, hi = levels[level][j]
-        reps = ladders[(level, j)]
-        if level == 0:
-            st = shift_table(freqs_mhz[lo:hi], float(freqs_mhz[hi - 1]),
-                             reps[idx : idx + 1], sample_time_s)[0]
-            eff[r, lo:hi] = acc + st
-            return
-        ref = float(freqs_mhz[hi - 1])
-        for cj in (2 * j, 2 * j + 1):
-            if cj >= len(levels[level - 1]):
-                continue
-            _clo, chi = levels[level - 1][cj]
-            cref = float(freqs_mhz[chi - 1])
-            stage = int(
-                shift_table(np.array([cref]), ref, reps[idx : idx + 1],
-                            sample_time_s)[0, 0]
-            )
-            descend(level - 1, cj, int(groups[(level - 1, cj)][idx]), acc + stage, r)
-
-    for r in range(sorted_dms.size):
-        descend(top, 0, r, int(final[r]), r)
-    return eff[inverse]
-
-
 def dedisperse_grid(
     data: np.ndarray,
     freqs_mhz: np.ndarray,
@@ -612,18 +331,11 @@ def dedisperse_grid(
 
     The single dispatch point for :class:`repro.execution.KernelConfig`
     (None means ``KernelConfig()``): routes to :func:`dedisperse_batch` /
-    :func:`dedisperse_subband` / :func:`dedisperse_tree`.
+    :func:`dedisperse_subband`.
     """
-    from repro.execution import KernelConfig
-
-    k = (kernel or KernelConfig()).resolved()
+    k = kernel or KernelConfig()
     if k.method == "subband":
         return dedisperse_subband(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
-            n_subbands=k.n_subbands, tol_samples=k.tol_samples, out_dtype=out_dtype,
-        )
-    if k.method == "tree":
-        return dedisperse_tree(
             data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
             n_subbands=k.n_subbands, tol_samples=k.tol_samples, out_dtype=out_dtype,
         )
@@ -729,130 +441,17 @@ def _widths_at(
     return out
 
 
-def _pow2_window_sums(series: np.ndarray, max_w: int) -> dict[int, np.ndarray]:
-    """Sliding window sums for power-of-two widths, each built from the last.
-
-    ``sums[w][i] = Σ series[i:i+w]`` (valid for ``i ≤ n−w``);
-    ``sums[2w] = sums[w][i] + sums[w][i+w]`` — one vector add per doubling,
-    the boxcar-decomposition reuse (Adámek & Armour).  ``sums[1]`` aliases
-    ``series`` (read-only by every consumer).
-    """
-    n = series.size
-    sums: dict[int, np.ndarray] = {1: series}
-    w = 1
-    while 2 * w <= max_w and 2 * w <= n:
-        prev = sums[w]
-        cur = np.empty(n, dtype=series.dtype)
-        m = n - 2 * w + 1
-        np.add(prev[:m], prev[w : w + m], out=cur[:m])
-        sums[2 * w] = cur
-        w *= 2
-    return sums
-
-
-def _window_sum_decomposed(
-    w: int, sums: dict[int, np.ndarray], n: int, out: np.ndarray
-) -> int:
-    """``out[:m]`` = width-``w`` window sums assembled from power-of-two parts.
-
-    Parts are added **largest-first** at increasing offsets (w = 8+4+1 →
-    S₈[i] + S₄[i+8] + S₁[i+12]); the order is part of the documented law so
-    :func:`_widths_at_decomposed` can reproduce the floats bitwise.
-    """
-    m = n - w + 1
-    off = 0
-    first = True
-    for p in sorted((p for p in sums if w & p), reverse=True):
-        src = sums[p]
-        if first:
-            out[:m] = src[off : off + m]
-            first = False
-        else:
-            out[:m] += src[off : off + m]
-        off += p
-    return m
-
-
-def _best_z_decomposed(
-    series: np.ndarray,
-    widths: tuple[int, ...],
-    med: float,
-    buf: np.ndarray,
-    best: np.ndarray,
-) -> dict[int, np.ndarray]:
-    """:func:`_best_z` via decomposed window sums; returns them for reuse.
-
-    Same ``z_w`` normalization expressions as the cumsum path; values differ
-    only by float summation order (pairwise part-sums vs running cumsum),
-    which is the tolerance the equivalence tests assert.
-    """
-    n = series.size
-    best[:] = -np.inf
-    applicable = [w for w in widths if w <= n]
-    if not applicable:
-        return {}
-    sums = _pow2_window_sums(series, max(applicable))
-    for w in applicable:
-        m = _window_sum_decomposed(w, sums, n, buf)
-        zw = buf[:m]
-        zw *= 1.0 / np.sqrt(w)
-        zw -= np.sqrt(w) * med
-        np.maximum(best[:m], zw, out=best[:m])
-    return sums
-
-
-def _widths_at_decomposed(
-    samples: np.ndarray,
-    best: np.ndarray,
-    widths: tuple[int, ...],
-    med: float,
-    sums: dict[int, np.ndarray],
-    n: int,
-) -> np.ndarray:
-    """:func:`_widths_at` for the decomposed mode: recompute ``z_w`` at the
-    peaks from the same part sums in the same largest-first order (bitwise
-    identical), then first-width-wins."""
-    k = samples.size
-    applicable = [w for w in widths if w <= n]
-    out = np.ones(k, dtype=np.int64)
-    if not applicable:
-        return out
-    z = np.full((len(applicable), k), -np.inf)
-    for row, w in enumerate(applicable):
-        ok = samples <= n - w
-        s_ok = samples[ok]
-        zw = None
-        off = 0
-        for p in sorted((p for p in sums if w & p), reverse=True):
-            part = sums[p][s_ok + off]
-            zw = part.copy() if zw is None else zw + part
-            off += p
-        zw *= 1.0 / np.sqrt(w)
-        zw -= np.sqrt(w) * med
-        z[row, ok] = zw
-    hit = (z == best[samples][None, :]) & np.isfinite(best[samples])[None, :]
-    any_hit = hit.any(axis=0)
-    first = np.argmax(hit, axis=0)
-    out[any_hit] = np.asarray(applicable, dtype=np.int64)[first[any_hit]]
-    return out
-
-
 def boxcar_snr(
     series: np.ndarray,
     widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-    mode: str = "cumsum",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best boxcar SNR and width per sample for one dedispersed series.
 
     Returns ``(snr, best_width)``; ``snr[i]`` is the SNR of the best
     left-aligned window starting at ``i`` (−inf where no configured width
     fits), against median/MAD noise estimated once from the raw series.
-    ``mode="cumsum"`` is O(n) per width via cumulative sums (bit-stable
-    reference); ``mode="decomposed"`` builds each width from power-of-two
-    window sums, reusing shorter widths for longer ones.
+    O(n) per width via cumulative sums.
     """
-    if mode not in ("cumsum", "decomposed"):
-        raise ValueError(f"mode must be 'cumsum' or 'decomposed', got {mode!r}")
     series = np.ascontiguousarray(series)
     n = series.size
     if n == 0:
@@ -860,14 +459,9 @@ def boxcar_snr(
     scratch = np.empty_like(series)
     med, sigma = _noise_stats(series, scratch)
     best = np.empty(n, dtype=series.dtype)
-    all_samples = np.arange(n)
-    if mode == "decomposed":
-        sums = _best_z_decomposed(series, widths, med, scratch, best)
-        best_width = _widths_at_decomposed(all_samples, best, widths, med, sums, n)
-    else:
-        csum = np.empty(n + 1, dtype=series.dtype)
-        _best_z(series, widths, med, csum, scratch, best)
-        best_width = _widths_at(all_samples, best, widths, med, csum, n)
+    csum = np.empty(n + 1, dtype=series.dtype)
+    _best_z(series, widths, med, csum, scratch, best)
+    best_width = _widths_at(np.arange(n), best, widths, med, csum, n)
     snr = best / series.dtype.type(sigma)
     return snr, best_width
 
@@ -905,18 +499,18 @@ def single_pulse_block_search(
     Returns ``(row_idx, sample, snr, width)`` arrays ordered by
     (row, sample).  This is the fused cache-friendly path: each row's
     cumsum/window/noise passes run while the row is L2-resident, and the
-    winning width is recomputed only at detected peaks.  ``boxcar`` selects
-    the window-sum strategy (see :func:`boxcar_snr`); ``impl`` is validated
-    by :func:`resolve_impl` and selects nothing.
+    winning width is recomputed only at detected peaks.  ``boxcar`` and
+    ``impl`` are validated (``"cumsum"`` and :func:`resolve_impl`'s names
+    are the only values) and select nothing.
     """
     resolve_impl(impl)
-    if boxcar not in ("cumsum", "decomposed"):
-        raise ValueError(f"boxcar must be 'cumsum' or 'decomposed', got {boxcar!r}")
+    if boxcar != "cumsum":
+        raise ValueError(f"boxcar must be 'cumsum', got {boxcar!r}")
     block = np.asarray(block)
     if block.ndim != 2:
         raise ValueError("block must be 2-D (trial DMs × samples)")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
     n_rows, n = block.shape
     csum = np.empty(n + 1, dtype=block.dtype)
     buf = np.empty(n, dtype=block.dtype)
@@ -930,11 +524,7 @@ def single_pulse_block_search(
     for d in range(n_rows):
         series = block[d]
         med, sigma = _noise_stats(series, scratch)
-        sums: dict[int, np.ndarray] = {}
-        if boxcar == "decomposed":
-            sums = _best_z_decomposed(series, widths, med, buf, best)
-        else:
-            _best_z(series, widths, med, csum, buf, best)
+        _best_z(series, widths, med, csum, buf, best)
         np.divide(best, block.dtype.type(sigma), out=snr)
         peaks = find_peaks(snr, threshold)
         if peaks.size == 0:
@@ -942,12 +532,7 @@ def single_pulse_block_search(
         out_rows.append(np.full(peaks.size, d, dtype=np.int64))
         out_samples.append(peaks)
         out_snrs.append(snr[peaks].copy())
-        if boxcar == "decomposed":
-            out_widths.append(
-                _widths_at_decomposed(peaks, best, widths, med, sums, n)
-            )
-        else:
-            out_widths.append(_widths_at(peaks, best, widths, med, csum, n))
+        out_widths.append(_widths_at(peaks, best, widths, med, csum, n))
     if not out_rows:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0, dtype=block.dtype), empty

@@ -11,9 +11,9 @@ Two frozen dataclasses, deliberately unrelated:
   half-specified config means.  Resolution order (weakest to strongest):
   **env < config < CLI**; CLI flags win simply because the CLI builds an
   explicit config from them.
-- :class:`KernelConfig` — which dedispersion algorithm (``direct`` /
-  ``subband`` / ``tree``) and which boxcar mode (``cumsum`` /
-  ``decomposed``) the SPE-generating front end uses.  It is an argument of the two functions
+- :class:`KernelConfig` — which dedispersion algorithm (exact ``direct`` or
+  tolerance-bounded ``subband``) the SPE-generating front end uses; the
+  boxcar search is always the cumulative-sum one.  It is an argument of the two functions
   that dedisperse (:func:`repro.astro.filterbank.single_pulse_search` and
   :func:`~repro.astro.filterbank.dedisperse_all`) and of nothing else: the
   identification tiers start from SPE lists and never select a kernel.
@@ -21,8 +21,10 @@ Two frozen dataclasses, deliberately unrelated:
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 __all__ = [
@@ -39,8 +41,7 @@ BACKEND_ENV = "REPRO_BACKEND"
 WORKERS_ENV = "REPRO_WORKERS"
 
 BACKENDS = ("serial", "parallel")
-KERNEL_METHODS = ("direct", "subband", "tree")
-BOXCAR_MODES = ("cumsum", "decomposed")
+KERNEL_METHODS = ("direct", "subband")
 
 DEFAULT_BACKEND = "serial"
 DEFAULT_NUM_WORKERS = 2
@@ -51,40 +52,42 @@ def _check(name: str, value: str | None, allowed: tuple[str | None, ...]) -> Non
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
+def check_subband_settings(n_subbands: int | None, tol_samples: float) -> None:
+    """Reject subband settings that would silently mis-group the DM ladder:
+    a non-finite ``tol_samples`` puts every trial DM in one group, and a
+    fractional or boolean ``n_subbands`` is not a channel count."""
+    if n_subbands is not None and (
+        isinstance(n_subbands, bool)
+        or not isinstance(n_subbands, numbers.Integral)
+        or n_subbands < 1
+    ):
+        raise ValueError(f"n_subbands must be an integer >= 1, got {n_subbands!r}")
+    if not (math.isfinite(tol_samples) and tol_samples > 0):
+        raise ValueError(f"tol_samples must be finite and positive, got {tol_samples!r}")
+
+
 @dataclass(frozen=True)
 class KernelConfig:
-    """Front-end kernel selection (dedispersion + boxcar search).
+    """Front-end kernel selection: the dedispersion method and its
+    subband settings (used only by ``method="subband"``)."""
 
-    ``boxcar=None`` couples to the method: the exact ``direct`` path keeps
-    the bit-stable ``cumsum`` boxcar, while the tolerance-bounded
-    ``subband``/``tree`` paths default to the ``decomposed`` boxcar that
-    reuses shorter-width window sums.
-    """
-
-    #: Every kernel is NumPy; a constant, not a choice, read by callers
-    #: that pass it on to :func:`repro.astro.kernels.resolve_impl`.
+    #: Every kernel is NumPy and every boxcar is the cumulative-sum one;
+    #: constants, not choices, read by callers that pass them on to
+    #: :func:`repro.astro.kernels.single_pulse_block_search`.
     impl: ClassVar[str] = "numpy"
+    boxcar: ClassVar[str] = "cumsum"
 
     method: str = "direct"
-    boxcar: str | None = None
     n_subbands: int | None = None
     tol_samples: float = 1.0
 
     def __post_init__(self) -> None:
         _check("method", self.method, KERNEL_METHODS)
-        _check("boxcar", self.boxcar, BOXCAR_MODES + (None,))
-        if self.n_subbands is not None and self.n_subbands < 1:
-            raise ValueError(f"n_subbands must be >= 1, got {self.n_subbands}")
-        if self.tol_samples <= 0:
-            raise ValueError(f"tol_samples must be positive, got {self.tol_samples}")
+        check_subband_settings(self.n_subbands, self.tol_samples)
 
     def resolved(self) -> "KernelConfig":
-        """A copy with ``boxcar`` made concrete."""
-        if self.boxcar is not None:
-            return self
-        return replace(
-            self, boxcar="cumsum" if self.method == "direct" else "decomposed"
-        )
+        """This config: every field is already concrete."""
+        return self
 
 
 @dataclass(frozen=True)

@@ -52,15 +52,3 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.y, minlength=self.n_classes)
-
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.X[indices],
-            self.y[indices],
-            self.feature_names,
-            self.class_names,
-            self.name,
-        )

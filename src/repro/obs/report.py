@@ -299,7 +299,7 @@ def build_report(
     # Which kernels the run resolved to (kernel_selected events) and how
     # long each kernel stage actually took ("kernel.*" spans, aggregated).
     kernel_selected = [
-        {k: e[k] for k in ("method", "boxcar") if k in e}
+        {"method": e["method"]} if "method" in e else {}
         for e in events
         if e["type"] == KERNEL_SELECTED
     ]
@@ -466,10 +466,7 @@ def render_text(report: dict[str, Any]) -> str:
     if kernels.get("selected") or kernels.get("stages"):
         out.append("\n== front-end kernels ==")
         for sel in kernels.get("selected", []):
-            out.append(
-                f"  selected: method={sel.get('method', '?')}  "
-                f"boxcar={sel.get('boxcar', '?')}"
-            )
+            out.append(f"  selected: method={sel.get('method', '?')}")
         if kernels.get("stages"):
             out.append(
                 _table(

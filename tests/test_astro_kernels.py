@@ -4,7 +4,8 @@ Property tests (hypothesis) assert that the batch/subband dedispersion,
 O(n) boxcar search, and columnar DBSCAN kernels agree with the naive
 ``_reference_*`` implementations they replaced — bit-for-bit where the
 kernels are exact, tolerance-bounded where they trade exactness for reuse
-(subband).  A golden end-to-end test checks an injected pulse is recovered
+(subband, every channel within ``tol_samples + 1`` samples of its exact
+shift).  A golden end-to-end test checks an injected pulse is recovered
 at its true DM/time/width by the vectorized search.
 """
 
@@ -39,17 +40,12 @@ from repro.astro.filterbank import (
 )
 from repro.astro.kernels import (
     _subband_edges,
-    _tree_effective_shifts,
-    _tree_plan,
     boxcar_snr,
     dedisperse_batch,
     dedisperse_grid,
     dedisperse_subband,
-    dedisperse_tree,
     find_peaks,
-    shift_table,
     single_pulse_block_search,
-    tree_shift_bound,
 )
 from repro.astro.population import b1853_like
 from repro.astro.survey import default_clusterer
@@ -133,6 +129,68 @@ class TestBatchDedispersion:
         batch = dedisperse_batch(data, freqs, f_ref, 1e-3, dms)
         assert np.array_equal(sub, batch)
 
+    def test_subband_falls_back_on_descending_frequencies(self):
+        """Channels ordered high to low take the exact path, byte for byte."""
+        rng = np.random.default_rng(4)
+        data, freqs, f_ref = _filterbank_block(rng, 12, 128)
+        freqs = freqs[::-1].copy()
+        dms = 20.0 + 0.05 * np.arange(32)
+        sub = dedisperse_subband(data, freqs, f_ref, 1e-3, dms)
+        batch = dedisperse_batch(data, freqs, f_ref, 1e-3, dms)
+        assert sub.tobytes() == batch.tobytes()
+
+    def test_subband_recovers_impulse_near_exact_peak(self):
+        """Structural equivalence subband ≈ direct on a noiseless dispersed
+        impulse: the subband path keeps the pulse's mass within the
+        tolerance window around the exact peak."""
+        from repro.astro.dispersion import K_DM
+
+        n_chan, n_samples = 32, 512
+        dms = 40.0 + 0.05 * np.arange(64)
+        data = np.zeros((n_chan, n_samples))
+        edges = np.linspace(300.0, 400.0, n_chan + 1)
+        freqs = 0.5 * (edges[:-1] + edges[1:])
+        true_dm = float(dms[32])
+        t0 = n_samples // 2
+        for ch in range(n_chan):
+            delay = K_DM * true_dm * (freqs[ch] ** -2 - 400.0**-2)
+            s = t0 + int(round(delay / 1e-3))
+            if s < n_samples:
+                data[ch, s] = 1.0
+        batch = dedisperse_batch(data, freqs, 400.0, 1e-3, dms)
+        d, i = np.unravel_index(batch.argmax(), batch.shape)
+        sub = dedisperse_subband(data, freqs, 400.0, 1e-3, dms)
+        assert sub.shape == batch.shape
+        window = sub[d, max(0, i - 8) : i + 9]
+        assert window.sum() >= 0.95 * batch[d, i]
+
+    @pytest.mark.parametrize("bad", [
+        dict(tol_samples=float("nan")),
+        dict(tol_samples=float("inf")),
+        dict(n_subbands=2.5),
+        dict(n_subbands=True),
+    ])
+    def test_subband_rejects_non_finite_or_non_integer_settings(self, bad):
+        """A NaN/inf tolerance would put every trial DM in one group."""
+        rng = np.random.default_rng(1)
+        data, freqs, f_ref = _filterbank_block(rng, 16, 128)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            dedisperse_subband(data, freqs, f_ref, 1e-3, 10.0 + 0.05 * np.arange(20),
+                               **bad)
+
+    def test_grid_dispatch_routes_methods(self):
+        from repro.execution import KernelConfig
+
+        rng = np.random.default_rng(9)
+        data, freqs, f_ref = _filterbank_block(rng, 16, 200)
+        dms = 10.0 + 0.05 * np.arange(24)
+        direct = dedisperse_grid(data, freqs, f_ref, 1e-3, dms,
+                                 kernel=KernelConfig(method="direct"))
+        assert np.array_equal(direct, dedisperse_batch(data, freqs, f_ref, 1e-3, dms))
+        sub = dedisperse_grid(data, freqs, f_ref, 1e-3, dms,
+                              kernel=KernelConfig(method="subband"))
+        assert np.array_equal(sub, dedisperse_subband(data, freqs, f_ref, 1e-3, dms))
+
     def test_single_dm_wrapper_matches_batch(self):
         fb = synthesize_filterbank(duration_s=0.5, n_channels=16, seed=5)
         one = dedisperse(fb, 42.0)
@@ -162,110 +220,6 @@ class TestSubbandEdges:
         assert max(sizes) - min(sizes) <= 1
         # Larger blocks lead (remainder distributed across leading subbands).
         assert sizes == sorted(sizes, reverse=True)
-
-
-class TestTreeDedispersion:
-    @SETTINGS
-    @given(
-        n_chan=st.integers(8, 48),
-        n_samples=st.integers(64, 300),
-        dm_lo=st.floats(0.0, 80.0),
-        step=st.floats(0.01, 0.15),
-        n_dms=st.integers(4, 40),
-        tol=st.floats(0.5, 2.0),
-        seed=st.integers(0, 2**31),
-    )
-    def test_tree_obeys_tolerance_law_and_reconstructs(
-        self, n_chan, n_samples, dm_lo, step, n_dms, tol, seed
-    ):
-        """Two laws at once: the tree's effective per-channel shifts stay
-        within :func:`tree_shift_bound` of the exact ones, and the tree
-        output *equals* a direct shift-add with those effective shifts —
-        i.e. the approximation is fully characterized by integer shifts,
-        never by lost or double-counted samples."""
-        rng = np.random.default_rng(seed)
-        data, freqs, f_ref = _filterbank_block(rng, n_chan, n_samples)
-        dms = dm_lo + step * np.arange(n_dms)
-        eff = _tree_effective_shifts(freqs, f_ref, 1e-3, dms, tol_samples=tol)
-        exact = shift_table(freqs, f_ref, dms, 1e-3)
-        n_sub = max(1, int(round(np.sqrt(n_chan))))
-        levels, _, _ = _tree_plan(freqs, 1e-3, np.unique(dms), n_sub, tol)
-        assert np.max(np.abs(eff - exact)) <= tree_shift_bound(len(levels), tol)
-
-        tree = dedisperse_tree(data, freqs, f_ref, 1e-3, dms, tol_samples=tol)
-        norm = 1.0 / np.sqrt(n_chan)
-        expect = np.zeros((n_dms, n_samples))
-        for d in range(n_dms):
-            for ch in range(n_chan):
-                s = int(eff[d, ch])
-                if s < n_samples:
-                    expect[d, : n_samples - s] += data[ch, s:]
-        expect *= norm
-        np.testing.assert_allclose(tree, expect, atol=1e-9)
-
-    def test_tree_falls_back_exactly_on_coarse_ladders(self):
-        """No reuse to be had → the tree must take the exact batch path."""
-        rng = np.random.default_rng(3)
-        data, freqs, f_ref = _filterbank_block(rng, 16, 256)
-        dms = [0.0, 200.0, 500.0, 900.0]
-        assert np.array_equal(
-            dedisperse_tree(data, freqs, f_ref, 1e-3, dms),
-            dedisperse_batch(data, freqs, f_ref, 1e-3, dms),
-        )
-
-    def test_tree_falls_back_on_descending_frequencies(self):
-        rng = np.random.default_rng(4)
-        data, freqs, f_ref = _filterbank_block(rng, 12, 128)
-        freqs = freqs[::-1].copy()
-        dms = 20.0 + 0.05 * np.arange(32)
-        assert np.array_equal(
-            dedisperse_tree(data, freqs, f_ref, 1e-3, dms),
-            dedisperse_batch(data, freqs, f_ref, 1e-3, dms),
-        )
-
-    def test_tree_recovers_impulse_near_exact_peak(self):
-        """Structural equivalence tree ≈ subband ≈ direct on a noiseless
-        dispersed impulse: each approximate method keeps the pulse's mass
-        within the tolerance window around the exact peak."""
-        from repro.astro.dispersion import K_DM
-
-        n_chan, n_samples = 32, 512
-        dms = 40.0 + 0.05 * np.arange(64)
-        data = np.zeros((n_chan, n_samples))
-        edges = np.linspace(300.0, 400.0, n_chan + 1)
-        freqs = 0.5 * (edges[:-1] + edges[1:])
-        true_dm = float(dms[32])
-        t0 = n_samples // 2
-        for ch in range(n_chan):
-            delay = K_DM * true_dm * (freqs[ch] ** -2 - 400.0**-2)
-            s = t0 + int(round(delay / 1e-3))
-            if s < n_samples:
-                data[ch, s] = 1.0
-        batch = dedisperse_batch(data, freqs, 400.0, 1e-3, dms)
-        d, i = np.unravel_index(batch.argmax(), batch.shape)
-        for approx in (
-            dedisperse_tree(data, freqs, 400.0, 1e-3, dms),
-            dedisperse_subband(data, freqs, 400.0, 1e-3, dms),
-        ):
-            assert approx.shape == batch.shape
-            window = approx[d, max(0, i - 8) : i + 9]
-            assert window.sum() >= 0.95 * batch[d, i]
-
-    def test_grid_dispatch_routes_methods(self):
-        from repro.execution import KernelConfig
-
-        rng = np.random.default_rng(9)
-        data, freqs, f_ref = _filterbank_block(rng, 16, 200)
-        dms = 10.0 + 0.05 * np.arange(24)
-        direct = dedisperse_grid(data, freqs, f_ref, 1e-3, dms,
-                                 kernel=KernelConfig(method="direct"))
-        assert np.array_equal(direct, dedisperse_batch(data, freqs, f_ref, 1e-3, dms))
-        tree = dedisperse_grid(data, freqs, f_ref, 1e-3, dms,
-                               kernel=KernelConfig(method="tree"))
-        assert np.array_equal(tree, dedisperse_tree(data, freqs, f_ref, 1e-3, dms))
-        sub = dedisperse_grid(data, freqs, f_ref, 1e-3, dms,
-                              kernel=KernelConfig(method="subband"))
-        assert np.array_equal(sub, dedisperse_subband(data, freqs, f_ref, 1e-3, dms))
 
 
 class TestBoxcarSearch:
@@ -323,53 +277,16 @@ class TestBoxcarSearch:
         for key, (v, w) in expect.items():
             assert got[key] == (pytest.approx(v), w)
 
+    def test_only_the_cumsum_boxcar_is_accepted(self):
+        with pytest.raises(ValueError, match="boxcar"):
+            single_pulse_block_search(np.zeros((2, 8)), 2.0, (1, 2), boxcar="decomposed")
 
-class TestDecomposedBoxcar:
-    @SETTINGS
-    @given(
-        n=st.integers(1, 400),
-        seed=st.integers(0, 2**31),
-        widths=st.lists(
-            st.sampled_from([1, 2, 3, 4, 5, 7, 8, 16, 31, 32]),
-            min_size=1, max_size=6, unique=True,
-        ),
-    )
-    def test_decomposed_matches_cumsum(self, n, seed, widths):
-        """Power-of-two decomposition reproduces the cumsum z-scores.
-
-        The two paths differ only by float summation order, so agreement is
-        to ~1e-12, and the best-width argmax must agree wherever the scores
-        are not an exact tie."""
-        widths = tuple(sorted(widths))
-        rng = np.random.default_rng(seed)
-        series = rng.normal(0.0, 1.0, size=n)
-        snr_c, width_c = boxcar_snr(series, widths, mode="cumsum")
-        snr_d, width_d = boxcar_snr(series, widths, mode="decomposed")
-        np.testing.assert_allclose(snr_d, snr_c, rtol=1e-9, atol=1e-9)
-        assert np.array_equal(width_d, width_c)
-
-    @SETTINGS
-    @given(
-        n_rows=st.integers(1, 4),
-        n=st.integers(2, 300),
-        seed=st.integers(0, 2**31),
-    )
-    def test_block_search_decomposed_matches_cumsum(self, n_rows, n, seed):
-        """Same peaks, same widths, z-scores to 1e-9 across boxcar modes."""
-        rng = np.random.default_rng(seed)
-        block = rng.normal(0.0, 1.0, size=(n_rows, n))
-        widths = (1, 2, 4, 8, 16)
-        rc, sc, zc, wc = single_pulse_block_search(block, 2.0, widths,
-                                                   boxcar="cumsum")
-        rd, sd, zd, wd = single_pulse_block_search(block, 2.0, widths,
-                                                   boxcar="decomposed")
-        assert np.array_equal(rc, rd) and np.array_equal(sc, sd)
-        assert np.array_equal(wc, wd)
-        np.testing.assert_allclose(zd, zc, rtol=1e-9, atol=1e-9)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            boxcar_snr(np.zeros(8), (1, 2), mode="fft")
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_block_search_rejects_non_finite_or_non_positive_threshold(self, threshold):
+        """A NaN threshold used to pass the ``<= 0`` check and find nothing."""
+        block = np.random.default_rng(0).normal(size=(2, 64))
+        with pytest.raises(ValueError, match="threshold"):
+            single_pulse_block_search(block, threshold)
 
 
 class TestGoldenRecovery:

@@ -12,15 +12,10 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: Results with no ``smoke`` key yet (ROADMAP 3d gives every script one
-#: envelope).  The list may only shrink.
-NO_SMOKE_KEY = {"BENCH_frontend_kernels.json"}
-
-
 def test_committed_results_are_full_scale():
     smoke = {p.name: json.loads(p.read_text()).get("smoke") for p in REPO.glob("BENCH_*.json")}
     assert len(smoke) >= 8
-    assert {name for name, flag in smoke.items() if flag is None} == NO_SMOKE_KEY
+    assert [name for name, flag in smoke.items() if flag is None] == []
     assert [name for name, flag in smoke.items() if flag] == []
 
 

@@ -30,25 +30,38 @@ class TestKernelConfigValidation:
         assert k.impl == "numpy"
         assert k.boxcar == "cumsum"
 
-    def test_boxcar_couples_to_method(self):
-        assert KernelConfig(method="tree").resolved().boxcar == "decomposed"
-        assert KernelConfig(method="subband").resolved().boxcar == "decomposed"
-        assert KernelConfig(method="direct").resolved().boxcar == "cumsum"
-        # An explicit boxcar always wins over the coupling.
-        assert KernelConfig(method="tree", boxcar="cumsum").resolved().boxcar == "cumsum"
+    def test_boxcar_is_cumsum_for_every_method(self):
+        """The boxcar is a class constant, not a field a caller can set."""
+        for method in ("direct", "subband"):
+            k = KernelConfig(method=method)
+            assert k.resolved() is k and k.boxcar == "cumsum"
+        with pytest.raises(TypeError):
+            KernelConfig(boxcar="cumsum")
 
     @pytest.mark.parametrize("bad", [
         dict(method="fft"),
         dict(method=None),
         dict(method="numba"),
         dict(tol_samples=0.0),
-        dict(boxcar="fft"),
+        dict(method="tree"),
         dict(n_subbands=0),
         dict(n_subbands=-2),
         dict(tol_samples=-1.0),
     ])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ValueError):
+            KernelConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(tol_samples=float("nan")),
+        dict(tol_samples=float("inf")),
+        dict(n_subbands=2.5),
+        dict(n_subbands=True),
+    ])
+    def test_invalid_fields_rejected_by_name(self, bad):
+        """NaN/inf tolerances and fractional/boolean subband counts used to be
+        accepted; each error names its field."""
+        with pytest.raises(ValueError, match=next(iter(bad))):
             KernelConfig(**bad)
 
     @pytest.mark.parametrize("bad", [
@@ -140,12 +153,11 @@ class TestKernelSelectedObservability:
         return log, [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
 
     def test_event_emitted_with_resolution_fields(self, tmp_path):
-        _log, events = self._search_with_trace(tmp_path, method="tree")
+        _log, events = self._search_with_trace(tmp_path, method="subband")
         assert len(events) == 1
         ev = events[0]
-        assert ev["method"] == "tree"
-        assert ev["boxcar"] == "decomposed"
-        assert "impl" not in ev and "impl_requested" not in ev
+        assert ev["method"] == "subband"
+        assert not {"boxcar", "impl", "impl_requested"} & ev.keys()
 
     def test_trace_report_surfaces_kernels_section(self, tmp_path):
         from repro.obs import build_report, render_text
@@ -221,7 +233,7 @@ class TestFrontendSearchIntegration:
         )
         trial_dms = survey.dm_grid(coarsen=10.0).trial_dms()
         results = {}
-        for method in ("direct", "subband", "tree"):
+        for method in ("direct", "subband"):
             spes = single_pulse_search(
                 fb, trial_dms, snr_threshold=survey.snr_threshold,
                 kernel=KernelConfig(method=method),
@@ -234,7 +246,7 @@ class TestFrontendSearchIntegration:
             assert abs(best.time_s - pulse.time_s) <= 0.5, method
 
     def test_search_with_default_kernel_matches_legacy(self):
-        """kernel=KernelConfig(method='direct', boxcar='cumsum') is the
+        """kernel=KernelConfig(method='direct') is the
         legacy path: SPE output must be byte-identical to calling the
         search with no kernel at all."""
         from repro.astro.filterbank import (
@@ -253,7 +265,7 @@ class TestFrontendSearchIntegration:
         legacy = single_pulse_search(fb, trials, snr_threshold=6.0)
         configured = single_pulse_search(
             fb, trials, snr_threshold=6.0,
-            kernel=KernelConfig(method="direct", boxcar="cumsum"),
+            kernel=KernelConfig(method="direct"),
         )
         assert json.dumps([s.__dict__ for s in legacy], default=str) == \
             json.dumps([s.__dict__ for s in configured], default=str)

@@ -45,8 +45,26 @@ RELOCATED = {
     "run_reference",
     "spes_to_csv",
 }
-#: Record adapters the batch types no longer carry, and the one deleted reader.
-GONE = {"to_records", "record", "read_ml_files"}
+#: Record adapters the batch types no longer carry, the one deleted reader,
+#: the tree dedispersion and decomposed boxcar kernels, and the two
+#: ``Dataset`` methods nothing called.
+GONE = {
+    "to_records",
+    "record",
+    "read_ml_files",
+    "dedisperse_tree",
+    "_tree_plan",
+    "_tree_cost",
+    "_tree_effective_shifts",
+    "tree_shift_bound",
+    "_pow2_window_sums",
+    "_window_sum_decomposed",
+    "_best_z_decomposed",
+    "_widths_at_decomposed",
+    "BOXCAR_MODES",
+    "subset",
+    "class_counts",
+}
 
 
 def names_in(tree: ast.AST, variables: bool) -> set[str]:
@@ -204,3 +222,18 @@ def test_simulator_is_the_failure_free_fig4_engine():
     gone = {"SimFaultProfile", "StragglerModel", "SpeculationConfig"}
     assert gone.isdisjoint(repro.sparklet.__all__)
     assert not any(hasattr(repro.sparklet.simulation, name) for name in gone)
+
+
+def test_front_end_has_two_dedispersion_methods_and_one_boxcar():
+    """Exact ``direct`` and tolerance-bounded ``subband``; the boxcar search
+    is the cumulative-sum one, a constant rather than a choice."""
+    import dataclasses
+
+    import repro.execution as execution
+    from repro.execution import KERNEL_METHODS, KernelConfig
+
+    assert KERNEL_METHODS == ("direct", "subband")
+    assert not hasattr(execution, "BOXCAR_MODES")
+    assert [f.name for f in dataclasses.fields(KernelConfig)] == [
+        "method", "n_subbands", "tol_samples"]
+    assert KernelConfig.boxcar == "cumsum"

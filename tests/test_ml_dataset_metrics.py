@@ -22,18 +22,6 @@ class TestDataset:
         assert ds.n_classes == 2
         assert ds.feature_names == ("f0", "f1", "f2")
 
-    def test_class_counts(self):
-        ds = Dataset(np.zeros((5, 2)), np.array([0, 0, 1, 1, 1]))
-        assert list(ds.class_counts()) == [2, 3]
-
-    def test_subset(self):
-        ds = Dataset(np.arange(12.0).reshape(4, 3), np.array([0, 1, 0, 1]),
-                     feature_names=("a", "b", "c"))
-        sub = ds.subset(np.array([0, 2]))
-        assert sub.n_instances == 2
-        assert sub.feature_names == ("a", "b", "c")
-        assert sub.X[1, 0] == 6.0
-
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros(3), np.array([0, 1, 0]))  # 1-D X
