@@ -19,8 +19,9 @@ with NumPy kernels that process the whole trial-DM grid at once:
 - :func:`boxcar_snr` — O(n) sliding-boxcar SNR via cumulative sums, with
   median/MAD noise estimated once per series;
 - :func:`find_peaks` — vectorized threshold + local-maxima pass;
-- :func:`single_pulse_block_search` — the fused per-row fast path used by
-  :func:`repro.astro.filterbank.single_pulse_search`.
+- :func:`single_pulse_block_search` — the row-blocked search used by
+  :func:`repro.astro.filterbank.single_pulse_search`: a native-dtype screen
+  over a block of rows, exact values only at its candidates.
 
 Sample convention
 -----------------
@@ -32,18 +33,26 @@ convention exact and documentable on the emitted SPE.
 
 Performance notes (they shape this file)
 ----------------------------------------
-Measured on the single-core reference host:
+Measured on one core of a shared 2-vCPU Linux host (NumPy 2.4):
 
-- ``np.median`` costs ~8× a raw ``np.partition`` (NaN-checking overhead);
-  :func:`_median_inplace` uses partition directly.
-- Temporaries are expensive; every hot ufunc call writes into a
-  preallocated buffer (``out=``).
-- The dedispersed block (n_dms × n_samples) exceeds L2, so the boxcar
-  stage iterates row-by-row: one dedispersed series (~0.5 MB) stays
-  cache-resident through its cumsum, window, and noise passes.
-- Tracking the best boxcar width per sample needs two fancy-index writes
-  per width; instead only the best statistic is tracked (``np.maximum``)
-  and the winning width is recomputed at the (few) detected peaks.
+- ``np.median`` costs ~8× a raw partition (NaN-checking overhead), and
+  ``np.partition``'s fresh copy ~2× an in-place ``ndarray.partition`` of a
+  preallocated scratch buffer (page faults); the noise pass uses the latter.
+- A float64 scalar applied in place to a float32 array (``z *= 1/√w``)
+  runs NumPy's buffered cast loop: 3–4× the same op with a float32 scalar.
+  The exact statistic needs that rounding path, so the search runs it only
+  at candidates; the screen over every sample is native float32.
+- The boxcar search works on blocks of ``_BLOCK_ROWS`` = 8 rows (≈ 0.5 MB
+  per scratch buffer at 16,384 float32 samples): one in-place partition per
+  median, one ``cumsum(axis=1)`` and four ufunc calls per width for the
+  whole block, instead of per row.  ``cumsum`` along axis 1 adds each row
+  in the same sequential float order as a per-row ``cumsum``.
+- Candidates come from one ``flatnonzero`` + ``divmod`` (~8× a 2-D
+  ``nonzero``); on the fine voltage block ≈ 22 of 16,384 samples per row
+  are candidates, ≈ 109 on the dense one.
+- Only the best statistic is tracked over the screen (``np.maximum``); the
+  winning width is the first one attaining the exact maximum, found while
+  the exact values are recomputed.
 
 Implementation layer
 --------------------
@@ -65,12 +74,51 @@ ascending sorted DM ladder, a DM joins the open group while
 the channels are not in ascending frequency order, the path falls back to
 the exact :func:`dedisperse_batch`.
 
+Screen law (boxcar)
+-------------------
+:func:`single_pulse_block_search` emits, for every row, exactly what the
+per-row loop it replaced emits (``_reference_block_search`` in
+``tests/oracles/frontend.py``), bit for bit and dtype for dtype.  Every
+emitted value is computed by :func:`_window_z`; the screen only decides
+*where*.  For a width-``w`` window with sum ``d`` (the same float
+subtraction of the same prefix sums on both paths), ``c = 1/√w`` and
+``S = √w·med`` in float64, the exact statistic is
+``z = fl(fl64(fl(fl64(d·c)) − S))`` and the screen's is
+``z' = fl(fl(d·fl(c)) − fl(S))``, with ``fl`` rounding to the block dtype
+(unit roundoff ``u = eps/2``; float64's is at most ``u``), and ``c``, ``S``
+are the same float64 values on both paths.  Expanding the eight roundings,
+each relative and at most ``u``, and using
+``|d·c| ≤ (1+6u)(|z| + |S|)``:
+
+    |z' − z| ≤ 8u·(|d·c| + |S|) ≤ 9u·(|z| + 2|S|)
+            = 4.5·eps·|z| + 9·eps·|S|            (u ≤ 2⁻¹⁰).
+
+A sample's S/N ``fl(z/σ')`` (``σ'`` the dtype's sigma) reaches the
+threshold ``t`` only if ``z ≥ Z0 = t·σ'·(1 − eps)``, which covers both
+rounding of the quotient and a ``t`` compared after rounding to the dtype.
+For such a sample, ``z' ≥ Z0·(1 − 4.5·eps) − 9·eps·√w_max·|med|``, so the
+screen keeps every sample whose ``max_w z'`` reaches
+
+    Θ = t·σ' − C·eps·(t·σ' + √w_max·|med|),   C = 10 (the proof needs 9),
+
+computed in float64, rounded to the dtype and stepped down one more ulp
+(``_screen_floor``; ``w_max`` is the widest width that fits the row).  The
+exact statistic is then recomputed at each candidate and at both of its
+neighbours, and the seed's ``>=`` / ``>`` plateau rule (:func:`_peak_mask`)
+and first-width-wins rule run on those exact values: a sample that is a
+peak of the per-row loop is a candidate, and its verdict, S/N and width
+depend only on exact values.  On float64 blocks ``z' = z``.  The bound
+assumes rows whose window sums and ``√w·med`` are finite in the block
+dtype; NaN samples are NaN on both paths and never peaks.
+
 The seed's naive implementations live in ``tests/oracles/frontend.py``
 so property tests can assert bit-for-bit (or tolerance-bounded)
 equivalence, and so the benchmark can time naive vs. vectorized honestly.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -346,99 +394,150 @@ def dedisperse_grid(
 
 # -- O(n) boxcar matched filtering -------------------------------------------
 
-def _median_inplace(a: np.ndarray) -> float:
-    """``np.median`` semantics without its NaN-check overhead; ~8× faster.
+#: Rows per block of :func:`single_pulse_block_search`: a block's scratch
+#: buffers are ≈ 0.5 MB each at 16,384 float32 samples per row.
+_BLOCK_ROWS = 8
 
-    Partitions ``a`` in place (callers pass scratch buffers).
+#: ``C`` of the screen's slack (module docstring, "Screen law"); the proof
+#: needs 9.
+_SCREEN_SLACK = 10.0
+
+
+def _check_widths(widths) -> tuple[int, ...]:
+    """Boxcar widths as a tuple of positive Python ints, in the given order."""
+    widths = tuple(widths)
+    for w in widths:
+        if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
+            raise ValueError(f"widths must be positive integers, got {widths!r}")
+    return tuple(int(w) for w in widths)
+
+
+def _check_dtype(a: np.ndarray) -> None:
+    """The statistic needs −inf and fractions: integer and bool blocks are refused."""
+    if not np.issubdtype(a.dtype, np.floating):
+        raise ValueError(
+            f"the boxcar search needs a floating-point series, got dtype {a.dtype}"
+        )
+
+
+def _noise_stats(
+    rows: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (median, robust sigma) of a (k, n) block, both float64.
+
+    sigma = 1.4826 × MAD, floored at 1e-9 (the seed's convention).  Both are
+    the float64 images of the row's own statistics, as ``float()`` of a
+    per-row median gives them.  ``scratch`` (same shape) is partitioned in
+    place, not copied (module docstring, performance notes).
     """
-    m = a.size
-    h = m // 2
-    a.partition(h)
-    if m % 2:
-        return a[h]
-    # Even length: the (h-1)-th order statistic is the max of the left
-    # partition half.  A tuple kth costs ~10× a single kth + max pass.
-    return (a[:h].max() + a[h]) * a.dtype.type(0.5)
+    h = rows.shape[1] // 2
+    half = rows.dtype.type(0.5)
 
+    def median(a: np.ndarray) -> np.ndarray:
+        a.partition(h, axis=1)
+        if rows.shape[1] % 2:
+            return a[:, h].copy()
+        # The (h-1)-th order statistic is the max of the left partition
+        # half; a tuple kth costs ~10× a single kth + max pass.
+        return (a[:, :h].max(axis=1) + a[:, h]) * half
 
-def _noise_stats(series: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
-    """(median, robust sigma) of one dedispersed series, estimated once.
-
-    sigma = 1.4826 × MAD, floored at 1e-9 (the seed's convention).
-    """
-    scratch[:] = series
-    med = _median_inplace(scratch)
-    np.subtract(series, med, out=scratch)
+    scratch[:] = rows
+    med = median(scratch)
+    np.subtract(rows, med[:, None], out=scratch)
     np.abs(scratch, out=scratch)
-    mad = _median_inplace(scratch)
-    sigma = mad * series.dtype.type(1.4826)
-    return float(med), max(float(sigma), 1e-9)
+    sigma = median(scratch) * rows.dtype.type(1.4826)
+    return med.astype(np.float64), np.maximum(sigma.astype(np.float64), 1e-9)
 
 
-def _best_z(
-    series: np.ndarray,
-    widths: tuple[int, ...],
-    med: float,
+def _cumsum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row prefix sums with a leading zero column: ``out[:, i]`` = Σ rows[:, :i]."""
+    out[:, 0] = 0.0
+    np.cumsum(rows, axis=1, out=out[:, 1:])
+    return out
+
+
+def _window_z(sums: np.ndarray, w: int, med: np.ndarray | float) -> np.ndarray:
+    """The window statistic, in place: ``sums/√w − √w·med``.
+
+    The one home of the expression every emitted value is computed with.
+    Both scalars are float64, so on a float32 block each step rounds through
+    float64 (NumPy's buffered cast loop) — which is what makes it slow, and
+    why the screen below does not use it.
+    """
+    sums *= 1.0 / np.sqrt(w)
+    sums -= np.sqrt(w) * med
+    return sums
+
+
+def _exact_best(
     csum: np.ndarray,
-    buf: np.ndarray,
-    best: np.ndarray,
-) -> None:
-    """Fill ``best`` with max-over-widths of the normalized window statistic.
+    rows: np.ndarray,
+    samples: np.ndarray,
+    widths: tuple[int, ...],
+    med: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max-over-widths window statistic and its width at ``(rows, samples)``.
 
     For a left-aligned width-``w`` window starting at ``i``,
     ``z_w[i] = (Σ series[i:i+w]) / √w − √w · med``; dividing by sigma gives
-    the SNR.  Because sigma is shared across widths, the max over widths can
-    be taken on ``z`` directly — one ``np.maximum`` per width instead of two
-    fancy-index writes.
+    the S/N, and since sigma is shared across widths the max is taken on
+    ``z``.  The width is the *first* in ``widths`` attaining the max (the
+    seed's tie rule); where no width fits, or the max is not finite, it is
+    the seed's default 1.  Widths longer than the series are skipped.
     """
-    n = series.size
-    csum[0] = 0.0
-    np.cumsum(series, out=csum[1:])
+    n = csum.shape[1] - 1
+    best = np.full(samples.size, -np.inf, dtype=csum.dtype)
+    width = np.ones(samples.size, dtype=np.int64)
+    for w in widths:
+        if w > n:
+            continue
+        fits = np.nonzero(samples <= n - w)[0]
+        r, s = rows[fits], samples[fits]
+        z = _window_z(csum[r, s + w] - csum[r, s], w, med[r])
+        width[fits[z > best[fits]]] = w
+        best[fits] = np.maximum(best[fits], z)
+    width[~np.isfinite(best)] = 1
+    return best, width
+
+
+def _screen_best(
+    csum: np.ndarray, widths: tuple[int, ...], med: np.ndarray, buf: np.ndarray,
+    best: np.ndarray,
+) -> None:
+    """Fill ``best`` with an approximate max-over-widths window statistic.
+
+    ``_window_z`` in the block's own dtype: coefficients rounded to it, so
+    every op is a native loop.  Each value is within the screen law's bound
+    of the exact one; nothing emitted is read from it.
+    """
+    n = buf.shape[1]
+    dt = csum.dtype.type
     best[:] = -np.inf
     for w in widths:
         if w > n:
-            break
+            continue
         m = n - w + 1
-        zw = np.subtract(csum[w:], csum[: m], out=buf[:m])
-        zw *= 1.0 / np.sqrt(w)
-        zw -= np.sqrt(w) * med
-        np.maximum(best[:m], zw, out=best[:m])
+        z = np.subtract(csum[:, w:], csum[:, :m], out=buf[:, :m])
+        z *= dt(1.0 / np.sqrt(w))
+        z -= (np.sqrt(w) * med).astype(csum.dtype)[:, None]
+        np.maximum(best[:, :m], z, out=best[:, :m])
 
 
-def _widths_at(
-    samples: np.ndarray,
-    best: np.ndarray,
-    widths: tuple[int, ...],
-    med: float,
-    csum: np.ndarray,
-    n: int,
+def _screen_floor(
+    threshold: float, sigma: np.ndarray, med: np.ndarray, w_max: int, dtype: np.dtype
 ) -> np.ndarray:
-    """Recover the winning boxcar width at the given samples only.
+    """Per-row floor Θ of the screen (module docstring, "Screen law")."""
+    z_min = threshold * sigma.astype(dtype).astype(np.float64)
+    eps = float(np.finfo(dtype).eps)
+    floor = z_min - _SCREEN_SLACK * eps * (z_min + np.sqrt(w_max) * np.abs(med))
+    return np.nextafter(floor.astype(dtype), dtype.type(-np.inf))
 
-    Recomputes ``z_w`` with the exact same expressions as :func:`_best_z`
-    (bitwise-identical floats), then takes the first width attaining the
-    tracked maximum — matching the seed's first-width-wins tie-breaking.
-    """
-    k = samples.size
-    applicable = [w for w in widths if w <= n]
-    out = np.ones(k, dtype=np.int64)  # the seed's default width
-    if not applicable:
-        return out
-    z = np.full((len(applicable), k), -np.inf)
-    for row, w in enumerate(applicable):
-        ok = samples <= n - w
-        s_ok = samples[ok]
-        zw = csum[s_ok + w] - csum[s_ok]
-        zw *= 1.0 / np.sqrt(w)
-        zw -= np.sqrt(w) * med
-        z[row, ok] = zw
-    # -inf best (no width fits at this sample) must keep the default width,
-    # not "match" the -inf placeholder rows.
-    hit = (z == best[samples][None, :]) & np.isfinite(best[samples])[None, :]
-    any_hit = hit.any(axis=0)
-    first = np.argmax(hit, axis=0)
-    out[any_hit] = np.asarray(applicable, dtype=np.int64)[first[any_hit]]
-    return out
+
+def _peak_mask(
+    at: np.ndarray, left: np.ndarray, right: np.ndarray, threshold: float
+) -> np.ndarray:
+    """The seed's peak rule: ``at >= threshold``, ``at >= left``, ``at > right``."""
+    return (at >= threshold) & (at >= left) & (at > right)
 
 
 def boxcar_snr(
@@ -450,20 +549,22 @@ def boxcar_snr(
     Returns ``(snr, best_width)``; ``snr[i]`` is the SNR of the best
     left-aligned window starting at ``i`` (−inf where no configured width
     fits), against median/MAD noise estimated once from the raw series.
-    O(n) per width via cumulative sums.
+    O(n) per width via cumulative sums: the block search's helpers on a
+    one-row block, with the exact statistic at every sample.
     """
     series = np.ascontiguousarray(series)
+    _check_dtype(series)
+    widths = _check_widths(widths)
     n = series.size
     if n == 0:
         return np.empty(0, dtype=series.dtype), np.empty(0, dtype=np.int64)
-    scratch = np.empty_like(series)
-    med, sigma = _noise_stats(series, scratch)
-    best = np.empty(n, dtype=series.dtype)
-    csum = np.empty(n + 1, dtype=series.dtype)
-    _best_z(series, widths, med, csum, scratch, best)
-    best_width = _widths_at(np.arange(n), best, widths, med, csum, n)
-    snr = best / series.dtype.type(sigma)
-    return snr, best_width
+    row = series.reshape(1, n)
+    med, sigma = _noise_stats(row, np.empty_like(row))
+    csum = _cumsum(row, np.empty((1, n + 1), dtype=series.dtype))
+    best, width = _exact_best(
+        csum, np.zeros(n, dtype=np.int64), np.arange(n), widths, med
+    )
+    return best / series.dtype.type(sigma[0]), width
 
 
 def find_peaks(snr: np.ndarray, threshold: float) -> np.ndarray:
@@ -483,8 +584,7 @@ def find_peaks(snr: np.ndarray, threshold: float) -> np.ndarray:
     left[idx == 0] = -np.inf
     right = snr[np.minimum(idx + 1, n - 1)].copy()
     right[idx == n - 1] = -np.inf
-    at = snr[idx]
-    return idx[(at >= left) & (at > right)]
+    return idx[_peak_mask(snr[idx], left, right, threshold)]
 
 
 def single_pulse_block_search(
@@ -497,11 +597,13 @@ def single_pulse_block_search(
     """Boxcar-search every row of a dedispersed block.
 
     Returns ``(row_idx, sample, snr, width)`` arrays ordered by
-    (row, sample).  This is the fused cache-friendly path: each row's
-    cumsum/window/noise passes run while the row is L2-resident, and the
-    winning width is recomputed only at detected peaks.  ``boxcar`` and
-    ``impl`` are validated (``"cumsum"`` and :func:`resolve_impl`'s names
-    are the only values) and select nothing.
+    (row, sample) — for every row, exactly what :func:`boxcar_snr` followed
+    by :func:`find_peaks` gives, bit for bit.  Rows are processed
+    ``_BLOCK_ROWS`` at a time: noise statistics, prefix sums and a
+    native-dtype screen for the whole block, then the exact statistic only
+    at the screen's candidates and their two neighbours (module docstring,
+    "Screen law").  ``boxcar`` and ``impl`` are validated (``"cumsum"`` and
+    :func:`resolve_impl`'s names are the only values) and select nothing.
     """
     resolve_impl(impl)
     if boxcar != "cumsum":
@@ -511,34 +613,41 @@ def single_pulse_block_search(
         raise ValueError("block must be 2-D (trial DMs × samples)")
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+    _check_dtype(block)
+    widths = _check_widths(widths)
     n_rows, n = block.shape
-    csum = np.empty(n + 1, dtype=block.dtype)
-    buf = np.empty(n, dtype=block.dtype)
-    best = np.empty(n, dtype=block.dtype)
-    snr = np.empty(n, dtype=block.dtype)
-    scratch = np.empty(n, dtype=block.dtype)
-    out_rows: list[np.ndarray] = []
-    out_samples: list[np.ndarray] = []
-    out_snrs: list[np.ndarray] = []
-    out_widths: list[np.ndarray] = []
-    for d in range(n_rows):
-        series = block[d]
-        med, sigma = _noise_stats(series, scratch)
-        _best_z(series, widths, med, csum, buf, best)
-        np.divide(best, block.dtype.type(sigma), out=snr)
-        peaks = find_peaks(snr, threshold)
-        if peaks.size == 0:
+    dtype = block.dtype
+    w_max = max((w for w in widths if w <= n), default=1)
+    k = min(_BLOCK_ROWS, n_rows)
+    csum = np.empty((k, n + 1), dtype=dtype)
+    buf = np.empty((k, n), dtype=dtype)
+    best = np.empty((k, n), dtype=dtype)
+    found: list[tuple[np.ndarray, ...]] = []
+    for lo in range(0, n_rows if n else 0, _BLOCK_ROWS):  # (rows, 0): nothing
+        rows = block[lo : lo + _BLOCK_ROWS]
+        k = rows.shape[0]
+        med, sigma = _noise_stats(rows, buf[:k])
+        _cumsum(rows, csum[:k])
+        _screen_best(csum[:k], widths, med, buf[:k], best[:k])
+        floor = _screen_floor(threshold, sigma, med, w_max, dtype)
+        # flatnonzero + divmod: ~8× a 2-D nonzero.
+        r, s = np.divmod(np.flatnonzero(best[:k] >= floor[:, None]), n)
+        if r.size == 0:
             continue
-        out_rows.append(np.full(peaks.size, d, dtype=np.int64))
-        out_samples.append(peaks)
-        out_snrs.append(snr[peaks].copy())
-        out_widths.append(_widths_at(peaks, best, widths, med, csum, n))
-    if not out_rows:
+        # Exact values at each candidate and both neighbours: [left, at, right].
+        r3 = np.tile(r, 3)
+        s3 = np.concatenate([np.maximum(s - 1, 0), s, np.minimum(s + 1, n - 1)])
+        z, width = _exact_best(csum[:k], r3, s3, widths, med)
+        snr = z / sigma.astype(dtype)[r3]
+        left, at, right = np.split(snr, 3)
+        left[s == 0] = -np.inf
+        right[s == n - 1] = -np.inf
+        peak = _peak_mask(at, left, right, threshold)
+        if peak.any():
+            found.append(
+                (r[peak] + lo, s[peak], at[peak], np.split(width, 3)[1][peak])
+            )
+    if not found:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=block.dtype), empty
-    return (
-        np.concatenate(out_rows),
-        np.concatenate(out_samples),
-        np.concatenate(out_snrs),
-        np.concatenate(out_widths),
-    )
+        return empty, empty, np.empty(0, dtype=dtype), empty
+    return tuple(np.concatenate(col) for col in zip(*found))

@@ -8,6 +8,8 @@ Nothing live calls them; the identity laws hold the live kernels to them:
   bit for bit, ``boxcar_snr`` ≡ :func:`_reference_boxcar_snr` to summation
   order, ``find_peaks`` ≡ :func:`_reference_find_peaks`
   (``tests/test_astro_kernels.py``);
+- ``single_pulse_block_search`` ≡ :func:`_reference_block_search` bit for
+  bit, dtype included (``tests/test_astro_kernels.py``);
 - ``single_pulse_search`` against :func:`_reference_single_pulse_search`
   (``tests/test_astro_kernels.py``, ``benchmarks/bench_frontend_kernels.py``);
 - ``SinglePulseDBSCAN._dbscan`` ≡ :func:`_reference_dbscan`, label for label
@@ -24,6 +26,7 @@ import numpy as np
 from repro.astro.clustering import NOISE, SinglePulseDBSCAN
 from repro.astro.dispersion import K_DM
 from repro.astro.filterbank import Filterbank
+from repro.astro.kernels import find_peaks
 from repro.astro.spe import SPE
 
 # -- kernels ------------------------------------------------------------------
@@ -94,6 +97,152 @@ def _reference_find_peaks(snr: np.ndarray, threshold: float) -> np.ndarray:
         if snr[i] >= left and snr[i] > right:
             out.append(i)
     return np.asarray(out, dtype=np.int64)
+
+
+# -- the per-row block search -------------------------------------------------
+
+
+def _reference_median_inplace(a: np.ndarray) -> float:
+    """``np.median`` semantics without its NaN-check overhead; ~8× faster.
+
+    Partitions ``a`` in place (callers pass scratch buffers).
+    """
+    m = a.size
+    h = m // 2
+    a.partition(h)
+    if m % 2:
+        return a[h]
+    # Even length: the (h-1)-th order statistic is the max of the left
+    # partition half.  A tuple kth costs ~10× a single kth + max pass.
+    return (a[:h].max() + a[h]) * a.dtype.type(0.5)
+
+
+def _reference_noise_stats(series: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+    """(median, robust sigma) of one dedispersed series, estimated once.
+
+    sigma = 1.4826 × MAD, floored at 1e-9 (the seed's convention).
+    """
+    scratch[:] = series
+    med = _reference_median_inplace(scratch)
+    np.subtract(series, med, out=scratch)
+    np.abs(scratch, out=scratch)
+    mad = _reference_median_inplace(scratch)
+    sigma = mad * series.dtype.type(1.4826)
+    return float(med), max(float(sigma), 1e-9)
+
+
+def _reference_best_z(
+    series: np.ndarray,
+    widths: tuple[int, ...],
+    med: float,
+    csum: np.ndarray,
+    buf: np.ndarray,
+    best: np.ndarray,
+) -> None:
+    """Fill ``best`` with max-over-widths of the normalized window statistic.
+
+    For a left-aligned width-``w`` window starting at ``i``,
+    ``z_w[i] = (Σ series[i:i+w]) / √w − √w · med``; dividing by sigma gives
+    the SNR.  Because sigma is shared across widths, the max over widths can
+    be taken on ``z`` directly — one ``np.maximum`` per width instead of two
+    fancy-index writes.
+    """
+    n = series.size
+    csum[0] = 0.0
+    np.cumsum(series, out=csum[1:])
+    best[:] = -np.inf
+    for w in widths:
+        if w > n:
+            break
+        m = n - w + 1
+        zw = np.subtract(csum[w:], csum[: m], out=buf[:m])
+        zw *= 1.0 / np.sqrt(w)
+        zw -= np.sqrt(w) * med
+        np.maximum(best[:m], zw, out=best[:m])
+
+
+def _reference_widths_at(
+    samples: np.ndarray,
+    best: np.ndarray,
+    widths: tuple[int, ...],
+    med: float,
+    csum: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Recover the winning boxcar width at the given samples only.
+
+    Recomputes ``z_w`` with the exact same expressions as
+    :func:`_reference_best_z` (bitwise-identical floats), then takes the
+    first width attaining the tracked maximum — matching the seed's
+    first-width-wins tie-breaking.
+    """
+    k = samples.size
+    applicable = [w for w in widths if w <= n]
+    out = np.ones(k, dtype=np.int64)  # the seed's default width
+    if not applicable:
+        return out
+    z = np.full((len(applicable), k), -np.inf)
+    for row, w in enumerate(applicable):
+        ok = samples <= n - w
+        s_ok = samples[ok]
+        zw = csum[s_ok + w] - csum[s_ok]
+        zw *= 1.0 / np.sqrt(w)
+        zw -= np.sqrt(w) * med
+        z[row, ok] = zw
+    # -inf best (no width fits at this sample) must keep the default width,
+    # not "match" the -inf placeholder rows.
+    hit = (z == best[samples][None, :]) & np.isfinite(best[samples])[None, :]
+    any_hit = hit.any(axis=0)
+    first = np.argmax(hit, axis=0)
+    out[any_hit] = np.asarray(applicable, dtype=np.int64)[first[any_hit]]
+    return out
+
+
+def _reference_block_search(
+    block: np.ndarray,
+    threshold: float,
+    widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The per-row loop ``single_pulse_block_search`` ran until it was
+    row-blocked: noise, prefix sums and every width's statistic one row at
+    a time, then :func:`repro.astro.kernels.find_peaks` on the row.
+
+    Its ``_reference_best_z`` stops at the first width longer than the row,
+    so it is the law only for widths in ascending order (or with the
+    over-long ones removed); the live kernel skips them instead.
+    """
+    block = np.asarray(block)
+    n_rows, n = block.shape
+    csum = np.empty(n + 1, dtype=block.dtype)
+    buf = np.empty(n, dtype=block.dtype)
+    best = np.empty(n, dtype=block.dtype)
+    snr = np.empty(n, dtype=block.dtype)
+    scratch = np.empty(n, dtype=block.dtype)
+    out_rows: list[np.ndarray] = []
+    out_samples: list[np.ndarray] = []
+    out_snrs: list[np.ndarray] = []
+    out_widths: list[np.ndarray] = []
+    for d in range(n_rows):
+        series = block[d]
+        med, sigma = _reference_noise_stats(series, scratch)
+        _reference_best_z(series, widths, med, csum, buf, best)
+        np.divide(best, block.dtype.type(sigma), out=snr)
+        peaks = find_peaks(snr, threshold)
+        if peaks.size == 0:
+            continue
+        out_rows.append(np.full(peaks.size, d, dtype=np.int64))
+        out_samples.append(peaks)
+        out_snrs.append(snr[peaks].copy())
+        out_widths.append(_reference_widths_at(peaks, best, widths, med, csum, n))
+    if not out_rows:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=block.dtype), empty
+    return (
+        np.concatenate(out_rows),
+        np.concatenate(out_samples),
+        np.concatenate(out_snrs),
+        np.concatenate(out_widths),
+    )
 
 
 # -- single pulse search ------------------------------------------------------

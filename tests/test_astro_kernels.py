@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -21,14 +22,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from oracles.frontend import (
+    _reference_best_z,
+    _reference_block_search,
     _reference_boxcar_snr,
     _reference_dbscan,
     _reference_dedisperse,
     _reference_find_peaks,
+    _reference_noise_stats,
     _reference_single_pulse_search,
 )
 
-from repro.astro import GBT350DRIFT, clustering, generate_observation
+from repro.astro import GBT350DRIFT, clustering, generate_observation, kernels
 from repro.astro.clustering import NOISE, Cluster, SinglePulseDBSCAN
 from repro.astro.dispersion import DMGrid, smearing_snr_factor, smearing_snr_factors
 from repro.astro.filterbank import (
@@ -273,9 +277,7 @@ class TestBoxcarSearch:
             snr, width = boxcar_snr(block[r], widths)
             for s in find_peaks(snr, 2.0):
                 expect[(r, int(s))] = (float(snr[s]), int(width[s]))
-        assert got.keys() == expect.keys()
-        for key, (v, w) in expect.items():
-            assert got[key] == (pytest.approx(v), w)
+        assert got == expect
 
     def test_only_the_cumsum_boxcar_is_accepted(self):
         with pytest.raises(ValueError, match="boxcar"):
@@ -287,6 +289,207 @@ class TestBoxcarSearch:
         block = np.random.default_rng(0).normal(size=(2, 64))
         with pytest.raises(ValueError, match="threshold"):
             single_pulse_block_search(block, threshold)
+
+    def test_a_width_longer_than_the_row_is_skipped_not_a_stop(self):
+        """``(128, 1, 2, 4)`` on 64 samples used to find nothing, and
+        ``boxcar_snr`` returned all −inf: the loop stopped at 128."""
+        rng = np.random.default_rng(3)
+        block = rng.normal(0.0, 1.0, size=(1, 64))
+        block[0, [10, 40]] += 8.0
+        want = single_pulse_block_search(block, 5.0, (1, 2, 4))
+        got = single_pulse_block_search(block, 5.0, (128, 1, 2, 4))
+        assert want[0].size >= 2
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        snr, width = boxcar_snr(block[0], (128, 1, 2, 4))
+        snr_ref, width_ref = boxcar_snr(block[0], (1, 2, 4))
+        assert np.isfinite(snr).any()
+        assert snr.tobytes() == snr_ref.tobytes() and np.array_equal(width, width_ref)
+
+    @pytest.mark.parametrize("widths", [(0,), (1, -2), (2.5,), (True, 2), ("4",), (None,)])
+    def test_widths_must_be_positive_integers(self, widths):
+        """``0``/``-2`` used to fail with a broadcast error, ``2.5`` with a
+        ``TypeError``."""
+        block = np.random.default_rng(0).normal(size=(2, 64))
+        with pytest.raises(ValueError, match="widths"):
+            single_pulse_block_search(block, 5.0, widths)
+        with pytest.raises(ValueError, match="widths"):
+            boxcar_snr(block[0], widths)
+
+    def test_numpy_integer_widths_are_accepted(self):
+        block = np.random.default_rng(0).normal(size=(3, 64))
+        got = single_pulse_block_search(block, 2.0, (np.int64(1), np.int32(4)))
+        want = single_pulse_block_search(block, 2.0, (1, 4))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 16), (0, 0)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_an_empty_block_finds_nothing(self, shape, dtype):
+        """A ``(rows, 0)`` block used to raise "zero-size array to reduction
+        operation maximum" while ``(0, n)`` returned empty."""
+        got = single_pulse_block_search(np.zeros(shape, dtype=dtype), 5.0)
+        assert [a.size for a in got] == [0, 0, 0, 0]
+        assert [a.dtype for a in got] == [np.int64, np.int64, np.dtype(dtype), np.int64]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint8, bool])
+    def test_a_non_float_block_is_refused_by_dtype(self, dtype):
+        """An integer block used to raise ``OverflowError: cannot convert
+        float infinity to integer``."""
+        block = np.ones((2, 32), dtype=dtype)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            single_pulse_block_search(block, 5.0)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            boxcar_snr(block[0])
+
+
+#: What each row of a drawn block holds (see ``_draw_row``).
+ROW_KINDS = ("noise", "constant", "offset", "ties", "pulse")
+
+
+def _draw_row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "constant":  # MAD 0: sigma is the 1e-9 floor
+        return np.full(n, rng.normal(0.0, 100.0))
+    if kind == "offset":  # |median| ≫ sigma: the screen's slack term
+        return rng.normal(0.0, 1.0, n) + rng.choice([-1, 1]) * 10.0 ** rng.uniform(3, 6)
+    if kind == "ties":  # small integers: exact ties between widths and samples
+        return rng.integers(-3, 4, n).astype(float)
+    row = rng.normal(0.0, 1.0, n)
+    if kind == "pulse" and n:
+        w = int(rng.integers(1, 40))
+        at = int(rng.integers(0, n))
+        row[at : at + w] += rng.uniform(0.5, 6.0)
+    return row
+
+
+def _oracle_snrs(row: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """Every sample's S/N as the per-row loop computes it."""
+    n = row.size
+    med, sigma = _reference_noise_stats(row, np.empty_like(row))
+    best = np.empty_like(row)
+    _reference_best_z(row, widths, med, np.empty(n + 1, row.dtype), np.empty_like(row), best)
+    return best / row.dtype.type(sigma)
+
+
+class TestBlockedSearchEqualsPerRowLoop:
+    """``single_pulse_block_search`` screens a block in its own dtype and
+    recomputes the exact statistic at candidates only; the per-row loop it
+    replaced (``oracles.frontend``) is the law, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=27),
+        n=st.one_of(st.integers(1, 40), st.integers(41, 400)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        widths=st.lists(st.sampled_from([1, 2, 3, 4, 5, 8, 16, 32, 64]), min_size=1, max_size=6),
+        threshold=st.floats(0.5, 8.0),
+        edge=st.sampled_from([None, -1, 0, 1]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_random_blocks(self, kinds, n, dtype, widths, threshold, edge, seed):
+        """Rows of noise, constants (the sigma floor), large offsets (the
+        slack), small integers (ties) and pulses; widths in any order, some
+        longer than the row; ``edge`` puts the threshold on a pulse's S/N
+        or one ulp either side of it."""
+        rng = np.random.default_rng(seed)
+        block = np.array([_draw_row(k, n, rng) for k in kinds], dtype=dtype).reshape(len(kinds), n)
+        fitting = tuple(w for w in widths if w <= n)
+        if edge is not None:
+            row = kinds.index("pulse") if "pulse" in kinds else 0
+            snr = _oracle_snrs(block[row], fitting)
+            snr = snr[np.isfinite(snr) & (snr > 0)]
+            if snr.size:
+                peak = snr.max()
+                peak = peak if edge == 0 else np.nextafter(peak, edge * np.inf)
+                threshold = float(peak) if np.isfinite(peak) else threshold
+        got = single_pulse_block_search(block, threshold, tuple(widths))
+        want = _reference_block_search(block, threshold, fitting)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_threshold_on_each_side_of_every_peak(self, dtype):
+        """Every above-threshold S/N of a pulsed block, and its two
+        neighbouring floats, as the threshold."""
+        rng = np.random.default_rng(11)
+        block = np.array([_draw_row("pulse", 300, rng) for _ in range(11)], dtype=dtype)
+        widths = (1, 2, 4, 8, 16, 32)
+        values = np.unique(np.concatenate([_oracle_snrs(r, widths) for r in block]))
+        values = values[values > 3.0][-12:]
+        assert values.size == 12
+        for v in values:
+            for t in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)):
+                got = single_pulse_block_search(block, float(t), widths)
+                want = _reference_block_search(block, float(t), widths)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_ties_between_widths_go_to_the_first(self):
+        """With median 0, ``[2, 1, 1, 0]`` scores 2 at width 1 and at width
+        4 alike; the first listed wins, as in the per-row loop."""
+        row = np.zeros(64)
+        row[1::2] = 0.25 * (-1) ** np.arange(32)
+        row[20:24] = [2.0, 1.0, 1.0, 0.0]
+        block = np.vstack([row] * 9)
+        for widths in ((1, 4), (4, 1)):
+            got = single_pulse_block_search(block, 1.0, widths)
+            want = _reference_block_search(block, 1.0, widths)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert got[3][got[1] == 20].tolist() == [widths[0]] * 9
+
+
+@contextmanager
+def ndarray_method_calls(*names):
+    """Count calls of the named ``ndarray`` methods (``np.cumsum`` is one
+    ``ndarray.cumsum`` call) — they are C methods, so not patchable."""
+    calls = Counter()
+
+    def profile(_frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray):
+            if arg.__name__ in names:
+                calls[arg.__name__] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
+class TestBlockedSearchGuards:
+    """What the benchmark would catch late, caught without a clock."""
+
+    @pytest.mark.parametrize("n_rows", [1, 8, 37])
+    def test_partition_and_cumsum_run_once_per_block(self, n_rows):
+        block = np.random.default_rng(2).normal(size=(n_rows, 500)).astype(np.float32)
+        with ndarray_method_calls("partition", "cumsum") as calls:
+            single_pulse_block_search(block, 5.0)
+        blocks = math.ceil(n_rows / kernels._BLOCK_ROWS)
+        # Two medians (the row and its absolute deviations) per block.
+        assert dict(calls) == {"partition": 2 * blocks, "cumsum": blocks}
+
+    def test_exact_values_only_at_candidates_and_their_neighbours(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        block = np.array([_draw_row("pulse", 4096, rng) for _ in range(37)], dtype=np.float32)
+        candidates, exact = [], []
+        flatnonzero, exact_best = np.flatnonzero, kernels._exact_best
+
+        def counted_flatnonzero(a):
+            found = flatnonzero(a)
+            candidates.append(found.size)
+            return found
+
+        def counted_exact(csum, rows, samples, widths, med):
+            exact.append(samples.size)
+            return exact_best(csum, rows, samples, widths, med)
+
+        monkeypatch.setattr(np, "flatnonzero", counted_flatnonzero)
+        monkeypatch.setattr(kernels, "_exact_best", counted_exact)
+        got = single_pulse_block_search(block, 5.0)
+        assert len(candidates) == math.ceil(37 / kernels._BLOCK_ROWS)
+        assert exact == [3 * c for c in candidates if c]
+        # A screen that let through whole rows would break this.
+        assert 0 < sum(candidates) < 0.01 * block.size
+        want = _reference_block_search(block, 5.0)
+        assert got[0].size > 0
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestGoldenRecovery:

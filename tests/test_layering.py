@@ -15,13 +15,14 @@ LIVE = sorted((REPO / "src").rglob("*.py")) + sorted((REPO / "examples").glob("*
 ORACLES = sorted((REPO / "tests" / "oracles").glob("*.py"))
 
 #: Defined exactly once under ``tests/oracles/`` (``record_path.py``; the
-#: six front-end names in ``frontend.py``; the five per-feature split-search
+#: seven front-end names in ``frontend.py``; the five per-feature split-search
 #: and per-segment MDL names in ``ml_hist.py``).
 RELOCATED = {
     "PulseFeatures",
     "RapidResult",
     "SinglePulse",
     "_expand",
+    "_reference_block_search",
     "_reference_boxcar_snr",
     "_reference_build_cluster_file",
     "_reference_build_data_file",
@@ -46,9 +47,13 @@ RELOCATED = {
     "spes_to_csv",
 }
 #: Record adapters the batch types no longer carry, the one deleted reader,
-#: the tree dedispersion and decomposed boxcar kernels, and the two
-#: ``Dataset`` methods nothing called.
+#: the tree dedispersion and decomposed boxcar kernels, the per-row boxcar
+#: helpers the row-blocked search replaced, and the two ``Dataset`` methods
+#: nothing called.
 GONE = {
+    "_best_z",
+    "_widths_at",
+    "_median_inplace",
     "to_records",
     "record",
     "read_ml_files",
