@@ -11,7 +11,9 @@ Times the three front-end stages the ISSUE targets, at several
   path on a fine DM ladder (where partial-sum reuse pays off);
 - kernel methods — direct/subband curves on large fine DM grids
   (``KernelConfig`` dispatch), with an in-bench equivalence check
-  (direct ≡ naive reference);
+  (direct ≡ naive reference), and the ``tracemalloc`` peak of each
+  streamed ``single_pulse_search`` next to the bytes of the dedispersed
+  block it no longer holds (gated at ≤ ¼ of the block);
 - DBSCAN — the dict-of-cells sweep vs the columnar pair passes.
 
 Writes ``BENCH_frontend_kernels.json`` at the repo root (the perf
@@ -24,6 +26,7 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_frontend_ker
 from __future__ import annotations
 
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +170,17 @@ def _assert_kernel_equivalence(fb, trials) -> None:
         assert np.max(np.abs(row - ref)) <= 1e-6, dm
 
 
+def _search_peak_mib(fb, trials, kernel) -> float:
+    """``tracemalloc`` peak of one ``single_pulse_search`` call, MiB: what
+    the call allocates, not the filterbank it is given."""
+    tracemalloc.start()
+    try:
+        single_pulse_search(fb, trials, kernel=kernel)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
     """Direct/subband curves on fine DM grids, vs the naive front end and the
     exact direct kernel.  Best-of-3 timing: the repo's CI box is a single
@@ -175,6 +189,8 @@ def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
     for name, n_channels, duration_s, dm_lo, dm_step, n_dms in scales:
         fb = _make_filterbank(n_channels, duration_s, 1e-3)
         trials = dm_lo + dm_step * np.arange(n_dms)
+        # single_pulse_search's float32 block, which it streams instead.
+        block_mib = n_dms * fb.n_samples * 4 / 2**20
         _assert_kernel_equivalence(fb, trials)
         t_naive = _timeit(lambda: _reference_single_pulse_search(fb, trials),
                           repeats=1)
@@ -201,6 +217,7 @@ def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
                 "search_speedup_vs_naive": round(t_naive / t_search, 2),
                 "dedisperse_speedup_vs_direct": round(
                     t_direct_dedisp / t_dedisp, 2),
+                "search_peak_mib": round(_search_peak_mib(fb, trials, kernel), 2),
             })
         records.append({
             "scale": name,
@@ -209,6 +226,8 @@ def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
             "n_dms": n_dms,
             "dm_step": dm_step,
             "naive_search_s": round(t_naive, 4),
+            "block_mib": round(block_mib, 2),
+            "filterbank_mib": round(fb.data.nbytes / 2**20, 2),
             "curves": curves,
         })
     return records
@@ -268,7 +287,14 @@ def run_all() -> dict:
              dbscan["vectorized_s"], f'{dbscan["speedup"]}x']
         ],
     )
-    emit("BENCH_frontend_kernels", table + f"\n\n{note}")
+    memory = format_table(
+        ["method", "scale", "block MiB", "streamed search peak MiB"],
+        [
+            [c["method"], r["scale"], r["block_mib"], c["search_peak_mib"]]
+            for r in methods for c in r["curves"]
+        ],
+    )
+    emit("BENCH_frontend_kernels", table + f"\n\n{memory}\n\n{note}")
     return results
 
 
@@ -287,6 +313,7 @@ def test_frontend_kernel_speedup():
     large = next(r for r in results["kernel_methods"]
                  if r["scale"] == "fine-large")
     _assert_subband_gate(_curve(large, "subband"))
+    _assert_memory_gate(large)
     assert RESULT_JSON.exists()
 
 
@@ -298,18 +325,29 @@ def _assert_subband_gate(subband: dict) -> None:
     assert subband["search_speedup_vs_naive"] >= 5.0, subband
 
 
+def _assert_memory_gate(record: dict) -> None:
+    """The streamed search never holds the dedispersed block: on either
+    method its traced peak is at most a quarter of the block's bytes."""
+    for curve in record["curves"]:
+        assert curve["search_peak_mib"] <= record["block_mib"] / 4, (record, curve)
+
+
 def run_smoke() -> None:
-    """CI gate: in-bench equivalence (direct ≡ reference) plus the subband
-    gate on the fine-large grid.  Does not rewrite the committed JSON."""
+    """CI gate: in-bench equivalence (direct ≡ reference), the subband gate
+    and the memory gate on the fine-large grid.  Does not rewrite the
+    committed JSON."""
     record = bench_kernel_methods(scales=KERNEL_SCALES[1:2])[0]
     subband = _curve(record, "subband")
+    peaks = ", ".join(f"{c['method']} {c['search_peak_mib']}" for c in record["curves"])
     emit(
         "BENCH_frontend_kernels (smoke)",
         f"subband vs direct dedispersion at {record['scale']}: "
         f"{subband['dedisperse_speedup_vs_direct']}x "
-        f"(search vs naive: {subband['search_speedup_vs_naive']}x)",
+        f"(search vs naive: {subband['search_speedup_vs_naive']}x); "
+        f"search peak MiB {peaks} of a {record['block_mib']} MiB block",
     )
     _assert_subband_gate(subband)
+    _assert_memory_gate(record)
 
 
 if __name__ == "__main__":

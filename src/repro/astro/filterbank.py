@@ -14,7 +14,8 @@ whole chain — voltages to classified candidates — exists in the repository:
   partial-sum-reusing ``subband``);
 - :func:`single_pulse_search` — matched filtering of each dedispersed time
   series with boxcars of several widths and thresholding, emitting the SPE
-  records the rest of the pipeline consumes.
+  records the rest of the pipeline consumes.  It streams the grid a chunk
+  of trial-DM rows at a time and never holds the whole dedispersed block.
 
 The heavy lifting lives in :mod:`repro.astro.kernels`; the seed's naive
 loops are kept in ``tests/oracles/frontend.py`` for equivalence tests and
@@ -37,6 +38,7 @@ from repro.astro.dispersion import K_DM
 from repro.astro.kernels import (
     dedisperse_batch,
     dedisperse_grid,
+    plan_dedispersion,
     single_pulse_block_search,
 )
 from repro.astro.spe import SPE, spes_from_search
@@ -193,10 +195,15 @@ def single_pulse_search(
 ) -> list[SPE]:
     """PRESTO-style single pulse search over the whole trial-DM grid.
 
-    Vectorized front end: one dedispersion of the full grid, then an O(n)
-    boxcar filter per series with median/MAD noise estimated once per
-    series, and a vectorized threshold + local-maxima pass
-    (:mod:`repro.astro.kernels`).
+    Streamed front end (:mod:`repro.astro.kernels`): one dedispersion plan
+    for the whole ladder, then, a chunk of trial-DM rows at a time, the
+    rows dedispersed into one reused buffer and boxcar-searched — an O(n)
+    filter per series with median/MAD noise estimated once per series, and
+    a vectorized threshold + local-maxima pass.  Memory is one chunk
+    (≈ 4 MiB, ``DedispersionPlan.chunk_rows``) plus the filterbank, not the
+    (n_dms × n_samples) block; the detections are those of
+    ``single_pulse_block_search(dedisperse_all(...))``, bit for bit, because
+    every row is dedispersed and searched on its own.
 
     Sample convention: boxcar windows are **left-aligned** — each emitted
     SPE's ``sample`` (and ``time_s = sample × t_samp``) is the *first*
@@ -213,20 +220,35 @@ def single_pulse_search(
 
     ``kernel`` (a :class:`repro.execution.KernelConfig`; None means
     ``KernelConfig()``) selects the dedispersion method.
-    ``obs`` records the choice as one ``kernel_selected`` event and
-    per-stage ``kernel.dedisperse`` / ``kernel.boxcar`` spans.
+    ``obs`` records the choice as one ``kernel_selected`` event and, per
+    chunk, one ``kernel.dedisperse`` and one ``kernel.boxcar`` span, each
+    carrying the chunk's ``rows`` and ``bytes``.
     """
     if not (np.isfinite(snr_threshold) and snr_threshold > 0):
         raise ValueError(f"snr_threshold must be finite and positive, got {snr_threshold!r}")
     trial_dms = np.asarray(trial_dms, dtype=float)
     k = kernel or KernelConfig()
+    plan = plan_dedispersion(
+        fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s,
+        trial_dms, kernel=k, out_dtype=dtype,
+    )
     if obs is not None:
         obs.emit(KERNEL_SELECTED, method=k.method)
     span = obs.tracer.span if obs is not None else (lambda *a, **k_: nullcontext())
-    with span("kernel.dedisperse", method=k.method):
-        block = dedisperse_all(fb, trial_dms, out_dtype=dtype, kernel=k)
-    with span("kernel.boxcar"):
-        rows, samples, snrs, widths = single_pulse_block_search(
-            block, snr_threshold, boxcar_widths
-        )
+    n_dms, step = plan.n_rows, plan.chunk_rows
+    buf = np.empty((min(step, n_dms), fb.n_samples), dtype=plan.dtype)
+    found = []
+    # An empty ladder still searches one empty chunk, which checks the
+    # search settings and gives the detections their dtypes.
+    for lo in range(0, max(n_dms, 1), step):
+        block = buf[: min(step, n_dms - lo)]
+        size = {"rows": len(block), "bytes": block.nbytes}
+        with span("kernel.dedisperse", method=k.method, **size):
+            plan.fill(lo, block)
+        with span("kernel.boxcar", **size):
+            rows, samples, snrs, widths = single_pulse_block_search(
+                block, snr_threshold, boxcar_widths
+            )
+        found.append((rows + lo, samples, snrs, widths))
+    rows, samples, snrs, widths = (np.concatenate(col) for col in zip(*found))
     return spes_from_search(trial_dms, fb.sample_time_s, rows, samples, snrs, widths)

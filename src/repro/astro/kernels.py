@@ -8,14 +8,19 @@ boxcar width, and a Python local-maxima scan.  This module replaces them
 with NumPy kernels that process the whole trial-DM grid at once:
 
 - :func:`shift_table` — the per-(trial DM, channel) sample-shift table,
-  computed once for the whole grid;
+  computed once for the whole grid (:func:`delay_table` checks the ladder);
+- :func:`plan_dedispersion` — the method dispatcher driven by
+  :class:`repro.execution.KernelConfig`: a :class:`DedispersionPlan` holds
+  what one call computes once per ladder (``direct``'s shift table;
+  ``subband``'s grouping of the whole ladder and its stage-1/stage-2
+  tables) and fills any range of rows, so a search can stream the grid a
+  chunk of rows at a time;
 - :func:`dedisperse_batch` — the full (n_dms × n_samples) dedispersed
-  block via vectorized slice-adds;
+  block via vectorized slice-adds (a ``direct`` plan, every row filled);
 - :func:`dedisperse_subband` — an optional two-stage subband path that
   reuses partial sums across neighbouring trial DMs (the classic ~O(√n_chan)
   trick; tolerance-bounded, wins on fine DM ladders);
-- :func:`dedisperse_grid` — the method dispatcher driven by
-  :class:`repro.execution.KernelConfig`;
+- :func:`dedisperse_grid` — the full block of the configured method;
 - :func:`boxcar_snr` — O(n) sliding-boxcar SNR via cumulative sums, with
   median/MAD noise estimated once per series;
 - :func:`find_peaks` — vectorized threshold + local-maxima pass;
@@ -42,6 +47,10 @@ Measured on one core of a shared 2-vCPU Linux host (NumPy 2.4):
   runs NumPy's buffered cast loop: 3–4× the same op with a float32 scalar.
   The exact statistic needs that rounding path, so the search runs it only
   at candidates; the screen over every sample is native float32.
+- A streamed search holds ``_CHUNK_BYTES`` (4 MiB: 64 rows of 16,384
+  float32 samples) of dedispersed rows, not the whole block (106 MiB on the
+  1,700-DM fine ladder): each chunk is summed into one reused buffer and
+  searched before the next is summed.
 - The boxcar search works on blocks of ``_BLOCK_ROWS`` = 8 rows (≈ 0.5 MB
   per scratch buffer at 16,384 float32 samples): one in-place partition per
   median, one ``cumsum(axis=1)`` and four ufunc calls per width for the
@@ -119,6 +128,7 @@ equivalence, and so the benchmark can time naive vs. vectorized honestly.
 from __future__ import annotations
 
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,6 +144,8 @@ KERNEL_IMPLS = ("numpy", "auto")
 __all__ = [
     "delay_table",
     "shift_table",
+    "DedispersionPlan",
+    "plan_dedispersion",
     "dedisperse_batch",
     "dedisperse_subband",
     "dedisperse_grid",
@@ -161,12 +173,22 @@ def delay_table(
     """Cold-plasma delay in seconds, shape (n_dms, n_channels).
 
     Delays are referenced to ``f_ref_mhz`` (the top of the band), matching
-    :func:`repro.astro.filterbank.synthesize_filterbank`'s convention.
+    :func:`repro.astro.filterbank.synthesize_filterbank`'s convention.  The
+    one home of the ladder check, reached by every dedispersion path: the
+    trial DMs must be a 1-D ladder (or one scalar) of finite, non-negative
+    values.
     """
     freqs_mhz = np.asarray(freqs_mhz, dtype=np.float64)
     trial_dms = np.atleast_1d(np.asarray(trial_dms, dtype=np.float64))
-    if np.any(trial_dms < 0):
-        raise ValueError("trial DMs must be non-negative")
+    if trial_dms.ndim != 1:
+        raise ValueError(f"trial DMs must be a 1-D ladder, got shape {trial_dms.shape}")
+    bad = np.flatnonzero(~(np.isfinite(trial_dms) & (trial_dms >= 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"trial DMs must be finite and non-negative, got {float(trial_dms[i])!r} "
+            f"at index {i}"
+        )
     g = freqs_mhz**-2.0 - float(f_ref_mhz) ** -2.0
     return K_DM * trial_dms[:, None] * g[None, :]
 
@@ -192,6 +214,152 @@ def shift_table(
     return shifts
 
 
+# -- dedispersion plans ------------------------------------------------------
+
+#: Bytes of dedispersed rows a streamed search holds at once: 64 rows of
+#: 16,384 float32 samples (:attr:`DedispersionPlan.chunk_rows`).
+_CHUNK_BYTES = 4 << 20
+
+
+def _float_dtype(dtype, what: str) -> np.dtype:
+    """``dtype`` as a NumPy dtype, refused unless floating-point: the 1/√n
+    scale and the search statistic need fractions and −inf."""
+    dtype = np.dtype(dtype)
+    if not np.issubdtype(dtype, np.floating):
+        raise ValueError(f"{what} must be a floating-point dtype, got {dtype}")
+    return dtype
+
+
+def _shift_sum(row: np.ndarray, series: list[np.ndarray], shifts: list[int]) -> None:
+    """``row`` ← Σᵢ ``series[i]`` advanced by ``shifts[i]`` samples.
+
+    The one shift-and-add loop of every method.  Sums run in ``series``
+    order; a shift of ``row.size`` or more adds nothing.  Row-major, so the
+    row stays cache-resident while the series stream through it.
+    """
+    n = row.size
+    row[:] = 0.0
+    for src, s in zip(series, shifts):
+        if s == 0:
+            row += src
+        elif s < n:
+            row[: n - s] += src[s:]
+
+
+@dataclass(frozen=True)
+class DedispersionPlan:
+    """What one dedispersion call computes once per ladder; fills any rows.
+
+    ``shifts[d]`` is trial DM ``d``'s shift per channel (``direct``) or per
+    subband (``subband``'s stage 2).  For ``subband``, ``group_of[d]`` is
+    trial DM ``d``'s group and ``stage1[b][g]`` group ``g``'s shifts over
+    the channels ``edges[b]``; all three are empty for ``direct``.  Tables
+    stay int64 arrays, converted to Python ints a chunk at a time: as lists
+    of ints, the fine ladder's direct table alone is ≈ 4 MiB.
+
+    Every row depends only on its own shifts and, for ``subband``, on its
+    group's partial sums, which :meth:`fill` recomputes for each group a
+    range needs — identically.  So a row is the same bits whether it is
+    filled with the whole block or in any chunk.
+    """
+
+    channels: list[np.ndarray]
+    n_samples: int
+    dtype: np.dtype
+    shifts: np.ndarray
+    edges: tuple[tuple[int, int], ...] = ()
+    stage1: tuple[np.ndarray, ...] = ()
+    group_of: np.ndarray | None = None
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.shifts)
+
+    @property
+    def chunk_rows(self) -> int:
+        """Rows per chunk of a streamed search: ``_CHUNK_BYTES`` of rows,
+        rounded down to whole ``_BLOCK_ROWS`` blocks, at least one."""
+        rows = _CHUNK_BYTES // max(1, self.n_samples * self.dtype.itemsize)
+        return max(_BLOCK_ROWS, rows - rows % _BLOCK_ROWS)
+
+    def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``lo … lo + len(out) − 1`` of the dedispersed block, into
+        ``out`` (its old contents are ignored); each row is scaled by
+        1/√n_chan as soon as it is summed."""
+        scale = self.dtype.type(1.0) / np.sqrt(self.dtype.type(len(self.channels)))
+        # Python ints: no per-iteration unboxing in the shift-and-add loop.
+        shifts = self.shifts[lo : lo + len(out)].tolist()
+        if not self.stage1:
+            for row, row_shifts in zip(out, shifts):
+                _shift_sum(row, self.channels, row_shifts)
+                row *= scale
+            return out
+        members: dict[int, list[int]] = {}
+        for i, g in enumerate(self.group_of[lo : lo + len(out)].tolist()):
+            members.setdefault(g, []).append(i)
+        partial = list(np.empty((len(self.edges), self.n_samples), dtype=self.dtype))
+        for g, rows in members.items():
+            # Stage 1: each subband's sum at the group's representative DM.
+            for part, (a, b), table in zip(partial, self.edges, self.stage1):
+                _shift_sum(part, self.channels[a:b], table[g].tolist())
+            # Stage 2: the partials, shifted by each member's exact trial DM.
+            for i in rows:
+                _shift_sum(out[i], partial, shifts[i])
+                out[i] *= scale
+        return out
+
+    def block(self) -> np.ndarray:
+        """The whole (n_dms × n_samples) block: every row filled."""
+        return self.fill(0, np.empty((self.n_rows, self.n_samples), dtype=self.dtype))
+
+
+def _channel_rows(
+    data: np.ndarray, freqs_mhz: np.ndarray, out_dtype
+) -> tuple[list[np.ndarray], np.ndarray, np.dtype]:
+    """The filterbank's channels as rows in ``out_dtype``, checked."""
+    dtype = _float_dtype(out_dtype, "out_dtype")
+    data = np.asarray(data)
+    if data.ndim != 2:
+        raise ValueError("data must be 2-D (channels × samples)")
+    freqs_mhz = np.asarray(freqs_mhz, dtype=np.float64)
+    if freqs_mhz.shape != data.shape[:1]:
+        raise ValueError(
+            f"{data.shape[0]} channels but {freqs_mhz.size} channel frequencies"
+        )
+    return list(np.ascontiguousarray(data, dtype=dtype)), freqs_mhz, dtype
+
+
+def _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype):
+    channels, freqs_mhz, dtype = _channel_rows(data, freqs_mhz, out_dtype)
+    shifts = shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
+    return DedispersionPlan(channels, np.shape(data)[1], dtype, shifts)
+
+
+def plan_dedispersion(
+    data: np.ndarray,
+    freqs_mhz: np.ndarray,
+    f_ref_mhz: float,
+    sample_time_s: float,
+    trial_dms: np.ndarray,
+    kernel=None,
+    out_dtype: np.dtype | type = np.float64,
+) -> DedispersionPlan:
+    """The plan of the configured kernel over the whole ladder.
+
+    The single dispatch point for :class:`repro.execution.KernelConfig`
+    (None means ``KernelConfig()``): ``direct`` (:func:`dedisperse_batch`)
+    or ``subband`` (:func:`dedisperse_subband`).  Every check runs here,
+    before any row is summed.
+    """
+    k = kernel or KernelConfig()
+    if k.method == "subband":
+        return _subband_plan(
+            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
+            k.n_subbands, k.tol_samples, out_dtype,
+        )
+    return _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype)
+
+
 # -- batch dedispersion ------------------------------------------------------
 
 def dedisperse_batch(
@@ -204,31 +372,15 @@ def dedisperse_batch(
 ) -> np.ndarray:
     """Dedisperse at every trial DM at once → (n_dms, n_samples) block.
 
-    Row-major vectorized slice-adds: for each trial DM the output row stays
-    cache-resident while the channels stream through it, exactly mirroring
+    Row-major vectorized slice-adds (:func:`_shift_sum`), exactly mirroring
     the seed's per-channel loop (so float64 output matches that oracle
     bit-for-bit).  ``out_dtype=np.float32``
     halves memory traffic for search pipelines that do not need 1e-9
     reproducibility (PRESTO itself dedisperses in float32).
     """
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError("data must be 2-D (channels × samples)")
-    trial_dms = np.atleast_1d(np.asarray(trial_dms, dtype=np.float64))
-    n_chan, n_samples = data.shape
-    shifts = shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
-    cols = np.ascontiguousarray(data, dtype=out_dtype)
-    out = np.zeros((trial_dms.size, n_samples), dtype=out_dtype)
-    shift_rows = shifts.tolist()  # python ints: no per-iteration unboxing
-    for d, row_shifts in enumerate(shift_rows):
-        row = out[d]
-        for ch, s in enumerate(row_shifts):
-            if s == 0:
-                row += cols[ch]
-            elif s < n_samples:
-                row[: n_samples - s] += cols[ch, s:]
-    out *= out.dtype.type(1.0) / np.sqrt(out.dtype.type(n_chan))
-    return out
+    return _direct_plan(
+        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
+    ).block()
 
 
 def _subband_edges(n_chan: int, n_subbands: int) -> list[tuple[int, int]]:
@@ -279,17 +431,24 @@ def dedisperse_subband(
     (each subband's reference is its top channel) the exact path is used
     instead.
     """
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError("data must be 2-D (channels × samples)")
+    return _subband_plan(
+        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
+        n_subbands, tol_samples, out_dtype,
+    ).block()
+
+
+def _subband_plan(
+    data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, n_subbands, tol_samples,
+    out_dtype,
+) -> DedispersionPlan:
+    """:func:`dedisperse_subband`'s plan: the greedy grouping of the whole
+    ladder and both stages' shift tables, or a ``direct`` plan where the
+    path falls back to the exact one."""
+    channels, freqs_mhz, dtype = _channel_rows(data, freqs_mhz, out_dtype)
     check_subband_settings(n_subbands, tol_samples)
-    freqs_mhz = np.asarray(freqs_mhz, dtype=np.float64)
-    trial_dms = np.atleast_1d(np.asarray(trial_dms, dtype=np.float64))
-    n_chan, n_samples = data.shape
     if not np.all(np.diff(freqs_mhz) > 0):
-        return dedisperse_batch(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
-        )
+        return _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, dtype)
+    n_chan, n_samples = len(channels), np.shape(data)[1]
     if n_subbands is None:
         n_subbands = max(1, int(round(np.sqrt(n_chan))))
     n_subbands = min(n_subbands, n_chan)
@@ -307,6 +466,10 @@ def dedisperse_subband(
     else:
         ddm_max = tol_samples * sample_time_s / (K_DM * g_span)
 
+    # Stage-2 shifts per exact trial DM; computing them first checks the
+    # ladder before it is grouped.
+    s2 = shift_table(sub_refs, f_ref_mhz, trial_dms, sample_time_s)
+    trial_dms = np.atleast_1d(np.asarray(trial_dms, dtype=np.float64))
     order = np.argsort(trial_dms, kind="stable")
     sorted_dms = trial_dms[order]
     group_of = np.empty(trial_dms.size, dtype=np.int64)
@@ -318,52 +481,20 @@ def dedisperse_subband(
 
     if len(group_reps) >= trial_dms.size:
         # No reuse possible on this ladder: fall back to the exact path.
-        return dedisperse_batch(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
-        )
+        return _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, dtype)
 
+    # Stage-1 shift tables, one per subband over the group representatives.
+    # A fill processes group-major, so one (n_subbands × n_samples) partial
+    # buffer serves every group — materializing all groups at once is
+    # hundreds of MB at survey scale.
     reps = np.asarray(group_reps)
-    cols = np.ascontiguousarray(data, dtype=out_dtype)
-
-    # Stage-1 shift tables (per subband, per group) and stage-2 shifts (per
-    # exact trial DM), all computed up front.
-    s1_tables = [
-        shift_table(freqs_mhz[lo:hi], float(sub_refs[b]), reps, sample_time_s).tolist()
+    stage1 = tuple(
+        shift_table(freqs_mhz[lo:hi], float(sub_refs[b]), reps, sample_time_s)
         for b, (lo, hi) in enumerate(edges)
-    ]
-    s2 = shift_table(sub_refs, f_ref_mhz, trial_dms, sample_time_s).tolist()
-
-    # Process group-major so the (n_subbands × n_samples) partial buffer is
-    # reused for every group and stays cache-resident — materializing all
-    # groups at once is hundreds of MB at survey scale and thrashes.
-    out = np.zeros((trial_dms.size, n_samples), dtype=out_dtype)
-    partial = np.empty((len(edges), n_samples), dtype=out_dtype)
-    dms_of_group: list[list[int]] = [[] for _ in range(len(reps))]
-    for d, g in enumerate(group_of.tolist()):
-        dms_of_group[g].append(d)
-    for g, members in enumerate(dms_of_group):
-        if not members:
-            continue
-        # Stage 1: intra-subband sums at the group's representative DM.
-        partial[:] = 0.0
-        for b, (lo, _hi) in enumerate(edges):
-            row = partial[b]
-            for ch_off, s in enumerate(s1_tables[b][g]):
-                if s == 0:
-                    row += cols[lo + ch_off]
-                elif s < n_samples:
-                    row[: n_samples - s] += cols[lo + ch_off, s:]
-        # Stage 2: shift each subband partial by the inter-subband delay at
-        # the *exact* trial DM and sum.
-        for d in members:
-            row = out[d]
-            for b, s in enumerate(s2[d]):
-                if s == 0:
-                    row += partial[b]
-                elif s < n_samples:
-                    row[: n_samples - s] += partial[b, s:]
-    out *= out.dtype.type(1.0) / np.sqrt(out.dtype.type(n_chan))
-    return out
+    )
+    return DedispersionPlan(
+        channels, n_samples, dtype, s2, tuple(edges), stage1, group_of
+    )
 
 
 def dedisperse_grid(
@@ -375,21 +506,11 @@ def dedisperse_grid(
     kernel=None,
     out_dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
-    """Dedisperse the whole trial grid via the configured kernel.
-
-    The single dispatch point for :class:`repro.execution.KernelConfig`
-    (None means ``KernelConfig()``): routes to :func:`dedisperse_batch` /
-    :func:`dedisperse_subband`.
-    """
-    k = kernel or KernelConfig()
-    if k.method == "subband":
-        return dedisperse_subband(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
-            n_subbands=k.n_subbands, tol_samples=k.tol_samples, out_dtype=out_dtype,
-        )
-    return dedisperse_batch(
-        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
-    )
+    """Dedisperse the whole trial grid via the configured kernel: every row
+    of :func:`plan_dedispersion`'s plan."""
+    return plan_dedispersion(
+        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, kernel, out_dtype
+    ).block()
 
 
 # -- O(n) boxcar matched filtering -------------------------------------------
@@ -404,20 +525,15 @@ _SCREEN_SLACK = 10.0
 
 
 def _check_widths(widths) -> tuple[int, ...]:
-    """Boxcar widths as a tuple of positive Python ints, in the given order."""
+    """Boxcar widths as a non-empty tuple of positive Python ints, in the
+    given order."""
     widths = tuple(widths)
+    if not widths:
+        raise ValueError("widths must name at least one boxcar width, got ()")
     for w in widths:
         if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
             raise ValueError(f"widths must be positive integers, got {widths!r}")
     return tuple(int(w) for w in widths)
-
-
-def _check_dtype(a: np.ndarray) -> None:
-    """The statistic needs −inf and fractions: integer and bool blocks are refused."""
-    if not np.issubdtype(a.dtype, np.floating):
-        raise ValueError(
-            f"the boxcar search needs a floating-point series, got dtype {a.dtype}"
-        )
 
 
 def _noise_stats(
@@ -553,7 +669,7 @@ def boxcar_snr(
     one-row block, with the exact statistic at every sample.
     """
     series = np.ascontiguousarray(series)
-    _check_dtype(series)
+    _float_dtype(series.dtype, "the boxcar search's series")
     widths = _check_widths(widths)
     n = series.size
     if n == 0:
@@ -613,7 +729,7 @@ def single_pulse_block_search(
         raise ValueError("block must be 2-D (trial DMs × samples)")
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
-    _check_dtype(block)
+    _float_dtype(block.dtype, "the boxcar search's series")
     widths = _check_widths(widths)
     n_rows, n = block.shape
     dtype = block.dtype
