@@ -12,8 +12,9 @@ controller, and reports the numbers the subsystem exists to move:
    within 5 points of baseline while the ablation stays degraded.
 3. **Determinism** — the canonical report checksum must be identical
    across a repeat run (and across execution backends, covered by the
-   test suite); the checksum is recorded so any behavior change shows up
-   as a diff in ``BENCH_campaign.json``.
+   test suite); the checksum is recorded in ``BENCH_campaign.json``, and
+   the smoke run fails when the report's checksum differs from it (the
+   campaign has one size, so the smoke run is the full run).
 
 Writes ``BENCH_campaign.json`` at the repo root (full runs only; a
 ``--smoke`` run, the CI gate, leaves it alone) and a table under
@@ -125,9 +126,15 @@ def run_all(smoke: bool = False) -> dict:
 
 
 def test_campaign_benchmark():
-    """Acceptance: prompt detection, recall recovered, ablation degraded."""
+    """Acceptance: prompt detection, recall recovered, ablation degraded,
+    and the report byte-identical to the committed full run's."""
+    committed = json.loads(RESULT_JSON.read_text())["checksum"]
     results = run_all(smoke=True)
     assert results["deterministic_repeat"], "campaign report not reproducible"
+    assert results["checksum"] == committed, (
+        f"campaign report checksum {results['checksum']} differs from the "
+        f"committed {committed} in BENCH_campaign.json"
+    )
     for p, v in results["drift_latency_batches"].items():
         assert v is not None and v <= results["latency_budget_batches"], (
             f"phase {p} drift latency {v} exceeds budget"

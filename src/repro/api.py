@@ -23,6 +23,7 @@ the same seed — the facade adds no behaviour, only a stable surface.
 from __future__ import annotations
 
 import dataclasses
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -43,13 +44,8 @@ from repro.execution import (
     env_execution_config,
 )
 from repro.obs.session import ObsSession
-from repro.sparklet.pools import DEFAULT_POOL
-from repro.streaming.backpressure import PIDConfig
-from repro.streaming.engine import (
-    LinearCostModel,
-    SimulatedCostModel,
-    StreamingResult,
-)
+from repro.sparklet.pools import DEFAULT_POOL, PoolConfig
+from repro.streaming.engine import LinearCostModel, StreamingResult
 from repro.streaming.sessions import AdmissionConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,7 +118,6 @@ class PipelineConfig:
     #: ALM labeling scheme name (Table 3: "2", "4*", "4", "7", "8").
     scheme: str = "2"
     params: SearchParams = field(default_factory=SearchParams)
-    grid_coarsen: float = 10.0
     num_partitions: int = 8
     seed: int = 0
     #: Synthetic population/workload size (used when no pulsars are given).
@@ -158,13 +153,10 @@ class StreamingConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     #: Micro-batch interval on the simulated clock (seconds).
     batch_interval_s: float = 1.0
-    #: Receiver blocks cut per batch interval (Spark's blockInterval).
-    blocks_per_batch: int = 4
     #: Source arrival rate, rows (SPEs + cluster announcements) per second.
     arrival_rate: float = 4000.0
     #: PID rate limiting (Spark's spark.streaming.backpressure.enabled).
     backpressure: bool = True
-    pid: PIDConfig = field(default_factory=PIDConfig)
     #: Batches between checkpoints (0 disables checkpointing).
     checkpoint_interval: int = 8
     checkpoint_path: str = "/stream/checkpoint.json"
@@ -177,11 +169,22 @@ class StreamingConfig:
     #: finalized pulses are scored in-stream when set.
     model_path: str | None = None
     #: Charges each batch its processing time on the simulated clock.
-    cost_model: "LinearCostModel | SimulatedCostModel" = field(
-        default_factory=LinearCostModel
-    )
+    cost_model: LinearCostModel = field(default_factory=LinearCostModel)
     #: Safety valve: abort if the stream hasn't drained by then.
     max_batches: int = 10_000
+
+    def __post_init__(self) -> None:
+        # A zero, negative or NaN rate or interval never drains the stream;
+        # each would spin empty batches up to max_batches, or crash later.
+        for name in ("batch_interval_s", "arrival_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if self.checkpoint_interval < 0:
+            raise ValueError(
+                "checkpoint_interval must be >= 0 (0 disables checkpointing), "
+                f"got {self.checkpoint_interval!r}"
+            )
 
 
 def _pipeline_for(config: PipelineConfig) -> SinglePulsePipeline:
@@ -189,7 +192,6 @@ def _pipeline_for(config: PipelineConfig) -> SinglePulsePipeline:
         survey=resolve_survey(config.survey),
         scheme=config.scheme,
         params=config.params,
-        grid_coarsen=config.grid_coarsen,
         num_partitions=config.num_partitions,
         seed=config.seed,
         fault_config=config.fault_config,
@@ -282,6 +284,12 @@ class TenantConfig:
             )
         if "/" in self.tenant_id:
             raise ValueError("tenant_id must not contain '/' (it names DFS roots)")
+        # The fair-share terms obey the rules of the pool they become.
+        PoolConfig(self.tenant_id, weight=self.weight, min_share=self.min_share)
+
+
+#: DFS prefix under which each serving tenant gets an isolated namespace.
+SERVING_ROOT = "/serving"
 
 
 @dataclass(frozen=True)
@@ -304,8 +312,6 @@ class ServingConfig:
     #: Execution knobs for the shared context (backend/workers);
     #: fields left None defer to the ``REPRO_*`` environment defaults.
     execution: ExecutionConfig | None = None
-    #: DFS prefix under which each tenant gets an isolated namespace.
-    serving_root: str = "/serving"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tenants", tuple(self.tenants))
@@ -376,7 +382,7 @@ def run_serving(config: ServingConfig) -> ServingResult:
         )
         for tenant in config.tenants:
             tid = tenant.tenant_id
-            root = f"{config.serving_root}/{tid}"
+            root = f"{SERVING_ROOT}/{tid}"
             scfg = dataclasses.replace(
                 tenant.streaming, batch_root=root,
                 checkpoint_path=f"{root}/checkpoint.json",

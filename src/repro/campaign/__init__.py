@@ -24,7 +24,7 @@ through exactly those regimes:
   :func:`run_campaign`, producing a byte-deterministic campaign report.
 """
 
-from repro.campaign.drift import DriftConfig, DriftMonitor, DriftSignal
+from repro.campaign.drift import DriftMonitor, DriftSignal
 from repro.campaign.retrain import RetrainConfig, RetrainController
 from repro.campaign.scenarios import (
     CompiledCampaign,
@@ -42,7 +42,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "CompiledCampaign",
-    "DriftConfig",
     "DriftMonitor",
     "DriftSignal",
     "PhaseConfig",

@@ -11,11 +11,11 @@ Two complementary detectors, both windowed over recent micro-batches:
 - **Cluster-rate alarm**: the paper's own RFI heuristic — "many objects
   detected in a short time interval are suspected to be RFIs" — applied to
   the per-batch finalized-cluster rate: the current window's mean rate
-  exceeding ``rate_ratio`` × the reference window's mean is an alarm even
+  exceeding ``RATE_RATIO`` × the reference window's mean is an alarm even
   when scores look stable (a storm floods the stream with negatives the
   model may confidently reject).
 
-An alarm must *sustain* for ``sustain`` consecutive batches before the
+An alarm must *sustain* for ``SUSTAIN`` consecutive batches before the
 monitor declares drift (``drifted_now``), and the monitor then latches
 until :meth:`DriftMonitor.rebase` (called after a model swap, which moves
 the score distribution by construction) or until the stream measures calm
@@ -29,51 +29,39 @@ so drift timelines are byte-deterministic for a fixed campaign seed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-__all__ = ["DriftConfig", "DriftMonitor", "DriftSignal"]
+__all__ = ["DriftMonitor", "DriftSignal"]
 
 _EPS = 1e-4
 
 
-@dataclass(frozen=True)
-class DriftConfig:
-    """Window sizes and thresholds for :class:`DriftMonitor`."""
-
-    #: Batches in the reference (older) window.
-    ref_window: int = 12
-    #: Batches in the current (newest) window.
-    cur_window: int = 6
-    #: Histogram bins over [0, 1] for PSI.
-    n_bins: int = 8
-    psi_threshold: float = 0.25
-    ks_threshold: float = 0.35
-    #: Minimum scores on *each* side before PSI/KS are evaluated — the
-    #: distribution tests are pure noise on a handful of samples.
-    min_scores: int = 12
-    #: Batches the reference window must hold before any detector may
-    #: alarm (a 2-batch reference is not a baseline).
-    min_ref_batches: int = 4
-    #: Current/reference cluster-rate ratio that flags an RFI flood.
-    rate_ratio: float = 3.0
-    #: Minimum clusters across the reference window before the rate alarm
-    #: can fire (tiny baselines make ratios meaningless).
-    min_rate_events: int = 8
-    #: Consecutive alarming batches required to declare drift.
-    sustain: int = 2
-    #: Consecutive calm batches required to re-arm after a declaration.
-    recover: int = 4
-
-    def __post_init__(self) -> None:
-        if self.ref_window < 2 or self.cur_window < 1:
-            raise ValueError("windows must hold at least 2/1 batches")
-        if self.n_bins < 2:
-            raise ValueError("PSI needs at least 2 bins")
-        if self.sustain < 1 or self.recover < 1:
-            raise ValueError("sustain and recover must be >= 1")
+#: Batches in the reference (older) window.
+REF_WINDOW = 12
+#: Batches in the current (newest) window.
+CUR_WINDOW = 6
+#: Histogram bins over [0, 1] for PSI.
+N_BINS = 8
+PSI_THRESHOLD = 0.25
+KS_THRESHOLD = 0.35
+#: Minimum scores on *each* side before PSI/KS are evaluated — the
+#: distribution tests are pure noise on a handful of samples.
+MIN_SCORES = 12
+#: Batches the reference window must hold before any detector may
+#: alarm (a 2-batch reference is not a baseline).
+MIN_REF_BATCHES = 4
+#: Current/reference cluster-rate ratio that flags an RFI flood.
+RATE_RATIO = 3.0
+#: Minimum clusters across the reference window before the rate alarm
+#: can fire (tiny baselines make ratios meaningless).
+MIN_RATE_EVENTS = 8
+#: Consecutive alarming batches required to declare drift.
+SUSTAIN = 2
+#: Consecutive calm batches required to re-arm after a declaration.
+RECOVER = 4
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,6 @@ def _ks(ref: np.ndarray, cur: np.ndarray) -> float:
     return float(np.max(np.abs(ref_cdf - cur_cdf)))
 
 
-@dataclass
 class DriftMonitor:
     """Windowed drift detection over one tenant's serving stream.
 
@@ -120,14 +107,11 @@ class DriftMonitor:
     (a batch that finalized no pulses still carries rate information).
     """
 
-    config: DriftConfig = field(default_factory=DriftConfig)
-
-    def __post_init__(self) -> None:
-        cap = self.config.ref_window + self.config.cur_window
+    def __init__(self) -> None:
         #: Per-batch score arrays, oldest first.
-        self._scores: deque[list[float]] = deque(maxlen=cap)
+        self._scores: deque[list[float]] = deque(maxlen=REF_WINDOW + CUR_WINDOW)
         #: Per-batch finalized-cluster counts, oldest first.
-        self._rates: deque[int] = deque(maxlen=cap)
+        self._rates: deque[int] = deque(maxlen=REF_WINDOW + CUR_WINDOW)
         self._alarm_streak = 0
         self._calm_streak = 0
         self._latched = False
@@ -136,7 +120,6 @@ class DriftMonitor:
     # -- the measurement ----------------------------------------------------
     def update(self, batch_id: int, scores: Any, n_clusters: int) -> DriftSignal:
         """Ingest one batch; returns this batch's :class:`DriftSignal`."""
-        cfg = self.config
         scores = [float(s) for s in np.asarray(scores, dtype=float).ravel()]
         self._scores.append(scores)
         self._rates.append(int(n_clusters))
@@ -144,28 +127,28 @@ class DriftMonitor:
         psi = ks = 0.0
         rate_ratio = 1.0
         reasons: list[str] = []
-        if len(self._scores) >= cfg.cur_window + cfg.min_ref_batches:
-            ref_batches = list(self._scores)[:-cfg.cur_window]
-            cur_batches = list(self._scores)[-cfg.cur_window:]
+        if len(self._scores) >= CUR_WINDOW + MIN_REF_BATCHES:
+            ref_batches = list(self._scores)[:-CUR_WINDOW]
+            cur_batches = list(self._scores)[-CUR_WINDOW:]
             ref = np.array([s for b in ref_batches for s in b], dtype=float)
             cur = np.array([s for b in cur_batches for s in b], dtype=float)
-            if ref.size >= cfg.min_scores and cur.size >= cfg.min_scores:
-                psi = _psi(ref, cur, cfg.n_bins)
+            if ref.size >= MIN_SCORES and cur.size >= MIN_SCORES:
+                psi = _psi(ref, cur, N_BINS)
                 ks = _ks(ref, cur)
-                if psi > cfg.psi_threshold:
+                if psi > PSI_THRESHOLD:
                     reasons.append("psi")
-                if ks > cfg.ks_threshold:
+                if ks > KS_THRESHOLD:
                     reasons.append("ks")
-            ref_rates = list(self._rates)[:-cfg.cur_window]
-            cur_rates = list(self._rates)[-cfg.cur_window:]
+            ref_rates = list(self._rates)[:-CUR_WINDOW]
+            cur_rates = list(self._rates)[-CUR_WINDOW:]
             ref_mean = sum(ref_rates) / len(ref_rates)
             cur_mean = sum(cur_rates) / len(cur_rates)
             if ref_mean > 0:
                 rate_ratio = cur_mean / ref_mean
             elif cur_mean > 0:
-                rate_ratio = float(cfg.rate_ratio) + 1.0
-            if (sum(ref_rates) >= cfg.min_rate_events
-                    and rate_ratio > cfg.rate_ratio):
+                rate_ratio = RATE_RATIO + 1.0
+            if (sum(ref_rates) >= MIN_RATE_EVENTS
+                    and rate_ratio > RATE_RATIO):
                 reasons.append("cluster_rate")
 
         alarming = bool(reasons)
@@ -175,10 +158,10 @@ class DriftMonitor:
         else:
             self._alarm_streak = 0
             self._calm_streak += 1
-            if self._latched and self._calm_streak >= cfg.recover:
+            if self._latched and self._calm_streak >= RECOVER:
                 self._latched = False
 
-        drifted = (not self._latched) and self._alarm_streak >= cfg.sustain
+        drifted = (not self._latched) and self._alarm_streak >= SUSTAIN
         if drifted:
             self._latched = True
             self.n_detections += 1
@@ -212,11 +195,10 @@ class DriftMonitor:
         }
 
     def restore(self, state: dict[str, Any]) -> None:
-        cap = self.config.ref_window + self.config.cur_window
-        self._scores = deque(
-            [[float(s) for s in b] for b in state["scores"]], maxlen=cap
-        )
-        self._rates = deque([int(r) for r in state["rates"]], maxlen=cap)
+        self._scores.clear()
+        self._scores.extend([float(s) for s in b] for b in state["scores"])
+        self._rates.clear()
+        self._rates.extend(int(r) for r in state["rates"])
         self._alarm_streak = int(state["alarm_streak"])
         self._calm_streak = int(state["calm_streak"])
         self._latched = bool(state["latched"])

@@ -26,7 +26,7 @@ stay byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -41,38 +41,30 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RetrainConfig", "RetrainController", "RetrainEvent"]
 
 
+#: Newest labeled candidates harvested from the candidate DB per retrain.
+HARVEST_LIMIT = 600
+#: Skip (and stay armed) below this many harvested samples — forests
+#: fit on a few dozen rows generalize worse than the model they would
+#: replace.
+MIN_SAMPLES = 120
+#: Trees in the replacement forest (small: retrains ride a busy driver).
+N_TREES = 12
+MAX_DEPTH = 10
+#: Batches to wait after a retrain before another may trigger.
+COOLDOWN_BATCHES = 10
+#: Simulated driver seconds one retrain occupies (charged to the pool).
+RETRAIN_COST_S = 2.0
+#: Dedicated fair-scheduler pool for training jobs.
+POOL = "campaign-retrain"
+POOL_WEIGHT = 0.1
+
+
 @dataclass(frozen=True)
 class RetrainConfig:
-    """Policy knobs for the online-retraining controller."""
+    """Whether the online-retraining controller runs, and its seed."""
 
     enabled: bool = True
-    #: Newest labeled candidates harvested from the candidate DB per retrain.
-    harvest_limit: int = 600
-    #: Skip (and stay armed) below this many harvested samples — forests
-    #: fit on a few dozen rows generalize worse than the model they would
-    #: replace.
-    min_samples: int = 120
-    #: Trees in the replacement forest (small: retrains ride a busy driver).
-    n_trees: int = 12
-    max_depth: int | None = 10
-    #: Batches to wait after a retrain before another may trigger.
-    cooldown_batches: int = 10
-    #: Simulated driver seconds one retrain occupies (charged to the pool).
-    retrain_cost_s: float = 2.0
-    #: Dedicated fair-scheduler pool for training jobs.
-    pool: str = "campaign-retrain"
-    pool_weight: float = 0.1
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.harvest_limit < 1 or self.min_samples < 1:
-            raise ValueError("harvest_limit and min_samples must be >= 1")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.cooldown_batches < 0:
-            raise ValueError("cooldown_batches must be >= 0")
-        if self.retrain_cost_s < 0:
-            raise ValueError("retrain_cost_s must be >= 0")
 
 
 @dataclass
@@ -114,8 +106,7 @@ class RetrainController:
     def cooling_down(self, batch_index: int) -> bool:
         return (
             self._last_retrain_batch is not None
-            and batch_index - self._last_retrain_batch
-            < self.config.cooldown_batches
+            and batch_index - self._last_retrain_batch < COOLDOWN_BATCHES
         )
 
     # -- the loop closure -----------------------------------------------------
@@ -128,8 +119,8 @@ class RetrainController:
 
         from repro.dataplane import PulseBatch
 
-        rows = self.memo.db.recent(cfg.harvest_limit, labeled_only=True)
-        if len(rows) < cfg.min_samples:
+        rows = self.memo.db.recent(HARVEST_LIMIT, labeled_only=True)
+        if len(rows) < MIN_SAMPLES:
             self.n_suppressed += 1
             return None
         batch = PulseBatch.from_ml_lines([r["ml_row"] for r in rows])
@@ -146,21 +137,21 @@ class RetrainController:
         from repro.ml.distributed import DistributedRandomForest
 
         model = DistributedRandomForest(
-            ctx=self.ctx, n_trees=cfg.n_trees, max_depth=cfg.max_depth,
+            ctx=self.ctx, n_trees=N_TREES, max_depth=MAX_DEPTH,
             seed=(cfg.seed * 1000003 + len(self.history) + 1) & 0x7FFFFFFF,
         )
-        with self.ctx.pool(cfg.pool):
+        with self.ctx.pool(POOL):
             model.fit(X, y)
         version = self.cache.publish(self.model_key, model)
         event = RetrainEvent(
             batch_index=batch_index, tenant=tenant, version=version,
             n_samples=int(len(batch)), n_positive=int(y.sum()),
-            cost_s=cfg.retrain_cost_s,
+            cost_s=RETRAIN_COST_S,
         )
         self.history.append(event)
         self._last_retrain_batch = batch_index
         self.obs.emit(RETRAIN_COMPLETED, batch_id=batch_index, tenant=tenant,
                       version=version, n_samples=event.n_samples,
                       n_positive=event.n_positive,
-                      cost_s=round(cfg.retrain_cost_s, 3))
+                      cost_s=round(RETRAIN_COST_S, 3))
         return event

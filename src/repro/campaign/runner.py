@@ -35,9 +35,20 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.campaign.drift import DriftConfig, DriftMonitor
-from repro.campaign.retrain import RetrainConfig, RetrainController
+from repro.campaign.drift import DriftMonitor
+from repro.campaign.retrain import (
+    MAX_DEPTH,
+    POOL,
+    POOL_WEIGHT,
+    RetrainConfig,
+    RetrainController,
+)
 from repro.campaign.scenarios import (
+    ARRIVAL_RATE,
+    BATCH_INTERVAL_S,
+    N_NOISE_CLUSTERS,
+    N_RFI_BURSTS,
+    OBS_LENGTH_S,
     CompiledCampaign,
     Scenario,
     _derive,
@@ -53,6 +64,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CampaignConfig", "CampaignResult", "run_campaign"]
 
+#: Trees in the offline baseline classifier.
+INITIAL_N_TREES = 16
+#: Offline observations the baseline classifier trains on.
+N_TRAINING_OBSERVATIONS = 2
+#: Shared ModelCache key every tenant's scorer binds to.
+MODEL_KEY = "campaign"
+#: DFS prefix for per-tenant batch namespaces.
+CAMPAIGN_ROOT = "/campaign"
+#: Safety valve: abort if the fleet hasn't drained by then.
+MAX_BATCHES = 20_000
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -60,21 +82,10 @@ class CampaignConfig:
 
     scenario: "str | Scenario" = "three-phase"
     seed: int = 0
-    drift: DriftConfig = field(default_factory=DriftConfig)
     retrain: RetrainConfig = field(default_factory=RetrainConfig)
     #: Execution knobs for the shared context (backend/workers).
     execution: ExecutionConfig | None = None
     obs_config: "ObsConfig | ObsSession | None" = None
-    #: Trees in the offline baseline classifier.
-    initial_n_trees: int = 16
-    #: Offline observations the baseline classifier trains on.
-    n_training_observations: int = 2
-    #: Shared ModelCache key every tenant's scorer binds to.
-    model_key: str = "campaign"
-    #: DFS prefix for per-tenant batch namespaces.
-    campaign_root: str = "/campaign"
-    #: Safety valve: abort if the fleet hasn't drained by then.
-    max_batches: int = 20_000
 
 
 @dataclass
@@ -185,13 +196,12 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         train_obs = [
             generate_observation(
                 anchor_survey, train_pulsars, mjd=54000.0 + i, beam=0,
-                n_noise_clusters=scenario.n_noise_clusters,
-                n_rfi_bursts=scenario.n_rfi_bursts,
-                grid_coarsen=scenario.grid_coarsen,
+                n_noise_clusters=N_NOISE_CLUSTERS,
+                n_rfi_bursts=N_RFI_BURSTS,
                 seed=_derive(seed, 555, i),
-                obs_length_s=scenario.obs_length_s,
+                obs_length_s=OBS_LENGTH_S,
             )
-            for i in range(config.n_training_observations)
+            for i in range(N_TRAINING_OBSERVATIONS)
         ]
         # Trains on the shared context but a DFS of its own (run_drapid
         # builds one), so the upload cannot collide with a tenant namespace.
@@ -201,30 +211,29 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                                obs_config=session,
                                memo_config=MemoConfig(enabled=False)),
                 train_obs, ctx=ctx,
-                ml_output_path=f"{config.campaign_root}-train/ml",
+                ml_output_path=f"{CAMPAIGN_ROOT}-train/ml",
             )
         X = train_result.pulse_batch.features
         y = np.asarray(train_result.pulse_batch.is_pulsar, dtype=int)
         if y.min() == y.max():
             raise RuntimeError(
                 "baseline training set is single-class; enlarge "
-                "n_training_observations or the scenario's noise workload"
+                "N_TRAINING_OBSERVATIONS or the scenario's noise workload"
             )
         baseline = DistributedRandomForest(
-            ctx=ctx, n_trees=config.initial_n_trees,
-            max_depth=config.retrain.max_depth, seed=_derive(seed, 777),
+            ctx=ctx, n_trees=INITIAL_N_TREES, max_depth=MAX_DEPTH,
+            seed=_derive(seed, 777),
         ).fit(X, y)
-        cache.publish(config.model_key, baseline)
+        cache.publish(MODEL_KEY, baseline)
 
         retrain_cfg = dataclasses.replace(
             config.retrain, seed=_derive(seed, 888, config.retrain.seed)
         )
         controller = RetrainController(
-            retrain_cfg, ctx=ctx, cache=cache, model_key=config.model_key,
+            retrain_cfg, ctx=ctx, cache=cache, model_key=MODEL_KEY,
             memo=memo, obs=session,
         )
-        manager.pools.register(PoolConfig(retrain_cfg.pool,
-                                          weight=retrain_cfg.pool_weight))
+        manager.pools.register(PoolConfig(POOL, weight=POOL_WEIGHT))
         run_id = memo.db.insert_run(
             kind="campaign", survey=scenario.name, seed=seed,
             config_digest="campaign", config_json="{}",
@@ -239,23 +248,23 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         def join(tenant_id: str) -> None:
             timeline = timelines[tenant_id]
             observations = compiled.observations[tenant_id]
-            root = f"{config.campaign_root}/{tenant_id}"
+            root = f"{CAMPAIGN_ROOT}/{tenant_id}"
             scfg = StreamingConfig(
                 pipeline=PipelineConfig(survey=timeline.survey, seed=seed),
-                batch_interval_s=scenario.batch_interval_s,
-                arrival_rate=scenario.arrival_rate,
+                batch_interval_s=BATCH_INTERVAL_S,
+                arrival_rate=ARRIVAL_RATE,
                 batch_root=root, checkpoint_path=f"{root}/checkpoint.json",
             )
             view = session.for_tenant(tenant_id)
             stack.callback(view.close)
             engine = MicroBatchEngine.for_observations(
                 observations, scfg, dfs=dfs, ctx=ctx,
-                scorer=StreamScorer.from_cache(cache, config.model_key),
+                scorer=StreamScorer.from_cache(cache, MODEL_KEY),
                 obs=view,
             )
-            manager.add_session(tenant_id, engine, weight=timeline.weight)
+            manager.add_session(tenant_id, engine)
             engines[tenant_id] = engine
-            monitors[tenant_id] = DriftMonitor(config.drift)
+            monitors[tenant_id] = DriftMonitor()
             last_version[tenant_id] = engine.scorer.version
 
         pending = [t.tenant_id for t in scenario.tenants
@@ -279,9 +288,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 stats = manager.run_next_batch()
                 if stats is None:
                     break
-                if manager.n_batches > config.max_batches:
+                if manager.n_batches > MAX_BATCHES:
                     raise RuntimeError(
-                        f"campaign exceeded max_batches={config.max_batches}"
+                        f"campaign exceeded max_batches={MAX_BATCHES}"
                     )
                 gb = manager.n_batches
                 tid = manager.last_tenant
@@ -367,7 +376,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                         # Training occupies the shared driver for its
                         # (simulated) duration, billed to the retrain pool.
                         manager.t_free += event.cost_s
-                        manager.pools.charge(retrain_cfg.pool, event.cost_s)
+                        manager.pools.charge(POOL, event.cost_s)
                         retrains.append({
                             "global_batch": gb, "tenant": tid,
                             "version": event.version,

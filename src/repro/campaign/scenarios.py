@@ -33,6 +33,18 @@ __all__ = [
 ]
 
 
+#: Observations each active tenant makes per phase.
+N_OBSERVATIONS = 2
+#: The workload of every campaign observation.
+OBS_LENGTH_S = 12.0
+N_NOISE_CLUSTERS = 40
+N_RFI_BURSTS = 2
+#: Receiver rate and batch cadence: ~150 rows per batch, so a phase spans
+#: enough micro-batches for the drift windows to slide.
+ARRIVAL_RATE = 600.0
+BATCH_INTERVAL_S = 0.25
+
+
 def _derive(seed: int, *parts: int) -> int:
     """Stable sub-seed derivation (FNV-style fold, no hashing randomness)."""
     h = int(seed) & 0x7FFFFFFF
@@ -45,27 +57,24 @@ def _derive(seed: int, *parts: int) -> int:
 class PhaseConfig:
     """One regime of the campaign timeline.
 
-    Every tenant active during the phase observes ``n_observations``
+    Every tenant active during the phase observes ``N_OBSERVATIONS``
     pointings under the phase's regime: ``gain`` scales astrophysical SNR
     (a sensitivity/calibration step), ``storm`` overlays time-correlated
     bursty interference (see :class:`~repro.astro.rfi.RFIStormModel`).
     """
 
     name: str
-    n_observations: int = 2
     gain: float = 1.0
     storm: RFIStormModel | None = None
 
     def __post_init__(self) -> None:
-        if self.n_observations < 1:
-            raise ValueError("each phase needs at least one observation")
         if self.gain <= 0:
             raise ValueError("gain must be positive")
 
 
 @dataclass(frozen=True)
 class TenantTimeline:
-    """One tenant's place in the campaign: survey, join point, fair share.
+    """One tenant's place in the campaign: survey, join point, sensitivity.
 
     ``joins_at_phase`` indexes into the scenario's phases — the tenant's
     stream contains observations for that phase onward, and its session is
@@ -78,7 +87,6 @@ class TenantTimeline:
     survey: str = "GBT350Drift"
     joins_at_phase: int = 0
     n_pulsars: int = 3
-    weight: float = 1.0
     gain: float = 1.0
 
     def survey_config(self) -> SurveyConfig:
@@ -87,19 +95,11 @@ class TenantTimeline:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full campaign timeline: phases × tenants + workload knobs."""
+    """A full campaign timeline: phases × tenants."""
 
     name: str
     phases: tuple[PhaseConfig, ...]
     tenants: tuple[TenantTimeline, ...]
-    obs_length_s: float = 12.0
-    n_noise_clusters: int = 40
-    n_rfi_bursts: int = 2
-    grid_coarsen: float = 10.0
-    #: Receiver rate and batch cadence: ~150 rows per batch by default, so
-    #: a phase spans enough micro-batches for the drift windows to slide.
-    arrival_rate: float = 600.0
-    batch_interval_s: float = 0.25
 
     def __post_init__(self) -> None:
         if not self.phases:
@@ -168,17 +168,16 @@ def compile_scenario(scenario: Scenario, seed: int) -> CompiledCampaign:
         obs_list: list[Observation] = []
         for p_idx in range(timeline.joins_at_phase, len(scenario.phases)):
             phase = scenario.phases[p_idx]
-            for o_idx in range(phase.n_observations):
+            for o_idx in range(N_OBSERVATIONS):
                 obs = generate_observation(
                     survey,
                     pulsars,
                     mjd=55000.0 + p_idx * 100.0 + o_idx,
                     beam=t_idx,
-                    n_noise_clusters=scenario.n_noise_clusters,
-                    n_rfi_bursts=scenario.n_rfi_bursts,
-                    grid_coarsen=scenario.grid_coarsen,
+                    n_noise_clusters=N_NOISE_CLUSTERS,
+                    n_rfi_bursts=N_RFI_BURSTS,
                     seed=_derive(seed, t_idx, p_idx, o_idx),
-                    obs_length_s=scenario.obs_length_s,
+                    obs_length_s=OBS_LENGTH_S,
                     gain=phase.gain * timeline.gain,
                     storm=phase.storm,
                 )
@@ -195,25 +194,17 @@ def compile_scenario(scenario: Scenario, seed: int) -> CompiledCampaign:
 
     anchor = scenario.tenants[0]
     anchor_obs = compiled.observations[anchor.tenant_id]
-    per_phase = [scenario.phases[p].n_observations
-                 for p in range(len(scenario.phases))]
-    cum = 0
     n_before = 0
-    for p_idx, n_obs in enumerate(per_phase):
+    for p_idx in range(len(scenario.phases)):
         compiled.anchor_items_before_phase[p_idx] = n_before
-        cum += n_obs
-        n_before = len(build_stream(anchor_obs[:cum]))
+        n_before = len(build_stream(anchor_obs[:(p_idx + 1) * N_OBSERVATIONS]))
     return compiled
 
 
 # ---------------------------------------------------------------------------
 # Built-in scenarios
 # ---------------------------------------------------------------------------
-def three_phase_scenario(
-    *,
-    n_observations: int = 2,
-    obs_length_s: float = 12.0,
-) -> Scenario:
+def three_phase_scenario() -> Scenario:
     """The canonical gate scenario: baseline → RFI storm season → expansion.
 
     Phase 0 is a quiet GBT350Drift baseline.  Phase 1 turns on a heavy
@@ -236,18 +227,15 @@ def three_phase_scenario(
     return Scenario(
         name="three-phase",
         phases=(
-            PhaseConfig("baseline", n_observations=n_observations),
-            PhaseConfig("storm-season", n_observations=n_observations,
-                        storm=heavy),
-            PhaseConfig("expansion", n_observations=n_observations,
-                        storm=mild),
+            PhaseConfig("baseline"),
+            PhaseConfig("storm-season", storm=heavy),
+            PhaseConfig("expansion", storm=mild),
         ),
         tenants=(
             TenantTimeline("gbt", survey="GBT350Drift", n_pulsars=3),
             TenantTimeline("chime", survey="CHIME", joins_at_phase=2,
                            n_pulsars=3, gain=0.5),
         ),
-        obs_length_s=obs_length_s,
     )
 
 

@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sparklet.context import SparkletContext
     from repro.sparklet.faults import FaultConfig
 
+#: DM-grid coarsening of every synthesized observation (recorded in each
+#: run's candidate provenance).
+GRID_COARSEN = 10.0
+
 
 @dataclass
 class PipelineResult:
@@ -110,7 +114,6 @@ class SinglePulsePipeline:
     survey: SurveyConfig
     scheme: AlmScheme | str = "2"
     params: SearchParams = field(default_factory=SearchParams)
-    grid_coarsen: float = 10.0
     num_partitions: int = 8
     seed: int = 0
     #: Optional chaos knob, forwarded to the D-RAPID driver: stage 3 then
@@ -149,7 +152,7 @@ class SinglePulsePipeline:
                     beam=i % self.survey.n_beams,
                     n_noise_clusters=n_noise_clusters,
                     n_rfi_bursts=n_rfi_bursts,
-                    grid_coarsen=self.grid_coarsen,
+                    grid_coarsen=GRID_COARSEN,
                     seed=self.seed + 17 * i,
                 )
             )
@@ -177,7 +180,7 @@ class SinglePulsePipeline:
         the ones :func:`identify_observations` records for every run."""
         return {
             "scheme": getattr(self.scheme, "name", str(self.scheme)),
-            "grid_coarsen": self.grid_coarsen,
+            "grid_coarsen": GRID_COARSEN,
         }
 
     # -- stage 4 -----------------------------------------------------------

@@ -104,8 +104,11 @@ class ExecutionConfig:
 
     def __post_init__(self) -> None:
         _check("backend", self.backend, BACKENDS + (None,))
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
+        n = self.num_workers
+        if n is not None and (
+            isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
+        ):
+            raise ValueError(f"num_workers must be an integer >= 1, got {n!r}")
 
 
 def env_execution_config() -> ExecutionConfig:

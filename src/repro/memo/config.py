@@ -35,7 +35,6 @@ class MemoConfig:
     dir: str | None = None
     #: Candidate database path; None puts ``candidates.sqlite`` in ``dir``.
     db_path: str | None = None
-    max_memory_entries: int = 64
     #: Record classified pulses into the candidate database.
     store_candidates: bool = True
     #: Isolation namespace: a sub-store under ``dir``.  The serving tier
@@ -66,9 +65,7 @@ class MemoSession:
         from repro.memo.store import MemoStore
 
         self.config = config
-        self.store: MemoStore = MemoStore(
-            config.resolved_dir(), max_memory_entries=config.max_memory_entries
-        )
+        self.store: MemoStore = MemoStore(config.resolved_dir())
         self._db: CandidateDB | None = None
 
     @property

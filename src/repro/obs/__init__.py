@@ -1,7 +1,7 @@
 """Observability: structured event log, span tracer, metrics registry.
 
 The layer Spark builds its UI/history server on — a replayable event log —
-plus the cross-stage tracing and process-wide metrics this reproduction
+plus the cross-stage tracing and per-session metrics this reproduction
 needs to make its RQ1/RQ2 scalability claims inspectable:
 
 - :class:`~repro.obs.events.EventLog` — append-only JSONL event stream
@@ -12,8 +12,8 @@ needs to make its RQ1/RQ2 scalability claims inspectable:
 - :class:`~repro.obs.trace.Tracer` — nested spans with seeded-deterministic
   ids and monotonic-clock durations.
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters/gauges/timers/
-  fixed-bucket histograms; :func:`~repro.obs.metrics.get_registry` is the
-  process-wide instance.
+  fixed-bucket histograms, one registry per session (there is no
+  process-wide instance).
 - :mod:`repro.obs.report` — per-stage timelines, task-skew histograms and
   straggler/blacklist summaries (``python -m repro trace-report``).
 
@@ -29,8 +29,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     Timer,
-    get_registry,
-    reset_registry,
 )
 from repro.obs.replay import ReplayError, replay_all_job_metrics, replay_job_metrics
 from repro.obs.report import build_report, render_json, render_text
@@ -52,11 +50,9 @@ __all__ = [
     "Timer",
     "Tracer",
     "build_report",
-    "get_registry",
     "read_events",
     "render_json",
     "render_text",
     "replay_all_job_metrics",
     "replay_job_metrics",
-    "reset_registry",
 ]

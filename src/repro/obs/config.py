@@ -5,7 +5,8 @@ pipeline stages, the cluster simulator) takes an :class:`ObsConfig` — or an
 already-constructed :class:`~repro.obs.session.ObsSession` — and does
 *nothing* when observability is disabled, which is the default.  The
 ``bench_observability`` benchmark asserts the disabled path costs < 2%
-end to end.
+end to end.  An enabled session publishes metrics into a registry of its
+own; there is no process-wide registry.
 """
 
 from __future__ import annotations
@@ -26,22 +27,15 @@ class ObsConfig:
         If set, events are appended to this file as JSONL (one JSON object
         per line, Spark-event-log style).  Replayable via
         :func:`repro.obs.replay.replay_job_metrics`.
-    keep_events:
-        Retain emitted events in memory (``session.log.events``) so tests
-        and the report renderer can read them without a file round-trip.
-    trace_seed:
-        Seeds span-id generation so traces of seeded chaos runs are
-        reproducible token for token.
-    use_global_registry:
-        Publish metrics into the process-wide registry
-        (:func:`repro.obs.metrics.get_registry`) instead of a private one.
+
+    An enabled session always keeps its events in memory
+    (``session.log.events``), seeds its span ids with 0 so traces of seeded
+    chaos runs are reproducible token for token, and publishes metrics into
+    a registry of its own.
     """
 
     enabled: bool = False
     event_log_path: str | None = None
-    keep_events: bool = True
-    trace_seed: int = 0
-    use_global_registry: bool = False
 
 
 #: The default configuration: everything off.

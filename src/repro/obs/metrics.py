@@ -1,10 +1,10 @@
-"""Process-wide metrics registry: counters, gauges, timers, histograms.
+"""Per-session metrics registry: counters, gauges, timers, histograms.
 
-Sparklet, the DFS and the ML layer publish here (guarded by the session's
-``enabled`` flag, so disabled observability costs one attribute check).
-Histograms use *fixed* bucket edges so snapshots from different runs are
-directly comparable and the report renderer can draw stable task-skew
-histograms.
+Sparklet, the DFS and the ML layer publish into their session's registry
+(guarded by the session's ``enabled`` flag, so disabled observability costs
+one attribute check).  Histograms use *fixed* bucket edges so snapshots
+from different runs are directly comparable and the report renderer can
+draw stable task-skew histograms.
 """
 
 from __future__ import annotations
@@ -176,21 +176,3 @@ class MetricsRegistry:
             else:
                 out[name] = {"kind": "histogram", **inst.to_dict()}
         return out
-
-    def reset(self) -> None:
-        self._metrics.clear()
-
-
-#: The process-wide registry (``use_global_registry=True`` sessions publish
-#: here; :func:`get_registry` is the blessed accessor).
-_GLOBAL = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _GLOBAL
-
-
-def reset_registry() -> None:
-    """Clear the process-wide registry (test isolation)."""
-    _GLOBAL.reset()

@@ -18,7 +18,7 @@ from typing import Any, ContextManager
 
 from repro.obs.config import ObsConfig
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
@@ -39,22 +39,13 @@ class ObsSession:
 
     __slots__ = ("enabled", "config", "log", "tracer", "registry")
 
-    def __init__(
-        self,
-        config: ObsConfig | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, config: ObsConfig | None = None) -> None:
         self.config = config or ObsConfig()
         self.enabled = self.config.enabled
         if self.enabled:
-            self.log = EventLog(self.config.event_log_path, keep=self.config.keep_events)
-            self.tracer: Tracer | _NullTracer = Tracer(self.config.trace_seed, log=self.log)
-            if registry is not None:
-                self.registry = registry
-            elif self.config.use_global_registry:
-                self.registry = get_registry()
-            else:
-                self.registry = MetricsRegistry()
+            self.log = EventLog(self.config.event_log_path)
+            self.tracer: Tracer | _NullTracer = Tracer(log=self.log)
+            self.registry = MetricsRegistry()
         else:
             self.log = None  # type: ignore[assignment]
             self.tracer = _NULL_TRACER

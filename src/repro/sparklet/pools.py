@@ -27,6 +27,7 @@ concurrency.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -66,10 +67,16 @@ class PoolConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("pool name must be non-empty")
-        if self.weight <= 0:
-            raise ValueError(f"pool {self.name!r}: weight must be > 0")
-        if self.min_share < 0:
-            raise ValueError(f"pool {self.name!r}: min_share must be >= 0")
+        # NaN compares False both ways, so the bounds are written to fail on it.
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(
+                f"pool {self.name!r}: weight must be finite and > 0, got {self.weight!r}"
+            )
+        if not (math.isfinite(self.min_share) and self.min_share >= 0):
+            raise ValueError(
+                f"pool {self.name!r}: min_share must be finite and >= 0, "
+                f"got {self.min_share!r}"
+            )
 
 
 @dataclass

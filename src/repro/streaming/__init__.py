@@ -29,7 +29,7 @@ suite: concatenated streamed output is **byte-identical** to the offline
 Use :func:`repro.api.run_streaming` rather than these pieces directly.
 """
 
-from repro.streaming.backpressure import PIDConfig, PIDRateEstimator
+from repro.streaming.backpressure import PIDRateEstimator
 from repro.streaming.checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -39,7 +39,6 @@ from repro.streaming.engine import (
     BatchStats,
     LinearCostModel,
     MicroBatchEngine,
-    SimulatedCostModel,
     SimulatedDriverCrash,
     StreamingResult,
     canonical_ml_text,
@@ -65,13 +64,11 @@ __all__ = [
     "LinearCostModel",
     "MicroBatchEngine",
     "ModelCache",
-    "PIDConfig",
     "PIDRateEstimator",
     "PreparedBatch",
     "ReplayReceiver",
     "SessionInfo",
     "SessionManager",
-    "SimulatedCostModel",
     "SimulatedDriverCrash",
     "StreamScorer",
     "StreamingResult",

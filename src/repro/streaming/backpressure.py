@@ -15,31 +15,19 @@ checkpoints as JSON and replays deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PIDConfig:
-    """Gains and floor for the rate estimator (Spark's defaults)."""
-
-    proportional: float = 1.0   # spark.streaming.backpressure.pid.proportional
-    integral: float = 0.2       # ...pid.integral
-    derivative: float = 0.0     # ...pid.derived
-    min_rate: float = 10.0      # ...pid.minRate (rows per second)
+#: Gains and floor for the rate estimator (Spark's defaults).
+PROPORTIONAL = 1.0   # spark.streaming.backpressure.pid.proportional
+INTEGRAL = 0.2       # ...pid.integral
+DERIVATIVE = 0.0     # ...pid.derived
+MIN_RATE = 10.0      # ...pid.minRate (rows per second)
 
 
 class PIDRateEstimator:
     """Computes a new receiver rate limit from each batch's delays."""
 
-    def __init__(
-        self,
-        config: PIDConfig,
-        batch_interval_s: float,
-        initial_rate: float,
-    ) -> None:
+    def __init__(self, batch_interval_s: float, initial_rate: float) -> None:
         if batch_interval_s <= 0:
             raise ValueError("batch interval must be positive")
-        self.config = config
         self.batch_interval_s = batch_interval_s
         self.latest_time_s = 0.0
         self.latest_rate = float(initial_rate)
@@ -62,7 +50,6 @@ class PIDRateEstimator:
         if (time_s <= self.latest_time_s or n_elements <= 0
                 or processing_delay_s <= 0):
             return None
-        cfg = self.config
         delay_since_update = time_s - self.latest_time_s
         processing_rate = n_elements / processing_delay_s
         error = self.latest_rate - processing_rate
@@ -74,10 +61,10 @@ class PIDRateEstimator:
         d_error = (error - self.latest_error) / delay_since_update
         new_rate = max(
             self.latest_rate
-            - cfg.proportional * error
-            - cfg.integral * historical_error
-            - cfg.derivative * d_error,
-            cfg.min_rate,
+            - PROPORTIONAL * error
+            - INTEGRAL * historical_error
+            - DERIVATIVE * d_error,
+            MIN_RATE,
         )
         self.latest_time_s = time_s
         self.latest_rate = new_rate
@@ -98,4 +85,4 @@ class PIDRateEstimator:
         self.latest_error = float(snap["latest_error"])
 
 
-__all__ = ["PIDConfig", "PIDRateEstimator"]
+__all__ = ["PIDRateEstimator"]

@@ -3,12 +3,11 @@
 Every ``batch_interval_s`` the engine cuts the receiver's blocks into one
 batch, ingests them into the pending-cluster state, finalizes every
 cluster the watermark has passed, and runs the finalized work as a real
-D-RAPID job through Sparklet — so fault injection, lineage recovery and
-the discrete-event cluster simulator all apply per batch.  Time is
-simulated: a pluggable **cost model** charges each batch a processing
-duration, the driver is a single serial resource (batch *k* starts at
-``max(boundary_k, free_at)``), and scheduling delay vs. processing time
-fall out exactly as Spark's streaming UI defines them.
+D-RAPID job through Sparklet — so fault injection and lineage recovery
+apply per batch.  Time is simulated: a linear **cost model** charges each
+batch a processing duration, the driver is a single serial resource (batch
+*k* starts at ``max(boundary_k, free_at)``), and scheduling delay vs.
+processing time fall out exactly as Spark's streaming UI defines them.
 
 The loop is deliberately written so that everything affecting *output* is
 deterministic given (observations, config): block cutting uses credit
@@ -53,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.astro.survey import Observation
     from repro.dfs import DFSClient
     from repro.sparklet.context import SparkletContext
-    from repro.sparklet.metrics import JobMetrics
 
 
 class SimulatedDriverCrash(RuntimeError):
@@ -64,45 +62,26 @@ class SimulatedDriverCrash(RuntimeError):
         self.batch_id = batch_id
 
 
-# -- cost models -------------------------------------------------------------
+#: Receiver blocks cut per batch interval (Spark's blockInterval).
+BLOCKS_PER_BATCH = 4
+
+
+# -- cost model --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LinearCostModel:
     """Deterministic processing cost: ``fixed + rows / throughput``.
 
-    The default, because exact rate arithmetic is what lets tests and the
-    benchmark engineer a precise 2× overload (arrival_rate = 2 ×
-    rows_per_s) and observe backpressure converge.
+    Exact rate arithmetic is what lets tests and the benchmark engineer a
+    precise 2× overload (arrival_rate = 2 × rows_per_s) and observe
+    backpressure converge.
     """
 
     rows_per_s: float = 50_000.0
     fixed_s: float = 0.02
 
-    def batch_seconds(self, n_rows: int, metrics: "JobMetrics | None") -> float:
+    def batch_seconds(self, n_rows: int) -> float:
         return self.fixed_s + n_rows / self.rows_per_s
-
-
-@dataclass(frozen=True)
-class SimulatedCostModel:
-    """Processing cost from the discrete-event cluster simulator.
-
-    Replays each batch's measured Sparklet job on a configured cluster
-    (:class:`repro.sparklet.ClusterConfig`) and charges its makespan.
-    Realistic, but derived from wall-clock task timings — use
-    :class:`LinearCostModel` when byte-level timing determinism matters.
-    """
-
-    cluster: object = None  # ClusterConfig; lazily defaulted to avoid import
-    fixed_s: float = 0.005
-
-    def batch_seconds(self, n_rows: int, metrics: "JobMetrics | None") -> float:
-        if metrics is None:
-            return self.fixed_s
-        from repro.sparklet.cluster import ClusterConfig
-        from repro.sparklet.simulation import simulate_job
-
-        cluster = self.cluster if self.cluster is not None else ClusterConfig()
-        return self.fixed_s + simulate_job(metrics, cluster).elapsed_s
 
 
 # -- per-batch bookkeeping ---------------------------------------------------
@@ -239,7 +218,7 @@ class MicroBatchEngine:
     def __post_init__(self) -> None:
         cfg = self.config
         self.estimator = (
-            PIDRateEstimator(cfg.pid, cfg.batch_interval_s, cfg.arrival_rate)
+            PIDRateEstimator(cfg.batch_interval_s, cfg.arrival_rate)
             if cfg.backpressure else None
         )
         # Rate-limit timeline: (time, rate) changes, looked up per block.
@@ -329,12 +308,10 @@ class MicroBatchEngine:
             obs=self.obs if self.obs.enabled else None,
         )
 
-    def _run_batch_job(
-        self, batch_id: int, units: Sequence
-    ) -> tuple[PulseBatch, "JobMetrics | None"]:
+    def _run_batch_job(self, batch_id: int, units: Sequence) -> PulseBatch:
         """Run one batch's finalized units as a D-RAPID job via Sparklet."""
         if not units:
-            return PulseBatch.empty(), None
+            return PulseBatch.empty()
         from repro.astro.spe import SPE_FILE_HEADER
         from repro.io.spe_files import CLUSTER_FILE_HEADER
 
@@ -365,7 +342,7 @@ class MicroBatchEngine:
             )
         if batch_id not in self.committed:
             self.committed.append(batch_id)
-        return result.pulse_batch, result.metrics
+        return result.pulse_batch
 
     # -- the driver loop -----------------------------------------------------
     @property
@@ -393,8 +370,7 @@ class MicroBatchEngine:
         cfg = self.config
         obs = self.obs
         interval = cfg.batch_interval_s
-        n_blocks = max(1, int(cfg.blocks_per_batch))
-        block_dt = interval / n_blocks
+        block_dt = interval / BLOCKS_PER_BATCH
         batch_id = self.batch_index + 1
         if batch_id > cfg.max_batches:
             raise RuntimeError(
@@ -405,7 +381,7 @@ class MicroBatchEngine:
         cap = self.rate_cap if self.rate_cap is not None else cfg.arrival_rate
         blocks = []
         rate_limit = cap
-        for j in range(1, n_blocks + 1):
+        for j in range(1, BLOCKS_PER_BATCH + 1):
             arrival = (batch_id - 1) * interval + j * block_dt
             if cfg.backpressure:
                 rate_limit = min(cap, self._rate_at(arrival))
@@ -467,13 +443,13 @@ class MicroBatchEngine:
                 obs.emit(MODEL_SWAPPED, batch_id=batch_id,
                          old_version=prev_version,
                          version=self.scorer.version)
-        pulses, metrics = self._run_batch_job(batch_id, units)
+        pulses = self._run_batch_job(batch_id, units)
         n_scored = 0
         if self.scorer is not None and len(pulses):
             n_scored = len(self.scorer.score(pulses))
 
         # 5. Clock: charge the cost model, record the batch.
-        processing = self.cost_model.batch_seconds(rows, metrics)
+        processing = self.config.cost_model.batch_seconds(rows)
         completed = start + processing
         stats = BatchStats(
             batch_id=batch_id, boundary_s=boundary, start_s=start,
@@ -527,10 +503,6 @@ class MicroBatchEngine:
     def run(self) -> None:
         while self.active:
             self.execute_batch(self.cut_next_batch())
-
-    @property
-    def cost_model(self):
-        return self.config.cost_model
 
     # -- checkpoint ----------------------------------------------------------
     def snapshot(self) -> dict:
@@ -663,7 +635,6 @@ __all__ = [
     "LinearCostModel",
     "MicroBatchEngine",
     "PreparedBatch",
-    "SimulatedCostModel",
     "SimulatedDriverCrash",
     "StreamingResult",
     "canonical_ml_text",

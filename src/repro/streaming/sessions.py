@@ -34,6 +34,7 @@ two invariants the event loop maintains:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -64,25 +65,21 @@ class AdmissionConfig:
     """How the serving tier reacts to aggregate demand above capacity.
 
     ``capacity_rows_per_s`` is the shared driver's sustainable throughput;
-    when None it is derived from the engines' cost models (a
-    ``LinearCostModel`` exposes ``rows_per_s``) and admission is disabled
-    if no model can say.  ``headroom`` scales the derived capacity (0.8 =
-    "plan to 80%").
+    when None it is the slowest engine's ``LinearCostModel.rows_per_s``
+    (one serial driver sustains no more than its slowest tenant's model).
     """
 
     mode: str = "degrade"
     capacity_rows_per_s: float | None = None
-    headroom: float = 1.0
 
     def __post_init__(self) -> None:
         if self.mode not in _ADMISSION_MODES:
             raise ValueError(
                 f"admission mode must be one of {_ADMISSION_MODES}, got {self.mode!r}"
             )
-        if self.headroom <= 0:
-            raise ValueError("headroom must be > 0")
-        if self.capacity_rows_per_s is not None and self.capacity_rows_per_s <= 0:
-            raise ValueError("capacity_rows_per_s must be > 0")
+        cap = self.capacity_rows_per_s
+        if cap is not None and not (math.isfinite(cap) and cap > 0):
+            raise ValueError(f"capacity_rows_per_s must be finite and > 0, got {cap!r}")
 
 
 @dataclass
@@ -174,18 +171,11 @@ class SessionManager:
 
     # -- admission control ---------------------------------------------------
     def _capacity(self) -> float | None:
-        cfg = self.admission
-        if cfg.capacity_rows_per_s is not None:
-            return cfg.capacity_rows_per_s * cfg.headroom
-        rates = [
-            getattr(info.engine.config.cost_model, "rows_per_s", None)
-            for info in self.sessions.values()
-        ]
-        known = [r for r in rates if r is not None]
-        if len(known) != len(rates) or not known:
-            return None  # a cost model we cannot size against
+        if self.admission.capacity_rows_per_s is not None:
+            return self.admission.capacity_rows_per_s
         # One serial driver: its sustainable row rate is the slowest model's.
-        return min(known) * cfg.headroom
+        return min((info.engine.config.cost_model.rows_per_s
+                    for info in self.sessions.values()), default=None)
 
     def apply_admission(self) -> None:
         """Decide admit/degrade/reject per tenant; emits session events."""

@@ -23,7 +23,7 @@ import numpy as np  # noqa: E402
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.campaign.drift import DriftConfig, DriftMonitor, _ks, _psi  # noqa: E402
+from repro.campaign.drift import CUR_WINDOW, SUSTAIN, DriftMonitor, _ks, _psi  # noqa: E402
 
 _SETTINGS = dict(
     max_examples=20,
@@ -73,7 +73,7 @@ def test_ks_detects_disjoint_supports():
        b=st.sampled_from([2.0, 5.0]))
 def test_stationary_stream_never_declares_drift(seed, a, b):
     rng = np.random.default_rng(seed)
-    monitor = DriftMonitor(DriftConfig())
+    monitor = DriftMonitor()
     for i, scores in enumerate(_beta_batches(rng, a, b, 40)):
         signal = monitor.update(i, scores, n_clusters=len(scores))
         assert not signal.drifted, (
@@ -91,7 +91,7 @@ def test_false_positive_rate_is_low_on_thin_batches():
     n_streams = 120
     for seed in range(n_streams):
         rng = np.random.default_rng(seed)
-        monitor = DriftMonitor(DriftConfig())
+        monitor = DriftMonitor()
         for i, scores in enumerate(_beta_batches(rng, 2, 5, 40, per_batch=30)):
             if monitor.update(i, scores, 30).drifted:
                 fp += 1
@@ -103,7 +103,7 @@ def test_false_positive_rate_is_low_on_thin_batches():
 @given(seed=st.integers(min_value=0, max_value=500))
 def test_constant_rate_never_trips_rate_alarm(seed):
     rng = np.random.default_rng(seed)
-    monitor = DriftMonitor(DriftConfig())
+    monitor = DriftMonitor()
     for i in range(40):
         signal = monitor.update(i, rng.beta(3, 3, 30), n_clusters=10)
         assert "cluster_rate" not in signal.reasons
@@ -116,9 +116,8 @@ def test_constant_rate_never_trips_rate_alarm(seed):
 @given(seed=st.integers(min_value=0, max_value=500),
        warmup=st.integers(min_value=18, max_value=30))
 def test_distribution_shift_detected_within_window(seed, warmup):
-    cfg = DriftConfig()
     rng = np.random.default_rng(seed)
-    monitor = DriftMonitor(cfg)
+    monitor = DriftMonitor()
     for i, scores in enumerate(_beta_batches(rng, 8, 2, warmup)):
         assert not monitor.update(i, scores, 20).drifted
     # Change point: scores collapse toward zero (the storm regime).
@@ -129,7 +128,7 @@ def test_distribution_shift_detected_within_window(seed, warmup):
             break
     # Worst case: the current window must fill with shifted batches, then
     # the alarm must sustain.
-    bound = cfg.cur_window + cfg.sustain
+    bound = CUR_WINDOW + SUSTAIN
     assert detected_at is not None and detected_at < bound
 
 
@@ -137,9 +136,8 @@ def test_distribution_shift_detected_within_window(seed, warmup):
 @given(seed=st.integers(min_value=0, max_value=500),
        mult=st.sampled_from([5, 8, 12]))
 def test_cluster_rate_flood_detected(seed, mult):
-    cfg = DriftConfig()
     rng = np.random.default_rng(seed)
-    monitor = DriftMonitor(cfg)
+    monitor = DriftMonitor()
     scores = rng.beta(3, 3, 30)
     for i in range(20):
         assert not monitor.update(i, scores, n_clusters=4).drifted
@@ -150,7 +148,7 @@ def test_cluster_rate_flood_detected(seed, mult):
             assert "cluster_rate" in signal.reasons
             detected_at = j
             break
-    assert detected_at is not None and detected_at < cfg.cur_window + cfg.sustain
+    assert detected_at is not None and detected_at < CUR_WINDOW + SUSTAIN
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +161,7 @@ def _shifting_stream(rng, n):
 
 def test_latch_prevents_redeclaring_the_same_drift():
     rng = np.random.default_rng(7)
-    monitor = DriftMonitor(DriftConfig())
+    monitor = DriftMonitor()
     declared = [
         i for i, scores in enumerate(_shifting_stream(rng, 25))
         if monitor.update(i, scores, 20).drifted
@@ -176,7 +174,7 @@ def test_latch_prevents_redeclaring_the_same_drift():
 
 def test_rebase_clears_state_and_rearms():
     rng = np.random.default_rng(11)
-    monitor = DriftMonitor(DriftConfig())
+    monitor = DriftMonitor()
     for i, scores in enumerate(_shifting_stream(rng, 25)):
         monitor.update(i, scores, 20)
     assert monitor.n_detections >= 1
@@ -196,12 +194,12 @@ def test_snapshot_restore_roundtrip_preserves_signals(seed, split):
 
     rng = np.random.default_rng(seed)
     stream = _shifting_stream(rng, 22)
-    original = DriftMonitor(DriftConfig())
+    original = DriftMonitor()
     for i, scores in enumerate(stream[:split]):
         original.update(i, scores, len(scores) // 2)
 
     state = json.loads(json.dumps(original.snapshot()))
-    restored = DriftMonitor(DriftConfig())
+    restored = DriftMonitor()
     restored.restore(state)
 
     for i, scores in enumerate(stream[split:], start=split):
@@ -209,21 +207,3 @@ def test_snapshot_restore_roundtrip_preserves_signals(seed, split):
         b = restored.update(i, scores, len(scores) // 2)
         assert a == b
     assert original.n_detections == restored.n_detections
-
-
-# ---------------------------------------------------------------------------
-# Config validation
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"ref_window": 1},
-        {"cur_window": 0},
-        {"n_bins": 1},
-        {"sustain": 0},
-        {"recover": 0},
-    ],
-)
-def test_drift_config_rejects_degenerate_windows(kwargs):
-    with pytest.raises(ValueError):
-        DriftConfig(**kwargs)

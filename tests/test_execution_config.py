@@ -72,6 +72,18 @@ class TestKernelConfigValidation:
         with pytest.raises(ValueError):
             ExecutionConfig(**bad)
 
+    @pytest.mark.parametrize("workers", [2.5, True, "2", -1])
+    def test_num_workers_must_be_an_integer(self, workers):
+        """A float or bool worker count used to be accepted and a string died
+        with a raw TypeError; each is now a ValueError naming the field."""
+        with pytest.raises(ValueError, match="num_workers"):
+            ExecutionConfig(num_workers=workers)
+
+    def test_numpy_integer_workers_accepted(self):
+        import numpy as np
+
+        assert ExecutionConfig(num_workers=np.int64(3)).num_workers == 3
+
     def test_frozen(self):
         with pytest.raises(Exception):
             KernelConfig().method = "tree"

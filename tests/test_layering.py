@@ -242,3 +242,105 @@ def test_front_end_has_two_dedispersion_methods_and_one_boxcar():
     assert [f.name for f in dataclasses.fields(KernelConfig)] == [
         "method", "n_subbands", "tol_samples"]
     assert KernelConfig.boxcar == "cumsum"
+
+
+#: A config dataclass is a ``@dataclass`` in ``src/`` named for the policy it
+#: records.
+CONFIG_SUFFIXES = ("Config", "Scenario", "Timeline", "Spec", "Model", "Params", "Scheme")
+#: Config fields that no constructor call or ``dataclasses.replace`` sets,
+#: each kept for the reason above it.
+UNSET_ON_PURPOSE = {
+    # The frozen e2e harness constructs KernelConfig, and ROADMAP item 2(b)
+    # sweeps the subband settings.
+    "KernelConfig.n_subbands",
+    "KernelConfig.tol_samples",
+    # Modelled hardware: the simulated cluster and the multithreaded box
+    # are described field by field, and the simulation laws read them all.
+    "ClusterConfig.scheduler_delay_s",
+    "ClusterConfig.disk_bandwidth_mbps",
+    "ClusterConfig.spill_cpu_penalty",
+    "ClusterConfig.spill_io_passes",
+    "ThreadedBoxModel.cpu_speed",
+    "ThreadedBoxModel.per_task_overhead_s",
+    "ThreadedBoxModel.memory_bytes",
+    "ThreadedBoxModel.thrash_coeff",
+    # Part of the survey presets' description.
+    "SurveyConfig.snr_threshold",
+    # The fair-scheduler floor a tenant hands its pool; test_sparklet_pools
+    # drives it on PoolConfig.
+    "TenantConfig.min_share",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+            return True
+    return False
+
+
+def _init_fields(node: ast.ClassDef) -> list[str]:
+    """The class's ``__init__`` fields in order: no ClassVar, no init=False."""
+    names = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and any(
+            kw.arg == "init" and getattr(kw.value, "value", True) is False
+            for kw in value.keywords
+        ):
+            continue
+        names.append(stmt.target.id)
+    return names
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_config_field_has_a_caller():
+    """A config field exists when a constructor call or ``dataclasses.replace``
+    somewhere in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` sets
+    it; a policy nothing varies is a module constant where it is read."""
+    configs: dict[str, list[str]] = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ClassDef) and node.name.endswith(CONFIG_SUFFIXES)
+                    and _is_dataclass(node)):
+                assert node.name not in configs, f"two config classes named {node.name}"
+                configs[node.name] = _init_fields(node)
+    fields_named: dict[str, set[str]] = {}
+    for cls, names in configs.items():
+        for name in names:
+            fields_named.setdefault(name, set()).add(cls)
+
+    set_by_caller: set[str] = set()
+    callers = [REPO / d for d in ("src", "benchmarks", "examples", "tests")]
+    for path in sorted(p for root in callers for p in root.rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = _callee(call)
+            keywords = {kw.arg for kw in call.keywords if kw.arg}
+            if name in configs:
+                n_positional = sum(not isinstance(a, ast.Starred) for a in call.args)
+                keywords.update(configs[name][:n_positional])
+                set_by_caller.update(f"{name}.{kw}" for kw in keywords)
+            elif name == "replace" and call.args:
+                # The replaced object's class is known when it is built in
+                # place; otherwise the keyword vouches for every config field
+                # of that name.
+                target = call.args[0]
+                known = _callee(target) if isinstance(target, ast.Call) else None
+                for kw in keywords:
+                    owners = {known} if known in configs else fields_named.get(kw, set())
+                    set_by_caller.update(f"{cls}.{kw}" for cls in owners)
+
+    every_field = {f"{cls}.{name}" for cls, names in configs.items() for name in names}
+    assert len(configs) > 20 and UNSET_ON_PURPOSE <= every_field
+    assert every_field - set_by_caller == UNSET_ON_PURPOSE

@@ -19,7 +19,7 @@ from repro.obs import (
     replay_all_job_metrics,
     replay_job_metrics,
 )
-from repro.obs.metrics import MetricsRegistry, get_registry, reset_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.sparklet.cluster import NodeCapacity, ResourceManager
 from repro.sparklet.context import SparkletContext
 from repro.sparklet.faults import FaultConfig
@@ -98,12 +98,11 @@ class TestMetricsRegistry:
         assert d["overflow"] == 1
         assert d["min"] == 0.5 and d["max"] == 99.0
 
-    def test_global_registry_reset(self):
-        reset_registry()
-        get_registry().counter("global.c").inc()
-        assert get_registry().snapshot()["global.c"]["value"] == 1
-        reset_registry()
-        assert get_registry().snapshot() == {}
+    def test_each_session_owns_its_registry(self):
+        a = ObsSession(ObsConfig(enabled=True))
+        b = ObsSession(ObsConfig(enabled=True))
+        a.registry.counter("c").inc()
+        assert a.registry is not b.registry and b.registry.snapshot() == {}
 
 
 class TestTracer:

@@ -257,10 +257,13 @@ class TestAdmission:
     def test_admission_config_validation(self):
         with pytest.raises(ValueError, match="mode"):
             AdmissionConfig(mode="panic")
-        with pytest.raises(ValueError, match="headroom"):
-            AdmissionConfig(headroom=0.0)
         with pytest.raises(ValueError, match="capacity"):
             AdmissionConfig(capacity_rows_per_s=-1.0)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="capacity_rows_per_s"):
+            AdmissionConfig(capacity_rows_per_s=capacity)
 
 
 # -- config validation --------------------------------------------------------
@@ -279,6 +282,14 @@ class TestServingConfig:
             TenantConfig("", _scfg(1))
         with pytest.raises(ValueError, match="/"):
             TenantConfig("a/b", _scfg(1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("weight", float("nan")),
+        ("weight", 0.0),
+    ])
+    def test_non_finite_fair_share_terms_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TenantConfig("t", _scfg(1), **{field: value})
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError, match="at least one tenant"):

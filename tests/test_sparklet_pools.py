@@ -32,6 +32,18 @@ class TestPoolConfig:
         with pytest.raises(ValueError, match="min_share"):
             PoolConfig("p", min_share=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight", float("nan")),
+        ("weight", float("inf")),
+        ("min_share", float("nan")),
+        ("min_share", float("inf")),
+    ])
+    def test_rejects_non_finite_terms(self, field, value):
+        """NaN passed ``<= 0`` and ``< 0`` and then ordered pools by NaN
+        comparisons."""
+        with pytest.raises(ValueError, match=field):
+            PoolConfig("p", **{field: value})
+
 
 class TestFairOrdering:
     def test_default_pool_exists(self):

@@ -19,7 +19,6 @@ from repro.dataplane import SPEBatch
 from repro.obs import ObsConfig
 from repro.streaming import (
     LinearCostModel,
-    PIDConfig,
     PIDRateEstimator,
     ReplayReceiver,
     StreamScorer,
@@ -27,6 +26,7 @@ from repro.streaming import (
     build_stream,
     canonical_ml_text,
 )
+from repro.streaming.backpressure import MIN_RATE
 from repro.streaming.checkpoint import (
     CheckpointError,
     put_replace,
@@ -155,7 +155,7 @@ class TestStreamState:
 
 class TestPIDRateEstimator:
     def test_converges_on_processing_rate_under_overload(self):
-        est = PIDRateEstimator(PIDConfig(), batch_interval_s=1.0, initial_rate=400.0)
+        est = PIDRateEstimator(batch_interval_s=1.0, initial_rate=400.0)
         capacity = 200.0  # rows/s the (linear) pipeline can actually do
         t, sched = 0.0, 0.0
         for _ in range(30):
@@ -167,23 +167,22 @@ class TestPIDRateEstimator:
         assert est.rate == pytest.approx(capacity, rel=0.05)
 
     def test_rejects_unusable_updates(self):
-        est = PIDRateEstimator(PIDConfig(), batch_interval_s=1.0, initial_rate=100.0)
+        est = PIDRateEstimator(batch_interval_s=1.0, initial_rate=100.0)
         assert est.compute(1.0, 0, 1.0, 0.0) is None      # empty batch
         assert est.compute(1.0, 10, 0.0, 0.0) is None     # zero delay
         est.compute(1.0, 10, 0.1, 0.0)
         assert est.compute(0.5, 10, 0.1, 0.0) is None     # stale time
 
     def test_rate_floor(self):
-        cfg = PIDConfig(min_rate=25.0)
-        est = PIDRateEstimator(cfg, batch_interval_s=1.0, initial_rate=1000.0)
+        est = PIDRateEstimator(batch_interval_s=1.0, initial_rate=1000.0)
         est.compute(10.0, 1000, 100.0, 50.0)  # catastrophic overload
-        assert est.rate == 25.0
+        assert est.rate == MIN_RATE == 10.0  # spark.streaming.backpressure.pid.minRate
 
     def test_snapshot_restore(self):
-        est = PIDRateEstimator(PIDConfig(), batch_interval_s=1.0, initial_rate=300.0)
+        est = PIDRateEstimator(batch_interval_s=1.0, initial_rate=300.0)
         est.compute(1.0, 100, 0.8, 0.2)
         snap = json.loads(json.dumps(est.snapshot()))
-        other = PIDRateEstimator(PIDConfig(), batch_interval_s=1.0, initial_rate=300.0)
+        other = PIDRateEstimator(batch_interval_s=1.0, initial_rate=300.0)
         other.restore(snap)
         assert other.compute(2.0, 100, 0.8, 0.2) == est.compute(2.0, 100, 0.8, 0.2)
 
@@ -305,7 +304,32 @@ class TestEngineGuards:
 
     def test_cost_model_is_deterministic(self):
         model = LinearCostModel(rows_per_s=100.0, fixed_s=0.5)
-        assert model.batch_seconds(50, None) == pytest.approx(1.0)
+        assert model.batch_seconds(50) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("arrival_rate", 0.0),
+        ("arrival_rate", -5.0),
+        ("arrival_rate", float("nan")),
+        ("arrival_rate", float("inf")),
+        ("batch_interval_s", 0.0),
+        ("batch_interval_s", -1.0),
+        ("batch_interval_s", float("nan")),
+        ("checkpoint_interval", -1),
+    ])
+    def test_degenerate_config_rejected_by_name(self, field, value):
+        """A zero/negative/NaN rate or interval used to spin empty batches up
+        to max_batches (or die converting NaN), and a negative
+        checkpoint_interval checkpointed every batch."""
+        with pytest.raises(ValueError, match=field):
+            StreamingConfig(**{field: value})
+
+    def test_checkpoint_interval_zero_disables_checkpointing(self):
+        config = StreamingConfig(
+            pipeline=PipelineConfig(n_pulsars=3, n_observations=1, seed=0),
+            checkpoint_interval=0,
+        )
+        result = run_streaming(config)
+        assert result.n_batches > 0 and result.checkpoints_written == 0
 
 
 class TestNonFiniteSPERows:
