@@ -9,8 +9,9 @@ asserted here before timing):
   ``np.fromstring`` pass for the numeric block) vs per-record
   ``SinglePulse.to_ml_row`` / ``from_ml_row``;
 - **feature extraction** — ``extract_segment_features``
-  (length-grouped ``axis=1`` reductions, one row-wise ``bin_slopes`` +
-  residual per group) vs the per-pulse ``extract_pulse_features`` loop,
+  (``-0.0``-padded blocks of ragged segments summed by size class, one
+  ragged ``bin_slopes`` + residual per block) vs the per-pulse
+  ``extract_pulse_features`` loop,
   on identical Algorithm 1 segment inputs;
 - data/cluster file builders — whole-file batch serialization vs the
   record loops (reported for context, no threshold).

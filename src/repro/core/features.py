@@ -21,7 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.regression import bin_fit_residual_rows, bin_slopes
+from repro.core.regression import (
+    bin_fit_residual_rows,
+    bin_slopes,
+    padded_blocks,
+    row_sums,
+    size_classes,
+)
 
 #: Canonical feature ordering used by every matrix in this repository.
 FEATURE_NAMES: tuple[str, ...] = (
@@ -52,6 +58,26 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
+def _max_min(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[np.ndarray]:
+    """Max and min of every run ``values[..., starts[i]:stops[i]]``; 0.0 for
+    an empty run.
+
+    Runs lie along the last axis, which carries one spare trailing cell so
+    that a run may end at the last value.  ``reduceat`` takes a run's first
+    value and reduces the rest, exactly as the run's own 1-D call does.
+    Min and max go through here, not through a padded block: which of
+    ``-0.0``/``0.0`` (or of two NaNs) wins depends on the SIMD lanes, so on
+    the length of the call.
+    """
+    bounds = np.empty(2 * starts.size, dtype=np.intp)
+    bounds[0::2], bounds[1::2] = starts, stops
+    empty = stops == starts
+    return [
+        np.where(empty, 0.0, ufunc.reduceat(values, bounds, axis=-1)[..., ::2])
+        for ufunc in (np.maximum, np.minimum)
+    ]
+
+
 def extract_segment_features(
     dms: np.ndarray,
     snrs: np.ndarray,
@@ -71,73 +97,82 @@ def extract_segment_features(
     PulseRank, DMSpacing) are the caller's and come back zero.
 
     Bit-identical to the per-pulse oracle (``tests/oracles/record_path.py``)
-    by construction.  Segments are grouped by (length, binsize) and gathered
-    into C-contiguous ``(group, L)`` matrices: an ``axis=1`` reduction then
-    applies the same pairwise summation to each row as the 1-D call on that
-    segment would (summation grouping depends only on the row length, so
-    fusing *equal-length* segments is safe where fusing unequal ones is
-    not), and min/max/argmax are order-independent.  The trend diagnostics
-    are one row-wise ``bin_slopes`` + residual per group.
+    by construction, though segments of unequal length share their NumPy
+    calls.  They are gathered into C-contiguous ``(pulses, width)`` blocks
+    (:func:`~repro.core.regression.padded_blocks`) padded with ``-0.0``, the
+    exact additive identity, and each size class's rows are summed over the
+    class width (:func:`~repro.core.regression.row_sums`), so every row's
+    pairwise ``sum`` — and ``mean``, the sum over the true length — is the
+    1-D call's.  ``std`` and the skew are written out as NumPy's ``_var``
+    sequence with the padding re-zeroed, and ``argmax`` (first maximum)
+    sees ``-inf`` padding.  Min and max keep each run's own length: one
+    ``reduceat`` over all pulses (:func:`_max_min`).  The trend diagnostics
+    are one ragged ``bin_slopes`` + residual per block, each row at its own
+    bin size.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(stops, dtype=np.int64) - starts
+    stops = np.asarray(stops, dtype=np.int64)
+    lengths = stops - starts
+    if np.any(lengths < 1):
+        raise ValueError("cannot extract features from an empty pulse")
     hints = np.clip(np.asarray(hints, dtype=np.int64) - starts, 0, lengths - 1)
     binsizes = np.asarray(binsizes, dtype=np.int64)
+    # One spare -0.0 cell after each column: where every padding cell and
+    # the end of the last run point.
+    columns = np.stack([np.asarray(c, dtype=float) for c in (snrs, dms, times)])
+    columns = np.append(columns, np.full((3, 1), -0.0), axis=1)
+    snrs, dms = columns[0], columns[1]
+    pad = snrs.size - 1
     out = np.zeros((starts.size, len(FEATURE_NAMES)), dtype=np.float64)
     out[:, 0] = lengths
+    (max_snr, max_dm, max_t), (min_snr, min_dm, min_t) = _max_min(columns, starts, stops)
+    out[:, 1], out[:, 2] = max_snr, min_snr
+    out[:, 6] = max_dm - min_dm
+    out[:, 9] = max_t - min_t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # SNRRatio: first point of the peak over the maximum.
+        out[:, 21] = np.where(max_snr > 0, snrs[starts + hints] / max_snr, 0.0)
 
-    # One group per (length, binsize), keyed as one integer: the reductions
-    # need equal lengths, the trend columns equal bins as well.
-    radix = binsizes.max(initial=0) + 1
-    keys = lengths * radix + binsizes
-    for key in np.unique(keys).tolist():
-        length, binsize = divmod(key, radix)
-        sel = np.nonzero(keys == key)[0]
-        gather = starts[sel][:, None] + np.arange(length)
+    for sel, width in padded_blocks(lengths):
+        n = lengths[sel]
+        inside = np.arange(width) < n[:, None]
+        gather = np.where(inside, starts[sel][:, None] + np.arange(width), pad)
         snr = snrs[gather]
         dm = dms[gather]
-        t = times[gather]
         rows_i = np.arange(sel.size)
 
-        max_snr = snr.max(axis=1)
-        peak_idx = snr.argmax(axis=1)
-        out[sel, 1] = max_snr
-        out[sel, 2] = snr.min(axis=1)
-        mean_snr = snr.mean(axis=1)
-        std_snr = snr.std(axis=1)
-        out[sel, 3] = mean_snr
-        out[sel, 4] = std_snr
-        out[sel, 5] = dm[rows_i, peak_idx]
-        out[sel, 6] = dm.max(axis=1) - dm.min(axis=1)
-        out[sel, 7] = dm.mean(axis=1)
-        out[sel, 8] = dm.std(axis=1)
-        out[sel, 9] = t.max(axis=1) - t.min(axis=1)
+        # Mean and std of SNR and DM in NumPy's own sequence (``_mean``,
+        # ``_var``): sum, divide by the true count; subtract the mean,
+        # re-zero the padding to -0.0, square, sum, divide, take the root.
+        classes = size_classes(n)
+        cells = np.stack([snr, dm], axis=1)
+        means = row_sums(cells, classes) / n[:, None]
+        deviation = np.where(inside[:, None], cells - means[..., None], -0.0)
+        spread = np.sqrt(row_sums(deviation * deviation, classes) / n[:, None])
+        (mean_snr, mean_dm), (std_snr, std_dm) = means.T, spread.T
+        out[sel, 3], out[sel, 4] = mean_snr, std_snr
+        out[sel, 7], out[sel, 8] = mean_dm, std_dm
+        out[sel, 5] = dm[rows_i, np.where(inside, snr, -np.inf).argmax(axis=1)]
 
-        # PeakWidthDM: DM extent where the profile stays >= half its max.
-        # ±inf fillers never win the min/max unless the mask is empty
-        # (possible only for all-negative SNR segments, which map to 0.0).
-        above = snr >= (max_snr / 2.0)[:, None]
-        lo = np.where(above, dm, np.inf).min(axis=1)
-        hi = np.where(above, dm, -np.inf).max(axis=1)
-        out[sel, 10] = np.where(above.any(axis=1), hi - lo, 0.0)
+        # PeakWidthDM: DM extent where the profile stays >= half its max
+        # (0.0 where no point does: an all-negative or NaN maximum).
+        above = inside & (snr >= (out[sel, 1] / 2.0)[:, None])
+        n_above = above.sum(axis=1)
+        ends = np.cumsum(n_above)
+        hi, lo = _max_min(np.append(dm[above], 0.0), ends - n_above, ends)
+        out[sel, 10] = hi - lo
 
         # SNRSkew: Fisher-Pearson skewness, 0 for degenerate samples
-        # (fewer than 3 points, or no spread).
-        if length >= 3:
-            safe_std = np.where(std_snr > 1e-12, std_snr, 1.0)
-            z = (snr - mean_snr[:, None]) / safe_std[:, None]
-            out[sel, 15] = np.where(
-                std_snr > 1e-12, (z**3).mean(axis=1), 0.0
-            )
+        # (fewer than 3 points, or a spread of at most 1e-12).
+        flat = (n < 3) | (std_snr <= 1e-12)
+        z = deviation[:, 0] / np.where(flat, 1.0, std_snr)[:, None]
+        skew = row_sums(np.where(inside, z**3, -0.0), classes) / n
+        out[sel, 15] = np.where(flat, 0.0, skew)
 
-        # SNRRatio: first point of the peak over the maximum.
-        first = snr[rows_i, hints[sel]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[sel, 21] = np.where(max_snr > 0, first / max_snr, 0.0)
-
-        if length >= 2:
-            slopes, edges = bin_slopes(dm, snr, binsize)
-            out[sel, 12] = slopes.max(axis=1)
-            out[sel, 13] = slopes.min(axis=1)
-            out[sel, 14] = bin_fit_residual_rows(dm, snr, slopes, edges)
+        slopes, edges = bin_slopes(dm, snr, binsizes[sel], n)
+        has_bins = edges[1] > 0
+        n_bins = has_bins.sum(axis=1)
+        ends = np.cumsum(n_bins)
+        out[sel, 12], out[sel, 13] = _max_min(np.append(slopes[has_bins], 0.0), ends - n_bins, ends)
+        out[sel, 14] = bin_fit_residual_rows(dm, snr, slopes, edges)
     return out

@@ -24,7 +24,7 @@ from repro.core.drapid import DRapidDriver, DRapidResult
 from repro.core.search import SearchParams
 from repro.dataplane import PulseBatch
 from repro.execution import ExecutionConfig
-from repro.io.spe_files import read_ml_batch, upload_observations
+from repro.io.spe_files import read_ml_batch, require_unique_keys, upload_observations
 from repro.obs.session import ObsSession
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,6 +83,7 @@ def identify_observations(
     """
     from repro.memo.config import resolve_memo
 
+    require_unique_keys(observations)
     memo = resolve_memo(memo_config, fault_config=fault_config)
     with open_cluster(execution, obs, app_name="drapid", memo=memo,
                       dfs=dfs, ctx=ctx) as (dfs, ctx):

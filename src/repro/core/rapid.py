@@ -7,12 +7,17 @@ observation at once — it is D-RAPID's Search phase, the multithreaded
 baseline's task and the body of ``run_rapid_observation_batch`` (the serial
 baseline all parallel variants are validated against).  Survey clusters are
 tiny (median 4 SPEs), so a call per cluster is ~40 NumPy dispatches on a
-handful of floats; equal-length rows of a C-contiguous matrix reduce
-bit-identically to their 1-D calls, so clusters are grouped by member count,
-pulses by (length, binsize), and each group is one call.  Output bits, row
-order and ``PulseRank`` ties equal those of the per-cluster oracle
+handful of floats.  Unequal-length rows *can* share a call: padded with
+``-0.0``, the exact additive identity, a row keeps its pairwise sums bit
+for bit as long as it is summed over its size class — 7 for n < 8,
+8k + 7 for 8k <= n < 128, its own length from 128 on
+(:mod:`repro.core.regression`).  So an observation's clusters, and then
+its pulses, are gathered into a few ``-0.0``-padded blocks (usually one),
+and each block is one Algorithm 1 call and one feature call.  Output bits,
+row order and ``PulseRank`` ties equal those of the per-cluster oracle
 (``tests/oracles/record_path.py``); the property suite in
-``tests/test_core_rapid_columns.py`` holds the two together.
+``tests/test_core_rapid_columns.py`` holds the two together, class edges
+included.
 
 ``run_rapid_dpg`` reproduces the *old* DPG-granularity algorithm of Devine
 et al. (2016) — fixed bin size 25, one profile per observation built from
@@ -30,12 +35,8 @@ from repro.astro.dispersion import DMGrid
 from repro.astro.survey import Observation
 from repro.core.bins import DPG_FIXED_BIN_SIZE, dynamic_bin_size
 from repro.core.features import extract_segment_features
-from repro.core.search import (
-    SearchParams,
-    find_single_pulses,
-    find_single_pulses_rows,
-    spans_to_spe_ranges,
-)
+from repro.core.regression import padded_blocks
+from repro.core.search import SearchParams, find_single_pulses, find_single_pulses_rows
 from repro.dataplane import ClusterBatch, PulseBatch
 from repro.io.spe_files import observation_cluster_batch
 
@@ -85,8 +86,11 @@ def search_observation_columns(
     without one).  Equal to the per-cluster oracle applied box by box —
     every bit, rows in cluster order then range order — but the work is
     done in columns: all box memberships at once, one stable
-    ``(cluster, dm, time)`` sort, one Algorithm 1 call per distinct cluster
-    size and one feature gather over all pulses of the observation.
+    ``(cluster, dm, time)`` sort, one Algorithm 1 call per padded block of
+    clusters and one feature call per padded block of pulses
+    (:func:`repro.core.regression.padded_blocks`: all size classes share a
+    block while it stays small, and a size of 128 or more is a class of its
+    own).
     """
     times = np.asarray(times, dtype=float)
     dms = np.asarray(dms, dtype=float)
@@ -103,19 +107,44 @@ def search_observation_columns(
     sizes = np.bincount(cluster_of, minlength=len(clusters))
     offsets = np.cumsum(sizes) - sizes
 
-    # One row per pulse: (cluster row, binsize, spe_start, spe_stop, peak_hint).
-    pulses: list[tuple[int, ...]] = []
-    for n in np.unique(sizes[sizes >= 2]).tolist():
-        rows = np.nonzero(sizes == n)[0]
-        gather = offsets[rows][:, None] + np.arange(n)
-        binsize = dynamic_bin_size(n, params.weight)
-        spans, edges = find_single_pulses_rows(d[gather], s[gather], params, binsize)
-        for row, row_spans in zip(rows.tolist(), spans):
-            pulses += [(row, binsize, *r) for r in spans_to_spe_ranges(row_spans, edges)]
-    if not pulses:
+    # One Algorithm 1 call per padded block of searched clusters: a
+    # (clusters, width) gather with -0.0 past every row's own members (the
+    # spare cell appended to d and s).
+    searched = np.nonzero(sizes >= 2)[0]
+    sizes_seen, size_slot = np.unique(sizes[searched], return_inverse=True)
+    binsize_of = np.array(
+        [dynamic_bin_size(n, params.weight) for n in sizes_seen.tolist()], dtype=np.int64
+    )[size_slot]
+    d_pad, s_pad = np.append(d, -0.0), np.append(s, -0.0)
+    parts = []
+    for in_block, width in padded_blocks(sizes[searched]):
+        rows = searched[in_block]
+        n = sizes[rows]
+        gather = np.where(
+            np.arange(width) < n[:, None], offsets[rows][:, None] + np.arange(width), d.size
+        )
+        spans, (bin_start, bin_stop) = find_single_pulses_rows(
+            d_pad[gather], s_pad[gather], params, binsize_of[in_block], n
+        )
+        # One row per pulse: (block row, start bin, peak bin, end bin).
+        table = [
+            (i, span.start_bin, span.peak_bin if span.peak_bin >= 0 else span.start_bin,
+             span.end_bin)
+            for i, row_spans in enumerate(spans) for span in row_spans
+        ]
+        if table:
+            i, first, peak, last = np.array(table, dtype=np.int64).T
+            # (cluster row, binsize, spe_start, spe_stop, peak_hint)
+            parts.append((rows[i], binsize_of[in_block[i]], bin_start[i, first],
+                          bin_stop[i, last], bin_start[i, peak]))
+    if not parts:
         return PulseBatch.empty()
-    pulses.sort(key=lambda pulse: pulse[0])  # stable: cluster, then range order
-    cluster, binsizes, start, stop, hint = np.array(list(zip(*pulses)), dtype=np.int64)
+    cluster, binsizes, start, stop, hint = (np.concatenate(col) for col in zip(*parts))
+    # Stable: cluster order, then range order within a cluster.
+    by_cluster = np.argsort(cluster, kind="stable")
+    cluster, binsizes, start, stop, hint = (
+        col[by_cluster] for col in (cluster, binsizes, start, stop, hint)
+    )
 
     base = offsets[cluster]
     features = extract_segment_features(

@@ -152,17 +152,25 @@ def _finalize(state: _MachineState, last_bin: int) -> list[PulseSpan]:
     return state.pulses
 
 
-def _bin_trend_slopes(dms, snrs, params: SearchParams, binsize: int | None):
-    """Check DM-sorted profile(s) along the last axis and fit their bin trends."""
+def _bin_trend_slopes(dms, snrs, params: SearchParams, binsize, lengths=None):
+    """Check DM-sorted profile(s) along the last axis and fit their bin trends.
+
+    ``lengths`` marks a padded block (see :func:`bin_slopes`): only each
+    row's first ``lengths[r]`` points must be sorted.
+    """
     dms = np.asarray(dms, dtype=float)
     snrs = np.asarray(snrs, dtype=float)
     if dms.shape != snrs.shape:
         raise ValueError("dms and snrs must have equal length")
-    if np.any(np.diff(dms, axis=-1) < 0):
+    descending = np.diff(dms, axis=-1) < 0
+    if lengths is not None:
+        descending &= np.arange(1, dms.shape[-1]) < np.asarray(lengths)[:, None]
+    if np.any(descending):
         raise ValueError("dms must be sorted ascending (sort the cluster by DM first)")
     if binsize is None:
-        binsize = dynamic_bin_size(dms.shape[-1], params.weight)
-    return bin_slopes(dms, snrs, binsize)
+        sizes = [dms.shape[-1]] if lengths is None else np.asarray(lengths).tolist()
+        binsize = [dynamic_bin_size(n, params.weight) for n in sizes]
+    return bin_slopes(dms, snrs, binsize, lengths)
 
 
 def find_single_pulses(
@@ -176,9 +184,9 @@ def find_single_pulses(
     Returns the pulse spans (bin units) and the bin index ranges, so callers
     can map spans back to SPE indices.
     """
-    slopes, edges = _bin_trend_slopes(dms, snrs, params, binsize)
+    slopes, (starts, stops) = _bin_trend_slopes(dms, snrs, params, binsize)
     trends = [classify_trend(float(slope), params.slope_threshold) for slope in slopes]
-    return _spans_of_trends(trends), edges
+    return _spans_of_trends(trends), list(zip(starts.tolist(), stops.tolist()))
 
 
 def _spans_of_trends(trends: list[int]) -> list[PulseSpan]:
@@ -195,37 +203,29 @@ def find_single_pulses_rows(
     dms: np.ndarray,
     snrs: np.ndarray,
     params: SearchParams = SearchParams(),
-    binsize: int | None = None,
-) -> tuple[list[list[PulseSpan]], list[tuple[int, int]]]:
-    """:func:`find_single_pulses` on every row of ``(rows, n)`` matrices.
+    binsize: int | np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
+) -> tuple[list[list[PulseSpan]], tuple[np.ndarray, np.ndarray]]:
+    """:func:`find_single_pulses` on every row of a ``(rows, width)`` block.
 
-    One :func:`bin_slopes` call and one vectorised trend classification
-    serve all rows; the state machine runs only on rows with a non-flat
-    trend (an all-flat profile never opens a candidate).  Returns each
-    row's spans and the bin ranges the equal-length rows share.
+    Rows may be ragged: with ``lengths``, row ``r`` is its first
+    ``lengths[r]`` points followed by ``-0.0`` padding, and ``binsize`` may
+    be one bin size per row, so clusters of any sizes share one call; each
+    row still equals its own 1-D call bit for bit, because
+    :func:`bin_slopes` sums every row over its size class.  One
+    :func:`bin_slopes` call and one vectorised trend classification serve
+    all rows; the state machine runs only on rows with a downward trend (a
+    peak is marked only on a turn down), over that row's own bins.
+    Returns each row's spans and the per-row bin ``(starts, stops)``.
     """
-    slopes, edges = _bin_trend_slopes(dms, snrs, params, binsize)
+    slopes, edges = _bin_trend_slopes(dms, snrs, params, binsize, lengths)
     m = params.slope_threshold
     trends = (slopes > m).astype(np.int8) - (slopes < -m)
+    n_bins = np.count_nonzero(edges[1], axis=1)
     spans: list[list[PulseSpan]] = [[] for _ in range(len(slopes))]
-    for row in np.nonzero(trends.any(axis=1))[0].tolist():
-        spans[row] = _spans_of_trends(trends[row].tolist())
+    # Only a turn DOWN marks a peak, and only a candidate with a peak is
+    # ever emitted: rows that never trend down yield nothing.
+    for row in np.nonzero((trends < 0).any(axis=1))[0].tolist():
+        spans[row] = _spans_of_trends(trends[row, : n_bins[row]].tolist())
     return spans, edges
 
-
-def spans_to_spe_ranges(
-    spans: list[PulseSpan], edges: list[tuple[int, int]]
-) -> list[tuple[int, int, int]]:
-    """Convert bin-unit pulse spans to SPE index ranges.
-
-    Returns ``(spe_start, spe_stop, peak_hint_start)`` triples where
-    ``[spe_start, spe_stop)`` covers the pulse and ``peak_hint_start`` is the
-    first SPE index of the peak bin.
-    """
-    out = []
-    for span in spans:
-        spe_start = edges[span.start_bin][0]
-        spe_stop = edges[span.end_bin][1]
-        peak_bin = span.peak_bin if span.peak_bin >= 0 else span.start_bin
-        out.append((spe_start, spe_stop, edges[peak_bin][0]))
-    return out

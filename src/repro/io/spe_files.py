@@ -160,6 +160,25 @@ def parse_cluster_file(text: str, source: str | None = None) -> ClusterBatch:
     return ClusterBatch.from_lines(lines, source=source, linenos=linenos)
 
 
+def require_unique_keys(observations: Iterable["Observation"]) -> None:
+    """Refuse two observations under one key.
+
+    Every row of the D-RAPID files and of the stream carries its
+    observation's key, and the search groups rows by it: two observations
+    under one key would merge, so each box of either would search the SPEs
+    of both.  A re-processed pointing must come with its own key.
+    """
+    seen: set[str] = set()
+    for obs in observations:
+        key = obs.key.to_key()
+        if key in seen:
+            raise ValueError(
+                f"duplicate observation key {key!r}: two observations under one "
+                "key would be merged into one"
+            )
+        seen.add(key)
+
+
 def upload_observations(
     dfs: "DFSClient",
     observations: list["Observation"],

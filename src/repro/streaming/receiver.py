@@ -72,10 +72,13 @@ def build_stream(observations: Iterable["Observation"]) -> list[StreamItem]:
     a time); within each, data rows and cluster announcements merge by
     event time with the stable tie order data < cluster.  Each observation
     ends with a :data:`CLOSE` item — the signal that lets the state layer
-    finalize stragglers and free the key's row buffer.
+    finalize stragglers and free the key's row buffer.  Two observations
+    under one key are refused (:func:`repro.io.spe_files.require_unique_keys`).
     """
-    from repro.io.spe_files import observation_cluster_batch
+    from repro.io.spe_files import observation_cluster_batch, require_unique_keys
 
+    observations = list(observations)
+    require_unique_keys(observations)
     items: list[StreamItem] = []
     for obs in observations:
         key = obs.key.to_key()

@@ -19,6 +19,16 @@ per record — and the identity laws hold the live path to it bit for bit:
 The bodies are the ones ``src/`` shipped, moved, with one rule changed in
 step with the live parser: a data-file row whose DM, Sigma or Time is not a
 *finite* float is dropped (:func:`_reference_search_observation`).
+
+The per-bin trend slopes are the oracle's own too: :func:`bin_slopes` and
+:func:`bin_edges` are the one-profile bodies ``core.regression`` shipped
+before the live search went to padded size-class blocks, copied here so
+that the identity laws compare the live ragged path with independent code,
+not with itself.  Of stage 3, only the Algorithm 1 state machine
+(``_step``, ``_finalize``, ``classify_trend``) and Eq. 1's
+``dynamic_bin_size`` are still imported from ``src/``, and the padded
+blocks changed none of them.  :func:`spans_to_spe_ranges` lives here too:
+the live search maps spans to SPE ranges as columns.
 """
 
 from __future__ import annotations
@@ -35,23 +45,68 @@ from repro.astro.survey import Observation
 from repro.core.bins import dynamic_bin_size
 from repro.core.drapid import DRapidDriver, DRapidResult
 from repro.core.features import FEATURE_NAMES
-from repro.core.regression import bin_slopes
 from repro.core.search import (
     PulseSpan,
     SearchParams,
-    _bin_trend_slopes,
     _finalize,
     _MachineState,
     _step,
     classify_trend,
-    find_single_pulses,
-    spans_to_spe_ranges,
 )
 from repro.dataplane import ClusterBatch, PulseBatch, SPEBatch
 from repro.io.spe_files import CLUSTER_FILE_HEADER, ClusterRecord, parse_cluster_line
 from repro.sparklet.partitioner import HashPartitioner
 
 # -- regression ---------------------------------------------------------------
+
+
+def bin_edges(n: int, binsize: int) -> list[tuple[int, int]]:
+    """Half-open index ranges of consecutive bins over ``n`` points.
+
+    Bins advance by ``binsize`` but include one extra boundary point
+    (``[start, start + binsize + 1)``), so adjacent bins share an endpoint.
+    """
+    if binsize < 1:
+        raise ValueError(f"binsize must be >= 1, got {binsize}")
+    edges: list[tuple[int, int]] = []
+    start = 0
+    while start + 1 < n:
+        stop = min(start + binsize + 1, n)
+        edges.append((start, stop))
+        start += binsize
+    return edges
+
+
+def bin_slopes(
+    x: np.ndarray, y: np.ndarray, binsize: int
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Trend slope of every bin of one profile, plus the bin index ranges.
+
+    Per-bin means and cross-products come from prefix sums over the
+    globally centred profile (slopes are shift-invariant, and centring
+    keeps the prefix sums free of catastrophic cancellation).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    edges = bin_edges(x.shape[-1], binsize)
+    if not edges:
+        return np.empty(x.shape[:-1] + (0,), dtype=float), edges
+    x = x - x.mean(axis=-1, keepdims=True)
+    y = y - y.mean(axis=-1, keepdims=True)
+    starts = np.array([e[0] for e in edges])
+    stops = np.array([e[1] for e in edges])
+    counts = (stops - starts).astype(float)
+
+    prefix = np.zeros((4,) + x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum([x, y, x * x, x * y], axis=-1, out=prefix[..., 1:])
+    sx, sy, sxx, sxy = prefix[..., stops] - prefix[..., starts]
+    denom = sxx - sx * sx / counts
+    numer = sxy - sx * sy / counts
+    slopes = np.zeros(denom.shape, dtype=float)
+    ok = denom > 1e-12
+    slopes[ok] = numer[ok] / denom[ok]
+    return slopes, edges
+
 
 
 def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -100,6 +155,19 @@ def bin_fit_residual(x: np.ndarray, y: np.ndarray, binsize: int) -> float:
 # -- Algorithm 1, as the paper writes it ----------------------------------------
 
 
+def _trend_slopes(dms, snrs, params: SearchParams, binsize: int | None):
+    """Check a DM-sorted profile and fit its bin trends."""
+    dms = np.asarray(dms, dtype=float)
+    snrs = np.asarray(snrs, dtype=float)
+    if dms.shape != snrs.shape:
+        raise ValueError("dms and snrs must have equal length")
+    if np.any(np.diff(dms, axis=-1) < 0):
+        raise ValueError("dms must be sorted ascending (sort the cluster by DM first)")
+    if binsize is None:
+        binsize = dynamic_bin_size(dms.shape[-1], params.weight)
+    return bin_slopes(dms, snrs, binsize)
+
+
 def find_single_pulses_recursive(
     dms: np.ndarray,
     snrs: np.ndarray,
@@ -114,7 +182,7 @@ def find_single_pulses_recursive(
     per-call scalar refit would agree only up to floating-point noise);
     the equivalence is enforced by a property test.
     """
-    slopes, edges = _bin_trend_slopes(dms, snrs, params, binsize)
+    slopes, edges = _trend_slopes(dms, snrs, params, binsize)
     state = _MachineState()
 
     needed = len(edges) + 16
@@ -138,6 +206,24 @@ def find_single_pulses_recursive(
     finally:
         sys.setrecursionlimit(old_limit)
     return _finalize(state, last_bin=len(edges) - 1), edges
+
+
+def spans_to_spe_ranges(
+    spans: list[PulseSpan], edges: list[tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """Convert bin-unit pulse spans to SPE index ranges.
+
+    Returns ``(spe_start, spe_stop, peak_hint_start)`` triples where
+    ``[spe_start, spe_stop)`` covers the pulse and ``peak_hint_start`` is the
+    first SPE index of the peak bin.
+    """
+    out = []
+    for span in spans:
+        spe_start = edges[span.start_bin][0]
+        spe_stop = edges[span.end_bin][1]
+        peak_bin = span.peak_bin if span.peak_bin >= 0 else span.start_bin
+        out.append((spe_start, spe_stop, edges[peak_bin][0]))
+    return out
 
 
 # -- the 22 features of one pulse -------------------------------------------------
@@ -365,7 +451,7 @@ def run_rapid_on_cluster(
     dms_s, snrs_s, times_s = dms[order], snrs[order], times[order]
 
     binsize = dynamic_bin_size(n, params.weight)
-    spans, edges = find_single_pulses(dms_s, snrs_s, params, binsize=binsize)
+    spans, edges = find_single_pulses_recursive(dms_s, snrs_s, params, binsize=binsize)
     if not spans:
         return []
     ranges = spans_to_spe_ranges(spans, edges)

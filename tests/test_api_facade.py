@@ -4,6 +4,7 @@ directly, the no-deprecated-paths guarantee, and the public-surface contract
 
 import dataclasses
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 import repro
 from repro.api import PipelineConfig, resolve_survey, run_drapid, run_pipeline
 from repro.astro import GBT350DRIFT, PALFA, generate_observation, synthesize_population
-from repro.core.pipeline import SinglePulsePipeline
+from repro.core.pipeline import SinglePulsePipeline, identify_observations
+from repro.core.search import SearchParams
 
 
 def _population(seed=7, n=4):
@@ -77,6 +79,26 @@ class TestFacadeParity:
         ]
         result = run_drapid(PipelineConfig(seed=5), observations)
         assert result.n_pulses > 0
+
+    def test_run_drapid_refuses_duplicate_observation_keys(self):
+        """A pointing passed twice, or re-generated under its own key, used
+        to merge: every box searched both copies' SPEs and pulses doubled."""
+        population = _population(seed=5)
+
+        def pointing():
+            return generate_observation(GBT350DRIFT, [population[0]], mjd=55100.0,
+                                        seed=5, obs_length_s=20.0)
+
+        obs = pointing()
+        named = re.escape(repr(obs.key.to_key()))
+        for observations in ([obs, obs], [obs, pointing()]):
+            with pytest.raises(ValueError, match=f"duplicate observation key {named}"):
+                run_drapid(PipelineConfig(seed=5), observations)
+        with pytest.raises(ValueError, match=f"duplicate observation key {named}"):
+            identify_observations(
+                [obs, obs], survey=GBT350DRIFT.name, params=SearchParams(),
+                num_partitions=4, seed=5,
+            )
 
     def test_run_drapid_rejects_empty_observations(self):
         with pytest.raises(ValueError, match="at least one observation"):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from oracles.record_path import bin_fit_residual as oracle_fit_residual
+from oracles.record_path import bin_slopes as oracle_bin_slopes
 from oracles.record_path import ols_slope
 
 from repro.core.bins import (
@@ -14,7 +15,19 @@ from repro.core.bins import (
     SMALL_CLUSTER_CUTOFF,
     dynamic_bin_size,
 )
-from repro.core.regression import bin_edges, bin_fit_residual_rows, bin_slopes
+from repro.core.regression import (
+    _BLOCK_CELLS,
+    bin_edges,
+    bin_fit_residual_rows,
+    bin_slopes,
+    padded_blocks,
+    row_sums,
+    size_class,
+    size_classes,
+)
+
+#: Both sides of every size-class edge, and past the pairwise block.
+CLASS_EDGES = (1, 2, 7, 8, 11, 12, 15, 16, 127, 128, 129)
 
 
 class TestDynamicBinSize:
@@ -114,7 +127,8 @@ class TestBinSlopes:
         x = np.sort(rng.uniform(0, 50, 40))
         y = rng.normal(10, 2, 40)
         slopes, edges = bin_slopes(x, y, 5)
-        for slope, (s, e) in zip(slopes, edges):
+        assert list(zip(*edges)) == bin_edges(40, 5)
+        for slope, s, e in zip(slopes, *edges):
             assert slope == pytest.approx(ols_slope(x[s:e], y[s:e]), abs=1e-9)
 
     def test_rising_then_falling_profile(self):
@@ -125,8 +139,72 @@ class TestBinSlopes:
         assert slopes[-1] < -0.5
 
     def test_empty_when_too_few_points(self):
-        slopes, edges = bin_slopes(np.array([1.0]), np.array([2.0]), 1)
-        assert slopes.size == 0 and edges == []
+        slopes, (starts, stops) = bin_slopes(np.array([1.0]), np.array([2.0]), 1)
+        assert slopes.size == 0 and starts.size == 0 and stops.size == 0
+
+
+def padded(rows: list[np.ndarray], width: int) -> np.ndarray:
+    """Rows left-aligned in a ``(rows, width)`` block of ``-0.0``."""
+    block = np.full((len(rows), width), -0.0)
+    for i, row in enumerate(rows):
+        block[i, : row.size] = row
+    return block
+
+
+class TestPaddedRows:
+    """The padding rule every ragged block stands on."""
+
+    def test_size_classes(self):
+        assert size_class(np.array(CLASS_EDGES)).tolist() == [
+            7, 7, 7, 15, 15, 15, 15, 23, 127, 128, 129,
+        ]
+
+    def test_row_sums_equal_one_d_sums_at_every_length(self):
+        """Every n from 1 to 139, in one block wider than any class, at
+        magnitudes from 1e-6 to 1e6 with -0.0 cells among the values."""
+        rng = np.random.default_rng(0)
+        lengths = np.repeat(np.arange(1, 140), 30)
+        rows = [
+            rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n) for n in lengths
+        ]
+        for row in rows[::7]:
+            row[rng.integers(0, row.size)] = -0.0
+        got = row_sums(padded(rows, 150), size_classes(lengths))
+        want = np.array([row.sum() for row in rows])
+        assert got.tobytes() == want.tobytes()
+        stacked = row_sums(np.stack([padded(rows, 150)] * 2, axis=1), size_classes(lengths))
+        assert stacked[:, 1].tobytes() == want.tobytes()
+
+    def test_blocks_hold_every_row_once(self):
+        rng = np.random.default_rng(1)
+        lengths = np.concatenate([rng.integers(1, 40, 900), [127, 128, 129, 5000]])
+        blocks = padded_blocks(lengths)
+        rows = np.concatenate([sel for sel, _width in blocks])
+        assert np.sort(rows).tolist() == list(range(lengths.size))
+        for sel, width in blocks:
+            assert (np.diff(sel) > 0).all()
+            assert width == size_class(lengths[sel]).max()
+            assert sel.size * width <= _BLOCK_CELLS or np.unique(size_class(lengths[sel])).size == 1
+
+    def test_ragged_bin_slopes_equal_one_d_calls(self):
+        """Rows of every class-edge length, each at its own bin size, in one
+        block: slopes, edges and FitResidual are the unpadded 1-D calls'."""
+        rng = np.random.default_rng(2)
+        lengths = np.array(CLASS_EDGES * 3)
+        binsizes = rng.integers(1, 12, lengths.size)
+        xs = [np.sort(rng.uniform(0.0, 50.0, n)).round(1) for n in lengths]
+        ys = [5.0 + rng.exponential(3.0, n) for n in lengths]
+        ys[0][:] = 6.0
+        x, y = padded(xs, 129), padded(ys, 129)
+        slopes, (starts, stops) = bin_slopes(x, y, binsizes, lengths)
+        residual = bin_fit_residual_rows(x, y, slopes, (starts, stops))
+        for i, b in enumerate(binsizes.tolist()):
+            want, edges = oracle_bin_slopes(xs[i], ys[i], b)
+            k = len(edges)
+            assert slopes[i, :k].tobytes() == want.tobytes()
+            assert list(zip(starts[i, :k].tolist(), stops[i, :k].tolist())) == edges
+            assert not slopes[i, k:].any() and not stops[i, k:].any()
+            assert residual[i] == oracle_fit_residual(xs[i], ys[i], b)
 
 
 def bin_fit_residual(x, y, binsize):

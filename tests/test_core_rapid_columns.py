@@ -1,9 +1,10 @@
 """The columnar Search phase equals the record path, bit for bit.
 
-``search_observation_columns`` runs Algorithm 1 once per distinct cluster
-size and the feature gather once per observation; the oracle is
-``run_rapid_on_cluster`` applied box by box.  Every ``PulseBatch`` column
-must agree in every bit, rows in cluster order then range order.
+``search_observation_columns`` runs Algorithm 1 and the features over
+blocks of ragged rows padded with ``-0.0`` (at most one call per size class
+of its clusters, and of its pulses); the oracle is ``run_rapid_on_cluster``
+applied box by box.  Every ``PulseBatch`` column must agree in every bit, rows in cluster
+order then range order.
 """
 
 import tracemalloc
@@ -13,13 +14,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles.record_path import pulse_batch_from_records, run_rapid_on_cluster
+from oracles.record_path import (
+    extract_pulse_features,
+    pulse_batch_from_records,
+    run_rapid_on_cluster,
+)
 
 import repro.core.rapid as rapid
 from repro.astro import GBT350DRIFT, generate_observation
 from repro.astro.dispersion import DMGrid
 from repro.astro.population import b1853_like
 from repro.core.bins import SMALL_CLUSTER_CUTOFF, dynamic_bin_size
+from repro.core.features import extract_segment_features
 from repro.core.rapid import run_rapid_observation_batch, search_observation_columns
 from repro.core.regression import bin_slopes
 from repro.core.search import SearchParams, find_single_pulses, find_single_pulses_rows
@@ -27,6 +33,11 @@ from repro.dataplane import ClusterBatch, PulseBatch
 from repro.io.spe_files import observation_cluster_batch
 
 GRID = DMGrid(max_dm=1000.0, coarsen=10.0)
+#: Both sides of every padding rule: n < 8 pads to 7, 8k <= n < 128 to
+#: 8k + 7, and 128 on keep their own width.
+CLASS_EDGES = (1, 2, 7, 8, 11, 12, 15, 16, 127, 128, 129)
+#: Values that a padding cell must not disturb.
+SPECIAL = (-0.0, 0.0, np.nan, np.inf, -np.inf)
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -192,6 +203,81 @@ class TestEqualsRecordPath:
         assert len(got)
 
 
+def size_class(n: int) -> int:
+    """The padding rule, written out independently of ``src/``."""
+    return n | 7 if n < 128 else n
+
+
+def hostile_profile(n: int, rng, data) -> tuple[np.ndarray, np.ndarray]:
+    """DMs with ties (or one constant DM), SNRs with ties, special values or
+    one constant value — whatever hypothesis picks for this cluster."""
+    repeat = data.draw(st.integers(1, 3), label="dm_repeat")
+    step = data.draw(st.sampled_from([0.0, 0.01, 0.7]), label="dm_step")
+    dms = 20.0 + step * (np.arange(n) // repeat)
+    snrs = profile(n, rng, peaks=(0.3, 0.7))
+    if data.draw(st.booleans(), label="constant_snr"):
+        snrs[:] = 6.0
+    snrs = np.round(snrs, data.draw(st.integers(0, 3), label="snr_decimals"))
+    k = data.draw(st.integers(0, min(n, 3)), label="n_special")
+    snrs[rng.choice(n, k, replace=False)] = [
+        data.draw(st.sampled_from(SPECIAL), label="special") for _ in range(k)
+    ]
+    return dms, snrs
+
+
+class TestClassEdges:
+    """Rows on both sides of every size-class edge, fused with rows of other
+    sizes into one padded block, equal their unpadded per-row oracle."""
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_search_over_clusters_at_every_class_edge(self, data):
+        extra = data.draw(st.lists(st.integers(0, 40), max_size=6), label="extra")
+        sizes = list(data.draw(st.permutations(CLASS_EDGES + tuple(extra)), label="sizes"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        times, dms, snrs = [], [], []
+        for i, n in enumerate(sizes):
+            d, s = hostile_profile(n, rng, data)
+            dms.append(d)
+            snrs.append(s)
+            times.append(10.0 * i + np.round(rng.uniform(0.0, 5.0, n), 1))
+        k = len(sizes)
+        t_lo = 10.0 * np.arange(k)
+        clusters = boxes(np.full(k, 0.0), np.full(k, 1e6), t_lo, t_lo + 5.0)
+        shuffle = rng.permutation(sum(sizes))
+        with np.errstate(invalid="ignore", over="ignore"):
+            check(np.concatenate(times)[shuffle], np.concatenate(dms)[shuffle],
+                  np.concatenate(snrs)[shuffle], clusters)
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_features_over_pulses_at_every_class_edge(self, data):
+        extra = data.draw(st.lists(st.integers(1, 40), max_size=6), label="extra")
+        lengths = data.draw(st.permutations(CLASS_EDGES + tuple(extra)), label="lengths")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        segments = [hostile_profile(n, rng, data) for n in lengths]
+        dms = np.concatenate([d for d, _s in segments])
+        snrs = np.concatenate([s for _d, s in segments])
+        times = np.round(rng.uniform(0.0, 5.0, dms.size), 1)
+        stops = np.cumsum(lengths)
+        starts = stops - lengths
+        # Bin sizes mix inside a class (width 15 holds n = 8–11 at bin size 1
+        # and n = 12–15 at 2); hints land anywhere in or past the segment.
+        binsizes = [data.draw(st.integers(1, 12), label="binsize") for _ in lengths]
+        hints = starts + [data.draw(st.integers(0, n), label="hint") for n in lengths]
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            got = extract_segment_features(dms, snrs, times, starts, stops, hints, binsizes)
+            for i, (a, b) in enumerate(zip(starts.tolist(), stops.tolist())):
+                want = extract_pulse_features(
+                    dms[a:b], snrs[a:b], times[a:b], peak_hint=hints[i] - a,
+                    binsize=binsizes[i], cluster_rank=0, pulse_rank=0,
+                    n_peaks_in_cluster=0, dm_spacing=0.0,
+                    cluster_start_time=0.0, cluster_stop_time=0.0,
+                ).to_vector()
+                assert got[i].tobytes() == want.tobytes(), (lengths[i], binsizes[i])
+        assert {size_class(n) for n in CLASS_EDGES} <= {size_class(n) for n in lengths}
+
+
 class TestRowWiseSearchValidates:
     """The row-wise search refuses what ``find_single_pulses`` refuses."""
 
@@ -215,10 +301,11 @@ class TestRowWiseSearchValidates:
         rng = np.random.default_rng(6)
         dms = np.sort(rng.uniform(0.0, 50.0, (7, 30)), axis=1)
         snrs = 5.0 + rng.exponential(3.0, (7, 30))
-        spans, edges = find_single_pulses_rows(dms, snrs)
+        spans, (starts, stops) = find_single_pulses_rows(dms, snrs)
         for row in range(7):
             want, want_edges = find_single_pulses(dms[row], snrs[row])
-            assert spans[row] == want and edges == want_edges
+            assert spans[row] == want
+            assert list(zip(starts[row].tolist(), stops[row].tolist())) == want_edges
 
 
 class TestMembershipIsBlocked:
@@ -258,35 +345,41 @@ class TestMembershipIsBlocked:
 
 
 class TestNoPerClusterCalls:
-    def test_bin_slopes_calls_bounded_by_distinct_shapes(self, monkeypatch):
-        """One ``bin_slopes`` per distinct cluster size, plus one per distinct
-        (pulse length, binsize): a per-cluster call anywhere breaks this."""
+    def test_bin_slopes_calls_bounded_by_size_classes(self, monkeypatch):
+        """At most one ``bin_slopes`` per size class on each side: one per
+        class of the searched cluster sizes, one per class of the pulse
+        lengths (sizes of 128 or more are classes of their own).  A call per
+        cluster, per cluster size or per (length, binsize) breaks this."""
         obs = generate_observation(
             GBT350DRIFT, [b1853_like()], seed=11, n_noise_clusters=40,
             n_rfi_bursts=2, obs_length_s=60.0,
         )
         calls = Counter()
 
-        def counted(x, y, binsize):
-            calls["bin_slopes"] += 1
-            return bin_slopes(x, y, binsize)
+        def counted(side):
+            def call(*args, **kwargs):
+                calls[side] += 1
+                return bin_slopes(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr("repro.core.search.bin_slopes", counted)
-        monkeypatch.setattr("repro.core.features.bin_slopes", counted)
+        monkeypatch.setattr("repro.core.search.bin_slopes", counted("search"))
+        monkeypatch.setattr("repro.core.features.bin_slopes", counted("features"))
         result = run_rapid_observation_batch(obs)
 
         batch, clusters = obs.spe_batch, observation_cluster_batch(obs)
         cluster_of, _spe = rapid._box_members(batch.time_s, batch.dm, clusters)
         sizes = np.bincount(cluster_of, minlength=len(clusters))
+        searched = sizes[sizes >= 2].tolist()
         size_of = dict(zip(clusters.cluster_id.tolist(), sizes.tolist()))
         pulses = result.pulse_batch
+        lengths = (pulses.spe_stop - pulses.spe_start).tolist()
         shapes = {
-            (stop - start, dynamic_bin_size(size_of[cid]))
-            for cid, start, stop in zip(
-                pulses.cluster_id.tolist(), pulses.spe_start.tolist(),
-                pulses.spe_stop.tolist(),
-            )
+            (n, dynamic_bin_size(size_of[cid]))
+            for cid, n in zip(pulses.cluster_id.tolist(), lengths)
         }
-        distinct_sizes = len(set(sizes[sizes >= 2].tolist()))
-        assert len(pulses) > len(shapes) and len(clusters) > 2 * distinct_sizes
-        assert 0 < calls["bin_slopes"] <= distinct_sizes + len(shapes)
+        size_classes = {size_class(n) for n in searched}
+        length_classes = {size_class(n) for n in lengths}
+        # The input separates the bounds: per-size or per-shape calls exceed them.
+        assert len(set(searched)) > len(size_classes) and len(shapes) > len(length_classes)
+        assert 0 < calls["search"] <= len(size_classes)
+        assert 0 < calls["features"] <= len(length_classes)

@@ -177,6 +177,24 @@ class TestFeatureExtraction:
                 cluster_start_time=0.0, cluster_stop_time=0.0,
             )
 
+    def test_non_finite_snrs_match_the_oracle(self):
+        """A NaN or infinite SNR makes the spread NaN, and the skew with it:
+        the oracle's ``std <= 1e-12`` test is False for NaN.  The columnar
+        path used to return SNRSkew 0.0 there."""
+        dms = np.arange(10.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            snrs = 5.0 + np.arange(10.0)
+            snrs[3] = bad
+            with np.errstate(invalid="ignore"):
+                got = extract_segment_features(dms, snrs, dms, [0], [10], [0], [1])[0]
+                want = extract_pulse_features(
+                    dms, snrs, dms, peak_hint=0, binsize=1, cluster_rank=0,
+                    pulse_rank=0, n_peaks_in_cluster=0, dm_spacing=0.0,
+                    cluster_start_time=0.0, cluster_stop_time=0.0,
+                ).to_vector()
+            assert got.tobytes() == want.tobytes(), bad
+            assert np.isnan(got[FEATURE_NAMES.index("SNRSkew")])
+
     def test_length_mismatch_rejected(self):
         times, dms, snrs = synthetic_cluster()
         with pytest.raises(ValueError, match=r"equal length, got 2, 60 and 60"):

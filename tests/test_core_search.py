@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles.record_path import find_single_pulses_recursive
+from oracles.record_path import find_single_pulses_recursive, spans_to_spe_ranges
 
 from repro.core.search import (
     DOWN,
@@ -11,7 +11,6 @@ from repro.core.search import (
     SearchParams,
     classify_trend,
     find_single_pulses,
-    spans_to_spe_ranges,
 )
 
 

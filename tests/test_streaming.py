@@ -10,6 +10,7 @@ the observability events the engine emits.
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ class TestReplayReceiver:
         times = [it.time_s for it in items if it.kind != CLOSE]
         assert times == sorted(times)
         assert items[-1].kind == CLOSE
+
+    def test_duplicate_observation_keys_are_refused(self, observation):
+        """Two observations under one key would stream as one: the state
+        layer keys its row buffers by observation key.  The receiver every
+        engine replays from (solo streaming and each serving tenant alike)
+        refuses them, naming the key."""
+        named = f"duplicate observation key {observation.key.to_key()!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            build_stream([observation, observation])
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ReplayReceiver.from_observations([observation, observation])
+        with pytest.raises(ValueError, match=re.escape(named)):
+            stream_observations([observation, observation], StreamingConfig())
 
     def test_stable_order_on_equal_times(self, observation):
         """Rows sharing an event time keep their data-file order — the
