@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +33,33 @@ def dispersion_delay_s(dm: float, f_low_mhz: float, f_high_mhz: float) -> float:
     return K_DM * dm * (f_low_mhz**-2 - f_high_mhz**-2)
 
 
+def _smearing_response(
+    width_ms: float, center_freq_mhz: float, bandwidth_mhz: float
+) -> Callable[[float], float]:
+    """The Cordes & McLaughlin response of one pulse, as ``delta_dm -> factor``.
+
+    The one scalar copy of the formula :func:`smearing_snr_factor`
+    documents.  What does not depend on the DM error is validated and
+    evaluated once, here, for callers that evaluate one pulse's response
+    many times (the footprint bisection); the returned function keeps the
+    formula's float operations in their order.
+    """
+    if width_ms <= 0:
+        raise ValueError(f"width_ms must be positive, got {width_ms}")
+    f_ghz = center_freq_mhz / 1000.0
+    denom = width_ms * f_ghz**3
+    half_sqrt_pi = math.sqrt(math.pi) / 2.0
+    erf = math.erf
+
+    def factor(delta_dm: float) -> float:
+        zeta = 6.91e-3 * abs(delta_dm) * bandwidth_mhz / denom
+        if zeta < 1e-9:
+            return 1.0
+        return half_sqrt_pi * erf(zeta) / zeta
+
+    return factor
+
+
 def smearing_snr_factor(
     delta_dm: float, width_ms: float, center_freq_mhz: float, bandwidth_mhz: float
 ) -> float:
@@ -45,13 +74,7 @@ def smearing_snr_factor(
     SPEs across neighbouring trial DMs with a peaked SNR-vs-DM profile —
     the structure RAPID's peak search exploits.
     """
-    if width_ms <= 0:
-        raise ValueError(f"width_ms must be positive, got {width_ms}")
-    f_ghz = center_freq_mhz / 1000.0
-    zeta = 6.91e-3 * abs(delta_dm) * bandwidth_mhz / (width_ms * f_ghz**3)
-    if zeta < 1e-9:
-        return 1.0
-    return (math.sqrt(math.pi) / 2.0) * math.erf(zeta) / zeta
+    return _smearing_response(width_ms, center_freq_mhz, bandwidth_mhz)(delta_dm)
 
 
 def smearing_snr_factors(
@@ -115,21 +138,32 @@ class DMGrid:
     bands: tuple[tuple[float, float, float], ...] = DEFAULT_BANDS
 
     def __post_init__(self) -> None:
-        if self.max_dm <= 0:
-            raise ValueError(f"max_dm must be positive, got {self.max_dm}")
-        if self.coarsen < 1.0:
-            raise ValueError(f"coarsen must be >= 1, got {self.coarsen}")
+        if not (math.isfinite(self.max_dm) and self.max_dm > 0):
+            raise ValueError(f"max_dm must be finite and positive, got {self.max_dm}")
+        if not (math.isfinite(self.coarsen) and self.coarsen >= 1.0):
+            raise ValueError(f"coarsen must be finite and >= 1, got {self.coarsen}")
+
+    @cached_property
+    def _ladder(self) -> np.ndarray:
+        """The ladder, built on first use and kept, read-only, for this grid."""
+        ladder = _build_ladder(self.max_dm, self.coarsen, self.bands)
+        ladder.flags.writeable = False
+        return ladder
+
+    def __getstate__(self) -> dict:
+        # The ladder is derived from the fields; a pickled grid (it rides in
+        # D-RAPID task payloads) carries the fields alone.
+        state = dict(self.__dict__)
+        state.pop("_ladder", None)
+        return state
 
     def trial_dms(self) -> np.ndarray:
-        """All trial DM values, ascending, de-duplicated."""
-        chunks: list[np.ndarray] = []
-        for start, stop, step in self.bands:
-            if start >= self.max_dm:
-                break
-            stop = min(stop, self.max_dm)
-            chunks.append(np.arange(start, stop, step * self.coarsen))
-        grid = np.unique(np.concatenate(chunks)) if chunks else np.array([0.0])
-        return grid
+        """All trial DM values, ascending, de-duplicated.
+
+        Built once per grid and shared by every call: the array is
+        read-only, so no caller can change what the next one sees.
+        """
+        return self._ladder
 
     def spacing_at(self, dm: float) -> float:
         """The ladder step at a given DM (the ``DMSpacing`` feature value).
@@ -158,10 +192,30 @@ class DMGrid:
         return steps[idx]
 
     def trials_near(self, dm: float, half_width: float) -> np.ndarray:
-        """Trial DMs within ±half_width of ``dm`` (a pulse's SPE footprint)."""
-        grid = self.trial_dms()
+        """Trial DMs within ±half_width of ``dm`` (a pulse's SPE footprint).
+
+        A read-only slice of the sorted ladder between two ``searchsorted``
+        bounds: the elements ``lo <= trial <= hi``.  A NaN bound or a
+        negative half-width selects nothing.
+        """
+        ladder = self._ladder
         lo, hi = dm - half_width, dm + half_width
-        return grid[(grid >= lo) & (grid <= hi)]
+        if not lo <= hi:
+            return ladder[:0]
+        return ladder[np.searchsorted(ladder, lo, "left"):np.searchsorted(ladder, hi, "right")]
+
+
+def _build_ladder(
+    max_dm: float, coarsen: float, bands: tuple[tuple[float, float, float], ...]
+) -> np.ndarray:
+    """Assemble a trial-DM ladder from its bands (see :class:`DMGrid`)."""
+    chunks: list[np.ndarray] = []
+    for start, stop, step in bands:
+        if start >= max_dm:
+            break
+        stop = min(stop, max_dm)
+        chunks.append(np.arange(start, stop, step * coarsen))
+    return np.unique(np.concatenate(chunks)) if chunks else np.array([0.0])
 
 
 def dm_from_distance_kpc(distance_kpc: float, ne_per_cc: float = 0.03) -> float:

@@ -40,12 +40,19 @@ class Pulsar:
     sky_position: str
 
     def __post_init__(self) -> None:
+        for name in ("period_s", "dm", "width_ms", "mean_snr", "snr_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}: {self.name}")
         if self.period_s <= 0:
-            raise ValueError(f"period must be positive: {self.name}")
+            raise ValueError(f"period_s must be positive, got {self.period_s}: {self.name}")
         if not 0.0 < self.pulse_fraction <= 1.0:
             raise ValueError(f"pulse_fraction must be in (0,1]: {self.name}")
         if self.dm < 0:
-            raise ValueError(f"DM must be non-negative: {self.name}")
+            raise ValueError(f"dm must be non-negative, got {self.dm}: {self.name}")
+        if self.width_ms <= 0:
+            raise ValueError(f"width_ms must be positive, got {self.width_ms}: {self.name}")
+        if self.snr_sigma < 0:
+            raise ValueError(f"snr_sigma must be non-negative, got {self.snr_sigma}: {self.name}")
 
 
 def _sky_position(rng: np.random.Generator) -> str:

@@ -12,13 +12,14 @@ pulse structure of the paper's Fig. 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.astro.dispersion import (
     K_DM,
     DMGrid,
-    smearing_snr_factor,
+    _smearing_response,
     smearing_snr_factors,
 )
 from repro.astro.population import Pulsar
@@ -63,24 +64,22 @@ class PulseTruth:
 
 
 def _detection_half_width_dm(
-    width_ms: float, center_freq_mhz: float, bandwidth_mhz: float, threshold: float, peak_snr: float
+    response: Callable[[float], float], threshold: float, peak_snr: float
 ) -> float:
     """DM offset beyond which the smeared SNR falls below threshold.
 
-    Solved by bisection on the monotone smearing response; gives each pulse
+    Solved by bisection on the monotone smearing ``response`` (one pulsar's
+    :func:`~repro.astro.dispersion._smearing_response`); gives each pulse
     its DM footprint so we only evaluate trial DMs that can matter.
     """
     if peak_snr <= threshold:
         return 0.0
     lo, hi = 0.0, 1.0
-    resp = lambda d: peak_snr * smearing_snr_factor(  # noqa: E731
-        d, width_ms, center_freq_mhz, bandwidth_mhz
-    )
-    while resp(hi) > threshold and hi < 4096.0:
+    while peak_snr * response(hi) > threshold and hi < 4096.0:
         hi *= 2.0
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if resp(mid) > threshold:
+        if peak_snr * response(mid) > threshold:
             lo = mid
         else:
             hi = mid
@@ -121,23 +120,27 @@ def generate_pulsar_spes(
     emitted = rng.random(n_rotations) < pulsar.pulse_fraction
     phase0 = rng.uniform(0.0, pulsar.period_s)
 
-    for rot in np.nonzero(emitted)[0]:
+    # What depends on the pulsar alone is computed once, at its first pulse
+    # above threshold: a pulsar whose pulses all stay below never evaluates
+    # its width.
+    response = None
+    for rot in np.flatnonzero(emitted).tolist():
         t_pulse = phase0 + rot * pulsar.period_s
         if t_pulse >= obs_length_s:
             continue
         peak_snr = pulsar.mean_snr * float(np.exp(rng.normal(0.0, pulsar.snr_sigma)))
         if peak_snr <= snr_threshold:
             continue
-        width_ms = effective_width_ms(
-            pulsar.width_ms, pulsar.dm, center_freq_mhz, bandwidth_mhz, n_channels
-        )
-        half_width = _detection_half_width_dm(
-            width_ms, center_freq_mhz, bandwidth_mhz, snr_threshold, peak_snr
-        )
+        if response is None:
+            width_ms = effective_width_ms(
+                pulsar.width_ms, pulsar.dm, center_freq_mhz, bandwidth_mhz, n_channels
+            )
+            response = _smearing_response(width_ms, center_freq_mhz, bandwidth_mhz)
+            downfact = max(1, int(width_ms / (sample_time_s * 1e3)))
+        half_width = _detection_half_width_dm(response, snr_threshold, peak_snr)
         trials = grid.trials_near(pulsar.dm, half_width)
         if trials.size == 0:
             continue
-        pulse_spes: list[int] = []
         # Arrival-time drift: dedispersing at DM' shifts the apparent arrival
         # by roughly half the residual intra-band delay.  The whole trial-DM
         # footprint is evaluated in one vectorized pass; the noise draw uses
@@ -150,21 +153,15 @@ def generate_pulsar_spes(
         snr_arr += rng.normal(0.0, 0.25, size=trials.size)  # radiometer noise
         drift = 0.5 * (K_DM * np.abs(deltas) * (f_low**-2 - f_high**-2))
         t_arr = t_pulse + np.where(deltas > 0, drift, -drift)
-        keep = (snr_arr >= snr_threshold) & (t_arr >= 0.0) & (t_arr < obs_length_s)
-        downfact = max(1, int(width_ms / (sample_time_s * 1e3)))
-        for j in np.nonzero(keep)[0]:
-            t = float(t_arr[j])
-            spes.append(
-                SPE(
-                    dm=float(trials[j]),
-                    snr=round(float(snr_arr[j]), 3),
-                    time_s=round(t, 6),
-                    sample=int(t / sample_time_s),
-                    downfact=downfact,
-                )
-            )
-            pulse_spes.append(start_index + len(spes) - 1)
-        if len(pulse_spes) >= 2:
+        keep = np.flatnonzero(
+            (snr_arr >= snr_threshold) & (t_arr >= 0.0) & (t_arr < obs_length_s)
+        )
+        first = start_index + len(spes)
+        for dm, snr, t in zip(trials[keep].tolist(), snr_arr[keep].tolist(),
+                              t_arr[keep].tolist()):
+            spes.append(SPE(dm=dm, snr=round(snr, 3), time_s=round(t, 6),
+                            sample=int(t / sample_time_s), downfact=downfact))
+        if keep.size >= 2:
             truths.append(
                 PulseTruth(
                     pulsar_name=pulsar.name,
@@ -172,7 +169,7 @@ def generate_pulsar_spes(
                     time_s=float(t_pulse),
                     peak_snr=float(peak_snr),
                     dm=pulsar.dm,
-                    spe_indices=tuple(pulse_spes),
+                    spe_indices=tuple(range(first, first + keep.size)),
                 )
             )
     return spes, truths

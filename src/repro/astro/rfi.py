@@ -86,13 +86,14 @@ def generate_noise_spes(
     """
     rng = rng or np.random.default_rng(0)
     trials = grid.trial_dms()
+    last = len(trials) - 1
     spes: list[SPE] = []
     for _ in range(n_clusters):
         size = 2 + int(rng.geometric(0.12))
         center_idx = int(rng.integers(0, len(trials)))
         t0 = float(rng.uniform(0.0, obs_length_s))
         for _ in range(size):
-            idx = int(np.clip(center_idx + rng.integers(-6, 7), 0, len(trials) - 1))
+            idx = min(max(center_idx + int(rng.integers(-6, 7)), 0), last)
             dm = float(trials[idx])
             # Exponential tail above threshold: almost all noise events weak.
             snr = snr_threshold + float(rng.exponential(0.7))

@@ -117,6 +117,47 @@ class TestDMGrid:
         with pytest.raises(ValueError):
             DMGrid(max_dm=10.0, coarsen=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_dm", float("nan")), ("max_dm", float("inf")),
+        ("coarsen", float("nan")), ("coarsen", float("inf")),
+    ])
+    def test_rejects_non_finite_fields_by_name(self, field, value):
+        """NaN/inf max_dm used to build the whole 0-5000 ladder, inf coarsen a
+        4-trial one, NaN coarsen failed later inside np.arange."""
+        with pytest.raises(ValueError, match=field):
+            DMGrid(**{field: value})
+
+    def test_ladder_is_read_only_and_shared(self):
+        grid = DMGrid(max_dm=300.0, coarsen=10.0)
+        ladder = grid.trial_dms()
+        first = ladder.copy()
+        with pytest.raises(ValueError):
+            ladder[0] = 99.0
+        near = grid.trials_near(100.0, 20.0)
+        with pytest.raises(ValueError):
+            near[:] = 0.0
+        with pytest.raises(ValueError):
+            np.asarray(grid.trial_dms())[-1] = -1.0
+        assert grid.trial_dms() is ladder
+        assert np.array_equal(grid.trial_dms(), first)
+        assert np.array_equal(grid.trials_near(100.0, 20.0), near)
+
+    def test_equality_hash_and_pickle_ignore_the_ladder(self):
+        import copy
+        import pickle
+
+        built = DMGrid(max_dm=500.0, coarsen=10.0)
+        built.trial_dms()
+        fresh = DMGrid(max_dm=500.0, coarsen=10.0)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh)
+        assert pickle.dumps(built) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(built))
+        assert back == built and "_ladder" not in vars(back)
+        assert np.array_equal(back.trial_dms(), built.trial_dms())
+        assert "_ladder" not in vars(copy.copy(built))
+        assert DMGrid(max_dm=500.0, coarsen=5.0) != built
+
     def test_bands_exposed(self):
         assert dm_spacing_bands() == DEFAULT_BANDS
 

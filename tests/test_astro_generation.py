@@ -56,6 +56,30 @@ class TestPopulation:
             Pulsar("bad", period_s=-1, dm=10, width_ms=5, mean_snr=10,
                    snr_sigma=0.2, pulse_fraction=0.5, is_rrat=False, sky_position="J")
 
+    @pytest.mark.parametrize("field, value", [
+        ("period_s", float("nan")), ("period_s", float("inf")),
+        ("dm", float("nan")), ("dm", float("inf")),
+        ("width_ms", float("nan")), ("width_ms", float("inf")),
+        ("width_ms", 0.0), ("width_ms", -2.0),
+        ("mean_snr", float("nan")), ("mean_snr", float("inf")), ("mean_snr", -float("inf")),
+        ("snr_sigma", float("nan")), ("snr_sigma", float("inf")), ("snr_sigma", -0.1),
+    ])
+    def test_pulsar_refuses_bad_field_by_name(self, field, value):
+        """Refused at construction, naming the field and the pulsar — not a
+        crash, a silent empty SPE list, or an error at the first bright pulse."""
+        kwargs = dict(period_s=0.5, dm=10.0, width_ms=5.0, mean_snr=10.0, snr_sigma=0.2)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field}.*PSR-BAD"):
+            Pulsar("PSR-BAD", pulse_fraction=0.5, is_rrat=False, sky_position="J", **kwargs)
+
+    def test_pulsar_keeps_todays_valid_edges(self):
+        """Zero DM and zero SNR spread stay valid; a dim pulsar just emits nothing."""
+        p = Pulsar("edge", period_s=0.5, dm=0.0, width_ms=5.0, mean_snr=-1.0,
+                   snr_sigma=0.0, pulse_fraction=1.0, is_rrat=False, sky_position="J")
+        spes, truths = generate_pulsar_spes(p, 5.0, DMGrid(max_dm=300.0, coarsen=10.0),
+                                            350.0, 100.0, rng=np.random.default_rng(0))
+        assert spes == [] and truths == []
+
 
 class TestEffectiveWidth:
     def test_at_least_intrinsic(self):
@@ -160,3 +184,31 @@ class TestNoiseAndRFI:
         for gen in (generate_noise_spes, generate_rfi_spes, generate_pulse_mimic_spes):
             spes = gen(10, 30.0, grid, rng=rng)
             assert all(0.0 <= s.time_s < 30.0 for s in spes)
+
+
+class TestNoPerPulseRebuilds:
+    def test_one_ladder_build_per_grid_per_observation(self, monkeypatch):
+        """Every pulse, noise cluster, mimic and burst reads one ladder."""
+        from repro.astro import dispersion
+        from repro.astro.population import synthesize_population
+        from repro.astro.rfi import RFIStormModel
+        from repro.astro.survey import GBT350DRIFT, generate_observation
+
+        built = []
+        real = dispersion._build_ladder
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dispersion, "_build_ladder", counting)
+        obs = generate_observation(
+            GBT350DRIFT, synthesize_population(4, seed=2), n_pulse_mimics=3,
+            obs_length_s=20.0, storm=RFIStormModel(quiet_rate_hz=0.2), seed=5,
+        )
+        assert len(obs.pulse_truths) > 10 and obs.clusters
+        assert built == [(obs.grid.max_dm, obs.grid.coarsen, obs.grid.bands)]
+        # The ladder lives on the grid instance; a new call builds its own.
+        generate_observation(GBT350DRIFT, synthesize_population(2, seed=3),
+                             obs_length_s=10.0, seed=6)
+        assert len(built) == 2

@@ -132,7 +132,7 @@ def test_each_oracle_is_defined_once_under_tests_oracles():
 
 def test_pytest_collects_nothing_from_the_oracles():
     # pyproject's python_files: test_*.py and bench_*.py.
-    assert len(ORACLES) == 4  # __init__, record_path, frontend, ml_hist
+    assert len(ORACLES) == 5  # __init__, record_path, frontend, ml_hist, generation
     assert [p.name for p in ORACLES if p.name.startswith(("test_", "bench_"))] == []
 
 
