@@ -30,7 +30,7 @@ import pytest
 from _bench_utils import emit, format_table, scaled
 from repro.astro import PALFA, generate_observation
 from repro.astro.population import Pulsar
-from repro.core.drapid import DRapidDriver
+from repro.core.drapid import DRapidDriver, paper_partitions
 from repro.core.multithreaded import (
     MultithreadedRapid,
     ThreadedBoxModel,
@@ -39,7 +39,7 @@ from repro.core.multithreaded import (
 from repro.core.rapid import run_rapid_observation_batch
 from repro.dataplane import PulseBatch, SPEBatch
 from repro.dfs import DataNode, DFSClient
-from repro.io.spe_files import upload_observations
+from repro.io.spe_files import dataset_grids, upload_observations
 from repro.sparklet import ClusterConfig, SparkletContext, simulate_job
 from repro.sparklet.cluster import ExecutorSpec, paper_testbed
 
@@ -98,9 +98,9 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
     spec = ExecutorSpec()
     assert rm.max_executors(spec) == 22  # the paper's ceiling
     ctx = SparkletContext(default_parallelism=8)
-    driver = DRapidDriver.with_paper_partitioning(
-        ctx, dfs, grids={"PALFA": observations[0].grid},
-        total_cores=2 * max(EXECUTOR_COUNTS),
+    driver = DRapidDriver(
+        ctx=ctx, dfs=dfs, grids=dataset_grids(observations),
+        num_partitions=paper_partitions(2 * max(EXECUTOR_COUNTS)),
     )
     # Min-of-2: rerun the whole job with a fresh context and keep the run
     # with the lower total measured CPU — the classic defence against a
@@ -109,9 +109,9 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
         lambda: driver.run(data_path, cluster_path), rounds=1, iterations=1
     )
     ctx2 = SparkletContext(default_parallelism=8)
-    driver2 = DRapidDriver.with_paper_partitioning(
-        ctx2, dfs, grids={"PALFA": observations[0].grid},
-        total_cores=2 * max(EXECUTOR_COUNTS),
+    driver2 = DRapidDriver(
+        ctx=ctx2, dfs=dfs, grids=driver.grids,
+        num_partitions=driver.num_partitions,
     )
     result2 = driver2.run(data_path, cluster_path, ml_output_path="/ml/out2")
     if result2.metrics.total_task_seconds < result.metrics.total_task_seconds:

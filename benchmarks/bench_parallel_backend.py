@@ -97,7 +97,7 @@ def _make_observations(n_pulsars: int, n_observations: int,
     """Fixed-length survey pointings, two sources in beam each.
 
     Uniform observation sizes (the realistic survey case — pointings have
-    fixed dwell time) rather than ``SinglePulsePipeline.generate``'s
+    fixed dwell time) rather than ``generate_observations``'s
     random in-beam draw, so the speedup curve measures the backend, not
     the luck of one giant observation landing on one worker.
     """

@@ -13,7 +13,7 @@ Run:  python examples/survey_search.py
 """
 
 from repro.astro import PALFA, generate_observation, synthesize_population
-from repro.core.drapid import DRapidDriver
+from repro.core.drapid import DRapidDriver, paper_partitions
 from repro.core.multithreaded import (
     MultithreadedRapid,
     ThreadedBoxModel,
@@ -21,7 +21,7 @@ from repro.core.multithreaded import (
 )
 from repro.dataplane import PulseBatch
 from repro.dfs import DataNode, DFSClient
-from repro.io.spe_files import upload_observations
+from repro.io.spe_files import dataset_grids, upload_observations
 from repro.sparklet import ClusterConfig, SparkletContext, simulate_job
 from repro.sparklet.cluster import ExecutorSpec, paper_testbed
 
@@ -56,8 +56,9 @@ def main() -> None:
           f"{len({g.node_id for g in grants})} nodes")
 
     ctx = SparkletContext(app_name="survey-search", default_parallelism=8)
-    driver = DRapidDriver.with_paper_partitioning(
-        ctx, dfs, grids={"PALFA": observations[0].grid}, total_cores=40,
+    driver = DRapidDriver(
+        ctx=ctx, dfs=dfs, grids=dataset_grids(observations),
+        num_partitions=paper_partitions(40),
     )
     result = driver.run(data_path, cluster_path)
     positives = int(result.pulse_batch.is_pulsar.sum())

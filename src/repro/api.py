@@ -13,28 +13,31 @@ cluster → D-RAPID identify → ALM label, optionally classify);
 observations you already have; :func:`run_streaming` replays the same
 workload through the micro-batch streaming engine
 (:mod:`repro.streaming`) and produces output byte-identical to
-:func:`run_pipeline` on the same data and seed.  All honour the same
-:class:`PipelineConfig`, including its fault-injection and observability
-knobs, and produce output identical to driving the underlying classes
-directly (``SinglePulsePipeline(...)`` / a hand-built ``DRapidDriver``) on
-the same seed — the facade adds no behaviour, only a stable surface.
+:func:`run_pipeline` on the same data and seed.  A :class:`PipelineConfig`
+is the one spelling of a run: every entry point calls the same stage
+functions of it (:func:`repro.core.pipeline.generate_observations` and
+:func:`~repro.core.pipeline.identify_observations`), fault-injection and
+observability knobs included, so ``run_pipeline`` is exactly
+``generate_observations`` → ``run_drapid`` → ``label_instances``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.astro.population import Pulsar, synthesize_population
-from repro.astro.survey import GBT350DRIFT, PALFA, Observation, SurveyConfig
+from repro.astro.population import Pulsar
+from repro.astro.survey import Observation, SurveyConfig, resolve_survey
 from repro.cluster import open_cluster
-from repro.core.drapid import paper_partitions
+from repro.core.alm import ALM_SCHEMES, label_instances
 from repro.core.pipeline import (
+    GRID_COARSEN,
     PipelineResult,
-    SinglePulsePipeline,
+    generate_observations,
     identify_observations,
 )
 from repro.core.search import SearchParams
@@ -43,6 +46,7 @@ from repro.execution import (
     KernelConfig,
     env_execution_config,
 )
+from repro.io.spe_files import read_ml_batch
 from repro.obs.session import ObsSession
 from repro.sparklet.pools import DEFAULT_POOL, PoolConfig
 from repro.streaming.engine import LinearCostModel, StreamingResult
@@ -93,18 +97,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def resolve_survey(survey: str | SurveyConfig) -> SurveyConfig:
-    """Map a survey preset name (case-insensitive, common aliases accepted:
-    ``"GBT350Drift"``, ``"PALFA"``, ``"CHIME"``, ``"FAST-CRAFTS"``, ...) to
-    its config via the :meth:`SurveyConfig.presets` registry."""
-    if isinstance(survey, SurveyConfig):
-        return survey
-    try:
-        return SurveyConfig.preset(survey)
-    except KeyError as exc:
-        raise ValueError(str(exc).strip('"')) from None
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one pipeline run depends on, in one immutable record.
@@ -139,6 +131,16 @@ class PipelineConfig:
     #: environment default; excluded from equality/digests — caching is an
     #: operational knob, not part of what the run computes.
     memo_config: "MemoConfig | None" = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.scheme not in ALM_SCHEMES:
+            raise ValueError(
+                f"scheme must be one of {sorted(ALM_SCHEMES)}, got {self.scheme!r}"
+            )
+        for name in ("num_partitions", "n_pulsars", "n_observations"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -187,20 +189,6 @@ class StreamingConfig:
             )
 
 
-def _pipeline_for(config: PipelineConfig) -> SinglePulsePipeline:
-    return SinglePulsePipeline(
-        survey=resolve_survey(config.survey),
-        scheme=config.scheme,
-        params=config.params,
-        num_partitions=config.num_partitions,
-        seed=config.seed,
-        fault_config=config.fault_config,
-        obs_config=config.obs_config,
-        execution=config.execution,
-        memo_config=config.memo_config,
-    )
-
-
 def run_pipeline(
     config: PipelineConfig, pulsars: Sequence[Pulsar] | None = None
 ) -> PipelineResult:
@@ -208,14 +196,55 @@ def run_pipeline(
 
     ``pulsars`` overrides the synthetic population; by default
     ``config.n_pulsars`` sources are synthesized from ``config.seed``.
+    Stage 4 labels every pulse with ``config.scheme`` and, with
+    ``config.classify``, cross-validates a RandomForest on the labels.
     """
-    pipeline = _pipeline_for(config)
-    if pulsars is None:
-        pulsars = synthesize_population(config.n_pulsars, seed=config.seed)
-    return pipeline.run(
-        list(pulsars),
-        n_observations=config.n_observations,
-        classify=config.classify,
+    session = ObsSession.from_config(config.obs_config)
+    config = dataclasses.replace(config, obs_config=session)
+    observations = generate_observations(config, pulsars)
+    scheme = ALM_SCHEMES[config.scheme]
+    with session.tracer.span("pipeline.identify"):
+        drapid, dfs = identify_observations(
+            config, observations,
+            provenance={"scheme": scheme.name, "grid_coarsen": GRID_COARSEN},
+        )
+    # Round-trip check: the ML files on the DFS reproduce the pulses.
+    assert len(read_ml_batch(dfs, drapid.ml_output_path)) == drapid.n_pulses
+    pulses = drapid.pulse_batch
+    with session.tracer.span("pipeline.benchmark"):
+        if not len(pulses):
+            raise ValueError("no pulses to build a benchmark from")
+        labels = label_instances(scheme, pulses.features, pulses.is_pulsar, pulses.is_rrat)
+    report = None
+    if config.classify:
+        # Imported lazily: stage 4 is optional and repro.ml is a large
+        # subpackage.
+        from repro.ml.forest import RandomForest
+        from repro.ml.validation import cross_validate
+
+        with session.tracer.span("pipeline.classify", scheme=scheme.name):
+            report = cross_validate(
+                lambda: RandomForest(n_trees=15, seed=0),
+                pulses.features,
+                labels,
+                n_folds=3,
+                positive_collapse=scheme,
+                seed=config.seed,
+            )
+    if session.enabled:
+        session.registry.counter("pipeline.runs").inc()
+        session.registry.counter("pipeline.pulses").inc(drapid.n_pulses)
+        session.flush()
+    return PipelineResult(
+        observations=observations,
+        drapid=drapid,
+        features=pulses.features,
+        is_pulsar=pulses.is_pulsar,
+        is_rrat=pulses.is_rrat,
+        labels=labels,
+        scheme=scheme,
+        report=report,
+        obs=session if session.enabled else None,
     )
 
 
@@ -230,7 +259,7 @@ def run_streaming(
     """Replay the configured workload through the micro-batch engine.
 
     Generates exactly the observations :func:`run_pipeline` would (same
-    pipeline, same seed, same rng draws), then streams them: timestamped
+    config, same seed, same rng draws), then streams them: timestamped
     blocks at ``config.arrival_rate``, batch-interval jobs through
     Sparklet, watermark-finalized cross-batch clusters, PID backpressure,
     DFS checkpoints, optional crash/recovery, and in-stream scoring.  The
@@ -244,15 +273,7 @@ def run_streaming(
 
     session = ObsSession.from_config(config.pipeline.obs_config)
     pipe_config = dataclasses.replace(config.pipeline, obs_config=session)
-    pipeline = _pipeline_for(pipe_config)
-    if pulsars is None:
-        pulsars = synthesize_population(
-            pipe_config.n_pulsars, seed=pipe_config.seed
-        )
-    with session.tracer.span("streaming.generate"):
-        observations = pipeline.generate(
-            list(pulsars), pipe_config.n_observations
-        )
+    observations = generate_observations(pipe_config, pulsars)
     streaming_config = dataclasses.replace(config, pipeline=pipe_config)
     with session.tracer.span("streaming.run"):
         return stream_observations(
@@ -389,15 +410,10 @@ def run_serving(config: ServingConfig) -> ServingResult:
             )
             pipe = scfg.pipeline
             # Generate exactly the observations the tenant's solo run would:
-            # same pipeline, same seed, same rng draws.
-            pipeline = _pipeline_for(
+            # same config, same seed, same rng draws.
+            observations = generate_observations(
                 dataclasses.replace(pipe, obs_config=session)
             )
-            pulsars = synthesize_population(pipe.n_pulsars, seed=pipe.seed)
-            with session.tracer.span("serving.generate", tenant=tid):
-                observations = pipeline.generate(
-                    list(pulsars), pipe.n_observations
-                )
             tenant_observations[tid] = observations
             scorer = None
             if scfg.model_path is not None:
@@ -461,26 +477,19 @@ def run_drapid(
     dfs: "DFSClient | None" = None,
     ctx: "SparkletContext | None" = None,
     ml_output_path: str = "/ml/out",
-    total_cores: int | None = None,
 ) -> "DRapidResult":
     """Run only the D-RAPID identification stage on given observations.
 
     Builds (or reuses) the DFS and Sparklet context, wiring both onto the
     config's observability session so one event log covers upload,
-    execution and output.  ``total_cores`` switches to the paper's
-    32-partitions-per-core rule instead of ``config.num_partitions``.
+    execution and output.  Each dataset is searched on its observations'
+    own trial-DM ladder; the paper's 32-partitions-per-core rule is
+    ``num_partitions=paper_partitions(cores)``
+    (:func:`repro.core.drapid.paper_partitions`).
     """
     if not observations:
         raise ValueError("run_drapid needs at least one observation")
-    survey = resolve_survey(config.survey)
-    num_partitions = (config.num_partitions if total_cores is None
-                      else paper_partitions(total_cores))
     result, _dfs = identify_observations(
-        observations, survey=survey.name, params=config.params,
-        num_partitions=num_partitions, seed=config.seed,
-        fault_config=config.fault_config, memo_config=config.memo_config,
-        execution=config.execution,
-        obs=ObsSession.from_config(config.obs_config),
-        dfs=dfs, ctx=ctx, ml_output_path=ml_output_path,
+        config, observations, dfs=dfs, ctx=ctx, ml_output_path=ml_output_path,
     )
     return result

@@ -125,6 +125,18 @@ _ALIASES: dict[str, str] = {
 }
 
 
+def resolve_survey(survey: str | SurveyConfig) -> SurveyConfig:
+    """Map a survey preset name (case-insensitive, common aliases accepted:
+    ``"GBT350Drift"``, ``"PALFA"``, ``"CHIME"``, ``"FAST-CRAFTS"``, ...) to
+    its config via the :meth:`SurveyConfig.presets` registry."""
+    if isinstance(survey, SurveyConfig):
+        return survey
+    try:
+        return SurveyConfig.preset(survey)
+    except KeyError as exc:
+        raise ValueError(str(exc).strip('"')) from None
+
+
 @dataclass
 class Observation:
     """One labeled synthetic observation."""

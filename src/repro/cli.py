@@ -522,6 +522,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.api import PipelineConfig, run_drapid
     from repro.astro import generate_observation, synthesize_population
+    from repro.core.drapid import paper_partitions
     from repro.dfs import DataNode, DFSClient
     from repro.sparklet import ClusterConfig, simulate_job
 
@@ -537,9 +538,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     session = _obs_session(args.trace_out)
     dfs = DFSClient([DataNode(f"dn{i}") for i in range(15)], replication=3,
                     block_size=64 * 1024, obs=session)
-    config = PipelineConfig(survey=args.survey, seed=args.seed, obs_config=session)
-    result = run_drapid(config, observations, dfs=dfs,
-                        total_cores=2 * max(args.executors))
+    config = PipelineConfig(
+        survey=args.survey, seed=args.seed, obs_config=session,
+        num_partitions=paper_partitions(2 * max(args.executors)),
+    )
+    result = run_drapid(config, observations, dfs=dfs)
     data_scale = args.data_gb * 1024**3 / len(dfs.get("/surveys/data.csv"))
     print(f"identified {result.n_pulses} pulses; replaying at {args.data_gb} GB scale:")
     for n in args.executors:

@@ -14,7 +14,8 @@
   Sparklet (map to KVP → partition → aggregate → left outer join → search).
 - :mod:`repro.core.alm` — Automatically Labeled Multiclass schemes
   (Tables 2–3).
-- :mod:`repro.core.pipeline` — the four-stage scientific workflow of Fig. 2.
+- :mod:`repro.core.pipeline` — the four-stage scientific workflow of Fig. 2,
+  as functions of one :class:`repro.api.PipelineConfig`.
 """
 
 from repro.core.alm import ALM_SCHEMES, AlmScheme, label_instances
@@ -22,7 +23,7 @@ from repro.core.bins import dynamic_bin_size
 from repro.core.drapid import DRapidDriver, DRapidResult
 from repro.core.features import FEATURE_NAMES
 from repro.core.multithreaded import MultithreadedRapid, ThreadedBoxModel
-from repro.core.pipeline import PipelineResult, SinglePulsePipeline
+from repro.core.pipeline import PipelineResult
 from repro.core.rapid import run_rapid_observation_batch, search_observation_columns
 from repro.core.search import SearchParams, find_single_pulses
 
@@ -35,7 +36,6 @@ __all__ = [
     "MultithreadedRapid",
     "PipelineResult",
     "SearchParams",
-    "SinglePulsePipeline",
     "ThreadedBoxModel",
     "dynamic_bin_size",
     "find_single_pulses",

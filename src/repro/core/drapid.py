@@ -135,24 +135,6 @@ class DRapidDriver:
         if self.fault_config is not None:
             self.ctx.install_faults(self.fault_config)
 
-    @classmethod
-    def with_paper_partitioning(
-        cls,
-        ctx: SparkletContext,
-        dfs: "DFSClient",
-        grids: dict[str, DMGrid],
-        total_cores: int,
-        params: SearchParams | None = None,
-    ) -> "DRapidDriver":
-        """A driver sized by :func:`paper_partitions`."""
-        return cls(
-            ctx=ctx,
-            dfs=dfs,
-            grids=grids,
-            params=params or SearchParams(),
-            num_partitions=paper_partitions(total_cores),
-        )
-
     def run(
         self,
         data_path: str,

@@ -39,6 +39,7 @@ from repro.dataplane import ClusterBatch, MalformedRowError, PulseBatch, SPEBatc
 from repro.dataplane._columns import CLUSTER_FIELDS, data_lines, strict_row
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.astro.dispersion import DMGrid
     from repro.astro.survey import Observation
     from repro.dfs import DFSClient
 
@@ -177,6 +178,26 @@ def require_unique_keys(observations: Iterable["Observation"]) -> None:
                 "key would be merged into one"
             )
         seen.add(key)
+
+
+def dataset_grids(observations: Iterable["Observation"]) -> dict[str, "DMGrid"]:
+    """The trial-DM ladder D-RAPID searches each dataset on, keyed by the
+    ``dataset`` field of the observations' own keys.
+
+    The data file carries no ladder, so one dataset has one: two
+    observations under one dataset with unequal grids are refused, the same
+    rule as :func:`require_unique_keys`.
+    """
+    grids: dict[str, DMGrid] = {}
+    for obs in observations:
+        dataset = obs.key.dataset
+        grid = grids.setdefault(dataset, obs.grid)
+        if grid != obs.grid:
+            raise ValueError(
+                f"dataset {dataset!r} has two trial-DM grids ({grid!r} and "
+                f"{obs.grid!r}): one dataset is searched on one ladder"
+            )
+    return grids
 
 
 def upload_observations(

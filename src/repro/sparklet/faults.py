@@ -102,7 +102,7 @@ class FaultConfig:
 
     Surfaced as the ``fault_config`` knob on :class:`SparkletContext`,
     :class:`~repro.core.drapid.DRapidDriver` and
-    :class:`~repro.core.pipeline.SinglePulsePipeline`.
+    :class:`~repro.api.PipelineConfig`.
     """
 
     seed: int = 0

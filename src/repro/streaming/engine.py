@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.drapid import DRapidDriver
 from repro.dataplane import PulseBatch
-from repro.io.spe_files import read_ml_batch
+from repro.io.spe_files import dataset_grids, read_ml_batch
 from repro.obs.events import (
     BATCH_COMPLETED,
     BATCH_SUBMITTED,
@@ -237,11 +237,10 @@ class MicroBatchEngine:
         obs: ObsSession = NULL_OBS,
     ) -> "MicroBatchEngine":
         """A cold engine replaying ``observations`` as its source stream."""
-        grids = ({observations[0].config.name: observations[0].grid}
-                 if observations else {})
         return cls(
             config=config, receiver=ReplayReceiver.from_observations(observations),
-            state=StreamState(), dfs=dfs, ctx=ctx, grids=grids, scorer=scorer,
+            state=StreamState(), dfs=dfs, ctx=ctx,
+            grids=dataset_grids(observations), scorer=scorer,
             obs=obs,
         )
 

@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro.api import PipelineConfig, run_pipeline
 from repro.astro import GBT350DRIFT, generate_observation, synthesize_population
-from repro.core.drapid import DRapidDriver
+from repro.core.drapid import DRapidDriver, paper_partitions
 from repro.core.multithreaded import (
     MultithreadedRapid,
     ThreadedBoxModel,
     observation_search_tasks,
 )
-from repro.core.pipeline import SinglePulsePipeline
 from repro.core.rapid import run_rapid_observation_batch
 from repro.dataplane import PulseBatch
 from repro.io.spe_files import upload_observations
@@ -69,9 +69,9 @@ class TestDRapidDriver:
         assert len(result.metrics.stages) >= 3  # two shuffle maps + result
         assert result.metrics.total_task_seconds > 0
 
-    def test_paper_partitioning_constructor(self, dfs, ctx):
-        driver = DRapidDriver.with_paper_partitioning(ctx, dfs, {}, total_cores=28)
-        assert driver.num_partitions == 896
+    def test_paper_partitions_rule(self):
+        assert paper_partitions(28) == 896  # Section 6.1's 28 cores
+        assert paper_partitions(0) == 1
 
     def test_labels_survive_distribution(self, observation, dfs, ctx, uploaded):
         data_path, cluster_path = uploaded
@@ -192,16 +192,16 @@ class TestThreadedBoxModel:
 
 class TestPipeline:
     def test_end_to_end_without_classification(self, small_population):
-        pipe = SinglePulsePipeline(survey=GBT350DRIFT, scheme="4", seed=2)
-        result = pipe.run(small_population[:4], n_observations=2, classify=False)
+        config = PipelineConfig(scheme="4", seed=2, n_observations=2)
+        result = run_pipeline(config, small_population[:4])
         assert result.drapid.n_pulses == result.features.shape[0] > 0
         assert result.features.shape[1] == 22
         assert result.labels.max() < 4
         assert result.report is None
 
     def test_end_to_end_with_classification(self, small_population):
-        pipe = SinglePulsePipeline(survey=GBT350DRIFT, scheme="2", seed=3)
-        result = pipe.run(small_population[:4], n_observations=2, classify=True)
+        config = PipelineConfig(scheme="2", seed=3, n_observations=2, classify=True)
+        result = run_pipeline(config, small_population[:4])
         assert result.report is not None
         assert 0.0 <= result.report.recall <= 1.0
         assert result.report.train_time_s > 0

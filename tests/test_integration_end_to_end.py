@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import PipelineConfig, run_pipeline
 from repro.astro import GBT350DRIFT, PALFA, synthesize_population
 from repro.core.alm import ALM_SCHEMES
 from repro.core.drapid import DRapidDriver
 from repro.core.multithreaded import ThreadedBoxModel
-from repro.core.pipeline import SinglePulsePipeline
 from repro.core.rapid import run_rapid_observation_batch
 from repro.dfs import DataNode, DFSClient
 from repro.io.spe_files import read_ml_batch, upload_observations
@@ -18,33 +18,33 @@ from repro.sparklet.scheduler import TaskFailure
 
 @pytest.fixture(scope="module")
 def pipeline_run():
-    pipe = SinglePulsePipeline(survey=GBT350DRIFT, scheme="7", seed=11)
+    config = PipelineConfig(scheme="7", seed=11, n_observations=3, classify=True)
     pop = synthesize_population(6, rrat_fraction=0.2, max_dm=300.0, seed=4)
-    return pipe, pipe.run(pop, n_observations=3, classify=True)
+    return config, run_pipeline(config, pop)
 
 
 class TestFullPipeline:
     def test_all_stages_produce_artifacts(self, pipeline_run):
-        _pipe, result = pipeline_run
+        _config, result = pipeline_run
         assert len(result.observations) == 3
         assert result.drapid.n_pulses > 0
         assert result.features.shape == (result.drapid.n_pulses, 22)
         assert result.report is not None
 
     def test_labels_consistent_with_truth(self, pipeline_run):
-        _pipe, result = pipeline_run
+        _config, result = pipeline_run
         non_pulsar = result.labels == 0
         assert np.array_equal(non_pulsar, ~result.is_pulsar)
 
     def test_classification_beats_chance(self, pipeline_run):
-        _pipe, result = pipeline_run
+        _config, result = pipeline_run
         assert result.report.recall > 0.5
         assert result.report.f_measure > 0.5
 
     def test_simulated_cluster_speedup_curve(self, pipeline_run):
         """RQ1 shape on the pipeline's own metrics: more executors, faster;
         knee behaviour beyond 5 executors."""
-        _pipe, result = pipeline_run
+        _config, result = pipeline_run
         job = result.drapid.metrics
         elapsed = {
             n: simulate_job(job, ClusterConfig(num_executors=n)).elapsed_s
@@ -134,7 +134,7 @@ class TestFeatureSelectionEndToEnd:
 
 class TestThreadedBaselineIntegration:
     def test_model_applies_to_real_measured_tasks(self, pipeline_run):
-        _pipe, result = pipeline_run
+        _config, result = pipeline_run
         search_stage = result.drapid.metrics.stages[-1]
         durations = [t.duration_s for t in search_stage.tasks]
         model = ThreadedBoxModel()

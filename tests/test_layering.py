@@ -48,8 +48,9 @@ RELOCATED = {
 }
 #: Record adapters the batch types no longer carry, the one deleted reader,
 #: the tree dedispersion and decomposed boxcar kernels, the per-row boxcar
-#: helpers the row-blocked search replaced, and the two ``Dataset`` methods
-#: nothing called.
+#: helpers the row-blocked search replaced, the two ``Dataset`` methods
+#: nothing called, and the second spelling of a run (the pipeline class,
+#: the facade's copy into it, and the paper-partitioning constructor).
 GONE = {
     "_best_z",
     "_widths_at",
@@ -69,6 +70,9 @@ GONE = {
     "BOXCAR_MODES",
     "subset",
     "class_counts",
+    "SinglePulsePipeline",
+    "_pipeline_for",
+    "with_paper_partitioning",
 }
 
 
@@ -146,7 +150,6 @@ def test_core_public_surface_names_only_what_runs():
         "MultithreadedRapid",
         "PipelineResult",
         "SearchParams",
-        "SinglePulsePipeline",
         "ThreadedBoxModel",
         "dynamic_bin_size",
         "find_single_pulses",

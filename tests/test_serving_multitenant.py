@@ -379,24 +379,17 @@ class TestHotSwap:
 
         scfg = _scfg(1, arrival_rate=300.0)  # slow arrivals: several batches
         pipe = scfg.pipeline
-        from repro.api import resolve_survey
-        from repro.astro.population import synthesize_population
-        from repro.core.pipeline import SinglePulsePipeline
+        from repro.core.pipeline import generate_observations
+        from repro.io.spe_files import dataset_grids
 
-        pipeline = SinglePulsePipeline(
-            survey=resolve_survey(pipe.survey), seed=pipe.seed
-        )
-        observations = pipeline.generate(
-            list(synthesize_population(pipe.n_pulsars, seed=pipe.seed)),
-            pipe.n_observations,
-        )
+        observations = generate_observations(pipe)
         dfs = DFSClient([DataNode(f"dn{i}") for i in range(4)], replication=2)
         ctx = SparkletContext(default_parallelism=4)
         try:
             engine = MicroBatchEngine(
                 config=scfg, receiver=ReplayReceiver(build_stream(observations)),
                 state=StreamState(), dfs=dfs, ctx=ctx,
-                grids={observations[0].config.name: observations[0].grid},
+                grids=dataset_grids(observations),
                 scorer=scorer, obs=session,
             )
             manager = SessionManager(obs=session)
