@@ -14,7 +14,14 @@ Times the three front-end stages the ISSUE targets, at several
   (direct ≡ naive reference), and the ``tracemalloc`` peak of each
   streamed ``single_pulse_search`` next to the bytes of the dedispersed
   block it no longer holds (gated at ≤ ¼ of the block);
-- DBSCAN — the dict-of-cells sweep vs the columnar pair passes.
+- DBSCAN — the dict-of-cells sweep vs the columnar pair passes;
+- the speed/sensitivity frontier — ``direct`` and subband over
+  ``n_subbands`` × ``tol_samples`` on the end-to-end harness's two voltage
+  inputs (seeds 0–9): dedispersion seconds, injected pulses recovered
+  through the whole chain, the recovered S/N fraction and each pulse's
+  best boxcar S/N against ``direct``'s.  The default kernel must dedisperse
+  faster than ``direct`` and recover, in total, as many pulses on both
+  inputs.
 
 Writes ``BENCH_frontend_kernels.json`` at the repo root (the perf
 trajectory baseline) and a table under ``benchmarks/results/``.
@@ -25,6 +32,8 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_frontend_ker
 
 from __future__ import annotations
 
+import statistics
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -44,7 +53,18 @@ from repro.astro.filterbank import (
     single_pulse_search,
     synthesize_filterbank,
 )
-from repro.astro.kernels import dedisperse_grid
+from repro.api import ExecutionConfig, PipelineConfig, run_drapid
+from repro.astro.kernels import (
+    N_SUBBANDS,
+    TOL_SAMPLES,
+    dedisperse_batch,
+    dedisperse_grid,
+    dedisperse_subband,
+    single_pulse_block_search,
+)
+from repro.astro.spe import ObservationKey, spes_from_search
+from repro.astro.survey import Observation, default_clusterer
+from repro.dataplane import SPEBatch
 from repro.execution import KernelConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -251,11 +271,183 @@ def bench_dbscan() -> dict:
     }
 
 
+#: The frontier's subband settings: ``None`` subbands is round(√n_chan).
+FRONTIER_SUBBANDS = (4, None, 16)
+FRONTIER_TOLS = (0.5, 1.0, 2.0)
+FRONTIER_SEEDS = tuple(range(10))
+FRONTIER_INPUTS = ("voltages_fine", "voltages_dense")
+#: The harness's D-RAPID configuration for its voltage passes.
+FRONTIER_PIPELINE = PipelineConfig(
+    num_partitions=32, execution=ExecutionConfig(backend="serial")
+)
+
+
+def _harness():
+    """The end-to-end harness's workloads module: its voltage inputs and
+    pass, its injected-pulse match rule and its checksum."""
+    e2e = str(REPO_ROOT / "benchmarks" / "e2e")
+    if e2e not in sys.path:
+        sys.path.insert(0, e2e)
+    import workloads
+
+    return workloads
+
+
+def _peak_snrs(w, inp, found) -> np.ndarray:
+    """Each injected pulse's best boxcar S/N, before clustering: the
+    strongest detection within the harness's DM tolerance of the pulse and
+    within five widths plus the widest boxcar of its arrival (NaN if
+    none)."""
+    rows, samples, snrs, _widths = found
+    dm = inp.trial_dms[rows]
+    t = samples * inp.filterbank.sample_time_s
+    peaks = []
+    for pulse in inp.pulses:
+        width_s = pulse.width_ms / 1e3
+        near = np.abs(dm - pulse.dm) <= (
+            5.0 * inp.grid.spacing_at(pulse.dm) + width_s / w.SWEEP_S_PER_DM
+        )
+        near &= np.abs(t - pulse.time_s) <= 5.0 * width_s + w.BOXCAR_WIDTHS[-1] * w.SAMPLE_TIME_S
+        peaks.append(float(snrs[near].max()) if near.any() else np.nan)
+    return np.array(peaks)
+
+
+def _frontier_pass(w, inp, setting) -> dict:
+    """One harness voltage pass dedispersed at ``setting`` — ``"direct"`` or
+    ``(n_subbands, tol_samples)``.  The block is dedispersed whole, as the
+    harness's traced pass does (the streamed search emits the same bits).
+
+    The harness's pass always runs ``KernelConfig()``, so this re-spells it
+    step by step to time the dedispersion alone, read each pulse's peak S/N
+    and vary the setting.  It borrows two harness definitions: the match
+    rule that decides which injected pulses were recovered
+    (``_match_injected``) and the checksum (``_digest``).  The guard
+    against drift from ``workload.run`` is :func:`bench_frontier`'s check
+    that, on every seed, the default setting's pass has the harness pass's
+    checksum and recall."""
+    fb, dms = inp.filterbank, inp.trial_dms
+    args = (fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, dms)
+    t0 = time.perf_counter()
+    if setting == "direct":
+        block = dedisperse_batch(*args, out_dtype=np.float32)
+    else:
+        block = dedisperse_subband(*args, *setting, out_dtype=np.float32)
+    dedisperse_s = time.perf_counter() - t0
+    found = single_pulse_block_search(block, w.SNR_THRESHOLD, w.BOXCAR_WIDTHS)
+    del block
+    spes = spes_from_search(dms, fb.sample_time_s, *found)
+    batch = SPEBatch.from_records(spes)
+    labels, clusters = default_clusterer(inp.grid).fit_batch(
+        batch, batch.dm / inp.grid.spacing_of(batch.dm)
+    )
+    observation = Observation(
+        key=ObservationKey(w.SURVEY.name, 55000.0, "J0000+0000", 0),
+        config=w.SURVEY, grid=inp.grid, spes=spes, labels=labels,
+        clusters=clusters, _spe_batch=batch,
+    )
+    result = run_drapid(FRONTIER_PIPELINE, [observation])
+    assert not result.n_null_joins, result.n_null_joins
+    pulses = result.pulse_batch
+    hits, recovered = w._match_injected(
+        inp.pulses, inp.target_snrs, inp.grid, pulses.features
+    )
+    return {
+        "dedisperse_s": dedisperse_s,
+        "hits": hits,
+        "snr_recovered_frac": float(np.mean(recovered)) if recovered else 0.0,
+        "peak_snrs": _peak_snrs(w, inp, found),
+        "checksum": w._digest(
+            batch.dm, batch.snr, batch.time_s, pulses.features, n=len(pulses)
+        ),
+    }
+
+
+def _setting_name(setting) -> str:
+    if setting == "direct":
+        return "direct"
+    n_subbands, tol = setting
+    return f"subband n_sub={n_subbands or 'sqrt'} tol={tol}"
+
+
+def bench_frontier(seeds=FRONTIER_SEEDS) -> dict:
+    """The speed/sensitivity frontier on both voltage inputs.
+
+    Per input and setting: the median dedispersion seconds over the seeds;
+    the injected pulses recovered through the whole chain per seed and in
+    total, recall and the mean recovered-over-target S/N; and, pulse by
+    pulse against ``direct`` on the same data, the ratio of the best boxcar
+    S/N (mean, 10th percentile, minimum) — the kernel's own loss, free of
+    the flips clustering and Algorithm 1 add.  On every seed the default
+    kernel's pass must be the harness's own pass: same checksum, same
+    recall."""
+    w = _harness()
+    default = (N_SUBBANDS, TOL_SAMPLES)
+    settings = ["direct"] + [
+        (n, tol) for n in FRONTIER_SUBBANDS for tol in FRONTIER_TOLS
+    ]
+    inputs = {}
+    for name in FRONTIER_INPUTS:
+        workload = w.WORKLOADS[name]
+        runs = {_setting_name(s): [] for s in settings}
+        for seed in seeds:
+            inp = workload.prepare(seed, 1.0)
+            for setting in settings:
+                result = _frontier_pass(w, inp, setting)
+                if setting == default:
+                    harness = workload.run(inp, w.Tracer())
+                    assert result["checksum"] == harness.checksum, (name, seed)
+                    assert result["hits"] / len(inp.pulses) == harness.recall, (name, seed)
+                runs[_setting_name(setting)].append(result)
+        direct_peaks = np.concatenate([r["peak_snrs"] for r in runs["direct"]])
+        n_pulses = len(inp.pulses)
+        rows = []
+        for key, rs in runs.items():
+            ratio = np.concatenate([r["peak_snrs"] for r in rs]) / direct_peaks
+            ratio = ratio[np.isfinite(ratio)]
+            rows.append({
+                "setting": key,
+                "dedisperse_s": round(statistics.median(r["dedisperse_s"] for r in rs), 4),
+                "hits": [r["hits"] for r in rs],
+                "hits_total": sum(r["hits"] for r in rs),
+                "recall": round(sum(r["hits"] for r in rs) / (n_pulses * len(rs)), 4),
+                "snr_recovered_frac": round(
+                    float(np.mean([r["snr_recovered_frac"] for r in rs])), 4),
+                "peak_snr_vs_direct": {
+                    "pulses": int(ratio.size),
+                    "mean": round(float(ratio.mean()), 4),
+                    "p10": round(float(np.percentile(ratio, 10)), 4),
+                    "min": round(float(ratio.min()), 4),
+                },
+            })
+        inputs[name] = {
+            "n_dms": int(inp.trial_dms.size),
+            "injected_per_seed": n_pulses,
+            "rows": rows,
+        }
+    return {
+        "seeds": list(seeds),
+        "default": _setting_name(default),
+        "inputs": inputs,
+    }
+
+
+def _assert_default_keeps_direct_recall(frontier: dict) -> None:
+    """The switch's gate: on both voltage inputs the default kernel
+    dedisperses faster than ``direct`` and recovers, over the seeds, at
+    least as many injected pulses."""
+    for name, i in frontier["inputs"].items():
+        rows = {r["setting"]: r for r in i["rows"]}
+        default, direct = rows[frontier["default"]], rows["direct"]
+        assert default["hits_total"] >= direct["hits_total"], (name, default, direct)
+        assert default["dedisperse_s"] < direct["dedisperse_s"], (name, default, direct)
+
+
 def run_all() -> dict:
     search = bench_single_pulse_search()
     dedisp = bench_dedispersion()
     methods = bench_kernel_methods()
     dbscan = bench_dbscan()
+    frontier = bench_frontier()
     results = {
         "benchmark": "frontend_kernels",
         "generated_by": "benchmarks/bench_frontend_kernels.py",
@@ -264,6 +456,7 @@ def run_all() -> dict:
         "dedispersion": dedisp,
         "kernel_methods": methods,
         "dbscan": dbscan,
+        "frontier": frontier,
     }
     note = write_result(RESULT_JSON, results)
 
@@ -294,7 +487,18 @@ def run_all() -> dict:
             for r in methods for c in r["curves"]
         ],
     )
-    emit("BENCH_frontend_kernels", table + f"\n\n{memory}\n\n{note}")
+    front = format_table(
+        ["input", "setting", "dedisp s", "pulses (10 seeds)", "recall", "S/N frac",
+         "peak S/N vs direct: mean", "p10", "min"],
+        [
+            [name, r["setting"], r["dedisperse_s"], r["hits_total"], r["recall"],
+             r["snr_recovered_frac"], r["peak_snr_vs_direct"]["mean"],
+             r["peak_snr_vs_direct"]["p10"], r["peak_snr_vs_direct"]["min"]]
+            for name, i in frontier["inputs"].items() for r in i["rows"]
+        ],
+    )
+    front += f"\ndefault: {frontier['default']}"
+    emit("BENCH_frontend_kernels", table + f"\n\n{memory}\n\n{front}\n\n{note}")
     return results
 
 
@@ -314,6 +518,7 @@ def test_frontend_kernel_speedup():
                  if r["scale"] == "fine-large")
     _assert_subband_gate(_curve(large, "subband"))
     _assert_memory_gate(large)
+    _assert_default_keeps_direct_recall(results["frontier"])
     assert RESULT_JSON.exists()
 
 
@@ -334,8 +539,9 @@ def _assert_memory_gate(record: dict) -> None:
 
 def run_smoke() -> None:
     """CI gate: in-bench equivalence (direct ≡ reference), the subband gate
-    and the memory gate on the fine-large grid.  Does not rewrite the
-    committed JSON."""
+    and the memory gate on the fine-large grid, with subband the front
+    end's default.  Does not rewrite the committed JSON."""
+    assert KernelConfig().method == "subband"
     record = bench_kernel_methods(scales=KERNEL_SCALES[1:2])[0]
     subband = _curve(record, "subband")
     peaks = ", ".join(f"{c['method']} {c['search_peak_mib']}" for c in record["curves"])
@@ -351,9 +557,7 @@ def run_smoke() -> None:
 
 
 if __name__ == "__main__":
-    import sys
-
     if "--smoke" in sys.argv:
         run_smoke()
     else:
-        run_all()
+        _assert_default_keeps_direct_recall(run_all()["frontier"])

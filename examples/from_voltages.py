@@ -5,8 +5,8 @@ example starts one step earlier, at the telescope output (Section 3's
 phases 1–3), and runs everything:
 
 1. synthesize a filterbank (channels × samples) with dispersed pulses,
-2. incoherently dedisperse the whole trial-DM ladder in one batch
-   (:func:`repro.astro.kernels.dedisperse_batch` via ``dedisperse_all``),
+2. incoherently dedisperse the whole trial-DM ladder, streamed a chunk of
+   rows at a time (the default subband kernel; exact on this ladder),
 3. O(n) cumulative-sum boxcar single pulse search (the PRESTO analogue)
    → SPE list,
 4. customized DBSCAN clustering (columnar pair passes, no sweep),
@@ -52,19 +52,19 @@ def main() -> None:
     elapsed = time.perf_counter() - t0
     print(f"{len(spes)} single pulse events across {trials.size} trial DMs "
           f"in {elapsed * 1e3:.0f} ms (vectorized kernels)")
-    # On fine DM grids, KernelConfig(method="subband") reuses per-subband
+    # On fine DM grids the default subband kernel reuses per-subband
     # partial sums across neighbouring trial DMs (~3-4x over the exact
     # direct kernel; see BENCH_frontend_kernels.json).  On this coarse
-    # 2.5-unit ladder no two trial DMs share a subband group, so subband
-    # falls back to the exact path and the demonstration just confirms
-    # selection is a one-liner.
-    subband_spes = single_pulse_search(
+    # 2.5-unit ladder no two trial DMs share a subband group, and a group
+    # of one is summed at its exact shifts, so the exact kernel finds the
+    # same candidates, bit for bit.
+    direct_spes = single_pulse_search(
         fb, trials, snr_threshold=5.5,
-        kernel=KernelConfig(method="subband"),
+        kernel=KernelConfig(method="direct"),
     )
-    assert len(subband_spes) == len(spes)
-    print(f"subband kernel path: {len(subband_spes)} events "
-          f"(coarse ladder -> exact fallback, same candidates)")
+    assert direct_spes == spes
+    print(f"direct kernel path: {len(direct_spes)} events "
+          f"(coarse ladder: every subband group is one DM, same candidates)")
 
     print("\n=== stage 2: customized DBSCAN ===")
     batch = SPEBatch.from_records(spes)

@@ -10,8 +10,8 @@ whole chain — voltages to classified candidates — exists in the repository:
 - :func:`dedisperse` — incoherent shift-and-sum dedispersion at one trial
   DM (the classic brute-force step);
 - :func:`dedisperse_all` — the whole trial-DM grid at once, via the kernel
-  a :class:`repro.execution.KernelConfig` selects (exact ``direct``, or the
-  partial-sum-reusing ``subband``);
+  a :class:`repro.execution.KernelConfig` selects (the partial-sum-reusing
+  ``subband`` by default, or the exact ``direct``);
 - :func:`single_pulse_search` — matched filtering of each dedispersed time
   series with boxcars of several widths and thresholding, emitting the SPE
   records the rest of the pipeline consumes.  It streams the grid a chunk
@@ -171,12 +171,14 @@ def dedisperse_all(
 ) -> np.ndarray:
     """The full (n_dms × n_samples) dedispersed block in one call.
 
-    ``kernel`` (None means ``KernelConfig()``) selects the method.
-    ``method="direct"`` is exact (matches :func:`dedisperse` per row);
-    ``"subband"`` reuses partial sums across neighbouring trial DMs — every
-    channel lands within ``tol_samples + 1`` samples of its exact shift
-    (the :mod:`repro.astro.kernels` tolerance law), a large win on fine DM
-    ladders.
+    ``kernel`` (None means ``KernelConfig()``) selects the method.  The
+    default ``"subband"`` reuses partial sums across neighbouring trial DMs
+    — every channel lands within 2 samples of its exact shift (the
+    :mod:`repro.astro.kernels` tolerance law at
+    :data:`~repro.astro.kernels.TOL_SAMPLES` = 1), and a
+    trial DM that shares its group with no neighbour gets the exact row — a
+    large win on fine DM ladders.  ``method="direct"`` is exact (matches
+    :func:`dedisperse` per row).
     """
     return dedisperse_grid(
         fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s,
@@ -219,10 +221,14 @@ def single_pulse_search(
     bit-level agreement with the float64 kernels.
 
     ``kernel`` (a :class:`repro.execution.KernelConfig`; None means
-    ``KernelConfig()``) selects the dedispersion method.
-    ``obs`` records the choice as one ``kernel_selected`` event and, per
-    chunk, one ``kernel.dedisperse`` and one ``kernel.boxcar`` span, each
-    carrying the chunk's ``rows`` and ``bytes``.
+    ``KernelConfig()``, the ``subband`` method) selects the dedispersion
+    method; on a ladder where no two trial DMs share a subband group (a
+    coarse one) both methods emit the same bits.
+    ``obs`` records the choice as one ``kernel_selected`` event — the method,
+    the plan's ``groups`` and its ``solo_rows`` (groups of one, summed from
+    the channels; ``direct`` is all of them) — and, per chunk, one
+    ``kernel.dedisperse`` and one ``kernel.boxcar`` span, each carrying the
+    chunk's ``rows`` and ``bytes``.
     """
     if not (np.isfinite(snr_threshold) and snr_threshold > 0):
         raise ValueError(f"snr_threshold must be finite and positive, got {snr_threshold!r}")
@@ -233,7 +239,10 @@ def single_pulse_search(
         trial_dms, kernel=k, out_dtype=dtype,
     )
     if obs is not None:
-        obs.emit(KERNEL_SELECTED, method=k.method)
+        obs.emit(
+            KERNEL_SELECTED, method=k.method, groups=plan.groups,
+            solo_rows=plan.solo_rows,
+        )
     span = obs.tracer.span if obs is not None else (lambda *a, **k_: nullcontext())
     n_dms, step = plan.n_rows, plan.chunk_rows
     buf = np.empty((min(step, n_dms), fb.n_samples), dtype=plan.dtype)

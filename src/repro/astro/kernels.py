@@ -11,13 +11,13 @@ with NumPy kernels that process the whole trial-DM grid at once:
   computed once for the whole grid (:func:`delay_table` checks the ladder);
 - :func:`plan_dedispersion` — the method dispatcher driven by
   :class:`repro.execution.KernelConfig`: a :class:`DedispersionPlan` holds
-  what one call computes once per ladder (``direct``'s shift table;
-  ``subband``'s grouping of the whole ladder and its stage-1/stage-2
+  what one call computes once per ladder (the exact shift table; for
+  ``subband`` also the grouping of the whole ladder and its stage-1/stage-2
   tables) and fills any range of rows, so a search can stream the grid a
   chunk of rows at a time;
 - :func:`dedisperse_batch` — the full (n_dms × n_samples) dedispersed
   block via vectorized slice-adds (a ``direct`` plan, every row filled);
-- :func:`dedisperse_subband` — an optional two-stage subband path that
+- :func:`dedisperse_subband` — the default two-stage subband path that
   reuses partial sums across neighbouring trial DMs (the classic ~O(√n_chan)
   trick; tolerance-bounded, wins on fine DM ladders);
 - :func:`dedisperse_grid` — the full block of the configured method;
@@ -79,9 +79,13 @@ shift.  The guarantee: every channel's *effective* shift is within
 Tie-break rules are exact and deterministic: grouping is greedy over the
 ascending sorted DM ladder, a DM joins the open group while
 ``dm − rep ≤ ddm_max`` (strict ``>`` opens a new group), and the group's
-*first* member is its representative.  When a ladder admits no grouping, or
-the channels are not in ascending frequency order, the path falls back to
-the exact :func:`dedisperse_batch`.
+*first* member is its representative.  A group with one member shares
+nothing, so its row is summed from the channels at its exact shifts — the
+:func:`dedisperse_batch` row, bit for bit, for ``n_chan`` slice-adds where
+the two stages would spend ``n_chan + n_subbands`` and carry the error.  A
+ladder of singletons (a coarse one) is therefore the exact block, with no
+separate fallback.  Channels not in ascending frequency order take the
+exact path too: every row is a group of one.
 
 Screen law (boxcar)
 -------------------
@@ -127,13 +131,22 @@ equivalence, and so the benchmark can time naive vs. vectorized honestly.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.astro.dispersion import K_DM
-from repro.execution import KernelConfig, check_subband_settings
+from repro.execution import KernelConfig
+
+#: The front end's subband settings, constants rather than choices:
+#: ``None`` subbands is round(√n_chan), and a grouping tolerance of 1 sample
+#: keeps every channel within 2 samples of its exact shift (the tolerance
+#: law).  :func:`dedisperse_subband` takes other settings as arguments, which
+#: is how ``benchmarks/bench_frontend_kernels.py`` sweeps its frontier.
+N_SUBBANDS: int | None = None
+TOL_SAMPLES = 1.0
 
 #: No JIT layer exists; kept because benchmark records report it.
 HAS_NUMBA = False
@@ -153,6 +166,8 @@ __all__ = [
     "boxcar_snr",
     "find_peaks",
     "single_pulse_block_search",
+    "N_SUBBANDS",
+    "TOL_SAMPLES",
     "HAS_NUMBA",
 ]
 
@@ -250,14 +265,17 @@ def _shift_sum(row: np.ndarray, series: list[np.ndarray], shifts: list[int]) -> 
 class DedispersionPlan:
     """What one dedispersion call computes once per ladder; fills any rows.
 
-    ``shifts[d]`` is trial DM ``d``'s shift per channel (``direct``) or per
-    subband (``subband``'s stage 2).  For ``subband``, ``group_of[d]`` is
-    trial DM ``d``'s group and ``stage1[b][g]`` group ``g``'s shifts over
-    the channels ``edges[b]``; all three are empty for ``direct``.  Tables
-    stay int64 arrays, converted to Python ints a chunk at a time: as lists
-    of ints, the fine ladder's direct table alone is ≈ 4 MiB.
+    ``shifts[d]`` is trial DM ``d``'s exact shift per channel
+    (:func:`shift_table`).  ``group_of[d]`` is the subband group trial DM
+    ``d`` shares with its neighbours, or −1 for a group of one: such a row
+    is summed from the channels at its exact shifts, the ``direct`` kernel's
+    row.  A ``direct`` plan is the all-singletons case.  For a shared group
+    ``g``, ``stage1[b][g]`` holds its shifts over the channels ``edges[b]``
+    and ``stage2[d]`` trial DM ``d``'s shift per subband.  Tables stay int64
+    arrays, converted to Python ints a chunk at a time: as lists of ints,
+    the fine ladder's exact table alone is ≈ 4 MiB.
 
-    Every row depends only on its own shifts and, for ``subband``, on its
+    Every row depends only on its own shifts and, in a shared group, on the
     group's partial sums, which :meth:`fill` recomputes for each group a
     range needs — identically.  So a row is the same bits whether it is
     filled with the whole block or in any chunk.
@@ -267,13 +285,24 @@ class DedispersionPlan:
     n_samples: int
     dtype: np.dtype
     shifts: np.ndarray
+    group_of: np.ndarray
     edges: tuple[tuple[int, int], ...] = ()
     stage1: tuple[np.ndarray, ...] = ()
-    group_of: np.ndarray | None = None
+    stage2: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
         return len(self.shifts)
+
+    @property
+    def solo_rows(self) -> int:
+        """Rows summed from the channels: the groups of one."""
+        return int(np.count_nonzero(self.group_of < 0))
+
+    @property
+    def groups(self) -> int:
+        """Groups of the ladder, a group of one counted as one."""
+        return self.solo_rows + (len(self.stage1[0]) if self.stage1 else 0)
 
     @property
     def chunk_rows(self) -> int:
@@ -287,16 +316,19 @@ class DedispersionPlan:
         ``out`` (its old contents are ignored); each row is scaled by
         1/√n_chan as soon as it is summed."""
         scale = self.dtype.type(1.0) / np.sqrt(self.dtype.type(len(self.channels)))
+        hi = lo + len(out)
         # Python ints: no per-iteration unboxing in the shift-and-add loop.
-        shifts = self.shifts[lo : lo + len(out)].tolist()
-        if not self.stage1:
-            for row, row_shifts in zip(out, shifts):
-                _shift_sum(row, self.channels, row_shifts)
-                row *= scale
-            return out
+        exact = self.shifts[lo:hi].tolist()
         members: dict[int, list[int]] = {}
-        for i, g in enumerate(self.group_of[lo : lo + len(out)].tolist()):
-            members.setdefault(g, []).append(i)
+        for i, g in enumerate(self.group_of[lo:hi].tolist()):
+            if g < 0:
+                _shift_sum(out[i], self.channels, exact[i])
+                out[i] *= scale
+            else:
+                members.setdefault(g, []).append(i)
+        if not members:
+            return out
+        sub = self.stage2[lo:hi].tolist()
         partial = list(np.empty((len(self.edges), self.n_samples), dtype=self.dtype))
         for g, rows in members.items():
             # Stage 1: each subband's sum at the group's representative DM.
@@ -304,7 +336,7 @@ class DedispersionPlan:
                 _shift_sum(part, self.channels[a:b], table[g].tolist())
             # Stage 2: the partials, shifted by each member's exact trial DM.
             for i in rows:
-                _shift_sum(out[i], partial, shifts[i])
+                _shift_sum(out[i], partial, sub[i])
                 out[i] *= scale
         return out
 
@@ -330,9 +362,11 @@ def _channel_rows(
 
 
 def _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype):
+    """Every row a group of one: the channels at their exact shifts."""
     channels, freqs_mhz, dtype = _channel_rows(data, freqs_mhz, out_dtype)
     shifts = shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
-    return DedispersionPlan(channels, np.shape(data)[1], dtype, shifts)
+    solo = np.full(len(shifts), -1, dtype=np.int64)
+    return DedispersionPlan(channels, np.shape(data)[1], dtype, shifts, solo)
 
 
 def plan_dedispersion(
@@ -347,15 +381,15 @@ def plan_dedispersion(
     """The plan of the configured kernel over the whole ladder.
 
     The single dispatch point for :class:`repro.execution.KernelConfig`
-    (None means ``KernelConfig()``): ``direct`` (:func:`dedisperse_batch`)
-    or ``subband`` (:func:`dedisperse_subband`).  Every check runs here,
-    before any row is summed.
+    (None means ``KernelConfig()``, which is ``subband``): ``direct``
+    (:func:`dedisperse_batch`) or ``subband`` (:func:`dedisperse_subband`).
+    Every check runs here, before any row is summed.
     """
     k = kernel or KernelConfig()
     if k.method == "subband":
         return _subband_plan(
             data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
-            k.n_subbands, k.tol_samples, out_dtype,
+            N_SUBBANDS, TOL_SAMPLES, out_dtype,
         )
     return _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype)
 
@@ -404,14 +438,28 @@ def _subband_edges(n_chan: int, n_subbands: int) -> list[tuple[int, int]]:
     return edges
 
 
+def check_subband_settings(n_subbands: int | None, tol_samples: float) -> None:
+    """Reject subband settings that would silently mis-group the DM ladder:
+    a non-finite ``tol_samples`` puts every trial DM in one group, and a
+    fractional or boolean ``n_subbands`` is not a channel count."""
+    if n_subbands is not None and (
+        isinstance(n_subbands, bool)
+        or not isinstance(n_subbands, numbers.Integral)
+        or n_subbands < 1
+    ):
+        raise ValueError(f"n_subbands must be an integer >= 1, got {n_subbands!r}")
+    if not (math.isfinite(tol_samples) and tol_samples > 0):
+        raise ValueError(f"tol_samples must be finite and positive, got {tol_samples!r}")
+
+
 def dedisperse_subband(
     data: np.ndarray,
     freqs_mhz: np.ndarray,
     f_ref_mhz: float,
     sample_time_s: float,
     trial_dms: np.ndarray,
-    n_subbands: int | None = None,
-    tol_samples: float = 1.0,
+    n_subbands: int | None = N_SUBBANDS,
+    tol_samples: float = TOL_SAMPLES,
     out_dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
     """Two-stage subband dedispersion: reuse partial sums across trial DMs.
@@ -422,14 +470,18 @@ def dedisperse_subband(
     are chosen greedily so the worst-case intra-subband residual shift is at
     most ``tol_samples``; with rounding, every channel lands within
     ``tol_samples + 1`` samples of the exact :func:`dedisperse_batch` shift.
+    A group with one member reuses nothing, so its row is summed from the
+    channels at its exact shifts: the exact row, for ``n_chan`` slice-adds
+    instead of ``n_chan + n_subbands``.
 
-    Cost is ``n_groups × n_chan + n_dms × n_subbands`` slice-adds instead of
-    ``n_dms × n_chan`` — a large win on fine DM ladders (the low-DM bands of
+    Cost is ``n_shared_groups × n_chan + n_shared_rows × n_subbands +
+    n_solo_rows × n_chan`` slice-adds instead of ``n_dms × n_chan`` — a
+    large win on fine DM ladders (the low-DM bands of
     :class:`repro.astro.dispersion.DMGrid`, where spacing is 0.01–0.1),
     approaching the classic ~O(√n_chan) saving.  On coarse grids every DM
-    forms its own group, and on channels not in ascending frequency order
-    (each subband's reference is its top channel) the exact path is used
-    instead.
+    forms its own group and the block is the exact one, bit for bit; on
+    channels not in ascending frequency order (each subband's reference is
+    its top channel) the exact path is used instead.
     """
     return _subband_plan(
         data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
@@ -442,19 +494,22 @@ def _subband_plan(
     out_dtype,
 ) -> DedispersionPlan:
     """:func:`dedisperse_subband`'s plan: the greedy grouping of the whole
-    ladder and both stages' shift tables, or a ``direct`` plan where the
-    path falls back to the exact one."""
+    ladder, the exact shifts of its groups of one and both stages' shift
+    tables for the rest."""
     channels, freqs_mhz, dtype = _channel_rows(data, freqs_mhz, out_dtype)
     check_subband_settings(n_subbands, tol_samples)
     if not np.all(np.diff(freqs_mhz) > 0):
         return _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, dtype)
+    # The exact shifts check the ladder before it is grouped; groups of one
+    # sum at them, and stage 2 reads its subband references' columns.
+    shifts = shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
     n_chan, n_samples = len(channels), np.shape(data)[1]
     if n_subbands is None:
         n_subbands = max(1, int(round(np.sqrt(n_chan))))
-    n_subbands = min(n_subbands, n_chan)
-    edges = _subband_edges(n_chan, n_subbands)
-    # Reference frequency of each subband: its highest channel.
-    sub_refs = np.array([freqs_mhz[hi - 1] for _lo, hi in edges])
+    edges = _subband_edges(n_chan, min(n_subbands, n_chan))
+    # Reference of each subband: its highest channel.
+    tops = [hi - 1 for _lo, hi in edges]
+    sub_refs = freqs_mhz[tops]
 
     # Greedy grouping of the sorted ladder: a group spans at most ddm_max.
     g_span = max(
@@ -465,35 +520,31 @@ def _subband_plan(
         ddm_max = np.inf
     else:
         ddm_max = tol_samples * sample_time_s / (K_DM * g_span)
-
-    # Stage-2 shifts per exact trial DM; computing them first checks the
-    # ladder before it is grouped.
-    s2 = shift_table(sub_refs, f_ref_mhz, trial_dms, sample_time_s)
     trial_dms = np.atleast_1d(np.asarray(trial_dms, dtype=np.float64))
     order = np.argsort(trial_dms, kind="stable")
-    sorted_dms = trial_dms[order]
     group_of = np.empty(trial_dms.size, dtype=np.int64)
     group_reps: list[float] = []
-    for pos, dm in enumerate(sorted_dms):
+    for pos, dm in enumerate(trial_dms[order].tolist()):
         if not group_reps or dm - group_reps[-1] > ddm_max:
-            group_reps.append(float(dm))
+            group_reps.append(dm)
         group_of[order[pos]] = len(group_reps) - 1
 
-    if len(group_reps) >= trial_dms.size:
-        # No reuse possible on this ladder: fall back to the exact path.
-        return _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, dtype)
+    # Groups of one leave the grouping (−1); shared groups keep their order.
+    shared = np.bincount(group_of, minlength=len(group_reps)) > 1
+    group_of = np.where(shared, np.cumsum(shared) - 1, -1)[group_of]
 
-    # Stage-1 shift tables, one per subband over the group representatives.
-    # A fill processes group-major, so one (n_subbands × n_samples) partial
-    # buffer serves every group — materializing all groups at once is
-    # hundreds of MB at survey scale.
-    reps = np.asarray(group_reps)
+    # Stage-1 shift tables, one per subband over the shared groups'
+    # representatives.  A fill processes group-major, so one
+    # (n_subbands × n_samples) partial buffer serves every group —
+    # materializing all groups at once is hundreds of MB at survey scale.
+    reps = np.asarray(group_reps)[shared]
     stage1 = tuple(
         shift_table(freqs_mhz[lo:hi], float(sub_refs[b]), reps, sample_time_s)
         for b, (lo, hi) in enumerate(edges)
     )
     return DedispersionPlan(
-        channels, n_samples, dtype, s2, tuple(edges), stage1, group_of
+        channels, n_samples, dtype, shifts, group_of, tuple(edges), stage1,
+        shifts[:, tops],
     )
 
 

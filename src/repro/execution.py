@@ -11,17 +11,23 @@ Two frozen dataclasses, deliberately unrelated:
   half-specified config means.  Resolution order (weakest to strongest):
   **env < config < CLI**; CLI flags win simply because the CLI builds an
   explicit config from them.
-- :class:`KernelConfig` — which dedispersion algorithm (exact ``direct`` or
-  tolerance-bounded ``subband``) the SPE-generating front end uses; the
-  boxcar search is always the cumulative-sum one.  It is an argument of the two functions
-  that dedisperse (:func:`repro.astro.filterbank.single_pulse_search` and
+- :class:`KernelConfig` — which dedispersion algorithm the SPE-generating
+  front end uses: ``subband`` by default (partial sums shared across
+  neighbouring trial DMs at round(√n_chan) subbands, every channel within
+  2 samples of its exact shift, and a trial DM that shares its group with
+  no neighbour summed at its exact shifts), or the exact ``direct``.  The
+  subband settings are the constants
+  :data:`repro.astro.kernels.N_SUBBANDS` and
+  :data:`~repro.astro.kernels.TOL_SAMPLES`, and the boxcar search is always
+  the cumulative-sum one.
+  It is an argument of the two functions that dedisperse
+  (:func:`repro.astro.filterbank.single_pulse_search` and
   :func:`~repro.astro.filterbank.dedisperse_all`) and of nothing else: the
   identification tiers start from SPE lists and never select a kernel.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -52,24 +58,10 @@ def _check(name: str, value: str | None, allowed: tuple[str | None, ...]) -> Non
         raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-def check_subband_settings(n_subbands: int | None, tol_samples: float) -> None:
-    """Reject subband settings that would silently mis-group the DM ladder:
-    a non-finite ``tol_samples`` puts every trial DM in one group, and a
-    fractional or boolean ``n_subbands`` is not a channel count."""
-    if n_subbands is not None and (
-        isinstance(n_subbands, bool)
-        or not isinstance(n_subbands, numbers.Integral)
-        or n_subbands < 1
-    ):
-        raise ValueError(f"n_subbands must be an integer >= 1, got {n_subbands!r}")
-    if not (math.isfinite(tol_samples) and tol_samples > 0):
-        raise ValueError(f"tol_samples must be finite and positive, got {tol_samples!r}")
-
-
 @dataclass(frozen=True)
 class KernelConfig:
-    """Front-end kernel selection: the dedispersion method and its
-    subband settings (used only by ``method="subband"``)."""
+    """Front-end kernel selection: the dedispersion method, ``subband``
+    unless a caller asks for the exact ``direct``."""
 
     #: Every kernel is NumPy and every boxcar is the cumulative-sum one;
     #: constants, not choices, read by callers that pass them on to
@@ -77,13 +69,10 @@ class KernelConfig:
     impl: ClassVar[str] = "numpy"
     boxcar: ClassVar[str] = "cumsum"
 
-    method: str = "direct"
-    n_subbands: int | None = None
-    tol_samples: float = 1.0
+    method: str = "subband"
 
     def __post_init__(self) -> None:
         _check("method", self.method, KERNEL_METHODS)
-        check_subband_settings(self.n_subbands, self.tol_samples)
 
     def resolved(self) -> "KernelConfig":
         """This config: every field is already concrete."""

@@ -299,7 +299,7 @@ def build_report(
     # Which kernels the run resolved to (kernel_selected events) and how
     # long each kernel stage actually took ("kernel.*" spans, aggregated).
     kernel_selected = [
-        {"method": e["method"]} if "method" in e else {}
+        {k: e[k] for k in ("method", "groups", "solo_rows") if k in e}
         for e in events
         if e["type"] == KERNEL_SELECTED
     ]
@@ -466,7 +466,10 @@ def render_text(report: dict[str, Any]) -> str:
     if kernels.get("selected") or kernels.get("stages"):
         out.append("\n== front-end kernels ==")
         for sel in kernels.get("selected", []):
-            out.append(f"  selected: method={sel.get('method', '?')}")
+            line = f"  selected: method={sel.get('method', '?')}"
+            if "groups" in sel:
+                line += f" groups={sel['groups']} solo_rows={sel.get('solo_rows', '?')}"
+            out.append(line)
         if kernels.get("stages"):
             out.append(
                 _table(

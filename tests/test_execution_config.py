@@ -23,10 +23,23 @@ from repro.execution import (
 )
 
 
+def _select(method="subband", **subband_settings):
+    """Build ``KernelConfig(method=method)``, then dedisperse a small block
+    with ``dedisperse_subband`` at ``subband_settings``: the front end's two
+    places a bad kernel value can enter."""
+    from repro.astro.kernels import dedisperse_subband
+
+    KernelConfig(method=method)
+    data = np.ones((4, 32))
+    dedisperse_subband(data, np.linspace(300.0, 400.0, 4), 400.0, 1e-3,
+                       np.arange(0.0, 1.0, 0.1), **subband_settings)
+
+
 class TestKernelConfigValidation:
     def test_defaults_resolve(self):
+        """The front end's default is subband dedispersion."""
         k = KernelConfig().resolved()
-        assert k.method == "direct"
+        assert k.method == "subband"
         assert k.impl == "numpy"
         assert k.boxcar == "cumsum"
 
@@ -49,8 +62,10 @@ class TestKernelConfigValidation:
         dict(tol_samples=-1.0),
     ])
     def test_invalid_fields_rejected(self, bad):
+        """A method is a KernelConfig field; the subband settings are
+        ``dedisperse_subband``'s arguments."""
         with pytest.raises(ValueError):
-            KernelConfig(**bad)
+            _select(**bad)
 
     @pytest.mark.parametrize("bad", [
         dict(tol_samples=float("nan")),
@@ -60,9 +75,9 @@ class TestKernelConfigValidation:
     ])
     def test_invalid_fields_rejected_by_name(self, bad):
         """NaN/inf tolerances and fractional/boolean subband counts used to be
-        accepted; each error names its field."""
+        accepted; each error names its argument."""
         with pytest.raises(ValueError, match=next(iter(bad))):
-            KernelConfig(**bad)
+            _select(**bad)
 
     @pytest.mark.parametrize("bad", [
         dict(backend="gpu"),
@@ -150,7 +165,7 @@ class TestKernelSelectedObservability:
     """``single_pulse_search`` — the one place a kernel is selected — is
     the one emitter of ``kernel_selected``."""
 
-    def _search_with_trace(self, tmp_path, **kernel_fields):
+    def _search_with_trace(self, tmp_path, step=2.0, **kernel_fields):
         from repro.astro.filterbank import single_pulse_search, synthesize_filterbank
         from repro.obs import ObsConfig, ObsSession
         from repro.obs.events import KERNEL_SELECTED, read_events
@@ -159,7 +174,7 @@ class TestKernelSelectedObservability:
         session = ObsSession.from_config(
             ObsConfig(enabled=True, event_log_path=str(log)))
         fb = synthesize_filterbank(duration_s=2.0, n_channels=16, sample_time_s=2e-3)
-        single_pulse_search(fb, np.arange(20.0, 60.0, 2.0),
+        single_pulse_search(fb, np.arange(20.0, 60.0, step),
                             kernel=KernelConfig(**kernel_fields), obs=session)
         session.flush()
         return log, [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
@@ -170,6 +185,24 @@ class TestKernelSelectedObservability:
         ev = events[0]
         assert ev["method"] == "subband"
         assert not {"boxcar", "impl", "impl_requested"} & ev.keys()
+        # A 2-unit ladder: no two trial DMs share a group.
+        assert ev["groups"] == ev["solo_rows"] == 20
+
+    @pytest.mark.parametrize("method", ["direct", "subband"])
+    def test_event_counts_the_plan_groups(self, tmp_path, method):
+        """How much of the ladder subband reused: on a fine ladder most
+        rows share a group; ``direct`` is every row a group of one."""
+        from repro.obs import build_report, render_text
+
+        log, (ev,) = self._search_with_trace(tmp_path, step=0.05, method=method)
+        if method == "direct":
+            assert ev["groups"] == ev["solo_rows"] == 800
+        else:
+            assert ev["solo_rows"] < ev["groups"] < 800
+        (sel,) = build_report(str(log))["kernels"]["selected"]
+        assert sel == {k: ev[k] for k in ("method", "groups", "solo_rows")}
+        assert (f"method={method} groups={ev['groups']} solo_rows={ev['solo_rows']}"
+                in render_text(build_report(str(log))))
 
     def test_trace_report_surfaces_kernels_section(self, tmp_path):
         from repro.obs import build_report, render_text
@@ -258,9 +291,9 @@ class TestFrontendSearchIntegration:
             assert abs(best.time_s - pulse.time_s) <= 0.5, method
 
     def test_search_with_default_kernel_matches_legacy(self):
-        """kernel=KernelConfig(method='direct') is the
-        legacy path: SPE output must be byte-identical to calling the
-        search with no kernel at all."""
+        """On a coarse ladder every subband group is a group of one, summed
+        at its exact shifts, so the default kernel's SPEs are
+        kernel=KernelConfig(method='direct')'s, byte for byte."""
         from repro.astro.filterbank import (
             InjectedPulse,
             single_pulse_search,

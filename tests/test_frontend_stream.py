@@ -112,8 +112,8 @@ class TestStreamedSearchEqualsWholeBlock:
         n_samples, dm_lo, dm_step, shuffled, threshold, seed,
     ):
         """Ladders from empty to just past three chunks; fine steps (subband
-        groups of many DMs, straddling chunk edges) and coarse ones (no
-        reuse: the exact path); sorted or shuffled; DMs up to a few
+        groups of many DMs, straddling chunk edges) and coarse ones (groups
+        of one, summed exactly); sorted or shuffled; DMs up to a few
         hundred, whose low-channel shifts (≈ 20 samples per unit DM) pass
         the end of a 16–300-sample series."""
         rows = blocks_per_chunk * kernels._BLOCK_ROWS
@@ -146,7 +146,7 @@ class TestStreamedSearchEqualsWholeBlock:
         assert 1 < groups.max() + 1 < dms.size  # partial sums are reused
         rows = kernels._BLOCK_ROWS
         edges = np.arange(rows, dms.size, rows)
-        assert (groups[edges - 1] == groups[edges]).any()
+        assert ((groups[edges - 1] == groups[edges]) & (groups[edges] >= 0)).any()
         with mock.patch.object(kernels, "_CHUNK_BYTES", rows * fb.n_samples * 4):
             _spes, got, _chunks = _streamed(fb, dms, "subband", dtype, 4.0, (1, 2, 4, 8))
         want = _whole_block(fb, dms, "subband", dtype, 4.0, (1, 2, 4, 8))
@@ -195,8 +195,9 @@ class TestStreamGuards:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_shift_tables_are_computed_once_per_call_not_per_chunk(self, method):
-        """``direct``: one table; ``subband``: one per subband (stage 1)
-        and one for stage 2 — however many chunks the search takes."""
+        """``direct``: one table; ``subband``: the exact table (its groups
+        of one, and stage 2's columns) and one per subband for stage 1 —
+        however many chunks the search takes."""
         fb = _filterbank(n_chan=16)
         dms = 40.0 + 0.02 * np.arange(200)
         calls = []

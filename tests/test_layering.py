@@ -233,8 +233,9 @@ def test_simulator_is_the_failure_free_fig4_engine():
 
 
 def test_front_end_has_two_dedispersion_methods_and_one_boxcar():
-    """Exact ``direct`` and tolerance-bounded ``subband``; the boxcar search
-    is the cumulative-sum one, a constant rather than a choice."""
+    """Exact ``direct`` and tolerance-bounded ``subband``, the default; the
+    boxcar search is the cumulative-sum one, a constant rather than a
+    choice."""
     import dataclasses
 
     import repro.execution as execution
@@ -242,8 +243,9 @@ def test_front_end_has_two_dedispersion_methods_and_one_boxcar():
 
     assert KERNEL_METHODS == ("direct", "subband")
     assert not hasattr(execution, "BOXCAR_MODES")
-    assert [f.name for f in dataclasses.fields(KernelConfig)] == [
-        "method", "n_subbands", "tol_samples"]
+    # The subband settings are constants of the kernels module.
+    assert [f.name for f in dataclasses.fields(KernelConfig)] == ["method"]
+    assert KernelConfig().method == "subband"
     assert KernelConfig.boxcar == "cumsum"
 
 
@@ -253,10 +255,6 @@ CONFIG_SUFFIXES = ("Config", "Scenario", "Timeline", "Spec", "Model", "Params", 
 #: Config fields that no constructor call or ``dataclasses.replace`` sets,
 #: each kept for the reason above it.
 UNSET_ON_PURPOSE = {
-    # The frozen e2e harness constructs KernelConfig, and ROADMAP item 2(b)
-    # sweeps the subband settings.
-    "KernelConfig.n_subbands",
-    "KernelConfig.tol_samples",
     # Modelled hardware: the simulated cluster and the multithreaded box
     # are described field by field, and the simulation laws read them all.
     "ClusterConfig.scheduler_delay_s",
