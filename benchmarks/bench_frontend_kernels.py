@@ -6,25 +6,33 @@ Times the three front-end stages the ISSUE targets, at several
 - ``single_pulse_search`` — full pipeline (dedispersion + boxcar search):
   naive per-DM ``np.convolve`` path (:func:`_reference_single_pulse_search`)
   vs batch dedispersion + O(n) cumulative-sum boxcars;
-- dedispersion alone — per-channel Python shift loop vs
-  :func:`repro.astro.kernels.dedisperse_batch`, plus the two-stage subband
-  path on a fine DM ladder (where partial-sum reuse pays off);
-- kernel methods — direct/subband curves on large fine DM grids
-  (``KernelConfig`` dispatch), with an in-bench equivalence check
-  (direct ≡ naive reference), and the ``tracemalloc`` peak of each
-  streamed ``single_pulse_search`` next to the bytes of the dedispersed
-  block it no longer holds (gated at ≤ ¼ of the block);
+- dedispersion alone — per-channel Python shift loop vs the dedispersion
+  engine (:func:`repro.astro.kernels.plan_dedispersion`) on a coarse
+  ladder, where every row is a group of one, plus the engine against the
+  exact block (``_reference_dedisperse_block`` in
+  ``tests/oracles/frontend.py``, every channel at its exact shift) on a fine
+  DM ladder, where partial-sum reuse pays off;
+- kernel curves — ``direct`` (the exact block, searched whole) and
+  ``subband`` (the engine, streamed by ``single_pulse_search``) on large
+  fine DM grids, with an in-bench equivalence check (the exact block ≡ the
+  naive reference, the engine's groups of one ≡ the exact block), and the
+  ``tracemalloc`` peak of the streamed ``single_pulse_search`` next to the
+  bytes of the dedispersed block it never holds (gated at ≤ ¼ of the
+  block);
 - DBSCAN — the dict-of-cells sweep vs the columnar pair passes;
-- the speed/sensitivity frontier — ``direct`` and subband over
-  ``n_subbands`` × ``tol_samples`` on the end-to-end harness's two voltage
+- the speed/sensitivity frontier — ``direct`` and the engine over
+  ``plan_dedispersion(n_subbands=, tol_samples=)`` on the end-to-end
+  harness's two voltage
   inputs (seeds 0–9): dedispersion seconds, injected pulses recovered
   through the whole chain, the recovered S/N fraction and each pulse's
-  best boxcar S/N against ``direct``'s.  The default kernel must dedisperse
-  faster than ``direct`` and recover, in total, as many pulses on both
-  inputs.
+  best boxcar S/N against ``direct``'s.  The engine's default settings must
+  dedisperse faster than ``direct`` and recover, in total, as many pulses
+  on both inputs, and every row the engine sums on its own must be the
+  exact block's.
 
 Writes ``BENCH_frontend_kernels.json`` at the repo root (the perf
-trajectory baseline) and a table under ``benchmarks/results/``.
+trajectory baseline, with the ``git describe`` of the checkout measured)
+and a table under ``benchmarks/results/``.
 
 Run:    PYTHONPATH=src python benchmarks/bench_frontend_kernels.py [--smoke]
 or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_frontend_kernels.py -q
@@ -33,6 +41,7 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_frontend_ker
 from __future__ import annotations
 
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -44,6 +53,8 @@ from _bench_utils import emit, format_table, write_result
 from oracles.frontend import (
     _reference_dbscan,
     _reference_dedisperse,
+    _reference_dedisperse_block,
+    _reference_exact_search,
     _reference_single_pulse_search,
 )
 from repro.astro.clustering import SinglePulseDBSCAN
@@ -57,15 +68,12 @@ from repro.api import ExecutionConfig, PipelineConfig, run_drapid
 from repro.astro.kernels import (
     N_SUBBANDS,
     TOL_SAMPLES,
-    dedisperse_batch,
-    dedisperse_grid,
-    dedisperse_subband,
+    plan_dedispersion,
     single_pulse_block_search,
 )
 from repro.astro.spe import ObservationKey, spes_from_search
 from repro.astro.survey import Observation, default_clusterer
 from repro.dataplane import SPEBatch
-from repro.execution import KernelConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_JSON = REPO_ROOT / "BENCH_frontend_kernels.json"
@@ -77,6 +85,27 @@ SEARCH_SCALES: tuple[tuple[str, int, float, float, int], ...] = (
     ("medium", 64, 30.0, 1e-3, 50),
     ("headline", 64, 60.0, 1e-3, 100),
 )
+
+
+def _measured_commit() -> str | None:
+    """``git describe --always --dirty`` of the checkout: the commit the
+    numbers were taken on, marked ``-dirty`` if its tree had changes."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def _exact_block(fb, trials, out_dtype=np.float64) -> np.ndarray:
+    """The ``direct`` block: every channel at its exact shift (the oracle)."""
+    return _reference_dedisperse_block(
+        fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, trials,
+        out_dtype,
+    )
 
 
 def _timeit(fn, repeats: int = 2) -> float:
@@ -138,32 +167,32 @@ def bench_dedispersion() -> list[dict]:
             for dm in trials
         ]
 
-    batch = KernelConfig(method="direct")
-    subband = KernelConfig(method="subband")
+    # Coarse ladder: no two trial DMs share a subband group, so the
+    # engine sums every row at its exact shifts.
     coarse = np.linspace(2.0, 150.0, 100)
     t_naive = _timeit(lambda: naive_all(coarse), repeats=1)
-    t_batch = _timeit(lambda: dedisperse_all(fb, coarse, kernel=batch))
+    t_engine = _timeit(lambda: dedisperse_all(fb, coarse))
     records.append(
         {
             "ladder": "coarse (100 DMs, 2-150)",
-            "method": "batch",
+            "method": "engine (groups of one)",
             "naive_s": round(t_naive, 4),
-            "vectorized_s": round(t_batch, 4),
-            "speedup": round(t_naive / t_batch, 2),
+            "vectorized_s": round(t_engine, 4),
+            "speedup": round(t_naive / t_engine, 2),
         }
     )
     # Fine ladder: neighbouring trial DMs share channel shifts, so the
-    # two-stage subband path reuses partial sums across them.
+    # engine reuses partial sums across them.
     fine = np.arange(50.0, 70.0, 0.05)
-    t_batch_fine = _timeit(lambda: dedisperse_all(fb, fine, kernel=batch))
-    t_sub_fine = _timeit(lambda: dedisperse_all(fb, fine, kernel=subband))
+    t_exact_fine = _timeit(lambda: _exact_block(fb, fine))
+    t_engine_fine = _timeit(lambda: dedisperse_all(fb, fine))
     records.append(
         {
             "ladder": f"fine ({fine.size} DMs, 50-70 step 0.05)",
-            "method": "subband vs batch",
-            "naive_s": round(t_batch_fine, 4),
-            "vectorized_s": round(t_sub_fine, 4),
-            "speedup": round(t_batch_fine / t_sub_fine, 2),
+            "method": "engine vs exact block",
+            "naive_s": round(t_exact_fine, 4),
+            "vectorized_s": round(t_engine_fine, 4),
+            "speedup": round(t_exact_fine / t_engine_fine, 2),
         }
     )
     return records
@@ -179,32 +208,36 @@ KERNEL_SCALES: tuple[tuple[str, int, float, float, float, int], ...] = (
 
 
 def _assert_kernel_equivalence(fb, trials) -> None:
-    """In-bench correctness guard: the numbers only count if direct rows
-    equal the naive reference on sampled DMs."""
-    freqs, f_ref, tsamp = fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s
+    """In-bench correctness guard: the numbers only count if, on sampled
+    DMs, the exact block's rows equal the naive per-DM reference and the
+    engine's rows (far apart, so each a group of one) equal the exact
+    block's, bit for bit."""
+    args = (fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s)
     sample = trials[:: max(1, trials.size // 4)][:4]
-    direct = dedisperse_grid(fb.data, freqs, f_ref, tsamp, sample,
-                             kernel=KernelConfig(method="direct"))
-    for row, dm in zip(direct, sample):
-        ref = _reference_dedisperse(fb.data, freqs, f_ref, tsamp, float(dm))
+    exact = _exact_block(fb, sample)
+    for row, dm in zip(exact, sample):
+        ref = _reference_dedisperse(*args, float(dm))
         assert np.max(np.abs(row - ref)) <= 1e-6, dm
+    plan = plan_dedispersion(*args, sample)
+    assert plan.solo_rows == sample.size, plan.solo_rows
+    assert plan.block().tobytes() == exact.tobytes()
 
 
-def _search_peak_mib(fb, trials, kernel) -> float:
+def _search_peak_mib(fb, trials) -> float:
     """``tracemalloc`` peak of one ``single_pulse_search`` call, MiB: what
     the call allocates, not the filterbank it is given."""
     tracemalloc.start()
     try:
-        single_pulse_search(fb, trials, kernel=kernel)
+        single_pulse_search(fb, trials)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
 
 
 def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
-    """Direct/subband curves on fine DM grids, vs the naive front end and the
-    exact direct kernel.  Best-of-3 timing: the repo's CI box is a single
-    slow core, and one-shot timings there are noise."""
+    """``direct`` (the exact block) and ``subband`` (the engine) curves on
+    fine DM grids, vs the naive front end.  Best-of-3 timing: the repo's CI
+    box is a single slow core, and one-shot timings there are noise."""
     records = []
     for name, n_channels, duration_s, dm_lo, dm_step, n_dms in scales:
         fb = _make_filterbank(n_channels, duration_s, 1e-3)
@@ -214,31 +247,27 @@ def bench_kernel_methods(scales=KERNEL_SCALES) -> list[dict]:
         _assert_kernel_equivalence(fb, trials)
         t_naive = _timeit(lambda: _reference_single_pulse_search(fb, trials),
                           repeats=1)
-        curves = []
-        t_direct_dedisp = None
-        for method in ("direct", "subband"):
-            kernel = KernelConfig(method=method)
-            t_dedisp = _timeit(
-                lambda: dedisperse_grid(fb.data, fb.channel_freqs_mhz,
-                                        fb.f_high_mhz, fb.sample_time_s,
-                                        trials, kernel=kernel),
-                repeats=3,
-            )
-            t_search = _timeit(
-                lambda: single_pulse_search(fb, trials, kernel=kernel),
-                repeats=3,
-            )
-            if method == "direct":
-                t_direct_dedisp = t_dedisp
-            curves.append({
-                "method": method,
+        t_direct_dedisp = _timeit(lambda: _exact_block(fb, trials), repeats=3)
+        t_dedisp = _timeit(lambda: dedisperse_all(fb, trials), repeats=3)
+        t_direct_search = _timeit(lambda: _reference_exact_search(fb, trials), repeats=3)
+        t_search = _timeit(lambda: single_pulse_search(fb, trials), repeats=3)
+        curves = [
+            {
+                "method": "direct",
+                "dedisperse_s": round(t_direct_dedisp, 4),
+                "search_s": round(t_direct_search, 4),
+                "search_speedup_vs_naive": round(t_naive / t_direct_search, 2),
+                "dedisperse_speedup_vs_direct": 1.0,
+            },
+            {
+                "method": "subband",
                 "dedisperse_s": round(t_dedisp, 4),
                 "search_s": round(t_search, 4),
                 "search_speedup_vs_naive": round(t_naive / t_search, 2),
-                "dedisperse_speedup_vs_direct": round(
-                    t_direct_dedisp / t_dedisp, 2),
-                "search_peak_mib": round(_search_peak_mib(fb, trials, kernel), 2),
-            })
+                "dedisperse_speedup_vs_direct": round(t_direct_dedisp / t_dedisp, 2),
+                "search_peak_mib": round(_search_peak_mib(fb, trials), 2),
+            },
+        ]
         records.append({
             "scale": name,
             "n_channels": n_channels,
@@ -313,9 +342,11 @@ def _peak_snrs(w, inp, found) -> np.ndarray:
 
 
 def _frontier_pass(w, inp, setting) -> dict:
-    """One harness voltage pass dedispersed at ``setting`` — ``"direct"`` or
-    ``(n_subbands, tol_samples)``.  The block is dedispersed whole, as the
-    harness's traced pass does (the streamed search emits the same bits).
+    """One harness voltage pass dedispersed at ``setting`` — ``"direct"``
+    (the exact block) or ``(n_subbands, tol_samples)`` of the engine.  The
+    block is dedispersed whole, as the harness's traced pass does (the
+    streamed search emits the same bits); every row the engine sums on its
+    own is checked against the exact block's.
 
     The harness's pass always runs ``KernelConfig()``, so this re-spells it
     step by step to time the dedispersion alone, read each pulse's peak S/N
@@ -329,10 +360,19 @@ def _frontier_pass(w, inp, setting) -> dict:
     args = (fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, dms)
     t0 = time.perf_counter()
     if setting == "direct":
-        block = dedisperse_batch(*args, out_dtype=np.float32)
+        block = _reference_dedisperse_block(*args, np.float32)
+        dedisperse_s = time.perf_counter() - t0
     else:
-        block = dedisperse_subband(*args, *setting, out_dtype=np.float32)
-    dedisperse_s = time.perf_counter() - t0
+        n_subbands, tol_samples = setting
+        plan = plan_dedispersion(
+            *args, np.float32, n_subbands=n_subbands, tol_samples=tol_samples,
+        )
+        block = plan.block()
+        dedisperse_s = time.perf_counter() - t0
+        solo = np.flatnonzero(plan.group_of < 0)
+        exact = _reference_dedisperse_block(*args[:4], dms[solo], np.float32)
+        assert block[solo].tobytes() == exact.tobytes(), setting
+        del plan, exact
     found = single_pulse_block_search(block, w.SNR_THRESHOLD, w.BOXCAR_WIDTHS)
     del block
     spes = spes_from_search(dms, fb.sample_time_s, *found)
@@ -370,16 +410,17 @@ def _setting_name(setting) -> str:
 
 
 def bench_frontier(seeds=FRONTIER_SEEDS) -> dict:
-    """The speed/sensitivity frontier on both voltage inputs.
+    """The speed/sensitivity frontier on both voltage inputs: ``direct``
+    and the engine at each ``(n_subbands, tol_samples)``.
 
     Per input and setting: the median dedispersion seconds over the seeds;
     the injected pulses recovered through the whole chain per seed and in
     total, recall and the mean recovered-over-target S/N; and, pulse by
     pulse against ``direct`` on the same data, the ratio of the best boxcar
     S/N (mean, 10th percentile, minimum) — the kernel's own loss, free of
-    the flips clustering and Algorithm 1 add.  On every seed the default
-    kernel's pass must be the harness's own pass: same checksum, same
-    recall."""
+    the flips clustering and Algorithm 1 add.  On every seed the engine's
+    pass at its default settings must be the harness's own pass: same
+    checksum, same recall."""
     w = _harness()
     default = (N_SUBBANDS, TOL_SAMPLES)
     settings = ["direct"] + [
@@ -432,8 +473,8 @@ def bench_frontier(seeds=FRONTIER_SEEDS) -> dict:
 
 
 def _assert_default_keeps_direct_recall(frontier: dict) -> None:
-    """The switch's gate: on both voltage inputs the default kernel
-    dedisperses faster than ``direct`` and recovers, over the seeds, at
+    """The engine's gate: on both voltage inputs its default settings
+    dedisperse faster than ``direct`` and recover, over the seeds, at
     least as many injected pulses."""
     for name, i in frontier["inputs"].items():
         rows = {r["setting"]: r for r in i["rows"]}
@@ -451,6 +492,7 @@ def run_all() -> dict:
     results = {
         "benchmark": "frontend_kernels",
         "generated_by": "benchmarks/bench_frontend_kernels.py",
+        "measured_at": _measured_commit(),
         "smoke": False,
         "single_pulse_search": search,
         "dedispersion": dedisp,
@@ -484,7 +526,7 @@ def run_all() -> dict:
         ["method", "scale", "block MiB", "streamed search peak MiB"],
         [
             [c["method"], r["scale"], r["block_mib"], c["search_peak_mib"]]
-            for r in methods for c in r["curves"]
+            for r in methods for c in r["curves"] if "search_peak_mib" in c
         ],
     )
     front = format_table(
@@ -531,26 +573,26 @@ def _assert_subband_gate(subband: dict) -> None:
 
 
 def _assert_memory_gate(record: dict) -> None:
-    """The streamed search never holds the dedispersed block: on either
-    method its traced peak is at most a quarter of the block's bytes."""
-    for curve in record["curves"]:
-        assert curve["search_peak_mib"] <= record["block_mib"] / 4, (record, curve)
+    """The streamed search never holds the dedispersed block: its traced
+    peak is at most a quarter of the block's bytes."""
+    curve = _curve(record, "subband")
+    assert curve["search_peak_mib"] <= record["block_mib"] / 4, (record, curve)
 
 
 def run_smoke() -> None:
-    """CI gate: in-bench equivalence (direct ≡ reference), the subband gate
-    and the memory gate on the fine-large grid, with subband the front
-    end's default.  Does not rewrite the committed JSON."""
-    assert KernelConfig().method == "subband"
+    """CI gate: in-bench equivalence (the exact block ≡ the naive reference,
+    the engine's groups of one ≡ the exact block), the subband gate and the
+    memory gate on the fine-large grid.  Does not rewrite the committed
+    JSON."""
     record = bench_kernel_methods(scales=KERNEL_SCALES[1:2])[0]
     subband = _curve(record, "subband")
-    peaks = ", ".join(f"{c['method']} {c['search_peak_mib']}" for c in record["curves"])
     emit(
         "BENCH_frontend_kernels (smoke)",
         f"subband vs direct dedispersion at {record['scale']}: "
         f"{subband['dedisperse_speedup_vs_direct']}x "
         f"(search vs naive: {subband['search_speedup_vs_naive']}x); "
-        f"search peak MiB {peaks} of a {record['block_mib']} MiB block",
+        f"streamed search peak {subband['search_peak_mib']} MiB "
+        f"of a {record['block_mib']} MiB block",
     )
     _assert_subband_gate(subband)
     _assert_memory_gate(record)

@@ -4,8 +4,8 @@ Times the same jobs under ``backend="serial"`` and ``backend="parallel"``
 at 1/2/4/8 workers, asserting byte identity of every output against the
 serial reference before any speedup is reported.  Two workloads:
 
-- **dedisp_boxcar** — one map stage running ``dedisperse_batch`` +
-  ``boxcar_snr`` + ``find_peaks`` over filterbank blocks shipped through
+- **dedisp_boxcar** — one map stage running ``plan_dedispersion(...).block()``
+  + ``boxcar_snr`` + ``find_peaks`` over filterbank blocks shipped through
   the shared-memory transport.  This is the stage the CI smoke gate runs.
 - **drapid_inmem** — the full D-RAPID identification stage
   (``repro.api.run_drapid``) against the in-memory DFS.  Pure CPU: on a
@@ -40,7 +40,7 @@ import numpy as np
 from _bench_utils import emit, format_table, write_result
 from repro.api import PipelineConfig, run_drapid
 from repro.astro import GBT350DRIFT, generate_observation, synthesize_population
-from repro.astro.kernels import boxcar_snr, dedisperse_batch, find_peaks
+from repro.astro.kernels import boxcar_snr, find_peaks, plan_dedispersion
 from repro.sparklet import ClusterConfig, simulate_job
 from repro.sparklet.context import SparkletContext
 from repro.sparklet.executor import get_pool
@@ -67,7 +67,7 @@ def _make_blocks(n_blocks: int, n_chan: int, n_samp: int, n_dms: int):
 
 def _search_block(args):
     bid, data, freqs, dms = args
-    series = dedisperse_batch(data, freqs, float(freqs[0]), 1e-3, dms)
+    series = plan_dedispersion(data, freqs, float(freqs[0]), 1e-3, dms).block()
     best, n_peaks = -np.inf, 0
     for row in series:
         snr, _widths = boxcar_snr(row)

@@ -6,7 +6,8 @@ phases 1–3), and runs everything:
 
 1. synthesize a filterbank (channels × samples) with dispersed pulses,
 2. incoherently dedisperse the whole trial-DM ladder, streamed a chunk of
-   rows at a time (the default subband kernel; exact on this ladder),
+   rows at a time (subband partial sums; on this coarse ladder no two
+   trial DMs share a subband group, so every row is summed exactly),
 3. O(n) cumulative-sum boxcar single pulse search (the PRESTO analogue)
    → SPE list,
 4. customized DBSCAN clustering (columnar pair passes, no sweep),
@@ -26,7 +27,6 @@ from repro.astro.spe import ObservationKey
 from repro.astro.survey import Observation, SurveyConfig
 from repro.core.rapid import run_rapid_observation_batch
 from repro.dataplane import SPEBatch
-from repro.execution import KernelConfig
 
 
 def main() -> None:
@@ -52,19 +52,10 @@ def main() -> None:
     elapsed = time.perf_counter() - t0
     print(f"{len(spes)} single pulse events across {trials.size} trial DMs "
           f"in {elapsed * 1e3:.0f} ms (vectorized kernels)")
-    # On fine DM grids the default subband kernel reuses per-subband
-    # partial sums across neighbouring trial DMs (~3-4x over the exact
-    # direct kernel; see BENCH_frontend_kernels.json).  On this coarse
-    # 2.5-unit ladder no two trial DMs share a subband group, and a group
-    # of one is summed at its exact shifts, so the exact kernel finds the
-    # same candidates, bit for bit.
-    direct_spes = single_pulse_search(
-        fb, trials, snr_threshold=5.5,
-        kernel=KernelConfig(method="direct"),
-    )
-    assert direct_spes == spes
-    print(f"direct kernel path: {len(direct_spes)} events "
-          f"(coarse ladder: every subband group is one DM, same candidates)")
+    # On fine DM grids the dedispersion reuses per-subband partial sums
+    # across neighbouring trial DMs (~3-4x over summing every channel per
+    # DM; see BENCH_frontend_kernels.json).  On this coarse 2.5-unit ladder
+    # every subband group is one DM, summed at its exact shifts.
 
     print("\n=== stage 2: customized DBSCAN ===")
     batch = SPEBatch.from_records(spes)

@@ -7,11 +7,9 @@ whole chain — voltages to classified candidates — exists in the repository:
 
 - :func:`synthesize_filterbank` — a (channels × samples) dynamic spectrum
   with radiometer noise and dispersed pulses swept across the band;
-- :func:`dedisperse` — incoherent shift-and-sum dedispersion at one trial
-  DM (the classic brute-force step);
-- :func:`dedisperse_all` — the whole trial-DM grid at once, via the kernel
-  a :class:`repro.execution.KernelConfig` selects (the partial-sum-reusing
-  ``subband`` by default, or the exact ``direct``);
+- :func:`dedisperse_all` — the whole trial-DM grid at once: every row of
+  the plan of :func:`repro.astro.kernels.plan_dedispersion`, the one
+  dedispersion engine (one DM is a ladder of one, and its row is exact);
 - :func:`single_pulse_search` — matched filtering of each dedispersed time
   series with boxcars of several widths and thresholding, emitting the SPE
   records the rest of the pipeline consumes.  It streams the grid a chunk
@@ -35,12 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.astro.dispersion import K_DM
-from repro.astro.kernels import (
-    dedisperse_batch,
-    dedisperse_grid,
-    plan_dedispersion,
-    single_pulse_block_search,
-)
+from repro.astro.kernels import plan_dedispersion, single_pulse_block_search
 from repro.astro.spe import SPE, spes_from_search
 from repro.execution import KernelConfig
 from repro.obs.events import KERNEL_SELECTED
@@ -148,19 +141,12 @@ def synthesize_filterbank(
                       sample_time_s=sample_time_s)
 
 
-def dedisperse(fb: Filterbank, dm: float) -> np.ndarray:
-    """Incoherent dedispersion: shift each channel by its DM delay and sum.
-
-    Arrival times are referenced to the top of the band (the highest
-    frequency), matching :func:`synthesize_filterbank`'s convention.
-    Delegates to :func:`repro.astro.kernels.dedisperse_batch` (single-row
-    call).
-    """
-    if dm < 0:
-        raise ValueError("DM must be non-negative")
-    return dedisperse_batch(
-        fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, [dm]
-    )[0]
+def _check_kernel(kernel) -> None:
+    """One engine dedisperses, so ``kernel`` selects nothing: ``None`` or a
+    :class:`KernelConfig` is accepted, and anything else is refused rather
+    than run as the default."""
+    if kernel is not None and not isinstance(kernel, KernelConfig):
+        raise TypeError(f"kernel must be a KernelConfig or None, got {kernel!r}")
 
 
 def dedisperse_all(
@@ -171,19 +157,21 @@ def dedisperse_all(
 ) -> np.ndarray:
     """The full (n_dms × n_samples) dedispersed block in one call.
 
-    ``kernel`` (None means ``KernelConfig()``) selects the method.  The
-    default ``"subband"`` reuses partial sums across neighbouring trial DMs
-    — every channel lands within 2 samples of its exact shift (the
-    :mod:`repro.astro.kernels` tolerance law at
-    :data:`~repro.astro.kernels.TOL_SAMPLES` = 1), and a
-    trial DM that shares its group with no neighbour gets the exact row — a
-    large win on fine DM ladders.  ``method="direct"`` is exact (matches
-    :func:`dedisperse` per row).
+    Every row of :func:`repro.astro.kernels.plan_dedispersion`'s plan: partial
+    sums are reused across neighbouring trial DMs, every channel lands
+    within 2 samples of its exact shift (the :mod:`repro.astro.kernels`
+    tolerance law at :data:`~repro.astro.kernels.TOL_SAMPLES` = 1), and a
+    trial DM that shares its group with no neighbour — every DM of a coarse
+    ladder, or of a ladder of one — gets the exact row.  Arrival times are
+    referenced to the top of the band, matching
+    :func:`synthesize_filterbank`.  ``kernel`` is checked (see
+    :func:`single_pulse_search`) and selects nothing.
     """
-    return dedisperse_grid(
+    _check_kernel(kernel)
+    return plan_dedispersion(
         fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s,
-        trial_dms, kernel=kernel, out_dtype=out_dtype,
-    )
+        trial_dms, out_dtype,
+    ).block()
 
 
 def single_pulse_search(
@@ -220,29 +208,24 @@ def single_pulse_search(
     too) and perturbs SNRs only at the 1e-5 level; pass ``np.float64`` for
     bit-level agreement with the float64 kernels.
 
-    ``kernel`` (a :class:`repro.execution.KernelConfig`; None means
-    ``KernelConfig()``, the ``subband`` method) selects the dedispersion
-    method; on a ladder where no two trial DMs share a subband group (a
-    coarse one) both methods emit the same bits.
-    ``obs`` records the choice as one ``kernel_selected`` event — the method,
-    the plan's ``groups`` and its ``solo_rows`` (groups of one, summed from
-    the channels; ``direct`` is all of them) — and, per chunk, one
-    ``kernel.dedisperse`` and one ``kernel.boxcar`` span, each carrying the
-    chunk's ``rows`` and ``bytes``.
+    ``kernel`` is ``None`` or a :class:`repro.execution.KernelConfig`, which
+    has nothing to select; anything else is a ``TypeError``.
+    ``obs`` records the plan as one ``kernel_selected`` event — its
+    ``groups`` and its ``solo_rows`` (groups of one, summed from the
+    channels at their exact shifts; on a coarse ladder, every row) — and,
+    per chunk, one ``kernel.dedisperse`` and one ``kernel.boxcar`` span,
+    each carrying the chunk's ``rows`` and ``bytes``.
     """
+    _check_kernel(kernel)
     if not (np.isfinite(snr_threshold) and snr_threshold > 0):
         raise ValueError(f"snr_threshold must be finite and positive, got {snr_threshold!r}")
     trial_dms = np.asarray(trial_dms, dtype=float)
-    k = kernel or KernelConfig()
     plan = plan_dedispersion(
         fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s,
-        trial_dms, kernel=k, out_dtype=dtype,
+        trial_dms, dtype,
     )
     if obs is not None:
-        obs.emit(
-            KERNEL_SELECTED, method=k.method, groups=plan.groups,
-            solo_rows=plan.solo_rows,
-        )
+        obs.emit(KERNEL_SELECTED, groups=plan.groups, solo_rows=plan.solo_rows)
     span = obs.tracer.span if obs is not None else (lambda *a, **k_: nullcontext())
     n_dms, step = plan.n_rows, plan.chunk_rows
     buf = np.empty((min(step, n_dms), fb.n_samples), dtype=plan.dtype)
@@ -252,7 +235,7 @@ def single_pulse_search(
     for lo in range(0, max(n_dms, 1), step):
         block = buf[: min(step, n_dms - lo)]
         size = {"rows": len(block), "bytes": block.nbytes}
-        with span("kernel.dedisperse", method=k.method, **size):
+        with span("kernel.dedisperse", **size):
             plan.fill(lo, block)
         with span("kernel.boxcar", **size):
             rows, samples, snrs, widths = single_pulse_block_search(

@@ -9,18 +9,12 @@ with NumPy kernels that process the whole trial-DM grid at once:
 
 - :func:`shift_table` — the per-(trial DM, channel) sample-shift table,
   computed once for the whole grid (:func:`delay_table` checks the ladder);
-- :func:`plan_dedispersion` — the method dispatcher driven by
-  :class:`repro.execution.KernelConfig`: a :class:`DedispersionPlan` holds
-  what one call computes once per ladder (the exact shift table; for
-  ``subband`` also the grouping of the whole ladder and its stage-1/stage-2
-  tables) and fills any range of rows, so a search can stream the grid a
-  chunk of rows at a time;
-- :func:`dedisperse_batch` — the full (n_dms × n_samples) dedispersed
-  block via vectorized slice-adds (a ``direct`` plan, every row filled);
-- :func:`dedisperse_subband` — the default two-stage subband path that
-  reuses partial sums across neighbouring trial DMs (the classic ~O(√n_chan)
-  trick; tolerance-bounded, wins on fine DM ladders);
-- :func:`dedisperse_grid` — the full block of the configured method;
+- :func:`plan_dedispersion` — the one dedispersion engine: a
+  :class:`DedispersionPlan` holds what one call computes once per ladder
+  (the exact shift table, the subband grouping of the whole ladder and its
+  stage-1/stage-2 tables) and fills any range of rows, so a search can
+  stream the grid a chunk of rows at a time; ``plan.block()`` is the whole
+  (n_dms × n_samples) block;
 - :func:`boxcar_snr` — O(n) sliding-boxcar SNR via cumulative sums, with
   median/MAD noise estimated once per series;
 - :func:`find_peaks` — vectorized threshold + local-maxima pass;
@@ -81,11 +75,11 @@ ascending sorted DM ladder, a DM joins the open group while
 ``dm − rep ≤ ddm_max`` (strict ``>`` opens a new group), and the group's
 *first* member is its representative.  A group with one member shares
 nothing, so its row is summed from the channels at its exact shifts — the
-:func:`dedisperse_batch` row, bit for bit, for ``n_chan`` slice-adds where
-the two stages would spend ``n_chan + n_subbands`` and carry the error.  A
-ladder of singletons (a coarse one) is therefore the exact block, with no
-separate fallback.  Channels not in ascending frequency order take the
-exact path too: every row is a group of one.
+exact row (``_reference_dedisperse_block`` in ``tests/oracles/frontend.py``),
+bit for bit, for ``n_chan`` slice-adds where the two stages would spend
+``n_chan + n_subbands`` and carry the error.  A ladder of singletons (a
+coarse one) is therefore the exact block.  Channels not in ascending
+frequency order are summed exactly too: every row is a group of one.
 
 Screen law (boxcar)
 -------------------
@@ -138,12 +132,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.astro.dispersion import K_DM
-from repro.execution import KernelConfig
 
 #: The front end's subband settings, constants rather than choices:
 #: ``None`` subbands is round(√n_chan), and a grouping tolerance of 1 sample
 #: keeps every channel within 2 samples of its exact shift (the tolerance
-#: law).  :func:`dedisperse_subband` takes other settings as arguments, which
+#: law).  :func:`plan_dedispersion` takes other settings as arguments, which
 #: is how ``benchmarks/bench_frontend_kernels.py`` sweeps its frontier.
 N_SUBBANDS: int | None = None
 TOL_SAMPLES = 1.0
@@ -159,9 +152,6 @@ __all__ = [
     "shift_table",
     "DedispersionPlan",
     "plan_dedispersion",
-    "dedisperse_batch",
-    "dedisperse_subband",
-    "dedisperse_grid",
     "resolve_impl",
     "boxcar_snr",
     "find_peaks",
@@ -248,9 +238,10 @@ def _float_dtype(dtype, what: str) -> np.dtype:
 def _shift_sum(row: np.ndarray, series: list[np.ndarray], shifts: list[int]) -> None:
     """``row`` ← Σᵢ ``series[i]`` advanced by ``shifts[i]`` samples.
 
-    The one shift-and-add loop of every method.  Sums run in ``series``
-    order; a shift of ``row.size`` or more adds nothing.  Row-major, so the
-    row stays cache-resident while the series stream through it.
+    The one shift-and-add loop of every row, solo or shared.  Sums run in
+    ``series`` order; a shift of ``row.size`` or more adds nothing.
+    Row-major, so the row stays cache-resident while the series stream
+    through it.
     """
     n = row.size
     row[:] = 0.0
@@ -268,8 +259,8 @@ class DedispersionPlan:
     ``shifts[d]`` is trial DM ``d``'s exact shift per channel
     (:func:`shift_table`).  ``group_of[d]`` is the subband group trial DM
     ``d`` shares with its neighbours, or −1 for a group of one: such a row
-    is summed from the channels at its exact shifts, the ``direct`` kernel's
-    row.  A ``direct`` plan is the all-singletons case.  For a shared group
+    is summed from the channels at its exact shifts, the exact row.  A plan
+    of singletons is the exact block.  For a shared group
     ``g``, ``stage1[b][g]`` holds its shifts over the channels ``edges[b]``
     and ``stage2[d]`` trial DM ``d``'s shift per subband.  Tables stay int64
     arrays, converted to Python ints a chunk at a time: as lists of ints,
@@ -361,62 +352,6 @@ def _channel_rows(
     return list(np.ascontiguousarray(data, dtype=dtype)), freqs_mhz, dtype
 
 
-def _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype):
-    """Every row a group of one: the channels at their exact shifts."""
-    channels, freqs_mhz, dtype = _channel_rows(data, freqs_mhz, out_dtype)
-    shifts = shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
-    solo = np.full(len(shifts), -1, dtype=np.int64)
-    return DedispersionPlan(channels, np.shape(data)[1], dtype, shifts, solo)
-
-
-def plan_dedispersion(
-    data: np.ndarray,
-    freqs_mhz: np.ndarray,
-    f_ref_mhz: float,
-    sample_time_s: float,
-    trial_dms: np.ndarray,
-    kernel=None,
-    out_dtype: np.dtype | type = np.float64,
-) -> DedispersionPlan:
-    """The plan of the configured kernel over the whole ladder.
-
-    The single dispatch point for :class:`repro.execution.KernelConfig`
-    (None means ``KernelConfig()``, which is ``subband``): ``direct``
-    (:func:`dedisperse_batch`) or ``subband`` (:func:`dedisperse_subband`).
-    Every check runs here, before any row is summed.
-    """
-    k = kernel or KernelConfig()
-    if k.method == "subband":
-        return _subband_plan(
-            data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
-            N_SUBBANDS, TOL_SAMPLES, out_dtype,
-        )
-    return _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype)
-
-
-# -- batch dedispersion ------------------------------------------------------
-
-def dedisperse_batch(
-    data: np.ndarray,
-    freqs_mhz: np.ndarray,
-    f_ref_mhz: float,
-    sample_time_s: float,
-    trial_dms: np.ndarray,
-    out_dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """Dedisperse at every trial DM at once → (n_dms, n_samples) block.
-
-    Row-major vectorized slice-adds (:func:`_shift_sum`), exactly mirroring
-    the seed's per-channel loop (so float64 output matches that oracle
-    bit-for-bit).  ``out_dtype=np.float32``
-    halves memory traffic for search pipelines that do not need 1e-9
-    reproducibility (PRESTO itself dedisperses in float32).
-    """
-    return _direct_plan(
-        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, out_dtype
-    ).block()
-
-
 def _subband_edges(n_chan: int, n_subbands: int) -> list[tuple[int, int]]:
     """Contiguous, near-equal channel ranges [(lo, hi), ...].
 
@@ -452,24 +387,26 @@ def check_subband_settings(n_subbands: int | None, tol_samples: float) -> None:
         raise ValueError(f"tol_samples must be finite and positive, got {tol_samples!r}")
 
 
-def dedisperse_subband(
+def plan_dedispersion(
     data: np.ndarray,
     freqs_mhz: np.ndarray,
     f_ref_mhz: float,
     sample_time_s: float,
     trial_dms: np.ndarray,
+    out_dtype: np.dtype | type = np.float64,
+    *,
     n_subbands: int | None = N_SUBBANDS,
     tol_samples: float = TOL_SAMPLES,
-    out_dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """Two-stage subband dedispersion: reuse partial sums across trial DMs.
+) -> DedispersionPlan:
+    """The one dedispersion engine: the plan of the whole ladder.
 
+    Two-stage subband dedispersion, reusing partial sums across trial DMs.
     Stage 1 dedisperses each subband once per *group* of neighbouring trial
     DMs (intra-subband shifts evaluated at the group's first DM); stage 2
     shifts and sums the ``n_subbands`` partial series per trial DM.  Groups
     are chosen greedily so the worst-case intra-subband residual shift is at
     most ``tol_samples``; with rounding, every channel lands within
-    ``tol_samples + 1`` samples of the exact :func:`dedisperse_batch` shift.
+    ``tol_samples + 1`` samples of its exact :func:`shift_table` shift.
     A group with one member reuses nothing, so its row is summed from the
     channels at its exact shifts: the exact row, for ``n_chan`` slice-adds
     instead of ``n_chan + n_subbands``.
@@ -481,29 +418,19 @@ def dedisperse_subband(
     approaching the classic ~O(√n_chan) saving.  On coarse grids every DM
     forms its own group and the block is the exact one, bit for bit; on
     channels not in ascending frequency order (each subband's reference is
-    its top channel) the exact path is used instead.
+    its top channel) every row is a group of one.  ``n_subbands`` and
+    ``tol_samples`` default to :data:`N_SUBBANDS` and :data:`TOL_SAMPLES`.
+    Every check runs here, before any row is summed.
     """
-    return _subband_plan(
-        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms,
-        n_subbands, tol_samples, out_dtype,
-    ).block()
-
-
-def _subband_plan(
-    data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, n_subbands, tol_samples,
-    out_dtype,
-) -> DedispersionPlan:
-    """:func:`dedisperse_subband`'s plan: the greedy grouping of the whole
-    ladder, the exact shifts of its groups of one and both stages' shift
-    tables for the rest."""
     channels, freqs_mhz, dtype = _channel_rows(data, freqs_mhz, out_dtype)
     check_subband_settings(n_subbands, tol_samples)
-    if not np.all(np.diff(freqs_mhz) > 0):
-        return _direct_plan(data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, dtype)
     # The exact shifts check the ladder before it is grouped; groups of one
     # sum at them, and stage 2 reads its subband references' columns.
     shifts = shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
     n_chan, n_samples = len(channels), np.shape(data)[1]
+    if not np.all(np.diff(freqs_mhz) > 0):
+        solo = np.full(len(shifts), -1, dtype=np.int64)
+        return DedispersionPlan(channels, n_samples, dtype, shifts, solo)
     if n_subbands is None:
         n_subbands = max(1, int(round(np.sqrt(n_chan))))
     edges = _subband_edges(n_chan, min(n_subbands, n_chan))
@@ -546,22 +473,6 @@ def _subband_plan(
         channels, n_samples, dtype, shifts, group_of, tuple(edges), stage1,
         shifts[:, tops],
     )
-
-
-def dedisperse_grid(
-    data: np.ndarray,
-    freqs_mhz: np.ndarray,
-    f_ref_mhz: float,
-    sample_time_s: float,
-    trial_dms: np.ndarray,
-    kernel=None,
-    out_dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """Dedisperse the whole trial grid via the configured kernel: every row
-    of :func:`plan_dedispersion`'s plan."""
-    return plan_dedispersion(
-        data, freqs_mhz, f_ref_mhz, sample_time_s, trial_dms, kernel, out_dtype
-    ).block()
 
 
 # -- O(n) boxcar matched filtering -------------------------------------------

@@ -1,4 +1,4 @@
-"""Execution configuration (backend, workers) and front-end kernel selection.
+"""Execution configuration (backend, workers) and the front-end kernel record.
 
 Two frozen dataclasses, deliberately unrelated:
 
@@ -11,19 +11,20 @@ Two frozen dataclasses, deliberately unrelated:
   half-specified config means.  Resolution order (weakest to strongest):
   **env < config < CLI**; CLI flags win simply because the CLI builds an
   explicit config from them.
-- :class:`KernelConfig` — which dedispersion algorithm the SPE-generating
-  front end uses: ``subband`` by default (partial sums shared across
-  neighbouring trial DMs at round(√n_chan) subbands, every channel within
-  2 samples of its exact shift, and a trial DM that shares its group with
-  no neighbour summed at its exact shifts), or the exact ``direct``.  The
-  subband settings are the constants
-  :data:`repro.astro.kernels.N_SUBBANDS` and
-  :data:`~repro.astro.kernels.TOL_SAMPLES`, and the boxcar search is always
-  the cumulative-sum one.
-  It is an argument of the two functions that dedisperse
+- :class:`KernelConfig` — the SPE-generating front end's kernels, which
+  are not choices: one dedispersion engine
+  (:func:`repro.astro.kernels.plan_dedispersion`: partial sums shared
+  across neighbouring trial DMs at round(√n_chan) subbands, every channel
+  within 2 samples of its exact shift, and a trial DM that shares its
+  group with no neighbour summed at its exact shifts) and the
+  cumulative-sum boxcar search, both NumPy.  It has no fields; what the
+  end-to-end harness reads of it is kept: ``KernelConfig()``,
+  :meth:`KernelConfig.resolved`, and the class constants ``boxcar`` and
+  ``impl``.  The two functions that dedisperse
   (:func:`repro.astro.filterbank.single_pulse_search` and
-  :func:`~repro.astro.filterbank.dedisperse_all`) and of nothing else: the
-  identification tiers start from SPE lists and never select a kernel.
+  :func:`~repro.astro.filterbank.dedisperse_all`) accept one as ``kernel``
+  and refuse anything else; the identification tiers start from SPE lists
+  and never see it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ BACKEND_ENV = "REPRO_BACKEND"
 WORKERS_ENV = "REPRO_WORKERS"
 
 BACKENDS = ("serial", "parallel")
-KERNEL_METHODS = ("direct", "subband")
 
 DEFAULT_BACKEND = "serial"
 DEFAULT_NUM_WORKERS = 2
@@ -60,8 +60,8 @@ def _check(name: str, value: str | None, allowed: tuple[str | None, ...]) -> Non
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Front-end kernel selection: the dedispersion method, ``subband``
-    unless a caller asks for the exact ``direct``."""
+    """The front end's kernels: one dedispersion engine and one boxcar
+    search, so nothing to select and no fields."""
 
     #: Every kernel is NumPy and every boxcar is the cumulative-sum one;
     #: constants, not choices, read by callers that pass them on to
@@ -69,13 +69,8 @@ class KernelConfig:
     impl: ClassVar[str] = "numpy"
     boxcar: ClassVar[str] = "cumsum"
 
-    method: str = "subband"
-
-    def __post_init__(self) -> None:
-        _check("method", self.method, KERNEL_METHODS)
-
     def resolved(self) -> "KernelConfig":
-        """This config: every field is already concrete."""
+        """This config: there is nothing to resolve."""
         return self
 
 

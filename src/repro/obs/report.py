@@ -296,10 +296,11 @@ def build_report(
     }
 
     # -- front-end kernels -------------------------------------------------
-    # Which kernels the run resolved to (kernel_selected events) and how
-    # long each kernel stage actually took ("kernel.*" spans, aggregated).
+    # How much of each ladder the dedispersion plan shared (kernel_selected
+    # events) and how long each kernel stage actually took ("kernel.*"
+    # spans, aggregated).
     kernel_selected = [
-        {k: e[k] for k in ("method", "groups", "solo_rows") if k in e}
+        {k: e[k] for k in ("groups", "solo_rows") if k in e}
         for e in events
         if e["type"] == KERNEL_SELECTED
     ]
@@ -466,10 +467,7 @@ def render_text(report: dict[str, Any]) -> str:
     if kernels.get("selected") or kernels.get("stages"):
         out.append("\n== front-end kernels ==")
         for sel in kernels.get("selected", []):
-            line = f"  selected: method={sel.get('method', '?')}"
-            if "groups" in sel:
-                line += f" groups={sel['groups']} solo_rows={sel.get('solo_rows', '?')}"
-            out.append(line)
+            out.append("  selected: " + " ".join(f"{k}={v}" for k, v in sel.items()))
         if kernels.get("stages"):
             out.append(
                 _table(

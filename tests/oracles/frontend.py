@@ -4,19 +4,32 @@ Until PR 23 these lived in ``src/`` beside the kernels that replaced them
 (``astro/kernels.py``, ``astro/filterbank.py``, ``astro/clustering.py``).
 Nothing live calls them; the identity laws hold the live kernels to them:
 
-- ``dedisperse_batch`` / ``dedisperse_grid`` ≡ :func:`_reference_dedisperse`
-  bit for bit, ``boxcar_snr`` ≡ :func:`_reference_boxcar_snr` to summation
-  order, ``find_peaks`` ≡ :func:`_reference_find_peaks`
+- :func:`_reference_dedisperse_block` (the exact block) ≡
+  :func:`_reference_dedisperse` row by row within 1e-9, and every row the
+  one engine, ``plan_dedispersion``, sums from the channels (a group of
+  one: every row of a coarse ladder, or of channels not in ascending
+  frequency order) ≡ its row, bit for bit; shared subband groups stay
+  within the tolerance law of it, and the recovery law holds the engine's
+  best S/N per injected pulse to the exact block's
+  (``tests/test_astro_kernels.py``, ``tests/test_frontend_stream.py``,
+  ``tests/test_frontend_recovery.py``,
+  ``benchmarks/bench_frontend_kernels.py``);
+- ``boxcar_snr`` ≡ :func:`_reference_boxcar_snr` to summation order,
+  ``find_peaks`` ≡ :func:`_reference_find_peaks`
   (``tests/test_astro_kernels.py``);
 - ``single_pulse_block_search`` ≡ :func:`_reference_block_search` bit for
   bit, dtype included (``tests/test_astro_kernels.py``);
 - ``single_pulse_search`` against :func:`_reference_single_pulse_search`
-  (``tests/test_astro_kernels.py``, ``benchmarks/bench_frontend_kernels.py``);
+  (``tests/test_astro_kernels.py``, ``benchmarks/bench_frontend_kernels.py``)
+  and against :func:`_reference_exact_search`, the same search over the
+  exact block (``tests/test_frontend_recovery.py``,
+  ``tests/test_execution_config.py``);
 - ``SinglePulseDBSCAN._dbscan`` ≡ :func:`_reference_dbscan`, label for label
   (the hypothesis suites of ``tests/test_astro_kernels.py``).
 
 The bodies are the ones ``src/`` shipped, moved; the two DBSCAN methods
-became functions taking the clusterer.
+became functions taking the clusterer, and the exact block is the body of
+``src/``'s last exact dedispersion method (``dedisperse_batch``).
 """
 
 from __future__ import annotations
@@ -26,8 +39,8 @@ import numpy as np
 from repro.astro.clustering import NOISE, SinglePulseDBSCAN
 from repro.astro.dispersion import K_DM
 from repro.astro.filterbank import Filterbank
-from repro.astro.kernels import find_peaks
-from repro.astro.spe import SPE
+from repro.astro.kernels import find_peaks, shift_table, single_pulse_block_search
+from repro.astro.spe import SPE, spes_from_search
 
 # -- kernels ------------------------------------------------------------------
 
@@ -52,6 +65,51 @@ def _reference_dedisperse(
         elif shift < n_samples:
             out[: n_samples - shift] += data[ch, shift:]
     return out / np.sqrt(n_chan)
+
+
+def _reference_dedisperse_block(
+    data: np.ndarray,
+    freqs_mhz: np.ndarray,
+    f_ref_mhz: float,
+    sample_time_s: float,
+    trial_dms: np.ndarray,
+    out_dtype: np.dtype | type = np.float64,
+) -> np.ndarray:
+    """The exact (n_dms × n_samples) block: each row the channels summed at
+    their :func:`shift_table` shifts, in channel order, in ``out_dtype``,
+    then scaled by 1/√n_chan."""
+    dtype = np.dtype(out_dtype)
+    channels = list(np.ascontiguousarray(data, dtype=dtype))
+    n_chan, n_samples = np.shape(data)
+    scale = dtype.type(1.0) / np.sqrt(dtype.type(n_chan))
+    shifts = shift_table(freqs_mhz, f_ref_mhz, trial_dms, sample_time_s)
+    out = np.empty((len(shifts), n_samples), dtype=dtype)
+    for row, row_shifts in zip(out, shifts.tolist()):
+        row[:] = 0.0
+        for channel, s in zip(channels, row_shifts):
+            if s == 0:
+                row += channel
+            elif s < n_samples:
+                row[: n_samples - s] += channel[s:]
+        row *= scale
+    return out
+
+
+def _reference_exact_search(
+    fb: Filterbank,
+    trial_dms: np.ndarray,
+    snr_threshold: float = 5.0,
+    boxcar_widths: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
+    dtype: np.dtype | type = np.float32,
+) -> list[SPE]:
+    """``single_pulse_search`` with the exact block in place of the
+    engine's: :func:`_reference_dedisperse_block`, searched whole."""
+    trial_dms = np.asarray(trial_dms, dtype=float)
+    block = _reference_dedisperse_block(
+        fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, trial_dms, dtype,
+    )
+    found = single_pulse_block_search(block, snr_threshold, boxcar_widths)
+    return spes_from_search(trial_dms, fb.sample_time_s, *found)
 
 
 def _reference_boxcar_snr(

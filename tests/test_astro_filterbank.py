@@ -8,7 +8,7 @@ from repro.astro.dispersion import K_DM
 from repro.astro.filterbank import (
     Filterbank,
     InjectedPulse,
-    dedisperse,
+    dedisperse_all,
     single_pulse_search,
     synthesize_filterbank,
 )
@@ -70,6 +70,11 @@ class TestSynthesize:
             Filterbank(data, fb.f_low_mhz, fb.f_high_mhz, fb.sample_time_s)
 
 
+def dedisperse(fb, dm):
+    """One trial DM: a ladder of one, whose row is the exact one."""
+    return dedisperse_all(fb, [dm])[0]
+
+
 class TestDedisperse:
     def test_correct_dm_concentrates_power(self, fb_with_pulse):
         fb, pulse = fb_with_pulse
@@ -87,7 +92,7 @@ class TestDedisperse:
 
     def test_rejects_negative_dm(self, fb_with_pulse):
         fb, _ = fb_with_pulse
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative, got -1.0 at index 0"):
             dedisperse(fb, -1.0)
 
 

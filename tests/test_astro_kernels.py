@@ -1,11 +1,11 @@
 """Kernel-layer equivalence: vectorized front end vs retained references.
 
-Property tests (hypothesis) assert that the batch/subband dedispersion,
-O(n) boxcar search, and columnar DBSCAN kernels agree with the naive
+Property tests (hypothesis) assert that the dedispersion engine, O(n)
+boxcar search, and columnar DBSCAN kernels agree with the naive
 ``_reference_*`` implementations they replaced — bit-for-bit where the
-kernels are exact, tolerance-bounded where they trade exactness for reuse
-(subband, every channel within ``tol_samples + 1`` samples of its exact
-shift).  A golden end-to-end test checks an injected pulse is recovered
+kernels are exact (a row the engine sums on its own), tolerance-bounded
+where they trade exactness for reuse (a shared subband group, every
+channel within ``tol_samples + 1`` samples of its exact shift).  A golden end-to-end test checks an injected pulse is recovered
 at its true DM/time/width by the vectorized search.
 """
 
@@ -27,6 +27,7 @@ from oracles.frontend import (
     _reference_boxcar_snr,
     _reference_dbscan,
     _reference_dedisperse,
+    _reference_dedisperse_block,
     _reference_find_peaks,
     _reference_noise_stats,
     _reference_single_pulse_search,
@@ -37,7 +38,6 @@ from repro.astro.clustering import NOISE, Cluster, SinglePulseDBSCAN
 from repro.astro.dispersion import DMGrid, smearing_snr_factor, smearing_snr_factors
 from repro.astro.filterbank import (
     InjectedPulse,
-    dedisperse,
     dedisperse_all,
     single_pulse_search,
     synthesize_filterbank,
@@ -45,10 +45,8 @@ from repro.astro.filterbank import (
 from repro.astro.kernels import (
     _subband_edges,
     boxcar_snr,
-    dedisperse_batch,
-    dedisperse_grid,
-    dedisperse_subband,
     find_peaks,
+    plan_dedispersion,
     single_pulse_block_search,
 )
 from repro.astro.population import b1853_like
@@ -66,6 +64,23 @@ def _filterbank_block(rng: np.random.Generator, n_chan: int, n_samples: int):
     return data, freqs, 400.0
 
 
+def _impulse_block(n_chan: int, n_samples: int, true_dm: float):
+    """A noiseless filterbank holding one impulse dispersed at ``true_dm``,
+    arriving mid-series at the top of the band (400 MHz)."""
+    from repro.astro.dispersion import K_DM
+
+    data = np.zeros((n_chan, n_samples))
+    edges = np.linspace(300.0, 400.0, n_chan + 1)
+    freqs = 0.5 * (edges[:-1] + edges[1:])
+    t0 = n_samples // 2
+    for ch in range(n_chan):
+        delay = K_DM * true_dm * (freqs[ch] ** -2 - 400.0**-2)
+        s = t0 + int(round(delay / 1e-3))
+        if s < n_samples:
+            data[ch, s] = 1.0
+    return data, freqs
+
+
 class TestBatchDedispersion:
     @SETTINGS
     @given(
@@ -75,13 +90,17 @@ class TestBatchDedispersion:
         seed=st.integers(0, 2**31),
     )
     def test_batch_matches_reference(self, n_chan, n_samples, dms, seed):
-        """Each batch row is the per-DM reference within 1e-9 (float64)."""
+        """Each exact-block row is the per-DM reference within 1e-9 (float64),
+        and each row the engine sums on its own is the exact block's."""
         rng = np.random.default_rng(seed)
         data, freqs, f_ref = _filterbank_block(rng, n_chan, n_samples)
-        block = dedisperse_batch(data, freqs, f_ref, 1e-3, dms)
+        block = _reference_dedisperse_block(data, freqs, f_ref, 1e-3, dms)
         for row, dm in zip(block, dms):
             ref = _reference_dedisperse(data, freqs, f_ref, 1e-3, float(dm))
             assert np.max(np.abs(row - ref)) <= 1e-9
+        plan = plan_dedispersion(data, freqs, f_ref, 1e-3, dms)
+        solo = np.flatnonzero(plan.group_of < 0)
+        assert plan.block()[solo].tobytes() == block[solo].tobytes()
 
     @SETTINGS
     @given(
@@ -99,74 +118,56 @@ class TestBatchDedispersion:
 
         Checked structurally on a noiseless dispersed impulse: at the exact
         peak's (DM row, sample), all of the pulse's mass must land within
-        ±(tol + 2) samples in the subband output — per-channel quantization
+        ±(tol + 2) samples in the engine's output — per-channel quantization
         may split the peak across neighbouring samples (especially with few
         channels) but cannot move mass out of that window.
         """
         dms = dm_lo + step * np.arange(n_dms)
-        data = np.zeros((n_chan, n_samples))
-        edges = np.linspace(300.0, 400.0, n_chan + 1)
-        freqs = 0.5 * (edges[:-1] + edges[1:])
-        # A dispersed impulse at the middle DM of the ladder.
-        from repro.astro.dispersion import K_DM
-
-        true_dm = float(dms[n_dms // 2])
-        t0 = n_samples // 2
-        for ch in range(n_chan):
-            delay = K_DM * true_dm * (freqs[ch] ** -2 - 400.0**-2)
-            s = t0 + int(round(delay / 1e-3))
-            if s < n_samples:
-                data[ch, s] = 1.0
-        batch = dedisperse_batch(data, freqs, 400.0, 1e-3, dms)
-        sub = dedisperse_subband(data, freqs, 400.0, 1e-3, dms, tol_samples=1.0)
-        assert sub.shape == batch.shape
-        d, i = np.unravel_index(batch.argmax(), batch.shape)
+        data, freqs = _impulse_block(n_chan, n_samples, float(dms[n_dms // 2]))
+        exact = _reference_dedisperse_block(data, freqs, 400.0, 1e-3, dms)
+        sub = plan_dedispersion(data, freqs, 400.0, 1e-3, dms, tol_samples=1.0).block()
+        assert sub.shape == exact.shape
+        d, i = np.unravel_index(exact.argmax(), exact.shape)
         window = sub[d, max(0, i - 3) : i + 4]
-        assert window.sum() >= 0.95 * batch[d, i]
+        assert window.sum() >= 0.95 * exact[d, i]
 
     def test_subband_falls_back_on_coarse_ladders(self):
-        """Widely spaced DMs admit no partial-sum reuse: exact path used."""
+        """Widely spaced DMs admit no partial-sum reuse: every row is a
+        group of one, and the block is the exact one."""
         rng = np.random.default_rng(0)
         data, freqs, f_ref = _filterbank_block(rng, 16, 256)
         dms = [0.0, 150.0, 400.0, 900.0]
-        sub = dedisperse_subband(data, freqs, f_ref, 1e-3, dms)
-        batch = dedisperse_batch(data, freqs, f_ref, 1e-3, dms)
-        assert np.array_equal(sub, batch)
+        plan = plan_dedispersion(data, freqs, f_ref, 1e-3, dms)
+        assert plan.solo_rows == plan.groups == len(dms)
+        exact = _reference_dedisperse_block(data, freqs, f_ref, 1e-3, dms)
+        assert plan.block().tobytes() == exact.tobytes()
 
     def test_subband_falls_back_on_descending_frequencies(self):
-        """Channels ordered high to low take the exact path, byte for byte."""
+        """Channels ordered high to low: every row of a fine ladder is a
+        group of one, and the block is the exact one, byte for byte."""
         rng = np.random.default_rng(4)
         data, freqs, f_ref = _filterbank_block(rng, 12, 128)
         freqs = freqs[::-1].copy()
         dms = 20.0 + 0.05 * np.arange(32)
-        sub = dedisperse_subband(data, freqs, f_ref, 1e-3, dms)
-        batch = dedisperse_batch(data, freqs, f_ref, 1e-3, dms)
-        assert sub.tobytes() == batch.tobytes()
+        plan = plan_dedispersion(data, freqs, f_ref, 1e-3, dms)
+        assert plan.solo_rows == plan.groups == dms.size
+        exact = _reference_dedisperse_block(data, freqs, f_ref, 1e-3, dms)
+        assert plan.block().tobytes() == exact.tobytes()
 
     def test_subband_recovers_impulse_near_exact_peak(self):
-        """Structural equivalence subband ≈ direct on a noiseless dispersed
-        impulse: the subband path keeps the pulse's mass within the
+        """Structural equivalence engine ≈ exact block on a noiseless
+        dispersed impulse: the engine keeps the pulse's mass within the
         tolerance window around the exact peak."""
-        from repro.astro.dispersion import K_DM
-
-        n_chan, n_samples = 32, 512
         dms = 40.0 + 0.05 * np.arange(64)
-        data = np.zeros((n_chan, n_samples))
-        edges = np.linspace(300.0, 400.0, n_chan + 1)
-        freqs = 0.5 * (edges[:-1] + edges[1:])
-        true_dm = float(dms[32])
-        t0 = n_samples // 2
-        for ch in range(n_chan):
-            delay = K_DM * true_dm * (freqs[ch] ** -2 - 400.0**-2)
-            s = t0 + int(round(delay / 1e-3))
-            if s < n_samples:
-                data[ch, s] = 1.0
-        batch = dedisperse_batch(data, freqs, 400.0, 1e-3, dms)
-        d, i = np.unravel_index(batch.argmax(), batch.shape)
-        sub = dedisperse_subband(data, freqs, 400.0, 1e-3, dms)
-        assert sub.shape == batch.shape
+        data, freqs = _impulse_block(32, 512, float(dms[32]))
+        exact = _reference_dedisperse_block(data, freqs, 400.0, 1e-3, dms)
+        d, i = np.unravel_index(exact.argmax(), exact.shape)
+        plan = plan_dedispersion(data, freqs, 400.0, 1e-3, dms)
+        assert plan.solo_rows < plan.groups < dms.size  # partial sums are shared
+        sub = plan.block()
+        assert sub.shape == exact.shape
         window = sub[d, max(0, i - 8) : i + 9]
-        assert window.sum() >= 0.95 * batch[d, i]
+        assert window.sum() >= 0.95 * exact[d, i]
 
     @pytest.mark.parametrize("bad", [
         dict(tol_samples=float("nan")),
@@ -179,27 +180,31 @@ class TestBatchDedispersion:
         rng = np.random.default_rng(1)
         data, freqs, f_ref = _filterbank_block(rng, 16, 128)
         with pytest.raises(ValueError, match=next(iter(bad))):
-            dedisperse_subband(data, freqs, f_ref, 1e-3, 10.0 + 0.05 * np.arange(20),
-                               **bad)
+            plan_dedispersion(data, freqs, f_ref, 1e-3, 10.0 + 0.05 * np.arange(20),
+                              **bad)
 
-    def test_grid_dispatch_routes_methods(self):
+    def test_dedisperse_all_is_the_plan_block(self):
+        """The pinned wrapper is the engine's whole block, and its ``kernel``
+        argument selects nothing."""
         from repro.execution import KernelConfig
 
-        rng = np.random.default_rng(9)
-        data, freqs, f_ref = _filterbank_block(rng, 16, 200)
+        fb = synthesize_filterbank(duration_s=0.2, n_channels=16, seed=9)
         dms = 10.0 + 0.05 * np.arange(24)
-        direct = dedisperse_grid(data, freqs, f_ref, 1e-3, dms,
-                                 kernel=KernelConfig(method="direct"))
-        assert np.array_equal(direct, dedisperse_batch(data, freqs, f_ref, 1e-3, dms))
-        sub = dedisperse_grid(data, freqs, f_ref, 1e-3, dms,
-                              kernel=KernelConfig(method="subband"))
-        assert np.array_equal(sub, dedisperse_subband(data, freqs, f_ref, 1e-3, dms))
+        block = plan_dedispersion(
+            fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, dms,
+        ).block()
+        assert dedisperse_all(fb, dms).tobytes() == block.tobytes()
+        assert dedisperse_all(fb, dms, kernel=KernelConfig()).tobytes() == block.tobytes()
 
     def test_single_dm_wrapper_matches_batch(self):
+        """One DM is a ladder of one, a group of one: its row is the exact
+        row, and the row a coarse ladder holding that DM has."""
         fb = synthesize_filterbank(duration_s=0.5, n_channels=16, seed=5)
-        one = dedisperse(fb, 42.0)
-        block = dedisperse_all(fb, np.array([42.0]))
-        assert np.array_equal(one, block[0])
+        one = dedisperse_all(fb, [42.0])[0]
+        args = (fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s)
+        exact = _reference_dedisperse_block(*args, [42.0])[0]
+        assert one.tobytes() == exact.tobytes()
+        assert one.tobytes() == dedisperse_all(fb, [2.0, 42.0, 82.0])[1].tobytes()
 
 
 class TestSubbandEdges:

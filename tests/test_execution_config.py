@@ -2,9 +2,10 @@
 
 Validation of the frozen records, the environment < config < CLI
 resolution order for backend/workers, the one implementation name
-``resolve_impl`` still validates, the ``kernel_selected`` observability
-event ``single_pulse_search`` emits (and its trace-report section), and
-the CLI flag plumbing.
+``resolve_impl`` still validates, the ``kernel`` argument that selects
+nothing, the ``kernel_selected`` observability event
+``single_pulse_search`` emits (and its trace-report section), and the CLI
+flag plumbing.
 """
 
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles.frontend import _reference_exact_search
 
 from repro.execution import (
     BACKEND_ENV,
@@ -23,33 +25,50 @@ from repro.execution import (
 )
 
 
-def _select(method="subband", **subband_settings):
-    """Build ``KernelConfig(method=method)``, then dedisperse a small block
-    with ``dedisperse_subband`` at ``subband_settings``: the front end's two
-    places a bad kernel value can enter."""
-    from repro.astro.kernels import dedisperse_subband
+def _select(**settings):
+    """Build ``KernelConfig(method=...)`` if ``settings`` name a method,
+    then dedisperse a small block with ``plan_dedispersion`` at the rest:
+    the front end's two places a bad kernel value could enter."""
+    from repro.astro.kernels import plan_dedispersion
 
-    KernelConfig(method=method)
+    if "method" in settings:
+        KernelConfig(method=settings.pop("method"))
     data = np.ones((4, 32))
-    dedisperse_subband(data, np.linspace(300.0, 400.0, 4), 400.0, 1e-3,
-                       np.arange(0.0, 1.0, 0.1), **subband_settings)
+    plan_dedispersion(data, np.linspace(300.0, 400.0, 4), 400.0, 1e-3,
+                      np.arange(0.0, 1.0, 0.1), **settings).block()
 
 
 class TestKernelConfigValidation:
     def test_defaults_resolve(self):
-        """The front end's default is subband dedispersion."""
+        """One dedispersion engine and one boxcar: nothing to resolve."""
         k = KernelConfig().resolved()
-        assert k.method == "subband"
+        assert k == KernelConfig()
         assert k.impl == "numpy"
         assert k.boxcar == "cumsum"
 
     def test_boxcar_is_cumsum_for_every_method(self):
         """The boxcar is a class constant, not a field a caller can set."""
-        for method in ("direct", "subband"):
-            k = KernelConfig(method=method)
-            assert k.resolved() is k and k.boxcar == "cumsum"
+        k = KernelConfig()
+        assert k.resolved() is k and k.boxcar == "cumsum"
         with pytest.raises(TypeError):
             KernelConfig(boxcar="cumsum")
+
+    @pytest.mark.parametrize("kernel", ["direct", "subband", {"method": "direct"}, 0])
+    def test_a_kernel_that_is_not_a_kernel_config_is_refused(self, kernel):
+        """An argument that selects nothing must not run as the default: the
+        two functions that dedisperse refuse it by name.  A string used to
+        die in ``single_pulse_search`` with an ``AttributeError``."""
+        from repro.astro.filterbank import (
+            dedisperse_all,
+            single_pulse_search,
+            synthesize_filterbank,
+        )
+
+        fb = synthesize_filterbank(duration_s=0.1, n_channels=4)
+        with pytest.raises(TypeError, match="kernel must be a KernelConfig"):
+            single_pulse_search(fb, [10.0], kernel=kernel)
+        with pytest.raises(TypeError, match="kernel must be a KernelConfig"):
+            dedisperse_all(fb, [10.0], kernel=kernel)
 
     @pytest.mark.parametrize("bad", [
         dict(method="fft"),
@@ -60,11 +79,14 @@ class TestKernelConfigValidation:
         dict(n_subbands=0),
         dict(n_subbands=-2),
         dict(tol_samples=-1.0),
+        dict(method="direct"),
+        dict(method="subband"),
     ])
     def test_invalid_fields_rejected(self, bad):
-        """A method is a KernelConfig field; the subband settings are
-        ``dedisperse_subband``'s arguments."""
-        with pytest.raises(ValueError):
+        """There is no method to choose: ``KernelConfig(method=...)`` is a
+        ``TypeError``, whatever the name.  The subband settings are
+        ``plan_dedispersion``'s arguments (``ValueError``)."""
+        with pytest.raises(TypeError if "method" in bad else ValueError):
             _select(**bad)
 
     @pytest.mark.parametrize("bad", [
@@ -101,7 +123,7 @@ class TestKernelConfigValidation:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            KernelConfig().method = "tree"
+            KernelConfig().boxcar = "decomposed"
         with pytest.raises(Exception):
             ExecutionConfig().backend = "parallel"
 
@@ -165,7 +187,7 @@ class TestKernelSelectedObservability:
     """``single_pulse_search`` — the one place a kernel is selected — is
     the one emitter of ``kernel_selected``."""
 
-    def _search_with_trace(self, tmp_path, step=2.0, **kernel_fields):
+    def _search_with_trace(self, tmp_path, step=2.0):
         from repro.astro.filterbank import single_pulse_search, synthesize_filterbank
         from repro.obs import ObsConfig, ObsSession
         from repro.obs.events import KERNEL_SELECTED, read_events
@@ -175,44 +197,46 @@ class TestKernelSelectedObservability:
             ObsConfig(enabled=True, event_log_path=str(log)))
         fb = synthesize_filterbank(duration_s=2.0, n_channels=16, sample_time_s=2e-3)
         single_pulse_search(fb, np.arange(20.0, 60.0, step),
-                            kernel=KernelConfig(**kernel_fields), obs=session)
+                            kernel=KernelConfig(), obs=session)
         session.flush()
         return log, [e for e in read_events(log) if e["type"] == KERNEL_SELECTED]
 
     def test_event_emitted_with_resolution_fields(self, tmp_path):
-        _log, events = self._search_with_trace(tmp_path, method="subband")
+        _log, events = self._search_with_trace(tmp_path)
         assert len(events) == 1
         ev = events[0]
-        assert ev["method"] == "subband"
-        assert not {"boxcar", "impl", "impl_requested"} & ev.keys()
+        assert not {"method", "boxcar", "impl", "impl_requested"} & ev.keys()
         # A 2-unit ladder: no two trial DMs share a group.
         assert ev["groups"] == ev["solo_rows"] == 20
 
-    @pytest.mark.parametrize("method", ["direct", "subband"])
-    def test_event_counts_the_plan_groups(self, tmp_path, method):
-        """How much of the ladder subband reused: on a fine ladder most
-        rows share a group; ``direct`` is every row a group of one."""
+    @pytest.mark.parametrize("ladder", ["direct", "subband"])
+    def test_event_counts_the_plan_groups(self, tmp_path, ladder):
+        """How much of the ladder the plan shared: on a fine ladder most
+        rows share a group; on a coarse one every row is a group of one,
+        summed at its exact shifts (the ``direct`` block)."""
         from repro.obs import build_report, render_text
 
-        log, (ev,) = self._search_with_trace(tmp_path, step=0.05, method=method)
-        if method == "direct":
-            assert ev["groups"] == ev["solo_rows"] == 800
+        step = 2.0 if ladder == "direct" else 0.05
+        log, (ev,) = self._search_with_trace(tmp_path, step=step)
+        if ladder == "direct":
+            assert ev["groups"] == ev["solo_rows"] == 20
         else:
             assert ev["solo_rows"] < ev["groups"] < 800
         (sel,) = build_report(str(log))["kernels"]["selected"]
-        assert sel == {k: ev[k] for k in ("method", "groups", "solo_rows")}
-        assert (f"method={method} groups={ev['groups']} solo_rows={ev['solo_rows']}"
-                in render_text(build_report(str(log))))
+        assert sel == {k: ev[k] for k in ("groups", "solo_rows")}
+        text = render_text(build_report(str(log)))
+        assert f"selected: groups={ev['groups']} solo_rows={ev['solo_rows']}" in text
+        assert "method=" not in text
 
     def test_trace_report_surfaces_kernels_section(self, tmp_path):
         from repro.obs import build_report, render_text
 
-        log, _events = self._search_with_trace(tmp_path, method="subband")
+        log, _events = self._search_with_trace(tmp_path)
         report = build_report(str(log))
-        assert [sel["method"] for sel in report["kernels"]["selected"]] == ["subband"]
+        assert report["kernels"]["selected"] == [{"groups": 20, "solo_rows": 20}]
         text = render_text(report)
         assert "front-end kernels" in text
-        assert "subband" in text
+        assert "groups=20 solo_rows=20" in text
 
     def test_pipeline_trace_has_no_kernel_event(self, tmp_path):
         """A run that never dedisperses records no kernel choice."""
@@ -261,7 +285,7 @@ class TestCliPlumbing:
 class TestFrontendSearchIntegration:
     def test_survey_frontend_consistent_across_methods(self):
         """On a survey's band and DM ladder the front end finds the same
-        brightest candidate under every kernel method (tolerance-law
+        brightest candidate as the exact search (tolerance-law
         displacements are small against the DM-grid spacing)."""
         from repro.astro.filterbank import (
             InjectedPulse,
@@ -277,23 +301,22 @@ class TestFrontendSearchIntegration:
             f_high_mhz=survey.center_freq_mhz + survey.bandwidth_mhz / 2.0,
         )
         trial_dms = survey.dm_grid(coarsen=10.0).trial_dms()
-        results = {}
-        for method in ("direct", "subband"):
-            spes = single_pulse_search(
+        results = {
+            "direct": _reference_exact_search(fb, trial_dms, survey.snr_threshold),
+            "subband": single_pulse_search(
                 fb, trial_dms, snr_threshold=survey.snr_threshold,
-                kernel=KernelConfig(method=method),
-            )
+            ),
+        }
+        for method, spes in results.items():
             assert spes, method
             best = max(spes, key=lambda s: s.snr)
-            results[method] = best
-        for method, best in results.items():
             assert abs(best.dm - pulse.dm) <= 10.0, method
             assert abs(best.time_s - pulse.time_s) <= 0.5, method
 
     def test_search_with_default_kernel_matches_legacy(self):
         """On a coarse ladder every subband group is a group of one, summed
-        at its exact shifts, so the default kernel's SPEs are
-        kernel=KernelConfig(method='direct')'s, byte for byte."""
+        at its exact shifts, so the engine's SPEs are the exact search's,
+        byte for byte."""
         from repro.astro.filterbank import (
             InjectedPulse,
             single_pulse_search,
@@ -307,10 +330,10 @@ class TestFrontendSearchIntegration:
             seed=2,
         )
         trials = np.arange(30.0, 60.0, 1.5)
-        legacy = single_pulse_search(fb, trials, snr_threshold=6.0)
+        legacy = _reference_exact_search(fb, trials, 6.0)
         configured = single_pulse_search(
-            fb, trials, snr_threshold=6.0,
-            kernel=KernelConfig(method="direct"),
+            fb, trials, snr_threshold=6.0, kernel=KernelConfig(),
         )
+        assert legacy
         assert json.dumps([s.__dict__ for s in legacy], default=str) == \
             json.dumps([s.__dict__ for s in configured], default=str)

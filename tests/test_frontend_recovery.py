@@ -1,12 +1,14 @@
-"""The default front end against the exact one: what subband dedispersion
-may lose, and what it must not.
+"""The front end against the exact one: what subband dedispersion may
+lose, and what it must not.  The exact one is the search of
+``tests/oracles/frontend.py``'s exact block (``direct``: every channel at
+its exact shift).
 
 - **Recovery law.**  Injected pulses across S/N, DM and width, laid out
   the way akutkin/frb's ``create_samples`` lays out its fake FRBs (arrival
   times evenly spaced across the dynamic spectrum, ``zip(amps, widths,
   dms)`` injected, then every injected pulse looked for among the found
-  ones): the default kernel's best SPE S/N for each pulse is at least the
-  exact ``direct`` kernel's times ``1 − budget``.  The budget comes from
+  ones): the engine's best SPE S/N for each pulse is at least the exact
+  search's times ``1 − budget``.  The budget comes from
   the tolerance law — every channel within ``D = tol_samples + 1``
   samples of its exact shift.  Sliding one channel's window by at most
   ``D`` samples loses at most ``D`` times that channel's peak, so at
@@ -14,7 +16,7 @@ may lose, and what it must not.
   least ``z_d − D·√n_chan·A/√w``, where ``A`` bounds every channel's peak
   and ``z_d`` is direct's statistic there.  The subband row's best peak
   near the pulse is at least that.  The filterbanks are noiseless and
-  sparse, so every row's median and MAD are 0, both kernels divide by
+  sparse, so every row's median and MAD are 0, both searches divide by
   the same sigma floor, and the law is exact rather than statistical.
   Widths start at 1.5 ms, where every budget stays below 1 (≤ 0.67 on a
   scan of DM 10–30; a 1 ms pulse at DM ≈ 16 reaches 1.19, and a bound
@@ -23,12 +25,12 @@ may lose, and what it must not.
   worst-case budget would allow.
 - **Groups of one are the exact rows.**  A trial DM that shares its
   subband group with no neighbour is summed from the channels at its
-  exact shifts: its row is ``direct``'s, bit for bit, and a ladder of
-  singletons gives ``direct``'s whole block.
+  exact shifts: its row is the exact block's, bit for bit, and a ladder
+  of singletons gives the whole exact block.
 - **Degenerate filterbanks** (ROADMAP item 5(b)): constant, all-zero,
   one-channel, one-sample and zero-sample filterbanks and a one-trial
-  ladder go through ``single_pulse_search`` under both methods without an
-  error, and emit nothing.  A constant filterbank searched on a ladder
+  ladder go through ``single_pulse_search`` and through the exact search
+  without an error, and emit nothing.  A constant filterbank searched on a ladder
   whose shifts reach most of the series does not: the zero-filled tails
   the shifts leave read as an edge.  That case is a strict xfail until the
   search stops at each row's valid samples.
@@ -38,6 +40,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles.frontend import _reference_dedisperse_block, _reference_exact_search
 
 from repro.astro import kernels
 from repro.astro.filterbank import (
@@ -47,13 +50,11 @@ from repro.astro.filterbank import (
     single_pulse_search,
     synthesize_filterbank,
 )
-from repro.execution import KernelConfig
 
-DIRECT = KernelConfig(method="direct")
 #: Every channel's effective shift is within this many samples of its exact
-#: one (the tolerance law at the default kernel's settings).
+#: one (the tolerance law at the engine's default settings).
 D = kernels.TOL_SAMPLES + 1
-#: The default's best S/N stays above this fraction of direct's on every
+#: The engine's best S/N stays above this fraction of direct's on every
 #: drawn pulse (measured: 0.976 at worst).
 SNR_FLOOR = 0.95
 
@@ -86,6 +87,12 @@ def create_samples(snrs, dms, widths_ms, seed=0):
     return fb, pulses
 
 
+def _exact_block(fb, ladder, dtype=np.float32):
+    return _reference_dedisperse_block(
+        fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, fb.sample_time_s, ladder, dtype,
+    )
+
+
 def _best(spes, pulse):
     """The strongest SPE near ``pulse``: within 5 DM units and inside the
     pulse's extent plus the widest boxcar."""
@@ -114,9 +121,9 @@ class TestRecoveryLaw:
         fb, injected = create_samples(snrs, dms, widths)
         # Sparse by construction: each row's median and MAD are exactly 0.
         assert np.count_nonzero(fb.data) * 2 < fb.n_samples
-        direct = single_pulse_search(fb, LADDER, kernel=DIRECT)
+        direct = _reference_exact_search(fb, LADDER)
         default = single_pulse_search(fb, LADDER)
-        exact = dedisperse_all(fb, LADDER, out_dtype=np.float32, kernel=DIRECT)
+        exact = _exact_block(fb, LADDER)
         for pulse in injected:
             d = _best(direct, pulse)
             row = int(np.flatnonzero(LADDER == d.dm)[0])
@@ -143,14 +150,14 @@ class TestGroupsOfOne:
         self, n_chan, n_samples, dm_lo, steps, dtype, seed
     ):
         """Ladders mixing fine steps (shared groups) and coarse ones (groups
-        of one): every solo row equals ``direct``'s, bit for bit."""
+        of one): every solo row equals the exact block's, bit for bit."""
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(n_chan, n_samples))
         edges = np.linspace(300.0, 400.0, n_chan + 1)
         freqs = 0.5 * (edges[:-1] + edges[1:])
         dms = dm_lo + np.concatenate([[0.0], np.cumsum(steps)])
         plan = kernels.plan_dedispersion(data, freqs, 400.0, 1e-3, dms, out_dtype=dtype)
-        exact = kernels.dedisperse_batch(data, freqs, 400.0, 1e-3, dms, out_dtype=dtype)
+        exact = _reference_dedisperse_block(data, freqs, 400.0, 1e-3, dms, dtype)
         block = plan.block()
         solo = np.flatnonzero(plan.group_of < 0)
         assert plan.solo_rows == solo.size and plan.groups >= solo.size
@@ -165,7 +172,7 @@ class TestGroupsOfOne:
             out_dtype=dtype,
         )
         assert plan.groups == plan.solo_rows == dms.size
-        exact = dedisperse_all(fb, dms, out_dtype=dtype, kernel=DIRECT)
+        exact = _exact_block(fb, dms, dtype)
         assert dedisperse_all(fb, dms, out_dtype=dtype).tobytes() == exact.tobytes()
 
 
@@ -188,8 +195,8 @@ DEGENERATE = [
     pytest.param(_CONSTANT, np.array([1.5]), id="one-trial ladder"),
     # Rows at DM ≥ 22.9 keep ≈ 48 of their 512 samples; the step down to
     # the zero-filled tail is reported as a pulse: 3 SPEs of width 32 at
-    # DM 22.9–23.0 on each method (S/N 5.7–6.0; the two methods differ by
-    # one sample on two of them).
+    # DM 22.9–23.0 on each search (S/N 5.7–6.0; the engine and the exact
+    # search differ by one sample on two of them).
     pytest.param(
         _CONSTANT, _LONG, id="constant, long shifts",
         marks=pytest.mark.xfail(
@@ -200,8 +207,10 @@ DEGENERATE = [
 
 
 class TestDegenerateFilterbanks:
-    @pytest.mark.parametrize("method", ["direct", "subband"])
+    @pytest.mark.parametrize(
+        "search", [_reference_exact_search, single_pulse_search], ids=["direct", "subband"]
+    )
     @pytest.mark.parametrize("data,ladder", DEGENERATE)
-    def test_finds_nothing_without_an_error(self, data, ladder, method):
+    def test_finds_nothing_without_an_error(self, data, ladder, search):
         fb = Filterbank(data, 300.0, 400.0, T_SAMP)
-        assert single_pulse_search(fb, ladder, kernel=KernelConfig(method=method)) == []
+        assert search(fb, ladder) == []

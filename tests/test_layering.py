@@ -15,7 +15,7 @@ LIVE = sorted((REPO / "src").rglob("*.py")) + sorted((REPO / "examples").glob("*
 ORACLES = sorted((REPO / "tests" / "oracles").glob("*.py"))
 
 #: Defined exactly once under ``tests/oracles/`` (``record_path.py``; the
-#: seven front-end names in ``frontend.py``; the five per-feature split-search
+#: nine front-end names in ``frontend.py``; the five per-feature split-search
 #: and per-segment MDL names in ``ml_hist.py``).
 RELOCATED = {
     "PulseFeatures",
@@ -28,6 +28,8 @@ RELOCATED = {
     "_reference_build_data_file",
     "_reference_dbscan",
     "_reference_dedisperse",
+    "_reference_dedisperse_block",
+    "_reference_exact_search",
     "_reference_best_cut",
     "_reference_best_hist_split",
     "_reference_find_peaks",
@@ -49,8 +51,11 @@ RELOCATED = {
 #: Record adapters the batch types no longer carry, the one deleted reader,
 #: the tree dedispersion and decomposed boxcar kernels, the per-row boxcar
 #: helpers the row-blocked search replaced, the two ``Dataset`` methods
-#: nothing called, and the second spelling of a run (the pipeline class,
-#: the facade's copy into it, and the paper-partitioning constructor).
+#: nothing called, the second spelling of a run (the pipeline class,
+#: the facade's copy into it, and the paper-partitioning constructor), and
+#: every way to dedisperse but the one engine and its pinned wrapper (the
+#: exact block, the subband block, the configured block, the one-DM row,
+#: the method list and the all-singletons plan builder).
 GONE = {
     "_best_z",
     "_widths_at",
@@ -73,6 +78,12 @@ GONE = {
     "SinglePulsePipeline",
     "_pipeline_for",
     "with_paper_partitioning",
+    "dedisperse_batch",
+    "dedisperse_subband",
+    "dedisperse_grid",
+    "dedisperse",
+    "KERNEL_METHODS",
+    "_direct_plan",
 }
 
 
@@ -232,21 +243,34 @@ def test_simulator_is_the_failure_free_fig4_engine():
     assert not any(hasattr(repro.sparklet.simulation, name) for name in gone)
 
 
-def test_front_end_has_two_dedispersion_methods_and_one_boxcar():
-    """Exact ``direct`` and tolerance-bounded ``subband``, the default; the
-    boxcar search is the cumulative-sum one, a constant rather than a
-    choice."""
+def test_front_end_has_one_dedispersion_engine_and_one_boxcar():
+    """``plan_dedispersion`` is the one engine and ``dedisperse_all`` its
+    pinned wrapper; the boxcar search is the cumulative-sum one.
+    ``KernelConfig`` selects nothing: it has no init fields, and keeps what
+    the end-to-end harness reads of it."""
     import dataclasses
+    import inspect
 
+    import repro.astro.filterbank as filterbank
+    import repro.astro.kernels as kernels
     import repro.execution as execution
-    from repro.execution import KERNEL_METHODS, KernelConfig
+    from repro.execution import KernelConfig
 
-    assert KERNEL_METHODS == ("direct", "subband")
+    dedisperse = {
+        name for module in (kernels, filterbank) for name in module.__dict__
+        if "dedispers" in name and inspect.isfunction(getattr(module, name))
+    }
+    assert dedisperse == {"plan_dedispersion", "dedisperse_all"}
+    params = inspect.signature(kernels.plan_dedispersion).parameters
+    assert "kernel" not in params
+    assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == [
+        "n_subbands", "tol_samples",
+    ]
     assert not hasattr(execution, "BOXCAR_MODES")
-    # The subband settings are constants of the kernels module.
-    assert [f.name for f in dataclasses.fields(KernelConfig)] == ["method"]
-    assert KernelConfig().method == "subband"
-    assert KernelConfig.boxcar == "cumsum"
+    assert [f.name for f in dataclasses.fields(KernelConfig) if f.init] == []
+    k = KernelConfig()
+    assert k.resolved() is k
+    assert (k.boxcar, k.impl) == ("cumsum", "numpy")
 
 
 #: A config dataclass is a ``@dataclass`` in ``src/`` named for the policy it

@@ -12,6 +12,10 @@ from __future__ import annotations
 import glob
 import os
 import pickle
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,71 @@ def test_candidate_db_insert_and_query(tmp_path):
     assert db.get_run(run_id)["survey"] == "GBT350Drift"
     assert db.get_candidate(10_000) is None
     db.close()
+
+
+#: One writer process: connect, say so with a ``<go>.<tag>`` file, wait for
+#: the go file, then record ``runs`` runs of ``cands`` candidates each, one
+#: connection throughout, and print when it started and finished writing.
+_WRITER = """
+import os, sys, time
+from repro.memo import CandidateDB
+path, go, tag, runs, cands = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
+db = CandidateDB(path)
+open(f"{go}.{tag}", "w").close()
+while not os.path.exists(go):
+    time.sleep(0.001)
+start = time.time()
+for r in range(runs):
+    run_id = db.insert_run(kind="drapid", survey=tag, seed=r, config_digest="cd",
+                           config_json="{}", lineage_hash=f"{tag}-{r}", n_pulses=cands)
+    db.insert_candidates(run_id, [
+        (f"{tag}-{r}", c, float(c), 10.0, float(r), 1, f"{tag}-{r}-{c}")
+        for c in range(cands)
+    ])
+print(start, time.time())
+db.close()
+"""
+
+
+def test_candidate_db_takes_two_concurrent_writers(tmp_path):
+    """Two processes record runs into one database file at once (ROADMAP
+    5(b)): both finish, and every run and candidate row is there, each
+    candidate under its own run.  The writer that waits rides on sqlite's
+    default 5 s busy timeout."""
+    path, go = tmp_path / "cand.sqlite", tmp_path / "go"
+    runs, cands = 150, 20
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(path), str(go), tag, str(runs), str(cands)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for tag in ("a", "b")
+    ]
+    deadline = time.monotonic() + 60
+    while not all(Path(f"{go}.{tag}").exists() for tag in ("a", "b")):
+        assert time.monotonic() < deadline and all(w.poll() is None for w in writers)
+        time.sleep(0.01)
+    go.touch()
+    spans = []
+    for writer in writers:
+        out, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err
+        spans.append([float(t) for t in out.split()])
+    (a_start, a_end), (b_start, b_end) = spans
+    assert a_start < b_end and b_start < a_end  # the writers overlapped
+    db = CandidateDB(str(path))
+    try:
+        assert db.counts() == (2 * runs, 2 * runs * cands)
+        rows = db._conn.execute(
+            "SELECT r.lineage_hash, c.observation_key, COUNT(*) FROM candidates c"
+            " JOIN runs r USING (run_id) GROUP BY c.run_id"
+        ).fetchall()
+        assert sorted((h, k, n) for h, k, n in rows) == sorted(
+            (f"{tag}-{r}", f"{tag}-{r}", cands) for tag in ("a", "b") for r in range(runs)
+        )
+    finally:
+        db.close()
 
 
 # -- config resolution --------------------------------------------------------
