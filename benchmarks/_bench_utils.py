@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,8 +28,26 @@ def emit(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
+def measured_at() -> str | None:
+    """``git rev-parse --short HEAD`` of the checkout, plus ``-dirty`` when
+    ``src/`` differs from it: the code a result was measured on."""
+    root = Path(__file__).resolve().parent.parent
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=root,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        clean = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", "src"], cwd=root,
+        ).returncode == 0
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return head if clean else f"{head}-dirty"
+
+
 def write_result(path: Path, results: dict) -> str:
-    """Persist a benchmark's JSON at the repo root — full-scale runs only.
+    """Persist a benchmark's JSON at the repo root — full-scale runs only,
+    stamped with :func:`measured_at`.
 
     A smoke run (``results["smoke"]`` true) is a CI gate, not a measurement,
     and must not overwrite the committed full-scale numbers; its table still
@@ -37,6 +56,7 @@ def write_result(path: Path, results: dict) -> str:
     """
     if results.get("smoke"):
         return f"smoke run: {path.name} not rewritten"
+    results["measured_at"] = measured_at()
     path.write_text(json.dumps(results, indent=2) + "\n")
     return f"written: {path}"
 

@@ -6,10 +6,11 @@ partitions per core) and on a single 6-core box with 1/5/10/15/20 threads.
 
 Reproduction: a PALFA-like SPE workload is pushed through the *real*
 D-RAPID driver (every task executes, results are exact, per-task costs are
-measured), then the measured job is replayed on the discrete-event cluster
-simulator at each executor count, with ``data_scale`` mapping the scaled
-workload's bytes to the paper's 10.2 GB so the 1-executor configuration
-experiences the same memory-pressure regime.  The multithreaded baseline
+measured, each the median of five runs), then the measured job is replayed
+on the discrete-event cluster simulator at each executor count, with
+``data_scale`` mapping the scaled workload's bytes to the paper's 10.2 GB
+so the 1-executor configuration experiences the same memory-pressure
+regime.  The multithreaded baseline
 really runs D-RAPID's unit of work — one ``search_observation_columns`` per
 observation (``core.multithreaded.observation_search_tasks``), plus the
 parsing of the csv rows it reads — and replays the measured costs on the
@@ -23,6 +24,8 @@ baseline.
 """
 
 import functools
+import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +50,24 @@ from repro.sparklet.cluster import ExecutorSpec, paper_testbed
 PAPER_DATA_BYTES = 10.2 * 1024**3
 EXECUTOR_COUNTS = [1, 5, 10, 15, 20]
 THREAD_COUNTS = [1, 5, 10, 15, 20]
+#: Runs of each side; every task is charged its median duration over them.
+ROUNDS = 5
+
+
+def median_task_metrics(runs):
+    """One job like ``runs[0]`` whose every task lasts its median duration
+    over the runs (each run executes the same stages and partitions)."""
+    shape = [[(s.name, [t.partition for t in s.tasks]) for s in r.stages] for r in runs]
+    assert all(sh == shape[0] for sh in shape), "runs must execute the same tasks"
+    stages = [
+        replace(stage, tasks=[
+            replace(task, duration_s=statistics.median(
+                r.stages[k].tasks[j].duration_s for r in runs))
+            for j, task in enumerate(stage.tasks)
+        ])
+        for k, stage in enumerate(runs[0].stages)
+    ]
+    return replace(runs[0], stages=stages)
 
 
 @pytest.fixture(scope="module")
@@ -93,30 +114,61 @@ def workload():
 def test_fig4_drapid_vs_multithreaded(benchmark, workload):
     observations, dfs, data_path, cluster_path, data_bytes = workload
 
-    # --- run D-RAPID for real, capturing task-level metrics -----------------
+    # --- run D-RAPID and the multithreaded baseline for real ----------------
     rm = paper_testbed()
     spec = ExecutorSpec()
     assert rm.max_executors(spec) == 22  # the paper's ceiling
-    ctx = SparkletContext(default_parallelism=8)
-    driver = DRapidDriver(
-        ctx=ctx, dfs=dfs, grids=dataset_grids(observations),
-        num_partitions=paper_partitions(2 * max(EXECUTOR_COUNTS)),
-    )
-    # Min-of-2: rerun the whole job with a fresh context and keep the run
-    # with the lower total measured CPU — the classic defence against a
-    # noisy/throttling host contaminating per-task timings.
-    result = benchmark.pedantic(
-        lambda: driver.run(data_path, cluster_path), rounds=1, iterations=1
-    )
-    ctx2 = SparkletContext(default_parallelism=8)
-    driver2 = DRapidDriver(
-        ctx=ctx2, dfs=dfs, grids=driver.grids,
-        num_partitions=driver.num_partitions,
-    )
-    result2 = driver2.run(data_path, cluster_path, ml_output_path="/ml/out2")
-    if result2.metrics.total_task_seconds < result.metrics.total_task_seconds:
-        result = result2
+    grids = dataset_grids(observations)
+    num_partitions = paper_partitions(2 * max(EXECUTOR_COUNTS))
+
+    def drapid_run(round_i):
+        driver = DRapidDriver(
+            ctx=SparkletContext(default_parallelism=8), dfs=dfs, grids=grids,
+            num_partitions=num_partitions,
+        )
+        return driver.run(data_path, cluster_path, ml_output_path=f"/ml/out{round_i}")
+
+    # The multithreaded RAPID reads the same csv files, so its task set is
+    # per-observation parsing — with D-RAPID's codec, one tokeniser call per
+    # observation — plus per-observation searching.
+    tasks = []
+    for obs, search in zip(observations, observation_search_tasks(observations)):
+        tasks += [functools.partial(SPEBatch.from_data_rows, obs.spe_batch.to_csv_rows()),
+                  search]
+
+    def baseline_run():
+        # Task costs are measured serially (one worker): with real cores the
+        # paper's Java threads do not contend for the interpreter the way
+        # CPython's would, so contention-free durations are the right input.
+        runner = MultithreadedRapid(n_threads=1)
+        found = PulseBatch.concat(runner.run(tasks)[1::2])
+        return found, runner.durations
+
+    # Both sides are sums of sub-millisecond task timings, and one task that
+    # the host stalls can set the modelled makespan at 20 executors; a host
+    # that slows down during one side's run moves every ratio.  So both sides
+    # run ROUNDS times, back to back with alternating order, and every task
+    # is charged its median duration over the rounds.
+    drapid_runs, baseline_runs = [], []
+    for i in range(ROUNDS):
+        if i % 2:
+            baseline_runs.append(baseline_run())
+            drapid_runs.append(drapid_run(i))
+        else:
+            drapid_runs.append(
+                benchmark.pedantic(drapid_run, args=(i,), rounds=1, iterations=1)
+                if i == 0 else drapid_run(i)
+            )
+            baseline_runs.append(baseline_run())
+    result = drapid_runs[0]
     assert result.n_pulses > 0
+    assert all(r.pulse_batch == result.pulse_batch for r in drapid_runs)
+    job = median_task_metrics([r.metrics for r in drapid_runs])
+    baseline = baseline_runs[0][0]
+    assert baseline == PulseBatch.concat(
+        [run_rapid_observation_batch(obs).pulse_batch for obs in observations]
+    ), "baseline and serial RAPID must find the same pulses, bit for bit"
+    durations = [statistics.median(d) for d in zip(*(d for _, d in baseline_runs))]
 
     data_scale = PAPER_DATA_BYTES / max(data_bytes, 1)
 
@@ -125,31 +177,11 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
     spill = {}
     for n in EXECUTOR_COUNTS:
         cfg = ClusterConfig(num_executors=n, executor_spec=spec, data_scale=data_scale)
-        run = simulate_job(result.metrics, cfg)
+        run = simulate_job(job, cfg)
         drapid_elapsed[n] = run.elapsed_s
         spill[n] = run.total_spilled_bytes
 
-    # --- really run the multithreaded baseline, then model the box ----------
-    # The multithreaded RAPID reads the same csv files, so its task set is
-    # per-observation parsing — with D-RAPID's codec, one tokeniser call per
-    # observation — plus per-observation searching.
-    tasks = []
-    for obs, search in zip(observations, observation_search_tasks(observations)):
-        tasks += [functools.partial(SPEBatch.from_data_rows, obs.spe_batch.to_csv_rows()),
-                  search]
-    # Measure task costs serially (one worker): with real cores the paper's
-    # Java threads do not contend for the interpreter the way CPython's
-    # would, so contention-free durations are the right model input.
-    runner = MultithreadedRapid(n_threads=1)
-    baseline = PulseBatch.concat(runner.run(tasks)[1::2])
-    assert baseline == PulseBatch.concat(
-        [run_rapid_observation_batch(obs).pulse_batch for obs in observations]
-    ), "baseline and serial RAPID must find the same pulses, bit for bit"
-    durations = runner.durations
-    runner2 = MultithreadedRapid(n_threads=1)
-    runner2.run(tasks)
-    if sum(runner2.durations) < sum(durations):
-        durations = runner2.durations
+    # --- model the box over the baseline's measured task costs --------------
     box = ThreadedBoxModel()
     # Apply the same homothetic workload scale as the cluster simulation so
     # both machines process the paper-sized 10.2 GB job.
@@ -170,8 +202,8 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
         f"workload: {sum(len(o.spes) for o in observations)} SPEs, "
         f"{n_clusters} clusters, {data_bytes / 1024**2:.1f} MiB on DFS "
         f"(data_scale {data_scale:.0f}x -> paper's 10.2 GB)\n"
-        f"executors: 2 cores / 2560 MB each; {driver.num_partitions} partitions "
-        f"(32 per core)\n\n"
+        f"executors: 2 cores / 2560 MB each; {num_partitions} partitions "
+        f"(32 per core); each task's median duration over {ROUNDS} runs\n\n"
         + format_table(
             ["n", "D-RAPID elapsed (s)", "multithreaded (s)", "D-RAPID/MT", "spilled"],
             rows,
@@ -186,10 +218,9 @@ def test_fig4_drapid_vs_multithreaded(benchmark, workload):
     assert knee_gain > tail_gain, "knee of the curve must be at 5 executors"
 
     # RQ2: with >=5 executors D-RAPID beats the multithreaded baseline and
-    # the best ratio approaches the paper's 22-37% band.  (The absolute
-    # ratio swings ±0.15 between runs on this single-core host because both
-    # cost bases are sums of sub-millisecond task timings; representative
-    # runs land at 0.28-0.50 — see EXPERIMENTS.md.)
+    # the best ratio approaches the paper's 22-37% band.  (With per-task
+    # medians the 20-executor ratio read 0.23-0.29 over six runs, the
+    # 1-executor one 0.96-1.08 — see EXPERIMENTS.md.)
     ratios = {n: e[n] / mt_elapsed[n] for n in (5, 10, 15, 20)}
     assert all(r < 1.0 for r in ratios.values())
     assert min(ratios.values()) < 0.62

@@ -31,7 +31,7 @@ Times the three front-end stages the ISSUE targets, at several
   exact block's.
 
 Writes ``BENCH_frontend_kernels.json`` at the repo root (the perf
-trajectory baseline, with the ``git describe`` of the checkout measured)
+trajectory baseline, stamped with the commit measured)
 and a table under ``benchmarks/results/``.
 
 Run:    PYTHONPATH=src python benchmarks/bench_frontend_kernels.py [--smoke]
@@ -41,7 +41,6 @@ or:     PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_frontend_ker
 from __future__ import annotations
 
 import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -85,19 +84,6 @@ SEARCH_SCALES: tuple[tuple[str, int, float, float, int], ...] = (
     ("medium", 64, 30.0, 1e-3, 50),
     ("headline", 64, 60.0, 1e-3, 100),
 )
-
-
-def _measured_commit() -> str | None:
-    """``git describe --always --dirty`` of the checkout: the commit the
-    numbers were taken on, marked ``-dirty`` if its tree had changes."""
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
 
 
 def _exact_block(fb, trials, out_dtype=np.float64) -> np.ndarray:
@@ -492,7 +478,6 @@ def run_all() -> dict:
     results = {
         "benchmark": "frontend_kernels",
         "generated_by": "benchmarks/bench_frontend_kernels.py",
-        "measured_at": _measured_commit(),
         "smoke": False,
         "single_pulse_search": search,
         "dedispersion": dedisp,

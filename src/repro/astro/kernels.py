@@ -344,6 +344,8 @@ def _channel_rows(
     data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError("data must be 2-D (channels × samples)")
+    if data.shape[0] == 0:
+        raise ValueError("data has 0 channels; dedispersion needs at least 1")
     freqs_mhz = np.asarray(freqs_mhz, dtype=np.float64)
     if freqs_mhz.shape != data.shape[:1]:
         raise ValueError(

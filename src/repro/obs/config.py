@@ -4,8 +4,9 @@ Every subsystem that can observe itself (Sparklet scheduler, DFS client,
 pipeline stages, the cluster simulator) takes an :class:`ObsConfig` — or an
 already-constructed :class:`~repro.obs.session.ObsSession` — and does
 *nothing* when observability is disabled, which is the default.  The
-``bench_observability`` benchmark asserts the disabled path costs < 2%
-end to end.  An enabled session publishes metrics into a registry of its
+end-to-end benchmark measures what enabling it costs
+(``trace.overhead_frac``); its ``wall_s`` no-regression gate holds the
+disabled path.  An enabled session publishes metrics into a registry of its
 own; there is no process-wide registry.
 """
 

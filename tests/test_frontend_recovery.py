@@ -30,7 +30,8 @@ its exact shift).
 - **Degenerate filterbanks** (ROADMAP item 5(b)): constant, all-zero,
   one-channel, one-sample and zero-sample filterbanks and a one-trial
   ladder go through ``single_pulse_search`` and through the exact search
-  without an error, and emit nothing.  A constant filterbank searched on a ladder
+  without an error, and emit nothing; a filterbank with no channels is a
+  ``ValueError`` naming its channel count.  A constant filterbank searched on a ladder
   whose shifts reach most of the series does not: the zero-filled tails
   the shifts leave read as an edge.  That case is a strict xfail until the
   search stops at each row's valid samples.
@@ -214,3 +215,19 @@ class TestDegenerateFilterbanks:
     def test_finds_nothing_without_an_error(self, data, ladder, search):
         fb = Filterbank(data, 300.0, 400.0, T_SAMP)
         assert search(fb, ladder) == []
+
+    @pytest.mark.parametrize("entry", ["single_pulse_search", "dedisperse_all", "plan"])
+    def test_zero_channels_is_a_typed_error(self, entry):
+        """``Filterbank`` accepts a block with no channels, which has nothing
+        to dedisperse: every way in refuses it by its channel count instead
+        of dividing by zero while it splits the band into subbands."""
+        fb = Filterbank(np.zeros((0, 64), dtype=np.float32), 300.0, 400.0, T_SAMP)
+        calls = {
+            "single_pulse_search": lambda: single_pulse_search(fb, _FINE),
+            "dedisperse_all": lambda: dedisperse_all(fb, _FINE),
+            "plan": lambda: kernels.plan_dedispersion(
+                fb.data, fb.channel_freqs_mhz, fb.f_high_mhz, T_SAMP, _FINE
+            ),
+        }
+        with pytest.raises(ValueError, match="0 channels"):
+            calls[entry]()

@@ -177,7 +177,7 @@ def test_core_public_surface_names_only_what_runs():
 LAW_OPERATORS = {
     # the generic shuffle of the fault, obs and memo suites (test_sparklet_faults,
     # test_sparklet_scheduler, test_chaos_fault_tolerance, test_properties_memo,
-    # ...) and of bench_observability.py
+    # test_obs_events, ...)
     "reduce_by_key",
     # bench_ablations.py: the paper's aggregateByKey-vs-groupByKey argument
     "group_by_key",
