@@ -2,7 +2,7 @@
 
 Demonstrates the distributed side of the paper:
 
-- a simulated HDFS cluster with replication and a datanode failure,
+- a simulated HDFS cluster with block replication,
 - the Fig. 3 staged dataflow (map to KVP → partition → aggregate → left
   outer join → search) with the shuffle-free copartitioned join,
 - cluster simulation: how elapsed time would scale on the paper's
@@ -41,13 +41,11 @@ def main() -> None:
     n_clusters = sum(len(o.clusters) for o in observations)
     print(f"workload: {len(observations)} observations, {n_spes} SPEs, {n_clusters} clusters")
 
-    # --- DFS with replication; lose a datanode mid-flight --------------------
+    # --- DFS with replication -------------------------------------------------
     dfs = DFSClient([DataNode(f"dn{i}") for i in range(15)], replication=3,
                     block_size=64 * 1024)
     data_path, cluster_path = upload_observations(dfs, observations)
-    dfs.kill_datanode("dn3")
-    print(f"uploaded {len(dfs.get(data_path)) / 1024:.0f} KiB to the DFS; "
-          f"dn3 killed, blocks re-replicated")
+    print(f"uploaded {len(dfs.get(data_path)) / 1024:.0f} KiB to the DFS")
 
     # --- YARN grant + D-RAPID -------------------------------------------------
     rm = paper_testbed()

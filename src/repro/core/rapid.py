@@ -207,7 +207,12 @@ def run_rapid_observation_batch(
     clusters of at least ``min_cluster_size`` SPEs to
     :func:`search_observation_columns`.  Each cluster's search region is
     its DM × time box over the full SPE list — exactly what D-RAPID does
-    after its join, so serial and distributed results are bit-identical.
+    after its join.  The two are bit-identical when the grid's trial DMs
+    survive D-RAPID's ``%.3f`` data file unchanged; a ladder value with
+    float noise (``21.400000000000002``) is snapped there, and Algorithm 1
+    can then split a cluster differently (one pulse apart on
+    ``examples/survey_search.py``'s input; a strict xfail in
+    ``test_integration_end_to_end``).
     """
     searched = searched_clusters(obs, min_cluster_size)
     batch = obs.spe_batch

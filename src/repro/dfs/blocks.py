@@ -26,8 +26,8 @@ class Block:
     """One chunk of file payload.
 
     ``data`` is raw bytes; the DFS is content-agnostic.  ``size`` is kept
-    explicitly so capacity accounting works even if a caller truncates
-    ``data`` (tests exercise this).
+    explicitly so byte accounting works even if a caller truncates ``data``
+    (tests exercise this).
     """
 
     block_id: BlockId

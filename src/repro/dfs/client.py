@@ -1,13 +1,12 @@
-"""DFS client: the user-facing put/get API plus replication maintenance."""
+"""DFS client: the user-facing put/get API and replica placement."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.dfs.blocks import DEFAULT_BLOCK_SIZE, Block, BlockId, split_into_blocks
-from repro.dfs.datanode import DataNode, DataNodeFullError
+from repro.dfs.datanode import DataNode
 from repro.dfs.namenode import NameNode
 from repro.obs import events as obs_events
 from repro.obs.session import ObsSession
@@ -17,35 +16,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DFSError(RuntimeError):
-    """Generic DFS failure (placement impossible, block unreadable, ...)."""
+    """Generic DFS failure (a block with no readable replica)."""
 
 
 class FileNotFoundInDFS(DFSError):
     """Requested path does not exist in the namespace."""
 
 
-@dataclass(frozen=True)
-class HeartbeatReport:
-    """What one heartbeat sweep observed and repaired."""
-
-    now: float
-    #: Nodes declared dead this tick (heartbeat older than the timeout).
-    declared_dead: tuple[str, ...]
-    #: Replicas created by re-replication this tick.
-    replicas_restored: int
-    #: Nodes that (re)registered this tick and had their block reports
-    #: processed (first contact, or a revival after being declared dead).
-    registered: tuple[str, ...]
-
-
 class DFSClient:
     """Front door to a simulated DFS cluster.
+
+    Every datanode is live for the client's lifetime: the model is the
+    block/locality map D-RAPID's copartitioned join needs, not a failure
+    model (fault behaviour is Sparklet's chaos law, on real tasks).
 
     Parameters
     ----------
     datanodes:
-        The storage nodes.  At least ``replication`` many are needed to place
-        every block at the requested replication factor.
+        The storage nodes.  A block gets ``min(replication, len(datanodes))``
+        replicas.
     replication:
         Replica count per block (HDFS default is 3).
     block_size:
@@ -54,8 +43,8 @@ class DFSClient:
         Seeds the placement RNG so tests are deterministic.
     obs:
         Optional :class:`~repro.obs.ObsConfig` or shared
-        :class:`~repro.obs.ObsSession`; DFS activity (puts, deletes,
-        heartbeats, node deaths, re-replication) lands in its event log.
+        :class:`~repro.obs.ObsSession`; puts and deletes land in its
+        event log.
     """
 
     def __init__(
@@ -82,17 +71,11 @@ class DFSClient:
         self._rng = random.Random(seed)
 
     # -- helpers --------------------------------------------------------------
-    def _live_nodes(self) -> list[DataNode]:
-        return [n for n in self._nodes.values() if n.alive]
-
-    def _place_block(self, block: Block, exclude: set[str] | None = None) -> list[str]:
-        """Choose replica targets: emptiest-first among live nodes that fit."""
-        exclude = exclude or set()
-        candidates = [
-            n for n in self._live_nodes() if n.node_id not in exclude and n.can_fit(block.size)
-        ]
-        # Shuffle before the stable sort so capacity ties break randomly,
-        # spreading blocks instead of piling onto the first node.
+    def _place_block(self) -> list[str]:
+        """Replica targets, emptiest node first."""
+        candidates = list(self._nodes.values())
+        # Shuffle before the stable sort so ties break randomly, spreading
+        # blocks instead of piling onto the first node.
         self._rng.shuffle(candidates)
         candidates.sort(key=lambda n: n.used_bytes)
         return [n.node_id for n in candidates]
@@ -100,38 +83,17 @@ class DFSClient:
     # -- public API -------------------------------------------------------------
     def put(self, path: str, payload: bytes) -> None:
         """Write ``payload`` at ``path``, chunked and replicated."""
-        if self.namenode.exists(path):
-            raise FileExistsError(f"DFS path already exists: {path}")
         blocks = split_into_blocks(path, payload, self.block_size)
-        effective = min(self.replication, len(self._live_nodes()))
-        if effective == 0:
-            raise DFSError("no live datanodes")
-        # Store block by block; on any placement failure roll back every
-        # replica written so far, so a failed put leaves no partial state.
-        stored: list[tuple[Block, list[str]]] = []
-        try:
-            for block in blocks:
-                targets = self._place_block(block)[:effective]
-                if len(targets) < effective:
-                    raise DFSError(
-                        f"cannot place block {block.block_id} at replication {effective}: "
-                        f"only {len(targets)} node(s) have space"
-                    )
-                for node_id in targets:
-                    self._nodes[node_id].store(block)
-                stored.append((block, targets))
-        except (DFSError, DataNodeFullError):
-            for block, targets in stored:
-                for node_id in targets:
-                    self._nodes[node_id].drop(block.block_id)
-            raise DFSError(f"put of {path} failed; rolled back") from None
-        self.namenode.create_file(path, len(payload), [b.block_id for b, _t in stored])
-        for block, targets in stored:
-            for node_id in targets:
+        effective = min(self.replication, len(self._nodes))
+        # Raises FileExistsError before any replica is stored.
+        self.namenode.create_file(path, len(payload), [b.block_id for b in blocks])
+        for block in blocks:
+            for node_id in self._place_block()[:effective]:
+                self._nodes[node_id].store(block)
                 self.namenode.add_replica(block.block_id, node_id)
         if self.obs.enabled:
             self.obs.emit(obs_events.DFS_PUT, path=path, n_bytes=len(payload),
-                          n_blocks=len(stored), replication=effective)
+                          n_blocks=len(blocks), replication=effective)
             self.obs.registry.counter("dfs.bytes_written").inc(len(payload))
 
     def put_text(self, path: str, text: str) -> None:
@@ -154,8 +116,8 @@ class DFSClient:
         replicas = sorted(self.namenode.replicas_of(block_id))
         self._rng.shuffle(replicas)
         for node_id in replicas:
-            node = self._nodes.get(node_id)
-            if node is not None and node.has(block_id):
+            node = self._nodes[node_id]
+            if node.has(block_id):
                 return node.read(block_id)
         raise DFSError(f"all replicas of {block_id} unavailable")
 
@@ -167,9 +129,7 @@ class DFSClient:
         entry = self.namenode.get_file(path)
         for bid in entry.block_ids:
             for node_id in self.namenode.replicas_of(bid):
-                node = self._nodes.get(node_id)
-                if node is not None:
-                    node.drop(bid)
+                self._nodes[node_id].drop(bid)
         self.namenode.delete_file(path)
         if self.obs.enabled:
             self.obs.emit(obs_events.DFS_DELETE, path=path,
@@ -185,89 +145,6 @@ class DFSClient:
     def block_locations(self, path: str) -> list[tuple[BlockId, set[str]]]:
         entry = self.namenode.get_file(path)
         return [(bid, self.namenode.replicas_of(bid)) for bid in entry.block_ids]
-
-    # -- failure handling --------------------------------------------------------
-    def kill_datanode(self, node_id: str) -> None:
-        """Simulate a datanode crash and trigger re-replication."""
-        node = self._nodes[node_id]
-        node.kill()
-        self.namenode.forget_node(node_id)
-        self.namenode.forget_heartbeat(node_id)
-        if self.obs.enabled:
-            self.obs.emit(obs_events.DFS_NODE_DEAD, node_id=node_id, cause="killed")
-            self.obs.registry.counter("dfs.nodes_dead").inc()
-        self.rereplicate()
-
-    def heartbeat_tick(self, now: float, timeout: float = 30.0) -> HeartbeatReport:
-        """One sweep of the namenode's heartbeat monitor at time ``now``.
-
-        Live datanodes check in; a node whose last heartbeat is older than
-        ``timeout`` is declared dead (its replica records dropped, its blocks
-        re-replicated from surviving copies).  A node heartbeating with no
-        tracked heartbeat — first contact, or a revival after expiry — has
-        its block report processed: replicas of known blocks re-register,
-        orphan blocks (deleted files) are invalidated on the node.
-
-        Drive this with a monotonically increasing clock; the DFS has no
-        clock of its own, so failure detection is deterministic.
-        """
-        registered: list[str] = []
-        for node in self._live_nodes():
-            if self.namenode.last_heartbeat(node.node_id) is None:
-                for bid in node.block_ids():
-                    if self.namenode.has_block(bid):
-                        self.namenode.add_replica(bid, node.node_id)
-                    else:
-                        node.drop(bid)
-                registered.append(node.node_id)
-                if self.obs.enabled:
-                    self.obs.emit(obs_events.DFS_BLOCK_REPORT, node_id=node.node_id,
-                                  n_blocks=len(list(node.block_ids())))
-            self.namenode.record_heartbeat(node.node_id, now)
-        dead = self.namenode.expired_nodes(now, timeout)
-        for node_id in dead:
-            self.namenode.forget_node(node_id)
-            self.namenode.forget_heartbeat(node_id)
-            if self.obs.enabled:
-                self.obs.emit(obs_events.DFS_NODE_DEAD, node_id=node_id,
-                              cause="heartbeat_timeout")
-                self.obs.registry.counter("dfs.nodes_dead").inc()
-        fixed = self.rereplicate()
-        if self.obs.enabled:
-            self.obs.emit(obs_events.DFS_HEARTBEAT, now=now,
-                          n_live=len(self._live_nodes()),
-                          declared_dead=list(dead), replicas_restored=fixed)
-        return HeartbeatReport(
-            now=now,
-            declared_dead=tuple(dead),
-            replicas_restored=fixed,
-            registered=tuple(registered),
-        )
-
-    def rereplicate(self) -> int:
-        """Restore replication for under-replicated blocks; return count fixed."""
-        fixed = 0
-        effective = min(self.replication, len(self._live_nodes()))
-        for bid in self.namenode.under_replicated(effective):
-            holders = self.namenode.replicas_of(bid)
-            if not holders:
-                continue  # data lost; nothing to copy from
-            try:
-                block = self._read_block(bid)
-            except DFSError:
-                continue
-            needed = effective - len(holders)
-            for node_id in self._place_block(block, exclude=holders)[:needed]:
-                try:
-                    self._nodes[node_id].store(block)
-                except DataNodeFullError:  # raced with other placements
-                    continue
-                self.namenode.add_replica(bid, node_id)
-                fixed += 1
-        if fixed and self.obs.enabled:
-            self.obs.emit(obs_events.DFS_REREPLICATE, restored=fixed)
-            self.obs.registry.counter("dfs.replicas_restored").inc(fixed)
-        return fixed
 
     def total_stored_bytes(self) -> int:
         return sum(n.used_bytes for n in self._nodes.values())

@@ -1,67 +1,37 @@
-"""Data node: bounded block storage for the simulated DFS."""
+"""Data node: block storage for the simulated DFS."""
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.dfs.blocks import Block, BlockId
 
 
-class DataNodeFullError(RuntimeError):
-    """Raised when a block does not fit in the node's remaining capacity."""
-
-
 class DataNode:
-    """Stores block replicas, enforcing a byte-capacity limit.
+    """Stores block replicas and counts the bytes they take.
 
-    ``capacity`` of ``None`` means unbounded (handy for unit tests).  A node
-    can be marked dead to simulate failure; a dead node refuses reads and
-    writes but keeps its blocks so a "revived" node re-exposes them, matching
-    how HDFS treats transient outages.
+    ``used_bytes`` is what the client's emptiest-first placement sorts on.
     """
 
-    def __init__(self, node_id: str, capacity: int | None = None) -> None:
+    def __init__(self, node_id: str) -> None:
         self.node_id = node_id
-        self.capacity = capacity
         self._blocks: dict[BlockId, Block] = {}
         self._used = 0
-        self.alive = True
-        #: Lifetime IO counters (surfaced in observability reports).
+        #: Lifetime IO counters.
         self.n_reads = 0
         self.n_writes = 0
 
-    # -- capacity ---------------------------------------------------------
     @property
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def free_bytes(self) -> float:
-        if self.capacity is None:
-            return float("inf")
-        return self.capacity - self._used
-
-    def can_fit(self, size: int) -> bool:
-        return self.alive and size <= self.free_bytes
-
     # -- block operations -------------------------------------------------
     def store(self, block: Block) -> None:
-        if not self.alive:
-            raise RuntimeError(f"datanode {self.node_id} is down")
         if block.block_id in self._blocks:
             return  # idempotent replica write
-        if not self.can_fit(block.size):
-            raise DataNodeFullError(
-                f"datanode {self.node_id}: block {block.block_id} "
-                f"({block.size} B) exceeds free capacity {self.free_bytes} B"
-            )
         self._blocks[block.block_id] = block
         self._used += block.size
         self.n_writes += 1
 
     def read(self, block_id: BlockId) -> Block:
-        if not self.alive:
-            raise RuntimeError(f"datanode {self.node_id} is down")
         try:
             block = self._blocks[block_id]
         except KeyError:
@@ -75,17 +45,7 @@ class DataNode:
             self._used -= block.size
 
     def has(self, block_id: BlockId) -> bool:
-        return self.alive and block_id in self._blocks
-
-    def block_ids(self) -> Iterator[BlockId]:
-        return iter(list(self._blocks))
-
-    # -- failure simulation -------------------------------------------------
-    def kill(self) -> None:
-        self.alive = False
-
-    def revive(self) -> None:
-        self.alive = True
+        return block_id in self._blocks
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DataNode({self.node_id!r}, blocks={len(self._blocks)}, used={self._used})"

@@ -27,8 +27,6 @@ class NameNode:
         self._files: dict[str, FileEntry] = {}
         # block id -> set of datanode ids holding a replica
         self._locations: dict[BlockId, set[str]] = {}
-        # datanode id -> timestamp of last heartbeat received
-        self._heartbeats: dict[str, float] = {}
 
     # -- namespace ----------------------------------------------------------
     def exists(self, path: str) -> bool:
@@ -64,56 +62,8 @@ class NameNode:
     def add_replica(self, block_id: BlockId, node_id: str) -> None:
         self._locations.setdefault(block_id, set()).add(node_id)
 
-    def remove_replica(self, block_id: BlockId, node_id: str) -> None:
-        self._locations.get(block_id, set()).discard(node_id)
-
     def replicas_of(self, block_id: BlockId) -> set[str]:
         return set(self._locations.get(block_id, set()))
-
-    def has_block(self, block_id: BlockId) -> bool:
-        """Whether the block belongs to a live file (orphans are invalid)."""
-        return block_id in self._locations
-
-    def blocks_on(self, node_id: str) -> list[BlockId]:
-        return [bid for bid, nodes in self._locations.items() if node_id in nodes]
-
-    def forget_node(self, node_id: str) -> list[BlockId]:
-        """Drop all replica records for a dead node; return affected blocks."""
-        affected = []
-        for bid, nodes in self._locations.items():
-            if node_id in nodes:
-                nodes.discard(node_id)
-                affected.append(bid)
-        return affected
-
-    def under_replicated(self, target: int) -> list[BlockId]:
-        """Blocks with fewer than ``target`` live replicas."""
-        return [bid for bid, nodes in self._locations.items() if len(nodes) < target]
-
-    # -- heartbeats ----------------------------------------------------------
-    def record_heartbeat(self, node_id: str, now: float) -> None:
-        """A datanode checked in at time ``now`` (monotonically increasing)."""
-        self._heartbeats[node_id] = now
-
-    def last_heartbeat(self, node_id: str) -> float | None:
-        return self._heartbeats.get(node_id)
-
-    def expired_nodes(self, now: float, timeout: float) -> list[str]:
-        """Nodes whose last heartbeat is older than ``timeout`` seconds.
-
-        Nodes that never heartbeated are not reported — they are unknown,
-        not expired (HDFS only declares a datanode dead after it has
-        registered and then gone silent).
-        """
-        return sorted(
-            node_id
-            for node_id, last in self._heartbeats.items()
-            if now - last > timeout
-        )
-
-    def forget_heartbeat(self, node_id: str) -> None:
-        """Stop tracking a node (declared dead or decommissioned)."""
-        self._heartbeats.pop(node_id, None)
 
     # -- introspection -------------------------------------------------------
     def summary(self) -> dict[str, int]:
@@ -122,5 +72,4 @@ class NameNode:
             "n_files": len(self._files),
             "n_blocks": len(self._locations),
             "n_replicas": sum(len(nodes) for nodes in self._locations.values()),
-            "n_tracked_nodes": len(self._heartbeats),
         }

@@ -54,15 +54,10 @@ CANDIDATE_STORED = "candidate_stored"
 # DFS.
 DFS_PUT = "dfs_put"
 DFS_DELETE = "dfs_delete"
-DFS_NODE_DEAD = "dfs_node_dead"
-DFS_HEARTBEAT = "dfs_heartbeat"
-DFS_REREPLICATE = "dfs_rereplicate"
-DFS_BLOCK_REPORT = "dfs_block_report"
 
 # YARN-style resource manager.
 CONTAINER_GRANTED = "container_granted"
 CONTAINER_RELEASED = "container_released"
-NODE_DECOMMISSIONED = "node_decommissioned"
 
 # Cluster simulator.
 SIM_STAGE = "sim_stage"

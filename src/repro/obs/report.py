@@ -16,9 +16,7 @@ from typing import Any, Iterable
 from repro.obs.events import (
     BATCH_COMPLETED,
     BATCH_SUBMITTED,
-    DFS_HEARTBEAT,
     DFS_PUT,
-    DFS_REREPLICATE,
     DRIFT_DETECTED,
     EXECUTOR_BLACKLISTED,
     EXECUTOR_LOST,
@@ -232,10 +230,6 @@ def build_report(
     dfs = {
         "puts": sum(1 for e in events if e["type"] == DFS_PUT),
         "bytes_written": sum(e.get("n_bytes", 0) for e in events if e["type"] == DFS_PUT),
-        "heartbeats": sum(1 for e in events if e["type"] == DFS_HEARTBEAT),
-        "replicas_restored": sum(
-            e.get("restored", 0) for e in events if e["type"] == DFS_REREPLICATE
-        ),
     }
 
     # -- span tree ---------------------------------------------------------
@@ -442,13 +436,10 @@ def render_text(report: dict[str, Any]) -> str:
         for kind, count in sorted(report["faults_injected"].items()):
             out.append(f"  {kind}: {count}")
 
-    if report["dfs"]["puts"] or report["dfs"]["heartbeats"]:
+    if report["dfs"]["puts"]:
         d = report["dfs"]
         out.append("\n== dfs ==")
-        out.append(
-            f"puts={d['puts']}  bytes={d['bytes_written']}  "
-            f"heartbeats={d['heartbeats']}  replicas-restored={d['replicas_restored']}"
-        )
+        out.append(f"puts={d['puts']}  bytes={d['bytes_written']}")
 
     if report.get("pools"):
         out.append("\n== scheduling pools ==")

@@ -32,14 +32,10 @@ class NodeCapacity:
     memory_mb: int
     used_vcores: int = 0
     used_memory_mb: int = 0
-    #: Decommissioned nodes keep their bookkeeping but accept no new
-    #: containers (YARN's DECOMMISSIONED node state).
-    unschedulable: bool = False
 
     def can_fit(self, spec: ExecutorSpec) -> bool:
         return (
-            not self.unschedulable
-            and self.vcores - self.used_vcores >= spec.vcores
+            self.vcores - self.used_vcores >= spec.vcores
             and self.memory_mb - self.used_memory_mb >= spec.memory_mb
         )
 
@@ -76,7 +72,7 @@ class ResourceManager:
         #: container_id -> Container.  Keyed for O(1) release; the public
         #: ``granted`` property preserves the old list view (grant order).
         self._granted: dict[int, Container] = {}
-        #: Optional ObsSession; grants/releases/decommissions are published.
+        #: Optional ObsSession; grants and releases are published.
         #: Duck-typed so this module has no obs import dependency.
         self.obs = obs
 
@@ -89,8 +85,6 @@ class ResourceManager:
         """How many executors of this spec the cluster can host in total."""
         total = 0
         for node in self.nodes.values():
-            if node.unschedulable:
-                continue
             by_cores = (node.vcores - node.used_vcores) // spec.vcores
             by_mem = (node.memory_mb - node.used_memory_mb) // spec.memory_mb
             total += max(0, min(by_cores, by_mem))
@@ -134,27 +128,6 @@ class ResourceManager:
     def release_all(self) -> None:
         for container in self.granted:
             self.release(container)
-
-    def decommission_node(self, node_id: str) -> list[Container]:
-        """Drain a node: release its containers, refuse new placements.
-
-        Models YARN node decommissioning — the Sparklet side sees the
-        released executors as lost and recovers via lineage.  Returns the
-        containers that were evicted.
-        """
-        try:
-            node = self.nodes[node_id]
-        except KeyError:
-            raise KeyError(f"no such node: {node_id}") from None
-        evicted = [c for c in self._granted.values() if c.node_id == node_id]
-        for container in evicted:
-            self.release(container)
-        node.unschedulable = True
-        if self.obs is not None and self.obs.enabled:
-            self.obs.emit(
-                "node_decommissioned", node_id=node_id, n_evicted=len(evicted)
-            )
-        return evicted
 
 
 def paper_testbed() -> ResourceManager:

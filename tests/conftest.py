@@ -78,7 +78,7 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def dfs() -> DFSClient:
-    nodes = [DataNode(f"dn{i}", capacity=50_000_000) for i in range(4)]
+    nodes = [DataNode(f"dn{i}") for i in range(4)]
     return DFSClient(nodes, replication=2, block_size=4096, seed=0)
 
 

@@ -36,7 +36,7 @@ class TestOwnership:
         memo = _open_memo(tmp_path)
         with open_cluster(ExecutionConfig(backend="serial"), None,
                           app_name="t", memo=memo) as (dfs, ctx):
-            assert len(dfs._live_nodes()) == N_DATANODES
+            assert len(dfs._nodes) == N_DATANODES
             assert dfs.replication == REPLICATION
             assert ctx.memo is memo and ctx.backend_name == "serial"
             assert sum(ctx.parallelize(range(10), 2).collect()) == 45

@@ -331,7 +331,7 @@ class TestReadBack:
 # D-RAPID over torn files ≡ the per-record oracle
 # ---------------------------------------------------------------------------
 def _dfs() -> DFSClient:
-    nodes = [DataNode(f"dn{i}", capacity=50_000_000) for i in range(4)]
+    nodes = [DataNode(f"dn{i}") for i in range(4)]
     return DFSClient(nodes, replication=2, block_size=4096, seed=0)
 
 

@@ -116,7 +116,7 @@ class TestDRapidEquivalence:
         from repro.dfs import DataNode, DFSClient
 
         dfs = DFSClient(
-            [DataNode(f"dn{i}", capacity=50_000_000) for i in range(4)],
+            [DataNode(f"dn{i}") for i in range(4)],
             replication=2, block_size=4096, seed=0,
         )
         data_path, cluster_path = upload_observations(dfs, observations)
@@ -201,7 +201,7 @@ class TestNonFiniteDataRows:
         from repro.sparklet import SparkletContext
 
         dfs = DFSClient(
-            [DataNode(f"dn{i}", capacity=50_000_000) for i in range(4)],
+            [DataNode(f"dn{i}") for i in range(4)],
             replication=2, block_size=4096, seed=0,
         )
         ctx = SparkletContext(app_name="non-finite", default_parallelism=4)

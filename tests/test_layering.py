@@ -84,6 +84,26 @@ GONE = {
     "dedisperse",
     "KERNEL_METHODS",
     "_direct_plan",
+    # The DFS's failure and capacity models and YARN node decommissioning:
+    # no figure, benchmark or pipeline kills, starves or drains a node.
+    "kill_datanode",
+    "heartbeat_tick",
+    "rereplicate",
+    "under_replicated",
+    "expired_nodes",
+    "forget_node",
+    "record_heartbeat",
+    "last_heartbeat",
+    "forget_heartbeat",
+    "HeartbeatReport",
+    "DataNodeFullError",
+    "free_bytes",
+    "revive",
+    "blocks_on",
+    "has_block",
+    "remove_replica",
+    "decommission_node",
+    "unschedulable",
 }
 
 
@@ -369,3 +389,29 @@ def test_every_config_field_has_a_caller():
     every_field = {f"{cls}.{name}" for cls, names in configs.items() for name in names}
     assert len(configs) > 20 and UNSET_ON_PURPOSE <= every_field
     assert every_field - set_by_caller == UNSET_ON_PURPOSE
+
+
+def test_every_event_type_has_an_emitter():
+    """Each constant of the ``obs.events`` vocabulary is used — by name or by
+    its string value — in some ``src/`` module that is not the vocabulary
+    itself or one of the two readers, so no event type outlives its emitter."""
+    events_py = REPO / "src" / "repro" / "obs" / "events.py"
+    vocabulary = {
+        node.targets[0].id: node.value.value
+        for node in ast.parse(events_py.read_text()).body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and node.targets[0].id.isupper()
+        and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    }
+    readers = {events_py, events_py.with_name("report.py"), events_py.with_name("replay.py")}
+    used: set[str] = set()
+    for path in sorted((REPO / "src").rglob("*.py")):
+        if path in readers:
+            continue
+        tree = ast.parse(path.read_text())
+        used |= names_in(tree, variables=True)
+        used |= {n.value for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert len(vocabulary) > 40
+    assert {name for name, value in vocabulary.items()
+            if name not in used and value not in used} == set()

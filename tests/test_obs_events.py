@@ -215,11 +215,9 @@ class TestInstrumentationCoverage:
             [DataNode(f"dn{i}") for i in range(3)], replication=2, obs=session
         )
         dfs.put_text("/a.txt", "hello world\n" * 50)
-        dfs.heartbeat_tick(now=1.0)
-        dfs.kill_datanode("dn0")
         dfs.delete("/a.txt")
         kinds = {e["type"] for e in session.events()}
-        assert {"dfs_put", "dfs_heartbeat", "dfs_node_dead", "dfs_delete"} <= kinds
+        assert {"dfs_put", "dfs_delete"} <= kinds
         assert dfs.namenode.summary()["n_files"] == 0
 
     def test_datanode_io_counters(self):
@@ -239,11 +237,9 @@ class TestInstrumentationCoverage:
 
         grants = rm.request_executors(2, ExecutorSpec())
         rm.release(grants[0])
-        rm.decommission_node("n1")
         kinds = [e["type"] for e in session.events()]
         assert kinds.count("container_granted") == 2
         assert "container_released" in kinds
-        assert "node_decommissioned" in kinds
 
     def test_fault_injector_events(self):
         ctx = SparkletContext(

@@ -1,17 +1,13 @@
-"""Property-based tests for the fault-tolerance subsystem.
+"""Property-based tests for the cluster simulator.
 
-Two laws the simulator and DFS must satisfy for *any* input:
-
-1. simulated makespan is monotone non-increasing in the executor count
-   (more machines never hurt a FIFO list schedule);
-2. datanode death followed by re-replication restores the replication
-   factor whenever capacity allows.
+The law it must satisfy for *any* input: simulated makespan is monotone
+non-increasing in the executor count (more machines never hurt a FIFO list
+schedule).
 """
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.dfs import DataNode, DFSClient
 from repro.sparklet.cluster import ClusterConfig
 from repro.sparklet.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.sparklet.simulation import greedy_makespan, simulate_job
@@ -69,61 +65,3 @@ class TestMakespanMonotoneInExecutors:
                    for n in (1, 2, 4, 8)]
         for wider, narrower in zip(elapsed[1:], elapsed):
             assert wider <= narrower + 1e-9
-
-
-class TestReReplicationRestoresFactor:
-    @SETTINGS
-    @given(
-        payloads=st.lists(st.binary(min_size=1, max_size=4000), min_size=1, max_size=5),
-        n_nodes=st.integers(3, 8),
-        replication=st.integers(2, 3),
-        victim=st.integers(0, 7),
-        seed=st.integers(0, 100),
-    )
-    def test_kill_then_rereplicate_restores_factor(
-        self, payloads, n_nodes, replication, victim, seed
-    ):
-        # Unbounded capacity: restoration must always be possible as long as
-        # enough live nodes remain.
-        dfs = DFSClient(
-            [DataNode(f"dn{i}") for i in range(n_nodes)],
-            replication=replication,
-            block_size=1024,
-            seed=seed,
-        )
-        for i, payload in enumerate(payloads):
-            dfs.put(f"/f{i}", payload)
-        dfs.kill_datanode(f"dn{victim % n_nodes}")
-
-        live = n_nodes - 1
-        target = min(replication, live)
-        assert dfs.namenode.under_replicated(target) == []
-        for i, payload in enumerate(payloads):
-            entry = dfs.namenode.get_file(f"/f{i}")
-            for bid in entry.block_ids:
-                assert len(dfs.namenode.replicas_of(bid)) >= target
-            assert dfs.get(f"/f{i}") == payload  # data survived intact
-
-    @SETTINGS
-    @given(
-        payloads=st.lists(st.binary(min_size=1, max_size=4000), min_size=1, max_size=4),
-        seed=st.integers(0, 100),
-        timeout=st.floats(1.0, 60.0),
-    )
-    def test_heartbeat_expiry_triggers_rereplication(self, payloads, seed, timeout):
-        dfs = DFSClient(
-            [DataNode(f"dn{i}") for i in range(4)],
-            replication=2,
-            block_size=1024,
-            seed=seed,
-        )
-        for i, payload in enumerate(payloads):
-            dfs.put(f"/f{i}", payload)
-        dfs.heartbeat_tick(0.0, timeout=timeout)
-        # dn0 goes silent (no forgetting, no manual rereplicate call).
-        dfs._nodes["dn0"].kill()
-        report = dfs.heartbeat_tick(timeout + 1.0, timeout=timeout)
-        assert report.declared_dead == ("dn0",)
-        assert dfs.namenode.under_replicated(2) == []
-        for i, payload in enumerate(payloads):
-            assert dfs.get(f"/f{i}") == payload

@@ -121,26 +121,3 @@ class TestReleaseAndDecommission:
         rm.release(grants[2])
         remaining = [c.container_id for c in rm.granted]
         assert remaining == [g.container_id for g in grants if g is not grants[2]]
-
-    def test_decommission_releases_node_containers(self):
-        rm = paper_testbed()
-        grants = rm.request_executors(15, ExecutorSpec())
-        node_id = grants[0].node_id
-        evicted = rm.decommission_node(node_id)
-        assert all(c.node_id == node_id for c in evicted)
-        assert all(c.node_id != node_id for c in rm.granted)
-        node = rm.nodes[node_id]
-        assert node.used_vcores == 0 and node.used_memory_mb == 0
-
-    def test_decommissioned_node_gets_no_new_containers(self):
-        rm = paper_testbed()
-        rm.decommission_node("i5-0")
-        grants = rm.request_executors(30, ExecutorSpec())
-        assert all(c.node_id != "i5-0" for c in grants)
-        # The testbed loses i5-0's 2 executor slots: 22 - 2 = 20.
-        assert len(grants) == 20
-
-    def test_decommission_unknown_node_is_an_error(self):
-        rm = paper_testbed()
-        with pytest.raises(KeyError, match="no such node"):
-            rm.decommission_node("ghost")
