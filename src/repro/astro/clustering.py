@@ -264,8 +264,7 @@ class SinglePulseDBSCAN:
 
         count = np.ones(n, dtype=np.intp)  # a point neighbours itself
         for a, b in _close_pairs(xs, ys, src, first, length):
-            np.add.at(count, a, 1)
-            np.add.at(count, b, 1)
+            count += np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
         core = count >= self.min_samples
 
         comp = np.arange(n)  # over original indices, so roots order clusters
@@ -294,24 +293,16 @@ class SinglePulseDBSCAN:
         self, labels: np.ndarray, times: np.ndarray, dms: np.ndarray
     ) -> np.ndarray:
         """Union clusters that nearly touch in time and overlap in DM."""
-        valid = labels != NOISE
-        ids = np.unique(labels[valid])
-        k = ids.size
+        members, starts = _groups(labels)
+        k = starts.size
         if k < 2:
             return labels
-        # Vectorized per-cluster bounds: one scatter-reduce pass each,
-        # instead of a labels == c scan per cluster.
-        pos = np.searchsorted(ids, labels[valid])
-        t_lo = np.full(k, np.inf)
-        t_hi = np.full(k, -np.inf)
-        dm_lo = np.full(k, np.inf)
-        dm_hi = np.full(k, -np.inf)
-        np.minimum.at(t_lo, pos, times[valid])
-        np.maximum.at(t_hi, pos, times[valid])
-        np.minimum.at(dm_lo, pos, dms[valid])
-        np.maximum.at(dm_hi, pos, dms[valid])
+        t_lo, t_hi = _bounds(times, members, starts)
+        dm_lo, dm_hi = _bounds(dms, members, starts)
+        ordered = np.argsort(t_lo, kind="stable").tolist()
+        t_lo, t_hi, dm_lo, dm_hi = t_lo.tolist(), t_hi.tolist(), dm_lo.tolist(), dm_hi.tolist()
 
-        parent = np.arange(k)
+        parent = list(range(k))
 
         def find(c: int) -> int:
             while parent[c] != c:
@@ -319,55 +310,62 @@ class SinglePulseDBSCAN:
                 c = parent[c]
             return c
 
-        ordered = np.argsort(t_lo, kind="stable")
         for a_pos, a in enumerate(ordered):
-            for b in ordered[a_pos + 1 :]:
+            for b_pos in range(a_pos + 1, k):
+                b = ordered[b_pos]
                 if t_lo[b] - t_hi[a] > self.merge_gap_s:
                     break  # sorted by start time; nothing later can touch
                 dm_overlap = min(dm_hi[a], dm_hi[b]) - max(dm_lo[a], dm_lo[b])
                 if dm_overlap >= 0:
-                    ra, rb = find(int(a)), find(int(b))
+                    ra, rb = find(a), find(b)
                     if ra != rb:
                         parent[rb] = ra
-        roots = np.array([find(c) for c in range(k)])
-        dense_roots, dense_of_root = np.unique(roots, return_inverse=True)
-        # Single-pass dense relabel through a lookup table.
+        _dense_roots, dense_of_root = np.unique([find(c) for c in range(k)], return_inverse=True)
+        # Single-pass dense relabel: group g's members take its root's rank.
         out = labels.copy()
-        out[valid] = dense_of_root[pos]
+        out[members] = np.repeat(dense_of_root, np.diff(starts, append=members.size))
         return out
 
     # -- summaries --------------------------------------------------------------
     def _summarize(
         self, labels: np.ndarray, times: np.ndarray, dms: np.ndarray, snrs: np.ndarray
     ) -> list[Cluster]:
-        valid_idx = np.nonzero(labels != NOISE)[0]
-        if valid_idx.size == 0:
+        members, starts = _groups(labels)
+        if members.size == 0:
             return []
-        # Group members by label with one stable argsort instead of a full
-        # labels == c scan per cluster.
-        vlab = labels[valid_idx]
-        order = np.argsort(vlab, kind="stable")
-        sorted_idx = valid_idx[order]
-        sorted_lab = vlab[order]
-        starts = np.concatenate([[0], np.nonzero(np.diff(sorted_lab))[0] + 1])
-        ends = np.concatenate([starts[1:], [sorted_lab.size]])
-        clusters: list[Cluster] = []
-        for s, e in zip(starts, ends):
-            members = sorted_idx[s:e]
-            clusters.append(
-                Cluster(
-                    cluster_id=int(sorted_lab[s]),
-                    indices=members.tolist(),
-                    dm_lo=float(dms[members].min()),
-                    dm_hi=float(dms[members].max()),
-                    t_lo=float(times[members].min()),
-                    t_hi=float(times[members].max()),
-                    max_snr=float(snrs[members].max()),
-                )
+        ids = labels[members[starts]].tolist()
+        dm_lo, dm_hi = _bounds(dms, members, starts)
+        t_lo, t_hi = _bounds(times, members, starts)
+        max_snr = np.maximum.reduceat(snrs[members], starts)
+        # ClusterRank: 1 = brightest cluster in the observation, ties in id order.
+        rank = np.empty(starts.size, dtype=np.int64)
+        rank[np.argsort(-max_snr, kind="stable")] = np.arange(1, starts.size + 1)
+        flat = members.tolist()
+        ends = starts.tolist()[1:] + [members.size]
+        return [
+            Cluster(cid, flat[s:e], lo_dm, hi_dm, lo_t, hi_t, snr, rank=r)
+            for cid, s, e, lo_dm, hi_dm, lo_t, hi_t, snr, r in zip(
+                ids, starts.tolist(), ends, dm_lo.tolist(), dm_hi.tolist(),
+                t_lo.tolist(), t_hi.tolist(), max_snr.tolist(), rank.tolist(),
             )
-        # ClusterRank: 1 = brightest cluster in the observation.
-        for rank, cluster in enumerate(
-            sorted(clusters, key=lambda cl: -cl.max_snr), start=1
-        ):
-            cluster.rank = rank
-        return clusters
+        ]
+
+
+def _groups(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clustered points grouped by label: ``(members, starts)``.
+
+    ``members`` lists the indices of non-noise points, ascending label
+    first and index second (one stable argsort); group ``g`` is
+    ``members[starts[g]:starts[g + 1]]``.
+    """
+    valid = np.flatnonzero(labels != NOISE)
+    vlab = labels[valid]
+    order = np.argsort(vlab, kind="stable")
+    vlab = vlab[order]
+    return valid[order], np.flatnonzero(np.diff(vlab, prepend=vlab[:1] - 1))
+
+
+def _bounds(values: np.ndarray, members: np.ndarray, starts: np.ndarray):
+    """Per-group ``(min, max)`` of ``values`` (exact: one reduceat each)."""
+    grouped = values[members]
+    return np.minimum.reduceat(grouped, starts), np.maximum.reduceat(grouped, starts)

@@ -40,9 +40,9 @@ def _smearing_response(
 
     The one scalar copy of the formula :func:`smearing_snr_factor`
     documents.  What does not depend on the DM error is validated and
-    evaluated once, here, for callers that evaluate one pulse's response
-    many times (the footprint bisection); the returned function keeps the
-    formula's float operations in their order.
+    evaluated once, here, for callers that evaluate one pulsar's response
+    many times (its footprint table and the half-width bisection); the
+    returned function keeps the formula's float operations in their order.
     """
     if width_ms <= 0:
         raise ValueError(f"width_ms must be positive, got {width_ms}")
@@ -86,8 +86,12 @@ def smearing_snr_factors(
     """Vectorized :func:`smearing_snr_factor` over an array of DM offsets.
 
     Uses :func:`scipy.special.erf`, which can differ from :func:`math.erf`
-    in the last ulp; callers rounding to a few decimals (SPE records) are
-    unaffected.
+    in the last ulp.  The survey generator uses both, each for what it
+    always used it for: the SNRs it records come from here, and the
+    footprints (which trials a pulse reaches) from the :func:`math.erf` of
+    :func:`_smearing_response`, whose threshold comparisons must be the
+    half-width bisection's.  Mixing the two would move a footprint or an
+    SNR's last bit, and so the generated bytes.
     """
     if width_ms <= 0:
         raise ValueError(f"width_ms must be positive, got {width_ms}")

@@ -85,7 +85,7 @@ def generate_noise_spes(
     that real cluster files have a median size of ~19 SPEs with a long tail.
     """
     rng = rng or np.random.default_rng(0)
-    trials = grid.trial_dms()
+    trials = grid.trial_dms().tolist()
     last = len(trials) - 1
     spes: list[SPE] = []
     for _ in range(n_clusters):
@@ -94,7 +94,7 @@ def generate_noise_spes(
         t0 = float(rng.uniform(0.0, obs_length_s))
         for _ in range(size):
             idx = min(max(center_idx + int(rng.integers(-6, 7)), 0), last)
-            dm = float(trials[idx])
+            dm = trials[idx]
             # Exponential tail above threshold: almost all noise events weak.
             snr = snr_threshold + float(rng.exponential(0.7))
             t = t0 + float(rng.normal(0.0, 0.05))
@@ -192,7 +192,7 @@ def _broadband_burst(
     scale = float(rng.uniform(30.0, 200.0))
     span = trials[trials <= min(grid.max_dm, scale * 3.0)]
     step = max(1, len(span) // int(rng.integers(30, 120)))
-    for dm in span[::step]:
+    for dm in span[::step].tolist():
         snr = peak * float(np.exp(-dm / scale)) + float(rng.normal(0.0, 0.4))
         if snr < snr_threshold:
             continue
@@ -200,7 +200,7 @@ def _broadband_burst(
         if not 0.0 <= t < obs_length_s:
             continue
         spes.append(
-            SPE(dm=float(dm), snr=round(snr, 3), time_s=round(t, 6),
+            SPE(dm=dm, snr=round(snr, 3), time_s=round(t, 6),
                 sample=int(t / sample_time_s), downfact=int(rng.integers(1, 10)))
         )
     return spes

@@ -25,10 +25,15 @@ Nothing live calls them; the identity laws hold the live kernels to them:
   exact block (``tests/test_frontend_recovery.py``,
   ``tests/test_execution_config.py``);
 - ``SinglePulseDBSCAN._dbscan`` ≡ :func:`_reference_dbscan`, label for label
-  (the hypothesis suites of ``tests/test_astro_kernels.py``).
+  (the hypothesis suites of ``tests/test_astro_kernels.py``);
+- ``SinglePulseDBSCAN._merge_artifact_clusters`` and ``_summarize`` ≡
+  :func:`_reference_merge_artifact_clusters` (scatter-reduce bounds) and
+  :func:`_reference_summarize` (five reductions per cluster, ranks by a
+  stable sort of the records), labels and every cluster field bit for bit
+  (``tests/test_astro_clustering.py``).
 
-The bodies are the ones ``src/`` shipped, moved; the two DBSCAN methods
-became functions taking the clusterer, and the exact block is the body of
+The bodies are the ones ``src/`` shipped, moved; the DBSCAN methods became
+functions taking the clusterer, and the exact block is the body of
 ``src/``'s last exact dedispersion method (``dedisperse_batch``).
 """
 
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.astro.clustering import NOISE, SinglePulseDBSCAN
+from repro.astro.clustering import NOISE, Cluster, SinglePulseDBSCAN
 from repro.astro.dispersion import K_DM
 from repro.astro.filterbank import Filterbank
 from repro.astro.kernels import find_peaks, shift_table, single_pulse_block_search
@@ -419,3 +424,79 @@ def _reference_dbscan(db: SinglePulseDBSCAN, x: np.ndarray, y: np.ndarray) -> np
         return out
 
     return _expand(db, neighbours, n)
+
+
+def _reference_merge_artifact_clusters(
+    db: SinglePulseDBSCAN, labels: np.ndarray, times: np.ndarray, dms: np.ndarray
+) -> np.ndarray:
+    """Union clusters that nearly touch in time and overlap in DM."""
+    valid = labels != NOISE
+    ids = np.unique(labels[valid])
+    k = ids.size
+    if k < 2:
+        return labels
+    pos = np.searchsorted(ids, labels[valid])
+    t_lo = np.full(k, np.inf)
+    t_hi = np.full(k, -np.inf)
+    dm_lo = np.full(k, np.inf)
+    dm_hi = np.full(k, -np.inf)
+    np.minimum.at(t_lo, pos, times[valid])
+    np.maximum.at(t_hi, pos, times[valid])
+    np.minimum.at(dm_lo, pos, dms[valid])
+    np.maximum.at(dm_hi, pos, dms[valid])
+
+    parent = np.arange(k)
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    ordered = np.argsort(t_lo, kind="stable")
+    for a_pos, a in enumerate(ordered):
+        for b in ordered[a_pos + 1 :]:
+            if t_lo[b] - t_hi[a] > db.merge_gap_s:
+                break
+            dm_overlap = min(dm_hi[a], dm_hi[b]) - max(dm_lo[a], dm_lo[b])
+            if dm_overlap >= 0:
+                ra, rb = find(int(a)), find(int(b))
+                if ra != rb:
+                    parent[rb] = ra
+    roots = np.array([find(c) for c in range(k)])
+    _dense_roots, dense_of_root = np.unique(roots, return_inverse=True)
+    out = labels.copy()
+    out[valid] = dense_of_root[pos]
+    return out
+
+
+def _reference_summarize(
+    labels: np.ndarray, times: np.ndarray, dms: np.ndarray, snrs: np.ndarray
+) -> list[Cluster]:
+    """One ``Cluster`` per label, in label order, ranked by brightness."""
+    valid_idx = np.nonzero(labels != NOISE)[0]
+    if valid_idx.size == 0:
+        return []
+    vlab = labels[valid_idx]
+    order = np.argsort(vlab, kind="stable")
+    sorted_idx = valid_idx[order]
+    sorted_lab = vlab[order]
+    starts = np.concatenate([[0], np.nonzero(np.diff(sorted_lab))[0] + 1])
+    ends = np.concatenate([starts[1:], [sorted_lab.size]])
+    clusters: list[Cluster] = []
+    for s, e in zip(starts, ends):
+        members = sorted_idx[s:e]
+        clusters.append(
+            Cluster(
+                cluster_id=int(sorted_lab[s]),
+                indices=members.tolist(),
+                dm_lo=float(dms[members].min()),
+                dm_hi=float(dms[members].max()),
+                t_lo=float(times[members].min()),
+                t_hi=float(times[members].max()),
+                max_snr=float(snrs[members].max()),
+            )
+        )
+    for rank, cluster in enumerate(sorted(clusters, key=lambda cl: -cl.max_snr), start=1):
+        cluster.rank = rank
+    return clusters

@@ -2,9 +2,12 @@
 
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from oracles.frontend import _reference_merge_artifact_clusters, _reference_summarize
 from repro.astro.clustering import NOISE, Cluster, SinglePulseDBSCAN
 
 
@@ -172,3 +175,35 @@ class TestClusterSummaries:
     def test_malformed_csv_rejected(self):
         with pytest.raises(ValueError):
             Cluster.from_csv_row("1,2,3")
+
+
+# Coordinates on coarse lattices, so ties in time, DM and SNR are common.
+_points = st.integers(1, 120).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 300), min_size=n, max_size=n),
+    st.lists(st.integers(0, 60), min_size=n, max_size=n),
+    st.lists(st.integers(0, 6), min_size=n, max_size=n),
+))
+_clusterers = st.builds(
+    SinglePulseDBSCAN,
+    eps_time_s=st.sampled_from([0.02, 0.05, 0.1]),
+    eps_dm_steps=st.sampled_from([1.0, 2.5, 4.0]),
+    min_samples=st.integers(1, 4),
+    merge_gap_s=st.sampled_from([0.0, 0.05, 0.2, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points, _clusterers)
+def test_merge_and_summaries_match_oracle(points, db):
+    """Group bounds by ``reduceat`` ≡ the scatter-reduce and per-cluster
+    reductions they replaced: merged labels, bounds, max SNR, members and
+    ClusterRank (ties in brightness keep cluster-id order), bit for bit."""
+    t_i, d_i, s_i = (np.asarray(v) for v in points)
+    times, dms, snrs = t_i * 0.01, d_i * 0.5, 5.0 + s_i * 0.25
+    labels = db._dbscan(times / db.eps_time_s, dms / db.eps_dm_steps)
+    merged = db._merge_artifact_clusters(labels, times, dms)
+    ref = _reference_merge_artifact_clusters(db, labels, times, dms)
+    assert merged.dtype == ref.dtype and np.array_equal(merged, ref)
+    assert repr(db._summarize(merged, times, dms, snrs)) == repr(
+        _reference_summarize(ref, times, dms, snrs)
+    )

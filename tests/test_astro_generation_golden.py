@@ -7,7 +7,10 @@ and compares it with the digest the generator produced before the
 per-grid ladder and the per-pulsar smearing response.  Both presets at
 ``grid_coarsen`` 1 and 10, two seeds each, and the non-default paths:
 dispersed-RFI mimics, ``gain != 1`` and an RFI storm.  A population with a
-pulsar beyond the GBT350Drift ladder's end is part of the sky.
+pulsar beyond the GBT350Drift ladder's end is part of the sky.  Two more
+cases are pointings of the end-to-end survey workload's shape (60 s, 40
+noise clusters, two pulsars of its fixed sky), the input whose generation
+its ``setup_s`` times.
 """
 
 from __future__ import annotations
@@ -44,6 +47,18 @@ def _case(survey, coarsen, seed, **extra):
     )
 
 
+#: The end-to-end survey workload's sky (``synthesize_population(6, seed=3)``).
+E2E_SKY = synthesize_population(6, seed=3)
+
+
+def _e2e_case(seed):
+    return generate_observation(
+        GBT350DRIFT, [E2E_SKY[seed], E2E_SKY[seed + 1]], mjd=55000.0 + seed, beam=0,
+        n_noise_clusters=40, n_rfi_bursts=2, grid_coarsen=10.0, seed=seed,
+        obs_length_s=60.0,
+    )
+
+
 CASES = {
     "gbt-c10-s0": lambda: _case(GBT350DRIFT, 10.0, 0),
     "gbt-c10-s1": lambda: _case(GBT350DRIFT, 10.0, 1),
@@ -58,9 +73,13 @@ CASES = {
     "palfa-storm": lambda: _case(
         PALFA, 10.0, 4, storm=RFIStormModel(quiet_rate_hz=0.2, start_in_storm=True)
     ),
+    "e2e-s0": lambda: _e2e_case(0),
+    "e2e-s1": lambda: _e2e_case(1),
 }
 
 GOLDEN = {
+    "e2e-s0": "8de76613ed1b6340352c1b30a780b012ac3571e8acd083944bf80cf12a2df97b",
+    "e2e-s1": "fdb3fd1d42bd80ddc3e54e696646460dc0b8899022dc4ed8271ecba360a9230a",
     "gbt-c1-s0": "6ff60e516cdd7da4827e5b81931eeee284dfe699edd4f5b75d50ee19392594d1",
     "gbt-c1-s1": "5c0d7b3caa02477e49f6900ad64687cd7054a6868c999e67deaedf65bfbf8689",
     "gbt-c10-s0": "a180f6d7650d4f8d8918e7961be0b25dcf87728f6193c56eb69f62bb6f346036",

@@ -15,8 +15,9 @@ LIVE = sorted((REPO / "src").rglob("*.py")) + sorted((REPO / "examples").glob("*
 ORACLES = sorted((REPO / "tests" / "oracles").glob("*.py"))
 
 #: Defined exactly once under ``tests/oracles/`` (``record_path.py``; the
-#: nine front-end names in ``frontend.py``; the five per-feature split-search
-#: and per-segment MDL names in ``ml_hist.py``).
+#: eleven front-end names in ``frontend.py``; the five per-feature split-search
+#: and per-segment MDL names in ``ml_hist.py``; the per-pulse survey
+#: generator in ``generation.py``).
 RELOCATED = {
     "PulseFeatures",
     "RapidResult",
@@ -33,11 +34,14 @@ RELOCATED = {
     "_reference_best_cut",
     "_reference_best_hist_split",
     "_reference_find_peaks",
+    "_reference_generate_pulsar_spes",
     "_reference_mdl_accepts",
     "_reference_mdl_cut_points",
+    "_reference_merge_artifact_clusters",
     "_reference_search_observation",
     "_reference_single_pulse_search",
     "_reference_small_node_split",
+    "_reference_summarize",
     "bin_fit_residual",
     "extract_pulse_features",
     "find_single_pulses_recursive",
