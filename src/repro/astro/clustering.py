@@ -320,7 +320,7 @@ class SinglePulseDBSCAN:
                     ra, rb = find(a), find(b)
                     if ra != rb:
                         parent[rb] = ra
-        _dense_roots, dense_of_root = np.unique([find(c) for c in range(k)], return_inverse=True)
+        dense_of_root = np.unique([find(c) for c in range(k)], return_inverse=True)[1]
         # Single-pass dense relabel: group g's members take its root's rank.
         out = labels.copy()
         out[members] = np.repeat(dense_of_root, np.diff(starts, append=members.size))
@@ -365,7 +365,9 @@ def _groups(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return valid[order], np.flatnonzero(np.diff(vlab, prepend=vlab[:1] - 1))
 
 
-def _bounds(values: np.ndarray, members: np.ndarray, starts: np.ndarray):
+def _bounds(
+    values: np.ndarray, members: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-group ``(min, max)`` of ``values`` (exact: one reduceat each)."""
     grouped = values[members]
     return np.minimum.reduceat(grouped, starts), np.maximum.reduceat(grouped, starts)
