@@ -4,15 +4,17 @@ Four arms over the same D-RAPID workload (same observations, same seed):
 
 1. **uncached** — memoization off; the recompute baseline.
 2. **cold**     — memo on, empty store; measures store/hash overhead.
-3. **warm**     — memo on, populated store; every job key hits and whole
-   stages are skipped.  The acceptance gate is warm ≥ 5× faster than cold.
-4. **prefix**   — memo on, populated store, but SearchParams perturbed: the
-   downstream search changes while the upstream parse/partition shuffle
-   stages still hit (prefix-overlap reuse across *different* configs).
+3. **warm**     — memo on, populated store; every job key hits and no
+   task runs.  The acceptance gate is warm ≥ 5× faster than cold.
+4. **prefix**   — memo on, populated store, but SearchParams perturbed:
+   the upstream parse/partition lineage is shared, the search is not, so
+   every job key misses and the run recomputes (the store keys whole jobs
+   only; a perturbed config must never be served a stored result).
 
 Byte-identity is asserted before any number is reported: hit output must
-equal miss output must equal uncached output, row for row — a cache that
-is fast but wrong fails here, not in a downstream experiment.  The
+equal miss output must equal uncached output, row for row, and the prefix
+run must equal the uncached perturbed run — a cache that is fast but wrong
+fails here, not in a downstream experiment.  The
 candidate arm then records a run into the SQLite archive and round-trips
 one stored candidate through ``reproduce_candidate``.
 
@@ -108,8 +110,7 @@ def bench_cache_arms(observations, rounds: int) -> dict:
             prefix_walls.append(w)
             prefix_counters = {
                 k: obs.registry.counter(k).value
-                for k in ("memo.job_hits", "memo.stage_hits",
-                          "memo.stage_misses")
+                for k in ("memo.job_hits", "memo.job_misses")
             }
             w, uncached_pert, _ = _run(observations, None, perturbed)
             assert prefix_lines == uncached_pert, (
@@ -200,7 +201,7 @@ def run_all(smoke: bool = False) -> dict:
             ["warm speedup vs uncached", arms["warm_speedup_vs_uncached"]],
             ["prefix speedup vs uncached", arms["prefix_speedup_vs_uncached"]],
             ["cold overhead vs uncached %", arms["cold_overhead_vs_uncached_pct"]],
-            ["prefix stage hits", arms["prefix_counters"].get("memo.stage_hits", 0)],
+            ["prefix job hits", arms["prefix_counters"]["memo.job_hits"]],
             ["hit == miss (bytes)", arms["hit_equals_miss"]],
             ["candidates recorded", candidates["n_candidates"]],
             ["reproduce round-trip ok", candidates["reproduce_ok"]],
@@ -219,7 +220,7 @@ def test_memoization_benchmark():
     assert cache["warm_speedup_vs_cold"] >= 5.0, cache
     assert cache["warm_speedup_vs_uncached"] >= 5.0, cache
     assert cache["warm_counters"]["memo.job_hits"] >= 1
-    assert cache["prefix_counters"]["memo.stage_hits"] >= 1
+    assert cache["prefix_counters"]["memo.job_hits"] == 0
     assert results["candidates"]["reproduce_ok"]
     assert results["smoke"]
 
@@ -236,4 +237,5 @@ if __name__ == "__main__":
         cache = results["cache"]
         assert cache["hit_equals_miss"]
         assert cache["warm_speedup_vs_cold"] >= floor, cache
+        assert cache["prefix_counters"]["memo.job_hits"] == 0, cache
         assert results["candidates"]["reproduce_ok"]

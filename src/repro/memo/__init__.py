@@ -19,7 +19,6 @@ from repro.memo.hashing import (
     config_digest,
     job_key,
     lineage_token,
-    stage_key,
     token_for,
 )
 from repro.memo.store import MemoStats, MemoStore
@@ -42,6 +41,5 @@ __all__ = [
     "record_run",
     "reproduce_candidate",
     "resolve_memo",
-    "stage_key",
     "token_for",
 ]

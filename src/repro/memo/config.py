@@ -39,7 +39,7 @@ class MemoConfig:
     store_candidates: bool = True
     #: Isolation namespace: a sub-store under ``dir``.  The serving tier
     #: gives each tenant its own namespace so one tenant's entries are
-    #: invisible to (and cannot be evicted by) another's.
+    #: invisible to another's.
     namespace: str | None = None
 
     def for_namespace(self, namespace: str) -> "MemoConfig":

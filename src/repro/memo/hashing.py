@@ -1,6 +1,6 @@
 """Canonical structural hashing: the lineage-hash recipe.
 
-Memoization is only sound if the key captures *everything* a stage's output
+Memoization is only sound if the key captures *everything* a job's output
 depends on and *nothing* that varies between identical runs.  The recipe:
 
 - **Values** serialize through :func:`token_for`: dict items are sorted by
@@ -41,7 +41,6 @@ __all__ = [
     "file_token",
     "job_key",
     "lineage_token",
-    "stage_key",
     "token_for",
 ]
 
@@ -237,7 +236,7 @@ def file_token(dfs: Any, path: str) -> str:
 def lineage_token(rdd: Any, cache: dict[int, str] | None = None) -> str:
     """Structural hash of an RDD's full lineage (operators + leaf content).
 
-    ``cache`` memoizes per ``rdd_id`` within one scheduler call so diamond
+    ``cache`` memoizes per ``rdd_id`` within one key computation so diamond
     lineages (the D-RAPID join reads two chains off one file) hash each
     node once; it must not outlive the call — rdd ids are process-local.
     """
@@ -280,22 +279,11 @@ def _dep_token(dep: Any, cache: dict[int, str]) -> str:
     return digest(parts)
 
 
-def stage_key(dep: Any, cache: dict[int, str] | None = None) -> str:
-    """Memo key of one shuffle-map stage: its output is fully determined by
-    the parent lineage plus the shuffle's partitioner/aggregator."""
-    return digest([f"m{MEMO_FORMAT}", "stage",
-                   _dep_token(dep, cache if cache is not None else {})])
-
-
-def job_key(
-    rdd: Any,
-    func: Callable[..., Any],
-    cache: dict[int, str] | None = None,
-) -> str:
+def job_key(rdd: Any, func: Callable[..., Any]) -> str:
     """Memo key of one whole job (action): lineage + action body."""
     return digest([
         f"m{MEMO_FORMAT}",
         "job",
-        lineage_token(rdd, cache),
+        lineage_token(rdd),
         callable_token(func),
     ])

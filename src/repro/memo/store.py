@@ -1,4 +1,4 @@
-"""MemoStore: durable content-addressed entries + an in-memory LRU tier.
+"""MemoStore: durable, checksummed, content-addressed entries on disk.
 
 Layout under one base directory::
 
@@ -9,9 +9,8 @@ Layout under one base directory::
 Every object file carries a header with the payload's SHA-256; a mismatch
 (truncated write, flipped bit, concurrent corruption) evicts the file and
 reads as a miss — a corrupted entry is *never* served, it is recomputed.
-The memory tier holds the pickled payload bytes, not live objects, so a
-hit always unpickles fresh structures: callers can mutate results without
-poisoning the cache.
+Every ``get`` reads and verifies the file, and unpickles fresh structures:
+callers can mutate results without poisoning the cache.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -36,8 +34,6 @@ class MemoStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
     corrupt_evicted: int = 0
     uncacheable: int = 0
 
@@ -47,18 +43,15 @@ class MemoStats:
 
 @dataclass
 class MemoStore:
-    """Two-tier (memory LRU over local-disk) content-addressed entry store."""
+    """Local-disk content-addressed entry store."""
 
     path: str
-    max_memory_entries: int = 64
     stats: MemoStats = field(default_factory=MemoStats)
 
     def __post_init__(self) -> None:
         self.path = os.path.abspath(self.path)
         os.makedirs(os.path.join(self.path, "objects"), exist_ok=True)
         os.makedirs(os.path.join(self.path, "blobs"), exist_ok=True)
-        #: key -> payload bytes (already checksum-verified at admission).
-        self._memory: OrderedDict[str, bytes] = OrderedDict()
 
     # -- entry API ----------------------------------------------------------
     def _entry_path(self, key: str) -> str:
@@ -67,12 +60,6 @@ class MemoStore:
     def get(self, key: str) -> Any | None:
         """The stored value for ``key``, or None on miss (values are always
         dict entries here, so None is an unambiguous miss sentinel)."""
-        payload = self._memory.get(key)
-        if payload is not None:
-            self._memory.move_to_end(key)
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            return pickle.loads(payload)
         fpath = self._entry_path(key)
         try:
             with open(fpath, "rb") as fh:
@@ -94,9 +81,7 @@ class MemoStore:
             self._evict_corrupt(fpath)
             self.stats.misses += 1
             return None
-        self._admit_memory(key, payload)
         self.stats.hits += 1
-        self.stats.disk_hits += 1
         return value
 
     def put(self, key: str, value: Any) -> bool:
@@ -110,15 +95,8 @@ class MemoStore:
         os.makedirs(os.path.dirname(fpath), exist_ok=True)
         sha = hashlib.sha256(payload).hexdigest().encode()
         self._atomic_write(fpath, _MAGIC + sha + b"\n" + payload)
-        self._admit_memory(key, payload)
         self.stats.stores += 1
         return True
-
-    def _admit_memory(self, key: str, payload: bytes) -> None:
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
 
     def _evict_corrupt(self, fpath: str) -> None:
         try:

@@ -302,7 +302,7 @@ class ShmShuffleManager(ShuffleManager):
 
     def _drop_entry(self, entry: tuple[Any, int]) -> None:
         rec, _nb = entry
-        if isinstance(rec, shm_mod.Blob) and rec.segment is not None:
+        if rec.segment is not None:
             left = self._seg_refs.get(rec.segment, 0) - 1
             if left <= 0:
                 self._seg_refs.pop(rec.segment, None)
@@ -332,13 +332,6 @@ class ShmShuffleManager(ShuffleManager):
         total = 0
         for map_partition in sorted(buckets):
             rec, nb = buckets[map_partition]
-            if not isinstance(rec, shm_mod.Blob):
-                # Bucket written through the plain (serial) API — e.g. a
-                # memoized stage-hit importing stored records.  Wrap inline
-                # and cache the blob so repeated fetches (one per reduce
-                # task) do not re-pickle the same records each time.
-                rec = shm_mod.Blob(meta=cloudpickle.dumps(rec, protocol=5))
-                buckets[map_partition] = (rec, nb)
             refs.append(rec)
             total += nb
         return refs, total
@@ -351,7 +344,7 @@ class ShmShuffleManager(ShuffleManager):
         out: list[Any] = []
         for map_partition in sorted(buckets):
             rec, _nb = buckets[map_partition]
-            out.extend(shm_mod.decode(rec) if isinstance(rec, shm_mod.Blob) else rec)
+            out.extend(shm_mod.decode(rec))
         return out
 
     def invalidate_map_output(self, shuffle_id: int, map_partition: int) -> None:

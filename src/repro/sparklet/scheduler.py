@@ -99,7 +99,7 @@ class Runtime:
         #: scheduler commits their per-attempt buffers on task success only.
         self.accumulators: list[Any] = []
         #: Optional :class:`repro.memo.config.MemoSession` enabling
-        #: lineage-hash memoization of stage and job outputs.
+        #: lineage-hash memoization of job outputs.
         self.memo: Any | None = None
 
 
@@ -233,13 +233,12 @@ class DAGScheduler:
         # to compute (an unhashable closure) silently disable memo for this
         # job; memoization must never turn a runnable job into an error.
         memo = self.runtime.memo
-        lineage_cache: dict[int, str] = {}
         jkey: str | None = None
         if memo is not None:
             from repro.memo import hashing as memo_hashing
 
             try:
-                jkey = memo_hashing.job_key(rdd, func, lineage_cache)
+                jkey = memo_hashing.job_key(rdd, func)
             except Exception:
                 memo = None
         if memo is not None and jkey is not None:
@@ -247,8 +246,7 @@ class DAGScheduler:
             if entry is not None and self._apply_job_hit(entry, order, job):
                 self.job_history.append(job)
                 if obs.enabled:
-                    obs.emit(obs_events.CACHE_HIT, scope="job", key=jkey,
-                             job_id=job.job_id)
+                    obs.emit(obs_events.CACHE_HIT, key=jkey, job_id=job.job_id)
                     obs.registry.counter("memo.job_hits").inc()
                 self.runtime.backend.on_job_end(self, job)
                 return entry["results"], job
@@ -257,8 +255,7 @@ class DAGScheduler:
             obs.emit(obs_events.JOB_START, job_id=job.job_id, rdd=rdd.name,
                      pool=job.pool)
             if memo is not None:
-                obs.emit(obs_events.CACHE_MISS, scope="job", key=jkey,
-                         job_id=job.job_id)
+                obs.emit(obs_events.CACHE_MISS, key=jkey, job_id=job.job_id)
                 obs.registry.counter("memo.job_misses").inc()
         acc_before = self._acc_snapshot() if memo is not None else {}
 
@@ -269,10 +266,7 @@ class DAGScheduler:
                 missing = self._missing_map_partitions(stage)
                 if not missing and stage.shuffle_dep.shuffle_id in self._completed_shuffles:
                     continue  # output still available from a previous job
-                if memo is not None and len(missing) == stage.rdd.num_partitions:
-                    self._run_memoized_map_stage(stage, job, memo, lineage_cache)
-                else:
-                    self._run_shuffle_map_stage(stage, job, missing or None)
+                self._run_shuffle_map_stage(stage, job, missing or None)
             else:
                 metrics, results = self._run_result_stage(stage, func, job)
                 job.stages.append(metrics)
@@ -292,77 +286,6 @@ class DAGScheduler:
         return results, job
 
     # -- memoization --------------------------------------------------------
-    def _run_memoized_map_stage(
-        self, stage: Stage, job: JobMetrics, memo: Any,
-        lineage_cache: dict[int, str],
-    ) -> None:
-        """Run one whole-output-missing map stage through the memo store."""
-        dep = stage.shuffle_dep
-        assert dep is not None
-        obs = self.runtime.obs
-        skey: str | None = None
-        try:
-            from repro.memo import hashing as memo_hashing
-
-            skey = memo_hashing.stage_key(dep, lineage_cache)
-        except Exception:
-            skey = None
-        if skey is not None:
-            entry = memo.store.get(skey)
-            if entry is not None and self._apply_stage_hit(stage, entry, job):
-                if obs.enabled:
-                    obs.emit(obs_events.CACHE_HIT, scope="stage", key=skey,
-                             stage_id=stage.stage_id,
-                             shuffle_id=dep.shuffle_id)
-                    obs.registry.counter("memo.stage_hits").inc()
-                return
-        if obs.enabled and skey is not None:
-            obs.emit(obs_events.CACHE_MISS, scope="stage", key=skey,
-                     stage_id=stage.stage_id, shuffle_id=dep.shuffle_id)
-            obs.registry.counter("memo.stage_misses").inc()
-        acc_before = self._acc_snapshot()
-        sm = self._run_shuffle_map_stage(stage, job, None)
-        clean = (sm.n_task_failures == 0 and sm.n_executor_lost == 0
-                 and sm.n_fetch_failures == 0)
-        # Faulted stages are never stored: their metrics carry failure
-        # counts that did not "happen" in a later clean run, and recovery
-        # waves make the delta accounting ambiguous.  Output correctness is
-        # unaffected — the next clean run populates the entry.
-        if (skey is not None and clean
-                and dep.shuffle_id in self._completed_shuffles
-                and self._accs_replayable()):
-            buckets = self.runtime.shuffle.export_shuffle(
-                dep.shuffle_id, dep.partitioner.num_partitions
-            )
-            memo.store.put(skey, {
-                "buckets": buckets,
-                "metrics": sm,
-                "acc_deltas": self._acc_deltas(acc_before),
-            })
-
-    def _apply_stage_hit(self, stage: Stage, entry: dict, job: JobMetrics) -> bool:
-        """Install a stored map stage: shuffle buckets, deltas, metrics."""
-        dep = stage.shuffle_dep
-        assert dep is not None
-        if not self._apply_acc_deltas(entry.get("acc_deltas", {})):
-            return False
-        self._mark_committed([stage])
-        self.runtime.shuffle.import_shuffle(dep.shuffle_id, entry["buckets"])
-        outputs = self._map_outputs.setdefault(dep.shuffle_id, {})
-        for p in range(stage.rdd.num_partitions):
-            # Synthetic producer id: never matches a lost executor, so the
-            # imported output survives executor-loss bookkeeping (a fetch
-            # failure still invalidates it and recomputes via lineage).
-            outputs[p] = "memo"
-        self._completed_shuffles.add(dep.shuffle_id)
-        sm = entry.get("metrics")
-        if sm is not None:
-            sm.stage_id = stage.stage_id
-            for t in sm.tasks:
-                t.stage_id = stage.stage_id
-            job.stages.append(sm)
-        return True
-
     def _apply_job_hit(self, entry: dict, order: list[Stage], job: JobMetrics) -> bool:
         """Replay a stored job: accumulator deltas + metrics, no execution."""
         if not self._apply_acc_deltas(entry.get("acc_deltas", {})):
@@ -374,9 +297,10 @@ class DAGScheduler:
         return True
 
     def _mark_committed(self, stages: list[Stage]) -> None:
-        """Pre-commit the logical tasks of skipped stages on every
-        accumulator, so a later fault-driven recomputation of an imported
-        stage cannot double-count adds the replayed delta already applied."""
+        """Pre-commit the logical tasks of a replayed job's stages on every
+        accumulator, so a later job that computes one of those (shared)
+        shuffle-map stages cannot double-count adds the replayed delta
+        already applied."""
         keys = {
             (stage.stage_id, p)
             for stage in stages

@@ -80,43 +80,6 @@ class ShuffleManager:
     def has_shuffle(self, shuffle_id: int) -> bool:
         return bool(self._buckets.get(shuffle_id))
 
-    # -- memoization --------------------------------------------------------
-    def export_shuffle(
-        self, shuffle_id: int, num_reduce_partitions: int
-    ) -> dict[int, tuple[list[Any], int]]:
-        """Materialize a shuffle's reduce inputs for the memo store.
-
-        Goes through :meth:`fetch` (merged, sorted map order) rather than
-        the raw bucket dict so subclasses holding encoded refs — the
-        shared-memory manager — export plain records.  Collapsing each
-        reducer's buckets to one entry is lossless for replay: reducers
-        only ever see the merged stream.
-        """
-        out: dict[int, tuple[list[Any], int]] = {}
-        for reduce_partition in range(num_reduce_partitions):
-            records = self.fetch(shuffle_id, reduce_partition)
-            if records:
-                out[reduce_partition] = (
-                    records,
-                    self.fetch_bytes(shuffle_id, reduce_partition),
-                )
-        return out
-
-    def import_shuffle(
-        self, shuffle_id: int, exported: dict[int, tuple[list[Any], int]]
-    ) -> None:
-        """Install previously exported reduce inputs as map-partition 0.
-
-        Replaces any partial buckets for the shuffle first, so an import
-        is idempotent and never interleaves with live map output.
-        """
-        self.invalidate_shuffle(shuffle_id)
-        for reduce_partition, (records, nbytes) in exported.items():
-            self.write(
-                shuffle_id, reduce_partition, records,
-                nbytes=nbytes, map_partition=0,
-            )
-
     # -- fault recovery ----------------------------------------------------
     def invalidate_map_output(self, shuffle_id: int, map_partition: int) -> None:
         """Drop one map task's buckets (its executor died)."""

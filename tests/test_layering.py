@@ -108,6 +108,15 @@ GONE = {
     "remove_replica",
     "decommission_node",
     "unschedulable",
+    # Memoization keys whole jobs only, in one on-disk tier: prefix reuse
+    # inside a context is the scheduler's completed-shuffle skip.
+    "stage_key",
+    "export_shuffle",
+    "import_shuffle",
+    "_run_memoized_map_stage",
+    "_apply_stage_hit",
+    "_admit_memory",
+    "max_memory_entries",
 }
 
 

@@ -83,7 +83,7 @@ def test_cache_hit_under_faults_matches_clean_uncached_run(fault_config, memo_di
 
 @pytest.mark.parametrize("fault_config", RULE_MIXES)
 def test_faulted_runs_never_poison_clean_runs(fault_config, memo_dir):
-    """Fault-first direction: whatever a faulted run stored (only stages
+    """Fault-first direction: whatever a faulted run stored (only jobs
     that themselves ran clean are eligible), replaying it into later clean
     runs must yield correct results and *zero* failure metrics."""
     clean_uncached, _ = _run()
@@ -92,7 +92,7 @@ def test_faulted_runs_never_poison_clean_runs(fault_config, memo_dir):
     faulted, _ = _run(MemoSession(cfg), fault_config)
     assert faulted == clean_uncached
     # Clean runs after it: correct results, and any replayed entries carry
-    # no failure counts — a faulted *stage* or *job* is never stored.
+    # no failure counts — a faulted job is never stored.
     cold, cold_failures = _run(MemoSession(cfg))
     warm_session = MemoSession(cfg)
     warm, warm_failures = _run(warm_session)

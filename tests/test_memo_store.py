@@ -2,8 +2,8 @@
 
 The store's contract is blunt: a corrupted or truncated entry is *never*
 served — it is evicted and the caller recomputes.  The tests here flip
-bits, truncate files and swap payloads to prove it, then cover the
-LRU/memory tier, blob addressing, the SQLite candidate archive, and the
+bits, truncate files and swap payloads to prove it, then cover result
+freshness, blob addressing, the SQLite candidate archive, and the
 config-resolution rules (explicit beats env; env suppressed under faults).
 """
 
@@ -43,7 +43,7 @@ def test_put_get_round_trip(tmp_path):
     assert store.stats.stores == 1
 
 
-def test_memory_tier_returns_fresh_objects(tmp_path):
+def test_get_returns_fresh_objects(tmp_path):
     """A hit must unpickle fresh structures: mutating a result returned by
     one get must not poison the next get."""
     store = MemoStore(str(tmp_path))
@@ -53,36 +53,36 @@ def test_memory_tier_returns_fresh_objects(tmp_path):
     assert store.get("key1") == {"results": [1, 2]}
 
 
-def test_lru_eviction_falls_back_to_disk(tmp_path):
-    store = MemoStore(str(tmp_path), max_memory_entries=2)
-    for i in range(4):
-        store.put(f"key{i}", {"v": i})
-    # key0/key1 were evicted from memory; disk still serves them.
-    assert store.get("key0") == {"v": 0}
-    assert store.stats.disk_hits == 1
-    assert store.get("key3") == {"v": 3}
-    assert store.stats.memory_hits == 1
-
-
 def _entry_files(store: MemoStore) -> list[str]:
     return sorted(glob.glob(os.path.join(store.path, "objects", "*", "*")))
+
+
+def _flip_last_byte(fpath: str) -> None:
+    data = bytearray(open(fpath, "rb").read())
+    data[-1] ^= 0xFF  # flip a payload bit
+    with open(fpath, "wb") as fh:
+        fh.write(bytes(data))
 
 
 def test_corrupted_entry_evicted_never_served(tmp_path):
     store = MemoStore(str(tmp_path))
     store.put("key1", {"v": "payload"})
     (fpath,) = _entry_files(store)
-    data = bytearray(open(fpath, "rb").read())
-    data[-1] ^= 0xFF  # flip a payload bit
-    with open(fpath, "wb") as fh:
-        fh.write(bytes(data))
-    fresh = MemoStore(str(tmp_path))  # cold memory tier: must read disk
+    _flip_last_byte(fpath)
+    fresh = MemoStore(str(tmp_path))  # a store that never saw the entry
     assert fresh.get("key1") is None
     assert fresh.stats.corrupt_evicted == 1
     assert not os.path.exists(fpath)
     # Recompute-and-store works after eviction.
     assert fresh.put("key1", {"v": "recomputed"})
     assert fresh.get("key1") == {"v": "recomputed"}
+    # The store that wrote an entry checks it on read too.
+    (fpath,) = _entry_files(fresh)
+    _flip_last_byte(fpath)
+    assert fresh.get("key1") is None
+    assert (fresh.stats.hits, fresh.stats.misses) == (1, 2)
+    assert fresh.stats.corrupt_evicted == 2
+    assert not os.path.exists(fpath)
 
 
 def test_truncated_entry_evicted_never_served(tmp_path):

@@ -256,38 +256,33 @@ def test_warm_equals_cold_across_backends(backend, memo_dir):
 
 
 @pytest.mark.parametrize("backend", ["serial", "parallel"])
-def test_prefix_overlap_reuses_the_shared_map_stage(backend, memo_dir):
-    """Two jobs sharing a shuffle prefix but differing downstream: the
-    second job must stage-hit the shared shuffle, job-miss overall, and
+def test_prefix_overlap_job_misses_and_matches_uncached(backend, memo_dir):
+    """Two jobs sharing a shuffle prefix but differing downstream: in a
+    later run the perturbed job must miss the store outright (the cache
+    keys whole jobs only, so nothing of the shared prefix is served) and
     still produce exactly what an unmemoized run produces."""
     cfg = MemoConfig(dir=memo_dir, store_candidates=False)
     data = list(range(60))
 
-    def jobs(ctx):
+    def summed(ctx):
+        # One definition, so the prefix's lineage hashes alike in every run.
         pairs = ctx.parallelize(data, 4).map(lambda x: (x % 7, x))
-        summed = pairs.reduce_by_key(lambda a, b: a + b, num_partitions=3)
-        first = sorted(summed.collect())
-        second = sorted(summed.map(lambda kv: (kv[0], kv[1] * 10)).collect())
+        return pairs.reduce_by_key(lambda a, b: a + b, num_partitions=3)
+
+    def jobs(ctx):
+        first = sorted(summed(ctx).collect())
+        second = sorted(summed(ctx).map(lambda kv: (kv[0], kv[1] * 10)).collect())
         return first, second
 
-    with SparkletContext(app_name="u", default_parallelism=2, backend=backend,
-                         num_workers=2) as ctx:
-        expected = jobs(ctx)
-    with SparkletContext(app_name="c", default_parallelism=2, backend=backend,
-                         num_workers=2, memo=MemoSession(cfg)) as ctx:
-        assert jobs(ctx) == expected
+    def perturbed(ctx):
+        return sorted(summed(ctx).map(lambda kv: (kv[0], kv[1] * 11)).collect())
 
+    def run(memo, fn):
+        with SparkletContext(app_name="p", default_parallelism=2, backend=backend,
+                             num_workers=2, memo=memo) as ctx:
+            return fn(ctx)
+
+    assert run(MemoSession(cfg), jobs) == run(None, jobs)
     session = MemoSession(cfg)
-    with SparkletContext(app_name="w", default_parallelism=2, backend=backend,
-                         num_workers=2, memo=session) as ctx:
-        pairs = ctx.parallelize(data, 4).map(lambda x: (x % 7, x))
-        summed = pairs.reduce_by_key(lambda a, b: a + b, num_partitions=3)
-        # Perturbed downstream: job key misses, shared shuffle stage hits.
-        third = sorted(summed.map(lambda kv: (kv[0], kv[1] * 11)).collect())
-    with SparkletContext(app_name="u2", default_parallelism=2, backend=backend,
-                         num_workers=2) as ctx:
-        pairs = ctx.parallelize(data, 4).map(lambda x: (x % 7, x))
-        summed = pairs.reduce_by_key(lambda a, b: a + b, num_partitions=3)
-        expected_third = sorted(
-            summed.map(lambda kv: (kv[0], kv[1] * 11)).collect())
-    assert third == expected_third
+    assert run(session, perturbed) == run(None, perturbed)
+    assert session.store.stats.hits == 0
