@@ -11,6 +11,11 @@ Four arms over the same D-RAPID workload (same observations, same seed):
    every job key misses and the run recomputes (the store keys whole jobs
    only; a perturbed config must never be served a stored result).
 
+Each round runs the four arms once, in that order; each arm is reported as
+the median of 11 rounds at full scale with its interquartile range beside
+it.  Hits and misses are counted from the ``cache_hit``/``cache_miss``
+events of the warm and prefix runs' event logs.
+
 Byte-identity is asserted before any number is reported: hit output must
 equal miss output must equal uncached output, row for row, and the prefix
 run must equal the uncached perturbed run — a cache that is fast but wrong
@@ -42,6 +47,7 @@ from repro.astro.survey import GBT350DRIFT, generate_observation
 from repro.core.search import SearchParams
 from repro.memo import MemoConfig, MemoSession, reproduce_candidate
 from repro.obs import ObsConfig
+from repro.obs.events import CACHE_HIT, CACHE_MISS
 from repro.obs.session import ObsSession
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +84,19 @@ def _run(observations, memo_dir: str | None, params: SearchParams,
     return wall, result.pulse_batch.to_ml_lines(), session
 
 
+def _memo_counts(obs: ObsSession) -> dict[str, int]:
+    """Job-level memo hits and misses, counted from the run's event log."""
+    types = [e["type"] for e in obs.events()]
+    return {"memo.job_hits": types.count(CACHE_HIT),
+            "memo.job_misses": types.count(CACHE_MISS)}
+
+
+def _iqr(walls: list[float]) -> list[float]:
+    """[first quartile, third quartile] of one arm's walls."""
+    q1, _q2, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    return [round(q1, 6), round(q3, 6)]
+
+
 def bench_cache_arms(observations, rounds: int) -> dict:
     params = SearchParams()
     perturbed = dataclasses.replace(params, weight=params.weight + 0.05)
@@ -96,10 +115,7 @@ def bench_cache_arms(observations, rounds: int) -> dict:
             w, warm_lines, obs = _run(observations, memo_dir, params,
                                       with_obs=True)
             warm_walls.append(w)
-            warm_counters = {
-                k: obs.registry.counter(k).value
-                for k in ("memo.job_hits", "memo.job_misses")
-            }
+            warm_counters = _memo_counts(obs)
             # Hit ≡ miss ≡ uncached, byte for byte, every round.
             assert warm_lines == cold_lines == uncached_lines, (
                 "memoized output diverged from recomputed output"
@@ -108,10 +124,7 @@ def bench_cache_arms(observations, rounds: int) -> dict:
             w, prefix_lines, obs = _run(observations, memo_dir, perturbed,
                                         with_obs=True)
             prefix_walls.append(w)
-            prefix_counters = {
-                k: obs.registry.counter(k).value
-                for k in ("memo.job_hits", "memo.job_misses")
-            }
+            prefix_counters = _memo_counts(obs)
             w, uncached_pert, _ = _run(observations, None, perturbed)
             assert prefix_lines == uncached_pert, (
                 "prefix-overlap output diverged from recomputed output"
@@ -123,9 +136,13 @@ def bench_cache_arms(observations, rounds: int) -> dict:
     return {
         "rounds": rounds,
         "uncached_wall_s": round(med(uncached_walls), 6),
+        "uncached_wall_iqr_s": _iqr(uncached_walls),
         "cold_wall_s": round(med(cold_walls), 6),
+        "cold_wall_iqr_s": _iqr(cold_walls),
         "warm_wall_s": round(med(warm_walls), 6),
+        "warm_wall_iqr_s": _iqr(warm_walls),
         "prefix_wall_s": round(med(prefix_walls), 6),
+        "prefix_wall_iqr_s": _iqr(prefix_walls),
         "warm_speedup_vs_cold": round(med(cold_walls) / med(warm_walls), 2),
         "warm_speedup_vs_uncached": round(
             med(uncached_walls) / med(warm_walls), 2
@@ -177,7 +194,9 @@ def run_all(smoke: bool = False) -> dict:
         n_obs=2 if smoke else 4,
         obs_length_s=40.0 if smoke else 120.0,
     )
-    arms = bench_cache_arms(observations, rounds=2 if smoke else 3)
+    # Each round runs every arm once, in the same order, so the arms'
+    # medians come from interleaved samples of one stretch of the host.
+    arms = bench_cache_arms(observations, rounds=2 if smoke else 11)
     candidates = bench_candidate_round_trip(observations)
 
     results = {
@@ -193,10 +212,15 @@ def run_all(smoke: bool = False) -> dict:
         ["metric", "value"],
         [
             ["ml rows", arms["n_ml_rows"]],
-            ["uncached wall s", arms["uncached_wall_s"]],
-            ["cold wall s", arms["cold_wall_s"]],
-            ["warm wall s", arms["warm_wall_s"]],
-            ["prefix wall s", arms["prefix_wall_s"]],
+            ["rounds", arms["rounds"]],
+            ["uncached wall s (median)", arms["uncached_wall_s"]],
+            ["uncached wall s (IQR)", arms["uncached_wall_iqr_s"]],
+            ["cold wall s (median)", arms["cold_wall_s"]],
+            ["cold wall s (IQR)", arms["cold_wall_iqr_s"]],
+            ["warm wall s (median)", arms["warm_wall_s"]],
+            ["warm wall s (IQR)", arms["warm_wall_iqr_s"]],
+            ["prefix wall s (median)", arms["prefix_wall_s"]],
+            ["prefix wall s (IQR)", arms["prefix_wall_iqr_s"]],
             ["warm speedup vs cold", arms["warm_speedup_vs_cold"]],
             ["warm speedup vs uncached", arms["warm_speedup_vs_uncached"]],
             ["prefix speedup vs uncached", arms["prefix_speedup_vs_uncached"]],

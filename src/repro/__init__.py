@@ -10,7 +10,7 @@ The blessed entry point is :mod:`repro.api`::
 Subpackages:
 
 - :mod:`repro.api` — frozen :class:`~repro.api.PipelineConfig` facade
-- :mod:`repro.obs` — event log, span tracer, metrics registry, replay
+- :mod:`repro.obs` — the event log (spans included), its replay and reports
 - :mod:`repro.sparklet` — Spark-like dataflow engine + cluster simulator
 - :mod:`repro.dfs` — HDFS-like distributed file system simulation
 - :mod:`repro.ml` — the six Weka learners, SMOTE, feature selection, CV

@@ -231,10 +231,7 @@ def run_pipeline(
                 positive_collapse=scheme,
                 seed=config.seed,
             )
-    if session.enabled:
-        session.registry.counter("pipeline.runs").inc()
-        session.registry.counter("pipeline.pulses").inc(drapid.n_pulses)
-        session.flush()
+    session.flush()
     return PipelineResult(
         observations=observations,
         drapid=drapid,
@@ -328,8 +325,6 @@ class ServingConfig:
     #: Observability for the whole fleet (one shared event log; per-tenant
     #: events carry ``tenant``/``pool`` fields).
     obs_config: "ObsConfig | ObsSession | None" = None
-    #: Directory for per-tenant private JSONL event logs (None: shared only).
-    tenant_trace_dir: str | None = None
     #: Execution knobs for the shared context (backend/workers);
     #: fields left None defer to the ``REPRO_*`` environment defaults.
     execution: ExecutionConfig | None = None
@@ -384,8 +379,6 @@ def run_serving(config: ServingConfig) -> ServingResult:
     :func:`run_streaming` on that tenant's :class:`StreamingConfig` — co-
     tenant contention moves batch boundaries, never finalized clusters.
     """
-    import os
-
     from repro.memo.config import resolve_memo
     from repro.streaming.engine import MicroBatchEngine
     from repro.streaming.serving import ModelCache, StreamScorer
@@ -419,14 +412,9 @@ def run_serving(config: ServingConfig) -> ServingResult:
             if scfg.model_path is not None:
                 cache.load(tid, scfg.model_path)
                 scorer = StreamScorer.from_cache(cache, tid)
-            trace_path = (
-                os.path.join(config.tenant_trace_dir, f"{tid}.jsonl")
-                if config.tenant_trace_dir is not None else None
-            )
-            view = session.for_tenant(tid, path=trace_path)
-            stack.callback(view.close)
             engine = MicroBatchEngine.for_observations(
-                observations, scfg, dfs=dfs, ctx=ctx, scorer=scorer, obs=view,
+                observations, scfg, dfs=dfs, ctx=ctx, scorer=scorer,
+                obs=session.for_tenant(tid),
             )
             # Namespaced so memo entries cannot cross tenants.
             memo = resolve_memo(pipe.memo_config, fault_config=pipe.fault_config,
@@ -446,9 +434,6 @@ def run_serving(config: ServingConfig) -> ServingResult:
             )
             for tid, info in manager.sessions.items() if info.admitted
         }
-        if session.enabled:
-            session.registry.counter("serving.batches").inc(manager.n_batches)
-            session.registry.counter("serving.tenants").inc(len(results))
         return ServingResult(
             tenants=results, rejected=manager.rejected(),
             pool_stats=manager.pool_stats(), n_batches=manager.n_batches,

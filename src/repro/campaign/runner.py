@@ -255,12 +255,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 arrival_rate=ARRIVAL_RATE,
                 batch_root=root, checkpoint_path=f"{root}/checkpoint.json",
             )
-            view = session.for_tenant(tenant_id)
-            stack.callback(view.close)
             engine = MicroBatchEngine.for_observations(
                 observations, scfg, dfs=dfs, ctx=ctx,
                 scorer=StreamScorer.from_cache(cache, MODEL_KEY),
-                obs=view,
+                obs=session.for_tenant(tenant_id),
             )
             manager.add_session(tenant_id, engine)
             engines[tenant_id] = engine
@@ -415,11 +413,5 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             "swaps": swaps,
             "retrains": retrains,
         }
-        if session.enabled:
-            session.registry.counter("campaign.batches").inc(manager.n_batches)
-            session.registry.counter("campaign.drift_detections").inc(
-                len(drift_timeline)
-            )
-            session.registry.counter("campaign.retrains").inc(len(retrains))
         return CampaignResult(config=config, report=report,
                               obs=session if session.enabled else None)

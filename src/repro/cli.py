@@ -161,8 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_execution_args(serve)
     serve.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write the shared observability event log here")
-    serve.add_argument("--tenant-trace-dir", default=None, metavar="DIR",
-                       help="also write one private JSONL log per tenant here")
 
     camp = sub.add_parser(
         "campaign",
@@ -358,13 +356,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     session = _obs_session(args.trace_out)
-    if session is None and args.tenant_trace_dir:
-        # Per-tenant JSONLs are views over the shared session, so routing
-        # them requires an (in-memory) enabled session even without
-        # --trace-out.
-        from repro.obs import ObsConfig, ObsSession
-
-        session = ObsSession(ObsConfig(enabled=True))
     weights = args.weights or [1.0]
     tenants = tuple(
         TenantConfig(
@@ -389,14 +380,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         admission=AdmissionConfig(mode=args.admission,
                                   capacity_rows_per_s=args.capacity),
         obs_config=session,
-        tenant_trace_dir=args.tenant_trace_dir,
         execution=_execution_config(args),
     )
     result = run_serving(config)
     if session is not None:
         session.close()
-        if args.trace_out:
-            print(f"trace written: {args.trace_out}")
+        print(f"trace written: {args.trace_out}")
     print(f"tenants: {args.tenants} ({len(result.tenants)} admitted, "
           f"{len(result.rejected)} rejected)")
     print(f"batches executed: {result.n_batches}")
@@ -414,8 +403,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         p99 = delays[min(len(delays) - 1, int(0.99 * len(delays)))] if delays else 0.0
         print(f"{tid:10s} {tenant.weight:>6.1f} {res.n_batches:>7} "
               f"{res.n_pulses:>6} {p99:>8.3f}s {shares.get(tid, 0.0):>6.3f}")
-    if args.tenant_trace_dir:
-        print(f"per-tenant traces written under: {args.tenant_trace_dir}")
     return 0
 
 

@@ -215,9 +215,6 @@ class DRapidDriver:
         pulse_batch = PulseBatch.concat([p for _k, p, _n, _null in records]).read_back()
         n_clusters = sum(n for _k, _p, n, _null in records)
         null_joins = sum(null for _k, _p, _n, null in records)
-        if obs.enabled:
-            obs.registry.counter("drapid.pulses").inc(len(pulse_batch))
-            obs.registry.counter("drapid.clusters").inc(n_clusters)
 
         return DRapidResult(
             pulse_batch=pulse_batch,

@@ -94,7 +94,6 @@ class DFSClient:
         if self.obs.enabled:
             self.obs.emit(obs_events.DFS_PUT, path=path, n_bytes=len(payload),
                           n_blocks=len(blocks), replication=effective)
-            self.obs.registry.counter("dfs.bytes_written").inc(len(payload))
 
     def put_text(self, path: str, text: str) -> None:
         self.put(path, text.encode("utf-8"))

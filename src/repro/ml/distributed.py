@@ -74,13 +74,8 @@ class DistributedRandomForest:
 
         seeds = [self.seed + 1000003 * i for i in range(self.n_trees)]
         rdd = self.ctx.parallelize(seeds, num_partitions=self.n_trees)
-        obs = self.ctx.obs
-        if obs.enabled:
-            with obs.tracer.span("ml.fit_forest", n_trees=self.n_trees,
-                                 n_rows=int(X.shape[0])):
-                self._forests = rdd.map(train_one).collect()
-            obs.registry.counter("ml.trees_trained").inc(self.n_trees)
-        else:
+        with self.ctx.obs.tracer.span("ml.fit_forest", n_trees=self.n_trees,
+                                      n_rows=int(X.shape[0])):
             self._forests = rdd.map(train_one).collect()
         return self
 

@@ -6,8 +6,7 @@ already-constructed :class:`~repro.obs.session.ObsSession` — and does
 *nothing* when observability is disabled, which is the default.  The
 end-to-end benchmark measures what enabling it costs
 (``trace.overhead_frac``); its ``wall_s`` no-regression gate holds the
-disabled path.  An enabled session publishes metrics into a registry of its
-own; there is no process-wide registry.
+disabled path.  An enabled session's one record is its event log.
 """
 
 from __future__ import annotations
@@ -22,22 +21,18 @@ class ObsConfig:
     Parameters
     ----------
     enabled:
-        Master switch.  When False (the default) every emit/span/metric call
-        is a no-op behind a single attribute check.
+        Master switch.  When False (the default) every emit/span call is a
+        no-op behind a single attribute check.
     event_log_path:
         If set, events are appended to this file as JSONL (one JSON object
         per line, Spark-event-log style).  Replayable via
         :func:`repro.obs.replay.replay_job_metrics`.
 
     An enabled session always keeps its events in memory
-    (``session.log.events``), seeds its span ids with 0 so traces of seeded
-    chaos runs are reproducible token for token, and publishes metrics into
-    a registry of its own.
+    (``session.log.events``) and writes its spans into the same log, with
+    counter-allocated ids so traces of seeded chaos runs are reproducible
+    token for token.
     """
 
     enabled: bool = False
     event_log_path: str | None = None
-
-
-#: The default configuration: everything off.
-DISABLED = ObsConfig(enabled=False)

@@ -96,9 +96,8 @@ class EventLog:
     pass scalars, strings and flat lists.
     """
 
-    def __init__(self, path: str | Path | None = None, keep: bool = True) -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self.keep = keep
         self.events: list[dict[str, Any]] = []
         self._seq = 0
         self._t0 = time.perf_counter()
@@ -113,8 +112,7 @@ class EventLog:
                  "type": etype}
         event.update(fields)
         self._seq += 1
-        if self.keep:
-            self.events.append(event)
+        self.events.append(event)
         if self._fh is not None:
             self._fh.write(json.dumps(event, separators=(",", ":")) + "\n")
         return event

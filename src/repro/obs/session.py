@@ -1,9 +1,11 @@
-"""ObsSession: the live bundle of event log + tracer + metrics registry.
+"""ObsSession: the live bundle of event log + tracer.
 
 One session is shared by every subsystem participating in a run (the
 pipeline creates it from its ``obs_config`` and hands it to the Sparklet
 context and the DFS client), so all events land in a single ordered log and
-all spans form a single tree.
+all spans form a single tree.  The log is the one observability record:
+spans are written into it, and one tenant's slice of it is
+``build_report(log, tenant=...)`` (``trace-report --tenant``).
 
 The disabled path is a singleton (:data:`NULL_OBS`) whose ``enabled`` flag
 is False; hot paths guard with ``if obs.enabled:`` so the disabled cost is
@@ -18,38 +20,30 @@ from typing import Any, ContextManager
 
 from repro.obs.config import ObsConfig
 from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
 class _NullTracer:
     """Tracer stand-in whose spans are free."""
 
-    spans: list = []
-
     def span(self, name: str, **attrs: Any) -> ContextManager[None]:
         return nullcontext()
-
-    def tree(self) -> list:
-        return []
 
 
 class ObsSession:
     """Everything a subsystem needs to observe itself."""
 
-    __slots__ = ("enabled", "config", "log", "tracer", "registry")
+    __slots__ = ("enabled", "log", "tracer")
 
     def __init__(self, config: ObsConfig | None = None) -> None:
-        self.config = config or ObsConfig()
-        self.enabled = self.config.enabled
+        config = config or ObsConfig()
+        self.enabled = config.enabled
         if self.enabled:
-            self.log = EventLog(self.config.event_log_path)
-            self.tracer: Tracer | _NullTracer = Tracer(log=self.log)
-            self.registry = MetricsRegistry()
+            self.log = EventLog(config.event_log_path)
+            self.tracer: Tracer | _NullTracer = Tracer(self.log)
         else:
             self.log = None  # type: ignore[assignment]
             self.tracer = _NULL_TRACER
-            self.registry = _NULL_REGISTRY
 
     # -- emission -----------------------------------------------------------
     def emit(self, etype: str, **fields: Any) -> None:
@@ -70,16 +64,9 @@ class ObsSession:
             self.log.close()
 
     # -- multi-tenant views --------------------------------------------------
-    def for_tenant(self, tenant_id: str, *, pool: str | None = None,
-                   path: str | None = None) -> "TenantObsSession":
-        """A per-tenant view of this session (see :class:`TenantObsSession`).
-
-        Every event emitted through the view carries ``tenant`` and
-        ``pool`` fields in the shared log; with ``path`` the view also
-        routes a private copy of the tenant's events to its own JSONL
-        file, so one tenant's trace can be shipped without the others'.
-        """
-        return TenantObsSession(self, tenant_id, pool=pool, path=path)
+    def for_tenant(self, tenant_id: str) -> "TenantObsSession":
+        """A per-tenant view of this session (see :class:`TenantObsSession`)."""
+        return TenantObsSession(self, tenant_id)
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -101,32 +88,20 @@ class ObsSession:
 class TenantObsSession:
     """One tenant's window onto a shared :class:`ObsSession`.
 
-    Implements the session interface the engine and DFS consume (enabled /
-    emit / events / tracer / registry / flush / close), adding the tenant
-    identity to every event and optionally mirroring the tenant's events
-    into a private :class:`~repro.obs.events.EventLog`.  Tracer and
-    registry are the parent's: spans stay one tree, metrics one registry
-    (per-tenant series are separated by the event fields).  Disabled
-    parents yield a disabled view — the NULL_OBS fast path survives.
+    Implements the part of the session interface a streaming engine
+    consumes (enabled / emit / log / tracer), tagging every event with
+    ``tenant`` and ``pool`` (the tenant's scheduler pool, named after it)
+    in the shared log.  The tracer is the parent's, so spans stay one tree.
+    Disabled parents yield a disabled view — the NULL_OBS fast path
+    survives.
     """
 
-    __slots__ = ("enabled", "parent", "tenant", "pool", "private_log")
+    __slots__ = ("enabled", "parent", "tenant")
 
-    def __init__(self, parent: ObsSession, tenant_id: str, *,
-                 pool: str | None = None, path: str | None = None) -> None:
+    def __init__(self, parent: ObsSession, tenant_id: str) -> None:
         self.parent = parent
         self.enabled = parent.enabled
         self.tenant = tenant_id
-        #: Scheduler pool the tenant's jobs run under (defaults 1:1).
-        self.pool = pool if pool is not None else tenant_id
-        self.private_log = (
-            EventLog(path) if (path is not None and parent.enabled) else None
-        )
-
-    # Shared pieces delegate to the parent.
-    @property
-    def config(self) -> ObsConfig:
-        return self.parent.config
 
     @property
     def log(self):
@@ -136,37 +111,13 @@ class TenantObsSession:
     def tracer(self):
         return self.parent.tracer
 
-    @property
-    def registry(self):
-        return self.parent.registry
-
     def emit(self, etype: str, **fields: Any) -> None:
-        if not self.enabled:
-            return
-        self.parent.emit(etype, tenant=self.tenant, pool=self.pool, **fields)
-        if self.private_log is not None:
-            self.private_log.emit(etype, tenant=self.tenant, pool=self.pool,
-                                  **fields)
-
-    def events(self) -> list[dict[str, Any]]:
-        """This tenant's events in the shared log."""
-        return [e for e in self.parent.events()
-                if e.get("tenant") == self.tenant]
-
-    def flush(self) -> None:
-        self.parent.flush()
-        if self.private_log is not None:
-            self.private_log.flush()
-
-    def close(self) -> None:
-        """Close the private log only; the shared session outlives the view."""
-        if self.private_log is not None:
-            self.private_log.close()
+        if self.enabled:
+            self.parent.emit(etype, tenant=self.tenant, pool=self.tenant,
+                             **fields)
 
 
 _NULL_TRACER = _NullTracer()
-_NULL_REGISTRY = MetricsRegistry()
 
-#: The shared disabled session.  Its registry is a private always-empty-ish
-#: sink: nothing guards writes into it because nothing writes when disabled.
+#: The shared disabled session.
 NULL_OBS = ObsSession(ObsConfig(enabled=False))

@@ -1,103 +1,51 @@
-"""Span-based tracer: nested, monotonic-clock, seeded-deterministic ids.
+"""Span tracer: nested, monotonic-clock spans written into the event log.
 
 A span covers one unit of work (a pipeline stage, a Sparklet stage wave, a
 task attempt).  Spans nest — entering a span while another is open makes it
 the child — so a faulted D-RAPID run shows recomputation waves *inside* the
-task attempt that triggered them.  Span ids are a pure function of the
-configured seed and an allocation counter (no wall clock, no randomness),
-so a seeded chaos run produces the same span tree every time.
+task attempt that triggered them.  The tracer keeps only the stack of open
+span ids; each span is a ``span_start``/``span_end`` pair in the session's
+:class:`~repro.obs.events.EventLog`, which is the one record of it.  Span
+ids are ``00000000-NNNNNN`` from an allocation counter (no wall clock, no
+randomness), so a seeded chaos run produces the same span tree every time.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.events import EventLog
 
 
-@dataclass
-class Span:
-    """One completed (or in-flight) traced operation."""
-
-    span_id: str
-    parent_id: str | None
-    name: str
-    #: Offset from the tracer's epoch, monotonic clock.
-    start_s: float
-    duration_s: float = 0.0
-    status: str = "ok"
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "status": self.status,
-            **({"attrs": self.attrs} if self.attrs else {}),
-        }
-
-
 class Tracer:
-    """Allocates spans and (optionally) mirrors them into an event log."""
+    """Writes nested spans into an event log."""
 
-    def __init__(self, seed: int = 0, log: "EventLog | None" = None) -> None:
-        self.seed = seed
+    def __init__(self, log: "EventLog") -> None:
         self.log = log
-        self.spans: list[Span] = []
         self._counter = 0
-        self._stack: list[Span] = []
-        self._t0 = time.perf_counter()
-
-    def _new_id(self) -> str:
-        self._counter += 1
-        return f"{self.seed & 0xFFFFFFFF:08x}-{self._counter:06d}"
-
-    @property
-    def current(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
+        self._stack: list[str] = []
 
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+    def span(self, name: str, **attrs: Any) -> Iterator[None]:
         """Open a child span of the innermost open span for the block."""
-        parent = self._stack[-1].span_id if self._stack else None
-        sp = Span(
-            span_id=self._new_id(),
-            parent_id=parent,
-            name=name,
-            start_s=round(time.perf_counter() - self._t0, 9),
-            attrs=dict(attrs),
-        )
-        self.spans.append(sp)
-        self._stack.append(sp)
-        if self.log is not None:
-            self.log.emit("span_start", span_id=sp.span_id, parent_id=sp.parent_id,
-                          name=name, **attrs)
+        self._counter += 1
+        span_id = f"00000000-{self._counter:06d}"
+        parent_id = self._stack[-1] if self._stack else None
+        self._stack.append(span_id)
+        self.log.emit("span_start", span_id=span_id, parent_id=parent_id,
+                      name=name, **attrs)
+        status = "ok"
         t0 = time.perf_counter()
         try:
-            yield sp
+            yield
         except BaseException as exc:
-            sp.status = f"error:{type(exc).__name__}"
+            status = f"error:{type(exc).__name__}"
             raise
         finally:
-            sp.duration_s = time.perf_counter() - t0
+            duration_s = time.perf_counter() - t0
             self._stack.pop()
-            if self.log is not None:
-                self.log.emit("span_end", span_id=sp.span_id, name=name,
-                              duration_s=sp.duration_s, status=sp.status)
-
-    def tree(self) -> list[tuple[int, Span]]:
-        """Spans in start order, each with its nesting depth."""
-        depth: dict[str | None, int] = {None: -1}
-        out: list[tuple[int, Span]] = []
-        for sp in self.spans:
-            d = depth.get(sp.parent_id, -1) + 1
-            depth[sp.span_id] = d
-            out.append((d, sp))
-        return out
+            self.log.emit("span_end", span_id=span_id, name=name,
+                          duration_s=duration_s, status=status)

@@ -741,16 +741,10 @@ class ParallelBackend:
         # each shuffle the stage reads is all this task will fetch.
         blobs: dict[tuple[int, int], list[shm_mod.Blob]] = {}
         nbytes: dict[tuple[int, int], int] = {}
+        # SparkletContext installs a ShmShuffleManager for this backend.
         mgr = sched.runtime.shuffle
         for sid in shuffle_reads:
-            if isinstance(mgr, ShmShuffleManager):
-                refs, total = mgr.bucket_refs(sid, split)
-            else:  # pragma: no cover - parallel contexts install Shm manager
-                refs = [shm_mod.Blob(meta=cloudpickle.dumps(
-                    mgr.fetch(sid, split), protocol=5))]
-                total = mgr.fetch_bytes(sid, split)
-            blobs[(sid, split)] = refs
-            nbytes[(sid, split)] = total
+            blobs[(sid, split)], nbytes[(sid, split)] = mgr.bucket_refs(sid, split)
         return blobs, nbytes
 
     def _payload_blob(self, key, stage, kind, dep, func, shuffle_reads) -> shm_mod.Blob:
@@ -774,9 +768,7 @@ class ParallelBackend:
         return blob
 
     def on_job_end(self, sched, job) -> None:
-        mgr = sched.runtime.shuffle
-        if isinstance(mgr, ShmShuffleManager):
-            mgr.release_deferred()
+        sched.runtime.shuffle.release_deferred()
 
     def close(self) -> None:
         if self._closed:

@@ -188,7 +188,6 @@ class FaultInjector:
                     "fault_injected", kind=rule.kind, stage_id=stage_id,
                     partition=partition, attempt=attempt, executor_id=executor_id,
                 )
-                self.obs.registry.counter(f"faults.injected.{rule.kind}").inc()
             if rule.kind == TASK_CRASH:
                 raise TaskFailure(
                     f"injected crash: stage {stage_id} partition {partition} attempt {attempt}"

@@ -247,7 +247,6 @@ class DAGScheduler:
                 self.job_history.append(job)
                 if obs.enabled:
                     obs.emit(obs_events.CACHE_HIT, key=jkey, job_id=job.job_id)
-                    obs.registry.counter("memo.job_hits").inc()
                 self.runtime.backend.on_job_end(self, job)
                 return entry["results"], job
 
@@ -256,7 +255,6 @@ class DAGScheduler:
                      pool=job.pool)
             if memo is not None:
                 obs.emit(obs_events.CACHE_MISS, key=jkey, job_id=job.job_id)
-                obs.registry.counter("memo.job_misses").inc()
         acc_before = self._acc_snapshot() if memo is not None else {}
 
         results: list[Any] = []
@@ -274,7 +272,6 @@ class DAGScheduler:
         if obs.enabled:
             obs.emit(obs_events.JOB_END, job_id=job.job_id,
                      n_stages=len(job.stages), n_tasks=job.num_tasks)
-            obs.registry.counter("sparklet.jobs").inc()
         self.runtime.backend.on_job_end(self, job)
         if (memo is not None and jkey is not None
                 and job.total_failures == 0 and self._accs_replayable()):
@@ -379,7 +376,6 @@ class DAGScheduler:
                      stage_id=stage.stage_id)
             obs.emit(obs_events.EXECUTOR_ADDED, executor_id=replacement,
                      replaces=executor_id)
-            obs.registry.counter("sparklet.executors_lost").inc()
         for sid, outputs in self._map_outputs.items():
             lost = [p for p, ex in outputs.items() if ex == executor_id]
             for p in lost:
@@ -447,10 +443,6 @@ class DAGScheduler:
         if obs.enabled:
             obs.emit(obs_events.TASK_END, stage_id=sm.stage_id,
                      attempt=sm.attempt, task=task.to_dict())
-            obs.registry.counter("sparklet.tasks_completed").inc()
-            obs.registry.histogram("sparklet.task_duration_s").observe(
-                task.duration_s
-            )
         sm.tasks.append(task)
         if stage.shuffle_dep is not None:
             self._map_outputs.setdefault(
@@ -489,20 +481,18 @@ class DAGScheduler:
             )
             if blacklisted and obs.enabled:
                 obs.emit(obs_events.EXECUTOR_BLACKLISTED, executor_id=st.executor_id)
-                obs.registry.counter("sparklet.executors_blacklisted").inc()
         if st.attempt > self.max_task_retries:
             raise exc
 
     def _record_task_failure(self, sm: StageMetrics, st: TaskAttempt,
                              kind: str) -> None:
-        """Publish one task-attempt failure to the event log and registry."""
+        """Publish one task-attempt failure to the event log."""
         obs = self.runtime.obs
         if obs.enabled:
             obs.emit(obs_events.TASK_FAILURE, stage_id=sm.stage_id,
                      attempt=sm.attempt, partition=st.partition,
                      task_attempt=st.attempt, executor_id=st.executor_id,
                      kind=kind)
-            obs.registry.counter(f"sparklet.failures.{kind}").inc()
 
     def _run_shuffle_map_stage(
         self, stage: Stage, job: JobMetrics, partitions: list[int] | None = None
@@ -543,10 +533,6 @@ class DAGScheduler:
         if obs.enabled:
             obs.emit(obs_events.STAGE_END, stage_id=sm.stage_id, attempt=sm.attempt,
                      n_tasks=len(sm.tasks), shuffle_write_bytes=sm.total_shuffle_write)
-            obs.registry.counter("sparklet.stages").inc()
-            obs.registry.counter("sparklet.shuffle_write_bytes").inc(
-                sm.total_shuffle_write
-            )
         job.stages.append(sm)
         return sm
 
@@ -580,7 +566,6 @@ class DAGScheduler:
         if obs.enabled:
             obs.emit(obs_events.STAGE_END, stage_id=sm.stage_id, attempt=sm.attempt,
                      n_tasks=len(sm.tasks), shuffle_write_bytes=0)
-            obs.registry.counter("sparklet.stages").inc()
         return sm, results
 
 

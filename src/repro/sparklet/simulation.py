@@ -157,4 +157,3 @@ def _emit_sim_stage(obs, sim: SimulatedStage, config: ClusterConfig) -> None:
     )
     if sim.spilled_bytes > 0:
         obs.emit("sim_spill", stage_id=sim.stage_id, spilled_bytes=sim.spilled_bytes)
-        obs.registry.counter("sim.spilled_bytes").inc(int(sim.spilled_bytes))

@@ -621,11 +621,7 @@ def stream_observations(
             },
             obs_seq_range=(0, session.log.n_events) if session.enabled else None,
         )
-    if session.enabled:
-        session.registry.counter("streaming.batches").inc(result.n_batches)
-        session.registry.counter("streaming.pulses").inc(result.n_pulses)
-        session.registry.counter("streaming.recoveries").inc(n_recoveries)
-        session.flush()
+    session.flush()
     return result
 
 

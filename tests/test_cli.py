@@ -80,25 +80,20 @@ class TestCli:
         assert "tenant-0" in out and "tenant-1" in out
         assert "share" in out
 
-    def test_serve_tenant_traces_without_trace_out(self, capsys, tmp_path):
-        # --tenant-trace-dir alone must still write the per-tenant JSONLs:
-        # the CLI brings up an in-memory shared session for the views to
-        # route through.
-        tdir = tmp_path / "tenants"
+    def test_serve_trace_reports_one_tenant(self, capsys, tmp_path):
+        # One tenant's trace is trace-report --tenant over the shared log.
+        log = tmp_path / "serve.jsonl"
         assert main(["serve", "--tenants", "2", "--pulsars", "3",
                      "--observations", "1", "--seed", "5",
                      "--batch-interval", "0.25", "--arrival-rate", "600",
-                     "--tenant-trace-dir", str(tdir)]) == 0
+                     "--trace-out", str(log)]) == 0
         out = capsys.readouterr().out
-        assert f"per-tenant traces written under: {tdir}" in out
-        for tid in ("tenant-0", "tenant-1"):
-            log = tdir / f"{tid}.jsonl"
-            assert log.exists() and log.stat().st_size > 0
-        assert main(["trace-report", str(tdir / "tenant-0.jsonl"),
-                     "--tenant", "tenant-0"]) == 0
+        assert f"trace written: {log}" in out
+        assert main(["trace-report", str(log), "--tenant", "tenant-0"]) == 0
         report = capsys.readouterr().out
         assert "tenant: tenant-0" in report
         assert "scheduling pools" in report
+        assert "tenant-1" not in report
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -117,6 +117,14 @@ GONE = {
     "_apply_stage_hit",
     "_admit_memory",
     "max_memory_entries",
+    # The event log is the one observability record: no metrics registry
+    # beside it, no private per-tenant mirror of it.
+    "MetricsRegistry",
+    "Gauge",
+    "Timer",
+    "_NULL_REGISTRY",
+    "tenant_trace_dir",
+    "private_log",
 }
 
 

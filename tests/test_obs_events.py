@@ -19,7 +19,6 @@ from repro.obs import (
     replay_all_job_metrics,
     replay_job_metrics,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.sparklet.cluster import NodeCapacity, ResourceManager
 from repro.sparklet.context import SparkletContext
 from repro.sparklet.faults import FaultConfig
@@ -67,73 +66,66 @@ class TestEventLog:
         assert read_events(evs) == evs
 
 
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram_timer(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(4)
-        reg.gauge("g").set(2.5)
-        reg.histogram("h").observe(0.1)
-        with reg.timer("t"):
-            pass
-        snap = reg.snapshot()
-        assert snap["c"]["value"] == 5
-        assert snap["g"]["value"] == 2.5
-        assert snap["h"]["count"] == 1
-        assert snap["t"]["count"] == 1
-
-    def test_kind_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_histogram_buckets_edge_inclusive(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", edges=(1.0, 2.0))
-        for v in (0.5, 1.0, 1.5, 99.0):
-            h.observe(v)
-        d = h.to_dict()
-        assert d["counts"] == [2, 1]  # 1.0 lands in the (.., 1.0] bucket
-        assert d["overflow"] == 1
-        assert d["min"] == 0.5 and d["max"] == 99.0
-
-    def test_each_session_owns_its_registry(self):
-        a = ObsSession(ObsConfig(enabled=True))
-        b = ObsSession(ObsConfig(enabled=True))
-        a.registry.counter("c").inc()
-        assert a.registry is not b.registry and b.registry.snapshot() == {}
+def _spans(events):
+    """(span_id, parent_id, name, status) per span, in start order, from the
+    log's ``span_start``/``span_end`` pairs alone."""
+    status = {e["span_id"]: e["status"] for e in events if e["type"] == "span_end"}
+    return [(e["span_id"], e["parent_id"], e["name"], status.get(e["span_id"]))
+            for e in events if e["type"] == "span_start"]
 
 
 class TestTracer:
     def test_seeded_ids_are_deterministic(self):
         def spans_of(seed):
-            tr = Tracer(seed=seed)
-            with tr.span("a"):
-                with tr.span("b"):
-                    pass
-            return [(s.span_id, s.parent_id, s.name) for s in tr.spans]
+            ctx = SparkletContext(
+                num_executors=4,
+                obs=ObsConfig(enabled=True),
+                fault_config=FaultConfig.chaos(seed=seed, rate=0.25),
+            )
+            _run_jobs(ctx)
+            return _spans(ctx.obs.events())
 
-        assert spans_of(3) == spans_of(3)
-        assert spans_of(3) != spans_of(4)
+        spans = spans_of(3)
+        assert spans and spans == spans_of(3)
+        assert spans != spans_of(4)  # the chaos seed moves the retries
+        assert [sid for sid, *_ in spans] == [
+            f"00000000-{i:06d}" for i in range(1, len(spans) + 1)
+        ]
 
     def test_parent_child_nesting(self):
-        tr = Tracer()
-        with tr.span("outer"):
+        log = EventLog()
+        tr = Tracer(log)
+        with tr.span("outer", k=1):
             with tr.span("inner"):
                 pass
-        outer = next(s for s in tr.spans if s.name == "outer")
-        inner = next(s for s in tr.spans if s.name == "inner")
-        assert inner.parent_id == outer.span_id
-        assert outer.parent_id is None
-        assert inner.duration_s <= outer.duration_s
+        with tr.span("sibling"):
+            pass
+        assert [s[:3] for s in _spans(log.events)] == [
+            ("00000000-000001", None, "outer"),
+            ("00000000-000002", "00000000-000001", "inner"),
+            ("00000000-000003", None, "sibling"),
+        ]
+        assert [e["type"] for e in log.events] == [
+            "span_start", "span_start", "span_end", "span_end",
+            "span_start", "span_end",
+        ]
+        assert log.events[0]["k"] == 1
+        durations = {e["span_id"]: e["duration_s"] for e in log.events
+                     if e["type"] == "span_end"}
+        assert durations["00000000-000002"] <= durations["00000000-000001"]
 
     def test_error_status_recorded(self):
-        tr = Tracer()
+        log = EventLog()
+        tr = Tracer(log)
         with pytest.raises(ValueError):
             with tr.span("boom"):
                 raise ValueError("x")
-        assert tr.spans[0].status == "error:ValueError"
+        with tr.span("after"):
+            pass
+        assert _spans(log.events) == [
+            ("00000000-000001", None, "boom", "error:ValueError"),
+            ("00000000-000002", None, "after", "ok"),
+        ]
 
 
 class TestSession:
@@ -149,6 +141,10 @@ class TestSession:
         assert ObsSession.from_config(session) is session
         assert ObsSession.from_config(None) is NULL_OBS
         assert ObsSession.from_config(ObsConfig(enabled=False)) is NULL_OBS
+        # Each enabled session owns its log: there is no process-wide record.
+        other = ObsSession.from_config(ObsConfig(enabled=True))
+        session.emit("job_start", job_id=0)
+        assert other.log is not session.log and other.events() == []
 
 
 class TestReplay:

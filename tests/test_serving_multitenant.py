@@ -10,8 +10,6 @@ degradation (rate caps are output-safe by the same argument).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -26,13 +24,14 @@ from repro.api import (
 )
 from repro.execution import ExecutionConfig
 from repro.memo.config import MemoConfig
-from repro.obs import ObsConfig
+from repro.obs import ObsConfig, build_report, read_events
 from repro.obs.events import (
     MODEL_SWAPPED,
     SESSION_ADMITTED,
     SESSION_DEGRADED,
     SESSION_REJECTED,
 )
+from repro.obs.report import _tenant_events
 from repro.sparklet.faults import (
     EXECUTOR_LOSS,
     TASK_CRASH,
@@ -305,21 +304,26 @@ class TestServingConfig:
 # -- per-tenant observability and memo isolation ------------------------------
 
 class TestTenantIsolation:
-    def test_private_event_logs_contain_only_their_tenant(self, tmp_path):
-        trace_dir = tmp_path / "tenants"
-        trace_dir.mkdir()
+    def test_tenant_report_holds_only_its_tenant(self, tmp_path):
+        # One tenant's trace is its slice of the shared log: every event
+        # tagged with it, its jobs' stage/task events, nothing of the other.
+        path = tmp_path / "shared.jsonl"
         result = run_serving(ServingConfig(
             tenants=(TenantConfig("a", _scfg(1)), TenantConfig("b", _scfg(2))),
-            obs_config=ObsConfig(enabled=True),
-            tenant_trace_dir=str(trace_dir),
+            obs_config=ObsConfig(enabled=True, event_log_path=str(path)),
         ))
-        result.obs.flush()
-        for tid in ("a", "b"):
-            lines = (trace_dir / f"{tid}.jsonl").read_text().splitlines()
-            assert lines
-            events = [json.loads(ln) for ln in lines]
-            assert all(e["tenant"] == tid for e in events)
-            assert all(e["pool"] == tid for e in events)
+        result.obs.close()
+        shared = read_events(path)
+        for tid, other in (("a", "b"), ("b", "a")):
+            sliced = _tenant_events(shared, tid)
+            tagged = [e for e in shared if e.get("tenant") == tid]
+            assert tagged and all(e in sliced for e in tagged)
+            assert not any(other in (e.get("tenant"), e.get("pool"))
+                           for e in sliced)
+            assert any(e["type"] == "task_end" for e in sliced)
+            report = build_report(path, tenant=tid)
+            assert report["summary"]["n_events"] == len(sliced)
+            assert [p["pool"] for p in report["pools"]] == [tid]
 
     def test_shared_log_tags_tenant_and_pool_on_engine_events(self):
         result = run_serving(ServingConfig(

@@ -289,9 +289,10 @@ class TestEngineObservability:
             assert series == sorted(series)
 
     def test_counters_recorded(self, traced_run):
-        counters = traced_run.obs.registry
-        assert counters.counter("streaming.batches").value == traced_run.n_batches
-        assert counters.counter("streaming.pulses").value == traced_run.n_pulses
+        completed = [e for e in traced_run.obs.events()
+                     if e["type"] == "batch_completed"]
+        assert len(completed) == traced_run.n_batches
+        assert sum(e["n_pulses"] for e in completed) == traced_run.n_pulses
 
     def test_sparklet_job_events_present_per_batch(self, traced_run):
         """Each batch's D-RAPID job runs through Sparklet, so scheduler
