@@ -9,22 +9,35 @@ class count only touches the tiny histogram, not the instance dimension.
 This matches the cost profile of classical learners (Weka's per-node scan)
 and of modern gradient-boosting systems.
 
-A node scores all of its candidate features in one pass (:func:`split_node`):
-one gather of their codes, one ``bincount`` into a (features × bins × classes)
-table, one ``cumsum``, one gini evaluation, one ``argmax`` — the NumPy call
-count does not depend on how many features were drawn.  The per-feature loop
-this replaced is ``tests/oracles/ml_hist.py``; the suites hold the one-pass
-search to it field for field, ties included.
+The forest searches a whole wave of nodes (one per tree) in one pass
+(:func:`split_nodes`): one gather of every node's candidate codes, one
+``bincount`` into a (node, slot, bin, class) table, one ``cumsum``, one gini
+evaluation over the occupied bins, one row-major ``argmax`` per node and one
+partition of every node's instances — the NumPy call count depends neither
+on how many features were drawn nor on how many nodes the wave holds.  The
+gains are bit-identical to a per-node search: the class-axis sums keep
+NumPy's own summation order (:func:`_gini_sum`).  :func:`best_hist_split`
+is the one-node call.  The per-feature loop and the tree-at-a-time builder
+this replaced are ``tests/oracles/ml_hist.py``; the suites hold the live
+code to them field for field and node for node, ties included.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 #: Default number of histogram bins per feature.
 N_BINS = 64
+#: Most instance codes plus histogram cells one batched split search
+#: handles at once; a larger wave is searched and partitioned in chunks of
+#: nodes.  It bounds the search's transient arrays to a few hundred KiB each
+#: (a 20-tree fit on a classify fold peaks at ≈ 2 MB traced) while a typical
+#: wave of small nodes stays one or two chunks.
+MAX_CODES = 48_000
 
 
 @dataclass
@@ -112,6 +125,17 @@ class HistSplit:
     n_right: int
 
 
+class NodeSplit(NamedTuple):
+    """A node's best split, and the instances (in the node's order) and
+    class counts it sends to each side."""
+
+    split: HistSplit
+    left: np.ndarray
+    right: np.ndarray
+    left_counts: np.ndarray
+    right_counts: np.ndarray
+
+
 def best_hist_split(
     binned: BinnedMatrix,
     idx: np.ndarray,
@@ -120,108 +144,180 @@ def best_hist_split(
     feature_indices: np.ndarray,
     min_leaf: int = 1,
 ) -> HistSplit | None:
-    """Best gini split over the node's instances ``idx``.
+    """Best gini split over the node's instances ``idx``: :func:`split_nodes`
+    for one node.
 
     ``y`` is the full label vector; node labels are ``y[idx]``.
     """
-    y_node = y[idx]
-    counts = np.bincount(y_node, minlength=n_classes)
-    return split_node(binned, idx, y_node, counts, feature_indices, min_leaf)
+    idx = np.asarray(idx, dtype=np.intp)
+    counts = np.bincount(y[idx], minlength=n_classes)
+    feats = np.asarray(feature_indices, dtype=np.intp).reshape(1, -1)
+    found = split_nodes(binned, y, [idx], feats, counts[None, :], min_leaf)[0]
+    return None if found is None else found.split
 
 
-def split_node(
+def split_nodes(
     binned: BinnedMatrix,
-    idx: np.ndarray,
-    y_node: np.ndarray,
+    y: np.ndarray,
+    idxs: list[np.ndarray],
+    feats: np.ndarray,
     counts: np.ndarray,
-    feature_indices: np.ndarray,
     min_leaf: int = 1,
-) -> HistSplit | None:
-    """:func:`best_hist_split` for a caller that already holds the node's
-    labels ``y_node = y[idx]`` and their class counts (the tree builder)."""
-    n = idx.size
-    if n < 2 * min_leaf:
-        return None
-    total = counts.astype(float)
-    parent = 1.0 - float(((total / n) ** 2).sum())
-    if parent <= 0.0:
-        return None
-    # Deep nodes usually contain a fraction of the classes; remapping to the
+) -> list[NodeSplit | None]:
+    """Best gini split of each node, all nodes searched and partitioned
+    together.
+
+    Node ``j`` holds the instances ``idxs[j]``, whose class counts are
+    ``counts[j]`` (``(nodes, classes)``), and draws the candidate features
+    ``feats[j]`` (``(nodes, k)``; every node draws as many).  ``y`` is the
+    full label vector.  Nodes are taken a chunk at a time, so that no call
+    gathers more than about :data:`MAX_CODES` codes and histogram cells.
+    """
+    m, k = feats.shape
+    if not m or not k:
+        return [None] * m
+    # Deep nodes usually hold a fraction of the classes; searching over the
     # classes actually present keeps the O(bins × classes) histogram term
     # proportional to the node's own diversity, not the global class count.
-    present = np.flatnonzero(counts)
-    if present.size < counts.size:
-        y_node = np.searchsorted(present, y_node)
-        total = total[present]
-    feats = np.asarray(feature_indices, dtype=np.intp)
-    codes = binned.wide[feats[:, None], idx]  # (k, n): the node's one gather
-    min_side = max(min_leaf, 1)  # an empty side is never a split
-    if n <= 48:
-        # Small nodes: the O(bins × classes) histogram dwarfs the O(n) scan;
-        # an exact sweep over the node's own code values is cheaper and
-        # yields the identical split decision.
-        return _small_node_split(binned, feats, codes, y_node, total, min_side, parent)
-
-    # Features are padded to the widest candidate's bin count.  A padded bin
-    # is empty, so every cut at or past a feature's last real bin (a constant
-    # feature's only bin included) leaves nothing on its right and is invalid.
-    k, width, c = feats.size, int(binned.n_bins[feats].max(initial=1)), total.size
-    key = (codes + (np.arange(k) * width)[:, None]) * c + y_node
-    hist = np.bincount(key.ravel(), minlength=k * width * c).reshape(k, width, c)
-    left = np.cumsum(hist.astype(float), axis=1)[:, :-1]  # counts with code <= b
-    nl = left.sum(axis=2)
-    found = _best_cut(left, nl, True, total, parent, min_side)
-    if found is None:
-        return None
-    f, pos, gain = found
-    feat, n_left = int(feats[f]), int(nl[f, pos])
-    return HistSplit(feat, pos, float(binned.edges[feat][pos]), gain, n_left, n - n_left)
+    has = counts > 0
+    present = has.sum(axis=1)
+    classes = present.tolist()
+    bins = binned.n_bins[feats].max(axis=1).tolist()
+    out: list[NodeSplit | None] = []
+    for lo, hi in _chunks([k * i.size for i in idxs], [k * b for b in bins], classes):
+        out += _split_chunk(binned, y, idxs[lo:hi], feats[lo:hi], counts[lo:hi], has[lo:hi],
+                            present[lo:hi], max(bins[lo:hi]), max(classes[lo:hi]), min_leaf)
+    return out
 
 
-def _small_node_split(
-    binned: BinnedMatrix, feats: np.ndarray, codes: np.ndarray, y_node: np.ndarray,
-    total: np.ndarray, min_side: int, parent: float,
-) -> HistSplit | None:
-    """Exact gini sweep over a small node's own sorted code values."""
-    n = y_node.size
-    order = np.argsort(codes, axis=1, kind="stable")
-    xs = np.take_along_axis(codes, order, axis=1)
-    onehot = np.zeros((n, total.size))
-    onehot[np.arange(n), y_node] = 1.0
-    left = np.cumsum(onehot[order], axis=1)[:, :-1]
-    nl = np.arange(1.0, n)  # cut p has p + 1 instances on its left
-    found = _best_cut(left, nl, xs[:, 1:] != xs[:, :-1], total, parent, min_side)
-    if found is None:
-        return None
-    f, pos, gain = found
-    feat, bin_index = int(feats[f]), int(xs[f, pos])  # go left when code <= this value
-    return HistSplit(feat, bin_index, float(binned.edges[feat][bin_index]), gain,
-                     pos + 1, n - pos - 1)
+def _chunks(codes: list[int], bins: list[int], classes: list[int]):
+    """(lo, hi) runs of consecutive nodes whose codes plus histogram cells
+    stay within :data:`MAX_CODES` (a node over it alone is its own run).
 
-
-def _best_cut(
-    left: np.ndarray, nl: np.ndarray, allowed: np.ndarray | bool, total: np.ndarray,
-    parent: float, min_side: int,
-) -> tuple[int, int, float] | None:
-    """(feature position, cut position, gini gain) of the best allowed cut
-    that leaves ``min_side`` instances on each side.
-
-    ``left`` is (features, cuts, classes): class counts left of each cut;
-    ``nl`` its class sum, per cut or per (feature, cut).  Row-major argmax
-    means that of equal gains the first feature, then the first cut, wins —
-    what a per-feature loop keeping only strictly better splits picks.
+    A run's histogram pads every node to the run's largest ``bins`` and
+    ``classes``, so it holds (run length × both maxima) cells.
     """
-    n = total.sum()
-    nr = n - nl
-    valid = allowed & (nl >= min_side) & (nr >= min_side)
-    if not valid.any():
-        return None
-    right = total - left
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=2)
-        gr = 1.0 - ((right / nr[..., None]) ** 2).sum(axis=2)
-        gain = np.where(valid, parent - (nl * gl + nr * gr) / n, -np.inf)
-    f, pos = divmod(int(np.argmax(gain)), gain.shape[1])
-    if not gain[f, pos] > 1e-12:
-        return None
-    return f, pos, float(gain[f, pos])
+    lo, load, most_bins, most_classes = 0, 0, 0, 0
+    for j, (n, b, c) in enumerate(zip(codes, bins, classes)):
+        cells = (j + 1 - lo) * max(most_bins, b) * max(most_classes, c)
+        if j > lo and load + n + cells > MAX_CODES:
+            yield lo, j
+            lo, load, most_bins, most_classes = j, 0, 0, 0
+        load, most_bins, most_classes = load + n, max(most_bins, b), max(most_classes, c)
+    yield lo, len(codes)
+
+
+def _split_chunk(
+    binned: BinnedMatrix, y: np.ndarray, idxs: list[np.ndarray], feats: np.ndarray,
+    counts: np.ndarray, has: np.ndarray, present: np.ndarray, width: int, c: int,
+    min_leaf: int,
+) -> list[NodeSplit | None]:
+    """:func:`split_nodes` over one chunk: one gather, one ``bincount`` into a
+    (node, slot, bin, class) table, one ``cumsum``, one gini evaluation over
+    the occupied bins and one partition of every node's instances."""
+    m, k = feats.shape
+    n_classes = counts.shape[1]
+    sizes = np.array([i.size for i in idxs])
+    rows = np.concatenate(idxs)
+    # Slots are padded to the chunk's widest candidate and the present classes
+    # to its most diverse node.  A padded bin is empty, so every cut at or
+    # past a feature's last real bin (a constant feature's only bin included)
+    # leaves nothing on its right and is invalid; a padded class is zero in
+    # every count.  Each label becomes its rank among its node's classes.
+    # Per-node values reach their rows by ``repeat``, far cheaper than a
+    # gather by owner index.
+    cells = width * c  # one slot's histogram
+    rank = has @ _ranks_below(n_classes)
+    label_key = (rank + np.arange(0, m * k * cells, k * cells)[:, None]).ravel()
+    key = binned.wide[feats.T.repeat(sizes, axis=1), rows]  # (k, rows): the one gather
+    key *= c
+    key += np.arange(0, k * cells, cells)[:, None]
+    key += label_key[np.arange(0, m * n_classes, n_classes).repeat(sizes) + y[rows]]
+    hist = np.bincount(key.ravel(), minlength=m * k * cells)
+    hist = hist.reshape(m * k, width, c).astype(float)
+    cum = np.cumsum(hist, axis=1)  # class counts with code <= b
+    ones = np.ones(c)  # class sums of integer counts are exact in any order
+    n_left = cum @ ones
+    n_right = sizes.repeat(k)[:, None] - n_left
+    # Only a cut at an occupied bin is scored: a cut at an empty bin has the
+    # same left side as the occupied bin below it, which comes first and so
+    # wins any tie.  The last occupied bin leaves nothing on its right.
+    min_side = max(min_leaf, 1)  # an empty side is never a split
+    valid = (hist @ ones > 0) & (n_left >= min_side) & (n_right >= min_side)
+    cell = valid.ravel().nonzero()[0]
+    slot = cell // width
+    node = slot // k
+    left = cum.reshape(-1, c)[cell]
+    right = cum[slot, -1] - left
+    nl, nr = n_left.ravel()[cell], n_right.ravel()[cell]
+    parent = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+    classes = present[node]
+    gl = 1.0 - _gini_sum((left / nl[:, None]) ** 2, classes)
+    gr = 1.0 - _gini_sum((right / nr[:, None]) ** 2, classes)
+    gain = np.empty((m, k * width))
+    gain.fill(-np.inf)
+    gain.ravel()[cell] = parent[node] - (nl * gl + nr * gr) / sizes[node]
+    # Row-major argmax: of equal gains the first slot, then the first cut,
+    # wins — what a per-feature loop keeping only strictly better splits picks.
+    # A node with no valid cut scores -inf; a pure one (parent 0) scores 0.
+    best = gain.argmax(axis=1)
+    score = gain.max(axis=1)
+    found = score > 1e-12
+    # Every node's rows are routed by its best cut, found or not.
+    nodes = np.arange(m)
+    best_slot, cut = np.divmod(best, width)
+    feat = feats[nodes, best_slot]
+    won = n_left.reshape(m, k * width)[nodes, best]
+    go_left = binned.wide[feat.repeat(sizes), rows] <= cut.repeat(sizes)
+    left_rows, right_rows = rows[go_left], rows[~go_left]
+    left_counts = cum.reshape(m, k * width, c)[nodes[:, None], best[:, None],
+                                                np.minimum(rank, c - 1)]
+    left_counts = (left_counts * has).astype(np.intp)
+    right_counts = counts - left_counts
+    out: list[NodeSplit | None] = []
+    lo_left = lo_right = 0
+    for j, (ok, f, b, s, n, n_l) in enumerate(zip(
+        found.tolist(), feat.tolist(), cut.tolist(), score.tolist(), sizes.tolist(),
+        won.tolist(),
+    )):
+        n_l = int(n_l)
+        hi_left, hi_right = lo_left + n_l, lo_right + n - n_l
+        if ok:
+            split = HistSplit(f, b, float(binned.edges[f][b]), s, n_l, n - n_l)
+            # Copies, so that a pending child holds its own rows, not the chunk.
+            out.append(NodeSplit(split, left_rows[lo_left:hi_left].copy(),
+                                 right_rows[lo_right:hi_right].copy(),
+                                 left_counts[j], right_counts[j]))
+        else:
+            out.append(None)
+        lo_left, lo_right = hi_left, hi_right
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _ranks_below(n_classes: int) -> np.ndarray:
+    """(classes, classes) 0/1 matrix with ones where row < column: a node's
+    present-class mask times it counts the present classes below each."""
+    out = np.tri(n_classes, k=-1, dtype=np.intp).T
+    out.flags.writeable = False  # shared by every caller
+    return out
+
+
+def _gini_sum(sq: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Each row's sum over its own ``present[i]`` leading class columns, in
+    the order NumPy sums a row of exactly that many values.
+
+    Below 8 values NumPy adds left to right, so trailing zero padding is
+    harmless and one left-to-right pass over at most 7 columns serves every
+    such row.  From 8 on it adds in eight interleaved partial sums, so a
+    row's length decides its rounding: those rows are summed by NumPy in
+    groups of equal length, unpadded.
+    """
+    out = sq[:, 0].copy()
+    for j in range(1, min(sq.shape[1], 7)):
+        out += sq[:, j]
+    if sq.shape[1] >= 8:
+        for size in np.unique(present[present >= 8]).tolist():
+            rows = np.flatnonzero(present == size)
+            out[rows] = sq[rows, :size].sum(axis=1)
+    return out

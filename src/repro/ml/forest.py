@@ -5,13 +5,21 @@ a bootstrap sample, each split considers ``ceil(log2(d)+1)`` random features
 (Weka's default) scored by gini impurity, and trees are unpruned.
 
 Split finding is histogram-based (:mod:`repro.ml._hist`): features are
-quantile-binned once per fit, and each node builds one (features × bins ×
-classes) count table over its candidate features.  Per-node cost is then
+quantile-binned once per fit, and a node's candidate features share one
+(features × bins × classes) count table.  Per-node cost is then
 O(instances) plus a small O(bins × classes) term, so the number of classes
 barely affects per-node cost — matching the cost profile of the classical
-learners the paper timed (and of modern GBDT systems).  Nodes operate on
-*index arrays* into the binned matrix and hand their labels and class counts
-down; no per-node data copies, no re-counting.
+learners the paper timed (and of modern GBDT systems).
+
+The trees grow in lockstep (:func:`_grow_trees`): every tree's bootstrap
+and generator are drawn first, then each wave takes the next node of every
+unfinished tree and searches and partitions them in one batched call, so
+that the NumPy call count of a fit follows its largest tree, not the sum of
+all trees' nodes.  Each tree still draws its nodes' features in preorder
+from its own generator, so the trees are the ones a tree-at-a-time
+recursion grows (``tests/oracles/ml_hist.py`` keeps that recursion as the
+law).  Nodes hold *index arrays* into the binned matrix and their class
+counts; a split hands both sides' counts down, so no node re-counts.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml._hist import BinnedMatrix, bin_matrix, split_node
+from repro.ml._hist import BinnedMatrix, bin_matrix, split_nodes
 
 
 @dataclass
@@ -47,50 +55,11 @@ class _Node:
 
 
 class _RandomTree:
-    """One unpruned random tree trained on binned features."""
+    """One unpruned random tree trained on binned features (grown by
+    :func:`_grow_trees`)."""
 
-    def __init__(self, k_features: int, min_leaf: int, max_depth: int | None,
-                 rng: np.random.Generator) -> None:
-        self.k_features = k_features
-        self.min_leaf = min_leaf
-        self.max_depth = max_depth
-        self.rng = rng
-        self.root: _Node | None = None
-
-    def fit(self, binned: BinnedMatrix, y: np.ndarray, idx: np.ndarray, n_classes: int) -> None:
-        self.n_classes = n_classes
-        self.root = self._build(binned, idx, y[idx], depth=0)
-
-    def _build(self, binned: BinnedMatrix, idx: np.ndarray, y_node: np.ndarray,
-               depth: int) -> _Node:
-        """Grow the subtree over instances ``idx``, whose labels are ``y_node``.
-
-        Depth-first on purpose: nodes draw features from ``rng`` in preorder, so
-        a right child's draw depends on the size of its left sibling's subtree
-        and a level-wise pass would change every fitted tree.
-        """
-        counts = np.bincount(y_node, minlength=self.n_classes)
-        node = _Node(prediction=int(np.argmax(counts)), counts=counts)
-        if (
-            counts.max() == idx.size
-            or idx.size < 2 * self.min_leaf
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return node
-        d = binned.n_features
-        feats = self.rng.choice(d, size=min(self.k_features, d), replace=False)
-        split = split_node(binned, idx, y_node, counts, feats, self.min_leaf)
-        if split is None:
-            # Retry with all features before declaring a leaf, as Weka does.
-            split = split_node(binned, idx, y_node, counts, np.arange(d), self.min_leaf)
-            if split is None:
-                return node
-        go_left = binned.wide[split.feature, idx] <= split.bin_index
-        node.feature = split.feature
-        node.threshold = split.threshold
-        node.left = self._build(binned, idx[go_left], y_node[go_left], depth + 1)
-        node.right = self._build(binned, idx[~go_left], y_node[~go_left], depth + 1)
-        return node
+    def __init__(self, root: _Node) -> None:
+        self.root = root
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         assert self.root is not None
@@ -110,6 +79,79 @@ class _RandomTree:
             stack.append((node.left, idx[mask]))
             stack.append((node.right, idx[~mask]))
         return out
+
+
+def _grow_trees(
+    binned: BinnedMatrix, y: np.ndarray, draws: list[tuple[np.ndarray, np.random.Generator]],
+    n_classes: int, k: int, min_leaf: int, max_depth: int | None,
+) -> list[_RandomTree]:
+    """Grow one tree per ``(bootstrap, generator)`` pair, all in lockstep.
+
+    Each tree grows depth-first from its own stack, and so its nodes draw
+    their candidate features from its generator in preorder: a right child's
+    draw depends on how many its left sibling's subtree consumed, so one
+    tree cannot be grown level by level.  The trees' generators are
+    independent, though, so they can advance side by side.  In each wave
+    every unfinished tree pops nodes until one can be split (a leaf settles
+    with no NumPy work) and draws its candidates; the wave's nodes are then
+    searched, retried on all features where nothing was found, and
+    partitioned together, and each tree pushes its node's right child, then
+    its left.
+    """
+    d = binned.n_features
+    roots: list[_Node] = []
+    stacks: list[list[tuple[_Node, np.ndarray, int, bool]]] = []
+    for idx, _ in draws:
+        counts = np.bincount(y[idx], minlength=n_classes)
+        roots.append(_Node(prediction=int(np.argmax(counts)), counts=counts))
+        stacks.append([(roots[-1], idx, 0, bool(counts.max() == idx.size))])
+    all_features = np.arange(d)
+    while True:
+        wave: list[tuple[list, _Node, np.ndarray, int]] = []
+        feats = []
+        for stack, (_, rng) in zip(stacks, draws):
+            while stack:
+                node, idx, depth, pure = stack.pop()
+                if (
+                    pure
+                    or idx.size < 2 * min_leaf
+                    or (max_depth is not None and depth >= max_depth)
+                ):
+                    continue
+                feats.append(rng.choice(d, size=k, replace=False))
+                wave.append((stack, node, idx, depth))
+                break
+        if not wave:
+            return [_RandomTree(root) for root in roots]
+        idxs = [idx for _, _, idx, _ in wave]
+        counts = np.array([node.counts for _, node, _, _ in wave])
+        splits = split_nodes(binned, y, idxs, np.array(feats), counts, min_leaf)
+        missed = [j for j, found in enumerate(splits) if found is None]
+        if missed:
+            # Retry with all features before declaring a leaf, as Weka does.
+            retried = split_nodes(binned, y, [idxs[j] for j in missed],
+                                  np.broadcast_to(all_features, (len(missed), d)),
+                                  counts[missed], min_leaf)
+            for j, found in zip(missed, retried):
+                splits[j] = found
+        done = [j for j, found in enumerate(splits) if found is not None]
+        if not done:
+            continue
+        # Children's class counts, predictions and purity, left children first.
+        child_counts = np.array([splits[j].left_counts for j in done]
+                                + [splits[j].right_counts for j in done])
+        sizes = [splits[j].split.n_left for j in done] + [splits[j].split.n_right for j in done]
+        pred = child_counts.argmax(axis=1).tolist()
+        pure = (child_counts.max(axis=1) == sizes).tolist()
+        for i, j in enumerate(done):
+            stack, node, _, depth = wave[j]
+            split, left, right, _, _ = splits[j]
+            r = i + len(done)
+            node.feature, node.threshold = split.feature, split.threshold
+            node.left = _Node(prediction=pred[i], counts=child_counts[i])
+            node.right = _Node(prediction=pred[r], counts=child_counts[r])
+            stack.append((node.right, right, depth + 1, pure[r]))
+            stack.append((node.left, left, depth + 1, pure[i]))
 
 
 def tally_votes(members: list, X: np.ndarray, n_classes: int, n_features: int) -> np.ndarray:
@@ -148,26 +190,29 @@ class RandomForest:
             raise ValueError("X must be (n, d) with one label per row")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         return self._fit_binned(bin_matrix(X, self.n_bins, y), y)
 
     def _fit_binned(self, binned: BinnedMatrix, y: np.ndarray) -> "RandomForest":
         """Grow the trees from an already binned matrix, so that callers
         training many forests on one matrix (the distributed forest's
-        one-tree tasks) bin it once."""
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        one-tree tasks) bin it once.
+
+        Every tree's (bootstrap, generator) pair is drawn first, in the order
+        a tree-at-a-time loop draws them; the trees then grow together.
+        """
         n, d = binned.codes.shape
         self.n_classes_ = int(y.max()) + 1
         self.n_features_ = d
         k = self.n_features_per_split or max(1, math.ceil(math.log2(max(d, 2)) + 1))
         rng = np.random.default_rng(self.seed)
-        self._trees = []
+        draws = []
         for _ in range(self.n_trees):
             idx = rng.integers(0, n, size=n)  # bootstrap sample (indices)
-            tree = _RandomTree(k, self.min_leaf, self.max_depth,
-                               np.random.default_rng(int(rng.integers(0, 2**63))))
-            tree.fit(binned, y, idx, self.n_classes_)
-            self._trees.append(tree)
+            draws.append((idx, np.random.default_rng(int(rng.integers(0, 2**63)))))
+        self._trees = _grow_trees(binned, y, draws, self.n_classes_, min(k, d),
+                                  self.min_leaf, self.max_depth)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

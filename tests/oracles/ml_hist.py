@@ -1,20 +1,26 @@
-"""The forest's per-feature split search and the per-segment MDL cut search,
-kept as test oracles.
+"""The forest's sequential tree builder, its per-feature split search and the
+per-segment MDL cut search, kept as test oracles.
 
-Until PR 24 these were the bodies of ``repro.ml._hist.best_hist_split`` /
+The searches were once the bodies of ``repro.ml._hist.best_hist_split`` /
 ``_small_node_split`` and ``repro.ml.discretize._best_cut`` /
-``_mdl_accepts`` / ``mdl_cut_points``.  Nothing live calls them; the identity
-laws hold the live code to them:
+``_mdl_accepts`` / ``mdl_cut_points``, and the builder was
+``repro.ml.forest._RandomTree._build`` with the tree loop of
+``RandomForest._fit_binned``.  Nothing live calls them; the identity laws
+hold the live code to them:
 
+- ``RandomForest`` ≡ :func:`_reference_fit_binned`, node for node (feature,
+  threshold, class counts, prediction), for 1, 2 and 20 trees
+  (``tests/test_ml_split_hist.py``);
 - ``best_hist_split`` ≡ :func:`_reference_best_hist_split`, field for field
   and bit for bit, on both sides of the 48-instance threshold
   (``tests/test_ml_split_hist.py``);
 - ``mdl_cut_points`` ≡ :func:`_reference_mdl_cut_points`, cut for cut
   (``tests/test_ml_preprocessing.py``).
 
-The bodies are the ones ``src/`` shipped, moved: one histogram, one cumsum
-and one gini evaluation *per candidate feature*, and one one-hot + cumsum
-*per recursive segment*.
+The bodies are the ones ``src/`` shipped, moved: one tree at a time, each
+grown by depth-first recursion; one histogram, one cumsum and one gini
+evaluation *per candidate feature*; and one one-hot + cumsum *per recursive
+segment*.
 """
 
 from __future__ import annotations
@@ -25,6 +31,59 @@ import numpy as np
 
 from repro.ml._hist import BinnedMatrix, HistSplit
 from repro.ml._split import entropy_from_counts
+from repro.ml.forest import RandomForest, _Node
+
+# -- tree building ------------------------------------------------------------
+
+
+def _reference_fit_binned(
+    forest: RandomForest, binned: BinnedMatrix, y: np.ndarray
+) -> list[_Node]:
+    """The roots of the trees ``forest._fit_binned(binned, y)`` grows, grown
+    one tree at a time: draw a tree's bootstrap and seed, build it, repeat."""
+    n, d = binned.codes.shape
+    n_classes = int(y.max()) + 1
+    k = forest.n_features_per_split or max(1, math.ceil(math.log2(max(d, 2)) + 1))
+    rng = np.random.default_rng(forest.seed)
+    roots = []
+    for _ in range(forest.n_trees):
+        idx = rng.integers(0, n, size=n)  # bootstrap sample (indices)
+        tree_rng = np.random.default_rng(int(rng.integers(0, 2**63)))
+        roots.append(_reference_grow_tree(binned, y, idx, 0, n_classes, k, forest.min_leaf,
+                                          forest.max_depth, tree_rng))
+    return roots
+
+
+def _reference_grow_tree(
+    binned: BinnedMatrix, y: np.ndarray, idx: np.ndarray, depth: int, n_classes: int,
+    k_features: int, min_leaf: int, max_depth: int | None, rng: np.random.Generator,
+) -> _Node:
+    """Grow the subtree over instances ``idx``, depth first: nodes draw
+    their candidate features from ``rng`` in preorder."""
+    counts = np.bincount(y[idx], minlength=n_classes)
+    node = _Node(prediction=int(np.argmax(counts)), counts=counts)
+    if (
+        counts.max() == idx.size
+        or idx.size < 2 * min_leaf
+        or (max_depth is not None and depth >= max_depth)
+    ):
+        return node
+    d = binned.n_features
+    feats = rng.choice(d, size=min(k_features, d), replace=False)
+    split = _reference_best_hist_split(binned, idx, y, n_classes, feats, min_leaf)
+    if split is None:
+        # Retry with all features before declaring a leaf, as Weka does.
+        split = _reference_best_hist_split(binned, idx, y, n_classes, np.arange(d), min_leaf)
+        if split is None:
+            return node
+    go_left = binned.codes[idx, split.feature] <= split.bin_index
+    node.feature = split.feature
+    node.threshold = split.threshold
+    args = (n_classes, k_features, min_leaf, max_depth, rng)
+    node.left = _reference_grow_tree(binned, y, idx[go_left], depth + 1, *args)
+    node.right = _reference_grow_tree(binned, y, idx[~go_left], depth + 1, *args)
+    return node
+
 
 # -- split search -------------------------------------------------------------
 

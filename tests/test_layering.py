@@ -34,7 +34,9 @@ RELOCATED = {
     "_reference_best_cut",
     "_reference_best_hist_split",
     "_reference_find_peaks",
+    "_reference_fit_binned",
     "_reference_generate_pulsar_spes",
+    "_reference_grow_tree",
     "_reference_mdl_accepts",
     "_reference_mdl_cut_points",
     "_reference_merge_artifact_clusters",

@@ -128,6 +128,13 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForest(n_trees=0).fit(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
+    def test_invalid_tree_count_is_refused_before_binning(self, monkeypatch):
+        binned = []
+        monkeypatch.setattr("repro.ml.forest.bin_matrix", lambda *a, **k: binned.append(a))
+        with pytest.raises(ValueError, match="n_trees"):
+            RandomForest(n_trees=0).fit(np.zeros((4, 2)), np.zeros(4, dtype=int))
+        assert binned == []
+
     def test_predict_rejects_a_matrix_of_another_width(self, toy_classification):
         """A forest fitted on a feature subset must not silently read the
         first columns of the full matrix."""

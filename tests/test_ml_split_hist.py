@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles.ml_hist import _reference_best_hist_split
+from oracles.ml_hist import _reference_best_hist_split, _reference_fit_binned
 
-from repro.ml._hist import BinnedMatrix, best_hist_split, bin_matrix
+from repro.ml._hist import BinnedMatrix, best_hist_split, bin_matrix, split_nodes
 from repro.ml._split import best_split, entropy_from_counts, gini_from_counts
 from repro.ml.forest import RandomForest
 
@@ -242,7 +242,7 @@ class TestOnePassEqualsPerFeatureLoop:
         assert retry == _reference_best_hist_split(bm, idx, y, 2, np.arange(4))
         assert retry.feature == 2 and retry.bin_index == 5 and retry.n_left + retry.n_right == n
 
-    def test_a_forest_grown_by_the_oracle_is_the_same_forest(self, monkeypatch):
+    def test_a_forest_grown_by_the_oracle_is_the_same_forest(self):
         rng = np.random.default_rng(7)
         X = np.column_stack([
             rng.normal(size=600), rng.integers(0, 4, 600).astype(float),
@@ -252,30 +252,80 @@ class TestOnePassEqualsPerFeatureLoop:
         y = (X[:, 0] > 0).astype(int) + 2 * (X[:, 4] > 14).astype(int)
         noisy = rng.random(600) < 0.2  # label noise: deep trees, small nodes
         y[noisy] = rng.integers(0, 4, int(noisy.sum()))
+        forest = RandomForest(n_trees=5, seed=3).fit(X, y)
+        live = forest_structure(forest)
+        assert live == oracle_structure(forest, X, y)
+        assert len(live) > 5 * 100 and {0, 5} <= {node[0] for node in live}
 
-        def structure(forest):
-            out = []
 
-            def walk(node):
-                out.append((node.feature, node.threshold, node.counts.tolist()))
-                if not node.is_leaf:
-                    walk(node.left)
-                    walk(node.right)
+def walk(node, out):
+    """Preorder (feature, threshold, class counts, prediction) of a subtree."""
+    out.append((node.feature, node.threshold, node.counts.tolist(), node.prediction))
+    if not node.is_leaf:
+        walk(node.left, out)
+        walk(node.right, out)
+    return out
 
-            for tree in forest._trees:
-                walk(tree.root)
-            return out
 
-        live = structure(RandomForest(n_trees=5, seed=3).fit(X, y))
+def forest_structure(forest):
+    return [row for tree in forest._trees for row in walk(tree.root, [])]
 
-        def per_feature(binned, idx, y_node, counts, feats, min_leaf):
-            labels = np.zeros(binned.codes.shape[0], dtype=int)
-            labels[idx] = y_node
-            return _reference_best_hist_split(binned, idx, labels, counts.size, feats, min_leaf)
 
-        monkeypatch.setattr("repro.ml.forest.split_node", per_feature)
-        assert structure(RandomForest(n_trees=5, seed=3).fit(X, y)) == live
-        assert len(live) > 5 * 100 and {0, 5} <= {f for f, _t, _c in live}
+def oracle_structure(forest, X, y):
+    """The forest the sequential builder grows from ``forest``'s settings."""
+    roots = _reference_fit_binned(forest, bin_matrix(X, forest.n_bins, y), y)
+    return [row for root in roots for row in walk(root, [])]
+
+
+class TestLockstepForestEqualsSequentialForest:
+    """The forest grows its trees side by side, one batched search per wave;
+    the tree-at-a-time recursion over the per-feature search
+    (``oracles.ml_hist._reference_fit_binned``) is the law, node for node."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trees=st.sampled_from([1, 2, 20]),
+        n_classes=st.integers(1, 9),
+        n=st.one_of(st.integers(2, 48), st.integers(49, 300)),
+        d=st.integers(1, 6),
+        min_leaf=st.integers(1, 5),
+        max_depth=st.one_of(st.none(), st.integers(1, 4)),
+        constant=st.booleans(),
+        duplicate=st.booleans(),
+    )
+    def test_random_forests(self, seed, n_trees, n_classes, n, d, min_leaf, max_depth,
+                            constant, duplicate):
+        rng = np.random.default_rng(seed)
+        # Real and integer-valued columns (tied values), labels loosely tied
+        # to one column so that trees grow deep and gains tie.
+        X = np.column_stack([
+            rng.normal(size=n) if j % 2 else rng.integers(0, 6, n).astype(float)
+            for j in range(d)
+        ])
+        if constant:
+            X[:, 0] = 1.0  # no split on it: drawn alone, only the retry can split
+        if duplicate and d > 1:
+            X[:, d - 1] = X[:, 0]
+        y = rng.integers(0, n_classes, n)
+        signal = rng.random(n) < 0.5
+        y[signal] = (X[signal, d - 1] > np.median(X[:, d - 1])).astype(int) % n_classes
+        forest = RandomForest(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth,
+                              seed=int(rng.integers(0, 1000))).fit(X, y)
+        assert forest_structure(forest) == oracle_structure(forest, X, y)
+
+    def test_nodes_with_eight_or_more_classes(self):
+        """Rows of 8 or more present classes are summed by NumPy's pairwise
+        order, fewer by a left-to-right pass; both occur in one wave here."""
+        rng = np.random.default_rng(11)
+        X = np.column_stack([rng.normal(size=1500), rng.integers(0, 9, 1500).astype(float),
+                             rng.normal(size=1500)])
+        y = (X[:, 1].astype(int) + rng.integers(0, 3, 1500)) % 9
+        forest = RandomForest(n_trees=20, max_depth=6, seed=5).fit(X, y)
+        live = forest_structure(forest)
+        assert live == oracle_structure(forest, X, y)
+        present = [sum(1 for v in counts if v) for _f, _t, counts, _p in live]
+        assert sum(p >= 8 for p in present) > 20 and min(present) == 1  # not just roots
 
 
 class TestOneHistogramPerNode:
@@ -293,3 +343,21 @@ class TestOneHistogramPerNode:
             assert best_hist_split(bm, idx, y, 4, np.arange(k)) is not None
             per_k[k] = dict(calls)
         assert per_k[1] == per_k[6] == {"bincount": 2, "cumsum": 1}
+
+    def test_numpy_calls_do_not_grow_with_the_nodes_of_a_wave(self, monkeypatch):
+        """No timing: one node or twenty (one chunk), a wave's batched search
+        is one histogram ``bincount`` and one ``cumsum``."""
+        rng = np.random.default_rng(9)
+        bm = random_binned(rng, 500, [20, 5, 64, 1, 33, 12])
+        y = rng.integers(0, 4, 500)
+        idxs = [rng.integers(0, 500, int(rng.integers(10, 120))) for _ in range(20)]
+        feats = np.array([rng.permutation(6)[:4] for _ in range(20)])
+        counts = np.array([np.bincount(y[i], minlength=4) for i in idxs])
+        calls = count_numpy_calls(monkeypatch, "bincount", "cumsum")
+        per_m = {}
+        for m in (1, 20):
+            calls.clear()
+            found = split_nodes(bm, y, idxs[:m], feats[:m], counts[:m])
+            assert found[0] is not None and len(found) == m
+            per_m[m] = dict(calls)
+        assert per_m[1] == per_m[20] == {"bincount": 1, "cumsum": 1}
