@@ -16,10 +16,11 @@ evaluation over the occupied bins, one row-major ``argmax`` per node and one
 partition of every node's instances — the NumPy call count depends neither
 on how many features were drawn nor on how many nodes the wave holds.  The
 gains are bit-identical to a per-node search: the class-axis sums keep
-NumPy's own summation order (:func:`_gini_sum`).  :func:`best_hist_split`
-is the one-node call.  The per-feature loop and the tree-at-a-time builder
-this replaced are ``tests/oracles/ml_hist.py``; the suites hold the live
-code to them field for field and node for node, ties included.
+NumPy's own summation order (:func:`repro.ml._split.leading_row_sums`).
+:func:`best_hist_split` is the one-node call.  The per-feature loop and the
+tree-at-a-time builder this replaced are ``tests/oracles/ml_hist.py``; the
+suites hold the live code to them field for field and node for node, ties
+included.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from repro.ml._split import leading_row_sums
+from repro.ml.discretize import mdl_cuts
 
 #: Default number of histogram bins per feature.
 N_BINS = 64
@@ -84,27 +88,20 @@ def bin_matrix(X: np.ndarray, n_bins: int = N_BINS, y: np.ndarray | None = None)
     codes = np.empty((n, d), dtype=np.uint8)
     edges: list[np.ndarray] = []
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    mdl_budget = 0
-    y_sub: np.ndarray | None = None
-    sub = slice(None)
-    if y is not None:
-        from repro.ml.discretize import mdl_cut_points
-
+    mdl_budget = max(0, min(32, 250 - n_bins))  # cap supervised cuts; stay in uint8
+    supervised: list[list[float]] = [[]] * d
+    if y is not None and mdl_budget:
         y = np.asarray(y, dtype=int)
-        n_classes = int(y.max()) + 1 if y.size else 1
-        mdl_budget = max(0, min(32, 250 - n_bins))  # cap supervised cuts; stay in uint8
         # Cut-point *positions* stabilize with a couple thousand instances;
         # subsample deterministically so binning cost stays flat in n.
         step = max(1, n // 2000)
-        sub = slice(None, None, step)
-        y_sub = y[sub]
+        n_classes = int(y.max()) + 1 if y.size else 1
+        supervised = mdl_cuts(X[::step], y[::step], n_classes)
     for j in range(d):
         col = X[:, j]
         cuts = np.unique(np.quantile(col, qs))
-        if y_sub is not None and mdl_budget:
-            supervised = mdl_cut_points(col[sub], y_sub, n_classes)[:mdl_budget]
-            if supervised:
-                cuts = np.unique(np.concatenate([cuts, np.asarray(supervised)]))
+        if supervised[j]:
+            cuts = np.unique(np.concatenate([cuts, supervised[j][:mdl_budget]]))
         # Drop degenerate cuts equal to the max (they create empty top bins).
         cuts = cuts[cuts < col.max()] if col.size else cuts
         # side='left': code = #{cuts < x}, so "code <= b" ⟺ "x <= cuts[b]" —
@@ -252,8 +249,8 @@ def _split_chunk(
     nl, nr = n_left.ravel()[cell], n_right.ravel()[cell]
     parent = 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
     classes = present[node]
-    gl = 1.0 - _gini_sum((left / nl[:, None]) ** 2, classes)
-    gr = 1.0 - _gini_sum((right / nr[:, None]) ** 2, classes)
+    gl = 1.0 - leading_row_sums((left / nl[:, None]) ** 2, classes)
+    gr = 1.0 - leading_row_sums((right / nr[:, None]) ** 2, classes)
     gain = np.empty((m, k * width))
     gain.fill(-np.inf)
     gain.ravel()[cell] = parent[node] - (nl * gl + nr * gr) / sizes[node]
@@ -300,24 +297,4 @@ def _ranks_below(n_classes: int) -> np.ndarray:
     present-class mask times it counts the present classes below each."""
     out = np.tri(n_classes, k=-1, dtype=np.intp).T
     out.flags.writeable = False  # shared by every caller
-    return out
-
-
-def _gini_sum(sq: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Each row's sum over its own ``present[i]`` leading class columns, in
-    the order NumPy sums a row of exactly that many values.
-
-    Below 8 values NumPy adds left to right, so trailing zero padding is
-    harmless and one left-to-right pass over at most 7 columns serves every
-    such row.  From 8 on it adds in eight interleaved partial sums, so a
-    row's length decides its rounding: those rows are summed by NumPy in
-    groups of equal length, unpadded.
-    """
-    out = sq[:, 0].copy()
-    for j in range(1, min(sq.shape[1], 7)):
-        out += sq[:, j]
-    if sq.shape[1] >= 8:
-        for size in np.unique(present[present >= 8]).tolist():
-            rows = np.flatnonzero(present == size)
-            out[rows] = sq[rows, :size].sum(axis=1)
     return out

@@ -25,6 +25,28 @@ def entropy_from_counts(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def leading_row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each row's sum over its own ``lengths[i]`` leading columns, in the
+    order NumPy sums a row of exactly that many values.
+
+    Below 8 values NumPy adds left to right, so trailing zero padding is
+    harmless and one left-to-right pass over at most 7 columns serves every
+    such row.  From 8 on it adds in eight interleaved partial sums, so a
+    row's length decides its rounding: those rows are summed by NumPy in
+    groups of equal length, unpadded.  The batched searches use it to keep
+    a per-row reduction over the classes present (a node's gini,
+    :func:`entropy_from_counts`) bit-identical to the one-row call.
+    """
+    out = values[:, 0].copy()
+    for j in range(1, min(values.shape[1], 7)):
+        out += values[:, j]
+    if values.shape[1] >= 8:
+        for size in np.unique(lengths[lengths >= 8]).tolist():
+            rows = np.flatnonzero(lengths == size)
+            out[rows] = values[rows, :size].sum(axis=1)
+    return out
+
+
 def gini_from_counts(counts: np.ndarray) -> float:
     counts = np.asarray(counts, dtype=float)
     total = counts.sum()

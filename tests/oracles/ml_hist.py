@@ -14,13 +14,16 @@ hold the live code to them:
 - ``best_hist_split`` ≡ :func:`_reference_best_hist_split`, field for field
   and bit for bit, on both sides of the 48-instance threshold
   (``tests/test_ml_split_hist.py``);
-- ``mdl_cut_points`` ≡ :func:`_reference_mdl_cut_points`, cut for cut
+- ``mdl_cuts`` ≡ :func:`_reference_mdl_cut_points`, column by column and
+  cut for cut, over whole matrices and through its one-column call
+  ``mdl_cut_points`` and ``bin_matrix``; its child entropies ≡
+  :func:`_reference_best_cut`'s, bit for bit
   (``tests/test_ml_preprocessing.py``).
 
 The bodies are the ones ``src/`` shipped, moved: one tree at a time, each
 grown by depth-first recursion; one histogram, one cumsum and one gini
-evaluation *per candidate feature*; and one one-hot + cumsum *per recursive
-segment*.
+evaluation *per candidate feature*; and one one-hot + cumsum, and every
+value change a candidate, *per recursive segment* of one column.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ its exact shift).
   subband group with no neighbour is summed from the channels at its
   exact shifts: its row is the exact block's, bit for bit, and a ladder
   of singletons gives the whole exact block.
-- **Degenerate filterbanks** (ROADMAP item 5(b)): constant, all-zero,
+- **Degenerate filterbanks** (ROADMAP item 9(a)): constant, all-zero,
   one-channel, one-sample and zero-sample filterbanks and a one-trial
   ladder go through ``single_pulse_search`` and through the exact search
   without an error, and emit nothing; a filterbank with no channels is a
@@ -201,7 +201,7 @@ DEGENERATE = [
     pytest.param(
         _CONSTANT, _LONG, id="constant, long shifts",
         marks=pytest.mark.xfail(
-            strict=True, reason="zero-filled shift tails read as an edge (ROADMAP item 5(b))",
+            strict=True, reason="zero-filled shift tails read as an edge (ROADMAP item 9(a))",
         ),
     ),
 ]

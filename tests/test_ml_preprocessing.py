@@ -1,12 +1,17 @@
 """Unit tests for SMOTE, MDL discretization and feature selection."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles.ml_hist import _reference_mdl_cut_points
+from oracles.ml_hist import _reference_best_cut, _reference_mdl_cut_points
 
-from repro.ml.discretize import discretize_column, mdl_cut_points, mdl_discretize
+from repro.ml import discretize
+from repro.ml._hist import bin_matrix
+from repro.ml._split import entropy_from_counts
+from repro.ml.discretize import discretize_column, mdl_cut_points, mdl_cuts, mdl_discretize
 from repro.ml.feature_selection import (
     FS_METHODS,
     rank_correlation,
@@ -169,9 +174,11 @@ class TestMdlDiscretize:
 
 
 class TestPrefixTableEqualsPerSegmentSearch:
-    """``mdl_cut_points`` reads every segment off one prefix table; the
-    per-segment one-hot + cumsum it replaced (``oracles.ml_hist``) is the
-    law, cut for cut and bit for bit."""
+    """``mdl_cuts`` searches every column of a matrix at once, level by
+    level over boundary points, off one class-count prefix table; the
+    per-segment recursion it replaced (``oracles.ml_hist``) is the law, cut
+    for cut and bit for bit, for one column (``mdl_cut_points``) and for a
+    whole matrix."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2**32 - 1), tiny=st.booleans(), one_class=st.booleans())
@@ -180,33 +187,172 @@ class TestPrefixTableEqualsPerSegmentSearch:
         # taste for minimal draws would leave most columns without a cut.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 6) if tiny else rng.integers(6, 400))
-        n_classes = 1 if one_class and rng.random() < 0.3 else int(rng.integers(2, 7))
+        # Up to 9 classes: a row of 8 or more is summed by NumPy's eight
+        # interleaved accumulators, not left to right.
+        n_classes = 1 if one_class and rng.random() < 0.3 else int(rng.integers(2, 10))
         max_depth = int(rng.choice([1, 3, 8, 8]))
         # Few distinct values = heavy ties; otherwise a continuous column.
         tied = rng.random() < 0.5
         x = rng.integers(0, rng.integers(1, 13), n) / 3.0 if tied else rng.normal(size=n)
-        # Classes are steps of x with label noise: several accepted cuts,
-        # down to none as the noise grows; one class means no cut at all.
-        steps = np.searchsorted(np.sort(rng.normal(size=n_classes - 1)), x)
-        noisy = rng.random(n) < rng.choice([0.0, 0.05, 0.2, 0.5])
-        y = np.where(noisy, rng.integers(0, n_classes, n), steps)
+        y = _stepped_labels(rng, x, n_classes)
+        if n == 0:
+            with pytest.raises(ValueError, match="empty"):
+                mdl_cut_points(x, y, n_classes, max_depth)
+            return
         got = mdl_cut_points(x, y, n_classes, max_depth)
         assert got == _reference_mdl_cut_points(x, y, n_classes, max_depth)
         assert (n >= 4 and n_classes > 1) or got == []
 
-    def test_one_cumsum_per_column_however_many_cuts(self, monkeypatch):
-        """No timing: the prefix table is the column's only ``cumsum``."""
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matrix_equals_the_oracle_column_by_column(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4) if rng.random() < 0.15 else rng.integers(4, 300))
+        n_classes = 1 if rng.random() < 0.15 else int(rng.integers(2, 10))
+        max_depth = int(rng.choice([1, 3, 8, 8]))
+        all_tied = rng.random() < 0.2
+        columns: list[np.ndarray] = []
+        for _ in range(int(rng.integers(1, 7))):
+            kind = int(rng.integers(0, 4))
+            if kind == 0 and columns:  # a duplicate of an earlier column
+                x = columns[int(rng.integers(len(columns)))].copy()
+            elif kind == 1:  # constant
+                x = np.full(n, rng.normal())
+            elif kind == 2 or all_tied:  # few distinct values
+                x = rng.integers(0, rng.integers(1, 13), n) / 3.0
+            else:
+                x = rng.normal(size=n)
+            columns.append(x)
+        X = np.column_stack(columns)
+        y = _stepped_labels(rng, X[:, 0], n_classes)
+        # Labels need not reach n_classes - 1 (a subsample's may not).
+        got = mdl_cuts(X, y, n_classes, max_depth)
+        assert got == [_reference_mdl_cut_points(x, y, n_classes, max_depth) for x in X.T]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batched_entropies_are_entropy_from_counts(self, seed):
+        """The MDL test's entropies, one row per segment or child, bit for
+        bit — rows of 1 to 9 classes, present or not, in any pattern."""
+        rng = np.random.default_rng(seed)
+        n_classes = int(rng.integers(1, 10))
+        counts = rng.integers(0, 60, (200, n_classes)) * (rng.random((200, n_classes)) < 0.7)
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        got = discretize._entropies(counts)
+        want = [entropy_from_counts(row) for row in counts]
+        assert got.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_child_entropies_are_the_oracles(self, seed):
+        """The candidates' weighted child entropies, bit for bit: a cut list
+        differs only where a rounding flips a near tie, so the values
+        themselves are held to the per-segment search's best cut, over
+        twenty segments of one column."""
+        rng = np.random.default_rng(seed)
+        n, n_classes = int(rng.integers(2, 300)), int(rng.integers(1, 10))
+        x = np.sort(rng.integers(0, int(rng.integers(2, 40)), n) / 7.0)
+        y = _stepped_labels(rng, x, n_classes)
+        onehot = np.eye(n_classes, dtype=np.int64)[y]
+        for _ in range(20):
+            lo, hi = np.sort(rng.integers(0, n + 1, 2))
+            xs, seg = x[lo:hi], onehot[lo:hi]
+            change = np.flatnonzero(xs[1:] != xs[:-1])  # cut between p and p + 1
+            found = _reference_best_cut(xs, y[lo:hi], n_classes)
+            if found is None:
+                assert not change.size
+                continue
+            left = np.cumsum(seg, axis=0)[change]
+            weighted = discretize._weighted_child_entropy(left, seg.sum(axis=0) - left, hi - lo)
+            assert (change[int(np.argmin(weighted))], weighted.min()) == found
+
+    def test_bin_matrix_takes_the_oracles_cuts_of_its_subsample(self):
+        """Over 4,000 rows ``bin_matrix`` discretizes every second one, under
+        the full label set's class count (the subsample lacks class 8 here),
+        and keeps a column's first 32 MDL cuts."""
+        rng = np.random.default_rng(11)
+        n = 4_500
+        x = rng.uniform(0, 100, n)
+        y = rng.integers(0, 8, 100)[x.astype(int)]  # 100 blocks of random classes
+        y[1] = 8
+        X = np.column_stack([x, rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                             np.ones(n)])
+        binned = bin_matrix(X, 64, y)
+        qs = np.linspace(0.0, 1.0, 65)[1:-1]
+        assert len(_reference_mdl_cut_points(x[::2], y[::2], 9)) > 32
+        for j, col in enumerate(X.T):
+            supervised = _reference_mdl_cut_points(col[::2], y[::2], 9)[:32]
+            want = np.unique(np.concatenate([np.quantile(col, qs), supervised]))
+            np.testing.assert_array_equal(binned.edges[j], want[want < col.max()])
+
+    def test_one_cumsum_per_matrix_and_numpy_calls_flat_in_columns(self, monkeypatch):
+        """No timing: a matrix call's one ``cumsum`` is its prefix table, and
+        one column or twenty (each level one run of segments) make the same
+        NumPy calls, level for level."""
         rng = np.random.default_rng(3)
         x = np.concatenate([rng.uniform(2 * i, 2 * i + 1, 150) for i in range(6)])
         stepped = np.repeat(np.arange(6), 150)
-        calls = []
+        cumsums = []
         real = np.cumsum
-        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: cumsums.append(1) or real(*a, **k))
+        counting = _CountingNumpy()
+        monkeypatch.setattr(discretize, "np", counting)
         for y, min_cuts in ((np.zeros(900, dtype=int), 0), (stepped % 2, 5), (stepped, 5)):
-            del calls[:]
-            cuts = mdl_cut_points(x, y, 6)
-            assert len(cuts) >= min_cuts and (min_cuts or not cuts)
-            assert len(calls) == 1
+            per_d = {}
+            for d in (1, 20):
+                del cumsums[:]
+                counting.calls.clear()
+                cuts = mdl_cuts(x[:, None] + np.arange(d), y)
+                assert all(len(c) >= min_cuts and (min_cuts or not c) for c in cuts)
+                assert len(cumsums) == 1
+                per_d[d] = dict(counting.calls)
+            assert per_d[1] == per_d[20]
+
+
+def _stepped_labels(rng, x, n_classes):
+    """Classes are steps of x with label noise: several accepted cuts, down
+    to none as the noise grows; one class means no cut at all.  Noise is
+    drawn per distinct value: a group of tied values is pure or mixed with
+    one other class, so that pure and mixed groups sit side by side — what
+    decides whether a value change is a boundary point."""
+    steps = np.searchsorted(np.sort(rng.normal(size=n_classes - 1)), x)
+    values, group = np.unique(x, return_inverse=True)
+    rate = rng.choice([0.0, 0.0, 0.2, 0.5], size=values.size)
+    other = rng.integers(0, n_classes, values.size)
+    noisy = rng.random(x.size) < rate[group]
+    return np.where(noisy, other[group], steps)
+
+
+class _CountingNumpy:
+    """Stands in for ``numpy`` in one module and counts the functions it
+    looks up there: one lookup per call."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if callable(attr):
+            self.calls[name] += 1
+        return attr
+
+
+class TestMdlRefusesBadLabels:
+    """Empty input and negative class labels are typed errors, not a NumPy
+    reduction error or a label that wraps into the last class."""
+
+    @pytest.mark.parametrize("rank", [mdl_discretize, rank_info_gain, rank_gain_ratio,
+                                      rank_symmetrical_uncertainty])
+    def test_negative_labels(self, rank, informative_data):
+        X, y = informative_data  # y in {0, 1}; feature 0 separates the classes
+        with pytest.raises(ValueError, match="non-negative"):
+            rank(X, y - 1)
+
+    @pytest.mark.parametrize("rank", [mdl_discretize, rank_info_gain, rank_gain_ratio,
+                                      rank_symmetrical_uncertainty])
+    def test_empty_input(self, rank):
+        with pytest.raises(ValueError, match="empty"):
+            rank(np.empty((0, 3)), np.empty(0, dtype=int))
 
 
 class TestFeatureSelection:
