@@ -19,8 +19,8 @@ with NumPy kernels that process the whole trial-DM grid at once:
   median/MAD noise estimated once per series;
 - :func:`find_peaks` — vectorized threshold + local-maxima pass;
 - :func:`single_pulse_block_search` — the row-blocked search used by
-  :func:`repro.astro.filterbank.single_pulse_search`: a native-dtype screen
-  over a block of rows, exact values only at its candidates.
+  :func:`repro.astro.filterbank.single_pulse_search`: a compare-only screen
+  of window sums over a block of rows, exact values only at its candidates.
 
 Sample convention
 -----------------
@@ -32,7 +32,8 @@ convention exact and documentable on the emitted SPE.
 
 Performance notes (they shape this file)
 ----------------------------------------
-Measured on one core of a shared 2-vCPU Linux host (NumPy 2.4):
+Measured on one core of a shared 2-vCPU Linux host (NumPy 2.4, 2 MiB of L2
+per core):
 
 - ``np.median`` costs ~8× a raw partition (NaN-checking overhead), and
   ``np.partition``'s fresh copy ~2× an in-place ``ndarray.partition`` of a
@@ -40,22 +41,46 @@ Measured on one core of a shared 2-vCPU Linux host (NumPy 2.4):
 - A float64 scalar applied in place to a float32 array (``z *= 1/√w``)
   runs NumPy's buffered cast loop: 3–4× the same op with a float32 scalar.
   The exact statistic needs that rounding path, so the search runs it only
-  at candidates; the screen over every sample is native float32.
+  at candidates.
 - A streamed search holds ``_CHUNK_BYTES`` (4 MiB: 64 rows of 16,384
   float32 samples) of dedispersed rows, not the whole block (106 MiB on the
   1,700-DM fine ladder): each chunk is summed into one reused buffer and
   searched before the next is summed.
+- Dedispersion is channel-major over blocks of ``_BLOCK_ROWS`` rows
+  (:func:`_shift_add`): a row-at-a-time loop streamed all 64 channels
+  (4 MiB of filterbank, more than L2) through each row; adding each
+  channel's slice to 8 rows before the next channel reads it once per block
+  and cut the fine ladder's fill from ≈ 0.28 to ≈ 0.25 s.  That is ≈ 64,000
+  slice adds at ≈ 3.5 µs each, the cache-resident add rate, so what is left
+  is the number of adds, not the memory traffic.  Stage 1 sums the partials
+  of up to ``_PARTIAL_BYTES`` (2 MiB: 4 groups of 8 subbands) of shared
+  groups the same way.
 - The boxcar search works on blocks of ``_BLOCK_ROWS`` = 8 rows (≈ 0.5 MB
   per scratch buffer at 16,384 float32 samples): one in-place partition per
-  median, one ``cumsum(axis=1)`` and four ufunc calls per width for the
-  whole block, instead of per row.  ``cumsum`` along axis 1 adds each row
-  in the same sequential float order as a per-row ``cumsum``.
+  median, one ``cumsum(axis=1)`` per block instead of per row.  ``cumsum``
+  along axis 1 adds each row in the same sequential float order as a
+  per-row ``cumsum``.
+- The screen never forms the statistic: per width it makes one float pass
+  (the prefix-sum subtraction) and two byte passes (a compare with the
+  row's window-sum threshold ``T_w``, an OR into a bool mask), where
+  scaling, shifting and a running ``np.maximum`` took four float passes.
+  The subtraction is most of what is left (≈ 40 µs of ≈ 57 µs per width on
+  an 8 × 16,384 float32 block); all widths' thresholds come from one
+  vectorized call per block.
 - Candidates come from one ``flatnonzero`` + ``divmod`` (~8× a 2-D
   ``nonzero``); on the fine voltage block ≈ 22 of 16,384 samples per row
-  are candidates, ≈ 109 on the dense one.
-- Only the best statistic is tracked over the screen (``np.maximum``); the
-  winning width is the first one attaining the exact maximum, found while
-  the exact values are recomputed.
+  are candidates, ≈ 109 on the dense one.  The winning width is the first
+  one attaining the exact maximum, found while the exact values are
+  recomputed.
+
+Measured and not kept (so nobody repeats them): two threads over row
+chunks (no wall-clock gain, CPU +45%); the fill pipelined on one thread
+and the search on another (−5% wall clock, CPU +28%); a cumsum over the
+transposed block (slower); a windowed exact selection for the median
+(655 µs per block against 170 µs for the partition); partitioning on
+integer keys (no gain on real rows); ``_BLOCK_ROWS`` of 16 or 32 and
+chunks of 2–16 MiB (no change); de-duplicating identical rows (22 of
+1,700 on the fine ladder).
 
 Implementation layer
 --------------------
@@ -87,36 +112,46 @@ Screen law (boxcar)
 per-row loop it replaced emits (``_reference_block_search`` in
 ``tests/oracles/frontend.py``), bit for bit and dtype for dtype.  Every
 emitted value is computed by :func:`_window_z`; the screen only decides
-*where*.  For a width-``w`` window with sum ``d`` (the same float
-subtraction of the same prefix sums on both paths), ``c = 1/√w`` and
-``S = √w·med`` in float64, the exact statistic is
-``z = fl(fl64(fl(fl64(d·c)) − S))`` and the screen's is
-``z' = fl(fl(d·fl(c)) − fl(S))``, with ``fl`` rounding to the block dtype
-(unit roundoff ``u = eps/2``; float64's is at most ``u``), and ``c``, ``S``
-are the same float64 values on both paths.  Expanding the eight roundings,
-each relative and at most ``u``, and using
-``|d·c| ≤ (1+6u)(|z| + |S|)``:
+*where*, by comparing each width-``w`` window sum ``d`` (the same float
+subtraction of the same prefix sums on both paths) with a per-row
+threshold ``T_w`` in the block dtype.
 
-    |z' − z| ≤ 8u·(|d·c| + |S|) ≤ 9u·(|z| + 2|S|)
-            = 4.5·eps·|z| + 9·eps·|S|            (u ≤ 2⁻¹⁰).
+Let ``fl`` round to the block dtype (unit roundoff ``u = eps/2``; float64's
+is at most ``u``), ``c = 1/√w`` and ``S = √w·med`` the float64 values
+:func:`_window_z` uses.  The exact statistic is
+``z = fl(fl64(fl(fl64(d·c)) − S))`` and the S/N ``fl(z/σ')`` (``σ'`` the
+dtype's sigma), both monotone non-decreasing in ``d``.
 
-A sample's S/N ``fl(z/σ')`` (``σ'`` the dtype's sigma) reaches the
-threshold ``t`` only if ``z ≥ Z0 = t·σ'·(1 − eps)``, which covers both
-rounding of the quotient and a ``t`` compared after rounding to the dtype.
-For such a sample, ``z' ≥ Z0·(1 − 4.5·eps) − 9·eps·√w_max·|med|``, so the
-screen keeps every sample whose ``max_w z'`` reaches
+1. The S/N reaches the threshold ``t`` only if ``z ≥ Θ = t·σ'·(1 − eps)``,
+   which covers both rounding of the quotient and a ``t`` compared after
+   rounding to the dtype.
+2. ``z ≥ Θ > 0`` needs ``y − S ≥ Θ/(1+u)²`` for ``y = fl(fl64(d·c))``, so
+   ``y ≥ S + Θ·(1 − 2u)``; and ``y = d·c·(1+δ)(1+δ')`` with
+   ``|δ|, |δ'| ≤ u`` gives ``d·c ≥ y − 2.01u·|y|`` whatever the sign of
+   ``y``.  The right side grows with ``y``, so
+   ``d·c ≥ (Θ + S) − 4.01u·(Θ + |S|)``, and ``1/c = √w·(1 + δ'')`` with
+   ``|δ''| ≤ 2.01·u``:
 
-    Θ = t·σ' − C·eps·(t·σ' + √w_max·|med|),   C = 10 (the proof needs 9),
+       d ≥ √w·(Θ + S) − 3.1·eps·√w·(Θ + |S|).
 
-computed in float64, rounded to the dtype and stepped down one more ulp
-(``_screen_floor``; ``w_max`` is the widest width that fits the row).  The
-exact statistic is then recomputed at each candidate and at both of its
-neighbours, and the seed's ``>=`` / ``>`` plateau rule (:func:`_peak_mask`)
-and first-width-wins rule run on those exact values: a sample that is a
-peak of the per-row loop is a candidate, and its verdict, S/N and width
-depend only on exact values.  On float64 blocks ``z' = z``.  The bound
-assumes rows whose window sums and ``√w·med`` are finite in the block
-dtype; NaN samples are NaN on both paths and never peaks.
+3. The screen's float64 bound
+   ``√w·(Θ + S) − C·eps·√w·(Θ + |S|)``, ``C = 10``, lies below the right
+   side of (2) even after its own float64 roundings (six on the leading
+   term, two of them ``Θ``'s: at most ``3.1·eps·√w·(Θ + |S|)`` more, so
+   the proof needs ``C ≥ 6.2``).
+   Rounded *down* to the dtype (:func:`_window_floors`; a value rounded up
+   by the cast steps down one ulp), it is ``T_w``: a dtype value no larger
+   than any window sum ``d`` of step 2, so ``d ≥ T_w`` is exact.
+
+So every sample whose S/N reaches ``t`` at some width is a candidate: its
+window sum at that width reaches ``T_w``.  The exact statistic is then
+recomputed at each candidate and at both of its neighbours, and the seed's
+``>=`` / ``>`` plateau rule (:func:`_peak_mask`) and first-width-wins rule
+run on those exact values: a sample that is a peak of the per-row loop is a
+candidate, and its verdict, S/N and width depend only on exact values.  The
+bound assumes rows whose window sums and ``√w·med`` are finite and normal
+in the block dtype; NaN samples are NaN on both paths and never peaks, and
+a row whose median is NaN has no candidates and no peaks.
 
 The seed's naive implementations live in ``tests/oracles/frontend.py``
 so property tests can assert bit-for-bit (or tolerance-bounded)
@@ -225,6 +260,11 @@ def shift_table(
 #: 16,384 float32 samples (:attr:`DedispersionPlan.chunk_rows`).
 _CHUNK_BYTES = 4 << 20
 
+#: Bytes of stage-1 partial sums a fill holds at once: the
+#: (n_subbands × n_samples) partials of a batch of shared groups (4 groups
+#: of 8 subbands at 16,384 float32 samples), summed channel-major together.
+_PARTIAL_BYTES = 2 << 20
+
 
 def _float_dtype(dtype, what: str) -> np.dtype:
     """``dtype`` as a NumPy dtype, refused unless floating-point: the 1/√n
@@ -235,21 +275,27 @@ def _float_dtype(dtype, what: str) -> np.dtype:
     return dtype
 
 
-def _shift_sum(row: np.ndarray, series: list[np.ndarray], shifts: list[int]) -> None:
-    """``row`` ← Σᵢ ``series[i]`` advanced by ``shifts[i]`` samples.
+def _shift_add(
+    rows: list[np.ndarray], series: list[np.ndarray], shifts: list[list[int]]
+) -> None:
+    """``rows[j]`` ← Σᵢ ``series[i]`` advanced by ``shifts[j][i]`` samples.
 
-    The one shift-and-add loop of every row, solo or shared.  Sums run in
-    ``series`` order; a shift of ``row.size`` or more adds nothing.
-    Row-major, so the row stays cache-resident while the series stream
-    through it.
+    The one shift-and-add loop of every row, solo, stage 1 or stage 2.
+    Channel-major over blocks of up to ``_BLOCK_ROWS`` rows: each series
+    slice is added to every row of a block before the next series, so it is
+    read from memory once per block, not once per row.  Every row still
+    sums in ``series`` order from zero — the same bits as a row-at-a-time
+    loop.  A shift of the row's length or more adds nothing.
     """
-    n = row.size
-    row[:] = 0.0
-    for src, s in zip(series, shifts):
-        if s == 0:
-            row += src
-        elif s < n:
-            row[: n - s] += src[s:]
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[lo : lo + _BLOCK_ROWS]
+        for row in block:
+            row[:] = 0.0
+        n = block[0].size
+        for src, column in zip(series, zip(*shifts[lo : lo + _BLOCK_ROWS])):
+            for row, s in zip(block, column):
+                if s < n:
+                    row[: n - s] += src[s:]
 
 
 @dataclass(frozen=True)
@@ -305,30 +351,41 @@ class DedispersionPlan:
     def fill(self, lo: int, out: np.ndarray) -> np.ndarray:
         """Rows ``lo … lo + len(out) − 1`` of the dedispersed block, into
         ``out`` (its old contents are ignored); each row is scaled by
-        1/√n_chan as soon as it is summed."""
+        1/√n_chan once it is summed."""
         scale = self.dtype.type(1.0) / np.sqrt(self.dtype.type(len(self.channels)))
         hi = lo + len(out)
         # Python ints: no per-iteration unboxing in the shift-and-add loop.
         exact = self.shifts[lo:hi].tolist()
+        solo: list[int] = []
         members: dict[int, list[int]] = {}
         for i, g in enumerate(self.group_of[lo:hi].tolist()):
             if g < 0:
-                _shift_sum(out[i], self.channels, exact[i])
-                out[i] *= scale
+                solo.append(i)
             else:
                 members.setdefault(g, []).append(i)
-        if not members:
-            return out
-        sub = self.stage2[lo:hi].tolist()
-        partial = list(np.empty((len(self.edges), self.n_samples), dtype=self.dtype))
-        for g, rows in members.items():
-            # Stage 1: each subband's sum at the group's representative DM.
-            for part, (a, b), table in zip(partial, self.edges, self.stage1):
-                _shift_sum(part, self.channels[a:b], table[g].tolist())
-            # Stage 2: the partials, shifted by each member's exact trial DM.
-            for i in rows:
-                _shift_sum(out[i], partial, sub[i])
-                out[i] *= scale
+        if solo:
+            _shift_add([out[i] for i in solo], self.channels, [exact[i] for i in solo])
+        if members:
+            sub = self.stage2[lo:hi].tolist()
+            n_sub = len(self.edges)
+            # Stage 1 sums a batch of shared groups' partials together,
+            # channel-major; ``_PARTIAL_BYTES`` bounds the batch.
+            group_bytes = n_sub * max(1, self.n_samples) * self.dtype.itemsize
+            batch = max(1, _PARTIAL_BYTES // group_bytes)
+            groups = list(members)
+            partial = np.empty((min(batch, len(groups)), n_sub, self.n_samples), self.dtype)
+            for at in range(0, len(groups), batch):
+                some = groups[at : at + batch]
+                # Stage 1: each subband's sum at each group's representative DM.
+                for k, ((a, b), table) in enumerate(zip(self.edges, self.stage1)):
+                    _shift_add(
+                        list(partial[: len(some), k]), self.channels[a:b], table[some].tolist()
+                    )
+                # Stage 2: the partials, shifted by each member's exact trial DM.
+                for j, g in enumerate(some):
+                    rows = members[g]
+                    _shift_add([out[i] for i in rows], list(partial[j]), [sub[i] for i in rows])
+        out *= scale
         return out
 
     def block(self) -> np.ndarray:
@@ -463,9 +520,9 @@ def plan_dedispersion(
     group_of = np.where(shared, np.cumsum(shared) - 1, -1)[group_of]
 
     # Stage-1 shift tables, one per subband over the shared groups'
-    # representatives.  A fill processes group-major, so one
-    # (n_subbands × n_samples) partial buffer serves every group —
-    # materializing all groups at once is hundreds of MB at survey scale.
+    # representatives.  A fill sums a few groups' partials at a time
+    # (``_PARTIAL_BYTES``) — materializing all groups at once is hundreds
+    # of MB at survey scale.
     reps = np.asarray(group_reps)[shared]
     stage1 = tuple(
         shift_table(freqs_mhz[lo:hi], float(sub_refs[b]), reps, sample_time_s)
@@ -484,7 +541,7 @@ def plan_dedispersion(
 _BLOCK_ROWS = 8
 
 #: ``C`` of the screen's slack (module docstring, "Screen law"); the proof
-#: needs 9.
+#: needs 6.2.
 _SCREEN_SLACK = 10.0
 
 
@@ -580,37 +637,27 @@ def _exact_best(
     return best, width
 
 
-def _screen_best(
-    csum: np.ndarray, widths: tuple[int, ...], med: np.ndarray, buf: np.ndarray,
-    best: np.ndarray,
-) -> None:
-    """Fill ``best`` with an approximate max-over-widths window statistic.
-
-    ``_window_z`` in the block's own dtype: coefficients rounded to it, so
-    every op is a native loop.  Each value is within the screen law's bound
-    of the exact one; nothing emitted is read from it.
-    """
-    n = buf.shape[1]
-    dt = csum.dtype.type
-    best[:] = -np.inf
-    for w in widths:
-        if w > n:
-            continue
-        m = n - w + 1
-        z = np.subtract(csum[:, w:], csum[:, :m], out=buf[:, :m])
-        z *= dt(1.0 / np.sqrt(w))
-        z -= (np.sqrt(w) * med).astype(csum.dtype)[:, None]
-        np.maximum(best[:, :m], z, out=best[:, :m])
-
-
-def _screen_floor(
-    threshold: float, sigma: np.ndarray, med: np.ndarray, w_max: int, dtype: np.dtype
+def _window_floors(
+    threshold: float,
+    sigma: np.ndarray,
+    med: np.ndarray,
+    widths: tuple[int, ...],
+    dtype: np.dtype,
 ) -> np.ndarray:
-    """Per-row floor Θ of the screen (module docstring, "Screen law")."""
-    z_min = threshold * sigma.astype(dtype).astype(np.float64)
+    """The screen's window-sum thresholds ``T_w``, shape (widths, rows).
+
+    Per row, the floor ``Θ = t·σ'·(1 − eps)`` of the exact statistic; per
+    width, the float64 bound ``√w·(Θ + S) − C·eps·√w·(Θ + |S|)`` with
+    ``S = √w·med``, rounded down to ``dtype`` (module docstring, "Screen
+    law").
+    """
     eps = float(np.finfo(dtype).eps)
-    floor = z_min - _SCREEN_SLACK * eps * (z_min + np.sqrt(w_max) * np.abs(med))
-    return np.nextafter(floor.astype(dtype), dtype.type(-np.inf))
+    floor = threshold * sigma.astype(dtype).astype(np.float64) * (1.0 - eps)
+    root = np.sqrt(np.asarray(widths, dtype=np.float64))[:, None]
+    s = root * med
+    bound = root * (floor + s) - _SCREEN_SLACK * eps * root * (floor + np.abs(s))
+    t = bound.astype(dtype)
+    return np.where(t > bound, np.nextafter(t, dtype.type(-np.inf)), t)
 
 
 def _peak_mask(
@@ -680,7 +727,7 @@ def single_pulse_block_search(
     (row, sample) — for every row, exactly what :func:`boxcar_snr` followed
     by :func:`find_peaks` gives, bit for bit.  Rows are processed
     ``_BLOCK_ROWS`` at a time: noise statistics, prefix sums and a
-    native-dtype screen for the whole block, then the exact statistic only
+    compare-only screen for the whole block, then the exact statistic only
     at the screen's candidates and their two neighbours (module docstring,
     "Screen law").  ``boxcar`` and ``impl`` are validated (``"cumsum"`` and
     :func:`resolve_impl`'s names are the only values) and select nothing.
@@ -697,21 +744,28 @@ def single_pulse_block_search(
     widths = _check_widths(widths)
     n_rows, n = block.shape
     dtype = block.dtype
-    w_max = max((w for w in widths if w <= n), default=1)
+    fitting = tuple(w for w in widths if w <= n)
     k = min(_BLOCK_ROWS, n_rows)
     csum = np.empty((k, n + 1), dtype=dtype)
     buf = np.empty((k, n), dtype=dtype)
-    best = np.empty((k, n), dtype=dtype)
+    hit = np.empty((k, n), dtype=bool)
+    keep = np.empty((k, n), dtype=bool)
     found: list[tuple[np.ndarray, ...]] = []
     for lo in range(0, n_rows if n else 0, _BLOCK_ROWS):  # (rows, 0): nothing
         rows = block[lo : lo + _BLOCK_ROWS]
         k = rows.shape[0]
         med, sigma = _noise_stats(rows, buf[:k])
         _cumsum(rows, csum[:k])
-        _screen_best(csum[:k], widths, med, buf[:k], best[:k])
-        floor = _screen_floor(threshold, sigma, med, w_max, dtype)
+        # The screen: per width, one subtraction of prefix sums compared
+        # with the row's window-sum threshold, OR-ed into ``keep``.
+        keep[:k] = False
+        for w, t in zip(fitting, _window_floors(threshold, sigma, med, fitting, dtype)):
+            m = n - w + 1
+            sums = np.subtract(csum[:k, w:], csum[:k, :m], out=buf[:k, :m])
+            np.greater_equal(sums, t[:, None], out=hit[:k, :m])
+            keep[:k, :m] |= hit[:k, :m]
         # flatnonzero + divmod: ~8× a 2-D nonzero.
-        r, s = np.divmod(np.flatnonzero(best[:k] >= floor[:, None]), n)
+        r, s = np.divmod(np.flatnonzero(keep[:k]), n)
         if r.size == 0:
             continue
         # Exact values at each candidate and both neighbours: [left, at, right].

@@ -73,16 +73,22 @@ def spes_from_search(
     The one place the search arrays become SPEs, shared by every kernel
     method — the rounding conventions (SNR to 3 decimals, time to 6) are
     part of the on-disk format and must not drift between code paths.
+    Each column becomes Python numbers in one ``tolist()``, not one
+    ``float()``/``int()`` per element.
     """
+    dms = np.asarray(trial_dms, dtype=float)[np.asarray(rows, dtype=np.intp)].tolist()
     return [
         SPE(
-            dm=float(trial_dms[d]),
-            snr=round(float(s), 3),
-            time_s=round(int(i) * sample_time_s, 6),
-            sample=int(i),
-            downfact=int(w),
+            dm=dm,
+            snr=round(s, 3),
+            time_s=round(i * sample_time_s, 6),
+            sample=i,
+            downfact=w,
         )
-        for d, i, s, w in zip(rows, samples, snrs, widths)
+        for dm, i, s, w in zip(
+            dms, np.asarray(samples).tolist(), np.asarray(snrs).tolist(),
+            np.asarray(widths).tolist(),
+        )
     ]
 
 

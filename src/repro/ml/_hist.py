@@ -85,6 +85,8 @@ def bin_matrix(X: np.ndarray, n_bins: int = N_BINS, y: np.ndarray | None = None)
     if not 2 <= n_bins <= 256:
         raise ValueError(f"n_bins must be in [2, 256], got {n_bins}")
     n, d = X.shape
+    if not n:  # np.quantile has no answer; the same error with or without y
+        raise ValueError("cannot discretize empty input: X has no rows")
     codes = np.empty((n, d), dtype=np.uint8)
     edges: list[np.ndarray] = []
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
@@ -103,7 +105,7 @@ def bin_matrix(X: np.ndarray, n_bins: int = N_BINS, y: np.ndarray | None = None)
         if supervised[j]:
             cuts = np.unique(np.concatenate([cuts, supervised[j][:mdl_budget]]))
         # Drop degenerate cuts equal to the max (they create empty top bins).
-        cuts = cuts[cuts < col.max()] if col.size else cuts
+        cuts = cuts[cuts < col.max()]
         # side='left': code = #{cuts < x}, so "code <= b" ⟺ "x <= cuts[b]" —
         # the training-time routing must agree exactly with predict()'s
         # real-valued threshold test, including on tied values.

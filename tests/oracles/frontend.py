@@ -19,6 +19,10 @@ Nothing live calls them; the identity laws hold the live kernels to them:
   (``tests/test_astro_kernels.py``);
 - ``single_pulse_block_search`` ≡ :func:`_reference_block_search` bit for
   bit, dtype included (``tests/test_astro_kernels.py``);
+- ``DedispersionPlan.fill`` ≡ :func:`_reference_fill`, the row-at-a-time
+  fill over :func:`_reference_shift_sum`, and the channel-major
+  ``_shift_add`` ≡ that loop row by row, bit for bit
+  (``tests/test_frontend_fill.py``);
 - ``single_pulse_search`` against :func:`_reference_single_pulse_search`
   (``tests/test_astro_kernels.py``, ``benchmarks/bench_frontend_kernels.py``)
   and against :func:`_reference_exact_search`, the same search over the
@@ -33,8 +37,9 @@ Nothing live calls them; the identity laws hold the live kernels to them:
   (``tests/test_astro_clustering.py``).
 
 The bodies are the ones ``src/`` shipped, moved; the DBSCAN methods became
-functions taking the clusterer, and the exact block is the body of
-``src/``'s last exact dedispersion method (``dedisperse_batch``).
+functions taking the clusterer, the exact block is the body of ``src/``'s
+last exact dedispersion method (``dedisperse_batch``), and the per-row fill
+is ``DedispersionPlan.fill`` before it went channel-major.
 """
 
 from __future__ import annotations
@@ -44,7 +49,12 @@ import numpy as np
 from repro.astro.clustering import NOISE, Cluster, SinglePulseDBSCAN
 from repro.astro.dispersion import K_DM
 from repro.astro.filterbank import Filterbank
-from repro.astro.kernels import find_peaks, shift_table, single_pulse_block_search
+from repro.astro.kernels import (
+    DedispersionPlan,
+    find_peaks,
+    shift_table,
+    single_pulse_block_search,
+)
 from repro.astro.spe import SPE, spes_from_search
 
 # -- kernels ------------------------------------------------------------------
@@ -97,6 +107,47 @@ def _reference_dedisperse_block(
             elif s < n_samples:
                 row[: n_samples - s] += channel[s:]
         row *= scale
+    return out
+
+
+def _reference_shift_sum(row: np.ndarray, series: list[np.ndarray], shifts: list[int]) -> None:
+    """``row`` ← Σᵢ ``series[i]`` advanced by ``shifts[i]`` samples, summed
+    in ``series`` order from zero; a shift of ``row.size`` or more adds
+    nothing.  One row at a time, the series streaming through it."""
+    n = row.size
+    row[:] = 0.0
+    for src, s in zip(series, shifts):
+        if s == 0:
+            row += src
+        elif s < n:
+            row[: n - s] += src[s:]
+
+
+def _reference_fill(plan: DedispersionPlan, lo: int, out: np.ndarray) -> np.ndarray:
+    """``plan.fill(lo, out)`` a row at a time: each group of one summed from
+    the channels, each shared group's partials (one buffer, one group at a
+    time) and then each member row summed from them, every row scaled as
+    soon as it is summed."""
+    scale = plan.dtype.type(1.0) / np.sqrt(plan.dtype.type(len(plan.channels)))
+    hi = lo + len(out)
+    exact = plan.shifts[lo:hi].tolist()
+    members: dict[int, list[int]] = {}
+    for i, g in enumerate(plan.group_of[lo:hi].tolist()):
+        if g < 0:
+            _reference_shift_sum(out[i], plan.channels, exact[i])
+            out[i] *= scale
+        else:
+            members.setdefault(g, []).append(i)
+    if not members:
+        return out
+    sub = plan.stage2[lo:hi].tolist()
+    partial = list(np.empty((len(plan.edges), plan.n_samples), dtype=plan.dtype))
+    for g, rows in members.items():
+        for part, (a, b), table in zip(partial, plan.edges, plan.stage1):
+            _reference_shift_sum(part, plan.channels[a:b], table[g].tolist())
+        for i in rows:
+            _reference_shift_sum(out[i], partial, sub[i])
+            out[i] *= scale
     return out
 
 

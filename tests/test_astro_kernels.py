@@ -347,7 +347,7 @@ class TestBoxcarSearch:
 
 
 #: What each row of a drawn block holds (see ``_draw_row``).
-ROW_KINDS = ("noise", "constant", "offset", "ties", "pulse")
+ROW_KINDS = ("noise", "constant", "offset", "ties", "pulse", "far pulse", "plateau")
 
 
 def _draw_row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -357,11 +357,18 @@ def _draw_row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, 1.0, n) + rng.choice([-1, 1]) * 10.0 ** rng.uniform(3, 6)
     if kind == "ties":  # small integers: exact ties between widths and samples
         return rng.integers(-3, 4, n).astype(float)
+    if kind == "plateau":  # small integers under a flat top: runs of equal S/N
+        row = rng.integers(-2, 3, n).astype(float)
+        at = int(rng.integers(0, max(n, 1)))
+        row[at : at + int(rng.integers(1, 12))] = float(rng.integers(3, 9))
+        return row
     row = rng.normal(0.0, 1.0, n)
-    if kind == "pulse" and n:
+    if kind in ("pulse", "far pulse") and n:
         w = int(rng.integers(1, 40))
         at = int(rng.integers(0, n))
         row[at : at + w] += rng.uniform(0.5, 6.0)
+    if kind == "far pulse":  # a peak on |median| ≫ sigma: the slack at the threshold
+        row += rng.choice([-1, 1]) * 10.0 ** rng.uniform(2, 6.5)
     return row
 
 
@@ -375,9 +382,10 @@ def _oracle_snrs(row: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
 
 
 class TestBlockedSearchEqualsPerRowLoop:
-    """``single_pulse_block_search`` screens a block in its own dtype and
-    recomputes the exact statistic at candidates only; the per-row loop it
-    replaced (``oracles.frontend``) is the law, bit for bit."""
+    """``single_pulse_block_search`` screens a block by comparing window
+    sums with per-row thresholds and recomputes the exact statistic at
+    candidates only; the per-row loop it replaced (``oracles.frontend``)
+    is the law, bit for bit."""
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -387,22 +395,25 @@ class TestBlockedSearchEqualsPerRowLoop:
         widths=st.lists(st.sampled_from([1, 2, 3, 4, 5, 8, 16, 32, 64]), min_size=1, max_size=6),
         threshold=st.floats(0.5, 8.0),
         edge=st.sampled_from([None, -1, 0, 1]),
+        rank=st.integers(0, 3),
         seed=st.integers(0, 2**31),
     )
-    def test_random_blocks(self, kinds, n, dtype, widths, threshold, edge, seed):
+    def test_random_blocks(self, kinds, n, dtype, widths, threshold, edge, rank, seed):
         """Rows of noise, constants (the sigma floor), large offsets (the
-        slack), small integers (ties) and pulses; widths in any order, some
-        longer than the row; ``edge`` puts the threshold on a pulse's S/N
-        or one ulp either side of it."""
+        slack), small integers (ties), plateaus and pulses, near zero or
+        on a far median; one row or many, widths in any order, some longer
+        than the row; ``edge`` puts the threshold on one of the largest
+        S/N values of the first pulse or plateau (the ``rank``-th from the
+        top), or one ulp either side of it."""
         rng = np.random.default_rng(seed)
         block = np.array([_draw_row(k, n, rng) for k in kinds], dtype=dtype).reshape(len(kinds), n)
         fitting = tuple(w for w in widths if w <= n)
         if edge is not None:
-            row = kinds.index("pulse") if "pulse" in kinds else 0
+            row = next((i for i, k in enumerate(kinds) if k in ROW_KINDS[-3:]), 0)
             snr = _oracle_snrs(block[row], fitting)
-            snr = snr[np.isfinite(snr) & (snr > 0)]
+            snr = np.unique(snr[np.isfinite(snr) & (snr > 0)])
             if snr.size:
-                peak = snr.max()
+                peak = snr[-1 - min(rank, snr.size - 1)]
                 peak = peak if edge == 0 else np.nextafter(peak, edge * np.inf)
                 threshold = float(peak) if np.isfinite(peak) else threshold
         got = single_pulse_block_search(block, threshold, tuple(widths))
@@ -410,21 +421,27 @@ class TestBlockedSearchEqualsPerRowLoop:
         assert [a.dtype for a in got] == [a.dtype for a in want]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_threshold_on_each_side_of_every_peak(self, dtype):
+    def test_threshold_on_each_side_of_every_peak(self, dtype, offset):
         """Every above-threshold S/N of a pulsed block, and its two
-        neighbouring floats, as the threshold."""
+        neighbouring floats, as the threshold.  On a median of 10⁶ a
+        float32 window sum carries a few hundredths of rounding, more than
+        the S/N floor's own margin."""
         rng = np.random.default_rng(11)
-        block = np.array([_draw_row("pulse", 300, rng) for _ in range(11)], dtype=dtype)
+        block = np.array([_draw_row("pulse", 300, rng) + offset for _ in range(11)], dtype=dtype)
         widths = (1, 2, 4, 8, 16, 32)
         values = np.unique(np.concatenate([_oracle_snrs(r, widths) for r in block]))
         values = values[values > 3.0][-12:]
         assert values.size == 12
+        emitted = 0
         for v in values:
             for t in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)):
                 got = single_pulse_block_search(block, float(t), widths)
                 want = _reference_block_search(block, float(t), widths)
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                emitted += got[0].size
+        assert emitted > 0
 
     def test_ties_between_widths_go_to_the_first(self):
         """With median 0, ``[2, 1, 1, 0]`` scores 2 at width 1 and at width
@@ -438,6 +455,88 @@ class TestBlockedSearchEqualsPerRowLoop:
             want = _reference_block_search(block, 1.0, widths)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
             assert got[3][got[1] == 20].tolist() == [widths[0]] * 9
+
+
+class TestScreenThresholds:
+    """The screen's window-sum thresholds ``T_w`` at the edge of the
+    "Screen law" (``repro.astro.kernels``): medians up to 10⁷ and sigmas
+    from 10⁻³, where the slack is all that keeps a peak."""
+
+    LAW = settings(max_examples=120, deadline=None)
+
+    @staticmethod
+    def _rows(dtype, seed):
+        """Per-row medians and sigmas, dtype values as the search's are."""
+        rng = np.random.default_rng(seed)
+        med = rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-1.0, 7.0, 64)
+        sigma = 10.0 ** rng.uniform(-3.0, 2.0, 64)
+        return med.astype(dtype).astype(np.float64), sigma.astype(dtype).astype(np.float64)
+
+    @LAW
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        threshold=st.floats(0.5, 10.0),
+        widths=st.lists(st.integers(1, 64), min_size=1, max_size=6, unique=True),
+        seed=st.integers(0, 2**31),
+    )
+    def test_no_window_sum_below_a_threshold_reaches_the_snr(
+        self, dtype, threshold, widths, seed
+    ):
+        """The exact S/N grows with the window sum, so if the dtype value
+        just below ``T_w`` stays under the threshold, every smaller sum
+        does."""
+        dt = np.dtype(dtype)
+        med, sigma = self._rows(dt, seed)
+        floors = kernels._window_floors(threshold, sigma, med, tuple(widths), dt)
+        assert floors.dtype == dt and floors.shape == (len(widths), med.size)
+        for w, t in zip(widths, floors):
+            below = np.nextafter(t, dt.type(-np.inf))
+            snr = kernels._window_z(below, w, med) / sigma.astype(dt)
+            assert not (snr >= threshold).any()
+
+    @LAW
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        threshold=st.floats(0.5, 10.0),
+        widths=st.lists(st.integers(1, 64), min_size=1, max_size=6, unique=True),
+        seed=st.integers(0, 2**31),
+    )
+    def test_each_threshold_is_its_bound_rounded_down(self, dtype, threshold, widths, seed):
+        """``T_w`` is the largest dtype value at or below the float64 bound
+        ``√w·(Θ + S) − C·eps·√w·(Θ + |S|)``: a cast that rounds up is
+        stepped down one ulp, one that rounds down is kept."""
+        dt = np.dtype(dtype)
+        med, sigma = self._rows(dt, seed)
+        floors = kernels._window_floors(threshold, sigma, med, tuple(widths), dt)
+        eps = float(np.finfo(dt).eps)
+        theta = threshold * sigma * (1.0 - eps)
+        root = np.sqrt(np.asarray(widths, dtype=np.float64))[:, None]
+        s = root * med
+        bound = root * (theta + s) - kernels._SCREEN_SLACK * eps * root * (theta + np.abs(s))
+        assert (floors.astype(np.float64) <= bound).all()
+        assert (np.nextafter(floors, dt.type(np.inf)).astype(np.float64) > bound).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_window_sum_at_its_threshold_is_a_candidate(self, dtype, monkeypatch):
+        """The screen keeps ``d ≥ T_w``, equality included.  A row's first
+        width-1 sum is its first sample, set to ``T_1`` (high enough to
+        leave both medians as they were): the search evaluates it exactly."""
+        row = (np.random.default_rng(11).normal(0.0, 1.0, (1, 500)) + 1e3).astype(dtype)
+        row[0, 0] = row.max()
+        med, sigma = kernels._noise_stats(row, np.empty_like(row))
+        (t,), = kernels._window_floors(3.0, sigma, med, (1,), row.dtype)
+        row[0, 0] = t
+        again = kernels._noise_stats(row, np.empty_like(row))
+        assert [a.tobytes() for a in again] == [med.tobytes(), sigma.tobytes()]
+        exact, exact_best = [], kernels._exact_best
+
+        def recorded(csum, rows, samples, widths, med):
+            exact.append(samples)
+            return exact_best(csum, rows, samples, widths, med)
+
+        monkeypatch.setattr(kernels, "_exact_best", recorded)
+        single_pulse_block_search(row, 3.0, (1,))
+        assert exact and 0 in np.split(exact[0], 3)[1]
 
 
 @contextmanager

@@ -354,6 +354,15 @@ class TestMdlRefusesBadLabels:
         with pytest.raises(ValueError, match="empty"):
             rank(np.empty((0, 3)), np.empty(0, dtype=int))
 
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("n_bins", [8, 250])
+    def test_bin_matrix_refuses_empty_input_with_or_without_labels(self, labelled, n_bins):
+        """Without labels (or with no supervised-cut budget left) a 0-row
+        matrix used to reach ``np.quantile`` and raise an ``IndexError``."""
+        y = np.empty(0, dtype=int) if labelled else None
+        with pytest.raises(ValueError, match="empty"):
+            bin_matrix(np.empty((0, 3)), n_bins, y)
+
 
 class TestFeatureSelection:
     @pytest.mark.parametrize("method", sorted(FS_METHODS))
