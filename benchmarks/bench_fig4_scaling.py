@@ -11,10 +11,15 @@ on the discrete-event cluster simulator at each executor count, with
 ``data_scale`` mapping the scaled workload's bytes to the paper's 10.2 GB
 so the 1-executor configuration experiences the same memory-pressure
 regime.  The multithreaded baseline
-really runs D-RAPID's unit of work — one ``search_observation_columns`` per
+really runs D-RAPID's search code — one ``search_observation_columns`` per
 observation (``core.multithreaded.observation_search_tasks``), plus the
 parsing of the csv rows it reads — and replays the measured costs on the
 single-box model, so the ratio compares distribution, not implementations.
+One difference is left: D-RAPID makes one ``search_columns`` call per hash
+partition over all of its observations, the baseline one call per
+observation.  With 1,280 partitions for 150 observations that is 144
+calls against 150 (6 partitions hold two observations), so the fixed cost
+of a call hardly moves the ratio here.
 
 Expected shape (paper): elapsed time falls steeply to a knee at 5
 executors, then asymptotically; with ≥5 executors D-RAPID finishes in

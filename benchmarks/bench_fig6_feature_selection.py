@@ -21,7 +21,12 @@ import pytest
 from _bench_utils import emit, format_table
 from conftest import learner_factories
 from repro.core.alm import ALM_SCHEMES
-from repro.ml.feature_selection import FS_METHODS, rank_features, select_top_k
+from repro.ml.feature_selection import (
+    FS_METHODS,
+    entropy_merits,
+    rank_features,
+    select_top_k,
+)
 from repro.ml.validation import cross_validate, paper_protocol_split
 
 SCHEMES = ("2", "4", "7", "8")
@@ -39,8 +44,11 @@ def fs_grid(gbt_benchmark, palfa_benchmark):
             y = bench.labels(scheme)
             fs_fold, rest = paper_protocol_split(y, seed=3)
             subsets: dict[str, list[int] | None] = {"None": None}
+            X_fs, y_fs = bench.features[fs_fold], y[fs_fold]
+            # IG, GR and SU rank the fold from one shared MDL discretization.
+            entropy = entropy_merits(X_fs, y_fs)
             for fs in FS_METHODS:
-                merits = rank_features(fs, bench.features[fs_fold], y[fs_fold])
+                merits = entropy[fs] if fs in entropy else rank_features(fs, X_fs, y_fs)
                 subsets[fs] = select_top_k(merits, 10)
             for learner in ("RF", "MPN"):
                 for fs, subset in subsets.items():

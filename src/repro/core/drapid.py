@@ -24,12 +24,13 @@ payloads are a few large column buffers instead of one tuple per SPE row
 The text boundary is the data plane's codec (:mod:`repro.dataplane._columns`):
 a partition is grouped by key once, header and blank lines skipped on the
 way, and each key group is parsed in one tokeniser call.  The Search phase
-body hands one joined observation — its SPE columns and all of its cluster
-boxes — to :func:`repro.core.rapid.search_observation_columns`, which
-searches the clusters as columns (one Algorithm 1 + feature call per
-cluster-size group) rather than looping over them.  What the search stage
-caches is each observation's :class:`PulseBatch`, not its text: the ML part
-files are formatted from it once per partition, and the run's result and
+body hands all of a partition's joined observations — their SPE columns
+and cluster boxes, each tagged with its observation's index — to one
+:func:`repro.core.rapid.search_columns` call, which searches the clusters
+as columns (one Algorithm 1 + feature call per padded block of cluster
+sizes) rather than looping over clusters or observations.  What the search
+stage caches is one :class:`PulseBatch` per partition, not its text: the
+ML part file is formatted from it once, and the run's result and
 diagnostics are read off the same cached records.  The per-record dataflow
 is a test oracle (``tests/oracles/record_path.py``) and the equivalence
 suite asserts both produce byte-identical ML files.
@@ -40,8 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from repro.astro.dispersion import DMGrid
-from repro.core.rapid import search_observation_columns
+from repro.core.rapid import search_columns
 from repro.core.search import SearchParams
 from repro.dataplane import ClusterBatch, PulseBatch, SPEBatch
 from repro.dataplane._columns import key_groups, lenient_cluster_columns
@@ -90,32 +93,47 @@ def _parse_data_partition(lines: Iterator[str]) -> Iterator[tuple[str, SPEBatch]
         yield key, SPEBatch.from_data_rows(rows)
 
 
-def _search_observation(
-    key: str,
-    cluster_batches: list[ClusterBatch],
-    spe_batches: list[SPEBatch] | None,
+def _search_partition(
+    joined: Iterator[tuple[str, tuple[list[ClusterBatch], list[SPEBatch] | None]]],
     grids: dict[str, DMGrid],
     params: SearchParams,
-) -> tuple[str, PulseBatch, int, bool]:
-    """The Search phase body: Algorithm 1 on each cluster's SPE subset.
+) -> list[tuple[PulseBatch, int, int]]:
+    """The Search phase body: Algorithm 1 on each cluster's SPE subset, one
+    columnar call over all of a partition's joined observations.
 
-    Returns what the stage caches: ``(key, pulses, clusters searched for,
-    whether the SPE side of the join was null)``.
+    Returns what the stage caches, one record per partition: ``(pulses,
+    clusters searched for, observations whose SPE side of the join was
+    null)``.
     """
-    clusters = ClusterBatch.concat(cluster_batches)
-    if spe_batches is None:  # null from the left outer join
-        return key, PulseBatch.empty(), len(clusters), True
+    keys, spe_batches, cluster_batches = [], [], []
+    spe_obs, box_obs = [], []
+    n_clusters = n_null = 0
+    for key, (clusters, spes) in joined:
+        n_clusters += sum(len(b) for b in clusters)
+        if spes is None:  # null from the left outer join
+            n_null += 1
+            continue
+        spe_obs += [len(keys)] * len(spes)
+        box_obs += [len(keys)] * len(clusters)
+        keys.append(key)
+        spe_batches += spes
+        cluster_batches += clusters
+    if not keys:
+        return [(PulseBatch.empty(), n_clusters, n_null)]
     spe = SPEBatch.concat(spe_batches)
-    pulses = search_observation_columns(
-        spe.time_s, spe.dm, spe.snr, clusters,
-        grids.get(key.split("|", 1)[0]), key, params,
+    pulses = search_columns(
+        spe.time_s, spe.dm, spe.snr,
+        np.repeat(spe_obs, [len(b) for b in spe_batches]),
+        ClusterBatch.concat(cluster_batches),
+        np.repeat(box_obs, [len(b) for b in cluster_batches]),
+        [grids.get(key.split("|", 1)[0]) for key in keys], keys, params,
     )
-    return key, pulses, len(clusters), False
+    return [(pulses, n_clusters, n_null)]
 
 
-def _ml_partition(searched: Iterator[tuple]) -> list[str]:
-    """One partition's ML rows, formatted from its concatenated batch."""
-    return PulseBatch.concat([pulses for _key, pulses, _n, _null in searched]).to_ml_lines()
+def _ml_partition(searched: Iterator[tuple[PulseBatch, int, int]]) -> list[str]:
+    """One partition's ML rows, formatted from its cached batch."""
+    return [line for pulses, _n, _null in searched for line in pulses.to_ml_lines()]
 
 
 @dataclass
@@ -194,8 +212,8 @@ class DRapidDriver:
 
         joined = cluster_agg.left_outer_join(data_agg, partitioner=partitioner)
 
-        searched = joined.map(
-            lambda kv: _search_observation(kv[0], kv[1][0], kv[1][1], grids, params)
+        searched = joined.map_partitions(
+            lambda kvs: _search_partition(kvs, grids, params)
         ).cache()
         obs = self.ctx.obs
         with obs.tracer.span("drapid.production_job", output=ml_output_path):
@@ -212,9 +230,9 @@ class DRapidDriver:
         with obs.tracer.span("drapid.diagnostics"):
             records = searched.collect()
         # What the part files just written parse back as, bit for bit.
-        pulse_batch = PulseBatch.concat([p for _k, p, _n, _null in records]).read_back()
-        n_clusters = sum(n for _k, _p, n, _null in records)
-        null_joins = sum(null for _k, _p, _n, null in records)
+        pulse_batch = PulseBatch.concat([p for p, _n, _null in records]).read_back()
+        n_clusters = sum(n for _p, n, _null in records)
+        null_joins = sum(null for _p, _n, null in records)
 
         return DRapidResult(
             pulse_batch=pulse_batch,

@@ -4,7 +4,8 @@ Two pieces:
 
 - :func:`observation_search_tasks` builds the baseline's task list — one
   :func:`~repro.core.rapid.search_observation_columns` call per
-  observation, D-RAPID's unit of work — and :class:`MultithreadedRapid`
+  observation, the one-observation call of D-RAPID's search — and
+  :class:`MultithreadedRapid`
   really runs the tasks concurrently (results exact: the concatenated task
   results equal the serial and the distributed run's ``PulseBatch``),
   recording per-task durations.  It
@@ -53,12 +54,17 @@ def observation_search_tasks(
 ) -> list[Callable[[], PulseBatch]]:
     """The baseline's task list: one search per observation.
 
-    Each task is what a D-RAPID executor runs after the join and what
-    :func:`~repro.core.rapid.run_rapid_observation_batch` runs serially —
-    the observation's SPE columns, the boxes of its clusters of at least two
-    SPEs, its DM grid and key — so ``PulseBatch.concat`` of the results
-    equals the serial run's batch bit for bit.  Tasks carry the columns,
-    not the :class:`Observation`, so that is all a worker is shipped.
+    Each task is what :func:`~repro.core.rapid.run_rapid_observation_batch`
+    runs serially — the observation's SPE columns, the boxes of its
+    clusters of at least two SPEs, its DM grid and key — so
+    ``PulseBatch.concat`` of the results equals the serial run's batch bit
+    for bit.  It is the code a D-RAPID executor runs after the join, but
+    not the same call count: D-RAPID makes one
+    :func:`~repro.core.rapid.search_columns` call per hash partition, over
+    every observation the partition holds, where a multithreaded box
+    handing out work per observation makes one call each.  Tasks carry the
+    columns, not the :class:`Observation`, so that is all a worker is
+    shipped.
     """
     return [
         functools.partial(

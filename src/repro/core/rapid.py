@@ -2,21 +2,28 @@
 
 The unit of work as the paper states it: sort one cluster's SPEs by DM, run
 the Algorithm 1 search, extract the 22 features of every identified single
-pulse.  ``search_observation_columns`` does that for all clusters of an
-observation at once — it is D-RAPID's Search phase, the multithreaded
-baseline's task and the body of ``run_rapid_observation_batch`` (the serial
-baseline all parallel variants are validated against).  Survey clusters are
-tiny (median 4 SPEs), so a call per cluster is ~40 NumPy dispatches on a
-handful of floats.  Unequal-length rows *can* share a call: padded with
-``-0.0``, the exact additive identity, a row keeps its pairwise sums bit
-for bit as long as it is summed over its size class — 7 for n < 8,
-8k + 7 for 8k <= n < 128, its own length from 128 on
-(:mod:`repro.core.regression`).  So an observation's clusters, and then
-its pulses, are gathered into a few ``-0.0``-padded blocks (usually one),
+pulse.  ``search_columns`` does that for all clusters of many observations
+at once — it is D-RAPID's Search phase, one call per partition — and
+``search_observation_columns`` is its one-observation call: the
+multithreaded baseline's task and the body of ``run_rapid_observation_batch``
+(the serial baseline all parallel variants are validated against).  Survey
+clusters are tiny (median 4 SPEs), so a call per cluster is ~40 NumPy
+dispatches on a handful of floats, and even a call per observation is
+~150.  A box's members come from one sort of the SPEs by (observation,
+time): its time window is a ``searchsorted`` run, filtered by DM — the
+pairs, bit for bit, of the dense (clusters × SPEs) mask it replaced, at
+the cost of a sort instead of a product.  Unequal-length rows *can* share
+a call: padded with ``-0.0``, the exact additive identity, a row keeps its
+pairwise sums bit for bit as long as it is summed over its size class —
+7 for n < 8, 8k + 7 for 8k <= n < 128, its own length from 128 on
+(:mod:`repro.core.regression`).  So the clusters, and then the pulses,
+are gathered into a few ``-0.0``-padded blocks (usually one per call),
 and each block is one Algorithm 1 call and one feature call.  Output bits,
 row order and ``PulseRank`` ties equal those of the per-cluster oracle
-(``tests/oracles/record_path.py``); the property suite in
-``tests/test_core_rapid_columns.py`` holds the two together, class edges
+(``tests/oracles/record_path.py``), and a call over several observations
+equals the ``concat`` of their one-observation calls; the property suites
+in ``tests/test_core_rapid_columns.py`` and
+``tests/test_core_rapid_partition.py`` hold them together, class edges
 included.
 
 ``run_rapid_dpg`` reproduces the *old* DPG-granularity algorithm of Devine
@@ -28,6 +35,7 @@ granularity gap (1 DPG vs. ~hundreds of single pulses).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,67 +48,103 @@ from repro.core.search import SearchParams, find_single_pulses, find_single_puls
 from repro.dataplane import ClusterBatch, PulseBatch
 from repro.io.spe_files import observation_cluster_batch
 
-#: Cells of the (clusters x SPEs) box-membership block evaluated at once, so
-#: the search's transient memory does not grow with the observation.
-_MEMBERSHIP_CELLS = 1 << 21
+#: Box-membership candidates (SPEs inside a box's time window, before its
+#: DM test) examined at once, so the search's transient memory does not grow
+#: with the observation or with the width of its boxes.
+_CANDIDATES = 1 << 15
 
 
 def _box_members(
-    times: np.ndarray, dms: np.ndarray, clusters: ClusterBatch
+    times: np.ndarray,
+    dms: np.ndarray,
+    spe_obs: np.ndarray,
+    clusters: ClusterBatch,
+    box_obs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(cluster row, SPE index)`` of every SPE inside each cluster's box.
 
-    A cluster's search region is its DM × time box over the full SPE list —
-    the paper's semantics ("search only in the areas of the data file that
-    coincide with the clusters").  Pairs come out row-major (cluster order,
-    then SPE order), which is the order a per-cluster mask would give.
+    A cluster's search region is its DM × time box over the full SPE list of
+    its own observation (``spe_obs[j] == box_obs[i]``) — the paper's
+    semantics ("search only in the areas of the data file that coincide
+    with the clusters").  The SPEs are sorted once by (observation, time);
+    a box's time window is then one run of that order, found with
+    ``searchsorted``, and a candidate of the run is a member when
+    ``dm_lo <= dm <= dm_hi``.  Pairs come out row-major (cluster order,
+    then SPE order), the pairs of the dense (clusters × SPEs) mask
+    (``tests/oracles/record_path.py``), and a NaN coordinate or bound
+    selects nothing, as the mask's comparisons do.
     """
-    rows = [np.empty(0, dtype=np.intp)]
-    cols = [np.empty(0, dtype=np.intp)]
-    per_block = max(1, _MEMBERSHIP_CELLS // max(dms.size, 1))
-    for lo in range(0, len(clusters), per_block):
-        block = slice(lo, lo + per_block)
-        inside = dms >= clusters.dm_lo[block, None]
-        inside &= dms <= clusters.dm_hi[block, None]
-        inside &= times >= clusters.t_lo[block, None]
-        inside &= times <= clusters.t_hi[block, None]
-        row, col = np.nonzero(inside)
-        rows.append(row + lo)
-        cols.append(col)
-    return np.concatenate(rows), np.concatenate(cols)
+    m = max(times.size, 1)
+    # One integer orders the SPEs by (observation, time): the observation
+    # above the rank of the time among all times.  Equal times share a
+    # rank, and NaN times (sorted last) rank above every window's end.
+    ladder = np.sort(times)
+    stride = ladder.size + 1
+    key = np.searchsorted(ladder, times)
+    key += spe_obs * stride
+    run = np.argsort(key)
+    key = key[run]
+    base = box_obs * stride
+    lo = np.searchsorted(key, base + np.searchsorted(ladder, clusters.t_lo, "left"))
+    hi = np.searchsorted(key, base + np.searchsorted(ladder, clusters.t_hi, "right"))
+    counts = np.maximum(hi - lo, 0)
+    counts[np.isnan(clusters.t_lo) | np.isnan(clusters.t_hi)] = 0
+    ends = np.cumsum(counts)
+    # Candidate c of box b sits at run position c + skip[b].
+    skip = lo - (ends - counts)
+    pairs = [np.empty(0, dtype=np.int64)]
+    total = int(ends[-1]) if ends.size else 0
+    for first in range(0, total, _CANDIDATES):
+        c = np.arange(first, min(first + _CANDIDATES, total))
+        box = np.searchsorted(ends, c, side="right")
+        spe = run[c + skip[box]]
+        dm = dms[spe]
+        keep = (dm >= clusters.dm_lo[box]) & (dm <= clusters.dm_hi[box])
+        pairs.append(box[keep] * m + spe[keep])
+    pairs = np.sort(np.concatenate(pairs))
+    return pairs // m, pairs % m
 
 
-def search_observation_columns(
+def search_columns(
     times: np.ndarray,
     dms: np.ndarray,
     snrs: np.ndarray,
+    spe_obs: np.ndarray,
     clusters: ClusterBatch,
-    grid: DMGrid | None,
-    observation_key: str = "",
+    box_obs: np.ndarray,
+    grids: Sequence[DMGrid | None],
+    keys: Sequence[str],
     params: SearchParams = SearchParams(),
 ) -> PulseBatch:
-    """Algorithm 1 + the 22 features for every cluster of one observation.
+    """Algorithm 1 + the 22 features for every cluster of many observations.
 
-    ``times``/``dms``/``snrs`` are the observation's SPE columns and
-    ``clusters`` the boxes to search; ``grid`` supplies DMSpacing (1.0
-    without one).  Equal to the per-cluster oracle applied box by box —
-    every bit, rows in cluster order then range order — but the work is
-    done in columns: all box memberships at once, one stable
-    ``(cluster, dm, time)`` sort, one Algorithm 1 call per padded block of
-    clusters and one feature call per padded block of pulses
-    (:func:`repro.core.regression.padded_blocks`: all size classes share a
-    block while it stays small, and a size of 128 or more is a class of its
-    own).
+    ``times``/``dms``/``snrs`` are the SPE columns of all the observations
+    and ``clusters`` the boxes to search; ``spe_obs``/``box_obs`` give each
+    SPE's and each box's observation, an index into ``grids`` (DMSpacing;
+    1.0 for ``None``) and ``keys``.  A box is searched over its own
+    observation's SPEs only, so when each observation's boxes are
+    contiguous the result is the ``PulseBatch.concat`` of one
+    :func:`search_observation_columns` call per observation, bit for bit
+    and row for row; the work, though, is done in columns over all of them:
+    all box memberships at once, one stable ``(cluster, dm, time)`` sort,
+    one Algorithm 1 call per padded block of clusters and one feature call
+    per padded block of pulses (:func:`repro.core.regression.padded_blocks`:
+    all size classes share a block while it stays small, and a size of 128
+    or more is a class of its own).
     """
     times = np.asarray(times, dtype=float)
     dms = np.asarray(dms, dtype=float)
     snrs = np.asarray(snrs, dtype=float)
+    spe_obs = np.asarray(spe_obs, dtype=np.int64)
+    box_obs = np.asarray(box_obs, dtype=np.int64)
     if not (times.size == dms.size == snrs.size):
         raise ValueError(
             "times, dms and snrs must have equal length, got "
             f"{times.size}, {dms.size} and {snrs.size}"
         )
-    cluster_of, spe = _box_members(times, dms, clusters)
+    if spe_obs.size != times.size or box_obs.size != len(clusters):
+        raise ValueError("every SPE and every box needs its observation index")
+    cluster_of, spe = _box_members(times, dms, spe_obs, clusters, box_obs)
     t, d, s = times[spe], dms[spe], snrs[spe]
     order = np.lexsort((t, d, cluster_of))
     t, d, s = t[order], d[order], s[order]
@@ -162,15 +206,43 @@ def search_observation_columns(
     by_snr = np.lexsort((-features[:, 1], cluster))
     first_of_cluster = np.repeat(np.cumsum(n_peaks) - n_peaks, n_peaks)
     features[by_snr, 19] = np.arange(1, cluster.size + 1) - first_of_cluster
-    features[:, 20] = 1.0 if grid is None else grid.spacing_of(features[:, 5])
+    obs_of = box_obs[cluster]
+    features[:, 20] = 1.0
+    for j, grid in enumerate(grids):
+        if grid is not None:
+            rows = obs_of == j
+            features[rows, 20] = grid.spacing_of(features[rows, 5])
     return PulseBatch(
-        observation_key=np.full(cluster.size, observation_key, dtype=object),
+        observation_key=np.array(keys, dtype=object)[obs_of],
         cluster_id=clusters.cluster_id[cluster],
         spe_start=start,
         spe_stop=stop,
         source_name=clusters.source[cluster],
         is_rrat=clusters.is_rrat[cluster],
         features=features,
+    )
+
+
+def search_observation_columns(
+    times: np.ndarray,
+    dms: np.ndarray,
+    snrs: np.ndarray,
+    clusters: ClusterBatch,
+    grid: DMGrid | None,
+    observation_key: str = "",
+    params: SearchParams = SearchParams(),
+) -> PulseBatch:
+    """Algorithm 1 + the 22 features for every cluster of one observation.
+
+    ``times``/``dms``/``snrs`` are the observation's SPE columns and
+    ``clusters`` the boxes to search; ``grid`` supplies DMSpacing (1.0
+    without one).  The one-observation call of :func:`search_columns`:
+    equal to the per-cluster oracle applied box by box — every bit, rows in
+    cluster order then range order.
+    """
+    return search_columns(
+        times, dms, snrs, np.broadcast_to(0, np.shape(times)), clusters,
+        np.zeros(len(clusters), dtype=np.int64), [grid], [observation_key], params,
     )
 
 

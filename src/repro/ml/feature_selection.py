@@ -41,40 +41,37 @@ def _joint_entropies(col: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[fl
     return h_a, h_c, h_c_given_a
 
 
-def rank_info_gain(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def entropy_merits(X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+    """IG, GR and SU merits of every feature from one MDL discretization.
+
+    The three entropy rankers read the same ``(H(A), H(C), H(C|A))`` of the
+    same discretized columns, so a caller that wants all three pays for
+    one MDL search instead of three; each ranker below is its entry.
+    """
     binned, _cuts = mdl_discretize(X, y)
     y = np.asarray(y, dtype=int)
     n_classes = int(y.max()) + 1
-    merits = np.empty(X.shape[1])
-    for j in range(X.shape[1]):
-        _h_a, h_c, h_c_a = _joint_entropies(binned[:, j], y, n_classes)
-        merits[j] = h_c - h_c_a
-    return merits
-
-
-def rank_gain_ratio(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    binned, _cuts = mdl_discretize(X, y)
-    y = np.asarray(y, dtype=int)
-    n_classes = int(y.max()) + 1
-    merits = np.empty(X.shape[1])
-    for j in range(X.shape[1]):
-        h_a, h_c, h_c_a = _joint_entropies(binned[:, j], y, n_classes)
-        ig = h_c - h_c_a
-        merits[j] = ig / h_a if h_a > 1e-12 else 0.0
-    return merits
-
-
-def rank_symmetrical_uncertainty(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    binned, _cuts = mdl_discretize(X, y)
-    y = np.asarray(y, dtype=int)
-    n_classes = int(y.max()) + 1
-    merits = np.empty(X.shape[1])
+    merits = {name: np.empty(X.shape[1]) for name in ("IG", "GR", "SU")}
     for j in range(X.shape[1]):
         h_a, h_c, h_c_a = _joint_entropies(binned[:, j], y, n_classes)
         ig = h_c - h_c_a
         denom = h_a + h_c
-        merits[j] = 2.0 * ig / denom if denom > 1e-12 else 0.0
+        merits["IG"][j] = ig
+        merits["GR"][j] = ig / h_a if h_a > 1e-12 else 0.0
+        merits["SU"][j] = 2.0 * ig / denom if denom > 1e-12 else 0.0
     return merits
+
+
+def rank_info_gain(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return entropy_merits(X, y)["IG"]
+
+
+def rank_gain_ratio(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return entropy_merits(X, y)["GR"]
+
+
+def rank_symmetrical_uncertainty(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return entropy_merits(X, y)["SU"]
 
 
 def rank_correlation(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ per record — and the identity laws hold the live path to it bit for bit:
 
 - ``search_observation_columns`` ≡ :func:`run_rapid_on_cluster` box by box
   (``tests/test_core_rapid_columns.py``);
+- ``core.rapid._box_members`` (a sort by time) ≡
+  :func:`_reference_box_members` (the dense mask), pair for pair
+  (``tests/test_core_rapid_columns.py``);
 - ``DRapidDriver.run`` ≡ :func:`run_reference`, ML files byte for byte
   (``tests/test_dataplane_batches.py``);
 - batch columns ≡ record lists under every batch operation
@@ -649,6 +652,40 @@ def _reference_build_cluster_file(observations: Iterable[Observation]) -> str:
                 ).to_line()
             )
     return "\n".join(lines) + "\n"
+
+
+# -- box membership ------------------------------------------------------------
+
+#: Cells of the (clusters x SPEs) mask evaluated at once.
+_MEMBERSHIP_CELLS = 1 << 21
+
+
+def _reference_box_members(
+    times: np.ndarray,
+    dms: np.ndarray,
+    spe_obs: np.ndarray,
+    clusters: ClusterBatch,
+    box_obs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cluster row, SPE index)`` of every SPE inside each cluster's box,
+    from the dense (clusters x SPEs) mask the live search shipped before it
+    sorted by time: every box against every SPE of its observation, read
+    out row-major (cluster order, then SPE order), in blocks of a fixed
+    cell budget."""
+    rows = [np.empty(0, dtype=np.intp)]
+    cols = [np.empty(0, dtype=np.intp)]
+    per_block = max(1, _MEMBERSHIP_CELLS // max(dms.size, 1))
+    for lo in range(0, len(clusters), per_block):
+        block = slice(lo, lo + per_block)
+        inside = dms >= clusters.dm_lo[block, None]
+        inside &= dms <= clusters.dm_hi[block, None]
+        inside &= times >= clusters.t_lo[block, None]
+        inside &= times <= clusters.t_hi[block, None]
+        inside &= spe_obs == box_obs[block, None]
+        row, col = np.nonzero(inside)
+        rows.append(row + lo)
+        cols.append(col)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 # -- D-RAPID, one tuple per SPE row ------------------------------------------------

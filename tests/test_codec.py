@@ -305,7 +305,7 @@ class TestReadBack:
         """Computed NaNs carry the sign bit (0xfff8...) and ``repr`` writes
         them as ``nan``; an empty source is written like None.  The cached
         batches must come back as the part files read."""
-        search = drapid.search_observation_columns
+        search = drapid.search_columns
 
         def search_with_awkward_values(*args):
             pulses = search(*args)
@@ -317,7 +317,7 @@ class TestReadBack:
             return PulseBatch(pulses.observation_key, pulses.cluster_id, pulses.spe_start,
                               pulses.spe_stop, source, pulses.is_rrat, features)
 
-        monkeypatch.setattr(drapid, "search_observation_columns", search_with_awkward_values)
+        monkeypatch.setattr(drapid, "search_columns", search_with_awkward_values)
         dfs = _dfs()
         data_path, cluster_path = upload_observations(dfs, [observation])
         driver = DRapidDriver(ctx=serial_ctx, dfs=dfs, num_partitions=4,

@@ -315,14 +315,15 @@ class TestMembershipIsBlocked:
         want = search_observation_columns(times, dms, snrs, clusters, GRID, "K")
         assert len(want)
         for cells in (1, 3 * dms.size, 10**12):
-            monkeypatch.setattr(rapid, "_MEMBERSHIP_CELLS", cells)
+            monkeypatch.setattr(rapid, "_CANDIDATES", cells)
             assert_identical(
                 search_observation_columns(times, dms, snrs, clusters, GRID, "K"), want
             )
 
     def test_peak_memory_is_bounded_on_a_large_observation(self):
-        """200 k SPEs × 2 k boxes is 4e8 cells: one boolean block would be
-        400 MB.  Blocked, the whole search stays under 16 MB."""
+        """200 k SPEs × 2 k boxes is 4e8 cells: one boolean mask would be
+        400 MB.  Sorted, with candidates taken a budget at a time, the whole
+        search stays under 16 MB."""
         rng = np.random.default_rng(8)
         m, k = 200_000, 2_000
         times = rng.uniform(0.0, 4000.0, m)
@@ -367,7 +368,10 @@ class TestNoPerClusterCalls:
         result = run_rapid_observation_batch(obs)
 
         batch, clusters = obs.spe_batch, observation_cluster_batch(obs)
-        cluster_of, _spe = rapid._box_members(batch.time_s, batch.dm, clusters)
+        cluster_of, _spe = rapid._box_members(
+            batch.time_s, batch.dm, np.zeros(len(batch), dtype=np.int64),
+            clusters, np.zeros(len(clusters), dtype=np.int64),
+        )
         sizes = np.bincount(cluster_of, minlength=len(clusters))
         searched = sizes[sizes >= 2].tolist()
         size_of = dict(zip(clusters.cluster_id.tolist(), sizes.tolist()))

@@ -23,6 +23,7 @@ RELOCATED = {
     "RapidResult",
     "SinglePulse",
     "_expand",
+    "_reference_box_members",
     "_reference_block_search",
     "_reference_boxcar_snr",
     "_reference_build_cluster_file",

@@ -386,6 +386,27 @@ class TestFeatureSelection:
         gr = rank_gain_ratio(X, y)
         assert gr[1] == 0.0  # noise columns have no cuts → zero merit
 
+    def test_entropy_rankers_share_one_mdl_search(self, informative_data, monkeypatch):
+        """IG, GR and SU from one discretization equal each ranker's own
+        merits byte for byte; three rankers cost three MDL searches, the
+        shared call one."""
+        from repro.ml import feature_selection
+
+        X, y = informative_data
+        calls = Counter()
+
+        def counted(*args):
+            calls["mdl"] += 1
+            return mdl_discretize(*args)
+
+        monkeypatch.setattr(feature_selection, "mdl_discretize", counted)
+        shared = feature_selection.entropy_merits(X, y)
+        assert calls["mdl"] == 1
+        for name in ("IG", "GR", "SU"):
+            assert shared[name].tobytes() == rank_features(name, X, y).tobytes()
+        assert calls["mdl"] == 4
+        assert shared["IG"][0] > 0 and shared["GR"][1] == 0.0
+
     def test_correlation_bounded(self, informative_data):
         X, y = informative_data
         cor = rank_correlation(X, y)
